@@ -24,7 +24,7 @@ from pathlib import Path
 
 import yaml
 
-from .dispatch import DispatchExhaustedError
+from .dispatch import DispatchExhaustedError, InfeasibleInputError
 from .grid import GridWorld, load_map
 from .instances import random_spaced_pairs
 from .pipeline import fpp_solve, kpp_solve
@@ -220,22 +220,25 @@ def run_one(task: TaskSpec) -> RunRecord:
     sep = task.min_separation or default_separation(world)
     pairs = random_spaced_pairs(world, task.n_agents, seed=task.seed, min_separation=sep)
 
+    budget = 10_000 if task.budget_expansions is None else task.budget_expansions
     t0 = time.perf_counter()
     try:
         if task.pipeline == "kpp":
             out = kpp_solve(
                 world, pairs, task.k, task.seed, solver=task.solver,
-                budget_expansions=task.budget_expansions or 10_000,
+                budget_expansions=budget,
                 wall_clock_s=task.budget_seconds,
             )
         else:
             out = fpp_solve(
                 world, pairs, task.k, task.radius, task.seed, solver=task.solver,
-                budget_expansions=task.budget_expansions or 10_000,
+                budget_expansions=budget,
                 wall_clock_s=task.budget_seconds,
             )
         solved = out.solved
-    except DispatchExhaustedError:
+    except (DispatchExhaustedError, InfeasibleInputError):
+        # one bad cell (e.g. a radius the separation cannot support) is an
+        # unsolved row, not the end of the sweep
         out = None
         solved = False
     solve_time = time.perf_counter() - t0

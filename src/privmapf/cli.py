@@ -20,7 +20,7 @@ from .dispatch import read_private_sidecars, write_private_sidecars
 from .grid import load_map, load_scenario, scenario_pairs
 from .instances import random_spaced_pairs
 from .pipeline import compute_beliefs, check_k_privacy, fpp_solve, kpp_solve, write_trace
-from .plans import JointPlan, read_plan_file, write_plan_file, write_real_plan_file
+from .plans import PlanFileError, read_plan_file, write_plan_file, write_real_plan_file
 from .safezone import ppfpp, write_zones
 
 
@@ -163,7 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PlanFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -66,15 +66,32 @@ def write_plan_file(plan: JointPlan, k: int, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+class PlanFileError(ValueError):
+    """A plan file that does not follow the plan file format."""
+
+
 def read_plan_file(path: str | Path) -> tuple[JointPlan, list[int]]:
-    """Returns (plan, group_of) with sub-agents in file order."""
+    """Returns (plan, group_of) with sub-agents in file order.
+
+    Raises PlanFileError, naming the file and line, on a malformed file.
+    """
     paths, group_of = [], []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
-        group_of.append(int(parts[0]))
-        paths.append(tuple(int(v) for v in parts[2:]))
+        if len(parts) < 3:
+            raise PlanFileError(
+                f"{path}:{lineno}: expected <group> <index> <v0> ..., got {len(parts)} fields"
+            )
+        try:
+            numbers = [int(p) for p in parts]
+        except ValueError:
+            raise PlanFileError(f"{path}:{lineno}: non-integer token in {line.strip()!r}") from None
+        group_of.append(numbers[0])
+        paths.append(tuple(numbers[2:]))
+    if not paths:
+        raise PlanFileError(f"{path}: empty plan, no sub-agent lines")
     return JointPlan(tuple(paths)), group_of
 
 

@@ -96,36 +96,62 @@ def extend_safe_zones(
 
     Timesteps are handled in ascending order so that rule 3 (no overlap with
     another group's *previous* zone) always reads finalised zones.
+
+    Group i's frontier is the set of neighbours of its zone that lie outside
+    the zone and outside every other group's dilation (the fov squares
+    around its zone, rule 4) and previous zone (rule 3); rule 2 is implied
+    because every zone lies inside its own dilation. Within one timestep
+    these blocked sets only grow, so the frontiers and a per-vertex bitmask
+    of blocking groups are built once per timestep and then updated per
+    pick: the claimant's frontier gains the new vertex's free neighbours,
+    and the vertices its fov square newly covers leave the other frontiers.
     """
     n_groups = len(zones)
     horizon = len(zones[0]) - 1
+    neighbors = world.neighbors
     picks: list[ExtensionPick] = []
     for t in range(horizon + 1):
         rng = random.Random(f"extend:{seed}:{t}")
-        dilation = [group_fov(world, sorted(zones[j][t]), radius) for j in range(n_groups)]
+        # bit j of blockers[v]: v lies in group j's dilation or zone at t-1;
+        # v is open to group i iff no bit other than i's is set
+        blockers = [0] * world.num_vertices
+        for j in range(n_groups):
+            bit = 1 << j
+            for v in zones[j][t]:
+                for w in world.fov(v, radius):
+                    blockers[w] |= bit
+            if t > 0:
+                for v in zones[j][t - 1]:
+                    blockers[v] |= bit
+        frontiers: list[set[int]] = []
+        for i in range(n_groups):
+            zone, bit = zones[i][t], 1 << i
+            frontiers.append({
+                u for v in zone for u in neighbors(v)
+                if u not in zone and blockers[u] | bit == bit
+            })
         round_no = 0
         while True:
             grew = False
             for i in range(n_groups):
-                zone = zones[i][t]
-                frontier: set[int] = set()
-                for v in zone:
-                    frontier.update(world.neighbors(v))
-                frontier -= zone
-                for j in range(n_groups):
-                    if j == i:
-                        continue
-                    frontier -= dilation[j]
-                    frontier -= zones[j][t]
-                    if t > 0:
-                        frontier -= zones[j][t - 1]
+                frontier = frontiers[i]
                 if not frontier:
                     continue
                 choice = rng.choice(sorted(frontier))
                 if validator is not None:
                     validator(world, radius, zones, t, i, choice)
+                zone, bit = zones[i][t], 1 << i
                 zone.add(choice)
-                dilation[i] |= world.fov(choice, radius)
+                frontier.remove(choice)
+                for u in neighbors(choice):
+                    if u not in zone and blockers[u] | bit == bit:
+                        frontier.add(u)
+                for w in world.fov(choice, radius):
+                    if not blockers[w] & bit:
+                        blockers[w] |= bit
+                        for other in frontiers:
+                            if other is not frontier:
+                                other.discard(w)
                 picks.append(ExtensionPick(t, i, choice, round_no))
                 grew = True
             if not grew:

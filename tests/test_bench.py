@@ -164,6 +164,43 @@ def test_unsolved_rows_keep_sentinels(tmp_path):
     assert solved.solved and solved.soc >= 0
 
 
+def test_zero_expansion_budget_is_kept(tmp_path):
+    # a configured budget of 0 must not fall back to the 10,000 default
+    p = write_yaml(tmp_path, """\
+        maps: [open16]
+        agents: [2]
+        k: [2]
+        radius: [1]
+        seeds: 2
+        budget_expansions: 0
+        min_separation: 3
+    """)
+    cfg = load_config(p)
+    assert cfg.budget_expansions == 0
+    records = run_suite(cfg)
+    assert len(records) == 2
+    assert not any(rec.solved for rec in records)
+    assert all(rec.soc == -1 and rec.rsoc_before == -1 for rec in records)
+
+
+def test_infeasible_cell_becomes_an_unsolved_row(tmp_path):
+    # radius 3 is not below open16's default separation of 3, so dispatch
+    # rejects the real pairs; the cell is recorded and the sweep goes on
+    p = write_yaml(tmp_path, """\
+        maps: [open16]
+        agents: [2]
+        k: [2]
+        radius: [1, 3]
+        seeds: 1
+        budget_expansions: 300
+    """)
+    ok, bad = run_suite(load_config(p))
+    assert ok.radius == 1 and ok.solved
+    assert bad.radius == 3 and not bad.solved
+    assert bad.soc == -1 and bad.makespan == -1
+    assert bad.rsoc_before == -1 and bad.rsoc_after == -1
+
+
 # ---------------------------------------------------------------- analysis
 
 

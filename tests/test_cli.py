@@ -130,3 +130,32 @@ def test_bench_subcommand(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "# schema_version=1"
     assert len(lines) == 4  # comment, header, two rows
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "empty plan"),
+    ("0 0 17 18 19\n0 1 20 x 22\n", ":2: non-integer token"),
+    ("0 0 17 18 19\n\n0 1\n", ":3: expected <group> <index> <v0>"),
+])
+@pytest.mark.parametrize("command", ["audit", "ppfpp"])
+def test_malformed_plan_file_is_one_error_line(tmp_path, capsys, text, where, command):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(text)
+    argv = [command, "--map", "open16", "--plan", str(plan_file), "--radius", "1"]
+    if command == "ppfpp":
+        argv += ["--private-dir", str(tmp_path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {plan_file}")
+    assert where in lines[0]
+
+
+def test_audit_of_dev_null_is_one_error_line(capsys):
+    rc = main(["audit", "--map", "open16", "--plan", "/dev/null"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: /dev/null: empty plan, no sub-agent lines\n"

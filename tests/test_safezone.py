@@ -1,9 +1,12 @@
 """Zone construction, fair extension, and in-zone replanning.
 
 The replanner is checked against a brute-force search on the time-expanded
-graph, and every extension pick is re-validated from first principles via
-the validator hook, so the incremental bookkeeping (dilation sets, frontier
-subtraction) is never trusted on its own word.
+graph. Every extension pick is re-validated from first principles via the
+validator hook, and the extension as a whole is compared with a reference
+that rebuilds each frontier from scratch on every pick, so the incremental
+bookkeeping (per-group frontiers, per-vertex blocker bitmask) is never
+trusted on its own word: a sound pick from an incomplete frontier would
+still change the RNG draw and fail the comparison.
 """
 
 import random
@@ -109,6 +112,109 @@ def test_zones_stay_separated_after_extension(open16, random32):
         refined = ppfpp(world, result.plan, result.problem.group_of,
                         result.real_paths, 1, seed=seed)
         assert check_separated(world, refined.zones, 1) == []
+
+
+def _reference_extend(world, zones, radius, seed, rule3=True):
+    """The extension by its definition: every group's frontier is rebuilt
+    from its whole zone on every pick (the slow original algorithm)."""
+    n_groups = len(zones)
+    horizon = len(zones[0]) - 1
+    picks = []
+    for t in range(horizon + 1):
+        rng = random.Random(f"extend:{seed}:{t}")
+        dilation = [group_fov(world, sorted(zones[j][t]), radius) for j in range(n_groups)]
+        round_no = 0
+        while True:
+            grew = False
+            for i in range(n_groups):
+                zone = zones[i][t]
+                frontier = set()
+                for v in zone:
+                    frontier.update(world.neighbors(v))
+                frontier -= zone
+                for j in range(n_groups):
+                    if j == i:
+                        continue
+                    frontier -= dilation[j]
+                    frontier -= zones[j][t]
+                    if t > 0 and rule3:
+                        frontier -= zones[j][t - 1]
+                if not frontier:
+                    continue
+                choice = rng.choice(sorted(frontier))
+                zone.add(choice)
+                dilation[i] |= world.fov(choice, radius)
+                picks.append(ExtensionPick(t, i, choice, round_no))
+                grew = True
+            if not grew:
+                break
+            round_no += 1
+    return picks
+
+
+def spread_group_zones(world, rng, n_groups, k, radius, horizon):
+    """Initial zones of random-walking groups whose members stay more than
+    3*radius apart from other groups, so the zones start fov-separated."""
+    gap = 3 * radius + 1
+    members = []  # (group, vertex)
+    while len(members) < n_groups * k:
+        v = rng.randrange(world.num_vertices)
+        g = len(members) // k
+        if all(h == g or world.chebyshev(v, u) >= gap for h, u in members):
+            members.append((g, v))
+    group_of = [g for g, _ in members]
+    paths = [[v] for _, v in members]
+    for _ in range(horizon):
+        for a, path in enumerate(paths):
+            v = path[-1]
+            step = rng.choice((v,) + world.neighbors(v))
+            if all(group_of[b] == group_of[a] or world.chebyshev(step, other[-1]) >= gap
+                   for b, other in enumerate(paths)):
+                v = step
+            path.append(v)
+    zones = initial_safe_zones(world, pad_paths(paths), group_of, radius)
+    assert check_separated(world, zones, radius) == []
+    return zones
+
+
+def copy_zones(zones):
+    return [[set(zone) for zone in per_t] for per_t in zones]
+
+
+def test_extension_matches_frontier_rebuild(open16, random32):
+    cases = [  # map, groups, members, radius, horizon
+        (open16, 2, 2, 1, 6),
+        (open16, 4, 1, 2, 5),
+        (open16, 8, 1, 1, 4),
+        (random32, 3, 3, 2, 6),
+        (random32, 6, 2, 1, 8),
+        (random32, 8, 2, 2, 4),
+    ]
+    instances = []
+    for case, (world, n_groups, k, radius, horizon) in enumerate(cases):
+        rng = random.Random(f"equivalence:{case}")
+        instances.append((world, radius, spread_group_zones(world, rng, n_groups, k, radius, horizon)))
+    solved = fpp_fixture(open16, 4, 3, 2, seed=0)
+    instances.append((open16, 1, initial_safe_zones(open16, solved.plan, solved.problem.group_of, 1)))
+
+    stalled_early = rule3_matters = 0
+    for case, (world, radius, zones) in enumerate(instances):
+        expected_zones = copy_zones(zones)
+        expected = _reference_extend(world, expected_zones, radius, seed=case)
+        got_zones = copy_zones(zones)
+        got = extend_safe_zones(world, got_zones, radius, seed=case)
+        assert got == expected
+        assert got_zones == expected_zones
+        assert check_separated(world, got_zones, radius) == []
+        # coverage: a group stops growing while another still picks, and
+        # the previous-timestep zones (rule 3) change the outcome
+        for t in range(len(zones[0])):
+            last = [max((p.round for p in expected if p.t == t and p.group == i), default=-1)
+                    for i in range(len(zones))]
+            stalled_early += min(last) < max(last)
+        rule3_matters += _reference_extend(world, copy_zones(zones), radius, case, rule3=False) != expected
+    assert stalled_early > 0
+    assert rule3_matters > 0
 
 
 # ------------------------------------------------------------- replanning
