@@ -24,18 +24,21 @@ class MetricsError(ValueError):
 
 @dataclass
 class ConflictReport:
-    """Every conflict found, as (agent_a, agent_b, t, vertices) tuples."""
+    """Every conflict found, as (agent_a, agent_b, t, vertices) tuples, and
+    every move that is neither a wait nor a step, as (agent, t, (from, to))."""
 
     vertex_conflicts: list[tuple[int, int, int, tuple[int]]] = field(default_factory=list)
     swap_conflicts: list[tuple[int, int, int, tuple[int, int]]] = field(default_factory=list)
     fov_conflicts: list[tuple[int, int, int, tuple[int, int]]] = field(default_factory=list)
+    invalid_moves: list[tuple[int, int, tuple[int, int]]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not (self.vertex_conflicts or self.swap_conflicts or self.fov_conflicts)
+        return self.total() == 0
 
     def total(self) -> int:
-        return len(self.vertex_conflicts) + len(self.swap_conflicts) + len(self.fov_conflicts)
+        return (len(self.vertex_conflicts) + len(self.swap_conflicts)
+                + len(self.fov_conflicts) + len(self.invalid_moves))
 
 
 def audit(
@@ -45,12 +48,13 @@ def audit(
     fov_radius: int = 0,
     check_fov: bool = False,
 ) -> ConflictReport:
-    """Scan all timesteps and agent pairs for vertex, swap and fov conflicts.
+    """Scan all timesteps and agent pairs for vertex, swap and fov conflicts,
+    and every path for invalid moves.
 
     Vertex and swap conflicts are checked between all sub-agents. Fov
     conflicts (positions of two agents within Chebyshev fov_radius) are only
     a conflict between agents of *different* groups; same-group overlap is
-    exempt by definition.
+    exempt by definition. A vertex id off the map raises AuditError.
     """
     if not plan.is_padded():
         raise AuditError("ragged plan: pad paths to a common horizon before auditing")
@@ -59,20 +63,27 @@ def audit(
     n = plan.num_agents
     horizon = plan.horizon
     report = ConflictReport()
+    adj, nv = world.adjacency, world.num_vertices
+    for a, path in enumerate(plan.paths):
+        if path and (min(path) < 0 or max(path) >= nv):
+            t, v = next((t, v) for t, v in enumerate(path) if not 0 <= v < nv)
+            raise AuditError(f"sub-agent {a} at t={t}: vertex {v} is not on the map")
+        for t in range(1, horizon + 1):
+            u, v = path[t - 1], path[t]
+            if u != v and v not in adj[u]:
+                report.invalid_moves.append((a, t, (u, v)))
+    fov = world.fov_table(fov_radius) if check_fov else None
     for t in range(horizon + 1):
         pos = [plan.paths[a][t] for a in range(n)]
         prev = [plan.paths[a][t - 1] for a in range(n)] if t > 0 else None
         for a in range(n):
+            seen = fov[pos[a]] if check_fov else None
             for b in range(a + 1, n):
                 if pos[a] == pos[b]:
                     report.vertex_conflicts.append((a, b, t, (pos[a],)))
                 if prev is not None and pos[a] == prev[b] and pos[b] == prev[a] and pos[a] != pos[b]:
                     report.swap_conflicts.append((a, b, t, (prev[a], prev[b])))
-                if (
-                    check_fov
-                    and group_of[a] != group_of[b]
-                    and pos[b] in world.fov(pos[a], fov_radius)
-                ):
+                if check_fov and group_of[a] != group_of[b] and pos[b] in seen:
                     report.fov_conflicts.append((a, b, t, (pos[a], pos[b])))
     return report
 
@@ -110,18 +121,15 @@ def real_sum_of_costs(real_paths: list[list[int]], real_goals: list[int]) -> int
 
 
 def check_separated(
-    world: GridWorld, zones: dict[int, list[set[int]]] | list[list[set[int]]], fov_radius: int
+    world: GridWorld, zones: list[list[set[int]]], fov_radius: int
 ) -> list[tuple[int, int, int, int, int]]:
     """Violations of pairwise zone separation: (t, i, j, v, u) with v in
     zone_i^t, u in zone_j^t and the two within fov of each other.
 
-    Empty list means the zones are separated. Accepts any mapping/sequence
-    of per-group, per-timestep vertex sets.
+    Empty list means the zones are separated.
     """
-    if isinstance(zones, dict):
-        items = sorted(zones.items())
-    else:
-        items = list(enumerate(zones))
+    items = list(enumerate(zones))
+    fov = world.fov_table(fov_radius)
     violations = []
     horizon = len(items[0][1]) - 1
     for t in range(horizon + 1):
@@ -129,7 +137,7 @@ def check_separated(
         # intersection; fov is symmetric over passable cells, so u lies in
         # the dilation of zone_i exactly when some v in zone_i sees u
         dilated = [
-            set().union(*(world.fov(v, fov_radius) for v in zi[t]))
+            set().union(*(fov[v] for v in zi[t]))
             if zi[t]
             else set()
             for _, zi in items
@@ -144,7 +152,7 @@ def check_separated(
                 pair = [
                     (t, i, j, v, u)
                     for u in hits
-                    for v in world.fov(u, fov_radius) & zi[t]
+                    for v in fov[u] & zi[t]
                 ]
                 pair.sort(key=lambda x: (x[3], x[4]))
                 violations.extend(pair)

@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .audit import audit, metrics, real_sum_of_costs
-from .bench import format_summary, load_config, resolve_map, run_suite, summarize, write_records
-from .dispatch import read_private_sidecars, write_private_sidecars
-from .grid import load_map, load_scenario, scenario_pairs
+from .audit import AuditError, audit, metrics, real_sum_of_costs
+from .bench import ConfigError, format_summary, load_config, resolve_map, run_suite, summarize, write_records
+from .dispatch import InfeasibleInputError, read_private_sidecars, write_private_sidecars
+from .grid import EmptyMapError, ParseError, ScenarioError, load_map, load_scenario, scenario_pairs
 from .instances import random_spaced_pairs
 from .pipeline import compute_beliefs, check_k_privacy, fpp_solve, kpp_solve, write_trace
 from .plans import PlanFileError, read_plan_file, write_plan_file, write_real_plan_file
@@ -97,8 +97,11 @@ def _cmd_audit(args) -> int:
     print(
         f"vertex conflicts: {len(report.vertex_conflicts)}  "
         f"swap conflicts: {len(report.swap_conflicts)}  "
-        f"fov conflicts: {len(report.fov_conflicts)}"
+        f"fov conflicts: {len(report.fov_conflicts)}  "
+        f"invalid moves: {len(report.invalid_moves)}"
     )
+    for a, t, (u, v) in report.invalid_moves:
+        print(f"invalid move: sub-agent {a} at t={t}: {u} -> {v} is neither a wait nor a step")
     ok = report.ok
     if args.k > 1:
         privacy = check_k_privacy(compute_beliefs(plan, group_of), args.k)
@@ -165,7 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlanFileError as exc:
+    except (
+        OSError, ConfigError, ParseError, EmptyMapError, ScenarioError, PlanFileError,
+        AuditError, InfeasibleInputError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

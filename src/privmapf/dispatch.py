@@ -378,10 +378,3 @@ def read_private_sidecars(dir_path: str | Path) -> dict[int, int]:
         out[obj["group_id"]] = obj["real_index"]
     return out
 
-
-def attach_private_indices(
-    groups: list[AgentGroup], sidecars: dict[int, int]
-) -> list[AgentGroup]:
-    return [
-        AgentGroup(g.group_id, g.pairs, sidecars[g.group_id]) for g in groups
-    ]

@@ -116,23 +116,27 @@ class GridWorld:
             raise ValueError(f"({x},{y}) is blocked")
         return v
 
-    def is_passable(self, x: int, y: int) -> bool:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            return False
-        return self._passable[y * self.width + x]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``neighbors(v)`` indexed by v."""
+        return self._neighbors
+
     def fov(self, v: int, radius: int) -> frozenset[int]:
         """Square field of view: passable vertices within Chebyshev ``radius``."""
-        if radius < 0:
-            raise ValueError("fov radius must be >= 0")
+        return self.fov_table(radius)[v]
+
+    def fov_table(self, radius: int) -> tuple[frozenset[int], ...]:
+        """``fov(v, radius)`` indexed by v, built once per radius."""
         table = self._fov_cache.get(radius)
         if table is None:
-            table = tuple(self._fov_uncached(v2, radius) for v2 in range(self.num_vertices))
+            if radius < 0:
+                raise ValueError("fov radius must be >= 0")
+            table = tuple(self._fov_uncached(v, radius) for v in range(self.num_vertices))
             self._fov_cache[radius] = table
-        return table[v]
+        return table
 
     def _fov_uncached(self, v: int, radius: int) -> frozenset[int]:
         x, y = self.coords(v)

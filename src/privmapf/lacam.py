@@ -114,13 +114,18 @@ def lacam_solve(
     goal_node: _Node | None = None
     best_plan: JointPlan | None = None
     best_soc: int | None = None
+    scored_g: int | None = None  # goal_node.g when its plan was last scored
     expansions = 0
     deadline = time.monotonic() + wall_clock_s if wall_clock_s is not None else None
 
     def consider_incumbent():
-        nonlocal best_plan, best_soc
-        if goal_node is None:
+        nonlocal best_plan, best_soc, scored_g
+        # A rewire sets a parent only while strictly lowering g, and lowers
+        # g along ``edges`` onward, so the goal's parent chain (its plan)
+        # can change only when goal_node.g drops.
+        if goal_node is None or (scored_g is not None and goal_node.g >= scored_g):
             return
+        scored_g = goal_node.g
         plan = _extract(goal_node)
         soc = metrics(plan.paths, goals).soc
         if best_soc is None or soc < best_soc:

@@ -9,6 +9,11 @@ recursion itself); if any of them cannot move, every tentative assignment
 made under that candidate is rolled back and the claimant tries its next
 vertex. With radius 0 the fov set degenerates to {v}, so fov mode and
 classical mode share control flow and consume the RNG identically.
+
+The builder's state is indexed by vertex (``at[v]``, ``claimed[v]``: the
+agent on v and the agent moving to v, -1 for none), so both fov checks on
+a tried vertex walk only its (2r+1)^2 fov square, whatever the number of
+agents and groups.
 """
 
 from __future__ import annotations
@@ -67,15 +72,7 @@ class SolverProblem:
         if len(set(self.goals)) != len(self.goals):
             raise ValueError("sub-agent goals are not pairwise distinct")
         self.num_agents = len(self.starts)
-        self._dist_by_goal: dict[int, list[int]] = {}
-        self.dists = [self._distance_table(g) for g in self.goals]
-
-    def _distance_table(self, goal: int) -> list[int]:
-        table = self._dist_by_goal.get(goal)
-        if table is None:
-            table = bfs_distances(self.world, goal)
-            self._dist_by_goal[goal] = table
-        return table
+        self.dists = [bfs_distances(world, g) for g in self.goals]
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,15 @@ def compute_priorities(
 def priority_order(
     problem: SolverProblem, config: list[int], etas: list[int] | None = None
 ) -> list[int]:
-    states = compute_priorities(problem, config, etas)
-    return [s.agent for s in sorted(states, key=lambda s: s.key)]
+    # sorts PriorityState.key tuples without building the states
+    if etas is None:
+        etas = update_etas(problem, config, [0] * problem.num_agents)
+    goals, dists = problem.goals, problem.dists
+    keys = sorted(
+        (config[a] == goals[a], -etas[a], dists[a][config[a]], a)
+        for a in range(problem.num_agents)
+    )
+    return [key[3] for key in keys]
 
 
 def valid_configuration(problem: SolverProblem, config: list[int], fov_mode: bool) -> bool:
@@ -140,92 +144,102 @@ def valid_configuration(problem: SolverProblem, config: list[int], fov_mode: boo
     return True
 
 
+def shuffle(x: list, getrandbits) -> None:
+    """``Random.shuffle(x)`` inlined: the same swaps from the same draws."""
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 class _StepBuilder:
     def __init__(self, problem, config, rng, fov_mode):
+        world = problem.world
         self.problem = problem
-        self.world = problem.world
         self.config = config
         self.rng = rng
         self.fov_mode = fov_mode
-        self.radius = problem.fov_radius
-        n = problem.num_agents
-        self.target: list[int | None] = [None] * n
-        self.claimed: dict[int, int] = {}
-        self.at = {v: a for a, v in enumerate(config)}
-        self.group_targets: list[set[int]] = [set() for _ in range(problem.n_groups)]
-        self.undo: list[tuple[int, int]] = []
+        self.dists = problem.dists
+        self.group_of = problem.group_of
+        self.adj = world.adjacency
+        self.fov = world.fov_table(problem.fov_radius) if fov_mode else None
+        self.target: list[int | None] = [None] * problem.num_agents
+        self.claimed = [-1] * world.num_vertices
+        self.at = [-1] * world.num_vertices
+        for a, v in enumerate(config):
+            self.at[v] = a
+        self.undo: list[int] = []
 
     def _assign(self, a, v):
         self.target[a] = v
         self.claimed[v] = a
-        self.group_targets[self.problem.group_of[a]].add(v)
-        self.undo.append((a, v))
+        self.undo.append(a)
 
     def _rollback(self, mark):
-        while len(self.undo) > mark:
-            a, v = self.undo.pop()
-            self.target[a] = None
-            del self.claimed[v]
-            self.group_targets[self.problem.group_of[a]].discard(v)
+        undo, target, claimed = self.undo, self.target, self.claimed
+        while len(undo) > mark:
+            a = undo.pop()
+            claimed[target[a]] = -1
+            target[a] = None
 
     def _candidates(self, a):
-        cand = [self.config[a], *self.world.neighbors(self.config[a])]
-        self.rng.shuffle(cand)
-        cand.sort(key=self.problem.dists[a].__getitem__)
+        cur = self.config[a]
+        cand = [cur, *self.adj[cur]]
+        shuffle(cand, self.rng.getrandbits)
+        cand.sort(key=self.dists[a].__getitem__)
         return cand
 
     def _fov_blocked(self, a, v):
         # v must stay clear of every decided target of other groups; fov is
-        # symmetric, so one membership test covers both directions.
-        fset = self.world.fov(v, self.radius)
-        ga = self.problem.group_of[a]
-        for g, targets in enumerate(self.group_targets):
-            if g != ga and targets and not fset.isdisjoint(targets):
+        # symmetric, so scanning v's square covers both directions.
+        claimed, group_of = self.claimed, self.group_of
+        ga = group_of[a]
+        for u in self.fov[v]:
+            b = claimed[u]
+            if b >= 0 and group_of[b] != ga:
                 return True
         return False
 
     def _swap(self, a, v):
-        b = self.claimed.get(self.config[a])
-        return b is not None and b != a and self.config[b] == v
+        b = self.claimed[self.config[a]]
+        return b >= 0 and b != a and self.config[b] == v
 
     def _pushees(self, a, v):
-        out = set()
-        occ = self.at.get(v)
-        if occ is not None and occ != a and self.target[occ] is None:
-            out.add(occ)
-        if self.fov_mode:
-            ga = self.problem.group_of[a]
-            fset = self.world.fov(v, self.radius)
-            for b, cur in enumerate(self.config):
-                if (
-                    b != a
-                    and self.target[b] is None
-                    and self.problem.group_of[b] != ga
-                    and cur in fset
-                ):
-                    out.add(b)
-        return sorted(out)
+        # the occupant of v whatever its group; in fov mode also every
+        # agent of another group inside v's square
+        at, target = self.at, self.target
+        if not self.fov_mode:
+            b = at[v]
+            return [b] if b >= 0 and b != a and target[b] is None else []
+        group_of = self.group_of
+        ga = group_of[a]
+        out = []
+        for u in self.fov[v]:
+            b = at[u]
+            if b >= 0 and b != a and target[b] is None and (u == v or group_of[b] != ga):
+                out.append(b)
+        out.sort()
+        return out
 
     def _attempt(self, a) -> bool:
+        claimed, target = self.claimed, self.target
         for v in self._candidates(a):
-            if v in self.claimed:
-                continue
-            if self._swap(a, v):
+            if claimed[v] >= 0 or self._swap(a, v):
                 continue
             if self.fov_mode and self._fov_blocked(a, v):
                 continue
             mark = len(self.undo)
             self._assign(a, v)
-            ok = True
             for b in self._pushees(a, v):
-                if self.target[b] is not None:
-                    continue  # decided while clearing an earlier member
-                if not self._attempt(b):
-                    ok = False
+                # b may have been decided while clearing an earlier pushee
+                if target[b] is None and not self._attempt(b):
+                    self._rollback(mark)
                     break
-            if ok:
+            else:
                 return True
-            self._rollback(mark)
         return False
 
     def run(
@@ -235,11 +249,13 @@ class _StepBuilder:
     ) -> list[int] | None:
         if forced:
             for a, v in forced:
+                cur = self.config[a]
+                # first, so that v is a vertex id before claimed[v] is read
+                if v != cur and v not in self.adj[cur]:
+                    return None
                 if self.target[a] is not None:
                     return None
-                if v in self.claimed or self._swap(a, v):
-                    return None
-                if v != self.config[a] and v not in self.world.neighbors(self.config[a]):
+                if self.claimed[v] >= 0 or self._swap(a, v):
                     return None
                 if self.fov_mode and self._fov_blocked(a, v):
                     return None

@@ -55,9 +55,10 @@ ZoneTable = list[list[set[int]]]
 
 def group_fov(world: GridWorld, positions: list[int] | tuple[int, ...], radius: int) -> set[int]:
     """Union of the fov squares around the given member positions."""
+    fov = world.fov_table(radius)
     region: set[int] = set()
     for v in positions:
-        region.update(world.fov(v, radius))
+        region.update(fov[v])
     return region
 
 
@@ -67,12 +68,13 @@ def initial_safe_zones(
     """Per group and timestep: region vertices whose fov stays in the region."""
     n_groups = max(group_of) + 1
     members = [[j for j, g in enumerate(group_of) if g == i] for i in range(n_groups)]
+    fov = world.fov_table(radius)
     zones: ZoneTable = []
     for i in range(n_groups):
         per_t: list[set[int]] = []
         for t in range(plan.horizon + 1):
             region = group_fov(world, [plan.position(j, t) for j in members[i]], radius)
-            per_t.append({v for v in region if world.fov(v, radius) <= region})
+            per_t.append({v for v in region if fov[v] <= region})
         zones.append(per_t)
     return zones
 
@@ -109,6 +111,7 @@ def extend_safe_zones(
     n_groups = len(zones)
     horizon = len(zones[0]) - 1
     neighbors = world.neighbors
+    fov = world.fov_table(radius)
     picks: list[ExtensionPick] = []
     for t in range(horizon + 1):
         rng = random.Random(f"extend:{seed}:{t}")
@@ -118,7 +121,7 @@ def extend_safe_zones(
         for j in range(n_groups):
             bit = 1 << j
             for v in zones[j][t]:
-                for w in world.fov(v, radius):
+                for w in fov[v]:
                     blockers[w] |= bit
             if t > 0:
                 for v in zones[j][t - 1]:
@@ -146,7 +149,7 @@ def extend_safe_zones(
                 for u in neighbors(choice):
                     if u not in zone and blockers[u] | bit == bit:
                         frontier.add(u)
-                for w in world.fov(choice, radius):
+                for w in fov[choice]:
                     if not blockers[w] & bit:
                         blockers[w] |= bit
                         for other in frontiers:

@@ -105,3 +105,20 @@ def test_check_separated_flags_fov_overlap(open4):
     bad = check_separated(open4, [za, zb], 1)
     assert bad and bad[0][0] == 0  # t=0: (0,0) sees (1,1)
     assert not check_separated(open4, [za, zb], 0)
+
+
+def test_audit_reports_moves_that_are_not_wait_or_step(open4):
+    v00, v10, v20 = open4.vertex_at(0, 0), open4.vertex_at(1, 0), open4.vertex_at(2, 0)
+    v33 = open4.vertex_at(3, 3)
+    plan = JointPlan(((v00, v10, v10, v00), (v33, v20, v20, v33)))
+    report = audit(open4, plan)
+    assert report.invalid_moves == [(1, 1, (v33, v20)), (1, 3, (v20, v33))]
+    assert not report.ok
+    assert report.total() == 2
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_audit_rejects_vertex_ids_off_the_map(open4, bad):
+    plan = JointPlan(((0, 1, 2), (5, bad, 5)))
+    with pytest.raises(AuditError, match=f"sub-agent 1 at t=1: vertex {bad} "):
+        audit(open4, plan)

@@ -159,3 +159,52 @@ def test_audit_of_dev_null_is_one_error_line(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "error: /dev/null: empty plan, no sub-agent lines\n"
+
+
+def test_audit_reports_teleports(tmp_path, capsys):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("0 0 0 200 17\n")  # 0 -> 200 -> 17: two non-adjacent moves
+    rc = main(["audit", "--map", "open16", "--plan", str(plan_file)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "invalid moves: 2" in out
+    assert "invalid move: sub-agent 0 at t=1: 0 -> 200" in out
+    assert "invalid move: sub-agent 0 at t=2: 200 -> 17" in out
+    assert out.splitlines()[-1] == "violations found"
+
+
+MAP_WITH_BAD_TERRAIN = "type octile\nheight 2\nwidth 2\nmap\n.x\n..\n"
+MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
+
+
+@pytest.mark.parametrize("error,argv,where", [
+    ("OSError", ["audit", "--map", "open16", "--plan", "{tmp}/missing.txt"],
+     "No such file or directory"),
+    ("ConfigError", ["solve", "--map", "nosuch"], "unknown map 'nosuch'"),
+    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--plan", "{tmp}/plan.txt"],
+     "unknown terrain 'x'"),
+    ("EmptyMapError", ["audit", "--map", "{tmp}/empty.map", "--plan", "{tmp}/plan.txt"],
+     "no passable cell"),
+    ("ScenarioError",
+     ["solve", "--map", "open16", "--agents", "2",
+      "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
+     "scenario is for a 32x32 map"),
+    ("AuditError", ["audit", "--map", "open16", "--plan", "{tmp}/off_map.txt"],
+     "vertex 99999 is not on the map"),
+    ("InfeasibleInputError",
+     ["solve", "--map", "open16", "--pipeline", "fpp", "--radius", "3"],
+     "collide under rule r=3"),
+])
+def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
+    (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
+    (tmp_path / "empty.map").write_text(MAP_WITHOUT_PASSABLE_CELL)
+    (tmp_path / "plan.txt").write_text("0 0 0\n")
+    (tmp_path / "off_map.txt").write_text("0 0 99999 99999\n")
+    rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2, error
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert where in lines[0]

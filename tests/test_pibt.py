@@ -4,7 +4,9 @@ The single-step oracle re-validates every produced configuration from
 first principles (moves are stay-or-adjacent, vertices unique, no
 exchanges, and in fov mode no inter-group visibility), so the transactional
 push/rollback machinery is checked against the rules it must maintain, not
-against its own bookkeeping.
+against its own bookkeeping. The vertex-indexed builder is also compared,
+result and RNG state, with a reference that keeps its state in dicts and
+per-group target sets and scans every agent for fov pushees.
 """
 
 import random
@@ -21,6 +23,7 @@ from privmapf.pibt import (
     pibt_solve,
     pibt_step,
     priority_order,
+    shuffle,
     update_etas,
     valid_configuration,
 )
@@ -194,3 +197,199 @@ def test_solved_plan_reaches_goals_and_audits_clean(open16):
         assert result.solved
         assert [p[-1] for p in result.plan.paths] == list(problem.goals)
         assert audit(open16, result.plan).ok
+
+
+# ------------------------------------------------ reference step builder
+
+
+class _ReferenceStepBuilder:
+    """The step builder with dict occupancy and claims, one target set per
+    group, a scan over every agent for fov pushees and ``Random.shuffle``;
+    it counts the pushes of agents that do not stand on the tried vertex."""
+
+    def __init__(self, problem, config, rng, fov_mode):
+        self.problem = problem
+        self.world = problem.world
+        self.config = config
+        self.rng = rng
+        self.fov_mode = fov_mode
+        self.radius = problem.fov_radius
+        n = problem.num_agents
+        self.target = [None] * n
+        self.claimed = {}
+        self.at = {v: a for a, v in enumerate(config)}
+        self.group_targets = [set() for _ in range(problem.n_groups)]
+        self.undo = []
+        self.square_pushes = 0
+
+    def _assign(self, a, v):
+        self.target[a] = v
+        self.claimed[v] = a
+        self.group_targets[self.problem.group_of[a]].add(v)
+        self.undo.append((a, v))
+
+    def _rollback(self, mark):
+        while len(self.undo) > mark:
+            a, v = self.undo.pop()
+            self.target[a] = None
+            del self.claimed[v]
+            self.group_targets[self.problem.group_of[a]].discard(v)
+
+    def _candidates(self, a):
+        cand = [self.config[a], *self.world.neighbors(self.config[a])]
+        self.rng.shuffle(cand)
+        cand.sort(key=self.problem.dists[a].__getitem__)
+        return cand
+
+    def _fov_blocked(self, a, v):
+        fset = self.world.fov(v, self.radius)
+        ga = self.problem.group_of[a]
+        for g, targets in enumerate(self.group_targets):
+            if g != ga and targets and not fset.isdisjoint(targets):
+                return True
+        return False
+
+    def _swap(self, a, v):
+        b = self.claimed.get(self.config[a])
+        return b is not None and b != a and self.config[b] == v
+
+    def _pushees(self, a, v):
+        out = set()
+        occ = self.at.get(v)
+        if occ is not None and occ != a and self.target[occ] is None:
+            out.add(occ)
+        if self.fov_mode:
+            ga = self.problem.group_of[a]
+            fset = self.world.fov(v, self.radius)
+            for b, cur in enumerate(self.config):
+                if (
+                    b != a
+                    and self.target[b] is None
+                    and self.problem.group_of[b] != ga
+                    and cur in fset
+                ):
+                    out.add(b)
+        return sorted(out)
+
+    def _attempt(self, a):
+        for v in self._candidates(a):
+            if v in self.claimed:
+                continue
+            if self._swap(a, v):
+                continue
+            if self.fov_mode and self._fov_blocked(a, v):
+                continue
+            mark = len(self.undo)
+            self._assign(a, v)
+            ok = True
+            for b in self._pushees(a, v):
+                if self.target[b] is not None:
+                    continue
+                self.square_pushes += self.config[b] != v
+                if not self._attempt(b):
+                    ok = False
+                    break
+            if ok:
+                return True
+            self._rollback(mark)
+        return False
+
+    def run(self, forced=None, order=None):
+        if forced:
+            for a, v in forced:
+                if self.target[a] is not None:
+                    return None
+                if v in self.claimed or self._swap(a, v):
+                    return None
+                if v != self.config[a] and v not in self.world.neighbors(self.config[a]):
+                    return None
+                if self.fov_mode and self._fov_blocked(a, v):
+                    return None
+                self._assign(a, v)
+        if order is None:
+            states = compute_priorities(self.problem, self.config)
+            order = [s.agent for s in sorted(states, key=lambda s: s.key)]
+        for a in order:
+            if self.target[a] is None and not self._attempt(a):
+                return None
+        return list(self.target)
+
+
+def _grouped_problem(world, rng, n_groups, k, radius):
+    cells = rng.sample(range(world.num_vertices), 2 * n_groups * k)
+    groups = [
+        AgentGroup(g, tuple(zip(cells[g * k:(g + 1) * k], cells[(n_groups + g) * k:(n_groups + g + 1) * k])), 0)
+        for g in range(n_groups)
+    ]
+    return SolverProblem(world, groups, radius)
+
+
+def _crowded_config(world, rng, n):
+    """n distinct vertices inside one 6x6 window: fov squares overlap a lot."""
+    x0 = rng.randrange(world.width - 5)
+    y0 = rng.randrange(world.height - 5)
+    window = [v for v in range(world.num_vertices)
+              if x0 <= world.coords(v)[0] < x0 + 6 and y0 <= world.coords(v)[1] < y0 + 6]
+    return rng.sample(window, n) if len(window) >= n else None
+
+
+def _forced(problem, config, order, rng):
+    """LaCAM-style pins on a prefix of the order: stay or step, now and
+    then a two-cell jump, which no builder may realise."""
+    out = []
+    for a in order[:rng.randrange(4)]:
+        cur = config[a]
+        cands = [cur, *problem.world.neighbors(cur)]
+        if rng.random() < 0.1:
+            cands = [u for u in range(problem.world.num_vertices)
+                     if problem.world.chebyshev(cur, u) == 2]
+        out.append((a, rng.choice(cands)))
+    return out
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("fov_mode", [False, True])
+def test_builder_matches_reference(open16, random32, fov_mode, radius):
+    square_pushes = nones = steps = 0
+    for case, world in enumerate((open16, random32)):
+        rng = random.Random(f"builder:{case}:{radius}:{fov_mode}")
+        for _ in range(4):
+            problem = _grouped_problem(world, rng, rng.randint(3, 6), rng.randint(1, 3), radius)
+            n = problem.num_agents
+            configs = [list(problem.starts)]
+            configs += [c for c in (_crowded_config(world, rng, n) for _ in range(4)) if c]
+            for config in configs:
+                etas = update_etas(problem, config, [0] * n)
+                for step in range(6):
+                    order = priority_order(problem, config, etas) if step % 2 else None
+                    forced = _forced(problem, config, order or list(range(n)), rng)
+                    state = rng.getstate()
+                    ref_rng, new_rng = random.Random(), random.Random()
+                    ref_rng.setstate(state)
+                    new_rng.setstate(state)
+                    ref = _ReferenceStepBuilder(problem, list(config), ref_rng, fov_mode)
+                    expected = ref.run(forced, order)
+                    got = build_step(problem, list(config), new_rng, fov_mode, forced, order)
+                    assert got == expected
+                    assert new_rng.getstate() == ref_rng.getstate()
+                    square_pushes += ref.square_pushes
+                    steps += 1
+                    if got is None:
+                        nones += 1
+                        continue
+                    config = got
+                    etas = update_etas(problem, config, etas)
+    assert nones > 0 and nones < steps
+    if fov_mode and radius > 0:
+        assert square_pushes > 0
+
+
+def test_shuffle_matches_random_shuffle():
+    for n in range(1, 6):
+        for seed in range(300):
+            expected, got = list(range(n)), list(range(n))
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            ref_rng.shuffle(expected)
+            shuffle(got, rng.getrandbits)
+            assert got == expected
+            assert rng.getstate() == ref_rng.getstate()
