@@ -16,7 +16,9 @@ from pathlib import Path
 from . import __version__
 from .audit import AuditError, audit, metrics, real_sum_of_costs
 from .bench import ConfigError, format_summary, load_config, resolve_map, run_suite, summarize, write_records
-from .dispatch import InfeasibleInputError, read_private_sidecars, write_private_sidecars
+from .dispatch import (
+    InfeasibleInputError, SidecarError, read_private_sidecars, sidecar_path, write_private_sidecars,
+)
 from .grid import EmptyMapError, ParseError, ScenarioError, load_map, load_scenario, scenario_pairs
 from .instances import random_spaced_pairs
 from .pipeline import compute_beliefs, check_k_privacy, fpp_solve, kpp_solve, write_trace
@@ -69,10 +71,15 @@ def _cmd_ppfpp(args) -> int:
     world = load_map(resolve_map(args.map))
     plan, group_of = read_plan_file(args.plan)
     private = read_private_sidecars(args.private_dir)
-    k = len(group_of) // (max(group_of) + 1)
-    real_paths = [
-        plan.paths[g * k + private[g]] for g in range(max(group_of) + 1)
-    ]
+    n_groups = max(group_of) + 1
+    k = len(group_of) // n_groups
+    for g in range(n_groups):
+        where = sidecar_path(args.private_dir, g)
+        if g not in private:
+            raise SidecarError(f"{where}: no private sidecar for group {g}")
+        if not 0 <= private[g] < k:
+            raise SidecarError(f"{where}: real_index {private[g]} is not in [0, {k})")
+    real_paths = [plan.paths[g * k + private[g]] for g in range(n_groups)]
     result = ppfpp(world, plan, group_of, real_paths, args.radius, args.seed)
     print(
         f"rsoc {result.rsoc_before} -> {result.rsoc_after} "
@@ -170,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         OSError, ConfigError, ParseError, EmptyMapError, ScenarioError, PlanFileError,
-        AuditError, InfeasibleInputError,
+        AuditError, InfeasibleInputError, SidecarError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

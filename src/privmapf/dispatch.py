@@ -359,22 +359,35 @@ def read_broadcast(world: GridWorld, path: str | Path) -> list[AgentGroup]:
     return groups
 
 
+class SidecarError(ValueError):
+    """A private sidecar file that is missing or malformed."""
+
+
+def sidecar_path(dir_path: str | Path, group_id: int) -> Path:
+    return Path(dir_path) / f"agent_{group_id:03d}.json"
+
+
 def write_private_sidecars(groups: list[AgentGroup], dir_path: str | Path) -> None:
     """One private file per agent holding only which of its pairs is real."""
-    d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
+    Path(dir_path).mkdir(parents=True, exist_ok=True)
     for g in groups:
         if g.real_index is None:
             raise ValueError(f"group {g.group_id} has no private real index")
-        (d / f"agent_{g.group_id:03d}.json").write_text(
+        sidecar_path(dir_path, g.group_id).write_text(
             json.dumps({"group_id": g.group_id, "real_index": g.real_index}) + "\n"
         )
 
 
 def read_private_sidecars(dir_path: str | Path) -> dict[int, int]:
+    """Real index per group id; SidecarError naming the file if one is malformed."""
     out = {}
     for f in sorted(Path(dir_path).glob("agent_*.json")):
-        obj = json.loads(f.read_text())
+        try:
+            obj = json.loads(f.read_text())
+        except ValueError as exc:
+            raise SidecarError(f"{f}: not a JSON sidecar ({exc})") from None
+        if not (isinstance(obj, dict)
+                and all(isinstance(obj.get(key), int) for key in ("group_id", "real_index"))):
+            raise SidecarError(f'{f}: expected {{"group_id": <int>, "real_index": <int>}}')
         out[obj["group_id"]] = obj["real_index"]
     return out
-

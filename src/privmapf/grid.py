@@ -23,13 +23,24 @@ BLOCKED_CHARS = frozenset("@OTW")
 
 
 class ParseError(ValueError):
-    """Malformed .map/.scen content. Carries the 1-based offending line."""
+    """Malformed .map/.scen content. Carries the 1-based offending line and,
+    when read from a file, the file's path."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | Path | None = None):
+        self.message, self.line, self.path = message, line, path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line
+
+
+def _parse_file(parse, path: str | Path):
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, path) from None
 
 
 class EmptyMapError(ValueError):
@@ -245,7 +256,7 @@ def parse_map_text(text: str) -> GridWorld:
 
 
 def load_map(path: str | Path) -> GridWorld:
-    return parse_map_text(Path(path).read_text())
+    return _parse_file(parse_map_text, path)
 
 
 @dataclass(frozen=True)
@@ -294,7 +305,7 @@ def parse_scenario_text(text: str) -> list[ScenarioEntry]:
 
 
 def load_scenario(path: str | Path) -> list[ScenarioEntry]:
-    return parse_scenario_text(Path(path).read_text())
+    return _parse_file(parse_scenario_text, path)
 
 
 def scenario_pairs(world: GridWorld, entries: list[ScenarioEntry]) -> list[tuple[int, int]]:

@@ -13,10 +13,11 @@ Dijkstra-style whenever a cheaper path to them appears.
 There is no swap operation on top of the step builder; escaping local
 minima is left to the constraint tree.
 
-The edge cost charges 1 per agent not resting at its goal across the move,
-which matches sum-of-costs as long as no agent leaves its goal again; the
-incumbent plan is therefore re-scored with the exact path-cost metric and
-only replaced when that true cost improves.
+The edge cost charges 1 per agent not resting at its goal across the move
+(n minus the agents on their goal at both ends), which matches sum-of-costs
+as long as no agent leaves its goal again; the incumbent plan is therefore
+re-scored with the exact path-cost metric and only replaced when that true
+cost improves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from collections import deque
 
 from .audit import metrics
-from .pibt import SolveResult, SolverProblem, build_step, priority_order, update_etas
+from .pibt import SolveResult, SolverProblem, build_step
 from .plans import JointPlan
 
 
@@ -46,9 +47,9 @@ class _Constraint:
 
 
 class _Node:
-    __slots__ = ("config", "g", "h", "parent", "tree", "order", "etas", "edges")
+    __slots__ = ("config", "g", "h", "parent", "tree", "order", "etas", "at_goal", "edges")
 
-    def __init__(self, config, g, h, parent, order, etas):
+    def __init__(self, config, g, h, parent, order, etas, at_goal):
         self.config = config
         self.g = g
         self.h = h
@@ -56,17 +57,12 @@ class _Node:
         self.tree = deque([_Constraint()])
         self.order = order
         self.etas = etas  # off-goal counters frozen at first discovery
+        self.at_goal = at_goal  # bit a: agent a stands on its goal
         self.edges: dict[_Node, int] = {}
 
     @property
     def f(self) -> int:
         return self.g + self.h
-
-
-def _edge_cost(goals: list[int], q_from: tuple[int, ...], q_to: tuple[int, ...]) -> int:
-    return sum(
-        1 for a, g in enumerate(goals) if not (q_from[a] == g and q_to[a] == g)
-    )
 
 
 def _extract(node: _Node) -> JointPlan:
@@ -92,23 +88,33 @@ def lacam_solve(
     goals = problem.goals
     goal_cfg = tuple(goals)
     rng = random.Random(f"pibt:{seed}")
+    n, dists = problem.num_agents, problem.dists
 
-    def heuristic(cfg: tuple[int, ...]) -> int:
-        return sum(problem.dists[a][cfg[a]] for a in range(problem.num_agents))
+    def node_data(cfg: tuple[int, ...], etas: list[int]):
+        """``update_etas``, the distance heuristic, ``priority_order`` and
+        the at-goal bitmask of a new configuration, in one pass."""
+        new_etas, keys = [], []
+        h = at_goal = 0
+        for a in range(n):
+            v = cfg[a]
+            d = dists[a][v]
+            h += d
+            if v == goals[a]:
+                e = 0
+                at_goal |= 1 << a
+            else:
+                e = etas[a] + 1
+            new_etas.append(e)
+            keys.append((e == 0, -e, d, a))
+        keys.sort()
+        return new_etas, h, [key[3] for key in keys], at_goal
 
     start_cfg = tuple(problem.starts)
     if start_cfg == goal_cfg:
         plan = JointPlan.from_configs([list(start_cfg)])
         return SolveResult(True, plan, None, steps=0, expansions=0)
-    start_etas = update_etas(problem, list(start_cfg), [0] * problem.num_agents)
-    init = _Node(
-        start_cfg,
-        0,
-        heuristic(start_cfg),
-        None,
-        priority_order(problem, list(start_cfg), start_etas),
-        start_etas,
-    )
+    etas, h, order, at_goal = node_data(start_cfg, [0] * n)
+    init = _Node(start_cfg, 0, h, None, order, etas, at_goal)
     open_stack: list[_Node] = [init]
     explored: dict[tuple[int, ...], _Node] = {start_cfg: init}
     goal_node: _Node | None = None
@@ -149,7 +155,7 @@ def lacam_solve(
         expansions += 1
 
         constraint = node.tree.popleft()
-        if constraint.depth < problem.num_agents:
+        if constraint.depth < n:
             agent = node.order[constraint.depth]
             cur = node.config[agent]
             cands = sorted(
@@ -166,18 +172,11 @@ def lacam_solve(
         if q_new is None:
             continue
         q_new = tuple(q_new)
-        cost = _edge_cost(goals, node.config, q_new)
         known = explored.get(q_new)
         if known is None:
-            child_etas = update_etas(problem, list(q_new), node.etas)
-            child = _Node(
-                q_new,
-                node.g + cost,
-                heuristic(q_new),
-                node,
-                priority_order(problem, list(q_new), child_etas),
-                child_etas,
-            )
+            etas, h, order, at_goal = node_data(q_new, node.etas)
+            cost = n - (node.at_goal & at_goal).bit_count()
+            child = _Node(q_new, node.g + cost, h, node, order, etas, at_goal)
             node.edges[child] = cost
             explored[q_new] = child
             open_stack.append(child)
@@ -185,6 +184,7 @@ def lacam_solve(
                 goal_node = child
                 consider_incumbent()
         else:
+            cost = n - (node.at_goal & known.at_goal).bit_count()
             if known is not node:  # self-loops cannot improve anything
                 node.edges[known] = min(cost, node.edges.get(known, cost))
             open_stack.append(known)

@@ -73,9 +73,12 @@ class PlanFileError(ValueError):
 def read_plan_file(path: str | Path) -> tuple[JointPlan, list[int]]:
     """Returns (plan, group_of) with sub-agents in file order.
 
-    Raises PlanFileError, naming the file and line, on a malformed file.
+    Raises PlanFileError, naming the file and line, on a malformed file:
+    every token must be an integer, rows must be in group-major order with
+    as many members in each group as in group 0, and all paths must have
+    the same length.
     """
-    paths, group_of = [], []
+    rows = []  # (lineno, group, index, path)
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -88,11 +91,28 @@ def read_plan_file(path: str | Path) -> tuple[JointPlan, list[int]]:
             numbers = [int(p) for p in parts]
         except ValueError:
             raise PlanFileError(f"{path}:{lineno}: non-integer token in {line.strip()!r}") from None
-        group_of.append(numbers[0])
-        paths.append(tuple(numbers[2:]))
-    if not paths:
+        rows.append((lineno, numbers[0], numbers[1], tuple(numbers[2:])))
+    if not rows:
         raise PlanFileError(f"{path}: empty plan, no sub-agent lines")
-    return JointPlan(tuple(paths)), group_of
+    # group 0's size is k; row j must then be sub-agent j % k of group j // k
+    k = next((j for j, row in enumerate(rows) if row[1] != 0), len(rows))
+    length = len(rows[0][3])
+    for j, (lineno, g, i, p) in enumerate(rows):
+        where, (want_g, want_i) = f"{path}:{lineno}", divmod(j, k)
+        if (g, i) == (want_g + 1, 0) and want_i > 0:
+            raise PlanFileError(f"{where}: group {want_g} has {want_i} members, group 0 has {k}")
+        if (g, i) == (want_g - 1, k) and want_i == 0:
+            raise PlanFileError(f"{where}: group {g} has more than {k} members, group 0 has {k}")
+        if (g, i) != (want_g, want_i):
+            raise PlanFileError(
+                f"{where}: row '{g} {i}' is out of group-major order, expected '{want_g} {want_i}'"
+            )
+        if len(p) != length:
+            raise PlanFileError(f"{where}: path has {len(p)} positions, the first row has {length}")
+    if len(rows) % k:
+        lineno, g = rows[-1][:2]
+        raise PlanFileError(f"{path}:{lineno}: group {g} has {len(rows) % k} members, group 0 has {k}")
+    return JointPlan(tuple(row[3] for row in rows)), [row[1] for row in rows]
 
 
 def write_real_plan_file(real_paths: list[tuple[int, ...]], path: str | Path) -> None:

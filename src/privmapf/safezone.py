@@ -30,9 +30,10 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .audit import audit, check_separated, path_cost
 from .grid import GridWorld
@@ -79,12 +80,22 @@ def initial_safe_zones(
     return zones
 
 
-@dataclass(frozen=True)
-class ExtensionPick:
+class ExtensionPick(NamedTuple):
     t: int
     group: int
     vertex: int
     round: int
+
+
+def pop_choice(seq: list[int], getrandbits) -> int:
+    """Remove and return ``Random.choice(seq)``: the same element from the
+    same ``getrandbits`` draws (``_randbelow_with_getrandbits`` inlined)."""
+    n = len(seq)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return seq.pop(r)
 
 
 def extend_safe_zones(
@@ -107,14 +118,17 @@ def extend_safe_zones(
     of blocking groups are built once per timestep and then updated per
     pick: the claimant's frontier gains the new vertex's free neighbours,
     and the vertices its fov square newly covers leave the other frontiers.
+    Each frontier is kept as an ascending list, so a pick draws from it
+    exactly as ``rng.choice(sorted(frontier))`` would.
     """
     n_groups = len(zones)
     horizon = len(zones[0]) - 1
-    neighbors = world.neighbors
+    adj = world.adjacency
     fov = world.fov_table(radius)
     picks: list[ExtensionPick] = []
+    new_pick = tuple.__new__  # ExtensionPick(...) without its Python-level __new__
     for t in range(horizon + 1):
-        rng = random.Random(f"extend:{seed}:{t}")
+        getrandbits = random.Random(f"extend:{seed}:{t}").getrandbits
         # bit j of blockers[v]: v lies in group j's dilation or zone at t-1;
         # v is open to group i iff no bit other than i's is set
         blockers = [0] * world.num_vertices
@@ -126,46 +140,60 @@ def extend_safe_zones(
             if t > 0:
                 for v in zones[j][t - 1]:
                     blockers[v] |= bit
-        frontiers: list[set[int]] = []
+        # bit i of held[v]: v is in group i's zone or frontier
+        held = [0] * world.num_vertices
+        lanes = []
         for i in range(n_groups):
             zone, bit = zones[i][t], 1 << i
-            frontiers.append({
-                u for v in zone for u in neighbors(v)
-                if u not in zone and blockers[u] | bit == bit
+            for v in zone:
+                held[v] |= bit
+            frontier = sorted({
+                u for v in zone for u in adj[v]
+                if not held[u] & bit and blockers[u] | bit == bit
             })
+            for u in frontier:
+                held[u] |= bit
+            lanes.append((i, frontier, zone, bit))
+        frontiers = [lane[1] for lane in lanes]
         round_no = 0
-        while True:
-            grew = False
-            for i in range(n_groups):
-                frontier = frontiers[i]
-                if not frontier:
+        # a frontier only grows by its own group's picks, so an empty one
+        # stays empty for the rest of the timestep
+        while lanes := [lane for lane in lanes if lane[1]]:
+            for i, frontier, zone, bit in lanes:
+                if not frontier:  # emptied earlier in this round
                     continue
-                choice = rng.choice(sorted(frontier))
+                choice = pop_choice(frontier, getrandbits)
                 if validator is not None:
                     validator(world, radius, zones, t, i, choice)
-                zone, bit = zones[i][t], 1 << i
                 zone.add(choice)
-                frontier.remove(choice)
-                for u in neighbors(choice):
-                    if u not in zone and blockers[u] | bit == bit:
-                        frontier.add(u)
+                for u in adj[choice]:
+                    if not held[u] & bit and blockers[u] | bit == bit:
+                        held[u] |= bit
+                        insort(frontier, u)
                 for w in fov[choice]:
-                    if not blockers[w] & bit:
-                        blockers[w] |= bit
-                        for other in frontiers:
-                            if other is not frontier:
-                                other.discard(w)
-                picks.append(ExtensionPick(t, i, choice, round_no))
-                grew = True
-            if not grew:
-                break
+                    if blockers[w] & bit:
+                        continue
+                    blockers[w] |= bit
+                    # w is in no other zone (rule 4), so these are frontiers
+                    others = held[w] & ~bit
+                    if others:
+                        held[w] &= bit
+                        while others:
+                            low = others & -others
+                            others ^= low
+                            other = frontiers[low.bit_length() - 1]
+                            del other[bisect_left(other, w)]
+                picks.append(new_pick(ExtensionPick, (t, i, choice, round_no)))
             round_no += 1
     return picks
 
 
-@dataclass(frozen=True)
-class SafeInterval:
-    """Maximal run of consecutive timesteps a vertex stays inside the zone."""
+class SafeInterval(NamedTuple):
+    """Maximal run of consecutive timesteps a vertex stays inside the zone.
+
+    ``vertex_intervals`` returns plain ``(start, end)`` tuples, which compare
+    equal to the matching ``SafeInterval``.
+    """
 
     start: int
     end: int  # inclusive
@@ -174,21 +202,22 @@ class SafeInterval:
         return self.start <= t <= self.end
 
 
-def vertex_intervals(zone_per_t: list[set[int]]) -> dict[int, list[SafeInterval]]:
-    """Safe intervals per vertex, ascending, from a single group's zones."""
+def vertex_intervals(zone_per_t: list[set[int]]) -> dict[int, list[tuple[int, int]]]:
+    """Safe intervals per vertex as ascending ``(start, end)`` pairs, from a
+    single group's zones: only the vertices entering or leaving at each t
+    are touched."""
     open_at: dict[int, int] = {}
-    out: dict[int, list[SafeInterval]] = {}
+    out: dict[int, list[tuple[int, int]]] = {}
+    prev: set[int] = set()
     for t, zone in enumerate(zone_per_t):
-        for v in zone:
-            open_at.setdefault(v, t)
-        for v in list(open_at):
-            if v not in zone:
-                out.setdefault(v, []).append(SafeInterval(open_at.pop(v), t - 1))
+        for v in prev - zone:
+            out.setdefault(v, []).append((open_at.pop(v), t - 1))
+        for v in zone - prev:
+            open_at[v] = t
+        prev = zone
     last = len(zone_per_t) - 1
     for v, a in open_at.items():
-        out.setdefault(v, []).append(SafeInterval(a, last))
-    for ivls in out.values():
-        ivls.sort(key=lambda ivl: ivl.start)
+        out.setdefault(v, []).append((a, last))
     return out
 
 
@@ -203,11 +232,12 @@ def sipp_replan(
     """
     horizon = len(zone_per_t) - 1
     intervals = vertex_intervals(zone_per_t)
-    if start not in intervals or intervals[start][0].start != 0:
+    if start not in intervals or intervals[start][0][0] != 0:
         raise ReplanInfeasibleError("start vertex is not safe at t=0")
-    if goal not in intervals or intervals[goal][-1].end != horizon:
+    if goal not in intervals or intervals[goal][-1][1] != horizon:
         raise ReplanInfeasibleError("goal vertex is not safe at the horizon")
     goal_state = (goal, len(intervals[goal]) - 1)
+    adj = world.adjacency
 
     best: dict[tuple[int, int], int] = {(start, 0): 0}
     parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
@@ -219,13 +249,14 @@ def sipp_replan(
             continue
         if state == goal_state:
             return _rebuild(parent, state, start, goal, horizon), arrival
-        leave_by = intervals[v][idx].end
-        for u in world.neighbors(v):
-            for jdx, ivl in enumerate(intervals.get(u, ())):
-                if ivl.start > leave_by + 1:
+        leave_by = intervals[v][idx][1]
+        earliest = arrival + 1
+        for u in adj[v]:
+            for jdx, (lo, hi) in enumerate(intervals.get(u, ())):
+                if lo > leave_by + 1:
                     break
-                step_t = max(arrival + 1, ivl.start)
-                if step_t > ivl.end or step_t - 1 > leave_by:
+                step_t = earliest if earliest > lo else lo
+                if step_t > hi or step_t - 1 > leave_by:
                     continue
                 nxt = (u, jdx)
                 if step_t < best.get(nxt, 1 << 30):

@@ -194,12 +194,34 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
     ("InfeasibleInputError",
      ["solve", "--map", "open16", "--pipeline", "fpp", "--radius", "3"],
      "collide under rule r=3"),
+    # a parse error names the file, so --map and --scen can be told apart
+    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--plan", "{tmp}/plan.txt"],
+     "bad.map: line 5: unknown terrain 'x'"),
+    ("ParseError", ["solve", "--map", "open16", "--scen", "{tmp}/bad.scen"],
+     "bad.scen: line 1: missing 'version' header"),
+    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
+                      "--private-dir", "{tmp}", "--radius", "1"],
+     "agent_000.json: no private sidecar for group 0"),
+    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
+                      "--private-dir", "{tmp}/not_json", "--radius", "1"],
+     "not_json/agent_000.json: not a JSON sidecar"),
+    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
+                      "--private-dir", "{tmp}/no_index", "--radius", "1"],
+     'no_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
+    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
+                      "--private-dir", "{tmp}/off_range", "--radius", "1"],
+     "off_range/agent_000.json: real_index 1 is not in [0, 1)"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
+    (tmp_path / "bad.scen").write_text("0 open16 16 16 0 0 1 1 2\n")
     (tmp_path / "empty.map").write_text(MAP_WITHOUT_PASSABLE_CELL)
     (tmp_path / "plan.txt").write_text("0 0 0\n")
     (tmp_path / "off_map.txt").write_text("0 0 99999 99999\n")
+    for name, sidecar in [("not_json", "{"), ("no_index", '{"group_id": 0}'),
+                          ("off_range", '{"group_id": 0, "real_index": 1}')]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "agent_000.json").write_text(sidecar)
     rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     captured = capsys.readouterr()
     assert rc == 2, error

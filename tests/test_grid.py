@@ -6,6 +6,7 @@ from privmapf.grid import (
     EmptyMapError,
     ParseError,
     ScenarioError,
+    load_map,
     load_scenario,
     parse_map_text,
     parse_scenario_text,
@@ -69,6 +70,20 @@ def test_parse_errors_carry_line_numbers():
     assert e.value.line == 6
     with pytest.raises(ParseError):
         parse_map_text("type octile\nheight 3\nwidth 2\nmap\n..\n..\n")
+
+
+def test_parse_errors_from_files_name_the_file(tmp_path):
+    bad_map = tmp_path / "bad.map"
+    bad_map.write_text("type octile\nheight 2\nwidth 2\nmap\n..\n.x\n")
+    with pytest.raises(ParseError) as e:
+        load_map(bad_map)
+    assert (e.value.path, e.value.line) == (bad_map, 6)
+    assert str(e.value) == f"{bad_map}: line 6: unknown terrain 'x' at column 1"
+    bad_scen = tmp_path / "bad.scen"
+    bad_scen.write_text("version 1\n0 open16 16 16 0 0\n")
+    with pytest.raises(ParseError) as e:
+        load_scenario(bad_scen)
+    assert str(e.value) == f"{bad_scen}: line 2: expected 9 fields, got 6"
 
 
 def test_all_blocked_map_is_empty():

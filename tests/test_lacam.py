@@ -9,6 +9,7 @@ internal edge surrogate, so agreement is meaningful.
 import heapq
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -16,8 +17,8 @@ from privmapf.audit import audit, metrics
 from privmapf.dispatch import AgentGroup, CollisionRule, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.instances import random_spaced_pairs
-from privmapf.lacam import lacam_solve
-from privmapf.pibt import SolverProblem, pibt_solve
+from privmapf.lacam import _Constraint, _extract, lacam_solve
+from privmapf.pibt import SolverProblem, build_step, pibt_solve, priority_order, update_etas
 
 from conftest import singleton_problem
 
@@ -228,3 +229,110 @@ def test_trivial_instance_already_at_goal(open4):
     assert result.solved
     assert result.plan.horizon == 0
     assert metrics(result.plan.paths, problem.goals).soc == 0
+
+
+class _RefNode:
+    def __init__(self, config, g, h, parent, order, etas):
+        self.config, self.g, self.h, self.parent = config, g, h, parent
+        self.order, self.etas = order, etas
+        self.tree = deque([_Constraint()])
+        self.edges = {}
+
+
+def _reference_lacam(problem, seed, budget, fov_mode):
+    """The search with its per-node work spelled out: ``update_etas``, the
+    heuristic, ``priority_order`` and the edge cost as separate passes, and
+    the incumbent re-scored on every goal rewire. Returns (plan, expansions)."""
+    goals, n, dists = problem.goals, problem.num_agents, problem.dists
+    goal_cfg = tuple(goals)
+    rng = random.Random(f"pibt:{seed}")
+
+    def new_node(cfg, g, parent, etas):
+        etas = update_etas(problem, list(cfg), etas)
+        h = sum(dists[a][cfg[a]] for a in range(n))
+        return _RefNode(cfg, g, h, parent, priority_order(problem, list(cfg), etas), etas)
+
+    def edge_cost(q_from, q_to):
+        return sum(1 for a, g in enumerate(goals) if not (q_from[a] == g and q_to[a] == g))
+
+    init = new_node(tuple(problem.starts), 0, None, [0] * n)
+    stack, explored = [init], {init.config: init}
+    goal_node = best = best_soc = None
+    expansions = 0
+
+    def consider():
+        nonlocal best, best_soc
+        if goal_node is not None:
+            plan = _extract(goal_node)
+            soc = metrics(plan.paths, goals).soc
+            if best_soc is None or soc < best_soc:
+                best, best_soc = plan, soc
+
+    while stack:
+        node = stack[-1]
+        if (node.config == goal_cfg or not node.tree
+                or (goal_node is not None and goal_node.g <= node.g + node.h)):
+            stack.pop()
+            continue
+        if expansions >= budget:
+            break
+        expansions += 1
+        constraint = node.tree.popleft()
+        if constraint.depth < n:
+            agent = node.order[constraint.depth]
+            cur = node.config[agent]
+            for u in sorted((cur, *problem.world.neighbors(cur)),
+                            key=lambda v: (dists[agent][v], v)):
+                node.tree.append(constraint.extend(agent, u))
+        forced = list(zip(constraint.who, constraint.where))
+        q_new = build_step(problem, list(node.config), rng, fov_mode,
+                           forced=forced, order=node.order)
+        if q_new is None:
+            continue
+        q_new = tuple(q_new)
+        cost = edge_cost(node.config, q_new)
+        known = explored.get(q_new)
+        if known is None:
+            child = new_node(q_new, node.g + cost, node, node.etas)
+            node.edges[child] = cost
+            explored[q_new] = child
+            stack.append(child)
+            if q_new == goal_cfg:
+                goal_node = child
+                consider()
+            continue
+        if known is not node:
+            node.edges[known] = min(cost, node.edges.get(known, cost))
+        stack.append(known)
+        if node.g + cost < known.g:
+            known.g, known.parent = node.g + cost, node
+            queue = deque([known])
+            while queue:
+                x = queue.popleft()
+                for y, c in x.edges.items():
+                    if x.g + c < y.g:
+                        y.g, y.parent = x.g + c, x
+                        queue.append(y)
+            consider()
+    return best, expansions
+
+
+def test_matches_reference_search(open16, random32):
+    cases = [  # world, agents, k, radius, separation, budget
+        (open16, 4, 2, 0, 3, 600),
+        (open16, 4, 3, 1, 3, 1500),
+        (random32, 8, 2, 1, 5, 1500),
+        (random32, 6, 2, 0, 5, 800),
+    ]
+    rewired = 0
+    for world, agents, k, radius, separation, budget in cases:
+        for seed in range(3):
+            pairs = random_spaced_pairs(world, agents, seed, min_separation=separation)
+            rule = CollisionRule.fov_aware(radius) if radius else CollisionRule.start_goal_equality()
+            problem = SolverProblem(world, dispatch_groups(world, pairs, k, rule, seed), radius)
+            got = lacam_solve(problem, seed, budget_expansions=budget, fov_mode=radius > 0)
+            plan, expansions = _reference_lacam(problem, seed, budget, radius > 0)
+            assert got.expansions == expansions
+            assert (got.plan.paths if got.solved else None) == (plan.paths if plan else None)
+            rewired += got.solved and got.expansions == budget
+    assert rewired > 0  # some searches run on past their first goal hit

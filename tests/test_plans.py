@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from privmapf.plans import JointPlan, pad_paths, read_plan_file, write_plan_file
+from privmapf.plans import JointPlan, PlanFileError, pad_paths, read_plan_file, write_plan_file
 
 
 def test_pad_paths_extends_with_goal():
@@ -42,6 +42,40 @@ def test_plan_file_round_trip(tmp_path):
     again, group_of = read_plan_file(path)
     assert again.paths == plan.paths
     assert group_of == [0, 0, 1, 1]
+
+
+def _read(tmp_path, text):
+    path = tmp_path / "plan.txt"
+    path.write_text(text)
+    with pytest.raises(PlanFileError) as e:
+        read_plan_file(path)
+    assert str(e.value).startswith(f"{path}:")
+    return str(e.value)[len(str(path)):]
+
+
+def test_plan_file_rejects_ragged_rows(tmp_path):
+    msg = _read(tmp_path, "0 0 1 2 3\n0 1 4 5 6\n1 0 7 8\n1 1 9 9 9\n")
+    assert msg == ":3: path has 2 positions, the first row has 3"
+
+
+def test_plan_file_rejects_rows_out_of_group_major_order(tmp_path):
+    assert _read(tmp_path, "0 0 1 2\n1 0 3 4\n0 1 5 6\n1 1 7 8\n") == (
+        ":3: row '0 1' is out of group-major order, expected '2 0'"
+    )
+    assert _read(tmp_path, "0 1 1 2\n0 0 3 4\n") == (
+        ":1: row '0 1' is out of group-major order, expected '0 0'"
+    )
+
+
+def test_plan_file_rejects_a_group_of_another_size(tmp_path):
+    head = "0 0 1 2\n0 1 3 4\n"
+    assert _read(tmp_path, head + "1 0 5 6\n2 0 7 8\n2 1 9 9\n") == (
+        ":4: group 1 has 1 members, group 0 has 2"
+    )
+    assert _read(tmp_path, head + "1 0 5 6\n1 1 7 8\n1 2 9 9\n") == (
+        ":5: group 1 has more than 2 members, group 0 has 2"
+    )
+    assert _read(tmp_path, head + "\n1 0 5 6\n") == ":4: group 1 has 1 members, group 0 has 2"
 
 
 @given(st.lists(st.lists(st.integers(0, 50), min_size=1, max_size=8), min_size=1, max_size=5))

@@ -27,6 +27,7 @@ from privmapf.safezone import (
     extend_safe_zones,
     group_fov,
     initial_safe_zones,
+    pop_choice,
     ppfpp,
     read_zones,
     sipp_replan,
@@ -217,6 +218,17 @@ def test_extension_matches_frontier_rebuild(open16, random32):
     assert rule3_matters > 0
 
 
+def test_pop_choice_matches_random_choice():
+    for n in range(1, 71):
+        for seed in range(60):
+            seq = list(range(100, 100 + n))
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            expected = ref_rng.choice(seq)
+            assert pop_choice(seq, rng.getrandbits) == expected
+            assert expected not in seq and len(seq) == n - 1
+            assert rng.getstate() == ref_rng.getstate()
+
+
 # ------------------------------------------------------------- replanning
 
 
@@ -307,6 +319,37 @@ def test_sipp_rejects_unsafe_start_and_goal(open4):
     # goal drops out of the zone before the horizon
     with pytest.raises(ReplanInfeasibleError, match="goal"):
         sipp_replan(open4, [{a, b}, {a, b}, {a}], a, b)
+
+
+def _reference_vertex_intervals(zone_per_t):
+    """Safe intervals by rescanning every open vertex at every timestep."""
+    open_at, out = {}, {}
+    for t, zone in enumerate(zone_per_t):
+        for v in zone:
+            open_at.setdefault(v, t)
+        for v in list(open_at):
+            if v not in zone:
+                out.setdefault(v, []).append(SafeInterval(open_at.pop(v), t - 1))
+    last = len(zone_per_t) - 1
+    for v, a in open_at.items():
+        out.setdefault(v, []).append(SafeInterval(a, last))
+    for ivls in out.values():
+        ivls.sort(key=lambda ivl: ivl.start)
+    return out
+
+
+def test_vertex_intervals_match_rescan():
+    reentries = late_entries = 0
+    for case in range(200):
+        rng = random.Random(f"intervals:{case}")
+        pool = range(rng.randrange(1, 12))
+        stay = rng.random()
+        table = [{v for v in pool if rng.random() < stay} for _ in range(rng.randrange(1, 16))]
+        expected = _reference_vertex_intervals(table)
+        assert vertex_intervals(table) == expected
+        reentries += sum(len(ivls) > 1 for ivls in expected.values())
+        late_entries += sum(ivls[0].start > 0 for ivls in expected.values())
+    assert reentries > 100 and late_entries > 100
 
 
 def test_vertex_intervals_merge_consecutive_timesteps(open4):
