@@ -26,9 +26,9 @@ import yaml
 
 from .dispatch import DispatchExhaustedError, InfeasibleInputError
 from .grid import GridWorld, load_map
-from .instances import random_spaced_pairs
+from .instances import PlacementError, random_spaced_pairs
 from .pipeline import fpp_solve, kpp_solve
-from .safezone import ppfpp
+from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp
 
 SCHEMA_VERSION = 1
 
@@ -218,11 +218,11 @@ def _world(map_path: str) -> GridWorld:
 def run_one(task: TaskSpec) -> RunRecord:
     world = _world(task.map_path)
     sep = task.min_separation or default_separation(world)
-    pairs = random_spaced_pairs(world, task.n_agents, seed=task.seed, min_separation=sep)
-
     budget = 10_000 if task.budget_expansions is None else task.budget_expansions
-    t0 = time.perf_counter()
+    t0 = out = None
     try:
+        pairs = random_spaced_pairs(world, task.n_agents, seed=task.seed, min_separation=sep)
+        t0 = time.perf_counter()
         if task.pipeline == "kpp":
             out = kpp_solve(
                 world, pairs, task.k, task.seed, solver=task.solver,
@@ -235,13 +235,11 @@ def run_one(task: TaskSpec) -> RunRecord:
                 budget_expansions=budget,
                 wall_clock_s=task.budget_seconds,
             )
-        solved = out.solved
-    except (DispatchExhaustedError, InfeasibleInputError):
-        # one bad cell (e.g. a radius the separation cannot support) is an
-        # unsolved row, not the end of the sweep
-        out = None
-        solved = False
-    solve_time = time.perf_counter() - t0
+    except (PlacementError, DispatchExhaustedError, InfeasibleInputError):
+        # one bad cell is an unsolved row, not the end of the sweep
+        pass
+    solve_time = 0.0 if t0 is None else time.perf_counter() - t0
+    solved = out is not None and out.solved
 
     soc = makespan = rsoc_before = rsoc_after = -1
     improvement = 0.0
@@ -253,14 +251,17 @@ def run_one(task: TaskSpec) -> RunRecord:
         soc, makespan = m.soc, m.makespan
         if task.run_ppfpp and task.pipeline == "fpp" and task.radius >= 1:
             t1 = time.perf_counter()
-            refined = ppfpp(
-                world, out.plan, out.problem.group_of, out.real_paths,
-                task.radius, task.seed,
-            )
+            try:
+                refined = ppfpp(
+                    world, out.plan, out.problem.group_of, out.real_paths,
+                    task.radius, task.seed,
+                )
+                rsoc_before = refined.rsoc_before
+                rsoc_after = refined.rsoc_after
+                improvement = refined.improvement_pct
+            except (PreconditionError, ReplanInfeasibleError):
+                pass  # recorded as if no refinement ran
             ppfpp_time = time.perf_counter() - t1
-            rsoc_before = refined.rsoc_before
-            rsoc_after = refined.rsoc_after
-            improvement = refined.improvement_pct
 
     if task.zero_times:
         solve_time = ppfpp_time = 0.0

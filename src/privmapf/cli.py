@@ -23,7 +23,7 @@ from .grid import EmptyMapError, ParseError, ScenarioError, load_map, load_scena
 from .instances import random_spaced_pairs
 from .pipeline import compute_beliefs, check_k_privacy, fpp_solve, kpp_solve, write_trace
 from .plans import PlanFileError, read_plan_file, write_plan_file, write_real_plan_file
-from .safezone import ppfpp, write_zones
+from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp, write_zones
 
 
 def _instance_pairs(args, world):
@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         OSError, ConfigError, ParseError, EmptyMapError, ScenarioError, PlanFileError,
-        AuditError, InfeasibleInputError, SidecarError,
+        AuditError, InfeasibleInputError, SidecarError, PreconditionError, ReplanInfeasibleError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

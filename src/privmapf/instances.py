@@ -7,6 +7,10 @@ import random
 from .grid import GridWorld
 
 
+class PlacementError(RuntimeError):
+    """Rejection sampling gave up before placing every pair."""
+
+
 def random_spaced_pairs(
     world: GridWorld,
     n: int,
@@ -31,7 +35,7 @@ def random_spaced_pairs(
     while len(starts) < n:
         attempts += 1
         if attempts > limit:
-            raise RuntimeError(
+            raise PlacementError(
                 f"could not place {n} spaced pairs on {world.width}x{world.height} map"
             )
         s = rng.randrange(world.num_vertices)

@@ -3,8 +3,9 @@
 Two-level scheme: the high level is a depth-first search over configuration
 nodes, each carrying a lazily grown constraint tree; the low level walks
 that tree in BFS order, pinning one agent per depth to a concrete vertex.
+A constraint is the tuple of its ``(agent, vertex)`` pins, ordered by depth.
 Successor configurations come from the priority-inheritance step builder,
-which honours the pinned agents as forced assignments. Because the root
+which takes that tuple as its forced assignments. Because the root
 constraint is empty, the first depth-first dive reproduces the plain
 one-shot run of the step builder (same RNG stream), and everything after
 the first goal hit is anytime improvement: known configurations are rewired
@@ -31,21 +32,6 @@ from .pibt import SolveResult, SolverProblem, build_step
 from .plans import JointPlan
 
 
-class _Constraint:
-    __slots__ = ("who", "where")
-
-    def __init__(self, who: tuple[int, ...] = (), where: tuple[int, ...] = ()):
-        self.who = who
-        self.where = where
-
-    def extend(self, agent: int, vertex: int) -> "_Constraint":
-        return _Constraint(self.who + (agent,), self.where + (vertex,))
-
-    @property
-    def depth(self) -> int:
-        return len(self.who)
-
-
 class _Node:
     __slots__ = ("config", "g", "h", "parent", "tree", "order", "etas", "at_goal", "edges")
 
@@ -54,15 +40,11 @@ class _Node:
         self.g = g
         self.h = h
         self.parent = parent
-        self.tree = deque([_Constraint()])
+        self.tree = deque([()])  # constraints: tuples of (agent, vertex) pins
         self.order = order
         self.etas = etas  # off-goal counters frozen at first discovery
         self.at_goal = at_goal  # bit a: agent a stands on its goal
-        self.edges: dict[_Node, int] = {}
-
-    @property
-    def f(self) -> int:
-        return self.g + self.h
+        self.edges: dict[_Node, int] | None = {}  # None once the search ends
 
 
 def _extract(node: _Node) -> JointPlan:
@@ -72,6 +54,31 @@ def _extract(node: _Node) -> JointPlan:
         node = node.parent
     configs.reverse()
     return JointPlan.from_configs(configs)
+
+
+def _node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
+    """``update_etas``, the heuristic, ``priority_order`` and the at-goal
+    bitmask of a new configuration, in one pass. Eta is 0 exactly on the
+    goal, so ``(dist - eta * 2**31) * 2**shift + agent`` (dist <= UNREACHABLE
+    < 2**31) sorts as ``(at_goal, -eta, dist, agent)``."""
+    n = len(cfg)
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
+    new_etas, keys = [], []
+    h = at_goal = 0
+    for a in range(n):
+        v = cfg[a]
+        d = dists[a][v]
+        h += d
+        if v == goals[a]:
+            e = 0
+            at_goal |= 1 << a
+        else:
+            e = etas[a] + 1
+        new_etas.append(e)
+        keys.append((d - (e << 31)) << shift | a)
+    keys.sort()
+    return new_etas, h, [key & mask for key in keys], at_goal
 
 
 def lacam_solve(
@@ -84,36 +91,16 @@ def lacam_solve(
     """Anytime joint-configuration search; deterministic for a given seed
     when budgeted in expansions (wall_clock_s is for interactive use only).
     """
-    world = problem.world
-    goals = problem.goals
+    adj, goals = problem.world.adjacency, problem.goals
     goal_cfg = tuple(goals)
     rng = random.Random(f"pibt:{seed}")
     n, dists = problem.num_agents, problem.dists
-
-    def node_data(cfg: tuple[int, ...], etas: list[int]):
-        """``update_etas``, the distance heuristic, ``priority_order`` and
-        the at-goal bitmask of a new configuration, in one pass."""
-        new_etas, keys = [], []
-        h = at_goal = 0
-        for a in range(n):
-            v = cfg[a]
-            d = dists[a][v]
-            h += d
-            if v == goals[a]:
-                e = 0
-                at_goal |= 1 << a
-            else:
-                e = etas[a] + 1
-            new_etas.append(e)
-            keys.append((e == 0, -e, d, a))
-        keys.sort()
-        return new_etas, h, [key[3] for key in keys], at_goal
 
     start_cfg = tuple(problem.starts)
     if start_cfg == goal_cfg:
         plan = JointPlan.from_configs([list(start_cfg)])
         return SolveResult(True, plan, None, steps=0, expansions=0)
-    etas, h, order, at_goal = node_data(start_cfg, [0] * n)
+    etas, h, order, at_goal = _node_data(goals, dists, start_cfg, [0] * n)
     init = _Node(start_cfg, 0, h, None, order, etas, at_goal)
     open_stack: list[_Node] = [init]
     explored: dict[tuple[int, ...], _Node] = {start_cfg: init}
@@ -141,40 +128,29 @@ def lacam_solve(
         if deadline is not None and time.monotonic() > deadline:
             break
         node = open_stack[-1]
-        if node.config == goal_cfg:
-            open_stack.pop()
-            continue
-        if goal_node is not None and goal_node.g <= node.f:
-            open_stack.pop()
-            continue
-        if not node.tree:
+        if (node.config == goal_cfg or not node.tree
+                or (goal_node is not None and goal_node.g <= node.g + node.h)):
             open_stack.pop()
             continue
         if expansions >= budget_expansions:
             break
         expansions += 1
 
-        constraint = node.tree.popleft()
-        if constraint.depth < n:
-            agent = node.order[constraint.depth]
+        pins = node.tree.popleft()
+        if len(pins) < n:
+            agent = node.order[len(pins)]
             cur = node.config[agent]
-            cands = sorted(
-                (cur, *world.neighbors(cur)),
-                key=lambda v: (problem.dists[agent][v], v),
-            )
-            for u in cands:
-                node.tree.append(constraint.extend(agent, u))
+            cands = sorted((cur, *adj[cur]))
+            cands.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
+            node.tree.extend([pins + ((agent, u),) for u in cands])
 
-        forced = list(zip(constraint.who, constraint.where))
-        q_new = build_step(
-            problem, list(node.config), rng, fov_mode, forced=forced, order=node.order
-        )
+        q_new = build_step(problem, node.config, rng, fov_mode, forced=pins, order=node.order)
         if q_new is None:
             continue
         q_new = tuple(q_new)
         known = explored.get(q_new)
         if known is None:
-            etas, h, order, at_goal = node_data(q_new, node.etas)
+            etas, h, order, at_goal = _node_data(goals, dists, q_new, node.etas)
             cost = n - (node.at_goal & at_goal).bit_count()
             child = _Node(q_new, node.g + cost, h, node, order, etas, at_goal)
             node.edges[child] = cost
@@ -201,6 +177,9 @@ def lacam_solve(
                             queue.append(y)
                 consider_incumbent()
 
+    # cut the parent/edges cycles, so the graph is freed on return, not by gc
+    for node in explored.values():
+        node.edges = None
     if best_plan is not None:
         return SolveResult(True, best_plan, None, steps=best_plan.horizon, expansions=expansions)
     reason = "timeout" if open_stack else "exhausted"

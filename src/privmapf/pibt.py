@@ -13,13 +13,16 @@ classical mode share control flow and consume the RNG identically.
 The builder's state is indexed by vertex (``at[v]``, ``claimed[v]``: the
 agent on v and the agent moving to v, -1 for none), so both fov checks on
 a tried vertex walk only its (2r+1)^2 fov square, whatever the number of
-agents and groups.
+agents and groups. ``_attempt`` shuffles an agent's candidates inline with
+``Random.shuffle``'s draws (table ``_DRAWS``). At radius 0 the only pushee
+is ``at[v]``; fov mode keeps an undo log for its several pushees.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dispatch import AgentGroup
@@ -75,27 +78,6 @@ class SolverProblem:
         self.dists = [bfs_distances(world, g) for g in self.goals]
 
 
-@dataclass(frozen=True)
-class PriorityState:
-    """Sort key for one sub-agent at one timestep; lower sorts first.
-
-    Agents already on their goal never outrank agents that are not (an
-    off-goal agent always has ``stuck_for >= 1``). Among the rest, whoever
-    has been away from its goal longest wins -- that counter is what breaks
-    the mutual-push oscillations -- then smaller distance-to-goal, then the
-    agent id as the final strict tiebreak.
-    """
-
-    at_goal: bool
-    stuck_for: int
-    dist_to_goal: int
-    agent: int
-
-    @property
-    def key(self) -> tuple[int, int, int, int]:
-        return (1 if self.at_goal else 0, -self.stuck_for, self.dist_to_goal, self.agent)
-
-
 def update_etas(problem: SolverProblem, config: list[int], etas: list[int]) -> list[int]:
     """Advance the off-goal counters by one configuration."""
     return [
@@ -104,23 +86,12 @@ def update_etas(problem: SolverProblem, config: list[int], etas: list[int]) -> l
     ]
 
 
-def compute_priorities(
-    problem: SolverProblem, config: list[int], etas: list[int] | None = None
-) -> list[PriorityState]:
-    if etas is None:
-        etas = update_etas(problem, config, [0] * problem.num_agents)
-    return [
-        PriorityState(
-            config[a] == problem.goals[a], etas[a], problem.dists[a][config[a]], a
-        )
-        for a in range(problem.num_agents)
-    ]
-
-
 def priority_order(
     problem: SolverProblem, config: list[int], etas: list[int] | None = None
 ) -> list[int]:
-    # sorts PriorityState.key tuples without building the states
+    """Sub-agents sorted by ``(at_goal, -eta, dist, agent)``, highest priority
+    first: whoever has been off its goal longest (which breaks mutual-push
+    oscillations), then the nearer to its goal, then the lower id."""
     if etas is None:
         etas = update_etas(problem, config, [0] * problem.num_agents)
     goals, dists = problem.goals, problem.dists
@@ -144,11 +115,15 @@ def valid_configuration(problem: SolverProblem, config: list[int], fov_mode: boo
     return True
 
 
+# _DRAWS[m]: (i, i + 1, bits) per swap of Random.shuffle on m <= 5 items
+_DRAWS = tuple(
+    tuple((i, i + 1, (i + 1).bit_length()) for i in range(m - 1, 0, -1)) for m in range(6)
+)
+
+
 def shuffle(x: list, getrandbits) -> None:
-    """``Random.shuffle(x)`` inlined: the same swaps from the same draws."""
-    for i in range(len(x) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
+    """``Random.shuffle(x)`` for up to five items, as ``_attempt`` inlines it."""
+    for i, n, k in _DRAWS[len(x)]:
         j = getrandbits(k)
         while j >= n:
             j = getrandbits(k)
@@ -160,62 +135,33 @@ class _StepBuilder:
         world = problem.world
         self.problem = problem
         self.config = config
-        self.rng = rng
-        self.fov_mode = fov_mode
+        self.getrandbits = rng.getrandbits
         self.dists = problem.dists
         self.group_of = problem.group_of
         self.adj = world.adjacency
-        self.fov = world.fov_table(problem.fov_radius) if fov_mode else None
+        r = problem.fov_radius  # at radius 0 the fov checks are the classical ones
+        self.fov = world.fov_table(r) if fov_mode and r else None
         self.target: list[int | None] = [None] * problem.num_agents
         self.claimed = [-1] * world.num_vertices
-        self.at = [-1] * world.num_vertices
+        self.at = at = [-1] * world.num_vertices
         for a, v in enumerate(config):
-            self.at[v] = a
-        self.undo: list[int] = []
+            at[v] = a
+        self.undo: list[int] = []  # assigned agents (fov mode)
 
-    def _assign(self, a, v):
-        self.target[a] = v
-        self.claimed[v] = a
-        self.undo.append(a)
-
-    def _rollback(self, mark):
-        undo, target, claimed = self.undo, self.target, self.claimed
-        while len(undo) > mark:
-            a = undo.pop()
-            claimed[target[a]] = -1
-            target[a] = None
-
-    def _candidates(self, a):
-        cur = self.config[a]
-        cand = [cur, *self.adj[cur]]
-        shuffle(cand, self.rng.getrandbits)
-        cand.sort(key=self.dists[a].__getitem__)
-        return cand
-
-    def _fov_blocked(self, a, v):
-        # v must stay clear of every decided target of other groups; fov is
-        # symmetric, so scanning v's square covers both directions.
+    def _fov_blocked(self, ga, v):
+        # v must stay clear of every decided target of groups other than
+        # ga; fov is symmetric, so scanning v's square covers both directions
         claimed, group_of = self.claimed, self.group_of
-        ga = group_of[a]
         for u in self.fov[v]:
             b = claimed[u]
             if b >= 0 and group_of[b] != ga:
                 return True
         return False
 
-    def _swap(self, a, v):
-        b = self.claimed[self.config[a]]
-        return b >= 0 and b != a and self.config[b] == v
-
-    def _pushees(self, a, v):
-        # the occupant of v whatever its group; in fov mode also every
-        # agent of another group inside v's square
-        at, target = self.at, self.target
-        if not self.fov_mode:
-            b = at[v]
-            return [b] if b >= 0 and b != a and target[b] is None else []
-        group_of = self.group_of
-        ga = group_of[a]
+    def _pushees(self, a, ga, v):
+        # the occupant of v whatever its group, and every agent of a group
+        # other than ga inside v's square
+        at, target, group_of = self.at, self.target, self.group_of
         out = []
         for u in self.fov[v]:
             b = at[u]
@@ -225,55 +171,83 @@ class _StepBuilder:
         return out
 
     def _attempt(self, a) -> bool:
-        claimed, target = self.claimed, self.target
-        for v in self._candidates(a):
-            if claimed[v] >= 0 or self._swap(a, v):
+        config, claimed, target, undo = self.config, self.claimed, self.target, self.undo
+        getrandbits = self.getrandbits
+        cur = config[a]
+        cand = [cur, *self.adj[cur]]
+        for i, n, k in _DRAWS[len(cand)]:
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            cand[i], cand[j] = cand[j], cand[i]
+        cand.sort(key=self.dists[a].__getitem__)
+        # claimed[cur] holds for every candidate; following its agent is an exchange
+        b = claimed[cur]
+        swap = config[b] if b >= 0 else -1
+        fov, ga = self.fov, self.group_of[a]
+        for v in cand:
+            if claimed[v] >= 0 or v == swap:
                 continue
-            if self.fov_mode and self._fov_blocked(a, v):
+            if fov is None:
+                target[a] = v
+                claimed[v] = a
+                b = self.at[v]
+                if b < 0 or b == a or target[b] is not None or self._attempt(b):
+                    return True
+                # a failed attempt left nothing assigned
+                target[a] = None
+                claimed[v] = -1
                 continue
-            mark = len(self.undo)
-            self._assign(a, v)
-            for b in self._pushees(a, v):
+            if self._fov_blocked(ga, v):
+                continue
+            mark = len(undo)
+            target[a] = v
+            claimed[v] = a
+            undo.append(a)
+            for b in self._pushees(a, ga, v):
                 # b may have been decided while clearing an earlier pushee
                 if target[b] is None and not self._attempt(b):
-                    self._rollback(mark)
                     break
             else:
                 return True
+            for c in undo[mark:]:
+                claimed[target[c]] = -1
+                target[c] = None
+            del undo[mark:]
         return False
 
     def run(
         self,
-        forced: list[tuple[int, int]] | None = None,
+        forced: Sequence[tuple[int, int]] | None = None,
         order: list[int] | None = None,
     ) -> list[int] | None:
-        if forced:
-            for a, v in forced:
-                cur = self.config[a]
-                # first, so that v is a vertex id before claimed[v] is read
-                if v != cur and v not in self.adj[cur]:
-                    return None
-                if self.target[a] is not None:
-                    return None
-                if self.claimed[v] >= 0 or self._swap(a, v):
-                    return None
-                if self.fov_mode and self._fov_blocked(a, v):
-                    return None
-                self._assign(a, v)
-        if order is None:
-            order = priority_order(self.problem, self.config)
-        for a in order:
-            if self.target[a] is None and not self._attempt(a):
+        config, claimed, target = self.config, self.claimed, self.target
+        for a, v in forced or ():
+            cur = config[a]
+            # first, so that v is a vertex id before claimed[v] is read
+            if v != cur and v not in self.adj[cur]:
                 return None
-        return list(self.target)
+            b = claimed[cur]
+            if target[a] is not None or claimed[v] >= 0 or (b >= 0 and config[b] == v):
+                return None
+            if self.fov is not None and self._fov_blocked(self.group_of[a], v):
+                return None
+            target[a] = v
+            claimed[v] = a
+        if order is None:
+            order = priority_order(self.problem, config)
+        for a in order:
+            if target[a] is None and not self._attempt(a):
+                return None
+        return target
 
 
 def build_step(
     problem: SolverProblem,
-    config: list[int],
+    config: Sequence[int],
     rng: random.Random,
     fov_mode: bool,
-    forced: list[tuple[int, int]] | None = None,
+    forced: Sequence[tuple[int, int]] | None = None,
     order: list[int] | None = None,
 ) -> list[int] | None:
     """One configuration step; None when the (forced) step is unrealisable."""

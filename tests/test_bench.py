@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from privmapf import bench
 from privmapf.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -21,6 +22,7 @@ from privmapf.bench import (
     summarize,
     write_records,
 )
+from privmapf.safezone import PreconditionError, ReplanInfeasibleError
 
 POCKET = "type octile\nheight 2\nwidth 3\nmap\n...\n@@.\n"
 
@@ -199,6 +201,50 @@ def test_infeasible_cell_becomes_an_unsolved_row(tmp_path):
     assert bad.radius == 3 and not bad.solved
     assert bad.soc == -1 and bad.makespan == -1
     assert bad.rsoc_before == -1 and bad.rsoc_after == -1
+
+
+def test_unplaceable_cell_becomes_an_unsolved_row(tmp_path):
+    # at most 9 starts fit on open16 six cells apart: the draw for 10 agents
+    # gives up with a PlacementError, which must not end the sweep
+    p = write_yaml(tmp_path, """\
+        maps: [open16]
+        agents: [2, 10]
+        k: [2]
+        radius: [1]
+        seeds: 1
+        budget_expansions: 300
+        min_separation: 6
+    """)
+    records = run_suite(load_config(p))
+    ok, bad = records
+    assert ok.n_agents == 2 and ok.solved
+    assert bad.n_agents == 10 and not bad.solved
+    assert bad.soc == -1 and bad.makespan == -1
+    assert bad.rsoc_before == -1 and bad.rsoc_after == -1
+    assert bad.improvement_pct == 0.0 and bad.solve_time == 0.0
+    assert records_to_csv(records).splitlines()[1] == ",".join(CSV_HEADER)
+
+
+@pytest.mark.parametrize("error", [PreconditionError, ReplanInfeasibleError])
+def test_failed_refinement_is_recorded_as_none(tmp_path, monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    p = write_yaml(tmp_path, """\
+        maps: [open16]
+        agents: [2]
+        k: [2]
+        radius: [1]
+        seeds: 1
+        budget_expansions: 300
+    """)
+    (refined,) = run_suite(load_config(p))
+    assert refined.rsoc_before >= 0  # the cell does refine
+    monkeypatch.setattr(bench, "ppfpp", refuse)
+    (rec,) = run_suite(load_config(p))
+    assert rec.solved and rec.soc >= 0
+    assert rec.rsoc_before == -1 and rec.rsoc_after == -1
+    assert rec.improvement_pct == 0.0
 
 
 # ---------------------------------------------------------------- analysis

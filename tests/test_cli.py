@@ -211,6 +211,9 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
     ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
                       "--private-dir", "{tmp}/off_range", "--radius", "1"],
      "off_range/agent_000.json: real_index 1 is not in [0, 1)"),
+    ("PreconditionError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
+                           "--private-dir", "{tmp}/in_range", "--radius", "0"],
+     "zone refinement needs fov radius >= 1"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
@@ -219,7 +222,8 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "plan.txt").write_text("0 0 0\n")
     (tmp_path / "off_map.txt").write_text("0 0 99999 99999\n")
     for name, sidecar in [("not_json", "{"), ("no_index", '{"group_id": 0}'),
-                          ("off_range", '{"group_id": 0, "real_index": 1}')]:
+                          ("off_range", '{"group_id": 0, "real_index": 1}'),
+                          ("in_range", '{"group_id": 0, "real_index": 0}')]:
         (tmp_path / name).mkdir()
         (tmp_path / name / "agent_000.json").write_text(sidecar)
     rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])

@@ -17,8 +17,10 @@ from privmapf.audit import audit, metrics
 from privmapf.dispatch import AgentGroup, CollisionRule, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.instances import random_spaced_pairs
-from privmapf.lacam import _Constraint, _extract, lacam_solve
-from privmapf.pibt import SolverProblem, build_step, pibt_solve, priority_order, update_etas
+from privmapf.lacam import _extract, _node_data, lacam_solve
+from privmapf.pibt import (
+    UNREACHABLE, SolverProblem, build_step, pibt_solve, priority_order, update_etas,
+)
 
 from conftest import singleton_problem
 
@@ -81,6 +83,19 @@ def true_optimal_soc(world, starts, goals):
                 dist[s] = nd
                 heapq.heappush(heap, (nd, s))
     return None
+
+
+# a wall splits the map in two, so agents can stand where their goal is
+# unreachable
+SPLIT = """type octile
+height 4
+width 7
+map
+...@...
+...@...
+...@...
+...@...
+"""
 
 
 @pytest.fixture
@@ -231,6 +246,20 @@ def test_trivial_instance_already_at_goal(open4):
     assert metrics(result.plan.paths, problem.goals).soc == 0
 
 
+class _Constraint:
+    """The constraint as the search kept it before pins became tuples."""
+
+    def __init__(self, who=(), where=()):
+        self.who, self.where = who, where
+
+    def extend(self, agent, vertex):
+        return _Constraint(self.who + (agent,), self.where + (vertex,))
+
+    @property
+    def depth(self):
+        return len(self.who)
+
+
 class _RefNode:
     def __init__(self, config, g, h, parent, order, etas):
         self.config, self.g, self.h, self.parent = config, g, h, parent
@@ -336,3 +365,32 @@ def test_matches_reference_search(open16, random32):
             assert (got.plan.paths if got.solved else None) == (plan.paths if plan else None)
             rewired += got.solved and got.expansions == budget
     assert rewired > 0  # some searches run on past their first goal hit
+
+
+def test_node_order_matches_priority_order():
+    # the search sorts one integer per agent; it must rank exactly as
+    # priority_order's (at_goal, -eta, dist, agent) tuples, also for huge
+    # etas, agents on their goals and unreachable goals
+    world = parse_map_text(SPLIT)
+    cells = range(world.num_vertices)
+    seen = {"huge": 0, "home": 0, "unreachable": 0}
+    for seed in range(300):
+        rng = random.Random(f"order:{seed}")
+        n = rng.randint(1, world.num_vertices // 2)
+        ends = rng.sample(cells, 2 * n)
+        problem = singleton_problem(world, list(zip(ends[:n], ends[n:])))
+        goals, dists = problem.goals, problem.dists
+        home = rng.sample(range(n), rng.randint(0, n))
+        free = [v for v in cells if v not in {goals[a] for a in home}]
+        placed = iter(rng.sample(free, n - len(home)))
+        cfg = [goals[a] if a in home else next(placed) for a in range(n)]
+        prev = [rng.choice([0, 1, 2, 5, 10**6, 10**6 + 1, 10**9, 1 << 40]) for _ in range(n)]
+        etas, h, order, at_goal = _node_data(goals, dists, tuple(cfg), prev)
+        assert etas == update_etas(problem, cfg, prev)
+        assert order == priority_order(problem, cfg, etas)
+        assert h == sum(dists[a][cfg[a]] for a in range(n))
+        assert at_goal == sum(1 << a for a in range(n) if cfg[a] == goals[a])
+        seen["huge"] += any(e >= 10**6 for e in etas)
+        seen["home"] += bool(home) and len(home) < n
+        seen["unreachable"] += any(dists[a][cfg[a]] == UNREACHABLE for a in range(n))
+    assert min(seen.values()) > 0, seen

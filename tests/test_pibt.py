@@ -19,7 +19,6 @@ from privmapf.pibt import (
     SolverProblem,
     bfs_distances,
     build_step,
-    compute_priorities,
     pibt_solve,
     pibt_step,
     priority_order,
@@ -174,8 +173,7 @@ def test_eta_counters_grow_and_reset(open4):
 
 def test_longest_stuck_agent_outranks(open4):
     problem = singleton_problem(open4, [(0, 5), (1, 6)])
-    states = compute_priorities(problem, [2, 3], etas=[4, 9])
-    ranked = [s.agent for s in sorted(states, key=lambda s: s.key)]
+    ranked = priority_order(problem, [2, 3], etas=[4, 9])
     assert ranked[0] == 1
 
 
@@ -307,8 +305,11 @@ class _ReferenceStepBuilder:
                     return None
                 self._assign(a, v)
         if order is None:
-            states = compute_priorities(self.problem, self.config)
-            order = [s.agent for s in sorted(states, key=lambda s: s.key)]
+            # (at_goal, -eta, dist, agent) with fresh etas: 0 on the goal, else 1
+            goals, dists = self.problem.goals, self.problem.dists
+            keys = [(v == goals[a], -(v != goals[a]), dists[a][v], a)
+                    for a, v in enumerate(self.config)]
+            order = [key[3] for key in sorted(keys)]
         for a in order:
             if self.target[a] is None and not self._attempt(a):
                 return None
