@@ -47,10 +47,12 @@ from .pibt import SolveResult, SolverProblem, pibt_solve
 from .pipeline import (
     MessageTrace,
     PipelineResult,
+    PipelineSpec,
     check_k_privacy,
     compute_beliefs,
     fpp_solve,
     kpp_solve,
+    run_pipeline,
 )
 from .plans import JointPlan, pad_paths, read_plan_file, write_plan_file
 from .safezone import (
@@ -81,6 +83,7 @@ __all__ = [
     "MetricsError",
     "ParseError",
     "PipelineResult",
+    "PipelineSpec",
     "PreconditionError",
     "RefineResult",
     "ReplanInfeasibleError",
@@ -113,6 +116,7 @@ __all__ = [
     "random_spaced_pairs",
     "read_plan_file",
     "real_sum_of_costs",
+    "run_pipeline",
     "scenario_pairs",
     "sipp_replan",
     "write_plan_file",

@@ -7,15 +7,14 @@ config produce byte-identical CSVs -- provided the solver budget is given
 in expansions, in which case wall-clock columns are forced to 0.0 rather
 than recording noise.
 
-Set PRIVMAPF_THREADS=<n> to fan instances out over a process pool; the
-row order is unaffected.
+``run_suite(cfg, threads=n)`` (``privmapf bench --threads n``) fans
+instances out over a process pool; the row order is unaffected.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,7 @@ import yaml
 from .dispatch import DispatchExhaustedError, InfeasibleInputError
 from .grid import GridWorld, load_map
 from .instances import PlacementError, random_spaced_pairs
-from .pipeline import fpp_solve, kpp_solve
+from .pipeline import PipelineSpec, run_pipeline
 from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp
 
 SCHEMA_VERSION = 1
@@ -54,6 +53,28 @@ def default_separation(world: GridWorld) -> int:
     return 3 if world.width <= 16 else 5
 
 
+def pipeline_spec(
+    pipeline: str,
+    k: int,
+    radius: int,
+    solver: str,
+    budget_expansions: int,
+    wall_clock_s: float | None = None,
+) -> PipelineSpec:
+    """The spec of a ``kpp`` or ``fpp`` run; a bad setting is a ConfigError.
+
+    kpp is fpp at radius 0, so its name only rules out other radii.
+    """
+    if pipeline not in ("kpp", "fpp"):
+        raise ConfigError(f"pipeline must be kpp or fpp, got {pipeline!r}")
+    if pipeline == "kpp" and radius != 0:
+        raise ConfigError("the kpp pipeline ignores fov; use radius 0")
+    try:
+        return PipelineSpec(k, radius, solver, budget_expansions, wall_clock_s)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     name: str
@@ -70,22 +91,16 @@ class BenchConfig:
     min_separation: int | None = None
 
     def __post_init__(self) -> None:
-        if self.pipeline not in ("kpp", "fpp"):
-            raise ConfigError(f"pipeline must be kpp or fpp, got {self.pipeline!r}")
-        if self.solver not in ("pibt", "lacam"):
-            raise ConfigError(f"solver must be pibt or lacam, got {self.solver!r}")
-        if self.budget_seconds is not None and self.solver != "lacam":
-            raise ConfigError("a wall-clock budget needs the lacam solver")
         if not all(k >= 1 for k in self.ks):
             raise ConfigError("group sizes must be >= 1")
-        if not all(r >= 0 for r in self.radii):
-            raise ConfigError("fov radii must be >= 0")
-        if self.pipeline == "kpp" and any(r > 0 for r in self.radii):
-            raise ConfigError("the kpp pipeline ignores fov; use radius 0")
+        for k in self.ks:
+            for r in self.radii:
+                self.spec(k, r)
 
-    @property
-    def deterministic_times(self) -> bool:
-        return self.budget_seconds is None
+    def spec(self, k: int, radius: int) -> PipelineSpec:
+        """The pipeline spec of the cells with group size k and this radius."""
+        budget = 10_000 if self.budget_expansions is None else self.budget_expansions
+        return pipeline_spec(self.pipeline, k, radius, self.solver, budget, self.budget_seconds)
 
 
 _CONFIG_KEYS = {f.name for f in fields(BenchConfig)} | {"k", "radius"}
@@ -125,16 +140,10 @@ class TaskSpec:
     map_name: str
     map_path: str
     n_agents: int
-    k: int
-    radius: int
     seed: int
-    pipeline: str
-    solver: str
-    budget_expansions: int | None
-    budget_seconds: float | None
+    spec: PipelineSpec
     run_ppfpp: bool
     min_separation: int | None
-    zero_times: bool
 
 
 @dataclass(frozen=True)
@@ -155,37 +164,22 @@ class RunRecord:
     ppfpp_time: float
 
     def to_row(self) -> list[str]:
-        return [
-            self.map,
-            str(self.n_agents),
-            str(self.k),
-            str(self.radius),
-            self.solver,
-            str(self.seed),
-            "1" if self.solved else "0",
-            str(self.soc),
-            str(self.makespan),
-            str(self.rsoc_before),
-            str(self.rsoc_after),
-            f"{self.improvement_pct:.6f}",
-            f"{self.solve_time:.6f}",
-            f"{self.ppfpp_time:.6f}",
-        ]
+        return [encode(getattr(self, name)) for name, encode, _ in _COLUMNS]
 
     @staticmethod
     def from_row(row: list[str]) -> "RunRecord":
-        return RunRecord(
-            row[0], int(row[1]), int(row[2]), int(row[3]), row[4], int(row[5]),
-            row[6] == "1", int(row[7]), int(row[8]), int(row[9]), int(row[10]),
-            float(row[11]), float(row[12]), float(row[13]),
-        )
+        return RunRecord(*(decode(cell) for (_, _, decode), cell in zip(_COLUMNS, row)))
 
 
-CSV_HEADER = [
-    "map", "n_agents", "k", "radius", "solver", "seed", "solved", "soc",
-    "makespan", "rsoc_before", "rsoc_after", "improvement_pct",
-    "solve_time", "ppfpp_time",
-]
+# the CSV codec of each RunRecord field type: (encode, decode)
+_CODECS = {
+    "str": (str, str),
+    "int": (str, int),
+    "bool": (lambda b: "1" if b else "0", "1".__eq__),
+    "float": ("{:.6f}".format, float),
+}
+_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(RunRecord)]
+CSV_HEADER = [name for name, _, _ in _COLUMNS]
 
 
 def iter_tasks(cfg: BenchConfig) -> list[TaskSpec]:
@@ -195,13 +189,11 @@ def iter_tasks(cfg: BenchConfig) -> list[TaskSpec]:
         for n in cfg.agents:
             for k in cfg.ks:
                 for r in cfg.radii:
+                    spec = cfg.spec(k, r)
                     for seed in cfg.seeds:
                         tasks.append(TaskSpec(
-                            map_name, map_path, n, k, r, seed,
-                            cfg.pipeline, cfg.solver,
-                            cfg.budget_expansions, cfg.budget_seconds,
+                            map_name, map_path, n, seed, spec,
                             cfg.run_ppfpp, cfg.min_separation,
-                            cfg.deterministic_times,
                         ))
     return tasks
 
@@ -217,24 +209,13 @@ def _world(map_path: str) -> GridWorld:
 
 def run_one(task: TaskSpec) -> RunRecord:
     world = _world(task.map_path)
+    spec = task.spec
     sep = task.min_separation or default_separation(world)
-    budget = 10_000 if task.budget_expansions is None else task.budget_expansions
     t0 = out = None
     try:
         pairs = random_spaced_pairs(world, task.n_agents, seed=task.seed, min_separation=sep)
         t0 = time.perf_counter()
-        if task.pipeline == "kpp":
-            out = kpp_solve(
-                world, pairs, task.k, task.seed, solver=task.solver,
-                budget_expansions=budget,
-                wall_clock_s=task.budget_seconds,
-            )
-        else:
-            out = fpp_solve(
-                world, pairs, task.k, task.radius, task.seed, solver=task.solver,
-                budget_expansions=budget,
-                wall_clock_s=task.budget_seconds,
-            )
+        out = run_pipeline(world, pairs, spec, task.seed)
     except (PlacementError, DispatchExhaustedError, InfeasibleInputError):
         # one bad cell is an unsolved row, not the end of the sweep
         pass
@@ -249,12 +230,12 @@ def run_one(task: TaskSpec) -> RunRecord:
 
         m = metrics(out.plan.paths, out.problem.goals)
         soc, makespan = m.soc, m.makespan
-        if task.run_ppfpp and task.pipeline == "fpp" and task.radius >= 1:
+        if task.run_ppfpp and spec.radius >= 1:
             t1 = time.perf_counter()
             try:
                 refined = ppfpp(
                     world, out.plan, out.problem.group_of, out.real_paths,
-                    task.radius, task.seed,
+                    spec.radius, task.seed,
                 )
                 rsoc_before = refined.rsoc_before
                 rsoc_after = refined.rsoc_after
@@ -263,19 +244,17 @@ def run_one(task: TaskSpec) -> RunRecord:
                 pass  # recorded as if no refinement ran
             ppfpp_time = time.perf_counter() - t1
 
-    if task.zero_times:
+    if spec.wall_clock_s is None:
         solve_time = ppfpp_time = 0.0
     return RunRecord(
-        task.map_name, task.n_agents, task.k, task.radius, task.solver, task.seed,
+        task.map_name, task.n_agents, spec.k, spec.radius, spec.solver, task.seed,
         solved, soc, makespan, rsoc_before, rsoc_after, improvement,
         solve_time, ppfpp_time,
     )
 
 
-def run_suite(cfg: BenchConfig, threads: int | None = None) -> list[RunRecord]:
+def run_suite(cfg: BenchConfig, threads: int = 1) -> list[RunRecord]:
     tasks = iter_tasks(cfg)
-    if threads is None:
-        threads = int(os.environ.get("PRIVMAPF_THREADS", "1"))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run_one, tasks, chunksize=1))

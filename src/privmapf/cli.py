@@ -15,13 +15,16 @@ from pathlib import Path
 
 from . import __version__
 from .audit import AuditError, audit, metrics, real_sum_of_costs
-from .bench import ConfigError, format_summary, load_config, resolve_map, run_suite, summarize, write_records
+from .bench import (
+    ConfigError, format_summary, load_config, pipeline_spec, resolve_map, run_suite, summarize,
+    write_records,
+)
 from .dispatch import (
     InfeasibleInputError, SidecarError, read_private_sidecars, sidecar_path, write_private_sidecars,
 )
 from .grid import EmptyMapError, ParseError, ScenarioError, load_map, load_scenario, scenario_pairs
 from .instances import random_spaced_pairs
-from .pipeline import compute_beliefs, check_k_privacy, fpp_solve, kpp_solve, write_trace
+from .pipeline import SOLVERS, compute_beliefs, check_k_privacy, run_pipeline, write_trace
 from .plans import PlanFileError, read_plan_file, write_plan_file, write_real_plan_file
 from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp, write_zones
 
@@ -38,18 +41,10 @@ def _instance_pairs(args, world):
 
 
 def _cmd_solve(args) -> int:
+    spec = pipeline_spec(args.pipeline, args.k, args.radius, args.solver, args.budget_expansions)
     world = load_map(resolve_map(args.map))
     pairs = _instance_pairs(args, world)
-    if args.pipeline == "kpp":
-        out = kpp_solve(
-            world, pairs, args.k, args.seed, solver=args.solver,
-            budget_expansions=args.budget_expansions,
-        )
-    else:
-        out = fpp_solve(
-            world, pairs, args.k, args.radius, args.seed, solver=args.solver,
-            budget_expansions=args.budget_expansions,
-        )
+    out = run_pipeline(world, pairs, spec, args.seed)
     if args.trace:
         write_trace(out.trace, world, args.trace)
     if not out.solved:
@@ -141,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--radius", type=int, default=0)
     p.add_argument("--pipeline", choices=("kpp", "fpp"), default="kpp")
-    p.add_argument("--solver", choices=("pibt", "lacam"), default="lacam")
+    p.add_argument("--solver", choices=SOLVERS, default="lacam")
     p.add_argument("--budget-expansions", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="broadcast plan file")
@@ -169,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("bench", help="run a YAML-configured suite")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)

@@ -85,11 +85,11 @@ def lacam_solve(
     problem: SolverProblem,
     seed: int | str,
     budget_expansions: int = 10_000,
-    fov_mode: bool = False,
     wall_clock_s: float | None = None,
 ) -> SolveResult:
     """Anytime joint-configuration search; deterministic for a given seed
     when budgeted in expansions (wall_clock_s is for interactive use only).
+    Steps clear the problem's fov radius; at radius 0 the rule is classical.
     """
     adj, goals = problem.world.adjacency, problem.goals
     goal_cfg = tuple(goals)
@@ -144,7 +144,7 @@ def lacam_solve(
             cands.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
             node.tree.extend([pins + ((agent, u),) for u in cands])
 
-        q_new = build_step(problem, node.config, rng, fov_mode, forced=pins, order=node.order)
+        q_new = build_step(problem, node.config, rng, forced=pins, order=node.order)
         if q_new is None:
             continue
         q_new = tuple(q_new)

@@ -1,21 +1,20 @@
-"""Priority-inheritance configuration generation, with optional fov clearing.
+"""Priority-inheritance configuration generation, with fov clearing.
 
-One transactional step builder serves both the classical solver and the
-fov-aware variant. An agent claiming vertex v must recursively displace
-(a) the current occupant of v and, in fov mode, (b) every not-yet-decided
-agent of another group whose current position lies inside the square fov of
-v. The displaced agents run with the claimant's inherited priority (the
-recursion itself); if any of them cannot move, every tentative assignment
-made under that candidate is rolled back and the claimant tries its next
-vertex. With radius 0 the fov set degenerates to {v}, so fov mode and
-classical mode share control flow and consume the RNG identically.
+One transactional step builder serves every fov radius of the problem. An
+agent claiming vertex v must recursively displace (a) the current occupant
+of v and, at radius r >= 1, (b) every not-yet-decided agent of another
+group whose current position lies inside the square fov of v. The
+displaced agents run with the claimant's inherited priority (the recursion
+itself); if any of them cannot move, every tentative assignment made under
+that candidate is rolled back and the claimant tries its next vertex. At
+radius 0 the fov set degenerates to {v}: the rule is the classical one.
 
 The builder's state is indexed by vertex (``at[v]``, ``claimed[v]``: the
 agent on v and the agent moving to v, -1 for none), so both fov checks on
 a tried vertex walk only its (2r+1)^2 fov square, whatever the number of
 agents and groups. ``_attempt`` shuffles an agent's candidates inline with
 ``Random.shuffle``'s draws (table ``_DRAWS``). At radius 0 the only pushee
-is ``at[v]``; fov mode keeps an undo log for its several pushees.
+is ``at[v]``; at radius r >= 1 an undo log tracks the several pushees.
 """
 
 from __future__ import annotations
@@ -102,11 +101,11 @@ def priority_order(
     return [key[3] for key in keys]
 
 
-def valid_configuration(problem: SolverProblem, config: list[int], fov_mode: bool) -> bool:
+def valid_configuration(problem: SolverProblem, config: list[int]) -> bool:
     if len(set(config)) != len(config):
         return False
-    if fov_mode:
-        r = problem.fov_radius
+    r = problem.fov_radius
+    if r:
         for a in range(problem.num_agents):
             fset = problem.world.fov(config[a], r)
             for b in range(a + 1, problem.num_agents):
@@ -131,7 +130,7 @@ def shuffle(x: list, getrandbits) -> None:
 
 
 class _StepBuilder:
-    def __init__(self, problem, config, rng, fov_mode):
+    def __init__(self, problem, config, rng):
         world = problem.world
         self.problem = problem
         self.config = config
@@ -140,13 +139,13 @@ class _StepBuilder:
         self.group_of = problem.group_of
         self.adj = world.adjacency
         r = problem.fov_radius  # at radius 0 the fov checks are the classical ones
-        self.fov = world.fov_table(r) if fov_mode and r else None
+        self.fov = world.fov_table(r) if r else None
         self.target: list[int | None] = [None] * problem.num_agents
         self.claimed = [-1] * world.num_vertices
         self.at = at = [-1] * world.num_vertices
         for a, v in enumerate(config):
             at[v] = a
-        self.undo: list[int] = []  # assigned agents (fov mode)
+        self.undo: list[int] = []  # assigned agents (radius >= 1)
 
     def _fov_blocked(self, ga, v):
         # v must stay clear of every decided target of groups other than
@@ -246,19 +245,17 @@ def build_step(
     problem: SolverProblem,
     config: Sequence[int],
     rng: random.Random,
-    fov_mode: bool,
     forced: Sequence[tuple[int, int]] | None = None,
     order: list[int] | None = None,
 ) -> list[int] | None:
     """One configuration step; None when the (forced) step is unrealisable."""
-    return _StepBuilder(problem, config, rng, fov_mode).run(forced, order)
+    return _StepBuilder(problem, config, rng).run(forced, order)
 
 
 def pibt_step(
     problem: SolverProblem,
     config: list[int],
     rng: random.Random,
-    fov_mode: bool = False,
     order: list[int] | None = None,
 ) -> list[int]:
     """Unforced step; falls back to all-wait instead of failing.
@@ -267,7 +264,7 @@ def pibt_step(
     always admissible when nothing has been forced), but it keeps the
     contract total.
     """
-    out = build_step(problem, config, rng, fov_mode, order=order)
+    out = build_step(problem, config, rng, order=order)
     return list(config) if out is None else out
 
 
@@ -288,7 +285,6 @@ def pibt_solve(
     problem: SolverProblem,
     seed: int | str,
     horizon: int | None = None,
-    fov_mode: bool = False,
 ) -> SolveResult:
     """Run the step builder to the goal configuration or a failure.
 
@@ -299,7 +295,7 @@ def pibt_solve(
     """
     if horizon is None:
         horizon = default_horizon(problem.world)
-    if not valid_configuration(problem, problem.starts, fov_mode):
+    if not valid_configuration(problem, problem.starts):
         return SolveResult(False, None, "invalid_start")
     rng = random.Random(f"pibt:{seed}")
     config = list(problem.starts)
@@ -316,7 +312,7 @@ def pibt_solve(
         if config == goals:
             break
         order = priority_order(problem, config, etas)
-        config = pibt_step(problem, config, rng, fov_mode, order=order)
+        config = pibt_step(problem, config, rng, order=order)
         etas = update_etas(problem, config, etas)
         key = tuple(config)
         configs.append(key)

@@ -109,53 +109,60 @@ def extract_real_path(plan: JointPlan, k: int, group: dsp.AgentGroup) -> tuple[i
     return path
 
 
-def _run(
+SOLVERS = ("pibt", "lacam")
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """Everything that selects how one pipeline run plans.
+
+    The radius picks the rule at both ends: dispatch keeps groups outside
+    each other's fov squares and the step builder clears them. Radius 0 is
+    start/goal equality and the classical step rule, i.e. the k-anonymity
+    pipeline (kPP); radius r >= 1 is the fov-aware pipeline (fPP).
+    """
+
+    k: int
+    radius: int = 0
+    solver: str = "pibt"
+    budget_expansions: int = 10_000  # lacam only
+    wall_clock_s: float | None = None  # lacam only; None keeps runs deterministic
+
+    def __post_init__(self) -> None:
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+        if self.wall_clock_s is not None and self.solver != "lacam":
+            raise ValueError("wall-clock budgets need the lacam solver")
+        if self.k < 1:
+            raise dsp.InfeasibleInputError("k must be >= 1")
+        if self.radius < 0:
+            raise ValueError("fov radius must be >= 0")
+
+
+def run_pipeline(
     world: GridWorld,
     real_pairs: list[tuple[int, int]],
-    k: int,
-    fov_radius: int,
+    spec: PipelineSpec,
     seed: int | str,
-    solver: str,
-    fov_mode: bool,
-    rule: dsp.CollisionRule,
-    budget_expansions: int,
-    horizon: int | None,
-    max_retries: int,
-    require_reachable: bool,
-    wall_clock_s: float | None,
 ) -> PipelineResult:
-    groups = dsp.dispatch_groups(
-        world,
-        real_pairs,
-        k,
-        rule,
-        seed,
-        max_retries=max_retries,
-        require_reachable=require_reachable,
-    )
+    """Dispatch, publish the groups, solve the joint instance, extract."""
+    groups = dsp.dispatch_groups(world, real_pairs, spec.k, dsp.CollisionRule(spec.radius), seed)
     published = tuple(g.broadcast_view() for g in groups)
-    problem = SolverProblem(world, list(published), fov_radius)
-    if solver == "pibt":
-        if wall_clock_s is not None:
-            raise ValueError("wall-clock budgets need the lacam solver")
-        result = pibt_solve(problem, seed, horizon=horizon, fov_mode=fov_mode)
-    elif solver == "lacam":
-        result = lacam_solve(
-            problem,
-            seed,
-            budget_expansions=budget_expansions,
-            fov_mode=fov_mode,
-            wall_clock_s=wall_clock_s,
-        )
+    problem = SolverProblem(world, list(published), spec.radius)
+    if spec.solver == "pibt":
+        result = pibt_solve(problem, seed)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
+        result = lacam_solve(
+            problem, seed,
+            budget_expansions=spec.budget_expansions, wall_clock_s=spec.wall_clock_s,
+        )
 
     # groups are published before the solver runs: a failed solve still
     # leaks exactly the same messages, so the trace must carry them.
-    trace = MessageTrace(published, 0, k, fov_radius, result.plan)
+    trace = MessageTrace(published, 0, spec.k, spec.radius, result.plan)
     real_paths = None
     if result.solved:
-        real_paths = [extract_real_path(result.plan, k, g) for g in groups]
+        real_paths = [extract_real_path(result.plan, spec.k, g) for g in groups]
     return PipelineResult(
         result.solved, trace, groups, problem, result, result.plan, real_paths
     )
@@ -167,29 +174,12 @@ def kpp_solve(
     k: int,
     seed: int | str,
     solver: str = "pibt",
-    fov_radius: int = 0,  # accepted for interface parity; ignored (treated as 0)
     budget_expansions: int = 10_000,
-    horizon: int | None = None,
-    max_retries: int = 1000,
-    require_reachable: bool = True,
     wall_clock_s: float | None = None,
 ) -> PipelineResult:
-    """k-anonymity pipeline: equality collision rule, fov-blind solver."""
-    return _run(
-        world,
-        real_pairs,
-        k,
-        0,
-        seed,
-        solver,
-        fov_mode=False,
-        rule=dsp.CollisionRule.start_goal_equality(),
-        budget_expansions=budget_expansions,
-        horizon=horizon,
-        max_retries=max_retries,
-        require_reachable=require_reachable,
-        wall_clock_s=wall_clock_s,
-    )
+    """k-anonymity pipeline: ``run_pipeline`` at radius 0."""
+    spec = PipelineSpec(k, 0, solver, budget_expansions, wall_clock_s)
+    return run_pipeline(world, real_pairs, spec, seed)
 
 
 def fpp_solve(
@@ -200,27 +190,11 @@ def fpp_solve(
     seed: int | str,
     solver: str = "pibt",
     budget_expansions: int = 10_000,
-    horizon: int | None = None,
-    max_retries: int = 1000,
-    require_reachable: bool = True,
     wall_clock_s: float | None = None,
 ) -> PipelineResult:
-    """Fov-aware pipeline: fov collision rule at dispatch, fov-clearing solver."""
-    return _run(
-        world,
-        real_pairs,
-        k,
-        fov_radius,
-        seed,
-        solver,
-        fov_mode=True,
-        rule=dsp.CollisionRule.fov_aware(fov_radius),
-        budget_expansions=budget_expansions,
-        horizon=horizon,
-        max_retries=max_retries,
-        require_reachable=require_reachable,
-        wall_clock_s=wall_clock_s,
-    )
+    """Fov-aware pipeline: ``run_pipeline`` at ``fov_radius``."""
+    spec = PipelineSpec(k, fov_radius, solver, budget_expansions, wall_clock_s)
+    return run_pipeline(world, real_pairs, spec, seed)
 
 
 def compute_beliefs(plan: JointPlan, group_of: list[int]) -> list[list[frozenset[int]]]:

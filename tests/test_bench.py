@@ -66,7 +66,7 @@ def test_load_config(tmp_path):
     assert cfg.pipeline == "fpp" and cfg.solver == "lacam"
     assert cfg.budget_expansions == 500
     assert cfg.min_separation == 4
-    assert cfg.deterministic_times
+    assert cfg.budget_seconds is None
 
 
 @pytest.mark.parametrize("snippet,message", [
@@ -108,7 +108,7 @@ def test_iter_tasks_config_order():
         (m, n, k, s)
         for m in cfg.maps for n in cfg.agents for k in cfg.ks for s in cfg.seeds
     ]
-    assert [(t.map_name, t.n_agents, t.k, t.seed) for t in tasks] == expected
+    assert [(t.map_name, t.n_agents, t.spec.k, t.seed) for t in tasks] == expected
 
 
 # -------------------------------------------------------------------- runs
@@ -146,7 +146,7 @@ def test_wall_clock_budget_records_real_times():
         name="t", maps=("open16",), agents=(2,), ks=(1,), radii=(0,),
         seeds=(0,), budget_seconds=2.0, min_separation=3,
     )
-    assert not cfg.deterministic_times
+    assert cfg.spec(1, 0).wall_clock_s == 2.0
     rec = run_suite(cfg)[0]
     assert rec.solved
     assert rec.solve_time > 0.0
@@ -262,6 +262,23 @@ def test_csv_round_trip(tmp_path):
     assert read_records(out) == records
     lines = out.read_text().splitlines()
     assert lines[1].split(",") == CSV_HEADER
+
+
+def test_v1_header_and_cell_codec():
+    assert CSV_HEADER == [
+        "map", "n_agents", "k", "radius", "solver", "seed", "solved", "soc",
+        "makespan", "rsoc_before", "rsoc_after", "improvement_pct",
+        "solve_time", "ppfpp_time",
+    ]
+    rec = make_record(solved=False, soc=-1, rsoc_before=-3, improvement_pct=2 / 3,
+                      solve_time=1.5)
+    row = rec.to_row()
+    assert row == ["open16", "4", "2", "1", "lacam", "0", "0", "-1", "15", "-3", "18",
+                   "0.666667", "1.500000", "0.000000"]
+    back = RunRecord.from_row(row)
+    assert back == make_record(solved=False, soc=-1, rsoc_before=-3,
+                               improvement_pct=0.666667, solve_time=1.5)
+    assert back.solved is False and RunRecord.from_row(make_record().to_row()).solved is True
 
 
 def test_read_records_rejects_foreign_header(tmp_path):

@@ -214,6 +214,10 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
     ("PreconditionError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
                            "--private-dir", "{tmp}/in_range", "--radius", "0"],
      "zone refinement needs fov radius >= 1"),
+    ("ConfigError", ["solve", "--map", "open16", "--pipeline", "kpp", "--radius", "2"],
+     "the kpp pipeline ignores fov; use radius 0"),
+    ("ConfigError", ["solve", "--map", "open16", "--pipeline", "fpp", "--radius", "-1"],
+     "fov radius must be >= 0"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)

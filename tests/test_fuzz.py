@@ -42,7 +42,7 @@ def test_pipeline_is_correct_or_fails_typed(world, n, k, radius, separation, see
     try:
         pairs = random_spaced_pairs(world, n, seed, min_separation=separation)
         out = fpp_solve(
-            world, pairs, k, radius, seed, solver="lacam", budget_expansions=300, max_retries=50,
+            world, pairs, k, radius, seed, solver="lacam", budget_expansions=300,
         )
     except (PlacementError, DispatchExhaustedError, InfeasibleInputError) as exc:
         event(type(exc).__name__)

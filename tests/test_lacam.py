@@ -166,9 +166,9 @@ def test_first_dive_reproduces_one_shot_run_fov(open16):
         pairs = random_spaced_pairs(open16, 4, seed, min_separation=3)
         groups = dispatch_groups(open16, pairs, 2, rule, seed)
         problem = SolverProblem(open16, groups, fov_radius=1)
-        one_shot = pibt_solve(problem, seed, fov_mode=True)
+        one_shot = pibt_solve(problem, seed)
         assert one_shot.solved
-        dive = lacam_solve(problem, seed, budget_expansions=one_shot.steps, fov_mode=True)
+        dive = lacam_solve(problem, seed, budget_expansions=one_shot.steps)
         assert dive.solved
         assert dive.plan.paths == one_shot.plan.paths
 
@@ -178,8 +178,8 @@ def test_deterministic_for_seed_and_budget(random32):
     pairs = random_spaced_pairs(random32, 8, 0, min_separation=5)
     groups = dispatch_groups(random32, pairs, 2, rule, 0)
     problem = SolverProblem(random32, groups, fov_radius=1)
-    a = lacam_solve(problem, seed=0, budget_expansions=400, fov_mode=True)
-    b = lacam_solve(problem, seed=0, budget_expansions=400, fov_mode=True)
+    a = lacam_solve(problem, seed=0, budget_expansions=400)
+    b = lacam_solve(problem, seed=0, budget_expansions=400)
     assert a.solved and b.solved
     assert a.plan.paths == b.plan.paths
     assert a.expansions == b.expansions
@@ -193,7 +193,7 @@ def test_more_budget_never_hurts(random32):
         problem = SolverProblem(random32, groups, fov_radius=1)
         best = None
         for budget in (150, 400, 1000):
-            result = lacam_solve(problem, seed, budget_expansions=budget, fov_mode=True)
+            result = lacam_solve(problem, seed, budget_expansions=budget)
             assert result.solved
             soc = metrics(result.plan.paths, problem.goals).soc
             if best is not None:
@@ -228,10 +228,10 @@ def test_rescues_fov_livelock(random32):
     pairs = random_spaced_pairs(random32, 8, 0, min_separation=5)
     groups = dispatch_groups(random32, pairs, 3, rule, 0)
     problem = SolverProblem(random32, groups, fov_radius=1)
-    one_shot = pibt_solve(problem, seed=0, fov_mode=True)
+    one_shot = pibt_solve(problem, seed=0)
     assert not one_shot.solved
     assert one_shot.reason == "livelock"
-    result = lacam_solve(problem, seed=0, budget_expansions=1500, fov_mode=True)
+    result = lacam_solve(problem, seed=0, budget_expansions=1500)
     assert result.solved
     report = audit(random32, result.plan, problem.group_of, fov_radius=1, check_fov=True)
     assert report.ok
@@ -268,7 +268,7 @@ class _RefNode:
         self.edges = {}
 
 
-def _reference_lacam(problem, seed, budget, fov_mode):
+def _reference_lacam(problem, seed, budget):
     """The search with its per-node work spelled out: ``update_etas``, the
     heuristic, ``priority_order`` and the edge cost as separate passes, and
     the incumbent re-scored on every goal rewire. Returns (plan, expansions)."""
@@ -314,8 +314,7 @@ def _reference_lacam(problem, seed, budget, fov_mode):
                             key=lambda v: (dists[agent][v], v)):
                 node.tree.append(constraint.extend(agent, u))
         forced = list(zip(constraint.who, constraint.where))
-        q_new = build_step(problem, list(node.config), rng, fov_mode,
-                           forced=forced, order=node.order)
+        q_new = build_step(problem, list(node.config), rng, forced=forced, order=node.order)
         if q_new is None:
             continue
         q_new = tuple(q_new)
@@ -357,10 +356,10 @@ def test_matches_reference_search(open16, random32):
     for world, agents, k, radius, separation, budget in cases:
         for seed in range(3):
             pairs = random_spaced_pairs(world, agents, seed, min_separation=separation)
-            rule = CollisionRule.fov_aware(radius) if radius else CollisionRule.start_goal_equality()
+            rule = CollisionRule.fov_aware(radius)
             problem = SolverProblem(world, dispatch_groups(world, pairs, k, rule, seed), radius)
-            got = lacam_solve(problem, seed, budget_expansions=budget, fov_mode=radius > 0)
-            plan, expansions = _reference_lacam(problem, seed, budget, radius > 0)
+            got = lacam_solve(problem, seed, budget_expansions=budget)
+            plan, expansions = _reference_lacam(problem, seed, budget)
             assert got.expansions == expansions
             assert (got.plan.paths if got.solved else None) == (plan.paths if plan else None)
             rewired += got.solved and got.expansions == budget

@@ -2,7 +2,7 @@
 
 The single-step oracle re-validates every produced configuration from
 first principles (moves are stay-or-adjacent, vertices unique, no
-exchanges, and in fov mode no inter-group visibility), so the transactional
+exchanges, and at radius r >= 1 no inter-group visibility), so the transactional
 push/rollback machinery is checked against the rules it must maintain, not
 against its own bookkeeping. The vertex-indexed builder is also compared,
 result and RNG state, with a reference that keeps its state in dicts and
@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from privmapf import pibt
 from privmapf.dispatch import AgentGroup, CollisionRule, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.pibt import (
@@ -30,7 +31,7 @@ from privmapf.pibt import (
 from conftest import singleton_problem
 
 
-def step_is_legal(problem, before, after, fov_mode):
+def step_is_legal(problem, before, after):
     n = problem.num_agents
     if sorted(set(after)) != sorted(after):
         return False
@@ -42,12 +43,12 @@ def step_is_legal(problem, before, after, fov_mode):
         for b in range(a + 1, n):
             if after[a] == before[b] and after[b] == before[a] and before[a] != before[b]:
                 return False
-    return not fov_mode or valid_configuration(problem, after, fov_mode=True)
+    return valid_configuration(problem, after)
 
 
-@pytest.mark.parametrize("fov_mode,radius", [(False, 0), (True, 1)])
-def test_every_step_obeys_the_rules(open16, fov_mode, radius):
-    rule = CollisionRule.fov_aware(radius) if fov_mode else CollisionRule.start_goal_equality()
+@pytest.mark.parametrize("radius", [0, 1])
+def test_every_step_obeys_the_rules(open16, radius):
+    rule = CollisionRule.fov_aware(radius)
     for seed in range(5):
         rng = random.Random(seed)
         reals = [(i * 37 % 200, (i * 53 + 90) % 230) for i in range(4)]
@@ -57,8 +58,8 @@ def test_every_step_obeys_the_rules(open16, fov_mode, radius):
         etas = update_etas(problem, config, [0] * problem.num_agents)
         for _ in range(40):
             order = priority_order(problem, config, etas)
-            after = pibt_step(problem, config, rng, fov_mode, order=order)
-            assert step_is_legal(problem, config, after, fov_mode)
+            after = pibt_step(problem, config, rng, order=order)
+            assert step_is_legal(problem, config, after)
             config = after
             etas = update_etas(problem, config, etas)
 
@@ -69,7 +70,7 @@ def test_pocket_push_semantics(pocket):
     b = (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))
     problem = singleton_problem(pocket, [a, b])
     rng = random.Random("pibt:0")
-    after = build_step(problem, list(problem.starts), rng, False)
+    after = build_step(problem, list(problem.starts), rng)
     assert [pocket.coords(v) for v in after] == [(2, 0), (2, 1)]
 
 
@@ -85,15 +86,25 @@ def test_pocket_instance_fails_honestly(pocket):
     assert result.plan is None
 
 
-def test_fov_mode_radius_zero_is_bit_identical(open16):
+def test_fov_mode_radius_zero_is_bit_identical(open16, monkeypatch):
+    # at radius 0 whole solves match the reference under either rule
+    def reference_step(fov_rule):
+        def step(problem, config, rng, forced=None, order=None):
+            return _ReferenceStepBuilder(problem, list(config), rng, fov_rule).run(forced, order)
+        return step
+
     for seed in range(6):
         reals = [(i * 31 % 250, (i * 67 + 40) % 250) for i in range(4)]
         groups = dispatch_groups(open16, reals, 2, CollisionRule.start_goal_equality(), seed)
         problem = SolverProblem(open16, [g.broadcast_view() for g in groups], 0)
-        plain = pibt_solve(problem, seed, fov_mode=False)
-        fov = pibt_solve(problem, seed, fov_mode=True)
-        assert plain.solved and fov.solved
-        assert plain.plan.paths == fov.plan.paths
+        built = pibt_solve(problem, seed)
+        with monkeypatch.context() as m:
+            m.setattr(pibt, "build_step", reference_step(False))
+            plain = pibt_solve(problem, seed)
+            m.setattr(pibt, "build_step", reference_step(True))
+            fov = pibt_solve(problem, seed)
+        assert plain.solved and fov.solved and built.solved
+        assert plain.plan.paths == fov.plan.paths == built.plan.paths
 
 
 def test_same_group_members_may_touch(open4):
@@ -101,7 +112,7 @@ def test_same_group_members_may_touch(open4):
     pairs = ((open4.vertex_at(0, 0), open4.vertex_at(3, 0)),
              (open4.vertex_at(3, 0), open4.vertex_at(0, 0)))
     problem = SolverProblem(open4, [AgentGroup(0, pairs, 0)], 1)
-    result = pibt_solve(problem, seed=2, fov_mode=True)
+    result = pibt_solve(problem, seed=2)
     assert result.solved
     dists = [open4.chebyshev(result.plan.position(0, t), result.plan.position(1, t))
              for t in range(result.plan.horizon + 1)]
@@ -114,35 +125,35 @@ def test_forced_moves_are_respected_or_rejected(open4):
     problem = singleton_problem(open4, [(v00, v20), (v10, v00)])
     rng = random.Random(0)
 
-    out = build_step(problem, [v00, v10], rng, False, forced=[(0, v01)])
+    out = build_step(problem, [v00, v10], rng, forced=[(0, v01)])
     assert out is not None and out[0] == v01
 
     # forcing both into the same vertex is unrealisable
-    assert build_step(problem, [v00, v10], rng, False, forced=[(0, v10), (1, v10)]) is None
+    assert build_step(problem, [v00, v10], rng, forced=[(0, v10), (1, v10)]) is None
     # a forced exchange is unrealisable
-    assert build_step(problem, [v00, v10], rng, False, forced=[(0, v10), (1, v00)]) is None
+    assert build_step(problem, [v00, v10], rng, forced=[(0, v10), (1, v00)]) is None
     # teleports are unrealisable
-    assert build_step(problem, [v00, v10], rng, False, forced=[(0, v20)]) is None
+    assert build_step(problem, [v00, v10], rng, forced=[(0, v20)]) is None
 
 
 def test_forced_fov_violation_rejected(open16):
     rng = random.Random(0)
     # groups start far apart; moving them onto diagonal-adjacent cells is a
-    # radius-1 violation and must be unrealisable in fov mode
+    # radius-1 violation and must be unrealisable
     a = (open16.vertex_at(3, 4), open16.vertex_at(10, 0))
     b = (open16.vertex_at(5, 5), open16.vertex_at(0, 5))
     problem = singleton_problem(open16, [a, b], fov_radius=1)
     far = [(0, open16.vertex_at(2, 4)), (1, open16.vertex_at(5, 4))]
-    assert build_step(problem, list(problem.starts), rng, True, forced=far) is not None
+    assert build_step(problem, list(problem.starts), rng, forced=far) is not None
     close = [(0, open16.vertex_at(4, 4)), (1, open16.vertex_at(5, 4))]
-    assert build_step(problem, list(problem.starts), rng, True, forced=close) is None
+    assert build_step(problem, list(problem.starts), rng, forced=close) is None
 
 
 def test_invalid_start_reported(open4):
     a = (open4.vertex_at(0, 0), open4.vertex_at(3, 3))
     b = (open4.vertex_at(1, 1), open4.vertex_at(0, 3))  # inside fov(a) at r=1
     problem = singleton_problem(open4, [a, b], fov_radius=1)
-    result = pibt_solve(problem, seed=0, fov_mode=True)
+    result = pibt_solve(problem, seed=0)
     assert not result.solved
     assert result.reason == "invalid_start"
 
@@ -203,14 +214,20 @@ def test_solved_plan_reaches_goals_and_audits_clean(open16):
 class _ReferenceStepBuilder:
     """The step builder with dict occupancy and claims, one target set per
     group, a scan over every agent for fov pushees and ``Random.shuffle``;
-    it counts the pushes of agents that do not stand on the tried vertex."""
+    it counts the pushes of agents that do not stand on the tried vertex.
 
-    def __init__(self, problem, config, rng, fov_mode):
+    ``fov_rule`` picks the rule as two separate code paths: False is the
+    classical rule (no fov checks at all), True the fov rule at the
+    problem's radius, which at radius 0 must step exactly as the classical
+    one. The builder under test has no such switch: the radius alone
+    decides."""
+
+    def __init__(self, problem, config, rng, fov_rule):
         self.problem = problem
         self.world = problem.world
         self.config = config
         self.rng = rng
-        self.fov_mode = fov_mode
+        self.fov_rule = fov_rule
         self.radius = problem.fov_radius
         n = problem.num_agents
         self.target = [None] * n
@@ -256,7 +273,7 @@ class _ReferenceStepBuilder:
         occ = self.at.get(v)
         if occ is not None and occ != a and self.target[occ] is None:
             out.add(occ)
-        if self.fov_mode:
+        if self.fov_rule:
             ga = self.problem.group_of[a]
             fset = self.world.fov(v, self.radius)
             for b, cur in enumerate(self.config):
@@ -275,7 +292,7 @@ class _ReferenceStepBuilder:
                 continue
             if self._swap(a, v):
                 continue
-            if self.fov_mode and self._fov_blocked(a, v):
+            if self.fov_rule and self._fov_blocked(a, v):
                 continue
             mark = len(self.undo)
             self._assign(a, v)
@@ -301,7 +318,7 @@ class _ReferenceStepBuilder:
                     return None
                 if v != self.config[a] and v not in self.world.neighbors(self.config[a]):
                     return None
-                if self.fov_mode and self._fov_blocked(a, v):
+                if self.fov_rule and self._fov_blocked(a, v):
                     return None
                 self._assign(a, v)
         if order is None:
@@ -348,12 +365,13 @@ def _forced(problem, config, order, rng):
     return out
 
 
-@pytest.mark.parametrize("radius", [0, 1, 2])
-@pytest.mark.parametrize("fov_mode", [False, True])
-def test_builder_matches_reference(open16, random32, fov_mode, radius):
+# (False, r >= 1) would be the classical reference at a fov radius, a
+# combination the builder under test cannot take any more
+@pytest.mark.parametrize("fov_rule,radius", [(False, 0), (True, 0), (True, 1), (True, 2)])
+def test_builder_matches_reference(open16, random32, fov_rule, radius):
     square_pushes = nones = steps = 0
     for case, world in enumerate((open16, random32)):
-        rng = random.Random(f"builder:{case}:{radius}:{fov_mode}")
+        rng = random.Random(f"builder:{case}:{radius}:{fov_rule}")
         for _ in range(4):
             problem = _grouped_problem(world, rng, rng.randint(3, 6), rng.randint(1, 3), radius)
             n = problem.num_agents
@@ -368,9 +386,9 @@ def test_builder_matches_reference(open16, random32, fov_mode, radius):
                     ref_rng, new_rng = random.Random(), random.Random()
                     ref_rng.setstate(state)
                     new_rng.setstate(state)
-                    ref = _ReferenceStepBuilder(problem, list(config), ref_rng, fov_mode)
+                    ref = _ReferenceStepBuilder(problem, list(config), ref_rng, fov_rule)
                     expected = ref.run(forced, order)
-                    got = build_step(problem, list(config), new_rng, fov_mode, forced, order)
+                    got = build_step(problem, list(config), new_rng, forced, order)
                     assert got == expected
                     assert new_rng.getstate() == ref_rng.getstate()
                     square_pushes += ref.square_pushes
@@ -381,7 +399,7 @@ def test_builder_matches_reference(open16, random32, fov_mode, radius):
                     config = got
                     etas = update_etas(problem, config, etas)
     assert nones > 0 and nones < steps
-    if fov_mode and radius > 0:
+    if radius > 0:
         assert square_pushes > 0
 
 

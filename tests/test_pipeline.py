@@ -10,15 +10,18 @@ import json
 import pytest
 
 from privmapf.audit import audit
+from privmapf.bench import ConfigError, pipeline_spec
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import (
     MessageTrace,
+    PipelineSpec,
     check_k_privacy,
     compute_beliefs,
     extract_real_path,
     fpp_solve,
     kpp_solve,
     read_trace,
+    run_pipeline,
     write_trace,
 )
 
@@ -123,16 +126,52 @@ def test_failed_solve_still_publishes_groups(pocket):
 
 
 def test_kpp_treats_fov_radius_as_zero(open16):
+    # kpp has no radius of its own: it runs at 0, and another is refused
     reals = random_spaced_pairs(open16, 4, "parity", min_separation=3)
     a = kpp_solve(open16, reals, k=2, seed=5)
-    b = kpp_solve(open16, reals, k=2, seed=5, fov_radius=2)
+    b = run_pipeline(open16, reals, pipeline_spec("kpp", 2, 0, "pibt", 10_000), 5)
     assert a.plan.paths == b.plan.paths
+    assert json.loads(a.trace.to_json(open16))["fov_radius"] == 0
+    with pytest.raises(ConfigError, match="the kpp pipeline ignores fov; use radius 0"):
+        pipeline_spec("kpp", 2, 2, "pibt", 10_000)
+
+
+def test_kpp_is_fpp_at_radius_zero(open16, pocket):
+    # the pocket instance is unsolvable, so failure reasons are compared too
+    stuck = [(pocket.vertex_at(1, 0), pocket.vertex_at(2, 0)),
+             (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))]
+    unsolved = 0
+    for solver in ("pibt", "lacam"):
+        for seed in range(4):
+            for world, reals, k in (
+                (open16, random_spaced_pairs(open16, 4, seed, min_separation=3), 2),
+                (pocket, stuck, 1),
+            ):
+                kpp = kpp_solve(world, reals, k, seed, solver=solver, budget_expansions=1500)
+                fpp = fpp_solve(world, reals, k, 0, seed, solver=solver, budget_expansions=1500)
+                spec = PipelineSpec(k, 0, solver, budget_expansions=1500)
+                for out in (fpp, run_pipeline(world, reals, spec, seed)):
+                    assert out.plan == kpp.plan
+                    assert out.trace.to_json(world) == kpp.trace.to_json(world)
+                    assert out.reason == kpp.reason
+                unsolved += not kpp.solved
+    assert unsolved == 8
 
 
 def test_unknown_solver_rejected(open16):
     reals = random_spaced_pairs(open16, 2, "solver", min_separation=3)
     with pytest.raises(ValueError, match="solver"):
         kpp_solve(open16, reals, k=2, seed=0, solver="astar")
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(k=2, solver="pibt", wall_clock_s=1.0), "wall-clock budgets need the lacam solver"),
+    (dict(k=0), "k must be >= 1"),
+    (dict(k=2, radius=-1), "fov radius must be >= 0"),
+])
+def test_spec_rejects_bad_settings(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineSpec(**fields)
 
 
 def test_check_k_privacy_reports_small_beliefs():
