@@ -23,7 +23,6 @@ from .audit import (
 )
 from .dispatch import (
     AgentGroup,
-    CollisionRule,
     DispatchExhaustedError,
     InfeasibleInputError,
     dispatch_groups,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentGroup",
     "AuditError",
-    "CollisionRule",
     "ConflictReport",
     "DispatchExhaustedError",
     "EmptyMapError",

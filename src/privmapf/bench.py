@@ -53,86 +53,63 @@ def default_separation(world: GridWorld) -> int:
     return 3 if world.width <= 16 else 5
 
 
-def pipeline_spec(
-    pipeline: str,
-    k: int,
-    radius: int,
-    solver: str,
-    budget_expansions: int,
-    wall_clock_s: float | None = None,
-) -> PipelineSpec:
-    """The spec of a ``kpp`` or ``fpp`` run; a bad setting is a ConfigError.
-
-    kpp is fpp at radius 0, so its name only rules out other radii.
-    """
-    if pipeline not in ("kpp", "fpp"):
-        raise ConfigError(f"pipeline must be kpp or fpp, got {pipeline!r}")
-    if pipeline == "kpp" and radius != 0:
-        raise ConfigError("the kpp pipeline ignores fov; use radius 0")
-    try:
-        return PipelineSpec(k, radius, solver, budget_expansions, wall_clock_s)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 @dataclass(frozen=True)
 class BenchConfig:
+    """A suite: its YAML keys are these fields; k and radius list the swept values."""
+
     name: str
     maps: tuple[str, ...]
     agents: tuple[int, ...]
-    ks: tuple[int, ...]
-    radii: tuple[int, ...]
-    seeds: tuple[int, ...]
-    pipeline: str = "fpp"
+    k: tuple[int, ...] = (1,)
+    radius: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = tuple(range(5))
     solver: str = "lacam"
-    budget_expansions: int | None = 1500
+    budget_expansions: int = 1500
     budget_seconds: float | None = None
     run_ppfpp: bool = True
     min_separation: int | None = None
 
     def __post_init__(self) -> None:
-        if not all(k >= 1 for k in self.ks):
+        if not all(n >= 1 for n in self.agents):
+            raise ConfigError("agent counts must be >= 1")
+        if not all(k >= 1 for k in self.k):
             raise ConfigError("group sizes must be >= 1")
-        for k in self.ks:
-            for r in self.radii:
+        for k in self.k:
+            for r in self.radius:
                 self.spec(k, r)
 
     def spec(self, k: int, radius: int) -> PipelineSpec:
         """The pipeline spec of the cells with group size k and this radius."""
-        budget = 10_000 if self.budget_expansions is None else self.budget_expansions
-        return pipeline_spec(self.pipeline, k, radius, self.solver, budget, self.budget_seconds)
+        try:
+            return PipelineSpec(k, radius, self.solver, self.budget_expansions, self.budget_seconds)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
-_CONFIG_KEYS = {f.name for f in fields(BenchConfig)} | {"k", "radius"}
+_CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
+_LIST_KEYS = ("maps", "agents", "k", "radius", "seeds")
 
 
 def load_config(path: str | Path) -> BenchConfig:
+    """The suite of a YAML file; absent keys keep BenchConfig's defaults."""
     obj = yaml.safe_load(Path(path).read_text())
     if not isinstance(obj, dict):
         raise ConfigError("config must be a mapping")
     unknown = set(obj) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seeds = obj.get("seeds", 5)
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
-    try:
-        return BenchConfig(
-            name=obj.get("name", Path(path).stem),
-            maps=tuple(obj["maps"]),
-            agents=tuple(obj["agents"]),
-            ks=tuple(obj.get("k", obj.get("ks", [1]))),
-            radii=tuple(obj.get("radius", obj.get("radii", [0]))),
-            seeds=tuple(seeds),
-            pipeline=obj.get("pipeline", "fpp"),
-            solver=obj.get("solver", "lacam"),
-            budget_expansions=obj.get("budget_expansions", 1500),
-            budget_seconds=obj.get("budget_seconds"),
-            run_ppfpp=bool(obj.get("run_ppfpp", True)),
-            min_separation=obj.get("min_separation"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc.args[0]}") from None
+    for key in ("maps", "agents"):
+        if key not in obj:
+            raise ConfigError(f"missing config key: {key}")
+    obj.setdefault("name", Path(path).stem)
+    if isinstance(obj.get("seeds"), int):
+        obj["seeds"] = list(range(obj["seeds"]))  # an int means "this many, from zero"
+    for key in _LIST_KEYS:
+        if key in obj:
+            if not isinstance(obj[key], list):
+                raise ConfigError(f"config key {key} must be a list")
+            obj[key] = tuple(obj[key])
+    return BenchConfig(**obj)
 
 
 @dataclass(frozen=True)
@@ -187,8 +164,8 @@ def iter_tasks(cfg: BenchConfig) -> list[TaskSpec]:
     for map_name in cfg.maps:
         map_path = str(resolve_map(map_name))
         for n in cfg.agents:
-            for k in cfg.ks:
-                for r in cfg.radii:
+            for k in cfg.k:
+                for r in cfg.radius:
                     spec = cfg.spec(k, r)
                     for seed in cfg.seeds:
                         tasks.append(TaskSpec(

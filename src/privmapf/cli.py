@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Four subcommands mirror the library layers: ``solve`` runs a privacy
-pipeline on one instance and writes the broadcast plan (plus optional
-message trace and per-agent private sidecars), ``ppfpp`` refines a solved
-plan inside safe zones, ``audit`` checks a plan file for conflicts and
-belief privacy, and ``bench`` sweeps a YAML-configured suite into a CSV.
+Four subcommands mirror the library layers: ``solve`` runs the privacy
+pipeline on one instance (``--radius 0`` is kPP, ``--radius r`` fPP) and
+writes the broadcast plan (plus optional message trace and per-agent
+private sidecars), ``ppfpp`` refines a solved plan inside safe zones,
+``audit`` checks a plan file for conflicts and belief privacy, and
+``bench`` sweeps a YAML-configured suite into a CSV.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ from pathlib import Path
 from . import __version__
 from .audit import AuditError, audit, metrics, real_sum_of_costs
 from .bench import (
-    ConfigError, format_summary, load_config, pipeline_spec, resolve_map, run_suite, summarize,
-    write_records,
+    ConfigError, format_summary, load_config, resolve_map, run_suite, summarize, write_records,
 )
 from .dispatch import (
-    InfeasibleInputError, SidecarError, read_private_sidecars, sidecar_path, write_private_sidecars,
+    DispatchExhaustedError, InfeasibleInputError, SidecarError, read_private_sidecars,
+    sidecar_path, write_private_sidecars,
 )
 from .grid import EmptyMapError, ParseError, ScenarioError, load_map, load_scenario, scenario_pairs
-from .instances import random_spaced_pairs
-from .pipeline import SOLVERS, compute_beliefs, check_k_privacy, run_pipeline, write_trace
+from .instances import PlacementError, random_spaced_pairs
+from .pipeline import (
+    SOLVERS, PipelineSpec, compute_beliefs, check_k_privacy, run_pipeline, write_trace,
+)
 from .plans import PlanFileError, read_plan_file, write_plan_file, write_real_plan_file
 from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp, write_zones
 
@@ -41,7 +44,12 @@ def _instance_pairs(args, world):
 
 
 def _cmd_solve(args) -> int:
-    spec = pipeline_spec(args.pipeline, args.k, args.radius, args.solver, args.budget_expansions)
+    if args.agents < 1:
+        raise ConfigError("the agent count must be >= 1")
+    try:
+        spec = PipelineSpec(args.k, args.radius, args.solver, args.budget_expansions)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     world = load_map(resolve_map(args.map))
     pairs = _instance_pairs(args, world)
     out = run_pipeline(world, pairs, spec, args.seed)
@@ -128,14 +136,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version", version=f"privmapf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run a privacy pipeline on one instance")
+    p = sub.add_parser("solve", help="run the privacy pipeline on one instance")
     p.add_argument("--map", required=True, help="map file or bundled map name")
     p.add_argument("--scen", help="take the first N pairs from a scenario file")
     p.add_argument("--agents", type=int, default=4)
     p.add_argument("--separation", type=int, default=3)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--radius", type=int, default=0)
-    p.add_argument("--pipeline", choices=("kpp", "fpp"), default="kpp")
+    p.add_argument("--radius", type=int, default=0, help="fov radius; 0 is kPP")
     p.add_argument("--solver", choices=SOLVERS, default="lacam")
     p.add_argument("--budget-expansions", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
@@ -172,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         OSError, ConfigError, ParseError, EmptyMapError, ScenarioError, PlanFileError,
-        AuditError, InfeasibleInputError, SidecarError, PreconditionError, ReplanInfeasibleError,
+        AuditError, InfeasibleInputError, DispatchExhaustedError, PlacementError, SidecarError,
+        PreconditionError, ReplanInfeasibleError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

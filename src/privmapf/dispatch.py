@@ -1,15 +1,16 @@
-"""Mock-agent group construction and broadcast serialization.
+"""Mock-agent group construction and the private sidecars.
 
 Each agent hides its real (start, goal) pair inside a group of k pairs, the
 other k-1 being mocks. A trusted dispatcher, which knows every real pair,
 resamples mocks internally until no two groups collide, then publishes each
 group exactly once (republishing would shrink the anonymity set, so there is
-deliberately no API for it). Two groups collide when they share a start
-vertex or share a goal vertex; under a fov-aware rule "share" relaxes to
-"within Chebyshev radius r". Start-vs-goal cross terms never collide.
+deliberately no API for it). Two groups collide when a start of one lies
+within Chebyshev radius r of a start of the other, or a goal within r of a
+goal; at r = 0 that is plain start or goal equality. Start-vs-goal cross
+terms never collide.
 
 Within a group only vertex-level distinctness is enforced (starts pairwise
-distinct, goals pairwise distinct) regardless of the rule: members of the
+distinct, goals pairwise distinct) whatever the radius: members of the
 same group are exempt from fov separation, and distinctness is exactly what
 a solvable joint instance requires.
 """
@@ -21,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .grid import GridWorld
 
@@ -43,28 +44,11 @@ class DispatchVerificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CollisionRule:
-    """Inter-group collision predicate. radius 0 is plain start/goal equality."""
-
-    fov_radius: int = 0
-
-    @classmethod
-    def start_goal_equality(cls) -> "CollisionRule":
-        return cls(0)
-
-    @classmethod
-    def fov_aware(cls, radius: int) -> "CollisionRule":
-        if radius < 0:
-            raise ValueError("fov radius must be >= 0")
-        return cls(radius)
-
-
-@dataclass(frozen=True)
 class AgentGroup:
     """k (start, goal) pairs, exactly one of which is the owner's real pair.
 
     ``real_index`` is private bookkeeping: it never appears in broadcast
-    output and is None on deserialized broadcast views.
+    output and is None on broadcast views.
     """
 
     group_id: int
@@ -96,16 +80,13 @@ class AgentGroup:
 
 
 def pairs_collide(
-    world: GridWorld, a: tuple[int, int], b: tuple[int, int], rule: CollisionRule
+    world: GridWorld, a: tuple[int, int], b: tuple[int, int], radius: int
 ) -> bool:
-    r = rule.fov_radius
-    return world.chebyshev(a[0], b[0]) <= r or world.chebyshev(a[1], b[1]) <= r
+    return world.chebyshev(a[0], b[0]) <= radius or world.chebyshev(a[1], b[1]) <= radius
 
 
-def groups_collide(
-    world: GridWorld, ga: AgentGroup, gb: AgentGroup, rule: CollisionRule
-) -> bool:
-    return any(pairs_collide(world, p, q, rule) for p in ga.pairs for q in gb.pairs)
+def groups_collide(world: GridWorld, ga: AgentGroup, gb: AgentGroup, radius: int) -> bool:
+    return any(pairs_collide(world, p, q, radius) for p in ga.pairs for q in gb.pairs)
 
 
 def _sample_mock_pair(
@@ -137,21 +118,23 @@ def propose_groups(
     real_pairs: list[tuple[int, int]],
     k: int,
     rng: random.Random,
-    require_reachable: bool = False,
 ) -> list[AgentGroup]:
     """One independent proposal per group, no retries, no cross-group checks.
 
     This is the dispatcher's raw proposal distribution (mock starts are a
     uniform (k-1)-subset of V minus the group's own starts so far; goals
-    likewise). The closed form in no_collision_probability is exact for the
-    acceptance rate of this path, which is what makes it testable.
+    likewise, with no same-component requirement). The closed form in
+    no_collision_probability is exact for the acceptance rate of this path,
+    which is what makes it testable.
     """
     groups = []
     for gid, real in enumerate(real_pairs):
         pairs = [real]
         used_starts, used_goals = {real[0]}, {real[1]}
         for _ in range(k - 1):
-            s, g = _sample_mock_pair(world, rng, used_starts, used_goals, require_reachable)
+            s, g = _sample_mock_pair(
+                world, rng, used_starts, used_goals, require_reachable=False
+            )
             pairs.append((s, g))
             used_starts.add(s)
             used_goals.add(g)
@@ -159,26 +142,30 @@ def propose_groups(
     return groups
 
 
+MAX_RETRIES = 1000  # draws per mock pair before dispatch gives up
+
+
 def dispatch_groups(
     world: GridWorld,
     real_pairs: list[tuple[int, int]],
     k: int,
-    rule: CollisionRule,
+    radius: int,
     seed: int | str,
-    max_retries: int = 1000,
-    require_reachable: bool = True,
 ) -> list[AgentGroup]:
     """Build one published group per agent; deterministic for a given seed.
 
     Mocks are placed by per-pair rejection sampling against every real pair
-    and every already-committed group. Each group's pair order is shuffled
-    before publication so position leaks nothing about which pair is real.
+    and every already-committed group; each mock's goal shares its start's
+    connected component. Each group's pair order is shuffled before
+    publication so position leaks nothing about which pair is real.
 
-    Raises InfeasibleInputError when the real pairs already collide under
-    the rule (or the world is too small), DispatchExhaustedError when a
-    mock pair cannot be placed within max_retries.
+    Raises InfeasibleInputError when the real pairs already collide at this
+    radius (or the world is too small), DispatchExhaustedError when a mock
+    pair cannot be placed within MAX_RETRIES draws.
     """
     n = len(real_pairs)
+    if radius < 0:
+        raise ValueError("fov radius must be >= 0")
     if k < 1:
         raise InfeasibleInputError("k must be >= 1")
     if world.num_vertices < k:
@@ -187,9 +174,9 @@ def dispatch_groups(
         )
     for i in range(n):
         for j in range(i + 1, n):
-            if pairs_collide(world, real_pairs[i], real_pairs[j], rule):
+            if pairs_collide(world, real_pairs[i], real_pairs[j], radius):
                 raise InfeasibleInputError(
-                    f"real pairs of agents {i} and {j} collide under rule r={rule.fov_radius}"
+                    f"real pairs of agents {i} and {j} collide under rule r={radius}"
                 )
 
     rng = random.Random(f"dispatch:{seed}")
@@ -198,17 +185,17 @@ def dispatch_groups(
         pairs = [real]
         used_starts, used_goals = {real[0]}, {real[1]}
         for m in range(k - 1):
-            for _ in range(max_retries):
+            for _ in range(MAX_RETRIES):
                 s, g = _sample_mock_pair(
-                    world, rng, used_starts, used_goals, require_reachable
+                    world, rng, used_starts, used_goals, require_reachable=True
                 )
                 candidate = (s, g)
                 ok = all(
-                    not pairs_collide(world, candidate, other, rule)
+                    not pairs_collide(world, candidate, other, radius)
                     for other in real_pairs
                     if other is not real
                 ) and all(
-                    not pairs_collide(world, candidate, q, rule)
+                    not pairs_collide(world, candidate, q, radius)
                     for grp in committed
                     for q in grp
                 )
@@ -219,7 +206,7 @@ def dispatch_groups(
                     break
             else:
                 raise DispatchExhaustedError(
-                    f"group {gid}: mock pair {m} keeps colliding", attempts=max_retries
+                    f"group {gid}: mock pair {m} keeps colliding", attempts=MAX_RETRIES
                 )
         committed.append(pairs)
 
@@ -229,13 +216,11 @@ def dispatch_groups(
         shuffled = list(pairs)
         rng.shuffle(shuffled)
         groups.append(AgentGroup(gid, tuple(shuffled), shuffled.index(real)))
-    verify_dispatch(world, groups, rule)
+    verify_dispatch(world, groups, radius)
     return groups
 
 
-def verify_dispatch(
-    world: GridWorld, groups: list[AgentGroup], rule: CollisionRule
-) -> None:
+def verify_dispatch(world: GridWorld, groups: list[AgentGroup], radius: int) -> None:
     """Independent O(N^2 k^2) recheck of the dispatch postconditions."""
     for g in groups:
         starts = [p[0] for p in g.pairs]
@@ -248,10 +233,10 @@ def verify_dispatch(
         for gb in groups[i + 1 :]:
             for p in ga.pairs:
                 for q in gb.pairs:
-                    if pairs_collide(world, p, q, rule):
+                    if pairs_collide(world, p, q, radius):
                         raise DispatchVerificationError(
                             f"groups {ga.group_id} and {gb.group_id} collide on "
-                            f"pairs {p} / {q} under rule r={rule.fov_radius}"
+                            f"pairs {p} / {q} under rule r={radius}"
                         )
 
 
@@ -326,37 +311,7 @@ def no_collision_probability_blocked_set(
     return ProbabilityEstimate(math.exp(n_pairs * (num - den)), False)
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def broadcast_lines(world: GridWorld, groups: Iterable[AgentGroup]) -> list[str]:
-    lines = []
-    for g in groups:
-        pairs = []
-        for s, goal in g.pairs:
-            sx, sy = world.coords(s)
-            gx, gy = world.coords(goal)
-            pairs.append([sx, sy, gx, gy])
-        lines.append(json.dumps({"group_id": g.group_id, "pairs": pairs}))
-    return lines
-
-
-def write_broadcast(world: GridWorld, groups: list[AgentGroup], path: str | Path) -> None:
-    Path(path).write_text("\n".join(broadcast_lines(world, groups)) + "\n")
-
-
-def read_broadcast(world: GridWorld, path: str | Path) -> list[AgentGroup]:
-    groups = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        pairs = tuple(
-            (world.vertex_at(sx, sy), world.vertex_at(gx, gy))
-            for sx, sy, gx, gy in obj["pairs"]
-        )
-        groups.append(AgentGroup(obj["group_id"], pairs, None))
-    return groups
+# -- private sidecars -------------------------------------------------------
 
 
 class SidecarError(ValueError):

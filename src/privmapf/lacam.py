@@ -88,7 +88,8 @@ def lacam_solve(
     wall_clock_s: float | None = None,
 ) -> SolveResult:
     """Anytime joint-configuration search; deterministic for a given seed
-    when budgeted in expansions (wall_clock_s is for interactive use only).
+    when budgeted in expansions only. A wall-clock budget comes from
+    ``PipelineSpec.wall_clock_s`` (the bench YAML key ``budget_seconds``).
     Steps clear the problem's fov radius; at radius 0 the rule is classical.
     """
     adj, goals = problem.world.adjacency, problem.goals

@@ -137,6 +137,8 @@ class PipelineSpec:
             raise dsp.InfeasibleInputError("k must be >= 1")
         if self.radius < 0:
             raise ValueError("fov radius must be >= 0")
+        if type(self.budget_expansions) is not int or self.budget_expansions < 0:
+            raise ValueError("the expansion budget must be an int >= 0")
 
 
 def run_pipeline(
@@ -146,7 +148,7 @@ def run_pipeline(
     seed: int | str,
 ) -> PipelineResult:
     """Dispatch, publish the groups, solve the joint instance, extract."""
-    groups = dsp.dispatch_groups(world, real_pairs, spec.k, dsp.CollisionRule(spec.radius), seed)
+    groups = dsp.dispatch_groups(world, real_pairs, spec.k, spec.radius, seed)
     published = tuple(g.broadcast_view() for g in groups)
     problem = SolverProblem(world, list(published), spec.radius)
     if spec.solver == "pibt":

@@ -60,10 +60,10 @@ def test_load_config(tmp_path):
     assert cfg.name == "suite"
     assert cfg.maps == ("open16",)
     assert cfg.agents == (2, 4)
-    assert cfg.ks == (1, 2)
-    assert cfg.radii == (0, 1)
+    assert cfg.k == (1, 2)
+    assert cfg.radius == (0, 1)
     assert cfg.seeds == (0, 1, 2)  # an int means "this many, from zero"
-    assert cfg.pipeline == "fpp" and cfg.solver == "lacam"
+    assert cfg.solver == "lacam"
     assert cfg.budget_expansions == 500
     assert cfg.min_separation == 4
     assert cfg.budget_seconds is None
@@ -73,10 +73,15 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nfoo: 1", "unknown config keys"),
     ("maps: [open16]\nagents: [2]\npipeline: cbs", "pipeline"),
     ("maps: [open16]\nagents: [2]\nsolver: greedy", "solver"),
-    ("maps: [open16]\nagents: [2]\npipeline: kpp\nradius: [1]", "kpp"),
     ("maps: [open16]\nagents: [2]\nsolver: pibt\nbudget_seconds: 1.0", "wall-clock"),
     ("maps: [open16]\nagents: [2]\nk: [0]", "group sizes"),
     ("agents: [2]", "missing config key"),
+    # one spelling per key: the radius alone picks kPP (0) or fPP
+    ("maps: [open16]\nagents: [2]\nks: [3]\nk: [2]", "unknown config keys: .'ks'"),
+    ("maps: [open16]\nagents: [2]\npipeline: fpp", "unknown config keys: .'pipeline'"),
+    ("maps: [open16]\nagents: [2]\nbudget_expansions: null", "expansion budget must be"),
+    ("maps: [open16]\nagents: [0, 2]", "agent counts must be >= 1"),
+    ("maps: open16\nagents: [2]", "config key maps must be a list"),
 ])
 def test_config_rejections(tmp_path, snippet, message):
     p = write_yaml(tmp_path, snippet)
@@ -101,12 +106,12 @@ def test_default_separation(open16, random32):
 def test_iter_tasks_config_order():
     cfg = BenchConfig(
         name="t", maps=("open16", "random-32-32-20"), agents=(2, 4),
-        ks=(1, 2), radii=(0,), seeds=(0, 1),
+        k=(1, 2), radius=(0,), seeds=(0, 1),
     )
     tasks = iter_tasks(cfg)
     expected = [
         (m, n, k, s)
-        for m in cfg.maps for n in cfg.agents for k in cfg.ks for s in cfg.seeds
+        for m in cfg.maps for n in cfg.agents for k in cfg.k for s in cfg.seeds
     ]
     assert [(t.map_name, t.n_agents, t.spec.k, t.seed) for t in tasks] == expected
 
@@ -116,7 +121,7 @@ def test_iter_tasks_config_order():
 
 def test_suite_csv_is_byte_reproducible(tmp_path):
     cfg = BenchConfig(
-        name="t", maps=("open16",), agents=(2,), ks=(2,), radii=(1,),
+        name="t", maps=("open16",), agents=(2,), k=(2,), radius=(1,),
         seeds=(0, 1), budget_expansions=300, min_separation=3,
     )
     first = records_to_csv(run_suite(cfg))
@@ -131,7 +136,7 @@ def test_suite_csv_is_byte_reproducible(tmp_path):
 
 def test_expansion_budgeted_rows_zero_the_clock():
     cfg = BenchConfig(
-        name="t", maps=("open16",), agents=(2,), ks=(1,), radii=(0,),
+        name="t", maps=("open16",), agents=(2,), k=(1,), radius=(0,),
         seeds=(0,), min_separation=3,
     )
     rec = run_suite(cfg)[0]
@@ -143,7 +148,7 @@ def test_expansion_budgeted_rows_zero_the_clock():
 
 def test_wall_clock_budget_records_real_times():
     cfg = BenchConfig(
-        name="t", maps=("open16",), agents=(2,), ks=(1,), radii=(0,),
+        name="t", maps=("open16",), agents=(2,), k=(1,), radius=(0,),
         seeds=(0,), budget_seconds=2.0, min_separation=3,
     )
     assert cfg.spec(1, 0).wall_clock_s == 2.0
@@ -156,7 +161,7 @@ def test_unsolved_rows_keep_sentinels(tmp_path):
     custom = tmp_path / "pocket.map"
     custom.write_text(POCKET)
     cfg = BenchConfig(
-        name="t", maps=(str(custom),), agents=(2,), ks=(1,), radii=(0,),
+        name="t", maps=(str(custom),), agents=(2,), k=(1,), radius=(0,),
         seeds=(0, 1), solver="pibt", min_separation=1, run_ppfpp=False,
     )
     unsolved, solved = run_suite(cfg)

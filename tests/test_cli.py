@@ -28,7 +28,7 @@ def test_solve_audit_refine_round_trip(tmp_path, capsys):
 
     rc = main([
         "solve", "--map", "open16", "--agents", "2", "--k", "2",
-        "--pipeline", "fpp", "--radius", "1", "--seed", "0",
+        "--radius", "1", "--seed", "0",
         "--out", str(plan_file), "--trace", str(trace_file),
         "--private-dir", str(priv),
     ])
@@ -71,7 +71,7 @@ def test_audit_flags_a_tampered_plan(tmp_path, capsys):
     plan_file = tmp_path / "plan.txt"
     rc = main([
         "solve", "--map", "open16", "--agents", "2", "--k", "2",
-        "--pipeline", "fpp", "--radius", "1", "--seed", "0",
+        "--radius", "1", "--seed", "0",
         "--out", str(plan_file),
     ])
     assert rc == 0
@@ -192,7 +192,7 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
     ("AuditError", ["audit", "--map", "open16", "--plan", "{tmp}/off_map.txt"],
      "vertex 99999 is not on the map"),
     ("InfeasibleInputError",
-     ["solve", "--map", "open16", "--pipeline", "fpp", "--radius", "3"],
+     ["solve", "--map", "open16", "--radius", "3"],
      "collide under rule r=3"),
     # a parse error names the file, so --map and --scen can be told apart
     ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--plan", "{tmp}/plan.txt"],
@@ -214,10 +214,14 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
     ("PreconditionError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
                            "--private-dir", "{tmp}/in_range", "--radius", "0"],
      "zone refinement needs fov radius >= 1"),
-    ("ConfigError", ["solve", "--map", "open16", "--pipeline", "kpp", "--radius", "2"],
-     "the kpp pipeline ignores fov; use radius 0"),
-    ("ConfigError", ["solve", "--map", "open16", "--pipeline", "fpp", "--radius", "-1"],
+    ("DispatchExhaustedError", ["solve", "--map", "open16", "--k", "40", "--agents", "8"],
+     "group 6: mock pair 6 keeps colliding (after 1000 attempts)"),
+    ("ConfigError", ["solve", "--map", "open16", "--radius", "-1"],
      "fov radius must be >= 0"),
+    ("PlacementError", ["solve", "--map", "open16", "--agents", "10", "--separation", "6"],
+     "could not place 10 spaced pairs on 16x16 map"),
+    ("ConfigError", ["solve", "--map", "open16", "--agents", "0"],
+     "the agent count must be >= 1"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)

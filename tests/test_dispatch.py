@@ -13,7 +13,6 @@ import pytest
 
 from privmapf.dispatch import (
     AgentGroup,
-    CollisionRule,
     DispatchExhaustedError,
     DispatchVerificationError,
     InfeasibleInputError,
@@ -23,10 +22,8 @@ from privmapf.dispatch import (
     no_collision_probability_blocked_set,
     pairs_collide,
     propose_groups,
-    read_broadcast,
     read_private_sidecars,
     verify_dispatch,
-    write_broadcast,
     write_private_sidecars,
 )
 from privmapf.grid import parse_map_text
@@ -74,42 +71,39 @@ def test_broadcast_view_strips_private_part():
 
 
 def test_equality_rule_start_start_and_goal_goal_only():
-    rule = CollisionRule.start_goal_equality()
     w = line_world()
-    assert pairs_collide(w, (1, 5), (1, 8), rule)  # shared start
-    assert pairs_collide(w, (1, 5), (3, 5), rule)  # shared goal
-    assert not pairs_collide(w, (1, 5), (5, 1), rule)  # start vs goal is fine
-    assert not pairs_collide(w, (1, 5), (2, 6), rule)
+    assert pairs_collide(w, (1, 5), (1, 8), 0)  # shared start
+    assert pairs_collide(w, (1, 5), (3, 5), 0)  # shared goal
+    assert not pairs_collide(w, (1, 5), (5, 1), 0)  # start vs goal is fine
+    assert not pairs_collide(w, (1, 5), (2, 6), 0)
 
 
 def test_fov_rule_uses_chebyshev_distance():
     w = parse_map_text("type octile\nheight 5\nwidth 5\nmap\n" + "\n".join(["....."] * 5) + "\n")
-    rule = CollisionRule.fov_aware(1)
     a = (w.vertex_at(0, 0), w.vertex_at(4, 4))
     near = (w.vertex_at(1, 1), w.vertex_at(4, 0))
     far = (w.vertex_at(3, 0), w.vertex_at(4, 0))
-    assert pairs_collide(w, a, near, rule)  # starts diagonal-adjacent
-    assert pairs_collide(w, near, far, rule)  # goals within radius... same goal
-    assert not pairs_collide(w, a, (w.vertex_at(3, 2), w.vertex_at(0, 4)), rule)
+    assert pairs_collide(w, a, near, 1)  # starts diagonal-adjacent
+    assert pairs_collide(w, near, far, 1)  # goals within radius... same goal
+    assert not pairs_collide(w, a, (w.vertex_at(3, 2), w.vertex_at(0, 4)), 1)
 
 
 def test_groups_collide_any_pair():
     w = line_world()
-    rule = CollisionRule.start_goal_equality()
     a = AgentGroup(0, ((0, 5), (1, 6)), 0)
     b = AgentGroup(1, ((2, 7), (1, 8)), 0)  # shares start 1 with a
     c = AgentGroup(2, ((3, 8),), 0)  # start 3 and goal 8 clash with nothing in a
-    assert groups_collide(w, a, b, rule)
-    assert not groups_collide(w, a, c, rule)
-    assert groups_collide(w, b, c, rule)  # shared goal 8
+    assert groups_collide(w, a, b, 0)
+    assert not groups_collide(w, a, c, 0)
+    assert groups_collide(w, b, c, 0)  # shared goal 8
 
 
 def test_dispatch_is_deterministic():
     w = line_world(10)
     reals = [(0, 9), (4, 2)]
-    g1 = dispatch_groups(w, reals, 2, CollisionRule.start_goal_equality(), seed=5)
-    g2 = dispatch_groups(w, reals, 2, CollisionRule.start_goal_equality(), seed=5)
-    g3 = dispatch_groups(w, reals, 2, CollisionRule.start_goal_equality(), seed=6)
+    g1 = dispatch_groups(w, reals, 2, 0, seed=5)
+    g2 = dispatch_groups(w, reals, 2, 0, seed=5)
+    g3 = dispatch_groups(w, reals, 2, 0, seed=6)
     assert [g.pairs for g in g1] == [g.pairs for g in g2]
     assert [g.real_index for g in g1] == [g.real_index for g in g2]
     assert [g.pairs for g in g1] != [g.pairs for g in g3]
@@ -117,17 +111,17 @@ def test_dispatch_is_deterministic():
 
 def test_dispatch_shapes_and_verification(open16):
     reals = [(0, 100), (30, 200), (60, 77)]
-    groups = dispatch_groups(w := open16, reals, 3, CollisionRule.fov_aware(1), seed=0)
+    groups = dispatch_groups(w := open16, reals, 3, 1, seed=0)
     assert len(groups) == 3
     for i, g in enumerate(groups):
         assert g.k == 3
         assert g.real_pair == reals[i]
-    verify_dispatch(w, groups, CollisionRule.fov_aware(1))
+    verify_dispatch(w, groups, 1)
 
 
 def test_dispatch_k1_returns_reals_unchanged(open16):
     reals = [(0, 100), (30, 200)]
-    groups = dispatch_groups(open16, reals, 1, CollisionRule.start_goal_equality(), seed=0)
+    groups = dispatch_groups(open16, reals, 1, 0, seed=0)
     assert [g.pairs for g in groups] == [((0, 100),), ((30, 200),)]
     assert [g.real_index for g in groups] == [0, 0]
 
@@ -135,19 +129,24 @@ def test_dispatch_k1_returns_reals_unchanged(open16):
 def test_dispatch_rejects_colliding_reals():
     w = line_world()
     with pytest.raises(InfeasibleInputError):
-        dispatch_groups(w, [(0, 5), (0, 7)], 2, CollisionRule.start_goal_equality(), 0)
+        dispatch_groups(w, [(0, 5), (0, 7)], 2, 0, 0)
+
+
+def test_dispatch_rejects_negative_radius():
+    with pytest.raises(ValueError, match="fov radius must be >= 0"):
+        dispatch_groups(line_world(), [(0, 5)], 2, -1, 0)
 
 
 def test_dispatch_exhausts_when_no_room():
     w = line_world(4)
     # 4 vertices, k=3, N=2: needs 6 distinct starts -- impossible
     with pytest.raises((DispatchExhaustedError, InfeasibleInputError)):
-        dispatch_groups(w, [(0, 1), (2, 3)], 3, CollisionRule.start_goal_equality(), 0)
+        dispatch_groups(w, [(0, 1), (2, 3)], 3, 0, 0)
 
 
 def test_dispatch_mocks_are_reachable():
     w = parse_map_text("type octile\nheight 1\nwidth 9\nmap\n....@....\n")
-    groups = dispatch_groups(w, [(0, 3)], 3, CollisionRule.start_goal_equality(), seed=1)
+    groups = dispatch_groups(w, [(0, 3)], 3, 0, seed=1)
     for s, g in groups[0].pairs:
         assert w.same_component(s, g)
 
@@ -157,31 +156,14 @@ def test_real_index_is_uniform_after_shuffle():
     counts = [0, 0, 0]
     n = 6000
     for seed in range(n):
-        groups = dispatch_groups(
-            w, [(0, 11)], 3, CollisionRule.start_goal_equality(), seed=seed
-        )
+        groups = dispatch_groups(w, [(0, 11)], 3, 0, seed=seed)
         counts[groups[0].real_index] += 1
     for c in counts:
         assert abs(c / n - 1 / 3) < 0.02
 
 
-def test_broadcast_round_trip(tmp_path, open16):
-    groups = dispatch_groups(
-        open16, [(0, 100), (30, 200)], 2, CollisionRule.start_goal_equality(), 7
-    )
-    path = tmp_path / "broadcast.jsonl"
-    write_broadcast(open16, groups, path)
-    text = path.read_text()
-    assert "real" not in text  # nothing private leaks into the broadcast
-    again = read_broadcast(open16, path)
-    assert [g.pairs for g in again] == [g.pairs for g in groups]
-    assert all(g.real_index is None for g in again)
-
-
 def test_private_sidecars_round_trip(tmp_path, open16):
-    groups = dispatch_groups(
-        open16, [(0, 100), (30, 200)], 2, CollisionRule.start_goal_equality(), 7
-    )
+    groups = dispatch_groups(open16, [(0, 100), (30, 200)], 2, 0, 7)
     write_private_sidecars(groups, tmp_path)
     private = read_private_sidecars(tmp_path)
     assert private == {g.group_id: g.real_index for g in groups}
@@ -264,11 +246,10 @@ def test_proposal_distribution_matches_model():
     w = line_world(10)
     n = 4000
     hits = 0
-    rule = CollisionRule.start_goal_equality()
     for seed in range(n):
         groups = propose_groups(w, [(0, 9), (5, 3)], 2, random.Random(seed))
         try:
-            verify_dispatch(w, groups, rule)
+            verify_dispatch(w, groups, 0)
             hits += 1
         except DispatchVerificationError:
             pass

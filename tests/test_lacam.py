@@ -14,7 +14,7 @@ from collections import deque
 import pytest
 
 from privmapf.audit import audit, metrics
-from privmapf.dispatch import AgentGroup, CollisionRule, dispatch_groups
+from privmapf.dispatch import AgentGroup, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, _node_data, lacam_solve
@@ -161,10 +161,9 @@ def test_first_dive_reproduces_one_shot_run_fov(open16):
     # seeds whose one-shot run never revisits a configuration; revisits are
     # deduplicated by the search (the dive continues from the stored node),
     # which is exactly where the two runs may legitimately part ways
-    rule = CollisionRule.fov_aware(1)
     for seed in (0, 1, 2, 3, 4, 6):
         pairs = random_spaced_pairs(open16, 4, seed, min_separation=3)
-        groups = dispatch_groups(open16, pairs, 2, rule, seed)
+        groups = dispatch_groups(open16, pairs, 2, 1, seed)
         problem = SolverProblem(open16, groups, fov_radius=1)
         one_shot = pibt_solve(problem, seed)
         assert one_shot.solved
@@ -174,9 +173,8 @@ def test_first_dive_reproduces_one_shot_run_fov(open16):
 
 
 def test_deterministic_for_seed_and_budget(random32):
-    rule = CollisionRule.fov_aware(1)
     pairs = random_spaced_pairs(random32, 8, 0, min_separation=5)
-    groups = dispatch_groups(random32, pairs, 2, rule, 0)
+    groups = dispatch_groups(random32, pairs, 2, 1, 0)
     problem = SolverProblem(random32, groups, fov_radius=1)
     a = lacam_solve(problem, seed=0, budget_expansions=400)
     b = lacam_solve(problem, seed=0, budget_expansions=400)
@@ -186,10 +184,9 @@ def test_deterministic_for_seed_and_budget(random32):
 
 
 def test_more_budget_never_hurts(random32):
-    rule = CollisionRule.fov_aware(1)
     for seed in (0, 1):
         pairs = random_spaced_pairs(random32, 8, seed, min_separation=5)
-        groups = dispatch_groups(random32, pairs, 2, rule, seed)
+        groups = dispatch_groups(random32, pairs, 2, 1, seed)
         problem = SolverProblem(random32, groups, fov_radius=1)
         best = None
         for budget in (150, 400, 1000):
@@ -224,9 +221,8 @@ def test_timeout_when_budget_too_small(open16):
 def test_rescues_fov_livelock(random32):
     # at k=3, radius 1, the greedy one-shot run wedges itself into a mutual
     # push cycle; the backtracking search finds a schedule anyway
-    rule = CollisionRule.fov_aware(1)
     pairs = random_spaced_pairs(random32, 8, 0, min_separation=5)
-    groups = dispatch_groups(random32, pairs, 3, rule, 0)
+    groups = dispatch_groups(random32, pairs, 3, 1, 0)
     problem = SolverProblem(random32, groups, fov_radius=1)
     one_shot = pibt_solve(problem, seed=0)
     assert not one_shot.solved
@@ -356,8 +352,7 @@ def test_matches_reference_search(open16, random32):
     for world, agents, k, radius, separation, budget in cases:
         for seed in range(3):
             pairs = random_spaced_pairs(world, agents, seed, min_separation=separation)
-            rule = CollisionRule.fov_aware(radius)
-            problem = SolverProblem(world, dispatch_groups(world, pairs, k, rule, seed), radius)
+            problem = SolverProblem(world, dispatch_groups(world, pairs, k, radius, seed), radius)
             got = lacam_solve(problem, seed, budget_expansions=budget)
             plan, expansions = _reference_lacam(problem, seed, budget)
             assert got.expansions == expansions

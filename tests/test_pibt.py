@@ -14,7 +14,7 @@ import random
 import pytest
 
 from privmapf import pibt
-from privmapf.dispatch import AgentGroup, CollisionRule, dispatch_groups
+from privmapf.dispatch import AgentGroup, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.pibt import (
     SolverProblem,
@@ -48,11 +48,10 @@ def step_is_legal(problem, before, after):
 
 @pytest.mark.parametrize("radius", [0, 1])
 def test_every_step_obeys_the_rules(open16, radius):
-    rule = CollisionRule.fov_aware(radius)
     for seed in range(5):
         rng = random.Random(seed)
         reals = [(i * 37 % 200, (i * 53 + 90) % 230) for i in range(4)]
-        groups = dispatch_groups(open16, reals, 2, rule, seed)
+        groups = dispatch_groups(open16, reals, 2, radius, seed)
         problem = SolverProblem(open16, [g.broadcast_view() for g in groups], radius)
         config = list(problem.starts)
         etas = update_etas(problem, config, [0] * problem.num_agents)
@@ -95,7 +94,7 @@ def test_fov_mode_radius_zero_is_bit_identical(open16, monkeypatch):
 
     for seed in range(6):
         reals = [(i * 31 % 250, (i * 67 + 40) % 250) for i in range(4)]
-        groups = dispatch_groups(open16, reals, 2, CollisionRule.start_goal_equality(), seed)
+        groups = dispatch_groups(open16, reals, 2, 0, seed)
         problem = SolverProblem(open16, [g.broadcast_view() for g in groups], 0)
         built = pibt_solve(problem, seed)
         with monkeypatch.context() as m:
@@ -200,7 +199,7 @@ def test_solved_plan_reaches_goals_and_audits_clean(open16):
 
     for seed in range(4):
         reals = [(i * 41 % 230, (i * 59 + 7) % 251) for i in range(6)]
-        groups = dispatch_groups(open16, reals, 2, CollisionRule.start_goal_equality(), seed)
+        groups = dispatch_groups(open16, reals, 2, 0, seed)
         problem = SolverProblem(open16, [g.broadcast_view() for g in groups], 0)
         result = pibt_solve(problem, seed)
         assert result.solved

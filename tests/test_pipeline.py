@@ -10,7 +10,6 @@ import json
 import pytest
 
 from privmapf.audit import audit
-from privmapf.bench import ConfigError, pipeline_spec
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import (
     MessageTrace,
@@ -126,14 +125,12 @@ def test_failed_solve_still_publishes_groups(pocket):
 
 
 def test_kpp_treats_fov_radius_as_zero(open16):
-    # kpp has no radius of its own: it runs at 0, and another is refused
+    # kpp has no radius of its own: it is the pipeline at radius 0
     reals = random_spaced_pairs(open16, 4, "parity", min_separation=3)
     a = kpp_solve(open16, reals, k=2, seed=5)
-    b = run_pipeline(open16, reals, pipeline_spec("kpp", 2, 0, "pibt", 10_000), 5)
+    b = run_pipeline(open16, reals, PipelineSpec(2, 0, "pibt", 10_000), 5)
     assert a.plan.paths == b.plan.paths
     assert json.loads(a.trace.to_json(open16))["fov_radius"] == 0
-    with pytest.raises(ConfigError, match="the kpp pipeline ignores fov; use radius 0"):
-        pipeline_spec("kpp", 2, 2, "pibt", 10_000)
 
 
 def test_kpp_is_fpp_at_radius_zero(open16, pocket):
@@ -168,6 +165,8 @@ def test_unknown_solver_rejected(open16):
     (dict(k=2, solver="pibt", wall_clock_s=1.0), "wall-clock budgets need the lacam solver"),
     (dict(k=0), "k must be >= 1"),
     (dict(k=2, radius=-1), "fov radius must be >= 0"),
+    (dict(k=2, budget_expansions=-1), "the expansion budget must be an int >= 0"),
+    (dict(k=2, budget_expansions=None), "the expansion budget must be an int >= 0"),
 ])
 def test_spec_rejects_bad_settings(fields, message):
     with pytest.raises(ValueError, match=message):
