@@ -58,7 +58,6 @@ from .safezone import (
     PreconditionError,
     RefineResult,
     ReplanInfeasibleError,
-    SafeInterval,
     extend_safe_zones,
     initial_safe_zones,
     ppfpp,
@@ -85,7 +84,6 @@ __all__ = [
     "PreconditionError",
     "RefineResult",
     "ReplanInfeasibleError",
-    "SafeInterval",
     "ScenarioError",
     "SolveResult",
     "SolverProblem",

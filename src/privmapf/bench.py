@@ -87,7 +87,14 @@ class BenchConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
-_LIST_KEYS = ("maps", "agents", "k", "radius", "seeds")
+# what each key holds, matched by exact type: bool is an int subclass
+_LIST_KEYS = {"maps": (str, "strings"), "agents": (int, "ints"), "k": (int, "ints"),
+              "radius": (int, "ints"), "seeds": (int, "ints")}
+_SCALAR_KEYS = {
+    "min_separation": ((int, type(None)), "an int or null"),
+    "budget_seconds": ((int, float, type(None)), "a number or null"),
+    "run_ppfpp": ((bool,), "true or false"),
+}
 
 
 def load_config(path: str | Path) -> BenchConfig:
@@ -102,13 +109,18 @@ def load_config(path: str | Path) -> BenchConfig:
         if key not in obj:
             raise ConfigError(f"missing config key: {key}")
     obj.setdefault("name", Path(path).stem)
-    if isinstance(obj.get("seeds"), int):
+    if type(obj.get("seeds")) is int:
         obj["seeds"] = list(range(obj["seeds"]))  # an int means "this many, from zero"
-    for key in _LIST_KEYS:
+    for key, (kind, what) in _LIST_KEYS.items():
         if key in obj:
             if not isinstance(obj[key], list):
                 raise ConfigError(f"config key {key} must be a list")
+            if not all(type(x) is kind for x in obj[key]):
+                raise ConfigError(f"config key {key} must list {what}")
             obj[key] = tuple(obj[key])
+    for key, (kinds, what) in _SCALAR_KEYS.items():
+        if key in obj and type(obj[key]) not in kinds:
+            raise ConfigError(f"config key {key} must be {what}")
     return BenchConfig(**obj)
 
 
@@ -232,8 +244,10 @@ def run_one(task: TaskSpec) -> RunRecord:
 
 def run_suite(cfg: BenchConfig, threads: int = 1) -> list[RunRecord]:
     tasks = iter_tasks(cfg)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a fork pool starts all its workers at the first submit, so no more than tasks
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_one, tasks, chunksize=1))
     return [run_one(t) for t in tasks]
 

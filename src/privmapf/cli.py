@@ -34,10 +34,13 @@ from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp, write_zon
 
 def _instance_pairs(args, world):
     if args.scen:
-        entries = load_scenario(args.scen)[: args.agents]
+        entries = load_scenario(args.scen)
         if len(entries) < args.agents:
-            raise SystemExit(f"scenario has only {len(entries)} entries")
-        return scenario_pairs(world, entries)
+            raise ScenarioError(
+                f"{args.scen}: scenario has only {len(entries)} entries, "
+                f"{args.agents} agents requested"
+            )
+        return scenario_pairs(world, entries[: args.agents])
     return random_spaced_pairs(
         world, args.agents, seed=args.seed, min_separation=args.separation
     )

@@ -28,7 +28,7 @@ import time
 from collections import deque
 
 from .audit import metrics
-from .pibt import SolveResult, SolverProblem, build_step
+from .pibt import SolveResult, SolverProblem, build_step, node_data, valid_configuration
 from .plans import JointPlan
 
 
@@ -56,31 +56,6 @@ def _extract(node: _Node) -> JointPlan:
     return JointPlan.from_configs(configs)
 
 
-def _node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
-    """``update_etas``, the heuristic, ``priority_order`` and the at-goal
-    bitmask of a new configuration, in one pass. Eta is 0 exactly on the
-    goal, so ``(dist - eta * 2**31) * 2**shift + agent`` (dist <= UNREACHABLE
-    < 2**31) sorts as ``(at_goal, -eta, dist, agent)``."""
-    n = len(cfg)
-    shift = n.bit_length()
-    mask = (1 << shift) - 1
-    new_etas, keys = [], []
-    h = at_goal = 0
-    for a in range(n):
-        v = cfg[a]
-        d = dists[a][v]
-        h += d
-        if v == goals[a]:
-            e = 0
-            at_goal |= 1 << a
-        else:
-            e = etas[a] + 1
-        new_etas.append(e)
-        keys.append((d - (e << 31)) << shift | a)
-    keys.sort()
-    return new_etas, h, [key & mask for key in keys], at_goal
-
-
 def lacam_solve(
     problem: SolverProblem,
     seed: int | str,
@@ -91,7 +66,12 @@ def lacam_solve(
     when budgeted in expansions only. A wall-clock budget comes from
     ``PipelineSpec.wall_clock_s`` (the bench YAML key ``budget_seconds``).
     Steps clear the problem's fov radius; at radius 0 the rule is classical.
+
+    Failures: ``timeout`` (budget spent), ``exhausted`` (no plan exists) and
+    ``invalid_start`` (the start breaks the step rules, as in ``pibt_solve``).
     """
+    if not valid_configuration(problem, problem.starts):
+        return SolveResult(False, None, "invalid_start")
     adj, goals = problem.world.adjacency, problem.goals
     goal_cfg = tuple(goals)
     rng = random.Random(f"pibt:{seed}")
@@ -101,7 +81,7 @@ def lacam_solve(
     if start_cfg == goal_cfg:
         plan = JointPlan.from_configs([list(start_cfg)])
         return SolveResult(True, plan, None, steps=0, expansions=0)
-    etas, h, order, at_goal = _node_data(goals, dists, start_cfg, [0] * n)
+    etas, h, order, at_goal = node_data(goals, dists, start_cfg, [0] * n)
     init = _Node(start_cfg, 0, h, None, order, etas, at_goal)
     open_stack: list[_Node] = [init]
     explored: dict[tuple[int, ...], _Node] = {start_cfg: init}
@@ -151,7 +131,7 @@ def lacam_solve(
         q_new = tuple(q_new)
         known = explored.get(q_new)
         if known is None:
-            etas, h, order, at_goal = _node_data(goals, dists, q_new, node.etas)
+            etas, h, order, at_goal = node_data(goals, dists, q_new, node.etas)
             cost = n - (node.at_goal & at_goal).bit_count()
             child = _Node(q_new, node.g + cost, h, node, order, etas, at_goal)
             node.edges[child] = cost

@@ -1,4 +1,9 @@
-"""Priority-inheritance configuration generation, with fov clearing.
+"""Priority-inheritance configuration generation, with fov clearing: the
+solver core that ``pibt_solve`` and ``lacam_solve`` share.
+
+Both solvers advance on ``node_data``, one pass per configuration that
+yields the etas, the heuristic, the priority order and the at-goal mask,
+and take their steps from ``build_step``.
 
 One transactional step builder serves every fov radius of the problem. An
 agent claiming vertex v must recursively displace (a) the current occupant
@@ -77,28 +82,36 @@ class SolverProblem:
         self.dists = [bfs_distances(world, g) for g in self.goals]
 
 
-def update_etas(problem: SolverProblem, config: list[int], etas: list[int]) -> list[int]:
-    """Advance the off-goal counters by one configuration."""
-    return [
-        0 if config[a] == problem.goals[a] else etas[a] + 1
-        for a in range(problem.num_agents)
-    ]
+def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
+    """The per-configuration pass both solvers advance on: the off-goal
+    counters (eta, reset to 0 on the goal), the heuristic (sum of goal
+    distances), the priority order and the at-goal bitmask (bit a: agent a
+    stands on its goal).
 
-
-def priority_order(
-    problem: SolverProblem, config: list[int], etas: list[int] | None = None
-) -> list[int]:
-    """Sub-agents sorted by ``(at_goal, -eta, dist, agent)``, highest priority
-    first: whoever has been off its goal longest (which breaks mutual-push
-    oscillations), then the nearer to its goal, then the lower id."""
-    if etas is None:
-        etas = update_etas(problem, config, [0] * problem.num_agents)
-    goals, dists = problem.goals, problem.dists
-    keys = sorted(
-        (config[a] == goals[a], -etas[a], dists[a][config[a]], a)
-        for a in range(problem.num_agents)
-    )
-    return [key[3] for key in keys]
+    The order ranks sub-agents by ``(at_goal, -eta, dist, agent)``, highest
+    priority first: whoever has been off its goal longest (which breaks
+    mutual-push oscillations), then the nearer to its goal, then the lower
+    id. Eta is 0 exactly on the goal, so ``(dist - eta * 2**31) * 2**shift
+    + agent`` (dist <= UNREACHABLE < 2**31) is one integer key per agent
+    that sorts the same way."""
+    n = len(cfg)
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
+    new_etas, keys = [], []
+    h = at_goal = 0
+    for a in range(n):
+        v = cfg[a]
+        d = dists[a][v]
+        h += d
+        if v == goals[a]:
+            e = 0
+            at_goal |= 1 << a
+        else:
+            e = etas[a] + 1
+        new_etas.append(e)
+        keys.append((d - (e << 31)) << shift | a)
+    keys.sort()
+    return new_etas, h, [key & mask for key in keys], at_goal
 
 
 def valid_configuration(problem: SolverProblem, config: list[int]) -> bool:
@@ -120,19 +133,9 @@ _DRAWS = tuple(
 )
 
 
-def shuffle(x: list, getrandbits) -> None:
-    """``Random.shuffle(x)`` for up to five items, as ``_attempt`` inlines it."""
-    for i, n, k in _DRAWS[len(x)]:
-        j = getrandbits(k)
-        while j >= n:
-            j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
-
-
 class _StepBuilder:
     def __init__(self, problem, config, rng):
         world = problem.world
-        self.problem = problem
         self.config = config
         self.getrandbits = rng.getrandbits
         self.dists = problem.dists
@@ -215,13 +218,9 @@ class _StepBuilder:
             del undo[mark:]
         return False
 
-    def run(
-        self,
-        forced: Sequence[tuple[int, int]] | None = None,
-        order: list[int] | None = None,
-    ) -> list[int] | None:
+    def run(self, order: list[int], forced: Sequence[tuple[int, int]]) -> list[int] | None:
         config, claimed, target = self.config, self.claimed, self.target
-        for a, v in forced or ():
+        for a, v in forced:
             cur = config[a]
             # first, so that v is a vertex id before claimed[v] is read
             if v != cur and v not in self.adj[cur]:
@@ -233,8 +232,6 @@ class _StepBuilder:
                 return None
             target[a] = v
             claimed[v] = a
-        if order is None:
-            order = priority_order(self.problem, config)
         for a in order:
             if target[a] is None and not self._attempt(a):
                 return None
@@ -245,27 +242,13 @@ def build_step(
     problem: SolverProblem,
     config: Sequence[int],
     rng: random.Random,
-    forced: Sequence[tuple[int, int]] | None = None,
-    order: list[int] | None = None,
+    order: list[int],
+    forced: Sequence[tuple[int, int]] = (),
 ) -> list[int] | None:
-    """One configuration step; None when the (forced) step is unrealisable."""
-    return _StepBuilder(problem, config, rng).run(forced, order)
-
-
-def pibt_step(
-    problem: SolverProblem,
-    config: list[int],
-    rng: random.Random,
-    order: list[int] | None = None,
-) -> list[int]:
-    """Unforced step; falls back to all-wait instead of failing.
-
-    From a valid configuration the fallback is unreachable (waiting is
-    always admissible when nothing has been forced), but it keeps the
-    contract total.
-    """
-    out = build_step(problem, config, rng, order=order)
-    return list(config) if out is None else out
+    """One configuration step, deciding agents in ``order`` after the
+    ``forced`` assignments; None when the step is unrealisable. Unforced
+    from a valid configuration it always succeeds: every agent may wait."""
+    return _StepBuilder(problem, config, rng).run(order, forced)
 
 
 @dataclass
@@ -298,36 +281,33 @@ def pibt_solve(
     if not valid_configuration(problem, problem.starts):
         return SolveResult(False, None, "invalid_start")
     rng = random.Random(f"pibt:{seed}")
-    config = list(problem.starts)
-    goals = problem.goals
-    etas = update_etas(problem, config, [0] * problem.num_agents)
-    configs = [tuple(config)]
-    visited = {tuple(config)}
-    best_total = sum(problem.dists[a][config[a]] for a in range(problem.num_agents))
+    goals, dists = problem.goals, problem.dists
+    goal_cfg = tuple(goals)
+    config = tuple(problem.starts)
+    etas, best_total, order, _ = node_data(goals, dists, config, [0] * problem.num_agents)
+    configs = [config]
+    visited = {config}
     stagnation = 0
     # small teams legitimately revisit configurations while one agent waves
     # the other through, so the give-up threshold gets a floor
     stagnation_limit = max(16, 2 * problem.num_agents)
     for _ in range(horizon):
-        if config == goals:
+        if config == goal_cfg:
             break
-        order = priority_order(problem, config, etas)
-        config = pibt_step(problem, config, rng, order=order)
-        etas = update_etas(problem, config, etas)
-        key = tuple(config)
-        configs.append(key)
-        total = sum(problem.dists[a][config[a]] for a in range(problem.num_agents))
+        config = tuple(build_step(problem, config, rng, order=order))
+        etas, total, order, _ = node_data(goals, dists, config, etas)
+        configs.append(config)
         if total < best_total:
             best_total = total
             stagnation = 0
-        elif key in visited:
+        elif config in visited:
             stagnation += 1
             if stagnation >= stagnation_limit:
                 return SolveResult(False, None, "livelock", steps=len(configs) - 1)
         else:
             stagnation = 0
-        visited.add(key)
-    if config != goals:
+        visited.add(config)
+    if config != goal_cfg:
         return SolveResult(False, None, "horizon", steps=len(configs) - 1)
     plan = JointPlan.from_configs([list(c) for c in configs])
     return SolveResult(True, plan, None, steps=plan.horizon)

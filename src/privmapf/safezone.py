@@ -188,24 +188,11 @@ def extend_safe_zones(
     return picks
 
 
-class SafeInterval(NamedTuple):
-    """Maximal run of consecutive timesteps a vertex stays inside the zone.
-
-    ``vertex_intervals`` returns plain ``(start, end)`` tuples, which compare
-    equal to the matching ``SafeInterval``.
-    """
-
-    start: int
-    end: int  # inclusive
-
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
-
 def vertex_intervals(zone_per_t: list[set[int]]) -> dict[int, list[tuple[int, int]]]:
-    """Safe intervals per vertex as ascending ``(start, end)`` pairs, from a
-    single group's zones: only the vertices entering or leaving at each t
-    are touched."""
+    """Safe intervals per vertex, the maximal runs of consecutive timesteps
+    it stays inside the zone, as ascending ``(start, end)`` pairs (end
+    inclusive), from a single group's zones: only the vertices entering or
+    leaving at each t are touched."""
     open_at: dict[int, int] = {}
     out: dict[int, list[tuple[int, int]]] = {}
     prev: set[int] = set()

@@ -59,3 +59,21 @@ def singleton_problem(world, pairs, fov_radius=0):
     """A k=1 problem: every agent is its own group."""
     groups = [AgentGroup(i, (p,), 0) for i, p in enumerate(pairs)]
     return SolverProblem(world, groups, fov_radius)
+
+
+# The priority bookkeeping spelled out, as the oracle for ``pibt.node_data``'s
+# one-pass integer keys.
+
+
+def update_etas(problem, config, etas):
+    """Advance the off-goal counters by one configuration."""
+    return [0 if config[a] == problem.goals[a] else etas[a] + 1
+            for a in range(problem.num_agents)]
+
+
+def priority_order(problem, config, etas):
+    """Sub-agents sorted by the tuples ``(at_goal, -eta, dist, agent)``."""
+    goals, dists = problem.goals, problem.dists
+    keys = sorted((config[a] == goals[a], -etas[a], dists[a][config[a]], a)
+                  for a in range(problem.num_agents))
+    return [key[3] for key in keys]

@@ -82,6 +82,19 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nbudget_expansions: null", "expansion budget must be"),
     ("maps: [open16]\nagents: [0, 2]", "agent counts must be >= 1"),
     ("maps: open16\nagents: [2]", "config key maps must be a list"),
+    # each key holds what its field needs; bool is not an int
+    ("maps: [open16]\nagents: [a]", "config key agents must list ints"),
+    ("maps: [open16]\nagents: [true]", "config key agents must list ints"),
+    ("maps: [open16]\nagents: [2]\nk: [2.5]", "config key k must list ints"),
+    ("maps: [open16]\nagents: [2]\nradius: [x]", "config key radius must list ints"),
+    ("maps: [open16]\nagents: [2]\nseeds: [0, x]", "config key seeds must list ints"),
+    ("maps: [open16]\nagents: [2]\nseeds: true", "config key seeds must be a list"),
+    ("maps: [16]\nagents: [2]", "config key maps must list strings"),
+    ("maps: [open16]\nagents: [2]\nmin_separation: x", "min_separation must be an int or null"),
+    ("maps: [open16]\nagents: [2]\nmin_separation: true", "min_separation must be an int or null"),
+    ("maps: [open16]\nagents: [2]\nbudget_seconds: soon", "budget_seconds must be a number or null"),
+    ("maps: [open16]\nagents: [2]\nbudget_seconds: true", "budget_seconds must be a number or null"),
+    ("maps: [open16]\nagents: [2]\nrun_ppfpp: maybe", "run_ppfpp must be true or false"),
 ])
 def test_config_rejections(tmp_path, snippet, message):
     p = write_yaml(tmp_path, snippet)
@@ -132,6 +145,34 @@ def test_suite_csv_is_byte_reproducible(tmp_path):
     out = tmp_path / "r.csv"
     out.write_text(first)
     assert records_to_csv(read_records(out)) == first
+
+
+def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
+    # a fork pool starts max_workers processes at once: record them, start none
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    cfg = BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0, 1),
+                      budget_expansions=50, run_ppfpp=False)
+    assert len(run_suite(cfg, threads=64)) == 2
+    assert pools == [2]
+    assert len(run_suite(BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0,)),
+                         threads=64)) == 1
+    assert run_suite(BenchConfig(name="t", maps=(), agents=(2,)), threads=4) == []
+    assert pools == [2]  # one task or none run in-process
 
 
 def test_expansion_budgeted_rows_zero_the_clock():

@@ -222,6 +222,10 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "could not place 10 spaced pairs on 16x16 map"),
     ("ConfigError", ["solve", "--map", "open16", "--agents", "0"],
      "the agent count must be >= 1"),
+    ("ScenarioError",
+     ["solve", "--map", "open16", "--agents", "13",
+      "--scen", str(ASSETS / "scens" / "open16.scen")],
+     "open16.scen: scenario has only 12 entries, 13 agents requested"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)

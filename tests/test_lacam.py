@@ -17,12 +17,10 @@ from privmapf.audit import audit, metrics
 from privmapf.dispatch import AgentGroup, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.instances import random_spaced_pairs
-from privmapf.lacam import _extract, _node_data, lacam_solve
-from privmapf.pibt import (
-    UNREACHABLE, SolverProblem, build_step, pibt_solve, priority_order, update_etas,
-)
+from privmapf.lacam import _extract, lacam_solve
+from privmapf.pibt import UNREACHABLE, SolverProblem, build_step, node_data, pibt_solve
 
-from conftest import singleton_problem
+from conftest import priority_order, singleton_problem, update_etas
 
 # a 5x3 ring: two agents can always trade places by going around
 RING = """type octile
@@ -379,7 +377,7 @@ def test_node_order_matches_priority_order():
         placed = iter(rng.sample(free, n - len(home)))
         cfg = [goals[a] if a in home else next(placed) for a in range(n)]
         prev = [rng.choice([0, 1, 2, 5, 10**6, 10**6 + 1, 10**9, 1 << 40]) for _ in range(n)]
-        etas, h, order, at_goal = _node_data(goals, dists, tuple(cfg), prev)
+        etas, h, order, at_goal = node_data(goals, dists, tuple(cfg), prev)
         assert etas == update_etas(problem, cfg, prev)
         assert order == priority_order(problem, cfg, etas)
         assert h == sum(dists[a][cfg[a]] for a in range(n))

@@ -16,15 +16,13 @@ import pytest
 from privmapf import pibt
 from privmapf.dispatch import AgentGroup, dispatch_groups
 from privmapf.grid import parse_map_text
+from privmapf.lacam import lacam_solve
 from privmapf.pibt import (
     SolverProblem,
     bfs_distances,
     build_step,
+    node_data,
     pibt_solve,
-    pibt_step,
-    priority_order,
-    shuffle,
-    update_etas,
     valid_configuration,
 )
 
@@ -54,13 +52,13 @@ def test_every_step_obeys_the_rules(open16, radius):
         groups = dispatch_groups(open16, reals, 2, radius, seed)
         problem = SolverProblem(open16, [g.broadcast_view() for g in groups], radius)
         config = list(problem.starts)
-        etas = update_etas(problem, config, [0] * problem.num_agents)
+        etas = [0] * problem.num_agents
         for _ in range(40):
-            order = priority_order(problem, config, etas)
-            after = pibt_step(problem, config, rng, order=order)
-            assert step_is_legal(problem, config, after)
+            etas, _, order, _ = node_data(problem.goals, problem.dists, config, etas)
+            # unforced from a valid configuration, a step always exists
+            after = build_step(problem, config, rng, order=order)
+            assert after is not None and step_is_legal(problem, config, after)
             config = after
-            etas = update_etas(problem, config, etas)
 
 
 def test_pocket_push_semantics(pocket):
@@ -69,7 +67,7 @@ def test_pocket_push_semantics(pocket):
     b = (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))
     problem = singleton_problem(pocket, [a, b])
     rng = random.Random("pibt:0")
-    after = build_step(problem, list(problem.starts), rng)
+    after = build_step(problem, list(problem.starts), rng, order=[0, 1])
     assert [pocket.coords(v) for v in after] == [(2, 0), (2, 1)]
 
 
@@ -124,15 +122,16 @@ def test_forced_moves_are_respected_or_rejected(open4):
     problem = singleton_problem(open4, [(v00, v20), (v10, v00)])
     rng = random.Random(0)
 
-    out = build_step(problem, [v00, v10], rng, forced=[(0, v01)])
+    order = [0, 1]
+    out = build_step(problem, [v00, v10], rng, order, forced=[(0, v01)])
     assert out is not None and out[0] == v01
 
     # forcing both into the same vertex is unrealisable
-    assert build_step(problem, [v00, v10], rng, forced=[(0, v10), (1, v10)]) is None
+    assert build_step(problem, [v00, v10], rng, order, forced=[(0, v10), (1, v10)]) is None
     # a forced exchange is unrealisable
-    assert build_step(problem, [v00, v10], rng, forced=[(0, v10), (1, v00)]) is None
+    assert build_step(problem, [v00, v10], rng, order, forced=[(0, v10), (1, v00)]) is None
     # teleports are unrealisable
-    assert build_step(problem, [v00, v10], rng, forced=[(0, v20)]) is None
+    assert build_step(problem, [v00, v10], rng, order, forced=[(0, v20)]) is None
 
 
 def test_forced_fov_violation_rejected(open16):
@@ -143,18 +142,18 @@ def test_forced_fov_violation_rejected(open16):
     b = (open16.vertex_at(5, 5), open16.vertex_at(0, 5))
     problem = singleton_problem(open16, [a, b], fov_radius=1)
     far = [(0, open16.vertex_at(2, 4)), (1, open16.vertex_at(5, 4))]
-    assert build_step(problem, list(problem.starts), rng, forced=far) is not None
+    assert build_step(problem, list(problem.starts), rng, [0, 1], forced=far) is not None
     close = [(0, open16.vertex_at(4, 4)), (1, open16.vertex_at(5, 4))]
-    assert build_step(problem, list(problem.starts), rng, forced=close) is None
+    assert build_step(problem, list(problem.starts), rng, [0, 1], forced=close) is None
 
 
-def test_invalid_start_reported(open4):
+@pytest.mark.parametrize("solve", [pibt_solve, lacam_solve], ids=lambda f: f.__name__)
+def test_invalid_start_reported(open4, solve):
     a = (open4.vertex_at(0, 0), open4.vertex_at(3, 3))
     b = (open4.vertex_at(1, 1), open4.vertex_at(0, 3))  # inside fov(a) at r=1
     problem = singleton_problem(open4, [a, b], fov_radius=1)
-    result = pibt_solve(problem, seed=0)
-    assert not result.solved
-    assert result.reason == "invalid_start"
+    result = solve(problem, seed=0)
+    assert (result.solved, result.plan, result.reason) == (False, None, "invalid_start")
 
 
 def test_horizon_failure(open16):
@@ -167,23 +166,26 @@ def test_horizon_failure(open16):
 def test_priorities_at_goal_sorts_last(open16):
     pairs = [(0, 0), (5, 100)]  # agent 0 already home
     problem = singleton_problem(open16, pairs)
-    order = priority_order(problem, list(problem.starts))
+    _, _, order, at_goal = node_data(problem.goals, problem.dists, problem.starts, [0, 0])
     assert order[-1] == 0
+    assert at_goal == 0b01
 
 
 def test_eta_counters_grow_and_reset(open4):
     problem = singleton_problem(open4, [(0, 3)])
-    etas = update_etas(problem, [0], [0])
-    assert etas == [1]
-    etas = update_etas(problem, [1], etas)
-    assert etas == [2]
-    etas = update_etas(problem, [3], etas)
-    assert etas == [0]
+    goals, dists = problem.goals, problem.dists
+    etas, h, _, _ = node_data(goals, dists, (0,), [0])
+    assert (etas, h) == ([1], 3)
+    etas, h, _, _ = node_data(goals, dists, (1,), etas)
+    assert (etas, h) == ([2], 2)
+    etas, h, _, _ = node_data(goals, dists, (3,), etas)
+    assert (etas, h) == ([0], 0)
 
 
 def test_longest_stuck_agent_outranks(open4):
     problem = singleton_problem(open4, [(0, 5), (1, 6)])
-    ranked = priority_order(problem, [2, 3], etas=[4, 9])
+    etas, _, ranked, _ = node_data(problem.goals, problem.dists, (2, 3), [3, 8])
+    assert etas == [4, 9]
     assert ranked[0] == 1
 
 
@@ -308,7 +310,7 @@ class _ReferenceStepBuilder:
             self._rollback(mark)
         return False
 
-    def run(self, forced=None, order=None):
+    def run(self, forced, order):
         if forced:
             for a, v in forced:
                 if self.target[a] is not None:
@@ -320,12 +322,6 @@ class _ReferenceStepBuilder:
                 if self.fov_rule and self._fov_blocked(a, v):
                     return None
                 self._assign(a, v)
-        if order is None:
-            # (at_goal, -eta, dist, agent) with fresh etas: 0 on the goal, else 1
-            goals, dists = self.problem.goals, self.problem.dists
-            keys = [(v == goals[a], -(v != goals[a]), dists[a][v], a)
-                    for a, v in enumerate(self.config)]
-            order = [key[3] for key in sorted(keys)]
         for a in order:
             if self.target[a] is None and not self._attempt(a):
                 return None
@@ -377,17 +373,16 @@ def test_builder_matches_reference(open16, random32, fov_rule, radius):
             configs = [list(problem.starts)]
             configs += [c for c in (_crowded_config(world, rng, n) for _ in range(4)) if c]
             for config in configs:
-                etas = update_etas(problem, config, [0] * n)
-                for step in range(6):
-                    order = priority_order(problem, config, etas) if step % 2 else None
-                    forced = _forced(problem, config, order or list(range(n)), rng)
+                etas, _, order, _ = node_data(problem.goals, problem.dists, config, [0] * n)
+                for _ in range(6):
+                    forced = _forced(problem, config, order, rng)
                     state = rng.getstate()
                     ref_rng, new_rng = random.Random(), random.Random()
                     ref_rng.setstate(state)
                     new_rng.setstate(state)
                     ref = _ReferenceStepBuilder(problem, list(config), ref_rng, fov_rule)
                     expected = ref.run(forced, order)
-                    got = build_step(problem, list(config), new_rng, forced, order)
+                    got = build_step(problem, list(config), new_rng, order, forced)
                     assert got == expected
                     assert new_rng.getstate() == ref_rng.getstate()
                     square_pushes += ref.square_pushes
@@ -396,18 +391,7 @@ def test_builder_matches_reference(open16, random32, fov_rule, radius):
                         nones += 1
                         continue
                     config = got
-                    etas = update_etas(problem, config, etas)
+                    etas, _, order, _ = node_data(problem.goals, problem.dists, config, etas)
     assert nones > 0 and nones < steps
     if radius > 0:
         assert square_pushes > 0
-
-
-def test_shuffle_matches_random_shuffle():
-    for n in range(1, 6):
-        for seed in range(300):
-            expected, got = list(range(n)), list(range(n))
-            ref_rng, rng = random.Random(seed), random.Random(seed)
-            ref_rng.shuffle(expected)
-            shuffle(got, rng.getrandbits)
-            assert got == expected
-            assert rng.getstate() == ref_rng.getstate()

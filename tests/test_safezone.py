@@ -23,7 +23,6 @@ from privmapf.safezone import (
     PreconditionError,
     RefineResult,
     ReplanInfeasibleError,
-    SafeInterval,
     extend_safe_zones,
     group_fov,
     initial_safe_zones,
@@ -329,12 +328,12 @@ def _reference_vertex_intervals(zone_per_t):
             open_at.setdefault(v, t)
         for v in list(open_at):
             if v not in zone:
-                out.setdefault(v, []).append(SafeInterval(open_at.pop(v), t - 1))
+                out.setdefault(v, []).append((open_at.pop(v), t - 1))
     last = len(zone_per_t) - 1
     for v, a in open_at.items():
-        out.setdefault(v, []).append(SafeInterval(a, last))
+        out.setdefault(v, []).append((a, last))
     for ivls in out.values():
-        ivls.sort(key=lambda ivl: ivl.start)
+        ivls.sort()
     return out
 
 
@@ -348,7 +347,7 @@ def test_vertex_intervals_match_rescan():
         expected = _reference_vertex_intervals(table)
         assert vertex_intervals(table) == expected
         reentries += sum(len(ivls) > 1 for ivls in expected.values())
-        late_entries += sum(ivls[0].start > 0 for ivls in expected.values())
+        late_entries += sum(ivls[0][0] > 0 for ivls in expected.values())
     assert reentries > 100 and late_entries > 100
 
 
@@ -356,9 +355,8 @@ def test_vertex_intervals_merge_consecutive_timesteps(open4):
     a, b = open4.vertex_at(0, 0), open4.vertex_at(1, 0)
     table = [{a}, {a, b}, {a}, {a, b}, {a, b}]
     ivls = vertex_intervals(table)
-    assert ivls[a] == [SafeInterval(0, 4)]
-    assert ivls[b] == [SafeInterval(1, 1), SafeInterval(3, 4)]
-    assert 3 in SafeInterval(3, 4) and 5 not in SafeInterval(3, 4)
+    assert ivls[a] == [(0, 4)]
+    assert ivls[b] == [(1, 1), (3, 4)]
 
 
 # ------------------------------------------------------------------ ppfpp
