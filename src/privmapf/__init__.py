@@ -53,7 +53,7 @@ from .pipeline import (
     kpp_solve,
     run_pipeline,
 )
-from .plans import JointPlan, pad_paths, read_plan_file, write_plan_file
+from .plans import JointPlan, pad_paths
 from .safezone import (
     PreconditionError,
     RefineResult,
@@ -110,10 +110,8 @@ __all__ = [
     "pibt_solve",
     "ppfpp",
     "random_spaced_pairs",
-    "read_plan_file",
     "real_sum_of_costs",
     "run_pipeline",
     "scenario_pairs",
     "sipp_replan",
-    "write_plan_file",
 ]

@@ -15,7 +15,7 @@ from .plans import JointPlan
 
 
 class AuditError(ValueError):
-    """Plan shape makes an exhaustive audit meaningless (e.g. ragged paths)."""
+    """The audit cannot run: a vertex id off the map, or fov without groups."""
 
 
 class MetricsError(ValueError):
@@ -56,8 +56,6 @@ def audit(
     a conflict between agents of *different* groups; same-group overlap is
     exempt by definition. A vertex id off the map raises AuditError.
     """
-    if not plan.is_padded():
-        raise AuditError("ragged plan: pad paths to a common horizon before auditing")
     if check_fov and group_of is None:
         raise AuditError("fov check needs the group_of mapping")
     n = plan.num_agents

@@ -74,6 +74,8 @@ class BenchConfig:
             raise ConfigError("agent counts must be >= 1")
         if not all(k >= 1 for k in self.k):
             raise ConfigError("group sizes must be >= 1")
+        if self.min_separation is not None and self.min_separation < 1:
+            raise ConfigError("min_separation must be >= 1")
         for k in self.k:
             for r in self.radius:
                 self.spec(k, r)
@@ -110,6 +112,8 @@ def load_config(path: str | Path) -> BenchConfig:
             raise ConfigError(f"missing config key: {key}")
     obj.setdefault("name", Path(path).stem)
     if type(obj.get("seeds")) is int:
+        if obj["seeds"] < 1:
+            raise ConfigError("config key seeds must be a list or an int >= 1")
         obj["seeds"] = list(range(obj["seeds"]))  # an int means "this many, from zero"
     for key, (kind, what) in _LIST_KEYS.items():
         if key in obj:
@@ -199,7 +203,7 @@ def _world(map_path: str) -> GridWorld:
 def run_one(task: TaskSpec) -> RunRecord:
     world = _world(task.map_path)
     spec = task.spec
-    sep = task.min_separation or default_separation(world)
+    sep = default_separation(world) if task.min_separation is None else task.min_separation
     t0 = out = None
     try:
         pairs = random_spaced_pairs(world, task.n_agents, seed=task.seed, min_separation=sep)
@@ -320,11 +324,3 @@ def format_summary(rows: list[SummaryRow]) -> str:
         )
     return "\n".join(out)
 
-
-def cactus_data(records: list[RunRecord]) -> dict[str, list[int]]:
-    """Sorted per-run real costs, the usual cactus-plot input."""
-    refined = [r for r in records if r.rsoc_before >= 0]
-    return {
-        "before": sorted(r.rsoc_before for r in refined),
-        "after": sorted(r.rsoc_after for r in refined),
-    }

@@ -2,16 +2,18 @@
 
 Four subcommands mirror the library layers: ``solve`` runs the privacy
 pipeline on one instance (``--radius 0`` is kPP, ``--radius r`` fPP) and
-writes the broadcast plan (plus optional message trace and per-agent
-private sidecars), ``ppfpp`` refines a solved plan inside safe zones,
-``audit`` checks a plan file for conflicts and belief privacy, and
-``bench`` sweeps a YAML-configured suite into a CSV.
+writes the message trace, the one broadcast file (plus optional per-agent
+private sidecars); ``audit`` checks a trace's plan for conflicts and belief
+privacy and ``ppfpp`` refines it inside safe zones, both at the k and
+radius the trace records; ``bench`` sweeps a YAML-configured suite into a
+CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,9 +28,10 @@ from .dispatch import (
 from .grid import EmptyMapError, ParseError, ScenarioError, load_map, load_scenario, scenario_pairs
 from .instances import PlacementError, random_spaced_pairs
 from .pipeline import (
-    SOLVERS, PipelineSpec, compute_beliefs, check_k_privacy, run_pipeline, write_trace,
+    SOLVERS, MessageTrace, PipelineSpec, TraceError, check_k_privacy, compute_beliefs,
+    extract_real_path, read_trace, run_pipeline, write_trace,
 )
-from .plans import PlanFileError, read_plan_file, write_plan_file, write_real_plan_file
+from .plans import write_real_plan_file
 from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp, write_zones
 
 
@@ -46,9 +49,18 @@ def _instance_pairs(args, world):
     )
 
 
+def _read_planned_trace(world, path) -> MessageTrace:
+    trace = read_trace(world, path)
+    if trace.broadcast_plan is None:
+        raise TraceError(f"{path}: no plan, the solve that wrote this trace failed")
+    return trace
+
+
 def _cmd_solve(args) -> int:
     if args.agents < 1:
         raise ConfigError("the agent count must be >= 1")
+    if args.separation < 1:
+        raise ConfigError("the separation must be >= 1")
     try:
         spec = PipelineSpec(args.k, args.radius, args.solver, args.budget_expansions)
     except ValueError as exc:
@@ -56,16 +68,16 @@ def _cmd_solve(args) -> int:
     world = load_map(resolve_map(args.map))
     pairs = _instance_pairs(args, world)
     out = run_pipeline(world, pairs, spec, args.seed)
-    if args.trace:
-        write_trace(out.trace, world, args.trace)
-    if not out.solved:
+    if out.solved:
+        m = metrics(out.plan.paths, out.problem.goals)
+        print(f"solved: soc={m.soc} makespan={m.makespan} rsoc={real_sum_of_costs(out.real_paths, [p[1] for p in pairs])}")
+    else:
         print(f"unsolved: {out.reason}")
-        return 1
-    m = metrics(out.plan.paths, out.problem.goals)
-    print(f"solved: soc={m.soc} makespan={m.makespan} rsoc={real_sum_of_costs(out.real_paths, [p[1] for p in pairs])}")
     if args.out:
-        write_plan_file(out.plan, args.k, args.out)
-        print(f"plan written to {args.out}")
+        write_trace(out.trace, world, args.out)
+        print(f"trace written to {args.out}")
+    if not out.solved:
+        return 1
     if args.private_dir:
         Path(args.private_dir).mkdir(parents=True, exist_ok=True)
         write_private_sidecars(out.groups, args.private_dir)
@@ -75,18 +87,18 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ppfpp(args) -> int:
     world = load_map(resolve_map(args.map))
-    plan, group_of = read_plan_file(args.plan)
+    trace = _read_planned_trace(world, args.trace)
+    plan = trace.broadcast_plan
     private = read_private_sidecars(args.private_dir)
-    n_groups = max(group_of) + 1
-    k = len(group_of) // n_groups
-    for g in range(n_groups):
-        where = sidecar_path(args.private_dir, g)
-        if g not in private:
-            raise SidecarError(f"{where}: no private sidecar for group {g}")
-        if not 0 <= private[g] < k:
-            raise SidecarError(f"{where}: real_index {private[g]} is not in [0, {k})")
-    real_paths = [plan.paths[g * k + private[g]] for g in range(n_groups)]
-    result = ppfpp(world, plan, group_of, real_paths, args.radius, args.seed)
+    real_paths = []
+    for g in trace.published_groups:
+        where, real = sidecar_path(args.private_dir, g.group_id), private.get(g.group_id)
+        if real is None:
+            raise SidecarError(f"{where}: no private sidecar for group {g.group_id}")
+        if not 0 <= real < trace.k:
+            raise SidecarError(f"{where}: real_index {real} is not in [0, {trace.k})")
+        real_paths.append(extract_real_path(plan, trace.k, replace(g, real_index=real)))
+    result = ppfpp(world, plan, trace.group_of, real_paths, trace.fov_radius, args.seed)
     print(
         f"rsoc {result.rsoc_before} -> {result.rsoc_after} "
         f"({result.improvement_pct:.2f}% improvement, {len(result.picks)} zone picks)"
@@ -102,10 +114,11 @@ def _cmd_ppfpp(args) -> int:
 
 def _cmd_audit(args) -> int:
     world = load_map(resolve_map(args.map))
-    plan, group_of = read_plan_file(args.plan)
+    trace = _read_planned_trace(world, args.trace)
+    plan, group_of, k = trace.broadcast_plan, trace.group_of, trace.k
     report = audit(
         world, plan, group_of=group_of,
-        fov_radius=args.radius, check_fov=args.radius > 0,
+        fov_radius=trace.fov_radius, check_fov=trace.fov_radius > 0,
     )
     print(
         f"vertex conflicts: {len(report.vertex_conflicts)}  "
@@ -115,11 +128,9 @@ def _cmd_audit(args) -> int:
     )
     for a, t, (u, v) in report.invalid_moves:
         print(f"invalid move: sub-agent {a} at t={t}: {u} -> {v} is neither a wait nor a step")
-    ok = report.ok
-    if args.k > 1:
-        privacy = check_k_privacy(compute_beliefs(plan, group_of), args.k)
-        print(f"belief {args.k}-privacy: {'ok' if privacy['ok'] else 'VIOLATED'}")
-        ok = ok and privacy["ok"]
+    privacy = check_k_privacy(compute_beliefs(plan, group_of), k)
+    print(f"belief {k}-privacy: {'ok' if privacy['ok'] else 'VIOLATED'}")
+    ok = report.ok and privacy["ok"]
     print("clean" if ok else "violations found")
     return 0 if ok else 1
 
@@ -149,26 +160,22 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--solver", choices=SOLVERS, default="lacam")
     p.add_argument("--budget-expansions", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="broadcast plan file")
-    p.add_argument("--trace", help="message trace JSON")
+    p.add_argument("--out", help="message trace JSON, the broadcast record (written also on failure)")
     p.add_argument("--private-dir", help="directory for per-agent sidecars")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("ppfpp", help="refine a solved plan inside safe zones")
     p.add_argument("--map", required=True)
-    p.add_argument("--plan", required=True)
+    p.add_argument("--trace", required=True, help="message trace JSON written by solve")
     p.add_argument("--private-dir", required=True)
-    p.add_argument("--radius", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="refined real-path plan file")
     p.add_argument("--zones", help="zones JSON output")
     p.set_defaults(func=_cmd_ppfpp)
 
-    p = sub.add_parser("audit", help="check a plan file for conflicts")
+    p = sub.add_parser("audit", help="check a trace's plan for conflicts and belief privacy")
     p.add_argument("--map", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--radius", type=int, default=0)
-    p.add_argument("--k", type=int, default=1, help="also check belief k-privacy")
+    p.add_argument("--trace", required=True, help="message trace JSON written by solve")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("bench", help="run a YAML-configured suite")
@@ -181,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        OSError, ConfigError, ParseError, EmptyMapError, ScenarioError, PlanFileError,
+        OSError, ConfigError, ParseError, EmptyMapError, ScenarioError, TraceError,
         AuditError, InfeasibleInputError, DispatchExhaustedError, PlacementError, SidecarError,
         PreconditionError, ReplanInfeasibleError,
     ) as exc:

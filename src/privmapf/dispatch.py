@@ -85,10 +85,6 @@ def pairs_collide(
     return world.chebyshev(a[0], b[0]) <= radius or world.chebyshev(a[1], b[1]) <= radius
 
 
-def groups_collide(world: GridWorld, ga: AgentGroup, gb: AgentGroup, radius: int) -> bool:
-    return any(pairs_collide(world, p, q, radius) for p in ga.pairs for q in gb.pairs)
-
-
 def _sample_mock_pair(
     world: GridWorld,
     rng: random.Random,

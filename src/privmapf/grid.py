@@ -63,7 +63,6 @@ class GridWorld:
         "width",
         "height",
         "num_vertices",
-        "_passable",
         "_vertex_of_cell",
         "_cell_of_vertex",
         "_neighbors",
@@ -82,7 +81,6 @@ class GridWorld:
                 raise ParseError("ragged map row")
             for ch in row:
                 passable.append(ch in PASSABLE_CHARS)
-        self._passable = passable
 
         vertex_of_cell = [-1] * (self.width * self.height)
         cell_of_vertex = []
@@ -188,18 +186,6 @@ class GridWorld:
 
     def same_component(self, v: int, u: int) -> bool:
         return self.component_of(v) == self.component_of(u)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_map_text(self) -> str:
-        lines = ["type octile", f"height {self.height}", f"width {self.width}", "map"]
-        for y in range(self.height):
-            row = "".join(
-                "." if self._passable[y * self.width + x] else "@"
-                for x in range(self.width)
-            )
-            lines.append(row)
-        return "\n".join(lines) + "\n"
 
 
 def parse_map_text(text: str) -> GridWorld:

@@ -5,7 +5,9 @@ broadcast exactly once; a designated planning agent (always group 0 here)
 solves the joint k*N instance over all published pairs and broadcasts the
 full plan; each agent privately extracts the single path matching its real
 pair. Everything observable by other agents lives in the MessageTrace, and
-nothing derived from a private real index may ever appear in it.
+nothing derived from a private real index may ever appear in it. Its JSON
+form is the one broadcast file: ``privmapf solve`` writes it, and ``audit``
+and ``ppfpp`` read the plan, k and the radius back from it.
 
 An observer's belief about agent i at time t is the set of vertices where
 group i's sub-plans place any member at t (goal positions pad past each
@@ -56,26 +58,82 @@ class MessageTrace:
         }
         return json.dumps(obj, indent=0, sort_keys=True)
 
+    @property
+    def group_of(self) -> list[int]:
+        """The group of each plan row, group-major."""
+        return [g.group_id for g in self.published_groups for _ in g.pairs]
+
     @staticmethod
     def from_json(world: GridWorld, text: str) -> "MessageTrace":
-        obj = json.loads(text)
-        groups = tuple(
-            dsp.AgentGroup(
-                g["group_id"],
-                tuple(
-                    (world.vertex_at(sx, sy), world.vertex_at(gx, gy))
-                    for sx, sy, gx, gy in g["pairs"]
-                ),
-                None,
+        """The trace ``to_json`` wrote; TraceError if the text is not one.
+
+        Each group must hold k pairs on passable cells with distinct starts
+        and goals, and a plan, when there is one, k rows per group of one
+        length, each starting and ending at its published pair.
+        """
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise TraceError(f"not JSON ({exc})") from None
+        for key in ("planner_group", "k", "fov_radius", "groups", "plan"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise TraceError(f"missing key {key!r}")
+        k = _read_int(obj["k"], 1, "k")
+        radius = _read_int(obj["fov_radius"], 0, "fov_radius")
+        if not isinstance(obj["groups"], list):
+            raise TraceError("groups is not a list")
+        groups = tuple(_read_group(world, i, g, k) for i, g in enumerate(obj["groups"]))
+        planner = _read_int(obj["planner_group"], 0, "planner_group")
+        if planner >= len(groups):
+            raise TraceError(f"planner_group {planner} is not one of the {len(groups)} groups")
+        plan = None if obj["plan"] is None else _read_plan(obj["plan"], groups, k)
+        return MessageTrace(groups, planner, k, radius, plan)
+
+
+class TraceError(ValueError):
+    """A message trace that is not one the pipeline could have broadcast."""
+
+
+def _read_int(value, low: int, what: str) -> int:
+    if type(value) is not int or value < low:
+        raise TraceError(f"{what} is {value!r}, not an int >= {low}")
+    return value
+
+
+def _read_group(world: GridWorld, i: int, obj, k: int) -> dsp.AgentGroup:
+    if not (isinstance(obj, dict) and obj.get("group_id") == i
+            and isinstance(obj.get("pairs"), list)):
+        raise TraceError(f'group {i}: expected {{"group_id": {i}, "pairs": [...]}}')
+    if len(obj["pairs"]) != k:
+        raise TraceError(f"group {i}: {len(obj['pairs'])} pairs, k is {k}")
+    pairs = []
+    for p in obj["pairs"]:
+        if not (isinstance(p, list) and len(p) == 4 and all(type(c) is int for c in p)):
+            raise TraceError(f"group {i}: pair {p!r} is not [sx, sy, gx, gy]")
+        try:
+            pairs.append((world.vertex_at(p[0], p[1]), world.vertex_at(p[2], p[3])))
+        except ValueError as exc:
+            raise TraceError(f"group {i}: {exc}") from None
+    try:
+        return dsp.AgentGroup(i, tuple(pairs), None)
+    except dsp.InfeasibleInputError as exc:  # a repeated start or goal
+        raise TraceError(str(exc)) from None
+
+
+def _read_plan(rows, groups: tuple[dsp.AgentGroup, ...], k: int) -> JointPlan:
+    if not isinstance(rows, list) or len(rows) != k * len(groups):
+        raise TraceError(f"plan does not have k x groups = {k * len(groups)} rows")
+    for j, row in enumerate(rows):
+        if not (isinstance(row, list) and row and all(type(v) is int for v in row)):
+            raise TraceError(f"plan row {j} is not a list of vertex ids")
+        if (row[0], row[-1]) != groups[j // k].pairs[j % k]:
+            raise TraceError(
+                f"plan row {j} does not start and end at pair {j % k} of group {j // k}"
             )
-            for g in obj["groups"]
-        )
-        plan = (
-            None
-            if obj["plan"] is None
-            else JointPlan(tuple(tuple(p) for p in obj["plan"]))
-        )
-        return MessageTrace(groups, obj["planner_group"], obj["k"], obj["fov_radius"], plan)
+    try:
+        return JointPlan(tuple(tuple(row) for row in rows))
+    except ValueError as exc:  # ragged rows
+        raise TraceError(str(exc)) from None
 
 
 @dataclass
@@ -133,6 +191,8 @@ class PipelineSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.wall_clock_s is not None and self.solver != "lacam":
             raise ValueError("wall-clock budgets need the lacam solver")
+        if self.wall_clock_s is not None and self.wall_clock_s <= 0:
+            raise ValueError("the wall-clock budget must be > 0 seconds")
         if self.k < 1:
             raise dsp.InfeasibleInputError("k must be >= 1")
         if self.radius < 0:
@@ -231,4 +291,8 @@ def write_trace(trace: MessageTrace, world: GridWorld, path: str | Path) -> None
 
 
 def read_trace(world: GridWorld, path: str | Path) -> MessageTrace:
-    return MessageTrace.from_json(world, Path(path).read_text())
+    """The trace in a file; TraceError, naming the file, if it is malformed."""
+    try:
+        return MessageTrace.from_json(world, Path(path).read_text())
+    except (TraceError, UnicodeDecodeError) as exc:
+        raise TraceError(f"{path}: {exc}") from None

@@ -307,8 +307,6 @@ def ppfpp(
     """Post-process a fov-conflict-free plan: build zones, replan inside them."""
     if fov_radius < 1:
         raise PreconditionError("zone refinement needs fov radius >= 1")
-    if not plan.is_padded():
-        raise PreconditionError("plan must be goal-padded to a joint horizon")
     rows = {}
     for j, g in enumerate(group_of):
         rows.setdefault(g, []).append(plan.paths[j])
@@ -352,11 +350,3 @@ def write_zones(result_zones: ZoneTable, radius: int, world: GridWorld, path: st
     }
     Path(path).write_text(json.dumps(obj) + "\n")
 
-
-def read_zones(world: GridWorld, path: str | Path) -> tuple[ZoneTable, int]:
-    obj = json.loads(Path(path).read_text())
-    zones = [
-        [{world.vertex_at(x, y) for x, y in zone} for zone in per_t]
-        for per_t in obj["zones"]
-    ]
-    return zones, obj["radius"]

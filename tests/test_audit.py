@@ -94,9 +94,10 @@ def test_audit_requires_group_of_for_fov(open4):
         audit(open4, plan, fov_radius=1, check_fov=True)
 
 
-def test_audit_rejects_ragged_plan(open4):
-    with pytest.raises(AuditError):
-        audit(open4, JointPlan(((0, 1), (2,))))
+def test_audit_rejects_ragged_plan():
+    # a ragged plan never reaches the auditor: JointPlan refuses to be one
+    with pytest.raises(ValueError, match="ragged plan"):
+        JointPlan(((0, 1), (2,)))
 
 
 def test_check_separated_flags_fov_overlap(open4):

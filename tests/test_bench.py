@@ -10,7 +10,6 @@ from privmapf.bench import (
     BenchConfig,
     ConfigError,
     RunRecord,
-    cactus_data,
     default_separation,
     format_summary,
     iter_tasks,
@@ -95,6 +94,13 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nbudget_seconds: soon", "budget_seconds must be a number or null"),
     ("maps: [open16]\nagents: [2]\nbudget_seconds: true", "budget_seconds must be a number or null"),
     ("maps: [open16]\nagents: [2]\nrun_ppfpp: maybe", "run_ppfpp must be true or false"),
+    # right type, no sense: each would run with exit 0 and say nothing
+    ("maps: [open16]\nagents: [2]\nseeds: -2", "seeds must be a list or an int >= 1"),
+    ("maps: [open16]\nagents: [2]\nseeds: 0", "seeds must be a list or an int >= 1"),
+    ("maps: [open16]\nagents: [2]\nbudget_seconds: -1", "wall-clock budget must be > 0"),
+    ("maps: [open16]\nagents: [2]\nbudget_seconds: 0.0", "wall-clock budget must be > 0"),
+    ("maps: [open16]\nagents: [2]\nmin_separation: -3", "min_separation must be >= 1"),
+    ("maps: [open16]\nagents: [2]\nmin_separation: 0", "min_separation must be >= 1"),
 ])
 def test_config_rejections(tmp_path, snippet, message):
     p = write_yaml(tmp_path, snippet)
@@ -367,14 +373,3 @@ def test_summarize_groups_by_map_and_k():
     ]
     assert len(table.splitlines()) == 4
 
-
-def test_cactus_data_sorted():
-    records = [
-        make_record(seed=0, rsoc_before=13, rsoc_after=11),
-        make_record(seed=1, rsoc_before=7, rsoc_after=7),
-        make_record(seed=2, rsoc_before=10, rsoc_after=8),
-        make_record(seed=3, rsoc_before=-1, rsoc_after=-1),
-    ]
-    data = cactus_data(records)
-    assert data["before"] == [7, 10, 13]
-    assert data["after"] == [7, 8, 11]

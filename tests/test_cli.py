@@ -5,7 +5,6 @@ import json
 import pytest
 
 from privmapf.cli import main
-from privmapf.plans import read_plan_file, write_plan_file, JointPlan
 
 from conftest import ASSETS
 
@@ -20,7 +19,6 @@ def test_version(capsys):
 
 
 def test_solve_audit_refine_round_trip(tmp_path, capsys):
-    plan_file = tmp_path / "plan.txt"
     trace_file = tmp_path / "trace.json"
     refined_file = tmp_path / "refined.txt"
     zones_file = tmp_path / "zones.json"
@@ -29,31 +27,27 @@ def test_solve_audit_refine_round_trip(tmp_path, capsys):
     rc = main([
         "solve", "--map", "open16", "--agents", "2", "--k", "2",
         "--radius", "1", "--seed", "0",
-        "--out", str(plan_file), "--trace", str(trace_file),
-        "--private-dir", str(priv),
+        "--out", str(trace_file), "--private-dir", str(priv),
     ])
     out = capsys.readouterr().out
     assert rc == 0
     assert "solved:" in out
-    assert plan_file.exists() and trace_file.exists()
+    assert f"trace written to {trace_file}" in out
     assert len(list(priv.iterdir())) == 2
 
     # whatever was broadcast must never mention which pair is real
     assert "real" not in trace_file.read_text()
-    assert "real" not in plan_file.read_text()
 
-    rc = main([
-        "audit", "--map", "open16", "--plan", str(plan_file),
-        "--radius", "1", "--k", "2",
-    ])
+    # k and the radius come from the trace
+    rc = main(["audit", "--map", "open16", "--trace", str(trace_file)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "clean" in out
     assert "belief 2-privacy: ok" in out
 
     rc = main([
-        "ppfpp", "--map", "open16", "--plan", str(plan_file),
-        "--private-dir", str(priv), "--radius", "1", "--seed", "0",
+        "ppfpp", "--map", "open16", "--trace", str(trace_file),
+        "--private-dir", str(priv), "--seed", "0",
         "--out", str(refined_file), "--zones", str(zones_file),
     ])
     out = capsys.readouterr().out
@@ -68,22 +62,26 @@ def test_solve_audit_refine_round_trip(tmp_path, capsys):
 
 
 def test_audit_flags_a_tampered_plan(tmp_path, capsys):
-    plan_file = tmp_path / "plan.txt"
+    trace_file = tmp_path / "trace.json"
     rc = main([
         "solve", "--map", "open16", "--agents", "2", "--k", "2",
         "--radius", "1", "--seed", "0",
-        "--out", str(plan_file),
+        "--out", str(trace_file),
     ])
     assert rc == 0
     capsys.readouterr()
 
-    plan, _ = read_plan_file(plan_file)
-    doctored = JointPlan((plan.paths[1],) + plan.paths[1:])
-    write_plan_file(doctored, 2, plan_file)
+    # sub-agent 1 jumps onto sub-agent 0's vertex at t=1; both rows still
+    # start and end at their published pairs, so the trace reads fine
+    obj = json.loads(trace_file.read_text())
+    assert len(obj["plan"][0]) > 2
+    obj["plan"][1][1] = obj["plan"][0][1]
+    trace_file.write_text(json.dumps(obj))
 
-    rc = main(["audit", "--map", "open16", "--plan", str(plan_file), "--radius", "1"])
+    rc = main(["audit", "--map", "open16", "--trace", str(trace_file)])
     out = capsys.readouterr().out
     assert rc == 1
+    assert "vertex conflicts: 0" not in out
     assert "violations found" in out
 
 
@@ -93,7 +91,7 @@ def test_solve_failure_exits_nonzero_but_still_traces(tmp_path, capsys):
     trace_file = tmp_path / "trace.json"
     rc = main([
         "solve", "--map", str(pocket), "--agents", "2", "--separation", "1",
-        "--k", "1", "--seed", "0", "--trace", str(trace_file),
+        "--k", "1", "--seed", "0", "--out", str(trace_file),
     ])
     out = capsys.readouterr().out
     assert rc == 1
@@ -132,16 +130,73 @@ def test_bench_subcommand(tmp_path, capsys):
     assert len(lines) == 4  # comment, header, two rows
 
 
-@pytest.mark.parametrize("text,where", [
-    ("", "empty plan"),
-    ("0 0 17 18 19\n0 1 20 x 22\n", ":2: non-integer token"),
-    ("0 0 17 18 19\n\n0 1\n", ":3: expected <group> <index> <v0>"),
-])
+# a 4x3 map whose cell (1, 1) is blocked; vertex ids run row-major over the
+# passable cells: (0,0)=0 (3,0)=3 (0,2)=7 (2,2)=9 (3,2)=10
+WALLED = "type octile\nheight 3\nwidth 4\nmap\n....\n.@..\n....\n"
+
+
+def trace_obj(k, radius, groups, plan):
+    """A message trace as ``MessageTrace.to_json`` lays it out; groups list
+    each group's pairs as [sx, sy, gx, gy]."""
+    return {
+        "planner_group": 0, "k": k, "fov_radius": radius, "plan": plan,
+        "groups": [{"group_id": i, "pairs": pairs} for i, pairs in enumerate(groups)],
+    }
+
+
+def walled_trace():
+    """Two k=2 groups resting at the corners of WALLED, fov radius 1."""
+    groups = [[[0, 0, 0, 0], [3, 0, 3, 0]], [[0, 2, 0, 2], [3, 2, 3, 2]]]
+    return trace_obj(2, 1, groups, [[0], [3], [7], [10]])
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(obj):
+        for step in path:
+            obj = obj[step]
+        obj[key] = value
+    return mutate
+
+
+MALFORMED_TRACES = {
+    "not JSON": (b"{", "not JSON"),
+    "not UTF-8": (b"\xff{}", "can't decode byte 0xff"),
+    "missing key": (lambda obj: obj.pop("k"), "missing key 'k'"),
+    "k of 0": (_set("k", 0), "k is 0, not an int >= 1"),
+    "k not an int": (_set("k", "2"), "k is '2', not an int >= 1"),
+    "negative radius": (_set("fov_radius", -1), "fov_radius is -1, not an int >= 0"),
+    "pair off the map": (_set("groups", 0, "pairs", 0, [4, 0, 0, 0]),
+                         "group 0: (4,0) outside 4x3 map"),
+    "pair on a blocked cell": (_set("groups", 1, "pairs", 1, [3, 2, 1, 1]),
+                               "group 1: (1,1) is blocked"),
+    "repeated start": (_set("groups", 0, "pairs", 1, [0, 0, 3, 0]),
+                       "group 0: duplicate start vertex"),
+    "group without k pairs": (lambda obj: obj["groups"][1]["pairs"].pop(),
+                              "group 1: 1 pairs, k is 2"),
+    "too few plan rows": (lambda obj: obj["plan"].pop(),
+                          "plan does not have k x groups = 4 rows"),
+    "row off its pair": (_set("plan", 2, [7, 4]),
+                         "plan row 2 does not start and end at pair 0 of group 1"),
+    "ragged rows": (_set("plan", 3, [10, 9, 10]), "ragged plan"),
+    "plan null": (_set("plan", None), "no plan, the solve that wrote this trace failed"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TRACES)
 @pytest.mark.parametrize("command", ["audit", "ppfpp"])
-def test_malformed_plan_file_is_one_error_line(tmp_path, capsys, text, where, command):
-    plan_file = tmp_path / "plan.txt"
-    plan_file.write_text(text)
-    argv = [command, "--map", "open16", "--plan", str(plan_file), "--radius", "1"]
+def test_malformed_trace_is_one_error_line(tmp_path, capsys, command, case):
+    bad, where = MALFORMED_TRACES[case]
+    trace_file = tmp_path / "trace.json"
+    if isinstance(bad, bytes):
+        trace_file.write_bytes(bad)
+    else:
+        obj = walled_trace()
+        bad(obj)
+        trace_file.write_text(json.dumps(obj))
+    (tmp_path / "walled.map").write_text(WALLED)
+    argv = [command, "--map", str(tmp_path / "walled.map"), "--trace", str(trace_file)]
     if command == "ppfpp":
         argv += ["--private-dir", str(tmp_path)]
     rc = main(argv)
@@ -150,21 +205,47 @@ def test_malformed_plan_file_is_one_error_line(tmp_path, capsys, text, where, co
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: {plan_file}")
+    assert lines[0].startswith(f"error: {trace_file}: ")
     assert where in lines[0]
 
 
+def test_the_walled_trace_itself_is_clean(tmp_path, capsys):
+    # the malformed cases above each break one thing in this trace
+    (tmp_path / "walled.map").write_text(WALLED)
+    (tmp_path / "trace.json").write_text(json.dumps(walled_trace()))
+    rc = main(["audit", "--map", str(tmp_path / "walled.map"),
+               "--trace", str(tmp_path / "trace.json")])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["belief 2-privacy: ok", "clean"]
+
+
+def test_audit_checks_fov_and_privacy_at_the_traced_values(tmp_path, capsys):
+    # two k=2 groups on open16 whose first members stand side by side at
+    # radius 1: one fov conflict at each of t=0 and t=1, with no flag given
+    groups = [[[0, 0, 0, 0], [5, 5, 5, 5]], [[1, 0, 1, 0], [10, 10, 10, 10]]]
+    plan = [[0, 0], [85, 85], [1, 1], [170, 170]]
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace_obj(2, 1, groups, plan)))
+    rc = main(["audit", "--map", "open16", "--trace", str(trace_file)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out[0] == ("vertex conflicts: 0  swap conflicts: 0  "
+                      "fov conflicts: 2  invalid moves: 0")
+    assert out[1:] == ["belief 2-privacy: ok", "violations found"]
+
+
 def test_audit_of_dev_null_is_one_error_line(capsys):
-    rc = main(["audit", "--map", "open16", "--plan", "/dev/null"])
+    rc = main(["audit", "--map", "open16", "--trace", "/dev/null"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == "error: /dev/null: empty plan, no sub-agent lines\n"
+    assert err == "error: /dev/null: not JSON (Expecting value: line 1 column 1 (char 0))\n"
 
 
 def test_audit_reports_teleports(tmp_path, capsys):
-    plan_file = tmp_path / "plan.txt"
-    plan_file.write_text("0 0 0 200 17\n")  # 0 -> 200 -> 17: two non-adjacent moves
-    rc = main(["audit", "--map", "open16", "--plan", str(plan_file)])
+    trace_file = tmp_path / "trace.json"
+    # one k=1 group from (0,0) to (1,1): 0 -> 200 -> 17, two non-adjacent moves
+    trace_file.write_text(json.dumps(trace_obj(1, 0, [[[0, 0, 1, 1]]], [[0, 200, 17]])))
+    rc = main(["audit", "--map", "open16", "--trace", str(trace_file)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "invalid moves: 2" in out
@@ -178,41 +259,42 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
 
 
 @pytest.mark.parametrize("error,argv,where", [
-    ("OSError", ["audit", "--map", "open16", "--plan", "{tmp}/missing.txt"],
+    ("OSError", ["audit", "--map", "open16", "--trace", "{tmp}/missing.json"],
      "No such file or directory"),
     ("ConfigError", ["solve", "--map", "nosuch"], "unknown map 'nosuch'"),
-    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--plan", "{tmp}/plan.txt"],
+    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--trace", "{tmp}/trace.json"],
      "unknown terrain 'x'"),
-    ("EmptyMapError", ["audit", "--map", "{tmp}/empty.map", "--plan", "{tmp}/plan.txt"],
+    ("EmptyMapError", ["audit", "--map", "{tmp}/empty.map", "--trace", "{tmp}/trace.json"],
      "no passable cell"),
     ("ScenarioError",
      ["solve", "--map", "open16", "--agents", "2",
       "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
      "scenario is for a 32x32 map"),
-    ("AuditError", ["audit", "--map", "open16", "--plan", "{tmp}/off_map.txt"],
+    ("AuditError", ["audit", "--map", "open16", "--trace", "{tmp}/off_map.json"],
      "vertex 99999 is not on the map"),
     ("InfeasibleInputError",
      ["solve", "--map", "open16", "--radius", "3"],
      "collide under rule r=3"),
     # a parse error names the file, so --map and --scen can be told apart
-    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--plan", "{tmp}/plan.txt"],
+    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--trace", "{tmp}/trace.json"],
      "bad.map: line 5: unknown terrain 'x'"),
     ("ParseError", ["solve", "--map", "open16", "--scen", "{tmp}/bad.scen"],
      "bad.scen: line 1: missing 'version' header"),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
-                      "--private-dir", "{tmp}", "--radius", "1"],
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}"],
      "agent_000.json: no private sidecar for group 0"),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
-                      "--private-dir", "{tmp}/not_json", "--radius", "1"],
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}/not_json"],
      "not_json/agent_000.json: not a JSON sidecar"),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
-                      "--private-dir", "{tmp}/no_index", "--radius", "1"],
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}/no_index"],
      'no_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
-                      "--private-dir", "{tmp}/off_range", "--radius", "1"],
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}/off_range"],
      "off_range/agent_000.json: real_index 1 is not in [0, 1)"),
-    ("PreconditionError", ["ppfpp", "--map", "open16", "--plan", "{tmp}/plan.txt",
-                           "--private-dir", "{tmp}/in_range", "--radius", "0"],
+    # a kPP trace (radius 0) has no safe zones to refine in
+    ("PreconditionError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/kpp.json",
+                           "--private-dir", "{tmp}/in_range"],
      "zone refinement needs fov radius >= 1"),
     ("DispatchExhaustedError", ["solve", "--map", "open16", "--k", "40", "--agents", "8"],
      "group 6: mock pair 6 keeps colliding (after 1000 attempts)"),
@@ -226,13 +308,20 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      ["solve", "--map", "open16", "--agents", "13",
       "--scen", str(ASSETS / "scens" / "open16.scen")],
      "open16.scen: scenario has only 12 entries, 13 agents requested"),
+    ("ConfigError", ["solve", "--map", "open16", "--separation", "-1"],
+     "the separation must be >= 1"),
+    ("ConfigError", ["solve", "--map", "open16", "--separation", "0"],
+     "the separation must be >= 1"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
     (tmp_path / "bad.scen").write_text("0 open16 16 16 0 0 1 1 2\n")
     (tmp_path / "empty.map").write_text(MAP_WITHOUT_PASSABLE_CELL)
-    (tmp_path / "plan.txt").write_text("0 0 0\n")
-    (tmp_path / "off_map.txt").write_text("0 0 99999 99999\n")
+    # one k=1 group resting at (0,0), vertex 0
+    (tmp_path / "trace.json").write_text(json.dumps(trace_obj(1, 1, [[[0, 0, 0, 0]]], [[0]])))
+    (tmp_path / "kpp.json").write_text(json.dumps(trace_obj(1, 0, [[[0, 0, 0, 0]]], [[0]])))
+    (tmp_path / "off_map.json").write_text(
+        json.dumps(trace_obj(1, 0, [[[0, 0, 0, 0]]], [[0, 99999, 0]])))
     for name, sidecar in [("not_json", "{"), ("no_index", '{"group_id": 0}'),
                           ("off_range", '{"group_id": 0, "real_index": 1}'),
                           ("in_range", '{"group_id": 0, "real_index": 0}')]:

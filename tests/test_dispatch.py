@@ -17,7 +17,6 @@ from privmapf.dispatch import (
     DispatchVerificationError,
     InfeasibleInputError,
     dispatch_groups,
-    groups_collide,
     no_collision_probability,
     no_collision_probability_blocked_set,
     pairs_collide,
@@ -86,16 +85,6 @@ def test_fov_rule_uses_chebyshev_distance():
     assert pairs_collide(w, a, near, 1)  # starts diagonal-adjacent
     assert pairs_collide(w, near, far, 1)  # goals within radius... same goal
     assert not pairs_collide(w, a, (w.vertex_at(3, 2), w.vertex_at(0, 4)), 1)
-
-
-def test_groups_collide_any_pair():
-    w = line_world()
-    a = AgentGroup(0, ((0, 5), (1, 6)), 0)
-    b = AgentGroup(1, ((2, 7), (1, 8)), 0)  # shares start 1 with a
-    c = AgentGroup(2, ((3, 8),), 0)  # start 3 and goal 8 clash with nothing in a
-    assert groups_collide(w, a, b, 0)
-    assert not groups_collide(w, a, c, 0)
-    assert groups_collide(w, b, c, 0)  # shared goal 8
 
 
 def test_dispatch_is_deterministic():

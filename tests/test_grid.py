@@ -156,11 +156,3 @@ def test_scenario_rejects_wrong_dimensions(open4):
 def test_scenario_requires_version_header():
     with pytest.raises(ParseError):
         parse_scenario_text("0\tfoo.map\t8\t8\t0\t0\t1\t1\t2.0\n")
-
-
-def test_to_map_text_round_trips(random32):
-    from privmapf.grid import parse_map_text as reparse
-
-    again = reparse(random32.to_map_text())
-    assert again.num_vertices == random32.num_vertices
-    assert again.to_map_text() == random32.to_map_text()

@@ -9,6 +9,7 @@ trusted on its own word: a sound pick from an incomplete frontier would
 still change the RNG draw and fail the comparison.
 """
 
+import json
 import random
 from collections import deque
 
@@ -28,7 +29,6 @@ from privmapf.safezone import (
     initial_safe_zones,
     pop_choice,
     ppfpp,
-    read_zones,
     sipp_replan,
     vertex_intervals,
     write_zones,
@@ -414,9 +414,9 @@ def test_precondition_radius_and_padding(open16):
     with pytest.raises(PreconditionError, match="radius"):
         ppfpp(open16, result.plan, result.problem.group_of,
               result.real_paths, 0, seed=0)
-    ragged = JointPlan(((1, 2, 3), (4, 5)))
-    with pytest.raises(PreconditionError, match="padded"):
-        ppfpp(open16, ragged, [0, 1], [(1, 2, 3), (4, 5)], 1, seed=0)
+    # a ragged plan cannot be built, so ppfpp never sees one
+    with pytest.raises(ValueError, match="ragged plan"):
+        JointPlan(((1, 2, 3), (4, 5)))
 
 
 def test_precondition_real_path_must_be_a_group_row(open16):
@@ -442,6 +442,9 @@ def test_zone_file_round_trip(open16, tmp_path):
                     result.real_paths, 1, seed=2)
     out = tmp_path / "zones.json"
     write_zones(refined.zones, 1, open16, out)
-    zones, radius = read_zones(open16, out)
-    assert radius == 1
+    obj = json.loads(out.read_text())
+    assert obj["radius"] == 1
+    assert obj["horizon"] == len(refined.zones[0]) - 1
+    zones = [[{open16.vertex_at(x, y) for x, y in zone} for zone in per_t]
+             for per_t in obj["zones"]]
     assert zones == refined.zones
