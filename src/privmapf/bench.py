@@ -2,10 +2,10 @@
 
 A suite is a YAML config describing the cross product of maps, agent
 counts, group sizes, fov radii and seeds. Rows come out in exactly the
-config order (maps outermost, seeds innermost), so two runs of the same
-config produce byte-identical CSVs -- provided the solver budget is given
-in expansions, in which case wall-clock columns are forced to 0.0 rather
-than recording noise.
+config order (maps outermost, seeds innermost). The solver budget is a
+count of expansions and no clock is read, so two runs of the same config
+produce byte-identical CSVs; the ``solve_time`` and ``ppfpp_time`` columns
+of schema v1 are always 0.0. A solved cell with radius >= 1 is refined.
 
 ``run_suite(cfg, threads=n)`` (``privmapf bench --threads n``) fans
 instances out over a process pool; the row order is unaffected.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -65,8 +64,6 @@ class BenchConfig:
     seeds: tuple[int, ...] = tuple(range(5))
     solver: str = "lacam"
     budget_expansions: int = 1500
-    budget_seconds: float | None = None
-    run_ppfpp: bool = True
     min_separation: int | None = None
 
     def __post_init__(self) -> None:
@@ -83,7 +80,7 @@ class BenchConfig:
     def spec(self, k: int, radius: int) -> PipelineSpec:
         """The pipeline spec of the cells with group size k and this radius."""
         try:
-            return PipelineSpec(k, radius, self.solver, self.budget_expansions, self.budget_seconds)
+            return PipelineSpec(k, radius, self.solver, self.budget_expansions)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -92,11 +89,7 @@ _CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
 # what each key holds, matched by exact type: bool is an int subclass
 _LIST_KEYS = {"maps": (str, "strings"), "agents": (int, "ints"), "k": (int, "ints"),
               "radius": (int, "ints"), "seeds": (int, "ints")}
-_SCALAR_KEYS = {
-    "min_separation": ((int, type(None)), "an int or null"),
-    "budget_seconds": ((int, float, type(None)), "a number or null"),
-    "run_ppfpp": ((bool,), "true or false"),
-}
+_SCALAR_KEYS = {"min_separation": ((int, type(None)), "an int or null")}
 
 
 def load_config(path: str | Path) -> BenchConfig:
@@ -119,6 +112,8 @@ def load_config(path: str | Path) -> BenchConfig:
         if key in obj:
             if not isinstance(obj[key], list):
                 raise ConfigError(f"config key {key} must be a list")
+            if not obj[key]:  # a suite of zero runs
+                raise ConfigError(f"config key {key} must not be empty")
             if not all(type(x) is kind for x in obj[key]):
                 raise ConfigError(f"config key {key} must list {what}")
             obj[key] = tuple(obj[key])
@@ -135,7 +130,6 @@ class TaskSpec:
     n_agents: int
     seed: int
     spec: PipelineSpec
-    run_ppfpp: bool
     min_separation: int | None
 
 
@@ -153,8 +147,9 @@ class RunRecord:
     rsoc_before: int
     rsoc_after: int
     improvement_pct: float
-    solve_time: float
-    ppfpp_time: float
+    # schema v1 keeps these columns; with no clock read they are always 0.0
+    solve_time: float = 0.0
+    ppfpp_time: float = 0.0
 
     def to_row(self) -> list[str]:
         return [encode(getattr(self, name)) for name, encode, _ in _COLUMNS]
@@ -185,8 +180,7 @@ def iter_tasks(cfg: BenchConfig) -> list[TaskSpec]:
                     spec = cfg.spec(k, r)
                     for seed in cfg.seeds:
                         tasks.append(TaskSpec(
-                            map_name, map_path, n, seed, spec,
-                            cfg.run_ppfpp, cfg.min_separation,
+                            map_name, map_path, n, seed, spec, cfg.min_separation
                         ))
     return tasks
 
@@ -204,27 +198,23 @@ def run_one(task: TaskSpec) -> RunRecord:
     world = _world(task.map_path)
     spec = task.spec
     sep = default_separation(world) if task.min_separation is None else task.min_separation
-    t0 = out = None
+    out = None
     try:
         pairs = random_spaced_pairs(world, task.n_agents, seed=task.seed, min_separation=sep)
-        t0 = time.perf_counter()
         out = run_pipeline(world, pairs, spec, task.seed)
     except (PlacementError, DispatchExhaustedError, InfeasibleInputError):
         # one bad cell is an unsolved row, not the end of the sweep
         pass
-    solve_time = 0.0 if t0 is None else time.perf_counter() - t0
     solved = out is not None and out.solved
 
     soc = makespan = rsoc_before = rsoc_after = -1
     improvement = 0.0
-    ppfpp_time = 0.0
     if solved:
         from .audit import metrics
 
         m = metrics(out.plan.paths, out.problem.goals)
         soc, makespan = m.soc, m.makespan
-        if task.run_ppfpp and spec.radius >= 1:
-            t1 = time.perf_counter()
+        if spec.radius >= 1:
             try:
                 refined = ppfpp(
                     world, out.plan, out.problem.group_of, out.real_paths,
@@ -235,14 +225,10 @@ def run_one(task: TaskSpec) -> RunRecord:
                 improvement = refined.improvement_pct
             except (PreconditionError, ReplanInfeasibleError):
                 pass  # recorded as if no refinement ran
-            ppfpp_time = time.perf_counter() - t1
 
-    if spec.wall_clock_s is None:
-        solve_time = ppfpp_time = 0.0
     return RunRecord(
         task.map_name, task.n_agents, spec.k, spec.radius, spec.solver, task.seed,
         solved, soc, makespan, rsoc_before, rsoc_after, improvement,
-        solve_time, ppfpp_time,
     )
 
 

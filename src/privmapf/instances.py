@@ -16,7 +16,6 @@ def random_spaced_pairs(
     n: int,
     seed: int | str,
     min_separation: int = 1,
-    rng: random.Random | None = None,
 ) -> list[tuple[int, int]]:
     """Draw n (start, goal) vertex pairs with spaced endpoints.
 
@@ -26,8 +25,7 @@ def random_spaced_pairs(
     pair share a connected component. Rejection sampling; deterministic for
     a given seed.
     """
-    if rng is None:
-        rng = random.Random(f"instance:{seed}")
+    rng = random.Random(f"instance:{seed}")
     starts: list[int] = []
     goals: list[int] = []
     attempts = 0

@@ -24,7 +24,6 @@ cost improves.
 from __future__ import annotations
 
 import random
-import time
 from collections import deque
 
 from .audit import metrics
@@ -57,14 +56,10 @@ def _extract(node: _Node) -> JointPlan:
 
 
 def lacam_solve(
-    problem: SolverProblem,
-    seed: int | str,
-    budget_expansions: int = 10_000,
-    wall_clock_s: float | None = None,
+    problem: SolverProblem, seed: int | str, budget_expansions: int = 10_000
 ) -> SolveResult:
-    """Anytime joint-configuration search; deterministic for a given seed
-    when budgeted in expansions only. A wall-clock budget comes from
-    ``PipelineSpec.wall_clock_s`` (the bench YAML key ``budget_seconds``).
+    """Anytime joint-configuration search, budgeted in expansions (calls of
+    the step builder), so a seed fixes the result on any machine.
     Steps clear the problem's fov radius; at radius 0 the rule is classical.
 
     Failures: ``timeout`` (budget spent), ``exhausted`` (no plan exists) and
@@ -90,7 +85,6 @@ def lacam_solve(
     best_soc: int | None = None
     scored_g: int | None = None  # goal_node.g when its plan was last scored
     expansions = 0
-    deadline = time.monotonic() + wall_clock_s if wall_clock_s is not None else None
 
     def consider_incumbent():
         nonlocal best_plan, best_soc, scored_g
@@ -106,8 +100,6 @@ def lacam_solve(
             best_plan, best_soc = plan, soc
 
     while open_stack:
-        if deadline is not None and time.monotonic() > deadline:
-            break
         node = open_stack[-1]
         if (node.config == goal_cfg or not node.tree
                 or (goal_node is not None and goal_node.g <= node.g + node.h)):

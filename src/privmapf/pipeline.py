@@ -138,13 +138,16 @@ def _read_plan(rows, groups: tuple[dsp.AgentGroup, ...], k: int) -> JointPlan:
 
 @dataclass
 class PipelineResult:
-    solved: bool
     trace: MessageTrace
     groups: list[dsp.AgentGroup]  # private views, real_index present
     problem: SolverProblem
     solve: SolveResult
-    plan: JointPlan | None
+    plan: JointPlan | None  # solve.plan, kept a field: dataclasses.replace can swap in another
     real_paths: list[tuple[int, ...]] | None
+
+    @property
+    def solved(self) -> bool:
+        return self.solve.solved
 
     @property
     def reason(self) -> str | None:
@@ -184,15 +187,10 @@ class PipelineSpec:
     radius: int = 0
     solver: str = "pibt"
     budget_expansions: int = 10_000  # lacam only
-    wall_clock_s: float | None = None  # lacam only; None keeps runs deterministic
 
     def __post_init__(self) -> None:
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.wall_clock_s is not None and self.solver != "lacam":
-            raise ValueError("wall-clock budgets need the lacam solver")
-        if self.wall_clock_s is not None and self.wall_clock_s <= 0:
-            raise ValueError("the wall-clock budget must be > 0 seconds")
         if self.k < 1:
             raise dsp.InfeasibleInputError("k must be >= 1")
         if self.radius < 0:
@@ -214,10 +212,7 @@ def run_pipeline(
     if spec.solver == "pibt":
         result = pibt_solve(problem, seed)
     else:
-        result = lacam_solve(
-            problem, seed,
-            budget_expansions=spec.budget_expansions, wall_clock_s=spec.wall_clock_s,
-        )
+        result = lacam_solve(problem, seed, budget_expansions=spec.budget_expansions)
 
     # groups are published before the solver runs: a failed solve still
     # leaks exactly the same messages, so the trace must carry them.
@@ -225,9 +220,7 @@ def run_pipeline(
     real_paths = None
     if result.solved:
         real_paths = [extract_real_path(result.plan, spec.k, g) for g in groups]
-    return PipelineResult(
-        result.solved, trace, groups, problem, result, result.plan, real_paths
-    )
+    return PipelineResult(trace, groups, problem, result, result.plan, real_paths)
 
 
 def kpp_solve(
@@ -237,10 +230,9 @@ def kpp_solve(
     seed: int | str,
     solver: str = "pibt",
     budget_expansions: int = 10_000,
-    wall_clock_s: float | None = None,
 ) -> PipelineResult:
     """k-anonymity pipeline: ``run_pipeline`` at radius 0."""
-    spec = PipelineSpec(k, 0, solver, budget_expansions, wall_clock_s)
+    spec = PipelineSpec(k, 0, solver, budget_expansions)
     return run_pipeline(world, real_pairs, spec, seed)
 
 
@@ -252,10 +244,9 @@ def fpp_solve(
     seed: int | str,
     solver: str = "pibt",
     budget_expansions: int = 10_000,
-    wall_clock_s: float | None = None,
 ) -> PipelineResult:
     """Fov-aware pipeline: ``run_pipeline`` at ``fov_radius``."""
-    spec = PipelineSpec(k, fov_radius, solver, budget_expansions, wall_clock_s)
+    spec = PipelineSpec(k, fov_radius, solver, budget_expansions)
     return run_pipeline(world, real_pairs, spec, seed)
 
 

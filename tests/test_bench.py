@@ -65,19 +65,20 @@ def test_load_config(tmp_path):
     assert cfg.solver == "lacam"
     assert cfg.budget_expansions == 500
     assert cfg.min_separation == 4
-    assert cfg.budget_seconds is None
 
 
 @pytest.mark.parametrize("snippet,message", [
     ("maps: [open16]\nagents: [2]\nfoo: 1", "unknown config keys"),
     ("maps: [open16]\nagents: [2]\npipeline: cbs", "pipeline"),
     ("maps: [open16]\nagents: [2]\nsolver: greedy", "solver"),
-    ("maps: [open16]\nagents: [2]\nsolver: pibt\nbudget_seconds: 1.0", "wall-clock"),
     ("maps: [open16]\nagents: [2]\nk: [0]", "group sizes"),
     ("agents: [2]", "missing config key"),
     # one spelling per key: the radius alone picks kPP (0) or fPP
     ("maps: [open16]\nagents: [2]\nks: [3]\nk: [2]", "unknown config keys: .'ks'"),
     ("maps: [open16]\nagents: [2]\npipeline: fpp", "unknown config keys: .'pipeline'"),
+    # the expansion count is the only budget, and every solved cell at r >= 1 is refined
+    ("maps: [open16]\nagents: [2]\nbudget_seconds: 1.0", "unknown config keys: .'budget_seconds'"),
+    ("maps: [open16]\nagents: [2]\nrun_ppfpp: true", "unknown config keys: .'run_ppfpp'"),
     ("maps: [open16]\nagents: [2]\nbudget_expansions: null", "expansion budget must be"),
     ("maps: [open16]\nagents: [0, 2]", "agent counts must be >= 1"),
     ("maps: open16\nagents: [2]", "config key maps must be a list"),
@@ -91,14 +92,14 @@ def test_load_config(tmp_path):
     ("maps: [16]\nagents: [2]", "config key maps must list strings"),
     ("maps: [open16]\nagents: [2]\nmin_separation: x", "min_separation must be an int or null"),
     ("maps: [open16]\nagents: [2]\nmin_separation: true", "min_separation must be an int or null"),
-    ("maps: [open16]\nagents: [2]\nbudget_seconds: soon", "budget_seconds must be a number or null"),
-    ("maps: [open16]\nagents: [2]\nbudget_seconds: true", "budget_seconds must be a number or null"),
-    ("maps: [open16]\nagents: [2]\nrun_ppfpp: maybe", "run_ppfpp must be true or false"),
     # right type, no sense: each would run with exit 0 and say nothing
     ("maps: [open16]\nagents: [2]\nseeds: -2", "seeds must be a list or an int >= 1"),
     ("maps: [open16]\nagents: [2]\nseeds: 0", "seeds must be a list or an int >= 1"),
-    ("maps: [open16]\nagents: [2]\nbudget_seconds: -1", "wall-clock budget must be > 0"),
-    ("maps: [open16]\nagents: [2]\nbudget_seconds: 0.0", "wall-clock budget must be > 0"),
+    ("maps: []\nagents: [2]", "config key maps must not be empty"),
+    ("maps: [open16]\nagents: []", "config key agents must not be empty"),
+    ("maps: [open16]\nagents: [2]\nk: []", "config key k must not be empty"),
+    ("maps: [open16]\nagents: [2]\nradius: []", "config key radius must not be empty"),
+    ("maps: [open16]\nagents: [2]\nseeds: []", "config key seeds must not be empty"),
     ("maps: [open16]\nagents: [2]\nmin_separation: -3", "min_separation must be >= 1"),
     ("maps: [open16]\nagents: [2]\nmin_separation: 0", "min_separation must be >= 1"),
 ])
@@ -172,7 +173,7 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
     cfg = BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0, 1),
-                      budget_expansions=50, run_ppfpp=False)
+                      budget_expansions=50)
     assert len(run_suite(cfg, threads=64)) == 2
     assert pools == [2]
     assert len(run_suite(BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0,)),
@@ -183,25 +184,16 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
 
 def test_expansion_budgeted_rows_zero_the_clock():
     cfg = BenchConfig(
-        name="t", maps=("open16",), agents=(2,), k=(1,), radius=(0,),
+        name="t", maps=("open16",), agents=(2,), k=(1,), radius=(0, 1),
         seeds=(0,), min_separation=3,
     )
-    rec = run_suite(cfg)[0]
-    assert rec.solved
-    assert rec.solve_time == 0.0 and rec.ppfpp_time == 0.0
-    # radius 0 means nothing to refine
-    assert rec.rsoc_before == -1 and rec.rsoc_after == -1
-
-
-def test_wall_clock_budget_records_real_times():
-    cfg = BenchConfig(
-        name="t", maps=("open16",), agents=(2,), k=(1,), radius=(0,),
-        seeds=(0,), budget_seconds=2.0, min_separation=3,
-    )
-    assert cfg.spec(1, 0).wall_clock_s == 2.0
-    rec = run_suite(cfg)[0]
-    assert rec.solved
-    assert rec.solve_time > 0.0
+    plain, refined = run_suite(cfg)
+    for rec in (plain, refined):
+        assert rec.solved
+        assert rec.solve_time == 0.0 and rec.ppfpp_time == 0.0
+    # a solved cell is refined exactly when its radius is >= 1
+    assert plain.rsoc_before == -1 and plain.rsoc_after == -1
+    assert refined.rsoc_before >= 0 and refined.rsoc_after >= 0
 
 
 def test_unsolved_rows_keep_sentinels(tmp_path):
@@ -209,7 +201,7 @@ def test_unsolved_rows_keep_sentinels(tmp_path):
     custom.write_text(POCKET)
     cfg = BenchConfig(
         name="t", maps=(str(custom),), agents=(2,), k=(1,), radius=(0,),
-        seeds=(0, 1), solver="pibt", min_separation=1, run_ppfpp=False,
+        seeds=(0, 1), solver="pibt", min_separation=1,
     )
     unsolved, solved = run_suite(cfg)
     assert not unsolved.solved

@@ -162,7 +162,7 @@ def test_unknown_solver_rejected(open16):
 
 
 @pytest.mark.parametrize("fields,message", [
-    (dict(k=2, solver="pibt", wall_clock_s=1.0), "wall-clock budgets need the lacam solver"),
+    (dict(k=2, solver="astar"), "unknown solver 'astar'"),
     (dict(k=0), "k must be >= 1"),
     (dict(k=2, radius=-1), "fov radius must be >= 0"),
     (dict(k=2, budget_expansions=-1), "the expansion budget must be an int >= 0"),
