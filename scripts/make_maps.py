@@ -101,15 +101,14 @@ def main() -> None:
         world = parse_map_text(text)
         print(f"{name}: |V|={world.num_vertices}")
 
-    # Starts/goals mutually spaced (Chebyshev) so the same scenario stays
-    # dispatchable for fov radii up to 2. The small map takes fewer, closer
-    # entries; it simply cannot hold 20 pairs five cells apart.
+    # Starts/goals mutually spaced (Chebyshev) by the map's default
+    # separation, so the same scenario stays dispatchable for fov radii up to
+    # 2. The small map takes fewer, closer entries; it simply cannot hold 20
+    # pairs five cells apart.
     for map_name in jobs:
         world = parse_map_text(jobs[map_name])
-        n, sep = (12, 3) if world.width <= 16 else (20, 5)
-        pairs = random_spaced_pairs(
-            world, n=n, seed=f"scen:{map_name}", min_separation=sep
-        )
+        n = 12 if world.width <= 16 else 20
+        pairs = random_spaced_pairs(world, n=n, seed=f"scen:{map_name}")
         scen_name = map_name.replace(".map", ".scen")
         (scens_dir / scen_name).write_text(scenario_text(world, map_name, pairs))
         print(f"{scen_name}: {len(pairs)} entries")

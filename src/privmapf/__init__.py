@@ -49,8 +49,6 @@ from .pipeline import (
     PipelineSpec,
     check_k_privacy,
     compute_beliefs,
-    fpp_solve,
-    kpp_solve,
     run_pipeline,
 )
 from .plans import JointPlan, pad_paths
@@ -94,9 +92,7 @@ __all__ = [
     "compute_beliefs",
     "dispatch_groups",
     "extend_safe_zones",
-    "fpp_solve",
     "initial_safe_zones",
-    "kpp_solve",
     "lacam_solve",
     "load_map",
     "load_scenario",

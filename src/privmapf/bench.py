@@ -6,6 +6,8 @@ config order (maps outermost, seeds innermost). The solver budget is a
 count of expansions and no clock is read, so two runs of the same config
 produce byte-identical CSVs; the ``solve_time`` and ``ppfpp_time`` columns
 of schema v1 are always 0.0. A solved cell with radius >= 1 is refined.
+Keys a config omits take the defaults of ``PipelineSpec`` (solver, budget)
+and of ``random_spaced_pairs`` (separation), as ``privmapf solve`` does.
 
 ``run_suite(cfg, threads=n)`` (``privmapf bench --threads n``) fans
 instances out over a process pool; the row order is unaffected.
@@ -24,7 +26,8 @@ import yaml
 
 from .dispatch import DispatchExhaustedError, InfeasibleInputError
 from .grid import GridWorld, load_map
-from .instances import PlacementError, random_spaced_pairs
+# default_separation is re-exported: the benchmark reads bench.default_separation
+from .instances import PlacementError, default_separation, random_spaced_pairs
 from .pipeline import PipelineSpec, run_pipeline
 from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp
 
@@ -48,10 +51,6 @@ def resolve_map(name: str) -> Path:
     raise ConfigError(f"unknown map {name!r} (no file and no bundled asset)")
 
 
-def default_separation(world: GridWorld) -> int:
-    return 3 if world.width <= 16 else 5
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     """A suite: its YAML keys are these fields; k and radius list the swept values."""
@@ -62,8 +61,8 @@ class BenchConfig:
     k: tuple[int, ...] = (1,)
     radius: tuple[int, ...] = (0,)
     seeds: tuple[int, ...] = tuple(range(5))
-    solver: str = "lacam"
-    budget_expansions: int = 1500
+    solver: str = PipelineSpec.solver
+    budget_expansions: int = PipelineSpec.budget_expansions
     min_separation: int | None = None
 
     def __post_init__(self) -> None:
@@ -197,10 +196,9 @@ def _world(map_path: str) -> GridWorld:
 def run_one(task: TaskSpec) -> RunRecord:
     world = _world(task.map_path)
     spec = task.spec
-    sep = default_separation(world) if task.min_separation is None else task.min_separation
     out = None
     try:
-        pairs = random_spaced_pairs(world, task.n_agents, seed=task.seed, min_separation=sep)
+        pairs = random_spaced_pairs(world, task.n_agents, task.seed, task.min_separation)
         out = run_pipeline(world, pairs, spec, task.seed)
     except (PlacementError, DispatchExhaustedError, InfeasibleInputError):
         # one bad cell is an unsolved row, not the end of the sweep

@@ -7,6 +7,10 @@ private sidecars); ``audit`` checks a trace's plan for conflicts and belief
 privacy and ``ppfpp`` refines it inside safe zones, both at the k and
 radius the trace records; ``bench`` sweeps a YAML-configured suite into a
 CSV.
+
+No default is restated here: ``--solver`` and ``--budget-expansions`` read
+``PipelineSpec``'s, and an omitted ``--separation`` is the map default of
+``random_spaced_pairs``, so ``solve`` places the pairs ``bench`` does.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def _read_planned_trace(world, path) -> MessageTrace:
 def _cmd_solve(args) -> int:
     if args.agents < 1:
         raise ConfigError("the agent count must be >= 1")
-    if args.separation < 1:
+    if args.separation is not None and args.separation < 1:
         raise ConfigError("the separation must be >= 1")
     try:
         spec = PipelineSpec(args.k, args.radius, args.solver, args.budget_expansions)
@@ -154,11 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--map", required=True, help="map file or bundled map name")
     p.add_argument("--scen", help="take the first N pairs from a scenario file")
     p.add_argument("--agents", type=int, default=4)
-    p.add_argument("--separation", type=int, default=3)
+    p.add_argument("--separation", type=int, help="start/goal spacing (default: by map width)")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--radius", type=int, default=0, help="fov radius; 0 is kPP")
-    p.add_argument("--solver", choices=SOLVERS, default="lacam")
-    p.add_argument("--budget-expansions", type=int, default=10_000)
+    p.add_argument("--solver", choices=SOLVERS, default=PipelineSpec.solver)
+    p.add_argument("--budget-expansions", type=int, default=PipelineSpec.budget_expansions)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="message trace JSON, the broadcast record (written also on failure)")
     p.add_argument("--private-dir", help="directory for per-agent sidecars")

@@ -338,7 +338,7 @@ def read_private_sidecars(dir_path: str | Path) -> dict[int, int]:
         except ValueError as exc:
             raise SidecarError(f"{f}: not a JSON sidecar ({exc})") from None
         if not (isinstance(obj, dict)
-                and all(isinstance(obj.get(key), int) for key in ("group_id", "real_index"))):
+                and all(type(obj.get(key)) is int for key in ("group_id", "real_index"))):
             raise SidecarError(f'{f}: expected {{"group_id": <int>, "real_index": <int>}}')
         out[obj["group_id"]] = obj["real_index"]
     return out

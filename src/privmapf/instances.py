@@ -1,4 +1,5 @@
-"""Seeded random instance generation helpers."""
+"""Seeded random instances: (start, goal) pairs spaced by the map's default
+separation, stated here once for the CLI, the bench and the asset script."""
 
 from __future__ import annotations
 
@@ -11,20 +12,27 @@ class PlacementError(RuntimeError):
     """Rejection sampling gave up before placing every pair."""
 
 
+def default_separation(world: GridWorld) -> int:
+    """The spacing of a map's instances unless one is given."""
+    return 3 if world.width <= 16 else 5
+
+
 def random_spaced_pairs(
     world: GridWorld,
     n: int,
     seed: int | str,
-    min_separation: int = 1,
+    min_separation: int | None = None,
 ) -> list[tuple[int, int]]:
     """Draw n (start, goal) vertex pairs with spaced endpoints.
 
-    All starts are pairwise at Chebyshev distance >= min_separation, and so
-    are all goals, which keeps the instance dispatchable under fov-aware
-    collision rules with radius < min_separation. Start and goal of each
-    pair share a connected component. Rejection sampling; deterministic for
-    a given seed.
+    All starts are pairwise at Chebyshev distance >= min_separation (by
+    default ``default_separation(world)``), and so are all goals, which
+    keeps the instance dispatchable under fov-aware collision rules with
+    radius < min_separation. Start and goal of each pair share a connected
+    component. Rejection sampling; deterministic for a given seed.
     """
+    if min_separation is None:
+        min_separation = default_separation(world)
     rng = random.Random(f"instance:{seed}")
     starts: list[int] = []
     goals: list[int] = []

@@ -55,9 +55,7 @@ def _extract(node: _Node) -> JointPlan:
     return JointPlan.from_configs(configs)
 
 
-def lacam_solve(
-    problem: SolverProblem, seed: int | str, budget_expansions: int = 10_000
-) -> SolveResult:
+def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int) -> SolveResult:
     """Anytime joint-configuration search, budgeted in expansions (calls of
     the step builder), so a seed fixes the result on any machine.
     Steps clear the problem's fov radius; at radius 0 the rule is classical.

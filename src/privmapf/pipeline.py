@@ -1,5 +1,8 @@
 """End-to-end privacy pipeline: dispatch, publish once, solve, extract.
 
+``run_pipeline(world, pairs, PipelineSpec(k, radius, ...), seed)`` is the one
+entry point; the spec says how the run plans.
+
 Flow: the dispatcher builds one k-pair group per agent and the groups are
 broadcast exactly once; a designated planning agent (always group 0 here)
 solves the joint k*N instance over all published pairs and broadcasts the
@@ -180,12 +183,14 @@ class PipelineSpec:
     The radius picks the rule at both ends: dispatch keeps groups outside
     each other's fov squares and the step builder clears them. Radius 0 is
     start/goal equality and the classical step rule, i.e. the k-anonymity
-    pipeline (kPP); radius r >= 1 is the fov-aware pipeline (fPP).
+    pipeline (kPP); radius r >= 1 is the fov-aware pipeline (fPP). The
+    field defaults are the solver and budget defaults of the whole package:
+    the CLI and the bench config read them from here.
     """
 
     k: int
     radius: int = 0
-    solver: str = "pibt"
+    solver: str = "lacam"
     budget_expansions: int = 10_000  # lacam only
 
     def __post_init__(self) -> None:
@@ -223,31 +228,15 @@ def run_pipeline(
     return PipelineResult(trace, groups, problem, result, result.plan, real_paths)
 
 
-def kpp_solve(
-    world: GridWorld,
-    real_pairs: list[tuple[int, int]],
-    k: int,
-    seed: int | str,
-    solver: str = "pibt",
-    budget_expansions: int = 10_000,
-) -> PipelineResult:
-    """k-anonymity pipeline: ``run_pipeline`` at radius 0."""
-    spec = PipelineSpec(k, 0, solver, budget_expansions)
-    return run_pipeline(world, real_pairs, spec, seed)
+def kpp_solve(world, real_pairs, k, seed, **settings) -> PipelineResult:
+    """``run_pipeline`` at radius 0, kept only for ``perfbench/workloads.py``,
+    which passes ``solver`` and ``budget_expansions`` as ``settings``."""
+    return run_pipeline(world, real_pairs, PipelineSpec(k, 0, **settings), seed)
 
 
-def fpp_solve(
-    world: GridWorld,
-    real_pairs: list[tuple[int, int]],
-    k: int,
-    fov_radius: int,
-    seed: int | str,
-    solver: str = "pibt",
-    budget_expansions: int = 10_000,
-) -> PipelineResult:
-    """Fov-aware pipeline: ``run_pipeline`` at ``fov_radius``."""
-    spec = PipelineSpec(k, fov_radius, solver, budget_expansions)
-    return run_pipeline(world, real_pairs, spec, seed)
+def fpp_solve(world, real_pairs, k, fov_radius, seed, **settings) -> PipelineResult:
+    """``run_pipeline`` at ``fov_radius``, kept only as ``kpp_solve`` is."""
+    return run_pipeline(world, real_pairs, PipelineSpec(k, fov_radius, **settings), seed)
 
 
 def compute_beliefs(plan: JointPlan, group_of: list[int]) -> list[list[frozenset[int]]]:

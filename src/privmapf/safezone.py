@@ -33,7 +33,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .audit import audit, check_separated, path_cost
 from .grid import GridWorld
@@ -47,8 +47,6 @@ class PreconditionError(Exception):
 class ReplanInfeasibleError(Exception):
     """No in-zone path reaches the goal's final safe interval."""
 
-
-PickValidator = Callable[[GridWorld, int, "ZoneTable", int, int, int], None]
 
 # zones[group][t] is the set of vertices group `group` owns at time t
 ZoneTable = list[list[set[int]]]
@@ -103,7 +101,6 @@ def extend_safe_zones(
     zones: ZoneTable,
     radius: int,
     seed: int | str,
-    validator: PickValidator | None = None,
 ) -> list[ExtensionPick]:
     """Grow zones in place, one fair pick per group per round; returns the log.
 
@@ -163,8 +160,6 @@ def extend_safe_zones(
                 if not frontier:  # emptied earlier in this round
                     continue
                 choice = pop_choice(frontier, getrandbits)
-                if validator is not None:
-                    validator(world, radius, zones, t, i, choice)
                 zone.add(choice)
                 for u in adj[choice]:
                     if not held[u] & bit and blockers[u] | bit == bit:
@@ -302,7 +297,6 @@ def ppfpp(
     real_paths: list[tuple[int, ...]],
     fov_radius: int,
     seed: int | str,
-    validator: PickValidator | None = None,
 ) -> RefineResult:
     """Post-process a fov-conflict-free plan: build zones, replan inside them."""
     if fov_radius < 1:
@@ -322,7 +316,7 @@ def ppfpp(
     zones = initial_safe_zones(world, plan, group_of, fov_radius)
     if check_separated(world, zones, fov_radius):
         raise PreconditionError("initial zones are not fov-separated")
-    picks = extend_safe_zones(world, zones, fov_radius, seed, validator=validator)
+    picks = extend_safe_zones(world, zones, fov_radius, seed)
 
     goals = [rp[-1] for rp in real_paths]
     refined: list[tuple[int, ...]] = []

@@ -55,6 +55,33 @@ def pocket():
     return parse_map_text(POCKET)
 
 
+def replay_picks(world, initial, radius, picks):
+    """Replay an extension log on a copy of the initial zones.
+
+    Each pick is checked against the zones as they stood just before it:
+    (1) the vertex is new to the claimant's zone and touches it, (2) it is
+    in no other zone at t, (3) nor in another zone at t - 1, and (4) its fov
+    square meets no other zone at t. Then it is applied. Returns the
+    replayed zones and the picks that broke a rule. The log must run in
+    ascending timestep order, as the extension makes it, so every rule-3
+    check reads a finished previous timestep.
+    """
+    assert [p.t for p in picks] == sorted(p.t for p in picks)
+    zones = [[set(zone) for zone in per_t] for per_t in initial]
+    breaks = []
+    for pick in picks:
+        t, i, v = pick.t, pick.group, pick.vertex
+        ok = v not in zones[i][t] and any(u in zones[i][t] for u in world.neighbors(v))
+        for j, other in enumerate(zones):
+            if j != i and (v in other[t] or (t > 0 and v in other[t - 1])
+                           or world.fov(v, radius) & other[t]):
+                ok = False
+        if not ok:
+            breaks.append(pick)
+        zones[i][t].add(v)
+    return zones, breaks
+
+
 def singleton_problem(world, pairs, fov_radius=0):
     """A k=1 problem: every agent is its own group."""
     groups = [AgentGroup(i, (p,), 0) for i, p in enumerate(pairs)]

@@ -27,9 +27,11 @@ from privmapf.grid import load_map, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import lacam_solve
 from privmapf.pibt import SolverProblem, pibt_solve
-from privmapf.pipeline import check_k_privacy, compute_beliefs, fpp_solve, kpp_solve
+from privmapf.pipeline import PipelineSpec, check_k_privacy, compute_beliefs, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import ReplanInfeasibleError, initial_safe_zones, ppfpp, sipp_replan
+
+from conftest import replay_picks
 
 BUDGET = 1500
 
@@ -55,7 +57,8 @@ def refinement_suite(worlds):
     """120 fov-aware runs (2 maps x k in {2,3} x 30 seeds) with zone checks.
 
     Every solved run gets the full refinement treatment; the four extension
-    rules are re-validated from first principles on every single pick.
+    rules are re-validated from first principles on every single pick, by
+    replaying the pick log, which must end at the refined zones.
     """
     runs = []
     for map_name, (world, sep) in worlds.items():
@@ -63,9 +66,9 @@ def refinement_suite(worlds):
         for k in (2, 3):
             for seed in range(30):
                 pairs = random_spaced_pairs(world, n, seed, min_separation=sep)
+                spec = PipelineSpec(k, 1, budget_expansions=BUDGET)
                 try:
-                    out = fpp_solve(world, pairs, k, 1, seed, solver="lacam",
-                                    budget_expansions=BUDGET)
+                    out = run_pipeline(world, pairs, spec, seed)
                 except DispatchExhaustedError:
                     out = None
                 run = {"map": map_name, "k": k, "seed": seed,
@@ -73,27 +76,9 @@ def refinement_suite(worlds):
                 if run["solved"]:
                     group_of = out.problem.group_of
                     initial = initial_safe_zones(world, out.plan, group_of, 1)
-                    rule_breaks = []
-
-                    def validator(w, radius, zones, t, i, choice):
-                        zone = zones[i][t]
-                        ok = choice not in zone and any(
-                            u in zone for u in w.neighbors(choice)
-                        )
-                        for j in range(len(zones)):
-                            if j == i:
-                                continue
-                            if choice in zones[j][t]:
-                                ok = False
-                            if t > 0 and choice in zones[j][t - 1]:
-                                ok = False
-                            if w.fov(choice, radius) & zones[j][t]:
-                                ok = False
-                        if not ok:
-                            rule_breaks.append((t, i, choice))
-
-                    refined = ppfpp(world, out.plan, group_of, out.real_paths,
-                                    1, seed, validator=validator)
+                    refined = ppfpp(world, out.plan, group_of, out.real_paths, 1, seed)
+                    replayed, rule_breaks = replay_picks(world, initial, 1, refined.picks)
+                    run["log_complete"] = replayed == refined.zones
                     run["initial_separated"] = check_separated(world, initial, 1) == []
                     run["extended_separated"] = check_separated(world, refined.zones, 1) == []
                     run["initial_inside_extended"] = all(
@@ -119,30 +104,21 @@ def test_1_privacy_of_published_plans(worlds):
                 for r in (0, 1):
                     for seed in range(5):
                         pairs = random_spaced_pairs(world, n, seed, min_separation=sep)
-                        outs = []
+                        spec = PipelineSpec(k, r, budget_expansions=BUDGET)
                         try:
-                            outs.append((r, fpp_solve(
-                                world, pairs, k, r, seed, solver="lacam",
-                                budget_expansions=BUDGET)))
+                            out = run_pipeline(world, pairs, spec, seed)
                         except DispatchExhaustedError:
-                            pass
-                        if r == 0:
-                            outs.append((0, kpp_solve(
-                                world, pairs, k, seed, solver="lacam",
-                                budget_expansions=BUDGET)))
-                        for radius, out in outs:
-                            if not out.solved:
-                                continue
-                            checked += 1
-                            beliefs = compute_beliefs(out.plan, out.problem.group_of)
-                            if not check_k_privacy(beliefs, k)["ok"]:
-                                belief_violations += 1
-                        radius, out = outs[0]
-                        if out.solved:
-                            report = audit(world, out.plan, out.problem.group_of,
-                                           fov_radius=radius, check_fov=True)
-                            if report.fov_conflicts:
-                                fov_violations += 1
+                            continue
+                        if not out.solved:
+                            continue
+                        checked += 1
+                        beliefs = compute_beliefs(out.plan, out.problem.group_of)
+                        if not check_k_privacy(beliefs, k)["ok"]:
+                            belief_violations += 1
+                        report = audit(world, out.plan, out.problem.group_of,
+                                       fov_radius=r, check_fov=True)
+                        if report.fov_conflicts:
+                            fov_violations += 1
     verdict(1, "privacy of published plans",
             checked >= 100 and belief_violations == 0 and fov_violations == 0,
             f"{checked} solved runs, {belief_violations} belief violations, "
@@ -161,7 +137,8 @@ def test_2_safe_zone_invariants(refinement_suite):
     picks = sum(r["picks"] for r in solved)
     verdict(2, "safe-zone invariants",
             len(solved) >= 60 and bad_initial == 0 and bad_extended == 0
-            and bad_containment == 0 and rule_breaks == 0,
+            and bad_containment == 0 and rule_breaks == 0
+            and all(r["log_complete"] for r in solved),
             f"{len(solved)} runs, {picks} picks validated, "
             f"{bad_initial}/{bad_extended}/{bad_containment}/{rule_breaks} failures")
 
@@ -200,8 +177,7 @@ def test_4_degenerate_single_pair_equivalence(worlds):
                     base = pibt_solve(problem, seed)
                 else:
                     base = lacam_solve(problem, seed, budget_expansions=BUDGET)
-                out = fpp_solve(world, pairs, 1, 0, seed, solver=solver,
-                                budget_expansions=BUDGET)
+                out = run_pipeline(world, pairs, PipelineSpec(1, 0, solver, BUDGET), seed)
                 compared += 1
                 same = out.solved == base.solved and (
                     not base.solved or (
@@ -361,9 +337,9 @@ def test_7_solve_rates_degrade_monotonically(worlds):
             solved = 0
             for seed in range(30):
                 pairs = random_spaced_pairs(world, 10, seed, min_separation=sep)
+                spec = PipelineSpec(k, r, budget_expansions=1000)
                 try:
-                    out = fpp_solve(world, pairs, k, r, seed, solver="lacam",
-                                    budget_expansions=1000)
+                    out = run_pipeline(world, pairs, spec, seed)
                 except DispatchExhaustedError:
                     continue
                 solved += out.solved
@@ -388,8 +364,7 @@ def test_8_auditor_catches_every_injected_conflict(worlds):
     bases = []
     for seed in range(3):
         pairs = random_spaced_pairs(world, 4, seed, min_separation=sep)
-        out = fpp_solve(world, pairs, 2, 1, seed, solver="lacam",
-                        budget_expansions=BUDGET)
+        out = run_pipeline(world, pairs, PipelineSpec(2, 1, budget_expansions=BUDGET), seed)
         assert out.solved
         assert audit(world, out.plan, out.problem.group_of, 1, check_fov=True).ok
         bases.append((out.plan, out.problem.group_of))

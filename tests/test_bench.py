@@ -10,7 +10,6 @@ from privmapf.bench import (
     BenchConfig,
     ConfigError,
     RunRecord,
-    default_separation,
     format_summary,
     iter_tasks,
     load_config,
@@ -21,6 +20,8 @@ from privmapf.bench import (
     summarize,
     write_records,
 )
+from privmapf.instances import default_separation
+from privmapf.pipeline import PipelineSpec
 from privmapf.safezone import PreconditionError, ReplanInfeasibleError
 
 POCKET = "type octile\nheight 2\nwidth 3\nmap\n...\n@@.\n"
@@ -121,6 +122,14 @@ def test_resolve_map_bundled_and_file(tmp_path):
 def test_default_separation(open16, random32):
     assert default_separation(open16) == 3
     assert default_separation(random32) == 5
+    # the benchmark reads it through bench
+    assert bench.default_separation is default_separation
+
+
+def test_config_defaults_are_the_spec_defaults():
+    cfg = BenchConfig(name="t", maps=("open16",), agents=(2,))
+    assert cfg.spec(2, 1) == PipelineSpec(2, 1)
+    assert cfg.min_separation is None  # random_spaced_pairs' map default
 
 
 def test_iter_tasks_config_order():
@@ -176,8 +185,9 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
                       budget_expansions=50)
     assert len(run_suite(cfg, threads=64)) == 2
     assert pools == [2]
-    assert len(run_suite(BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0,)),
-                         threads=64)) == 1
+    one = BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0,),
+                      budget_expansions=1500)
+    assert len(run_suite(one, threads=64)) == 1
     assert run_suite(BenchConfig(name="t", maps=(), agents=(2,)), threads=4) == []
     assert pools == [2]  # one task or none run in-process
 
@@ -185,7 +195,7 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
 def test_expansion_budgeted_rows_zero_the_clock():
     cfg = BenchConfig(
         name="t", maps=("open16",), agents=(2,), k=(1,), radius=(0, 1),
-        seeds=(0,), min_separation=3,
+        seeds=(0,), budget_expansions=1500, min_separation=3,
     )
     plain, refined = run_suite(cfg)
     for rec in (plain, refined):

@@ -1,10 +1,14 @@
 """End-to-end runs of the console entry point (in-process, via main())."""
 
 import json
+from itertools import combinations
 
 import pytest
 
+from privmapf import bench, cli
 from privmapf.cli import main
+from privmapf.dispatch import InfeasibleInputError
+from privmapf.pipeline import PipelineSpec
 
 from conftest import ASSETS
 
@@ -111,6 +115,36 @@ def test_solve_from_scenario_file(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "solved:" in out
+
+
+def test_solve_flags_default_to_the_spec(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_solve", lambda args: seen.append(args) or 0)
+    assert main(["solve", "--map", "open16"]) == 0
+    (args,) = seen
+    spec = PipelineSpec(args.k, args.radius)
+    assert (args.solver, args.budget_expansions) == (spec.solver, spec.budget_expansions)
+    assert args.separation is None  # random_spaced_pairs' map default
+
+
+def test_solve_places_the_pairs_bench_places(monkeypatch, random32):
+    # on a map wider than 16 the default separation is 5, not the old fixed 3
+    placed = []
+
+    def stop_after_placement(world, pairs, spec, seed):
+        placed.append(pairs)
+        raise InfeasibleInputError("placement seen")
+
+    monkeypatch.setattr(cli, "run_pipeline", stop_after_placement)
+    monkeypatch.setattr(bench, "run_pipeline", stop_after_placement)
+    assert main(["solve", "--map", "random-32-32-20", "--agents", "6", "--seed", "3"]) == 2
+    map_path = str(bench.resolve_map("random-32-32-20"))
+    task = bench.TaskSpec("random-32-32-20", map_path, 6, 3, PipelineSpec(2), None)
+    assert not bench.run_one(task).solved
+    from_solve, from_bench = placed
+    assert from_solve == from_bench
+    for (s1, g1), (s2, g2) in combinations(from_solve, 2):
+        assert random32.chebyshev(s1, s2) >= 5 and random32.chebyshev(g1, g2) >= 5
 
 
 def test_bench_subcommand(tmp_path, capsys):
@@ -312,6 +346,10 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "the separation must be >= 1"),
     ("ConfigError", ["solve", "--map", "open16", "--separation", "0"],
      "the separation must be >= 1"),
+    # JSON true is not the index 1
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}/bool_index"],
+     'bool_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
@@ -323,6 +361,7 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "off_map.json").write_text(
         json.dumps(trace_obj(1, 0, [[[0, 0, 0, 0]]], [[0, 99999, 0]])))
     for name, sidecar in [("not_json", "{"), ("no_index", '{"group_id": 0}'),
+                          ("bool_index", '{"group_id": 0, "real_index": true}'),
                           ("off_range", '{"group_id": 0, "real_index": 1}'),
                           ("in_range", '{"group_id": 0, "real_index": 0}')]:
         (tmp_path / name).mkdir()

@@ -1,4 +1,4 @@
-"""Property fuzz of the whole pipeline: fpp_solve -> audit -> ppfpp.
+"""Property fuzz of the whole pipeline: run_pipeline -> audit -> ppfpp.
 
 Over small random maps, agent counts, group sizes k and fov radii r in
 {0, 1, 2}, every run must end either solved, audit-clean, k-private and
@@ -13,7 +13,7 @@ from privmapf.audit import audit, check_runtime_k_privacy, path_cost
 from privmapf.dispatch import DispatchExhaustedError, InfeasibleInputError
 from privmapf.grid import parse_map_text
 from privmapf.instances import PlacementError, random_spaced_pairs
-from privmapf.pipeline import fpp_solve
+from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.safezone import PreconditionError, ReplanInfeasibleError, ppfpp
 
 # a solver that gives up says why; these are its budget and search outcomes
@@ -41,9 +41,7 @@ def worlds(draw):
 def test_pipeline_is_correct_or_fails_typed(world, n, k, radius, separation, seed):
     try:
         pairs = random_spaced_pairs(world, n, seed, min_separation=separation)
-        out = fpp_solve(
-            world, pairs, k, radius, seed, solver="lacam", budget_expansions=300,
-        )
+        out = run_pipeline(world, pairs, PipelineSpec(k, radius, budget_expansions=300), seed)
     except (PlacementError, DispatchExhaustedError, InfeasibleInputError) as exc:
         event(type(exc).__name__)
         return

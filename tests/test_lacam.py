@@ -234,7 +234,7 @@ def test_rescues_fov_livelock(random32):
 def test_trivial_instance_already_at_goal(open4):
     pairs = [(0, 0), (5, 5)]
     problem = singleton_problem(open4, pairs)
-    result = lacam_solve(problem, seed=0)
+    result = lacam_solve(problem, seed=0, budget_expansions=0)  # nothing to search
     assert result.solved
     assert result.plan.horizon == 0
     assert metrics(result.plan.paths, problem.goals).soc == 0

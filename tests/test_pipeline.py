@@ -27,7 +27,7 @@ from privmapf.pipeline import (
 
 def test_kpp_end_to_end(open16):
     reals = random_spaced_pairs(open16, 4, "e2e", min_separation=3)
-    result = kpp_solve(open16, reals, k=2, seed=0)
+    result = run_pipeline(open16, reals, PipelineSpec(2, solver="pibt"), 0)
     assert result.solved
     assert result.plan.num_agents == 8
     assert audit(open16, result.plan).ok
@@ -39,8 +39,7 @@ def test_kpp_end_to_end(open16):
 
 def test_fpp_end_to_end(open16):
     reals = random_spaced_pairs(open16, 4, "e2e", min_separation=3)
-    result = fpp_solve(open16, reals, k=2, fov_radius=1, seed=0, solver="lacam",
-                       budget_expansions=1500)
+    result = run_pipeline(open16, reals, PipelineSpec(2, 1, budget_expansions=1500), 0)
     assert result.solved
     report = audit(open16, result.plan, result.problem.group_of,
                    fov_radius=1, check_fov=True)
@@ -51,7 +50,7 @@ def test_fpp_end_to_end(open16):
 
 def test_extraction_picks_the_indexed_row(open16):
     reals = random_spaced_pairs(open16, 4, "extract", min_separation=3)
-    result = kpp_solve(open16, reals, k=3, seed=1)
+    result = run_pipeline(open16, reals, PipelineSpec(3, solver="pibt"), 1)
     assert result.solved
     for g in result.groups:
         path = extract_real_path(result.plan, 3, g)
@@ -61,7 +60,7 @@ def test_extraction_picks_the_indexed_row(open16):
 
 def test_trace_round_trip(open16, tmp_path):
     reals = random_spaced_pairs(open16, 4, "trip", min_separation=3)
-    result = kpp_solve(open16, reals, k=2, seed=0)
+    result = run_pipeline(open16, reals, PipelineSpec(2, solver="pibt"), 0)
     out = tmp_path / "trace.json"
     write_trace(result.trace, open16, out)
     back = read_trace(open16, out)
@@ -78,7 +77,7 @@ def test_trace_round_trip(open16, tmp_path):
 
 def test_trace_bytes_carry_no_private_fields(open16, tmp_path):
     reals = random_spaced_pairs(open16, 4, "hygiene", min_separation=3)
-    result = kpp_solve(open16, reals, k=2, seed=3)
+    result = run_pipeline(open16, reals, PipelineSpec(2, solver="pibt"), 3)
     text = result.trace.to_json(open16)
     assert "real" not in text
     obj = json.loads(text)
@@ -90,15 +89,15 @@ def test_trace_bytes_carry_no_private_fields(open16, tmp_path):
 
 def test_trace_is_deterministic(open16):
     reals = random_spaced_pairs(open16, 4, "determinism", min_separation=3)
-    a = kpp_solve(open16, reals, k=2, seed=7)
-    b = kpp_solve(open16, reals, k=2, seed=7)
+    spec = PipelineSpec(2, solver="pibt")
+    a = run_pipeline(open16, reals, spec, 7)
+    b = run_pipeline(open16, reals, spec, 7)
     assert a.trace.to_json(open16) == b.trace.to_json(open16)
 
 
 def test_beliefs_from_recovered_trace_match_direct(open16, tmp_path):
     reals = random_spaced_pairs(open16, 4, "beliefs", min_separation=3)
-    result = fpp_solve(open16, reals, k=2, fov_radius=1, seed=0, solver="lacam",
-                       budget_expansions=1500)
+    result = run_pipeline(open16, reals, PipelineSpec(2, 1, budget_expansions=1500), 0)
     assert result.solved
     out = tmp_path / "trace.json"
     write_trace(result.trace, open16, out)
@@ -115,7 +114,7 @@ def test_failed_solve_still_publishes_groups(pocket):
         (pocket.vertex_at(1, 0), pocket.vertex_at(2, 0)),
         (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0)),
     ]
-    result = kpp_solve(pocket, reals, k=1, seed=0)
+    result = run_pipeline(pocket, reals, PipelineSpec(1, solver="pibt"), 0)
     assert not result.solved
     assert result.real_paths is None
     assert result.trace.broadcast_plan is None
@@ -125,16 +124,18 @@ def test_failed_solve_still_publishes_groups(pocket):
 
 
 def test_kpp_treats_fov_radius_as_zero(open16):
-    # kpp has no radius of its own: it is the pipeline at radius 0
+    # kPP has no radius of its own: it is the spec's default radius, 0
     reals = random_spaced_pairs(open16, 4, "parity", min_separation=3)
-    a = kpp_solve(open16, reals, k=2, seed=5)
-    b = run_pipeline(open16, reals, PipelineSpec(2, 0, "pibt", 10_000), 5)
-    assert a.plan.paths == b.plan.paths
+    spec = PipelineSpec(2, solver="pibt")
+    assert spec == PipelineSpec(2, 0, "pibt")
+    a = run_pipeline(open16, reals, spec, 5)
+    assert a.solved
     assert json.loads(a.trace.to_json(open16))["fov_radius"] == 0
 
 
 def test_kpp_is_fpp_at_radius_zero(open16, pocket):
-    # the pocket instance is unsolvable, so failure reasons are compared too
+    # kpp_solve and fpp_solve only forward to run_pipeline; the pocket
+    # instance is unsolvable, so failure reasons are compared too
     stuck = [(pocket.vertex_at(1, 0), pocket.vertex_at(2, 0)),
              (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))]
     unsolved = 0
@@ -158,7 +159,7 @@ def test_kpp_is_fpp_at_radius_zero(open16, pocket):
 def test_unknown_solver_rejected(open16):
     reals = random_spaced_pairs(open16, 2, "solver", min_separation=3)
     with pytest.raises(ValueError, match="solver"):
-        kpp_solve(open16, reals, k=2, seed=0, solver="astar")
+        run_pipeline(open16, reals, PipelineSpec(2, solver="astar"), 0)
 
 
 @pytest.mark.parametrize("fields,message", [
@@ -188,7 +189,7 @@ def test_beliefs_pad_with_goal_positions(open4):
     # one group's paths end early; its belief at late t keeps the goal set
     reals = [(open4.vertex_at(0, 0), open4.vertex_at(1, 0)),
              (open4.vertex_at(3, 3), open4.vertex_at(0, 3))]
-    result = kpp_solve(open4, reals, k=2, seed=2)
+    result = run_pipeline(open4, reals, PipelineSpec(2, solver="pibt"), 2)
     assert result.solved
     beliefs = compute_beliefs(result.plan, result.problem.group_of)
     horizon = result.plan.horizon

@@ -1,12 +1,12 @@
 """Zone construction, fair extension, and in-zone replanning.
 
 The replanner is checked against a brute-force search on the time-expanded
-graph. Every extension pick is re-validated from first principles via the
-validator hook, and the extension as a whole is compared with a reference
-that rebuilds each frontier from scratch on every pick, so the incremental
-bookkeeping (per-group frontiers, per-vertex blocker bitmask) is never
-trusted on its own word: a sound pick from an incomplete frontier would
-still change the RNG draw and fail the comparison.
+graph. Every extension pick is re-validated from first principles by
+replaying the pick log, and the extension as a whole is compared with a
+reference that rebuilds each frontier from scratch on every pick, so the
+incremental bookkeeping (per-group frontiers, per-vertex blocker bitmask)
+is never trusted on its own word: a sound pick from an incomplete frontier
+would still change the RNG draw and fail the comparison.
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 
 from privmapf.audit import audit, check_separated
 from privmapf.instances import random_spaced_pairs
-from privmapf.pipeline import fpp_solve, kpp_solve
+from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan, pad_paths
 from privmapf.safezone import (
     ExtensionPick,
@@ -34,11 +34,12 @@ from privmapf.safezone import (
     write_zones,
 )
 
+from conftest import replay_picks
+
 
 def fpp_fixture(world, n, sep, k, seed, budget=1500):
     reals = random_spaced_pairs(world, n, seed, min_separation=sep)
-    result = fpp_solve(world, reals, k=k, fov_radius=1, seed=seed,
-                       solver="lacam", budget_expansions=budget)
+    result = run_pipeline(world, reals, PipelineSpec(k, 1, budget_expansions=budget), seed)
     assert result.solved
     return result
 
@@ -73,25 +74,13 @@ def test_group_fov_is_union_of_member_squares(open16):
 
 def test_extension_picks_obey_all_four_rules(open16):
     result = fpp_fixture(open16, 4, 3, 2, seed=0)
-    seen = []
-
-    def validator(world, radius, zones, t, i, choice):
-        zone = zones[i][t]
-        assert choice not in zone
-        assert any(u in zone for u in world.neighbors(choice)), "not adjacent"
-        for j in range(len(zones)):
-            if j == i:
-                continue
-            assert choice not in zones[j][t], "overlaps other zone"
-            if t > 0:
-                assert choice not in zones[j][t - 1], "overlaps previous zone"
-            assert not (world.fov(choice, radius) & zones[j][t]), "within fov"
-        seen.append((t, i, choice))
-
-    refined = ppfpp(open16, result.plan, result.problem.group_of,
-                    result.real_paths, 1, seed=0, validator=validator)
-    assert [(p.t, p.group, p.vertex) for p in refined.picks] == seen
-    assert len(seen) > 0
+    group_of = result.problem.group_of
+    refined = ppfpp(open16, result.plan, group_of, result.real_paths, 1, seed=0)
+    initial = initial_safe_zones(open16, result.plan, group_of, 1)
+    zones, breaks = replay_picks(open16, initial, 1, refined.picks)
+    assert breaks == []
+    assert zones == refined.zones  # the log holds every pick
+    assert len(refined.picks) > 0
 
 
 def test_extension_is_deterministic(open16):
@@ -394,10 +383,8 @@ def test_fov_blind_plans_leak_and_are_rejected(open16):
     # guarantees and the fov-blind one does not
     for seed in range(6):
         reals = random_spaced_pairs(open16, 4, seed, min_separation=3)
-        kpp = kpp_solve(open16, reals, k=2, seed=seed, solver="lacam",
-                        budget_expansions=1500)
-        fpp = fpp_solve(open16, reals, k=2, fov_radius=1, seed=seed,
-                        solver="lacam", budget_expansions=1500)
+        kpp = run_pipeline(open16, reals, PipelineSpec(2, 0, budget_expansions=1500), seed)
+        fpp = run_pipeline(open16, reals, PipelineSpec(2, 1, budget_expansions=1500), seed)
         assert kpp.solved and fpp.solved
         leaks = audit(open16, kpp.plan, kpp.problem.group_of,
                       fov_radius=1, check_fov=True)
