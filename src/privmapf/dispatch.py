@@ -13,6 +13,10 @@ Within a group only vertex-level distinctness is enforced (starts pairwise
 distinct, goals pairwise distinct) whatever the radius: members of the
 same group are exempt from fov separation, and distinctness is exactly what
 a solvable joint instance requires.
+
+A mock draw costs O(k), not O(|V|): its start and goal pools (the unused
+vertices, the goal's within the start's component) are never built, and a
+drawn index is mapped to its vertex by stepping over the used ones.
 """
 
 from __future__ import annotations
@@ -85,6 +89,23 @@ def pairs_collide(
     return world.chebyshev(a[0], b[0]) <= radius or world.chebyshev(a[1], b[1]) <= radius
 
 
+def _choose_unused(rng: random.Random, pool, used: list[int], side: str) -> int:
+    """``rng.choice([v for v in pool if v not in used])`` without the list.
+
+    ``pool`` is ascending and ``used`` holds its used members, ascending. The
+    draw is the same ``randrange(len)`` index, and it is mapped to its vertex
+    by stepping over the used members at or below it: O(len(used)).
+    """
+    if len(used) >= len(pool):
+        raise InfeasibleInputError(f"no free {side} vertex left for a mock pair")
+    i = rng.randrange(len(pool) - len(used))
+    for u in used:
+        if u > pool[i]:
+            break
+        i += 1
+    return pool[i]
+
+
 def _sample_mock_pair(
     world: GridWorld,
     rng: random.Random,
@@ -92,21 +113,19 @@ def _sample_mock_pair(
     used_goals: set[int],
     require_reachable: bool,
 ) -> tuple[int, int]:
-    start_pool = [v for v in range(world.num_vertices) if v not in used_starts]
-    if not start_pool:
-        raise InfeasibleInputError("no free start vertex left for a mock pair")
-    s = rng.choice(start_pool)
+    """A start uniform over the unused vertices, then a goal uniform over the
+    unused vertices of the start's component when ``require_reachable``, of
+    the whole map otherwise. O(k) work for k used vertices."""
+    everything = range(world.num_vertices)
+    used = sorted(v for v in used_starts if v in everything)
+    s = _choose_unused(rng, everything, used, "start")
     if require_reachable:
-        goal_pool = [
-            v
-            for v in range(world.num_vertices)
-            if v not in used_goals and world.same_component(v, s)
-        ]
+        comp = world.components
+        pool = world.component_members(s)
+        used = [v for v in used_goals if v in everything and comp[v] == comp[s]]
     else:
-        goal_pool = [v for v in range(world.num_vertices) if v not in used_goals]
-    if not goal_pool:
-        raise InfeasibleInputError("no free goal vertex left for a mock pair")
-    return s, rng.choice(goal_pool)
+        pool, used = everything, [v for v in used_goals if v in everything]
+    return s, _choose_unused(rng, pool, sorted(used), "goal")
 
 
 def propose_groups(

@@ -68,6 +68,7 @@ class GridWorld:
         "_neighbors",
         "_fov_cache",
         "_component",
+        "_members",
     )
 
     def __init__(self, rows: list[str]):
@@ -107,7 +108,8 @@ class GridWorld:
             neighbors.append(tuple(adj))
         self._neighbors = tuple(neighbors)
         self._fov_cache: dict[int, tuple[frozenset[int], ...]] = {}
-        self._component: list[int] | None = None
+        self._component: tuple[int, ...] | None = None
+        self._members: tuple[tuple[int, ...], ...] = ()
 
     # -- geometry ---------------------------------------------------------
 
@@ -165,24 +167,34 @@ class GridWorld:
 
     # -- connectivity -----------------------------------------------------
 
-    def component_of(self, v: int) -> int:
+    @property
+    def components(self) -> tuple[int, ...]:
+        """``component_of(v)`` indexed by v, built once."""
         if self._component is None:
             comp = [-1] * self.num_vertices
-            label = 0
+            members = []
             for seed in range(self.num_vertices):
                 if comp[seed] >= 0:
                     continue
-                comp[seed] = label
-                stack = [seed]
-                while stack:
-                    w = stack.pop()
+                label = comp[seed] = len(members)
+                group = [seed]
+                for w in group:
                     for u in self._neighbors[w]:
                         if comp[u] < 0:
                             comp[u] = label
-                            stack.append(u)
-                label += 1
-            self._component = comp
-        return self._component[v]
+                            group.append(u)
+                members.append(tuple(sorted(group)))
+            self._component = tuple(comp)
+            self._members = tuple(members)
+        return self._component
+
+    def component_of(self, v: int) -> int:
+        return self.components[v]
+
+    def component_members(self, v: int) -> tuple[int, ...]:
+        """The vertices of v's connected component, ascending."""
+        label = self.components[v]  # builds _members on first use
+        return self._members[label]
 
     def same_component(self, v: int, u: int) -> bool:
         return self.component_of(v) == self.component_of(u)

@@ -1,5 +1,10 @@
 """Seeded random instances: (start, goal) pairs spaced by the map's default
-separation, stated here once for the CLI, the bench and the asset script."""
+separation, stated here once for the CLI, the bench and the asset script.
+
+Placement is rejection sampling whose attempts cost O(n) for n pairs: two
+vertex draws, a component-label lookup, and a coordinate comparison with the
+pairs accepted so far. A count that provably cannot fit fails before any
+draw."""
 
 from __future__ import annotations
 
@@ -30,28 +35,51 @@ def random_spaced_pairs(
     keeps the instance dispatchable under fov-aware collision rules with
     radius < min_separation. Start and goal of each pair share a connected
     component. Rejection sampling; deterministic for a given seed.
+
+    Each attempt is ``randrange(num_vertices)`` twice, inlined as
+    ``_randbelow`` does it. Raises ValueError for min_separation < 1, and
+    PlacementError when the draws run out or, before any draw, when n
+    exceeds the vertex count or the number of min_separation-sided blocks
+    of the map (each block holds at most one start).
     """
-    if min_separation is None:
-        min_separation = default_separation(world)
-    rng = random.Random(f"instance:{seed}")
-    starts: list[int] = []
-    goals: list[int] = []
-    attempts = 0
+    sep = default_separation(world) if min_separation is None else min_separation
+    if sep < 1:
+        raise ValueError("min_separation must be >= 1")
+    num_vertices = world.num_vertices
+    failure = f"could not place {n} spaced pairs on {world.width}x{world.height} map"
+    if n > min(-(-world.width // sep) * -(-world.height // sep), num_vertices):
+        raise PlacementError(failure)
     limit = 20_000 * max(1, n)
-    while len(starts) < n:
+    rng = random.Random(f"instance:{seed}")
+    getrandbits, bits = rng.getrandbits, num_vertices.bit_length()
+    comp, coords = world.components, world.coords
+    pairs: list[tuple[int, int]] = []
+    start_xy: list[tuple[int, int]] = []
+    goal_xy: list[tuple[int, int]] = []
+    attempts = 0
+    while len(pairs) < n:
         attempts += 1
         if attempts > limit:
-            raise PlacementError(
-                f"could not place {n} spaced pairs on {world.width}x{world.height} map"
-            )
-        s = rng.randrange(world.num_vertices)
-        g = rng.randrange(world.num_vertices)
-        if not world.same_component(s, g):
+            raise PlacementError(failure)
+        s = getrandbits(bits)
+        while s >= num_vertices:
+            s = getrandbits(bits)
+        g = getrandbits(bits)
+        while g >= num_vertices:
+            g = getrandbits(bits)
+        if comp[s] != comp[g]:
             continue
-        if any(world.chebyshev(s, s2) < min_separation for s2 in starts):
-            continue
-        if any(world.chebyshev(g, g2) < min_separation for g2 in goals):
-            continue
-        starts.append(s)
-        goals.append(g)
-    return list(zip(starts, goals))
+        sx, sy = coords(s)
+        for x, y in start_xy:
+            if -sep < sx - x < sep and -sep < sy - y < sep:
+                break
+        else:
+            gx, gy = coords(g)
+            for x, y in goal_xy:
+                if -sep < gx - x < sep and -sep < gy - y < sep:
+                    break
+            else:
+                pairs.append((s, g))
+                start_xy.append((sx, sy))
+                goal_xy.append((gx, gy))
+    return pairs

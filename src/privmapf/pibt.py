@@ -37,12 +37,13 @@ UNREACHABLE = 1 << 30
 
 
 def bfs_distances(world: GridWorld, source: int) -> list[int]:
+    adj = world.adjacency
     dist = [UNREACHABLE] * world.num_vertices
     dist[source] = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for u in world.neighbors(v):
+        for u in adj[v]:
             if dist[u] == UNREACHABLE:
                 dist[u] = dist[v] + 1
                 queue.append(u)

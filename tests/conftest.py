@@ -29,6 +29,16 @@ map
 @@.
 """
 
+# two 4x3 rooms either side of a wall column: two connected components
+TWO_ROOMS = """type octile
+height 3
+width 9
+map
+....@....
+....@....
+....@....
+"""
+
 
 @pytest.fixture(scope="session")
 def open16():
@@ -53,6 +63,18 @@ def open4():
 @pytest.fixture
 def pocket():
     return parse_map_text(POCKET)
+
+
+@pytest.fixture
+def two_rooms():
+    return parse_map_text(TWO_ROOMS)
+
+
+@pytest.fixture
+def placement_worlds(open16, random32, room32, two_rooms):
+    """The bundled maps and a two-component map, by name."""
+    return {"open16": open16, "random-32-32-20": random32, "room-32-32-4": room32,
+            "two-rooms": two_rooms}
 
 
 def replay_picks(world, initial, radius, picks):

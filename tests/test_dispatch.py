@@ -6,16 +6,19 @@ and the frozen fractions pin the published reference values.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from privmapf import dispatch
 from privmapf.dispatch import (
     AgentGroup,
     DispatchExhaustedError,
     DispatchVerificationError,
     InfeasibleInputError,
+    _sample_mock_pair,
     dispatch_groups,
     no_collision_probability,
     no_collision_probability_blocked_set,
@@ -26,6 +29,7 @@ from privmapf.dispatch import (
     write_private_sidecars,
 )
 from privmapf.grid import parse_map_text
+from privmapf.instances import PlacementError, random_spaced_pairs
 
 LINE10 = "type octile\nheight 1\nwidth 10\nmap\n..........\n"
 
@@ -230,8 +234,6 @@ def test_probability_degenerate_cases():
 def test_proposal_distribution_matches_model():
     """The documented sampler (no retries) should succeed with the closed-form
     frequency; dispatch with retries then just conditions on success."""
-    import random
-
     w = line_world(10)
     n = 4000
     hits = 0
@@ -245,3 +247,104 @@ def test_proposal_distribution_matches_model():
     expect = no_collision_probability(10, 2, 2).probability
     se = math.sqrt(expect * (1 - expect) / n)
     assert abs(hits / n - expect) < 4 * se
+
+
+# -- mock sampling against a copy of the original sampler -------------------
+
+
+def _reference_sample_mock_pair(world, rng, used_starts, used_goals, require_reachable):
+    """The sampler as first written: both pools built in full on every draw."""
+    start_pool = [v for v in range(world.num_vertices) if v not in used_starts]
+    if not start_pool:
+        raise InfeasibleInputError("no free start vertex left for a mock pair")
+    s = rng.choice(start_pool)
+    if require_reachable:
+        goal_pool = [
+            v
+            for v in range(world.num_vertices)
+            if v not in used_goals and world.same_component(v, s)
+        ]
+    else:
+        goal_pool = [v for v in range(world.num_vertices) if v not in used_goals]
+    if not goal_pool:
+        raise InfeasibleInputError("no free goal vertex left for a mock pair")
+    return s, rng.choice(goal_pool)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InfeasibleInputError, DispatchExhaustedError) as exc:
+        return type(exc), str(exc)
+
+
+def _used_sets(world):
+    """Used-vertex sets that put a used vertex at index 0 and at the last
+    index of every pool, fill a component, and hold ids off the map."""
+    members = {}
+    for v in range(world.num_vertices):
+        members.setdefault(world.component_of(v), []).append(v)
+    last = world.num_vertices - 1
+    sets = [set(), {0}, {last}, {0, 1, last}, {-1, last + 1}, set(range(world.num_vertices))]
+    for comp in members.values():
+        sets += [{comp[0]}, {comp[-1]}, {comp[0], comp[-1]}, set(comp)]
+    rng = random.Random(0)
+    sets += [set(rng.sample(range(world.num_vertices), size)) for size in (2, 3, 5)]
+    return sets
+
+
+def test_mock_pair_matches_reference(placement_worlds):
+    errors = set()
+    for world in placement_worlds.values():
+        seeds = range(20) if world.num_vertices < 100 else range(2)
+        sets = _used_sets(world)
+        for used_starts in sets:
+            for used_goals in sets:
+                for reachable in (False, True):
+                    for seed in seeds:
+                        args = (used_starts, used_goals, reachable)
+                        got = _outcome(_sample_mock_pair, world, random.Random(seed), *args)
+                        want = _outcome(
+                            _reference_sample_mock_pair, world, random.Random(seed), *args
+                        )
+                        assert got == want, (used_starts, used_goals, reachable, seed)
+                        if isinstance(got[0], type):
+                            errors.add(got[1])
+    assert errors == {"no free start vertex left for a mock pair",
+                      "no free goal vertex left for a mock pair"}
+
+
+def _dispatch_cells(worlds):
+    """(world, reals, n, k, r) over n, k and r, the reals spaced r + 1 apart;
+    capped at n·k <= 24 to keep the reference's O(|V|) draws affordable."""
+    for name, world in worlds.items():
+        for n in (1, 2, 4, 8, 12, 16):
+            for r in (0, 1, 2):
+                try:
+                    reals = random_spaced_pairs(world, n, f"{name}:{n}", r + 1)
+                except PlacementError:
+                    continue
+                for k in (1, 2, 3, 5):
+                    if n * k <= 24:
+                        yield world, reals, n, k, r
+
+
+def test_dispatch_matches_reference(placement_worlds, monkeypatch):
+    outcomes = []
+    for world, reals, n, k, r in _dispatch_cells(placement_worlds):
+        seed = f"{n}:{k}:{r}"
+        got = _outcome(dispatch_groups, world, reals, k, r, seed)
+        with monkeypatch.context() as m:
+            m.setattr(dispatch, "_sample_mock_pair", _reference_sample_mock_pair)
+            assert got == _outcome(dispatch_groups, world, reals, k, r, seed), (n, k, r)
+        outcomes.append(type(got))
+    assert outcomes.count(list) > 150 and outcomes.count(tuple) >= 3
+
+
+def test_propose_groups_matches_reference(placement_worlds, monkeypatch):
+    for world, reals, n, k, r in _dispatch_cells(placement_worlds):
+        seed = f"{n}:{k}:{r}"
+        got = _outcome(propose_groups, world, reals, k, random.Random(seed))
+        with monkeypatch.context() as m:
+            m.setattr(dispatch, "_sample_mock_pair", _reference_sample_mock_pair)
+            assert got == _outcome(propose_groups, world, reals, k, random.Random(seed)), seed
