@@ -33,6 +33,7 @@ from .grid import (
     EmptyMapError,
     GridWorld,
     ParseError,
+    PrivmapfError,
     ScenarioError,
     load_map,
     load_scenario,
@@ -80,6 +81,7 @@ __all__ = [
     "PipelineResult",
     "PipelineSpec",
     "PreconditionError",
+    "PrivmapfError",
     "RefineResult",
     "ReplanInfeasibleError",
     "ScenarioError",

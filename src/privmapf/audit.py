@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grid import GridWorld
+from .grid import GridWorld, PrivmapfError
 from .plans import JointPlan
 
 
-class AuditError(ValueError):
+class AuditError(PrivmapfError, ValueError):
     """The audit cannot run: a vertex id off the map, or fov without groups."""
 
 

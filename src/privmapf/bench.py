@@ -6,8 +6,11 @@ config order (maps outermost, seeds innermost). The solver budget is a
 count of expansions and no clock is read, so two runs of the same config
 produce byte-identical CSVs; the ``solve_time`` and ``ppfpp_time`` columns
 of schema v1 are always 0.0. A solved cell with radius >= 1 is refined.
-Keys a config omits take the defaults of ``PipelineSpec`` (solver, budget)
-and of ``random_spaced_pairs`` (separation), as ``privmapf solve`` does.
+A cell that fails with a ``PrivmapfError`` is a row, not the end of the
+sweep: unsolved if the pipeline fails, unrefined (``rsoc_before`` -1) if
+PPfPP does. Keys a config omits take the defaults of ``PipelineSpec``
+(solver, budget) and of ``random_spaced_pairs`` (separation), as
+``privmapf solve`` does.
 
 ``run_suite(cfg, threads=n)`` (``privmapf bench --threads n``) fans
 instances out over a process pool; the row order is unaffected.
@@ -24,20 +27,16 @@ from pathlib import Path
 
 import yaml
 
-from .dispatch import DispatchExhaustedError, InfeasibleInputError
-from .grid import GridWorld, load_map
+# ConfigError is re-exported: callers and tests import it from bench
+from .grid import ConfigError, GridWorld, PrivmapfError, load_map
 # default_separation is re-exported: the benchmark reads bench.default_separation
-from .instances import PlacementError, default_separation, random_spaced_pairs
+from .instances import default_separation, random_spaced_pairs
 from .pipeline import PipelineSpec, run_pipeline
-from .safezone import PreconditionError, ReplanInfeasibleError, ppfpp
+from .safezone import ppfpp
 
 SCHEMA_VERSION = 1
 
 _ASSET_MAPS = Path(__file__).parent / "assets" / "maps"
-
-
-class ConfigError(Exception):
-    pass
 
 
 def resolve_map(name: str) -> Path:
@@ -55,7 +54,6 @@ def resolve_map(name: str) -> Path:
 class BenchConfig:
     """A suite: its YAML keys are these fields; k and radius list the swept values."""
 
-    name: str
     maps: tuple[str, ...]
     agents: tuple[int, ...]
     k: tuple[int, ...] = (1,)
@@ -68,20 +66,15 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not all(n >= 1 for n in self.agents):
             raise ConfigError("agent counts must be >= 1")
-        if not all(k >= 1 for k in self.k):
-            raise ConfigError("group sizes must be >= 1")
         if self.min_separation is not None and self.min_separation < 1:
             raise ConfigError("min_separation must be >= 1")
-        for k in self.k:
+        for k in self.k:  # a bad k, radius, solver or budget fails before any cell runs
             for r in self.radius:
                 self.spec(k, r)
 
     def spec(self, k: int, radius: int) -> PipelineSpec:
         """The pipeline spec of the cells with group size k and this radius."""
-        try:
-            return PipelineSpec(k, radius, self.solver, self.budget_expansions)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return PipelineSpec(k, radius, self.solver, self.budget_expansions)
 
 
 _CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
@@ -93,7 +86,12 @@ _SCALAR_KEYS = {"min_separation": ((int, type(None)), "an int or null")}
 
 def load_config(path: str | Path) -> BenchConfig:
     """The suite of a YAML file; absent keys keep BenchConfig's defaults."""
-    obj = yaml.safe_load(Path(path).read_text())
+    try:
+        obj = yaml.safe_load(Path(path).read_text())
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        mark = getattr(exc, "problem_mark", None)  # a YAML syntax error has one
+        where = f"line {mark.line + 1}: " if mark else ""
+        raise ConfigError(f"{path}: {where}{getattr(exc, 'problem', None) or exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config must be a mapping")
     unknown = set(obj) - _CONFIG_KEYS
@@ -102,7 +100,6 @@ def load_config(path: str | Path) -> BenchConfig:
     for key in ("maps", "agents"):
         if key not in obj:
             raise ConfigError(f"missing config key: {key}")
-    obj.setdefault("name", Path(path).stem)
     if type(obj.get("seeds")) is int:
         if obj["seeds"] < 1:
             raise ConfigError("config key seeds must be a list or an int >= 1")
@@ -200,9 +197,8 @@ def run_one(task: TaskSpec) -> RunRecord:
     try:
         pairs = random_spaced_pairs(world, task.n_agents, task.seed, task.min_separation)
         out = run_pipeline(world, pairs, spec, task.seed)
-    except (PlacementError, DispatchExhaustedError, InfeasibleInputError):
-        # one bad cell is an unsolved row, not the end of the sweep
-        pass
+    except PrivmapfError:
+        pass  # one bad cell is an unsolved row, not the end of the sweep
     solved = out is not None and out.solved
 
     soc = makespan = rsoc_before = rsoc_after = -1
@@ -221,7 +217,7 @@ def run_one(task: TaskSpec) -> RunRecord:
                 rsoc_before = refined.rsoc_before
                 rsoc_after = refined.rsoc_after
                 improvement = refined.improvement_pct
-            except (PreconditionError, ReplanInfeasibleError):
+            except PrivmapfError:
                 pass  # recorded as if no refinement ran
 
     return RunRecord(

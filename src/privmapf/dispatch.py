@@ -28,14 +28,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .grid import GridWorld
+from .grid import GridWorld, PrivmapfError
 
 
-class InfeasibleInputError(ValueError):
+class InfeasibleInputError(PrivmapfError, ValueError):
     """The requested dispatch cannot exist for any random choices."""
 
 
-class DispatchExhaustedError(RuntimeError):
+class DispatchExhaustedError(PrivmapfError, RuntimeError):
     """Rejection sampling ran out of retries."""
 
     def __init__(self, message: str, attempts: int):
@@ -174,9 +174,10 @@ def dispatch_groups(
     connected component. Each group's pair order is shuffled before
     publication so position leaks nothing about which pair is real.
 
-    Raises InfeasibleInputError when the real pairs already collide at this
-    radius (or the world is too small), DispatchExhaustedError when a mock
-    pair cannot be placed within MAX_RETRIES draws.
+    Raises InfeasibleInputError when a real endpoint is not a vertex id,
+    when the real pairs already collide at this radius (or the world is too
+    small), DispatchExhaustedError when a mock pair cannot be placed within
+    MAX_RETRIES draws.
     """
     n = len(real_pairs)
     if radius < 0:
@@ -187,6 +188,9 @@ def dispatch_groups(
         raise InfeasibleInputError(
             f"{world.num_vertices} vertices cannot host groups of {k} distinct starts"
         )
+    for i, pair in enumerate(real_pairs):  # a bool or a negative id would alias a vertex
+        if len(pair) != 2 or not all(type(v) is int and 0 <= v < world.num_vertices for v in pair):
+            raise InfeasibleInputError(f"agent {i}: real pair {pair!r} is not two vertex ids")
     for i in range(n):
         for j in range(i + 1, n):
             if pairs_collide(world, real_pairs[i], real_pairs[j], radius):
@@ -329,7 +333,7 @@ def no_collision_probability_blocked_set(
 # -- private sidecars -------------------------------------------------------
 
 
-class SidecarError(ValueError):
+class SidecarError(PrivmapfError, ValueError):
     """A private sidecar file that is missing or malformed."""
 
 

@@ -22,7 +22,15 @@ PASSABLE_CHARS = frozenset(".GS")
 BLOCKED_CHARS = frozenset("@OTW")
 
 
-class ParseError(ValueError):
+class PrivmapfError(Exception):
+    """An input the program cannot use, or an instance with no answer; never a bug."""
+
+
+class ConfigError(PrivmapfError, ValueError):
+    """A setting, map name or suite config the program cannot use."""
+
+
+class ParseError(PrivmapfError, ValueError):
     """Malformed .map/.scen content. Carries the 1-based offending line and,
     when read from a file, the file's path."""
 
@@ -36,18 +44,19 @@ class ParseError(ValueError):
 
 
 def _parse_file(parse, path: str | Path):
-    text = Path(path).read_text()
     try:
-        return parse(text)
+        return parse(Path(path).read_text())
     except ParseError as exc:
         raise ParseError(exc.message, exc.line, path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
-class EmptyMapError(ValueError):
+class EmptyMapError(PrivmapfError, ValueError):
     """Map contains no passable cell."""
 
 
-class ScenarioError(ValueError):
+class ScenarioError(PrivmapfError, ValueError):
     """Scenario entry that cannot be realised on the given world."""
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 
-from .grid import GridWorld
+from .grid import ConfigError, GridWorld, PrivmapfError
 
 
-class PlacementError(RuntimeError):
+class PlacementError(PrivmapfError, RuntimeError):
     """Rejection sampling gave up before placing every pair."""
 
 
@@ -37,14 +37,14 @@ def random_spaced_pairs(
     component. Rejection sampling; deterministic for a given seed.
 
     Each attempt is ``randrange(num_vertices)`` twice, inlined as
-    ``_randbelow`` does it. Raises ValueError for min_separation < 1, and
+    ``_randbelow`` does it. Raises ConfigError for min_separation < 1, and
     PlacementError when the draws run out or, before any draw, when n
     exceeds the vertex count or the number of min_separation-sided blocks
     of the map (each block holds at most one start).
     """
     sep = default_separation(world) if min_separation is None else min_separation
     if sep < 1:
-        raise ValueError("min_separation must be >= 1")
+        raise ConfigError("min_separation must be >= 1")
     num_vertices = world.num_vertices
     failure = f"could not place {n} spaced pairs on {world.width}x{world.height} map"
     if n > min(-(-world.width // sep) * -(-world.height // sep), num_vertices):

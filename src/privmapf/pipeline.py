@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dispatch as dsp
-from .grid import GridWorld
+from .grid import ConfigError, GridWorld, PrivmapfError
 from .lacam import lacam_solve
 from .pibt import SolveResult, SolverProblem, pibt_solve
 from .plans import JointPlan
@@ -93,7 +93,7 @@ class MessageTrace:
         return MessageTrace(groups, planner, k, radius, plan)
 
 
-class TraceError(ValueError):
+class TraceError(PrivmapfError, ValueError):
     """A message trace that is not one the pipeline could have broadcast."""
 
 
@@ -195,13 +195,13 @@ class PipelineSpec:
 
     def __post_init__(self) -> None:
         if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+            raise ConfigError(f"unknown solver {self.solver!r}")
         if self.k < 1:
-            raise dsp.InfeasibleInputError("k must be >= 1")
+            raise ConfigError("k must be >= 1")
         if self.radius < 0:
-            raise ValueError("fov radius must be >= 0")
+            raise ConfigError("fov radius must be >= 0")
         if type(self.budget_expansions) is not int or self.budget_expansions < 0:
-            raise ValueError("the expansion budget must be an int >= 0")
+            raise ConfigError("the expansion budget must be an int >= 0")
 
 
 def run_pipeline(

@@ -36,15 +36,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .audit import audit, check_separated, path_cost
-from .grid import GridWorld
+from .grid import GridWorld, PrivmapfError
 from .plans import JointPlan
 
 
-class PreconditionError(Exception):
+class PreconditionError(PrivmapfError):
     """The input plan does not meet the requirements for zone building."""
 
 
-class ReplanInfeasibleError(Exception):
+class ReplanInfeasibleError(PrivmapfError):
     """No in-zone path reaches the goal's final safe interval."""
 
 

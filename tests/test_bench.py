@@ -20,6 +20,7 @@ from privmapf.bench import (
     summarize,
     write_records,
 )
+from privmapf.grid import PrivmapfError
 from privmapf.instances import default_separation
 from privmapf.pipeline import PipelineSpec
 from privmapf.safezone import PreconditionError, ReplanInfeasibleError
@@ -57,7 +58,6 @@ def test_load_config(tmp_path):
         min_separation: 4
     """)
     cfg = load_config(p)
-    assert cfg.name == "suite"
     assert cfg.maps == ("open16",)
     assert cfg.agents == (2, 4)
     assert cfg.k == (1, 2)
@@ -72,7 +72,7 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nfoo: 1", "unknown config keys"),
     ("maps: [open16]\nagents: [2]\npipeline: cbs", "pipeline"),
     ("maps: [open16]\nagents: [2]\nsolver: greedy", "solver"),
-    ("maps: [open16]\nagents: [2]\nk: [0]", "group sizes"),
+    ("maps: [open16]\nagents: [2]\nk: [0]", "k must be >= 1"),
     ("agents: [2]", "missing config key"),
     # one spelling per key: the radius alone picks kPP (0) or fPP
     ("maps: [open16]\nagents: [2]\nks: [3]\nk: [2]", "unknown config keys: .'ks'"),
@@ -80,6 +80,8 @@ def test_load_config(tmp_path):
     # the expansion count is the only budget, and every solved cell at r >= 1 is refined
     ("maps: [open16]\nagents: [2]\nbudget_seconds: 1.0", "unknown config keys: .'budget_seconds'"),
     ("maps: [open16]\nagents: [2]\nrun_ppfpp: true", "unknown config keys: .'run_ppfpp'"),
+    # nothing read a suite's name, so it is no key
+    ("name: desk\nmaps: [open16]\nagents: [2]", "unknown config keys: .'name'"),
     ("maps: [open16]\nagents: [2]\nbudget_expansions: null", "expansion budget must be"),
     ("maps: [open16]\nagents: [0, 2]", "agent counts must be >= 1"),
     ("maps: open16\nagents: [2]", "config key maps must be a list"),
@@ -110,6 +112,20 @@ def test_config_rejections(tmp_path, snippet, message):
         load_config(p)
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"maps: [open16\n", "line 2: expected ',' or ']'"),
+    (b"maps: [open16]\nagents: [2]\n  k: [1]\n", "line 3: expected <block end>"),
+    (b"\xff\xfe\x00maps", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_unreadable_config_names_the_file(tmp_path, content, message):
+    p = tmp_path / "bad.yaml"
+    p.write_bytes(content)
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value).startswith(f"{p}: ")
+    assert message in str(info.value)
+
+
 def test_resolve_map_bundled_and_file(tmp_path):
     assert resolve_map("open16").name == "open16.map"
     custom = tmp_path / "tiny.map"
@@ -127,14 +143,14 @@ def test_default_separation(open16, random32):
 
 
 def test_config_defaults_are_the_spec_defaults():
-    cfg = BenchConfig(name="t", maps=("open16",), agents=(2,))
+    cfg = BenchConfig(maps=("open16",), agents=(2,))
     assert cfg.spec(2, 1) == PipelineSpec(2, 1)
     assert cfg.min_separation is None  # random_spaced_pairs' map default
 
 
 def test_iter_tasks_config_order():
     cfg = BenchConfig(
-        name="t", maps=("open16", "random-32-32-20"), agents=(2, 4),
+        maps=("open16", "random-32-32-20"), agents=(2, 4),
         k=(1, 2), radius=(0,), seeds=(0, 1),
     )
     tasks = iter_tasks(cfg)
@@ -150,7 +166,7 @@ def test_iter_tasks_config_order():
 
 def test_suite_csv_is_byte_reproducible(tmp_path):
     cfg = BenchConfig(
-        name="t", maps=("open16",), agents=(2,), k=(2,), radius=(1,),
+        maps=("open16",), agents=(2,), k=(2,), radius=(1,),
         seeds=(0, 1), budget_expansions=300, min_separation=3,
     )
     first = records_to_csv(run_suite(cfg))
@@ -181,20 +197,20 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
-    cfg = BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0, 1),
+    cfg = BenchConfig(maps=("open16",), agents=(2,), seeds=(0, 1),
                       budget_expansions=50)
     assert len(run_suite(cfg, threads=64)) == 2
     assert pools == [2]
-    one = BenchConfig(name="t", maps=("open16",), agents=(2,), seeds=(0,),
+    one = BenchConfig(maps=("open16",), agents=(2,), seeds=(0,),
                       budget_expansions=1500)
     assert len(run_suite(one, threads=64)) == 1
-    assert run_suite(BenchConfig(name="t", maps=(), agents=(2,)), threads=4) == []
+    assert run_suite(BenchConfig(maps=(), agents=(2,)), threads=4) == []
     assert pools == [2]  # one task or none run in-process
 
 
 def test_expansion_budgeted_rows_zero_the_clock():
     cfg = BenchConfig(
-        name="t", maps=("open16",), agents=(2,), k=(1,), radius=(0, 1),
+        maps=("open16",), agents=(2,), k=(1,), radius=(0, 1),
         seeds=(0,), budget_expansions=1500, min_separation=3,
     )
     plain, refined = run_suite(cfg)
@@ -210,7 +226,7 @@ def test_unsolved_rows_keep_sentinels(tmp_path):
     custom = tmp_path / "pocket.map"
     custom.write_text(POCKET)
     cfg = BenchConfig(
-        name="t", maps=(str(custom),), agents=(2,), k=(1,), radius=(0,),
+        maps=(str(custom),), agents=(2,), k=(1,), radius=(0,),
         seeds=(0, 1), solver="pibt", min_separation=1,
     )
     unsolved, solved = run_suite(cfg)
@@ -279,7 +295,22 @@ def test_unplaceable_cell_becomes_an_unsolved_row(tmp_path):
     assert records_to_csv(records).splitlines()[1] == ",".join(CSV_HEADER)
 
 
-@pytest.mark.parametrize("error", [PreconditionError, ReplanInfeasibleError])
+class FreshError(PrivmapfError):
+    """A failure type that no module of the package raises."""
+
+
+def test_any_typed_pipeline_failure_is_an_unsolved_row(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise FreshError("no answer")
+
+    monkeypatch.setattr(bench, "run_pipeline", fail)
+    p = write_yaml(tmp_path, "maps: [open16]\nagents: [2]\nk: [2]\nseeds: 1\n")
+    (rec,) = run_suite(load_config(p))
+    assert not rec.solved
+    assert rec.soc == -1 and rec.rsoc_before == -1
+
+
+@pytest.mark.parametrize("error", [PreconditionError, ReplanInfeasibleError, FreshError])
 def test_failed_refinement_is_recorded_as_none(tmp_path, monkeypatch, error):
     def refuse(*args, **kwargs):
         raise error("refused")

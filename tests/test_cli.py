@@ -8,6 +8,7 @@ import pytest
 from privmapf import bench, cli
 from privmapf.cli import main
 from privmapf.dispatch import InfeasibleInputError
+from privmapf.grid import PrivmapfError
 from privmapf.pipeline import PipelineSpec
 
 from conftest import ASSETS
@@ -343,18 +344,33 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
       "--scen", str(ASSETS / "scens" / "open16.scen")],
      "open16.scen: scenario has only 12 entries, 13 agents requested"),
     ("ConfigError", ["solve", "--map", "open16", "--separation", "-1"],
-     "the separation must be >= 1"),
+     "min_separation must be >= 1"),
     ("ConfigError", ["solve", "--map", "open16", "--separation", "0"],
-     "the separation must be >= 1"),
+     "min_separation must be >= 1"),
     # JSON true is not the index 1
     ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
                       "--private-dir", "{tmp}/bool_index"],
      'bool_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
+    # a file that is not YAML or not text names itself, with the line where there is one
+    ("ConfigError", ["bench", "--config", "{tmp}/bad.yaml"],
+     "bad.yaml: line 2: expected ',' or ']', but got '<stream end>'"),
+    ("ConfigError", ["bench", "--config", "{tmp}/binary.yaml"],
+     "binary.yaml: 'utf-8' codec can't decode byte 0xff"),
+    ("ParseError", ["audit", "--map", "{tmp}/binary.map", "--trace", "{tmp}/trace.json"],
+     "binary.map: 'utf-8' codec can't decode byte 0xff"),
+    ("ParseError", ["solve", "--map", "open16", "--scen", "{tmp}/binary.scen"],
+     "binary.scen: 'utf-8' codec can't decode byte 0xff"),
+    ("ConfigError", ["solve", "--map", "open16", "--k", "0"], "k must be >= 1"),
+    ("ConfigError", ["solve", "--map", "open16", "--budget-expansions", "-1"],
+     "the expansion budget must be an int >= 0"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
     (tmp_path / "bad.scen").write_text("0 open16 16 16 0 0 1 1 2\n")
     (tmp_path / "empty.map").write_text(MAP_WITHOUT_PASSABLE_CELL)
+    (tmp_path / "bad.yaml").write_text("maps: [open16\n")
+    for name in ("binary.yaml", "binary.map", "binary.scen"):
+        (tmp_path / name).write_bytes(b"\xff\xfe\x00version 1\n")
     # one k=1 group resting at (0,0), vertex 0
     (tmp_path / "trace.json").write_text(json.dumps(trace_obj(1, 1, [[[0, 0, 0, 0]]], [[0]])))
     (tmp_path / "kpp.json").write_text(json.dumps(trace_obj(1, 0, [[[0, 0, 0, 0]]], [[0]])))
@@ -374,3 +390,26 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert where in lines[0]
+
+
+def test_any_typed_failure_is_one_error_line(monkeypatch, capsys):
+    class FreshError(PrivmapfError):
+        """A failure type that no module of the package raises."""
+
+    def fail(args):
+        raise FreshError("no answer")
+
+    monkeypatch.setattr(cli, "_cmd_audit", fail)
+    assert main(["audit", "--map", "open16", "--trace", "t.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: no answer"]
+
+
+def test_a_bug_keeps_its_traceback(monkeypatch):
+    def fail(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_audit", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["audit", "--map", "open16", "--trace", "t.json"])

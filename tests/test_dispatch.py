@@ -30,6 +30,7 @@ from privmapf.dispatch import (
 )
 from privmapf.grid import parse_map_text
 from privmapf.instances import PlacementError, random_spaced_pairs
+from privmapf.pipeline import PipelineSpec, run_pipeline
 
 LINE10 = "type octile\nheight 1\nwidth 10\nmap\n..........\n"
 
@@ -123,6 +124,32 @@ def test_dispatch_rejects_colliding_reals():
     w = line_world()
     with pytest.raises(InfeasibleInputError):
         dispatch_groups(w, [(0, 5), (0, 7)], 2, 0, 0)
+
+
+def _pipeline(world, reals, k, radius, seed):
+    return run_pipeline(world, reals, PipelineSpec(k, radius), seed)
+
+
+# a pair is two int vertex ids: -1 would index as vertex 255, True as 1
+@pytest.mark.parametrize("entry,reals,agent", [
+    (dispatch_groups, [(-1, 5)], 0),
+    (_pipeline, [(-1, 5), (40, 100)], 0),
+    (dispatch_groups, [(256, 5)], 0),
+    (dispatch_groups, [(True, 5)], 0),
+    (dispatch_groups, [(40, 100), (5, -3)], 1),
+    (dispatch_groups, [(40, 100, 7)], 0),
+    (dispatch_groups, [(40,)], 0),
+])
+def test_dispatch_rejects_endpoints_that_are_not_vertex_ids(
+    open16, monkeypatch, entry, reals, agent
+):
+    def unreachable(*args):
+        raise AssertionError("the endpoints are checked first")
+
+    monkeypatch.setattr(dispatch, "pairs_collide", unreachable)
+    monkeypatch.setattr(dispatch.random, "Random", unreachable)
+    with pytest.raises(InfeasibleInputError, match=f"agent {agent}: real pair"):
+        entry(open16, reals, 2, 0, 0)
 
 
 def test_dispatch_rejects_negative_radius():
