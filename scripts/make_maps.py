@@ -23,8 +23,7 @@ ASSETS = Path(__file__).resolve().parents[1] / "src" / "privmapf" / "assets"
 
 
 def is_connected(rows: list[str]) -> bool:
-    world = GridWorld(rows)
-    return all(world.component_of(v) == 0 for v in range(world.num_vertices))
+    return set(GridWorld(rows).components) == {0}
 
 
 def render(rows: list[str], height: int, width: int) -> str:

@@ -15,8 +15,10 @@ from .audit import (
     Metrics,
     MetricsError,
     audit,
+    check_k_privacy,
     check_runtime_k_privacy,
     check_separated,
+    compute_beliefs,
     metrics,
     path_cost,
     real_sum_of_costs,
@@ -48,8 +50,6 @@ from .pipeline import (
     MessageTrace,
     PipelineResult,
     PipelineSpec,
-    check_k_privacy,
-    compute_beliefs,
     run_pipeline,
 )
 from .plans import JointPlan, pad_paths

@@ -3,7 +3,12 @@
 The auditor never samples; it scans every timestep and every agent pair, so
 a clean report is a proof over the padded horizon. Padding positions (agents
 resting at their goals after arrival) participate in vertex and fov checks
-like any other position.
+like any other position. The solvers check their start configuration with
+the same ``audit`` call, so the conflict rule is written here only.
+
+An observer's belief about agent i at time t is the set of vertices where
+group i's sub-plans place any member at t (goal positions pad past each
+path's end). The plan is k-private when every belief set keeps size >= k.
 """
 
 from __future__ import annotations
@@ -157,6 +162,33 @@ def check_separated(
     return violations
 
 
+def compute_beliefs(plan: JointPlan, group_of: list[int]) -> list[list[frozenset[int]]]:
+    """beliefs[i][t]: where agent i might be at t, judging from the broadcast."""
+    n_groups = max(group_of) + 1
+    horizon = plan.horizon
+    beliefs = []
+    for i in range(n_groups):
+        members = [j for j, g in enumerate(group_of) if g == i]
+        beliefs.append(
+            [
+                frozenset(plan.position(j, t) for j in members)
+                for t in range(horizon + 1)
+            ]
+        )
+    return beliefs
+
+
+def check_k_privacy(beliefs: list[list[frozenset[int]]], k: int) -> dict:
+    """Every belief set must keep at least k candidate locations."""
+    violations = [
+        (i, t, len(b))
+        for i, per_t in enumerate(beliefs)
+        for t, b in enumerate(per_t)
+        if len(b) < k
+    ]
+    return {"ok": not violations, "violations": violations}
+
+
 def check_runtime_k_privacy(
     world: GridWorld,
     plan: JointPlan,
@@ -165,8 +197,6 @@ def check_runtime_k_privacy(
     fov_radius: int,
 ) -> dict:
     """k-anonymous beliefs at every timestep AND zero inter-group fov overlap."""
-    from .pipeline import compute_beliefs, check_k_privacy  # local: avoids cycle
-
     beliefs = compute_beliefs(plan, group_of)
     privacy = check_k_privacy(beliefs, k)
     fov_report = audit(world, plan, group_of, fov_radius=fov_radius, check_fov=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import yaml
 
+from .audit import metrics
 # ConfigError is re-exported: callers and tests import it from bench
 from .grid import ConfigError, GridWorld, PrivmapfError, load_map
 # default_separation is re-exported: the benchmark reads bench.default_separation
@@ -204,8 +206,6 @@ def run_one(task: TaskSpec) -> RunRecord:
     soc = makespan = rsoc_before = rsoc_after = -1
     improvement = 0.0
     if solved:
-        from .audit import metrics
-
         m = metrics(out.plan.paths, out.problem.goals)
         soc, makespan = m.soc, m.makespan
         if spec.radius >= 1:
@@ -227,9 +227,12 @@ def run_one(task: TaskSpec) -> RunRecord:
 
 
 def run_suite(cfg: BenchConfig, threads: int = 1) -> list[RunRecord]:
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
     tasks = iter_tasks(cfg)
-    # a fork pool starts all its workers at the first submit, so no more than tasks
-    workers = min(threads, len(tasks))
+    # a fork pool starts all its workers at the first submit, so no more than
+    # tasks, and no more than CPUs: the work is CPU-bound Python
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_one, tasks, chunksize=1))

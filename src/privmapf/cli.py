@@ -23,14 +23,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .audit import audit, metrics, real_sum_of_costs
+from .audit import audit, check_k_privacy, compute_beliefs, metrics, real_sum_of_costs
 from .bench import format_summary, load_config, resolve_map, run_suite, summarize, write_records
 from .dispatch import SidecarError, read_private_sidecars, sidecar_path, write_private_sidecars
 from .grid import ConfigError, PrivmapfError, ScenarioError, load_map, load_scenario, scenario_pairs
 from .instances import random_spaced_pairs
 from .pipeline import (
-    SOLVERS, MessageTrace, PipelineSpec, TraceError, check_k_privacy, compute_beliefs,
-    extract_real_path, read_trace, run_pipeline, write_trace,
+    SOLVERS, MessageTrace, PipelineSpec, TraceError, extract_real_path, read_trace,
+    run_pipeline, write_trace,
 )
 from .plans import write_real_plan_file
 from .safezone import ppfpp, write_zones
@@ -103,7 +103,7 @@ def _cmd_ppfpp(args) -> int:
         write_real_plan_file(result.refined_paths, args.out)
         print(f"refined real paths written to {args.out}")
     if args.zones:
-        write_zones(result.zones, result.radius, world, args.zones)
+        write_zones(result.zones, trace.fov_radius, world, args.zones)
         print(f"zones written to {args.zones}")
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .grid import GridWorld, PrivmapfError
+from .grid import ConfigError, GridWorld, PrivmapfError
 
 
 class InfeasibleInputError(PrivmapfError, ValueError):
@@ -37,10 +37,6 @@ class InfeasibleInputError(PrivmapfError, ValueError):
 
 class DispatchExhaustedError(PrivmapfError, RuntimeError):
     """Rejection sampling ran out of retries."""
-
-    def __init__(self, message: str, attempts: int):
-        super().__init__(f"{message} (after {attempts} attempts)")
-        self.attempts = attempts
 
 
 class DispatchVerificationError(RuntimeError):
@@ -174,16 +170,19 @@ def dispatch_groups(
     connected component. Each group's pair order is shuffled before
     publication so position leaks nothing about which pair is real.
 
-    Raises InfeasibleInputError when a real endpoint is not a vertex id,
-    when the real pairs already collide at this radius (or the world is too
-    small), DispatchExhaustedError when a mock pair cannot be placed within
+    Raises ConfigError for a negative radius, InfeasibleInputError when
+    there is no real pair, when a real endpoint is not a vertex id, when the
+    real pairs already collide at this radius (or the world is too small),
+    DispatchExhaustedError when a mock pair cannot be placed within
     MAX_RETRIES draws.
     """
     n = len(real_pairs)
     if radius < 0:
-        raise ValueError("fov radius must be >= 0")
+        raise ConfigError("fov radius must be >= 0")
     if k < 1:
         raise InfeasibleInputError("k must be >= 1")
+    if n == 0:
+        raise InfeasibleInputError("no real pairs to dispatch")
     if world.num_vertices < k:
         raise InfeasibleInputError(
             f"{world.num_vertices} vertices cannot host groups of {k} distinct starts"
@@ -225,7 +224,7 @@ def dispatch_groups(
                     break
             else:
                 raise DispatchExhaustedError(
-                    f"group {gid}: mock pair {m} keeps colliding", attempts=MAX_RETRIES
+                    f"group {gid}: mock pair {m} keeps colliding (after {MAX_RETRIES} attempts)"
                 )
         committed.append(pairs)
 

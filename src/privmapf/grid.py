@@ -136,12 +136,9 @@ class GridWorld:
             raise ValueError(f"({x},{y}) is blocked")
         return v
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._neighbors[v]
-
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """``neighbors(v)`` indexed by v."""
+        """The 4-neighbours of v, indexed by v."""
         return self._neighbors
 
     def fov(self, v: int, radius: int) -> frozenset[int]:
@@ -178,7 +175,7 @@ class GridWorld:
 
     @property
     def components(self) -> tuple[int, ...]:
-        """``component_of(v)`` indexed by v, built once."""
+        """The connected-component label of v, indexed by v, built once."""
         if self._component is None:
             comp = [-1] * self.num_vertices
             members = []
@@ -197,16 +194,10 @@ class GridWorld:
             self._members = tuple(members)
         return self._component
 
-    def component_of(self, v: int) -> int:
-        return self.components[v]
-
     def component_members(self, v: int) -> tuple[int, ...]:
         """The vertices of v's connected component, ascending."""
         label = self.components[v]  # builds _members on first use
         return self._members[label]
-
-    def same_component(self, v: int, u: int) -> bool:
-        return self.component_of(v) == self.component_of(u)
 
 
 def parse_map_text(text: str) -> GridWorld:

@@ -27,7 +27,7 @@ import random
 from collections import deque
 
 from .audit import metrics
-from .pibt import SolveResult, SolverProblem, build_step, node_data, valid_configuration
+from .pibt import SolveResult, SolverProblem, build_step, clean_start, node_data
 from .plans import JointPlan
 
 
@@ -61,9 +61,9 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     Steps clear the problem's fov radius; at radius 0 the rule is classical.
 
     Failures: ``timeout`` (budget spent), ``exhausted`` (no plan exists) and
-    ``invalid_start`` (the start breaks the step rules, as in ``pibt_solve``).
+    ``invalid_start`` (``clean_start`` fails, as in ``pibt_solve``).
     """
-    if not valid_configuration(problem, problem.starts):
+    if not clean_start(problem):
         return SolveResult(False, None, "invalid_start")
     adj, goals = problem.world.adjacency, problem.goals
     goal_cfg = tuple(goals)
@@ -73,7 +73,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     start_cfg = tuple(problem.starts)
     if start_cfg == goal_cfg:
         plan = JointPlan.from_configs([list(start_cfg)])
-        return SolveResult(True, plan, None, steps=0, expansions=0)
+        return SolveResult(True, plan, None)
     etas, h, order, at_goal = node_data(goals, dists, start_cfg, [0] * n)
     init = _Node(start_cfg, 0, h, None, order, etas, at_goal)
     open_stack: list[_Node] = [init]
@@ -152,6 +152,6 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     for node in explored.values():
         node.edges = None
     if best_plan is not None:
-        return SolveResult(True, best_plan, None, steps=best_plan.horizon, expansions=expansions)
+        return SolveResult(True, best_plan, None, expansions=expansions)
     reason = "timeout" if open_stack else "exhausted"
     return SolveResult(False, None, reason, expansions=expansions)

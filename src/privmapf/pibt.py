@@ -29,6 +29,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .audit import audit
 from .dispatch import AgentGroup
 from .grid import GridWorld
 from .plans import JointPlan
@@ -63,20 +64,17 @@ class SolverProblem:
         if len(ks) != 1:
             raise ValueError(f"groups have mixed sizes {sorted(ks)}")
         self.world = world
-        self.groups = list(groups)
         self.fov_radius = fov_radius
         self.k = groups[0].k
-        self.n_groups = len(groups)
         self.starts: list[int] = []
         self.goals: list[int] = []
         self.group_of: list[int] = []
-        for gi, g in enumerate(self.groups):
+        for gi, g in enumerate(groups):
             for s, t in g.pairs:
                 self.starts.append(s)
                 self.goals.append(t)
                 self.group_of.append(gi)
-        if len(set(self.starts)) != len(self.starts):
-            raise ValueError("sub-agent starts are not pairwise distinct")
+        # the starts are checked by clean_start: a repeated one is a vertex conflict
         if len(set(self.goals)) != len(self.goals):
             raise ValueError("sub-agent goals are not pairwise distinct")
         self.num_agents = len(self.starts)
@@ -115,17 +113,12 @@ def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
     return new_etas, h, [key & mask for key in keys], at_goal
 
 
-def valid_configuration(problem: SolverProblem, config: list[int]) -> bool:
-    if len(set(config)) != len(config):
-        return False
-    r = problem.fov_radius
-    if r:
-        for a in range(problem.num_agents):
-            fset = problem.world.fov(config[a], r)
-            for b in range(a + 1, problem.num_agents):
-                if problem.group_of[a] != problem.group_of[b] and config[b] in fset:
-                    return False
-    return True
+def clean_start(problem: SolverProblem) -> bool:
+    """The start configuration breaks no step rule: no two sub-agents on one
+    vertex, none inside another group's fov square. At radius 0 a cross-group
+    fov hit is a vertex conflict, so one audit call serves every radius."""
+    starts = JointPlan.from_configs([problem.starts])
+    return audit(problem.world, starts, problem.group_of, problem.fov_radius, check_fov=True).ok
 
 
 # _DRAWS[m]: (i, i + 1, bits) per swap of Random.shuffle on m <= 5 items
@@ -256,8 +249,8 @@ def build_step(
 class SolveResult:
     solved: bool
     plan: JointPlan | None
-    reason: str | None = None  # horizon | livelock | timeout | exhausted | invalid_start
-    steps: int = 0
+    # horizon | livelock | timeout | exhausted | invalid_start (clean_start failed)
+    reason: str | None = None
     expansions: int = 0
 
 
@@ -274,12 +267,12 @@ def pibt_solve(
 
     Failures: ``horizon`` (step budget exhausted), ``livelock`` (visited
     configurations keep recurring with no distance progress), and
-    ``invalid_start`` (the initial configuration already violates the
-    constraints it is supposed to maintain).
+    ``invalid_start`` (``clean_start`` fails: the initial configuration
+    already violates the constraints it is supposed to maintain).
     """
     if horizon is None:
         horizon = default_horizon(problem.world)
-    if not valid_configuration(problem, problem.starts):
+    if not clean_start(problem):
         return SolveResult(False, None, "invalid_start")
     rng = random.Random(f"pibt:{seed}")
     goals, dists = problem.goals, problem.dists
@@ -304,11 +297,10 @@ def pibt_solve(
         elif config in visited:
             stagnation += 1
             if stagnation >= stagnation_limit:
-                return SolveResult(False, None, "livelock", steps=len(configs) - 1)
+                return SolveResult(False, None, "livelock")
         else:
             stagnation = 0
         visited.add(config)
     if config != goal_cfg:
-        return SolveResult(False, None, "horizon", steps=len(configs) - 1)
-    plan = JointPlan.from_configs([list(c) for c in configs])
-    return SolveResult(True, plan, None, steps=plan.horizon)
+        return SolveResult(False, None, "horizon")
+    return SolveResult(True, JointPlan.from_configs([list(c) for c in configs]), None)

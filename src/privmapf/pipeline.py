@@ -11,10 +11,6 @@ pair. Everything observable by other agents lives in the MessageTrace, and
 nothing derived from a private real index may ever appear in it. Its JSON
 form is the one broadcast file: ``privmapf solve`` writes it, and ``audit``
 and ``ppfpp`` read the plan, k and the radius back from it.
-
-An observer's belief about agent i at time t is the set of vertices where
-group i's sub-plans place any member at t (goal positions pad past each
-path's end). The plan is k-private when every belief set keeps size >= k.
 """
 
 from __future__ import annotations
@@ -35,14 +31,12 @@ class MessageTrace:
     """Everything broadcast during one pipeline run (and nothing more)."""
 
     published_groups: tuple[dsp.AgentGroup, ...]  # broadcast views, no real_index
-    planner_group: int
     k: int
     fov_radius: int
     broadcast_plan: JointPlan | None
 
     def to_json(self, world: GridWorld) -> str:
         obj = {
-            "planner_group": self.planner_group,
             "k": self.k,
             "fov_radius": self.fov_radius,
             "groups": [
@@ -72,13 +66,14 @@ class MessageTrace:
 
         Each group must hold k pairs on passable cells with distinct starts
         and goals, and a plan, when there is one, k rows per group of one
-        length, each starting and ending at its published pair.
+        length, each starting and ending at its published pair. Other keys
+        are ignored, so a trace with a key this version no longer writes loads.
         """
         try:
             obj = json.loads(text)
         except ValueError as exc:
             raise TraceError(f"not JSON ({exc})") from None
-        for key in ("planner_group", "k", "fov_radius", "groups", "plan"):
+        for key in ("k", "fov_radius", "groups", "plan"):
             if not isinstance(obj, dict) or key not in obj:
                 raise TraceError(f"missing key {key!r}")
         k = _read_int(obj["k"], 1, "k")
@@ -86,11 +81,8 @@ class MessageTrace:
         if not isinstance(obj["groups"], list):
             raise TraceError("groups is not a list")
         groups = tuple(_read_group(world, i, g, k) for i, g in enumerate(obj["groups"]))
-        planner = _read_int(obj["planner_group"], 0, "planner_group")
-        if planner >= len(groups):
-            raise TraceError(f"planner_group {planner} is not one of the {len(groups)} groups")
         plan = None if obj["plan"] is None else _read_plan(obj["plan"], groups, k)
-        return MessageTrace(groups, planner, k, radius, plan)
+        return MessageTrace(groups, k, radius, plan)
 
 
 class TraceError(PrivmapfError, ValueError):
@@ -221,7 +213,7 @@ def run_pipeline(
 
     # groups are published before the solver runs: a failed solve still
     # leaks exactly the same messages, so the trace must carry them.
-    trace = MessageTrace(published, 0, spec.k, spec.radius, result.plan)
+    trace = MessageTrace(published, spec.k, spec.radius, result.plan)
     real_paths = None
     if result.solved:
         real_paths = [extract_real_path(result.plan, spec.k, g) for g in groups]
@@ -237,33 +229,6 @@ def kpp_solve(world, real_pairs, k, seed, **settings) -> PipelineResult:
 def fpp_solve(world, real_pairs, k, fov_radius, seed, **settings) -> PipelineResult:
     """``run_pipeline`` at ``fov_radius``, kept only as ``kpp_solve`` is."""
     return run_pipeline(world, real_pairs, PipelineSpec(k, fov_radius, **settings), seed)
-
-
-def compute_beliefs(plan: JointPlan, group_of: list[int]) -> list[list[frozenset[int]]]:
-    """beliefs[i][t]: where agent i might be at t, judging from the broadcast."""
-    n_groups = max(group_of) + 1
-    horizon = plan.horizon
-    beliefs = []
-    for i in range(n_groups):
-        members = [j for j, g in enumerate(group_of) if g == i]
-        beliefs.append(
-            [
-                frozenset(plan.position(j, t) for j in members)
-                for t in range(horizon + 1)
-            ]
-        )
-    return beliefs
-
-
-def check_k_privacy(beliefs: list[list[frozenset[int]]], k: int) -> dict:
-    """Every belief set must keep at least k candidate locations."""
-    violations = [
-        (i, t, len(b))
-        for i, per_t in enumerate(beliefs)
-        for t, b in enumerate(per_t)
-        if len(b) < k
-    ]
-    return {"ok": not violations, "violations": violations}
 
 
 def write_trace(trace: MessageTrace, world: GridWorld, path: str | Path) -> None:

@@ -271,7 +271,6 @@ def _rebuild(
 @dataclass
 class RefineResult:
     zones: ZoneTable
-    radius: int
     picks: list[ExtensionPick]
     refined_paths: list[tuple[int, ...]]
     costs_before: list[int]
@@ -330,7 +329,7 @@ def ppfpp(
     for i, (b, a) in enumerate(zip(before, after)):
         if a != arrivals[i] or a > b:
             raise RuntimeError(f"agent {i}: refined cost {a} inconsistent (was {b})")
-    return RefineResult(zones, fov_radius, picks, refined, before, after)
+    return RefineResult(zones, picks, refined, before, after)
 
 
 def write_zones(result_zones: ZoneTable, radius: int, world: GridWorld, path: str | Path) -> None:

@@ -93,7 +93,7 @@ def replay_picks(world, initial, radius, picks):
     breaks = []
     for pick in picks:
         t, i, v = pick.t, pick.group, pick.vertex
-        ok = v not in zones[i][t] and any(u in zones[i][t] for u in world.neighbors(v))
+        ok = v not in zones[i][t] and any(u in zones[i][t] for u in world.adjacency[v])
         for j, other in enumerate(zones):
             if j != i and (v in other[t] or (t > 0 and v in other[t - 1])
                            or world.fov(v, radius) & other[t]):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from privmapf.audit import audit, check_separated
+from privmapf.audit import audit, check_k_privacy, check_separated, compute_beliefs
 from privmapf.bench import resolve_map
 from privmapf.dispatch import (
     AgentGroup,
@@ -27,7 +27,7 @@ from privmapf.grid import load_map, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import lacam_solve
 from privmapf.pibt import SolverProblem, pibt_solve
-from privmapf.pipeline import PipelineSpec, check_k_privacy, compute_beliefs, run_pipeline
+from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import ReplanInfeasibleError, initial_safe_zones, ppfpp, sipp_replan
 
@@ -224,7 +224,7 @@ def bfs_earliest_arrival(world, zone_per_t, start, goal):
             return t
         if t == horizon:
             continue
-        for u in (v, *world.neighbors(v)):
+        for u in (v, *world.adjacency[v]):
             if u in zone_per_t[t + 1] and (u, t + 1) not in seen:
                 seen.add((u, t + 1))
                 queue.append((u, t + 1))
@@ -244,14 +244,14 @@ def test_5_replanner_matches_brute_force():
         world = open8 if case % 2 == 0 else blocked8
         zone = {rng.randrange(world.num_vertices)}
         for _ in range(rng.randrange(1, 12)):
-            frontier = sorted({u for v in zone for u in world.neighbors(v)} - zone)
+            frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
             zone.add(rng.choice(frontier))
         table = []
         for t in range(rng.randrange(4, 21) + 1):
             if t:
                 if rng.random() < 0.7:
                     frontier = sorted(
-                        {u for v in zone for u in world.neighbors(v)} - zone
+                        {u for v in zone for u in world.adjacency[v]} - zone
                     )
                     if frontier:
                         zone = zone | {rng.choice(frontier)}

@@ -180,8 +180,10 @@ def test_suite_csv_is_byte_reproducible(tmp_path):
 
 
 def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
-    # a fork pool starts max_workers processes at once: record them, start none
+    # a fork pool starts max_workers processes at once: record them, start
+    # none; nor more workers than CPUs
     pools = []
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
 
     class FakePool:
         def __init__(self, max_workers):
@@ -206,6 +208,13 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
     assert len(run_suite(one, threads=64)) == 1
     assert run_suite(BenchConfig(maps=(), agents=(2,)), threads=4) == []
     assert pools == [2]  # one task or none run in-process
+    four = BenchConfig(maps=("open16",), agents=(2,), seeds=(0, 1, 2, 3),
+                       budget_expansions=50)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+    assert len(run_suite(four, threads=64)) == 4
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: None)  # unknown: one process
+    assert len(run_suite(four, threads=64)) == 4
+    assert pools == [2, 3]
 
 
 def test_expansion_budgeted_rows_zero_the_clock():

@@ -174,7 +174,7 @@ def trace_obj(k, radius, groups, plan):
     """A message trace as ``MessageTrace.to_json`` lays it out; groups list
     each group's pairs as [sx, sy, gx, gy]."""
     return {
-        "planner_group": 0, "k": k, "fov_radius": radius, "plan": plan,
+        "k": k, "fov_radius": radius, "plan": plan,
         "groups": [{"group_id": i, "pairs": pairs} for i, pairs in enumerate(groups)],
     }
 
@@ -245,13 +245,15 @@ def test_malformed_trace_is_one_error_line(tmp_path, capsys, command, case):
 
 
 def test_the_walled_trace_itself_is_clean(tmp_path, capsys):
-    # the malformed cases above each break one thing in this trace
+    # the malformed cases above each break one thing in this trace; older
+    # traces also carry a planner_group key, which is read and ignored
     (tmp_path / "walled.map").write_text(WALLED)
-    (tmp_path / "trace.json").write_text(json.dumps(walled_trace()))
-    rc = main(["audit", "--map", str(tmp_path / "walled.map"),
-               "--trace", str(tmp_path / "trace.json")])
-    assert rc == 0
-    assert capsys.readouterr().out.splitlines()[-2:] == ["belief 2-privacy: ok", "clean"]
+    for trace in (walled_trace(), {**walled_trace(), "planner_group": 0}):
+        (tmp_path / "trace.json").write_text(json.dumps(trace))
+        rc = main(["audit", "--map", str(tmp_path / "walled.map"),
+                   "--trace", str(tmp_path / "trace.json")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["belief 2-privacy: ok", "clean"]
 
 
 def test_audit_checks_fov_and_privacy_at_the_traced_values(tmp_path, capsys):
@@ -363,12 +365,17 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
     ("ConfigError", ["solve", "--map", "open16", "--k", "0"], "k must be >= 1"),
     ("ConfigError", ["solve", "--map", "open16", "--budget-expansions", "-1"],
      "the expansion budget must be an int >= 0"),
+    ("ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "0"],
+     "threads must be >= 1"),
+    ("ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "-3"],
+     "threads must be >= 1"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
     (tmp_path / "bad.scen").write_text("0 open16 16 16 0 0 1 1 2\n")
     (tmp_path / "empty.map").write_text(MAP_WITHOUT_PASSABLE_CELL)
     (tmp_path / "bad.yaml").write_text("maps: [open16\n")
+    (tmp_path / "one.yaml").write_text("maps: [open16]\nagents: [1]\nseeds: 1\n")
     for name in ("binary.yaml", "binary.map", "binary.scen"):
         (tmp_path / name).write_bytes(b"\xff\xfe\x00version 1\n")
     # one k=1 group resting at (0,0), vertex 0

@@ -28,6 +28,8 @@ from privmapf.dispatch import (
     verify_dispatch,
     write_private_sidecars,
 )
+from privmapf.grid import ConfigError
+from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.grid import parse_map_text
 from privmapf.instances import PlacementError, random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
@@ -153,8 +155,19 @@ def test_dispatch_rejects_endpoints_that_are_not_vertex_ids(
 
 
 def test_dispatch_rejects_negative_radius():
-    with pytest.raises(ValueError, match="fov radius must be >= 0"):
+    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
         dispatch_groups(line_world(), [(0, 5)], 2, -1, 0)
+
+
+def test_dispatch_rejects_zero_pairs_before_drawing(open16, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the pair count is checked first")
+
+    monkeypatch.setattr(dispatch.random, "Random", unreachable)
+    with pytest.raises(InfeasibleInputError, match="no real pairs to dispatch"):
+        dispatch_groups(open16, [], 2, 0, 0)
+    with pytest.raises(InfeasibleInputError, match="no real pairs to dispatch"):
+        run_pipeline(open16, [], PipelineSpec(2), 0)
 
 
 def test_dispatch_exhausts_when_no_room():
@@ -168,7 +181,7 @@ def test_dispatch_mocks_are_reachable():
     w = parse_map_text("type octile\nheight 1\nwidth 9\nmap\n....@....\n")
     groups = dispatch_groups(w, [(0, 3)], 3, 0, seed=1)
     for s, g in groups[0].pairs:
-        assert w.same_component(s, g)
+        assert w.components[s] == w.components[g]
 
 
 def test_real_index_is_uniform_after_shuffle():
@@ -289,7 +302,7 @@ def _reference_sample_mock_pair(world, rng, used_starts, used_goals, require_rea
         goal_pool = [
             v
             for v in range(world.num_vertices)
-            if v not in used_goals and world.same_component(v, s)
+            if v not in used_goals and world.components[v] == world.components[s]
         ]
     else:
         goal_pool = [v for v in range(world.num_vertices) if v not in used_goals]
@@ -310,7 +323,7 @@ def _used_sets(world):
     index of every pool, fill a component, and hold ids off the map."""
     members = {}
     for v in range(world.num_vertices):
-        members.setdefault(world.component_of(v), []).append(v)
+        members.setdefault(world.components[v], []).append(v)
     last = world.num_vertices - 1
     sets = [set(), {0}, {last}, {0, 1, last}, {-1, last + 1}, set(range(world.num_vertices))]
     for comp in members.values():

@@ -45,19 +45,17 @@ def test_blocked_cells_are_not_vertices():
 def test_bundled_random_map_has_exact_vertex_count(random32):
     # 32*32 minus 20% blocked
     assert random32.num_vertices == 819
-    assert all(
-        random32.same_component(0, v) for v in range(random32.num_vertices)
-    )
+    assert set(random32.components) == {0}
 
 
 def test_neighbor_order_skips_blocked():
     w = parse_map_text(DOORWAY)
-    got = [w.coords(v) for v in w.neighbors(w.vertex_at(2, 1))]
+    got = [w.coords(v) for v in w.adjacency[w.vertex_at(2, 1)]]
     assert got == [(1, 1), (3, 1)]  # up and down are '@'
 
 
 def test_neighbors_full_cross(open4):
-    got = [open4.coords(v) for v in open4.neighbors(open4.vertex_at(1, 1))]
+    got = [open4.coords(v) for v in open4.adjacency[open4.vertex_at(1, 1)]]
     assert got == [(1, 0), (0, 1), (2, 1), (1, 2)]
 
 
@@ -133,8 +131,8 @@ def test_components():
     w = parse_map_text("type octile\nheight 1\nwidth 5\nmap\n..@..\n")
     a, b = w.vertex_at(0, 0), w.vertex_at(1, 0)
     c = w.vertex_at(3, 0)
-    assert w.same_component(a, b)
-    assert not w.same_component(a, c)
+    assert w.components[a] == w.components[b]
+    assert w.components[a] != w.components[c]
 
 
 def test_scenario_round_trip(open16):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from privmapf import instances
+from privmapf.grid import ConfigError
 from privmapf.instances import PlacementError, default_separation, random_spaced_pairs
 
 
@@ -26,7 +27,7 @@ def _reference_random_spaced_pairs(world, n, seed, min_separation=None):
             )
         s = rng.randrange(world.num_vertices)
         g = rng.randrange(world.num_vertices)
-        if not world.same_component(s, g):
+        if world.components[s] != world.components[g]:
             continue
         if any(world.chebyshev(s, s2) < min_separation for s2 in starts):
             continue
@@ -79,6 +80,12 @@ def test_placement_matches_reference(placement_worlds):
 def test_separation_below_one_is_rejected(open16, sep):
     with pytest.raises(ValueError, match="min_separation must be >= 1"):
         random_spaced_pairs(open16, 2, 0, min_separation=sep)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_agent_count_below_one_is_rejected(open16, n):
+    with pytest.raises(ConfigError, match="the agent count must be >= 1"):
+        random_spaced_pairs(open16, n, 0)
 
 
 @pytest.mark.parametrize("n, sep", [(10, 6), (257, 1), (5, 16)])

@@ -61,7 +61,7 @@ def true_optimal_soc(world, starts, goals):
                     dist[s] = d
                     heapq.heappush(heap, (d, s))
         active = [a for a in range(n) if not mask >> a & 1]
-        options = [(cfg[a], *world.neighbors(cfg[a])) for a in active]
+        options = [(cfg[a], *world.adjacency[cfg[a]]) for a in active]
         for moves in itertools.product(*options):
             new = list(cfg)
             for a, v in zip(active, moves):
@@ -150,7 +150,7 @@ def test_first_dive_reproduces_one_shot_run(open16):
         problem = singleton_problem(open16, pairs)
         one_shot = pibt_solve(problem, seed)
         assert one_shot.solved
-        dive = lacam_solve(problem, seed, budget_expansions=one_shot.steps)
+        dive = lacam_solve(problem, seed, budget_expansions=one_shot.plan.horizon)
         assert dive.solved
         assert dive.plan.paths == one_shot.plan.paths
 
@@ -165,7 +165,7 @@ def test_first_dive_reproduces_one_shot_run_fov(open16):
         problem = SolverProblem(open16, groups, fov_radius=1)
         one_shot = pibt_solve(problem, seed)
         assert one_shot.solved
-        dive = lacam_solve(problem, seed, budget_expansions=one_shot.steps)
+        dive = lacam_solve(problem, seed, budget_expansions=one_shot.plan.horizon)
         assert dive.solved
         assert dive.plan.paths == one_shot.plan.paths
 
@@ -304,7 +304,7 @@ def _reference_lacam(problem, seed, budget):
         if constraint.depth < n:
             agent = node.order[constraint.depth]
             cur = node.config[agent]
-            for u in sorted((cur, *problem.world.neighbors(cur)),
+            for u in sorted((cur, *problem.world.adjacency[cur]),
                             key=lambda v: (dists[agent][v], v)):
                 node.tree.append(constraint.extend(agent, u))
         forced = list(zip(constraint.who, constraint.where))

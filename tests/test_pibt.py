@@ -6,15 +6,19 @@ exchanges, and at radius r >= 1 no inter-group visibility), so the transactional
 push/rollback machinery is checked against the rules it must maintain, not
 against its own bookkeeping. The vertex-indexed builder is also compared,
 result and RNG state, with a reference that keeps its state in dicts and
-per-group target sets and scans every agent for fov pushees.
+per-group target sets and scans every agent for fov pushees. The start
+check, an audit call, is compared with the hand-written rule it replaced.
 """
 
 import random
+from collections import Counter
 from functools import partial
+from itertools import combinations
 
 import pytest
 
 from privmapf import pibt
+from privmapf.audit import audit
 from privmapf.dispatch import AgentGroup, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.lacam import lacam_solve
@@ -22,10 +26,11 @@ from privmapf.pibt import (
     SolverProblem,
     bfs_distances,
     build_step,
+    clean_start,
     node_data,
     pibt_solve,
-    valid_configuration,
 )
+from privmapf.plans import JointPlan
 
 from conftest import singleton_problem
 
@@ -36,13 +41,14 @@ def step_is_legal(problem, before, after):
         return False
     for a in range(n):
         u, v = before[a], after[a]
-        if v != u and v not in problem.world.neighbors(u):
+        if v != u and v not in problem.world.adjacency[u]:
             return False
     for a in range(n):
         for b in range(a + 1, n):
             if after[a] == before[b] and after[b] == before[a] and before[a] != before[b]:
                 return False
-    return valid_configuration(problem, after)
+    after_plan = JointPlan.from_configs([after])
+    return audit(problem.world, after_plan, problem.group_of, problem.fov_radius, check_fov=True).ok
 
 
 @pytest.mark.parametrize("radius", [0, 1])
@@ -154,9 +160,11 @@ def test_forced_fov_violation_rejected(open16):
 def test_invalid_start_reported(open4, solve):
     a = (open4.vertex_at(0, 0), open4.vertex_at(3, 3))
     b = (open4.vertex_at(1, 1), open4.vertex_at(0, 3))  # inside fov(a) at r=1
-    problem = singleton_problem(open4, [a, b], fov_radius=1)
-    result = solve(problem, seed=0)
-    assert (result.solved, result.plan, result.reason) == (False, None, "invalid_start")
+    c = (open4.vertex_at(0, 0), open4.vertex_at(0, 3))  # a's start: a vertex conflict
+    for problem in (singleton_problem(open4, [a, b], fov_radius=1),
+                    singleton_problem(open4, [a, c])):
+        result = solve(problem, seed=0)
+        assert (result.solved, result.plan, result.reason) == (False, None, "invalid_start")
 
 
 def test_horizon_failure(open16):
@@ -200,8 +208,6 @@ def test_bfs_distances_unreachable():
 
 
 def test_solved_plan_reaches_goals_and_audits_clean(open16):
-    from privmapf.audit import audit
-
     for seed in range(4):
         reals = [(i * 41 % 230, (i * 59 + 7) % 251) for i in range(6)]
         groups = dispatch_groups(open16, reals, 2, 0, seed)
@@ -237,7 +243,7 @@ class _ReferenceStepBuilder:
         self.target = [None] * n
         self.claimed = {}
         self.at = {v: a for a, v in enumerate(config)}
-        self.group_targets = [set() for _ in range(problem.n_groups)]
+        self.group_targets = [set() for _ in range(max(problem.group_of) + 1)]
         self.undo = []
         self.square_pushes = 0
 
@@ -255,7 +261,7 @@ class _ReferenceStepBuilder:
             self.group_targets[self.problem.group_of[a]].discard(v)
 
     def _candidates(self, a):
-        cand = [self.config[a], *self.world.neighbors(self.config[a])]
+        cand = [self.config[a], *self.world.adjacency[self.config[a]]]
         self.rng.shuffle(cand)
         cand.sort(key=self.problem.dists[a].__getitem__)
         return cand
@@ -320,7 +326,7 @@ class _ReferenceStepBuilder:
                     return None
                 if v in self.claimed or self._swap(a, v):
                     return None
-                if v != self.config[a] and v not in self.world.neighbors(self.config[a]):
+                if v != self.config[a] and v not in self.world.adjacency[self.config[a]]:
                     return None
                 if self.fov_rule and self._fov_blocked(a, v):
                     return None
@@ -355,7 +361,7 @@ def _forced(problem, config, order, rng):
     out = []
     for a in order[:rng.randrange(4)]:
         cur = config[a]
-        cands = [cur, *problem.world.neighbors(cur)]
+        cands = [cur, *problem.world.adjacency[cur]]
         if rng.random() < 0.1:
             cands = [u for u in range(problem.world.num_vertices)
                      if problem.world.chebyshev(cur, u) == 2]
@@ -398,3 +404,66 @@ def test_builder_matches_reference(open16, random32, fov_rule, radius):
     assert nones > 0 and nones < steps
     if radius > 0:
         assert square_pushes > 0
+
+
+# ------------------------------------------------ reference start check
+
+
+def _reference_valid_configuration(problem, config):
+    """The hand-written start rule that ``clean_start``'s audit call replaced."""
+    if len(set(config)) != len(config):
+        return False
+    r = problem.fov_radius
+    if r:
+        for a in range(problem.num_agents):
+            fset = problem.world.fov(config[a], r)
+            for b in range(a + 1, problem.num_agents):
+                if problem.group_of[a] != problem.group_of[b] and config[b] in fset:
+                    return False
+    return True
+
+
+def _clustered_problem(world, rng, radius):
+    """Groups whose starts share a 3x3 square, at random places; now and
+    then a start copied from an earlier group (a cross-group repeat)."""
+    k, n_groups = rng.randint(1, 3), rng.randint(2, 4)
+    goals = rng.sample(range(world.num_vertices), k * n_groups)
+    groups, taken = [], []
+    for g in range(n_groups):
+        square = sorted(world.fov(rng.randrange(world.num_vertices), 1))
+        starts = rng.sample(square, min(k, len(square)))
+        if taken and rng.random() < 0.2:
+            copy = rng.choice(taken)
+            if copy not in starts:
+                starts[0] = copy
+        if len(starts) < k:
+            return None
+        taken += starts
+        groups.append(AgentGroup(g, tuple(zip(starts, goals[g * k:(g + 1) * k])), 0))
+    return SolverProblem(world, groups, radius)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_clean_start_matches_reference(open16, random32, radius):
+    seen = Counter()
+    for case, world in enumerate((open16, random32)):
+        rng = random.Random(f"clean_start:{case}:{radius}")
+        for _ in range(200):
+            problem = _clustered_problem(world, rng, radius)
+            if problem is None:
+                continue
+            starts, group_of = problem.starts, problem.group_of
+            expected = _reference_valid_configuration(problem, starts)
+            assert clean_start(problem) == expected
+            close = [group_of[a] == group_of[b]
+                     for a, b in combinations(range(problem.num_agents), 2)
+                     if world.chebyshev(starts[a], starts[b]) <= radius]
+            repeated = len(set(starts)) < len(starts)
+            seen[expected] += 1
+            seen["repeated vertex"] += repeated
+            seen["cross-group pair in fov, no repeat"] += not repeated and not all(close)
+            seen["same-group pair in fov, clean"] += expected and any(close)
+    kinds = [True, False, "repeated vertex"]
+    if radius:  # at radius 0 the fov is the vertex itself
+        kinds += ["cross-group pair in fov, no repeat", "same-group pair in fov, clean"]
+    assert all(seen[kind] for kind in kinds), seen

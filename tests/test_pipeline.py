@@ -9,13 +9,11 @@ import json
 
 import pytest
 
-from privmapf.audit import audit
+from privmapf.audit import audit, check_k_privacy, compute_beliefs
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import (
     MessageTrace,
     PipelineSpec,
-    check_k_privacy,
-    compute_beliefs,
     extract_real_path,
     fpp_solve,
     kpp_solve,
@@ -66,7 +64,6 @@ def test_trace_round_trip(open16, tmp_path):
     back = read_trace(open16, out)
     assert back.k == 2
     assert back.fov_radius == 0
-    assert back.planner_group == result.trace.planner_group
     assert back.broadcast_plan.paths == result.plan.paths
     assert len(back.published_groups) == 4
     for mine, theirs in zip(result.trace.published_groups, back.published_groups):
@@ -81,7 +78,7 @@ def test_trace_bytes_carry_no_private_fields(open16, tmp_path):
     text = result.trace.to_json(open16)
     assert "real" not in text
     obj = json.loads(text)
-    assert set(obj) == {"planner_group", "k", "fov_radius", "groups", "plan"}
+    assert set(obj) == {"k", "fov_radius", "groups", "plan"}
     for g in obj["groups"]:
         assert set(g) == {"group_id", "pairs"}
         assert len(g["pairs"]) == 2

@@ -119,7 +119,7 @@ def _reference_extend(world, zones, radius, seed, rule3=True):
                 zone = zones[i][t]
                 frontier = set()
                 for v in zone:
-                    frontier.update(world.neighbors(v))
+                    frontier.update(world.adjacency[v])
                 frontier -= zone
                 for j in range(n_groups):
                     if j == i:
@@ -156,7 +156,7 @@ def spread_group_zones(world, rng, n_groups, k, radius, horizon):
     for _ in range(horizon):
         for a, path in enumerate(paths):
             v = path[-1]
-            step = rng.choice((v,) + world.neighbors(v))
+            step = rng.choice((v,) + world.adjacency[v])
             if all(group_of[b] == group_of[a] or world.chebyshev(step, other[-1]) >= gap
                    for b, other in enumerate(paths)):
                 v = step
@@ -241,7 +241,7 @@ def bfs_earliest_arrival(world, zone_per_t, start, goal):
             return t
         if t == horizon:
             continue
-        for u in (v, *world.neighbors(v)):
+        for u in (v, *world.adjacency[v]):
             if u in zone_per_t[t + 1] and (u, t + 1) not in seen:
                 seen.add((u, t + 1))
                 queue.append((u, t + 1))
@@ -251,13 +251,13 @@ def bfs_earliest_arrival(world, zone_per_t, start, goal):
 def random_zone_table(world, rng, horizon):
     zone = {rng.randrange(world.num_vertices)}
     for _ in range(rng.randrange(1, 10)):
-        frontier = sorted({u for v in zone for u in world.neighbors(v)} - zone)
+        frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
         zone.add(rng.choice(frontier))
     table = []
     for t in range(horizon + 1):
         if t:
             if rng.random() < 0.7:
-                frontier = sorted({u for v in zone for u in world.neighbors(v)} - zone)
+                frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
                 if frontier:
                     zone = zone | {rng.choice(frontier)}
             if rng.random() < 0.3 and len(zone) > 2:
@@ -415,7 +415,7 @@ def test_precondition_real_path_must_be_a_group_row(open16):
 
 
 def test_improvement_percentage_arithmetic():
-    r = RefineResult(zones=[[set()]], radius=1, picks=[],
+    r = RefineResult(zones=[[set()]], picks=[],
                      refined_paths=[(0,), (0,)],
                      costs_before=[4, 6], costs_after=[3, 5])
     assert r.rsoc_before == 10
