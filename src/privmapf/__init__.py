@@ -45,7 +45,7 @@ from .grid import (
 )
 from .instances import random_spaced_pairs
 from .lacam import lacam_solve
-from .pibt import SolveResult, SolverProblem, pibt_solve
+from .pibt import SolveResult, SolverProblem
 from .pipeline import (
     MessageTrace,
     PipelineResult,
@@ -105,7 +105,6 @@ __all__ = [
     "parse_map_text",
     "parse_scenario_text",
     "path_cost",
-    "pibt_solve",
     "ppfpp",
     "random_spaced_pairs",
     "real_sum_of_costs",

@@ -3,8 +3,8 @@
 The auditor never samples; it scans every timestep and every agent pair, so
 a clean report is a proof over the padded horizon. Padding positions (agents
 resting at their goals after arrival) participate in vertex and fov checks
-like any other position. The solvers check their start configuration with
-the same ``audit`` call, so the conflict rule is written here only.
+like any other position. LaCAM checks its start configuration with the
+same ``audit`` call, so the conflict rule is written here only.
 
 An observer's belief about agent i at time t is the set of vertices where
 group i's sub-plans place any member at t (goal positions pad past each

@@ -5,12 +5,13 @@ counts, group sizes, fov radii and seeds. Rows come out in exactly the
 config order (maps outermost, seeds innermost). The solver budget is a
 count of expansions and no clock is read, so two runs of the same config
 produce byte-identical CSVs; the ``solve_time`` and ``ppfpp_time`` columns
-of schema v1 are always 0.0. A solved cell with radius >= 1 is refined.
-A cell that fails with a ``PrivmapfError`` is a row, not the end of the
-sweep: unsolved if the pipeline fails, unrefined (``rsoc_before`` -1) if
-PPfPP does. Keys a config omits take the defaults of ``PipelineSpec``
-(solver, budget) and of ``random_spaced_pairs`` (separation), as
-``privmapf solve`` does.
+of schema v1 are always 0.0. LaCAM plans every cell, so the ``solver``
+column always reads ``lacam``. A solved cell with radius >= 1 is refined.
+A cell whose placement, dispatch or solve fails with a ``PrivmapfError``
+is an unsolved row, not the end of the sweep. PPfPP refines the
+pipeline's own plan, so a failure there is a bug and keeps its traceback.
+Keys a config omits take the defaults of ``PipelineSpec`` (budget) and of
+``random_spaced_pairs`` (separation), as ``privmapf solve`` does.
 
 ``run_suite(cfg, threads=n)`` (``privmapf bench --threads n``) fans
 instances out over a process pool; the row order is unaffected.
@@ -61,7 +62,6 @@ class BenchConfig:
     k: tuple[int, ...] = (1,)
     radius: tuple[int, ...] = (0,)
     seeds: tuple[int, ...] = tuple(range(5))
-    solver: str = PipelineSpec.solver
     budget_expansions: int = PipelineSpec.budget_expansions
     min_separation: int | None = None
 
@@ -70,13 +70,13 @@ class BenchConfig:
             raise ConfigError("agent counts must be >= 1")
         if self.min_separation is not None and self.min_separation < 1:
             raise ConfigError("min_separation must be >= 1")
-        for k in self.k:  # a bad k, radius, solver or budget fails before any cell runs
+        for k in self.k:  # a bad k, radius or budget fails before any cell runs
             for r in self.radius:
                 self.spec(k, r)
 
     def spec(self, k: int, radius: int) -> PipelineSpec:
         """The pipeline spec of the cells with group size k and this radius."""
-        return PipelineSpec(k, radius, self.solver, self.budget_expansions)
+        return PipelineSpec(k, radius, self.budget_expansions)
 
 
 _CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
@@ -209,19 +209,16 @@ def run_one(task: TaskSpec) -> RunRecord:
         m = metrics(out.plan.paths, out.problem.goals)
         soc, makespan = m.soc, m.makespan
         if spec.radius >= 1:
-            try:
-                refined = ppfpp(
-                    world, out.plan, out.problem.group_of, out.real_paths,
-                    spec.radius, task.seed,
-                )
-                rsoc_before = refined.rsoc_before
-                rsoc_after = refined.rsoc_after
-                improvement = refined.improvement_pct
-            except PrivmapfError:
-                pass  # recorded as if no refinement ran
+            refined = ppfpp(
+                world, out.plan, out.problem.group_of, out.real_paths,
+                spec.radius, task.seed,
+            )
+            rsoc_before = refined.rsoc_before
+            rsoc_after = refined.rsoc_after
+            improvement = refined.improvement_pct
 
     return RunRecord(
-        task.map_name, task.n_agents, spec.k, spec.radius, spec.solver, task.seed,
+        task.map_name, task.n_agents, spec.k, spec.radius, "lacam", task.seed,
         solved, soc, makespan, rsoc_before, rsoc_after, improvement,
     )
 

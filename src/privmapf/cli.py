@@ -8,7 +8,7 @@ privacy and ``ppfpp`` refines it inside safe zones, both at the k and
 radius the trace records; ``bench`` sweeps a YAML-configured suite into a
 CSV.
 
-No default is restated here: ``--solver`` and ``--budget-expansions`` read
+No default is restated here: ``--budget-expansions`` reads
 ``PipelineSpec``'s, and an omitted ``--separation`` is the map default of
 ``random_spaced_pairs``, so ``solve`` places the pairs ``bench`` does.
 Every ``PrivmapfError`` or ``OSError`` ends in one ``error:`` line and exit
@@ -29,7 +29,7 @@ from .dispatch import SidecarError, read_private_sidecars, sidecar_path, write_p
 from .grid import ConfigError, PrivmapfError, ScenarioError, load_map, load_scenario, scenario_pairs
 from .instances import random_spaced_pairs
 from .pipeline import (
-    SOLVERS, MessageTrace, PipelineSpec, TraceError, extract_real_path, read_trace,
+    MessageTrace, PipelineSpec, TraceError, extract_real_path, read_trace,
     run_pipeline, write_trace,
 )
 from .plans import write_real_plan_file
@@ -60,7 +60,7 @@ def _read_planned_trace(world, path) -> MessageTrace:
 def _cmd_solve(args) -> int:
     if args.agents < 1:  # a negative count would slice the scenario from its end
         raise ConfigError("the agent count must be >= 1")
-    spec = PipelineSpec(args.k, args.radius, args.solver, args.budget_expansions)
+    spec = PipelineSpec(args.k, args.radius, args.budget_expansions)
     world = load_map(resolve_map(args.map))
     pairs = _instance_pairs(args, world)
     out = run_pipeline(world, pairs, spec, args.seed)
@@ -153,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--separation", type=int, help="start/goal spacing (default: by map width)")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--radius", type=int, default=0, help="fov radius; 0 is kPP")
-    p.add_argument("--solver", choices=SOLVERS, default=PipelineSpec.solver)
     p.add_argument("--budget-expansions", type=int, default=PipelineSpec.budget_expansions)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="message trace JSON, the broadcast record (written also on failure)")

@@ -61,7 +61,8 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     Steps clear the problem's fov radius; at radius 0 the rule is classical.
 
     Failures: ``timeout`` (budget spent), ``exhausted`` (no plan exists) and
-    ``invalid_start`` (``clean_start`` fails, as in ``pibt_solve``).
+    ``invalid_start`` (``clean_start`` fails: the start configuration already
+    breaks a step rule).
     """
     if not clean_start(problem):
         return SolveResult(False, None, "invalid_start")

@@ -1,9 +1,9 @@
-"""Priority-inheritance configuration generation, with fov clearing: the
-solver core that ``pibt_solve`` and ``lacam_solve`` share.
+"""Priority-inheritance configuration generation, with fov clearing:
+LaCAM's configuration generator.
 
-Both solvers advance on ``node_data``, one pass per configuration that
+``lacam_solve`` advances on ``node_data``, one pass per configuration that
 yields the etas, the heuristic, the priority order and the at-goal mask,
-and take their steps from ``build_step``.
+and takes its steps from ``build_step``.
 
 One transactional step builder serves every fov radius of the problem. An
 agent claiming vertex v must recursively displace (a) the current occupant
@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .audit import audit
-from .dispatch import AgentGroup
+from .dispatch import AgentGroup, InfeasibleInputError
 from .grid import GridWorld
 from .plans import JointPlan
 
@@ -59,10 +59,10 @@ class SolverProblem:
 
     def __init__(self, world: GridWorld, groups: list[AgentGroup], fov_radius: int = 0):
         if not groups:
-            raise ValueError("no groups")
+            raise InfeasibleInputError("no groups")
         ks = {g.k for g in groups}
         if len(ks) != 1:
-            raise ValueError(f"groups have mixed sizes {sorted(ks)}")
+            raise InfeasibleInputError(f"groups have mixed sizes {sorted(ks)}")
         self.world = world
         self.fov_radius = fov_radius
         self.k = groups[0].k
@@ -76,13 +76,13 @@ class SolverProblem:
                 self.group_of.append(gi)
         # the starts are checked by clean_start: a repeated one is a vertex conflict
         if len(set(self.goals)) != len(self.goals):
-            raise ValueError("sub-agent goals are not pairwise distinct")
+            raise InfeasibleInputError("sub-agent goals are not pairwise distinct")
         self.num_agents = len(self.starts)
         self.dists = [bfs_distances(world, g) for g in self.goals]
 
 
 def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
-    """The per-configuration pass both solvers advance on: the off-goal
+    """The per-configuration pass the search advances on: the off-goal
     counters (eta, reset to 0 on the goal), the heuristic (sum of goal
     distances), the priority order and the at-goal bitmask (bit a: agent a
     stands on its goal).
@@ -249,58 +249,6 @@ def build_step(
 class SolveResult:
     solved: bool
     plan: JointPlan | None
-    # horizon | livelock | timeout | exhausted | invalid_start (clean_start failed)
+    # timeout | exhausted | invalid_start (clean_start failed)
     reason: str | None = None
     expansions: int = 0
-
-
-def default_horizon(world: GridWorld) -> int:
-    return 8 * (world.width + world.height)
-
-
-def pibt_solve(
-    problem: SolverProblem,
-    seed: int | str,
-    horizon: int | None = None,
-) -> SolveResult:
-    """Run the step builder to the goal configuration or a failure.
-
-    Failures: ``horizon`` (step budget exhausted), ``livelock`` (visited
-    configurations keep recurring with no distance progress), and
-    ``invalid_start`` (``clean_start`` fails: the initial configuration
-    already violates the constraints it is supposed to maintain).
-    """
-    if horizon is None:
-        horizon = default_horizon(problem.world)
-    if not clean_start(problem):
-        return SolveResult(False, None, "invalid_start")
-    rng = random.Random(f"pibt:{seed}")
-    goals, dists = problem.goals, problem.dists
-    goal_cfg = tuple(goals)
-    config = tuple(problem.starts)
-    etas, best_total, order, _ = node_data(goals, dists, config, [0] * problem.num_agents)
-    configs = [config]
-    visited = {config}
-    stagnation = 0
-    # small teams legitimately revisit configurations while one agent waves
-    # the other through, so the give-up threshold gets a floor
-    stagnation_limit = max(16, 2 * problem.num_agents)
-    for _ in range(horizon):
-        if config == goal_cfg:
-            break
-        config = tuple(build_step(problem, config, rng, order=order))
-        etas, total, order, _ = node_data(goals, dists, config, etas)
-        configs.append(config)
-        if total < best_total:
-            best_total = total
-            stagnation = 0
-        elif config in visited:
-            stagnation += 1
-            if stagnation >= stagnation_limit:
-                return SolveResult(False, None, "livelock")
-        else:
-            stagnation = 0
-        visited.add(config)
-    if config != goal_cfg:
-        return SolveResult(False, None, "horizon")
-    return SolveResult(True, JointPlan.from_configs([list(c) for c in configs]), None)

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import dispatch as dsp
 from .grid import ConfigError, GridWorld, PrivmapfError
 from .lacam import lacam_solve
-from .pibt import SolveResult, SolverProblem, pibt_solve
+from .pibt import SolveResult, SolverProblem
 from .plans import JointPlan
 
 
@@ -165,9 +165,6 @@ def extract_real_path(plan: JointPlan, k: int, group: dsp.AgentGroup) -> tuple[i
     return path
 
 
-SOLVERS = ("pibt", "lacam")
-
-
 @dataclass(frozen=True)
 class PipelineSpec:
     """Everything that selects how one pipeline run plans.
@@ -175,19 +172,17 @@ class PipelineSpec:
     The radius picks the rule at both ends: dispatch keeps groups outside
     each other's fov squares and the step builder clears them. Radius 0 is
     start/goal equality and the classical step rule, i.e. the k-anonymity
-    pipeline (kPP); radius r >= 1 is the fov-aware pipeline (fPP). The
-    field defaults are the solver and budget defaults of the whole package:
-    the CLI and the bench config read them from here.
+    pipeline (kPP); radius r >= 1 is the fov-aware pipeline (fPP). LaCAM
+    plans every run, within ``budget_expansions``; that default is the
+    budget default of the whole package: the CLI and the bench config read
+    it from here.
     """
 
     k: int
     radius: int = 0
-    solver: str = "lacam"
-    budget_expansions: int = 10_000  # lacam only
+    budget_expansions: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.radius < 0:
@@ -206,10 +201,7 @@ def run_pipeline(
     groups = dsp.dispatch_groups(world, real_pairs, spec.k, spec.radius, seed)
     published = tuple(g.broadcast_view() for g in groups)
     problem = SolverProblem(world, list(published), spec.radius)
-    if spec.solver == "pibt":
-        result = pibt_solve(problem, seed)
-    else:
-        result = lacam_solve(problem, seed, budget_expansions=spec.budget_expansions)
+    result = lacam_solve(problem, seed, budget_expansions=spec.budget_expansions)
 
     # groups are published before the solver runs: a failed solve still
     # leaks exactly the same messages, so the trace must carry them.
@@ -220,14 +212,19 @@ def run_pipeline(
     return PipelineResult(trace, groups, problem, result, result.plan, real_paths)
 
 
-def kpp_solve(world, real_pairs, k, seed, **settings) -> PipelineResult:
+def kpp_solve(world, real_pairs, k, seed, solver="lacam", **settings) -> PipelineResult:
     """``run_pipeline`` at radius 0, kept only for ``perfbench/workloads.py``,
-    which passes ``solver`` and ``budget_expansions`` as ``settings``."""
-    return run_pipeline(world, real_pairs, PipelineSpec(k, 0, **settings), seed)
+    which passes ``solver="lacam"`` and ``budget_expansions`` as settings.
+    LaCAM is the only solver, so any other ``solver`` is a ConfigError; the
+    argument goes when the benchmark calls ``run_pipeline`` itself (ROADMAP
+    item 1)."""
+    return fpp_solve(world, real_pairs, k, 0, seed, solver, **settings)
 
 
-def fpp_solve(world, real_pairs, k, fov_radius, seed, **settings) -> PipelineResult:
+def fpp_solve(world, real_pairs, k, fov_radius, seed, solver="lacam", **settings) -> PipelineResult:
     """``run_pipeline`` at ``fov_radius``, kept only as ``kpp_solve`` is."""
+    if solver != "lacam":
+        raise ConfigError(f"unknown solver {solver!r}: LaCAM is the only one")
     return run_pipeline(world, real_pairs, PipelineSpec(k, fov_radius, **settings), seed)
 
 

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 import privmapf
 from privmapf.dispatch import AgentGroup
 from privmapf.grid import load_map, parse_map_text
-from privmapf.pibt import SolverProblem
+from privmapf.pibt import SolveResult, SolverProblem, build_step, clean_start, node_data
+from privmapf.plans import JointPlan
 
 ASSETS = Path(privmapf.__file__).parent / "assets"
 
@@ -126,3 +128,47 @@ def priority_order(problem, config, etas):
     keys = sorted((config[a] == goals[a], -etas[a], dists[a][config[a]], a)
                   for a in range(problem.num_agents))
     return [key[3] for key in keys]
+
+
+def one_shot_pibt(problem, seed):
+    """The step builder run once from the start, with no search around it:
+    plain PIBT, on the RNG stream LaCAM draws from. It is the oracle of
+    LaCAM's first depth-first dive, which must reproduce it.
+
+    Failures: ``horizon`` (``8 * (width + height)`` steps spent),
+    ``livelock`` (visited configurations keep recurring with no distance
+    progress) and ``invalid_start``.
+    """
+    horizon = 8 * (problem.world.width + problem.world.height)
+    if not clean_start(problem):
+        return SolveResult(False, None, "invalid_start")
+    rng = random.Random(f"pibt:{seed}")
+    goals, dists = problem.goals, problem.dists
+    goal_cfg = tuple(goals)
+    config = tuple(problem.starts)
+    etas, best_total, order, _ = node_data(goals, dists, config, [0] * problem.num_agents)
+    configs = [config]
+    visited = {config}
+    stagnation = 0
+    # small teams legitimately revisit configurations while one agent waves
+    # the other through, so the give-up threshold gets a floor
+    stagnation_limit = max(16, 2 * problem.num_agents)
+    for _ in range(horizon):
+        if config == goal_cfg:
+            break
+        config = tuple(build_step(problem, config, rng, order=order))
+        etas, total, order, _ = node_data(goals, dists, config, etas)
+        configs.append(config)
+        if total < best_total:
+            best_total = total
+            stagnation = 0
+        elif config in visited:
+            stagnation += 1
+            if stagnation >= stagnation_limit:
+                return SolveResult(False, None, "livelock")
+        else:
+            stagnation = 0
+        visited.add(config)
+    if config != goal_cfg:
+        return SolveResult(False, None, "horizon")
+    return SolveResult(True, JointPlan.from_configs([list(c) for c in configs]), None)

@@ -26,7 +26,7 @@ from privmapf.dispatch import (
 from privmapf.grid import load_map, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import lacam_solve
-from privmapf.pibt import SolverProblem, pibt_solve
+from privmapf.pibt import SolverProblem
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import ReplanInfeasibleError, initial_safe_zones, ppfpp, sipp_replan
@@ -162,31 +162,27 @@ def test_3_refinement_never_worsens(refinement_suite):
 
 
 def test_4_degenerate_single_pair_equivalence(worlds):
-    """With groups of one and no fov, both pipelines reduce bit-for-bit to
-    the plain solvers they wrap."""
+    """With groups of one and no fov, the pipeline reduces bit-for-bit to
+    the plain LaCAM search it wraps."""
     compared = mismatches = 0
     for map_name, (world, sep) in worlds.items():
         n = 4 if map_name == "open16" else 8
-        for solver in ("pibt", "lacam"):
-            for seed in range(5):
-                pairs = random_spaced_pairs(world, n, seed, min_separation=sep)
-                problem = SolverProblem(
-                    world, [AgentGroup(i, (p,), 0) for i, p in enumerate(pairs)], 0
+        for seed in range(10):
+            pairs = random_spaced_pairs(world, n, seed, min_separation=sep)
+            problem = SolverProblem(
+                world, [AgentGroup(i, (p,), 0) for i, p in enumerate(pairs)], 0
+            )
+            base = lacam_solve(problem, seed, budget_expansions=BUDGET)
+            out = run_pipeline(world, pairs, PipelineSpec(1, 0, BUDGET), seed)
+            compared += 1
+            same = out.solved == base.solved and (
+                not base.solved or (
+                    out.plan.paths == base.plan.paths
+                    and out.real_paths == list(base.plan.paths)
                 )
-                if solver == "pibt":
-                    base = pibt_solve(problem, seed)
-                else:
-                    base = lacam_solve(problem, seed, budget_expansions=BUDGET)
-                out = run_pipeline(world, pairs, PipelineSpec(1, 0, solver, BUDGET), seed)
-                compared += 1
-                same = out.solved == base.solved and (
-                    not base.solved or (
-                        out.plan.paths == base.plan.paths
-                        and out.real_paths == list(base.plan.paths)
-                    )
-                )
-                if not same:
-                    mismatches += 1
+            )
+            if not same:
+                mismatches += 1
     verdict(4, "degenerate single-pair equivalence",
             compared == 20 and mismatches == 0,
             f"{compared} instances, {mismatches} mismatches")

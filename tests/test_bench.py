@@ -63,7 +63,6 @@ def test_load_config(tmp_path):
     assert cfg.k == (1, 2)
     assert cfg.radius == (0, 1)
     assert cfg.seeds == (0, 1, 2)  # an int means "this many, from zero"
-    assert cfg.solver == "lacam"
     assert cfg.budget_expansions == 500
     assert cfg.min_separation == 4
 
@@ -72,6 +71,8 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nfoo: 1", "unknown config keys"),
     ("maps: [open16]\nagents: [2]\npipeline: cbs", "pipeline"),
     ("maps: [open16]\nagents: [2]\nsolver: greedy", "solver"),
+    # LaCAM is the only solver, so even its name is no key
+    ("maps: [open16]\nagents: [2]\nsolver: lacam", "unknown config keys: .'solver'"),
     ("maps: [open16]\nagents: [2]\nk: [0]", "k must be >= 1"),
     ("agents: [2]", "missing config key"),
     # one spelling per key: the radius alone picks kPP (0) or fPP
@@ -236,7 +237,7 @@ def test_unsolved_rows_keep_sentinels(tmp_path):
     custom.write_text(POCKET)
     cfg = BenchConfig(
         maps=(str(custom),), agents=(2,), k=(1,), radius=(0,),
-        seeds=(0, 1), solver="pibt", min_separation=1,
+        seeds=(0, 1), budget_expansions=1500, min_separation=1,
     )
     unsolved, solved = run_suite(cfg)
     assert not unsolved.solved
@@ -320,7 +321,9 @@ def test_any_typed_pipeline_failure_is_an_unsolved_row(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("error", [PreconditionError, ReplanInfeasibleError, FreshError])
-def test_failed_refinement_is_recorded_as_none(tmp_path, monkeypatch, error):
+def test_failed_refinement_is_not_a_row(tmp_path, monkeypatch, error):
+    # PPfPP refines the pipeline's own plan: a failure there is a bug, so it
+    # ends the sweep with its traceback instead of hiding in a row
     def refuse(*args, **kwargs):
         raise error("refused")
 
@@ -335,10 +338,8 @@ def test_failed_refinement_is_recorded_as_none(tmp_path, monkeypatch, error):
     (refined,) = run_suite(load_config(p))
     assert refined.rsoc_before >= 0  # the cell does refine
     monkeypatch.setattr(bench, "ppfpp", refuse)
-    (rec,) = run_suite(load_config(p))
-    assert rec.solved and rec.soc >= 0
-    assert rec.rsoc_before == -1 and rec.rsoc_after == -1
-    assert rec.improvement_pct == 0.0
+    with pytest.raises(error, match="refused"):
+        run_suite(load_config(p))
 
 
 # ---------------------------------------------------------------- analysis

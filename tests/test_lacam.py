@@ -18,9 +18,9 @@ from privmapf.dispatch import AgentGroup, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, lacam_solve
-from privmapf.pibt import UNREACHABLE, SolverProblem, build_step, node_data, pibt_solve
+from privmapf.pibt import UNREACHABLE, SolverProblem, build_step, node_data
 
-from conftest import priority_order, singleton_problem, update_etas
+from conftest import one_shot_pibt, priority_order, singleton_problem, update_etas
 
 # a 5x3 ring: two agents can always trade places by going around
 RING = """type octile
@@ -148,7 +148,7 @@ def test_first_dive_reproduces_one_shot_run(open16):
     for seed in range(8):
         pairs = random_spaced_pairs(open16, 4, seed, min_separation=3)
         problem = singleton_problem(open16, pairs)
-        one_shot = pibt_solve(problem, seed)
+        one_shot = one_shot_pibt(problem, seed)
         assert one_shot.solved
         dive = lacam_solve(problem, seed, budget_expansions=one_shot.plan.horizon)
         assert dive.solved
@@ -163,7 +163,7 @@ def test_first_dive_reproduces_one_shot_run_fov(open16):
         pairs = random_spaced_pairs(open16, 4, seed, min_separation=3)
         groups = dispatch_groups(open16, pairs, 2, 1, seed)
         problem = SolverProblem(open16, groups, fov_radius=1)
-        one_shot = pibt_solve(problem, seed)
+        one_shot = one_shot_pibt(problem, seed)
         assert one_shot.solved
         dive = lacam_solve(problem, seed, budget_expansions=one_shot.plan.horizon)
         assert dive.solved
@@ -222,7 +222,7 @@ def test_rescues_fov_livelock(random32):
     pairs = random_spaced_pairs(random32, 8, 0, min_separation=5)
     groups = dispatch_groups(random32, pairs, 3, 1, 0)
     problem = SolverProblem(random32, groups, fov_radius=1)
-    one_shot = pibt_solve(problem, seed=0)
+    one_shot = one_shot_pibt(problem, seed=0)
     assert not one_shot.solved
     assert one_shot.reason == "livelock"
     result = lacam_solve(problem, seed=0, budget_expansions=1500)

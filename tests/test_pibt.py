@@ -1,4 +1,4 @@
-"""Step builder and one-shot solver.
+"""The step builder, LaCAM's configuration generator.
 
 The single-step oracle re-validates every produced configuration from
 first principles (moves are stay-or-adjacent, vertices unique, no
@@ -12,14 +12,13 @@ check, an audit call, is compared with the hand-written rule it replaced.
 
 import random
 from collections import Counter
-from functools import partial
 from itertools import combinations
 
 import pytest
 
-from privmapf import pibt
+from privmapf import lacam
 from privmapf.audit import audit
-from privmapf.dispatch import AgentGroup, dispatch_groups
+from privmapf.dispatch import AgentGroup, InfeasibleInputError, dispatch_groups
 from privmapf.grid import parse_map_text
 from privmapf.lacam import lacam_solve
 from privmapf.pibt import (
@@ -28,11 +27,12 @@ from privmapf.pibt import (
     build_step,
     clean_start,
     node_data,
-    pibt_solve,
 )
 from privmapf.plans import JointPlan
 
 from conftest import singleton_problem
+
+BUDGET = 1500
 
 
 def step_is_legal(problem, before, after):
@@ -78,18 +78,6 @@ def test_pocket_push_semantics(pocket):
     assert [pocket.coords(v) for v in after] == [(2, 0), (2, 1)]
 
 
-def test_pocket_instance_fails_honestly(pocket):
-    # the passable cells form a simple path, so these two agents can never
-    # trade sides; the solver must say so rather than return nonsense
-    a = (pocket.vertex_at(1, 0), pocket.vertex_at(2, 0))
-    b = (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))
-    problem = singleton_problem(pocket, [a, b])
-    result = pibt_solve(problem, seed=0)
-    assert not result.solved
-    assert result.reason in ("livelock", "horizon")
-    assert result.plan is None
-
-
 def test_fov_mode_radius_zero_is_bit_identical(open16, monkeypatch):
     # at radius 0 whole solves match the reference under either rule
     def reference_step(fov_rule):
@@ -101,12 +89,12 @@ def test_fov_mode_radius_zero_is_bit_identical(open16, monkeypatch):
         reals = [(i * 31 % 250, (i * 67 + 40) % 250) for i in range(4)]
         groups = dispatch_groups(open16, reals, 2, 0, seed)
         problem = SolverProblem(open16, [g.broadcast_view() for g in groups], 0)
-        built = pibt_solve(problem, seed)
+        built = lacam_solve(problem, seed, budget_expansions=BUDGET)
         with monkeypatch.context() as m:
-            m.setattr(pibt, "build_step", reference_step(False))
-            plain = pibt_solve(problem, seed)
-            m.setattr(pibt, "build_step", reference_step(True))
-            fov = pibt_solve(problem, seed)
+            m.setattr(lacam, "build_step", reference_step(False))
+            plain = lacam_solve(problem, seed, budget_expansions=BUDGET)
+            m.setattr(lacam, "build_step", reference_step(True))
+            fov = lacam_solve(problem, seed, budget_expansions=BUDGET)
         assert plain.solved and fov.solved and built.solved
         assert plain.plan.paths == fov.plan.paths == built.plan.paths
 
@@ -116,7 +104,7 @@ def test_same_group_members_may_touch(open4):
     pairs = ((open4.vertex_at(0, 0), open4.vertex_at(3, 0)),
              (open4.vertex_at(3, 0), open4.vertex_at(0, 0)))
     problem = SolverProblem(open4, [AgentGroup(0, pairs, 0)], 1)
-    result = pibt_solve(problem, seed=2)
+    result = lacam_solve(problem, seed=2, budget_expansions=BUDGET)
     assert result.solved
     dists = [open4.chebyshev(result.plan.position(0, t), result.plan.position(1, t))
              for t in range(result.plan.horizon + 1)]
@@ -154,24 +142,15 @@ def test_forced_fov_violation_rejected(open16):
     assert build_step(problem, list(problem.starts), rng, [0, 1], forced=close) is None
 
 
-# the start is refused before any search, so lacam's budget does not matter
-@pytest.mark.parametrize("solve", [pibt_solve, partial(lacam_solve, budget_expansions=0)],
-                         ids=["pibt_solve", "lacam_solve"])
-def test_invalid_start_reported(open4, solve):
+def test_invalid_start_reported(open4):
     a = (open4.vertex_at(0, 0), open4.vertex_at(3, 3))
     b = (open4.vertex_at(1, 1), open4.vertex_at(0, 3))  # inside fov(a) at r=1
     c = (open4.vertex_at(0, 0), open4.vertex_at(0, 3))  # a's start: a vertex conflict
     for problem in (singleton_problem(open4, [a, b], fov_radius=1),
                     singleton_problem(open4, [a, c])):
-        result = solve(problem, seed=0)
+        # the start is refused before any search, so the budget does not matter
+        result = lacam_solve(problem, seed=0, budget_expansions=0)
         assert (result.solved, result.plan, result.reason) == (False, None, "invalid_start")
-
-
-def test_horizon_failure(open16):
-    pairs = [(open16.vertex_at(0, 0), open16.vertex_at(15, 15))]
-    problem = singleton_problem(open16, pairs)
-    result = pibt_solve(problem, seed=0, horizon=3)
-    assert not result.solved and result.reason == "horizon"
 
 
 def test_priorities_at_goal_sorts_last(open16):
@@ -200,6 +179,18 @@ def test_longest_stuck_agent_outranks(open4):
     assert ranked[0] == 1
 
 
+@pytest.mark.parametrize("pairs,message", [
+    ((), "no groups"),
+    ((((0, 5),), ((1, 6), (2, 7))), "groups have mixed sizes"),
+    ((((0, 5),), ((1, 5),)), "sub-agent goals are not pairwise distinct"),
+])
+def test_problem_rejects_bad_groups(open16, pairs, message):
+    # an input error, so the CLI and the bench sweep report it as one
+    groups = [AgentGroup(i, p, None) for i, p in enumerate(pairs)]
+    with pytest.raises(InfeasibleInputError, match=message):
+        SolverProblem(open16, groups)
+
+
 def test_bfs_distances_unreachable():
     w = parse_map_text("type octile\nheight 1\nwidth 5\nmap\n..@..\n")
     d = bfs_distances(w, 0)
@@ -212,7 +203,7 @@ def test_solved_plan_reaches_goals_and_audits_clean(open16):
         reals = [(i * 41 % 230, (i * 59 + 7) % 251) for i in range(6)]
         groups = dispatch_groups(open16, reals, 2, 0, seed)
         problem = SolverProblem(open16, [g.broadcast_view() for g in groups], 0)
-        result = pibt_solve(problem, seed)
+        result = lacam_solve(problem, seed, budget_expansions=BUDGET)
         assert result.solved
         assert [p[-1] for p in result.plan.paths] == list(problem.goals)
         assert audit(open16, result.plan).ok

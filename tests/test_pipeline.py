@@ -10,6 +10,7 @@ import json
 import pytest
 
 from privmapf.audit import audit, check_k_privacy, compute_beliefs
+from privmapf.grid import ConfigError
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import (
     MessageTrace,
@@ -25,7 +26,7 @@ from privmapf.pipeline import (
 
 def test_kpp_end_to_end(open16):
     reals = random_spaced_pairs(open16, 4, "e2e", min_separation=3)
-    result = run_pipeline(open16, reals, PipelineSpec(2, solver="pibt"), 0)
+    result = run_pipeline(open16, reals, PipelineSpec(2, budget_expansions=1500), 0)
     assert result.solved
     assert result.plan.num_agents == 8
     assert audit(open16, result.plan).ok
@@ -48,7 +49,7 @@ def test_fpp_end_to_end(open16):
 
 def test_extraction_picks_the_indexed_row(open16):
     reals = random_spaced_pairs(open16, 4, "extract", min_separation=3)
-    result = run_pipeline(open16, reals, PipelineSpec(3, solver="pibt"), 1)
+    result = run_pipeline(open16, reals, PipelineSpec(3, budget_expansions=1500), 1)
     assert result.solved
     for g in result.groups:
         path = extract_real_path(result.plan, 3, g)
@@ -58,7 +59,7 @@ def test_extraction_picks_the_indexed_row(open16):
 
 def test_trace_round_trip(open16, tmp_path):
     reals = random_spaced_pairs(open16, 4, "trip", min_separation=3)
-    result = run_pipeline(open16, reals, PipelineSpec(2, solver="pibt"), 0)
+    result = run_pipeline(open16, reals, PipelineSpec(2, budget_expansions=1500), 0)
     out = tmp_path / "trace.json"
     write_trace(result.trace, open16, out)
     back = read_trace(open16, out)
@@ -74,7 +75,7 @@ def test_trace_round_trip(open16, tmp_path):
 
 def test_trace_bytes_carry_no_private_fields(open16, tmp_path):
     reals = random_spaced_pairs(open16, 4, "hygiene", min_separation=3)
-    result = run_pipeline(open16, reals, PipelineSpec(2, solver="pibt"), 3)
+    result = run_pipeline(open16, reals, PipelineSpec(2, budget_expansions=1500), 3)
     text = result.trace.to_json(open16)
     assert "real" not in text
     obj = json.loads(text)
@@ -86,7 +87,7 @@ def test_trace_bytes_carry_no_private_fields(open16, tmp_path):
 
 def test_trace_is_deterministic(open16):
     reals = random_spaced_pairs(open16, 4, "determinism", min_separation=3)
-    spec = PipelineSpec(2, solver="pibt")
+    spec = PipelineSpec(2, budget_expansions=1500)
     a = run_pipeline(open16, reals, spec, 7)
     b = run_pipeline(open16, reals, spec, 7)
     assert a.trace.to_json(open16) == b.trace.to_json(open16)
@@ -111,7 +112,7 @@ def test_failed_solve_still_publishes_groups(pocket):
         (pocket.vertex_at(1, 0), pocket.vertex_at(2, 0)),
         (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0)),
     ]
-    result = run_pipeline(pocket, reals, PipelineSpec(1, solver="pibt"), 0)
+    result = run_pipeline(pocket, reals, PipelineSpec(1, budget_expansions=1500), 0)
     assert not result.solved
     assert result.real_paths is None
     assert result.trace.broadcast_plan is None
@@ -123,8 +124,8 @@ def test_failed_solve_still_publishes_groups(pocket):
 def test_kpp_treats_fov_radius_as_zero(open16):
     # kPP has no radius of its own: it is the spec's default radius, 0
     reals = random_spaced_pairs(open16, 4, "parity", min_separation=3)
-    spec = PipelineSpec(2, solver="pibt")
-    assert spec == PipelineSpec(2, 0, "pibt")
+    spec = PipelineSpec(2, budget_expansions=1500)
+    assert spec == PipelineSpec(2, 0, 1500)
     a = run_pipeline(open16, reals, spec, 5)
     assert a.solved
     assert json.loads(a.trace.to_json(open16))["fov_radius"] == 0
@@ -136,31 +137,33 @@ def test_kpp_is_fpp_at_radius_zero(open16, pocket):
     stuck = [(pocket.vertex_at(1, 0), pocket.vertex_at(2, 0)),
              (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))]
     unsolved = 0
-    for solver in ("pibt", "lacam"):
-        for seed in range(4):
-            for world, reals, k in (
-                (open16, random_spaced_pairs(open16, 4, seed, min_separation=3), 2),
-                (pocket, stuck, 1),
-            ):
-                kpp = kpp_solve(world, reals, k, seed, solver=solver, budget_expansions=1500)
-                fpp = fpp_solve(world, reals, k, 0, seed, solver=solver, budget_expansions=1500)
-                spec = PipelineSpec(k, 0, solver, budget_expansions=1500)
-                for out in (fpp, run_pipeline(world, reals, spec, seed)):
-                    assert out.plan == kpp.plan
-                    assert out.trace.to_json(world) == kpp.trace.to_json(world)
-                    assert out.reason == kpp.reason
-                unsolved += not kpp.solved
+    for seed in range(8):
+        for world, reals, k in (
+            (open16, random_spaced_pairs(open16, 4, seed, min_separation=3), 2),
+            (pocket, stuck, 1),
+        ):
+            kpp = kpp_solve(world, reals, k, seed, solver="lacam", budget_expansions=1500)
+            fpp = fpp_solve(world, reals, k, 0, seed, solver="lacam", budget_expansions=1500)
+            spec = PipelineSpec(k, 0, budget_expansions=1500)
+            for out in (fpp, run_pipeline(world, reals, spec, seed)):
+                assert out.plan == kpp.plan
+                assert out.trace.to_json(world) == kpp.trace.to_json(world)
+                assert out.reason == kpp.reason
+            unsolved += not kpp.solved
     assert unsolved == 8
 
 
-def test_unknown_solver_rejected(open16):
+def test_forwarders_take_only_lacam(open16):
+    # the benchmark still names its solver; LaCAM is the only one
     reals = random_spaced_pairs(open16, 2, "solver", min_separation=3)
-    with pytest.raises(ValueError, match="solver"):
-        run_pipeline(open16, reals, PipelineSpec(2, solver="astar"), 0)
+    with pytest.raises(ConfigError, match="unknown solver 'pibt'"):
+        kpp_solve(open16, reals, 2, 0, solver="pibt")
+    with pytest.raises(ConfigError, match="unknown solver 'pibt'"):
+        fpp_solve(open16, reals, 2, 1, 0, solver="pibt")
 
 
 @pytest.mark.parametrize("fields,message", [
-    (dict(k=2, solver="astar"), "unknown solver 'astar'"),
+    (dict(k=2, budget_expansions=True), "the expansion budget must be an int >= 0"),
     (dict(k=0), "k must be >= 1"),
     (dict(k=2, radius=-1), "fov radius must be >= 0"),
     (dict(k=2, budget_expansions=-1), "the expansion budget must be an int >= 0"),
@@ -186,7 +189,7 @@ def test_beliefs_pad_with_goal_positions(open4):
     # one group's paths end early; its belief at late t keeps the goal set
     reals = [(open4.vertex_at(0, 0), open4.vertex_at(1, 0)),
              (open4.vertex_at(3, 3), open4.vertex_at(0, 3))]
-    result = run_pipeline(open4, reals, PipelineSpec(2, solver="pibt"), 2)
+    result = run_pipeline(open4, reals, PipelineSpec(2, budget_expansions=1500), 2)
     assert result.solved
     beliefs = compute_beliefs(result.plan, result.problem.group_of)
     horizon = result.plan.horizon
