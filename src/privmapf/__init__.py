@@ -52,7 +52,7 @@ from .pipeline import (
     PipelineSpec,
     run_pipeline,
 )
-from .plans import JointPlan, pad_paths
+from .plans import JointPlan
 from .safezone import (
     PreconditionError,
     RefineResult,
@@ -101,7 +101,6 @@ __all__ = [
     "metrics",
     "no_collision_probability",
     "no_collision_probability_blocked_set",
-    "pad_paths",
     "parse_map_text",
     "parse_scenario_text",
     "path_cost",

@@ -15,11 +15,13 @@ that candidate is rolled back and the claimant tries its next vertex. At
 radius 0 the fov set degenerates to {v}: the rule is the classical one.
 
 The builder's state is indexed by vertex (``at[v]``, ``claimed[v]``: the
-agent on v and the agent moving to v, -1 for none), so both fov checks on
-a tried vertex walk only its (2r+1)^2 fov square, whatever the number of
-agents and groups. ``_attempt`` shuffles an agent's candidates inline with
-``Random.shuffle``'s draws (table ``_DRAWS``). At radius 0 the only pushee
-is ``at[v]``; at radius r >= 1 an undo log tracks the several pushees.
+agent on v and the agent moving to v, -1 for none). It is allocated once
+per problem and each call resets what it touched, so a problem runs one
+step at a time. At radius r >= 1, one scan of a tried vertex's (2r+1)^2
+fov square decides both whether another group's claim blocks it and which
+agents it pushes, whatever the number of agents; an undo log tracks the
+pushees. At radius 0 the only pushee is ``at[v]``. ``attempt`` shuffles
+candidates inline with ``Random.shuffle``'s draws (table ``_DRAWS``).
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ class SolverProblem:
             raise InfeasibleInputError("sub-agent goals are not pairwise distinct")
         self.num_agents = len(self.starts)
         self.dists = [bfs_distances(world, g) for g in self.goals]
+        # build_step's state (the agent on v, the agent moving to v): -1 between calls
+        self.at = [-1] * world.num_vertices
+        self.claimed = [-1] * world.num_vertices
 
 
 def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
@@ -127,111 +132,6 @@ _DRAWS = tuple(
 )
 
 
-class _StepBuilder:
-    def __init__(self, problem, config, rng):
-        world = problem.world
-        self.config = config
-        self.getrandbits = rng.getrandbits
-        self.dists = problem.dists
-        self.group_of = problem.group_of
-        self.adj = world.adjacency
-        r = problem.fov_radius  # at radius 0 the fov checks are the classical ones
-        self.fov = world.fov_table(r) if r else None
-        self.target: list[int | None] = [None] * problem.num_agents
-        self.claimed = [-1] * world.num_vertices
-        self.at = at = [-1] * world.num_vertices
-        for a, v in enumerate(config):
-            at[v] = a
-        self.undo: list[int] = []  # assigned agents (radius >= 1)
-
-    def _fov_blocked(self, ga, v):
-        # v must stay clear of every decided target of groups other than
-        # ga; fov is symmetric, so scanning v's square covers both directions
-        claimed, group_of = self.claimed, self.group_of
-        for u in self.fov[v]:
-            b = claimed[u]
-            if b >= 0 and group_of[b] != ga:
-                return True
-        return False
-
-    def _pushees(self, a, ga, v):
-        # the occupant of v whatever its group, and every agent of a group
-        # other than ga inside v's square
-        at, target, group_of = self.at, self.target, self.group_of
-        out = []
-        for u in self.fov[v]:
-            b = at[u]
-            if b >= 0 and b != a and target[b] is None and (u == v or group_of[b] != ga):
-                out.append(b)
-        out.sort()
-        return out
-
-    def _attempt(self, a) -> bool:
-        config, claimed, target, undo = self.config, self.claimed, self.target, self.undo
-        getrandbits = self.getrandbits
-        cur = config[a]
-        cand = [cur, *self.adj[cur]]
-        for i, n, k in _DRAWS[len(cand)]:
-            j = getrandbits(k)
-            while j >= n:
-                j = getrandbits(k)
-            cand[i], cand[j] = cand[j], cand[i]
-        cand.sort(key=self.dists[a].__getitem__)
-        # claimed[cur] holds for every candidate; following its agent is an exchange
-        b = claimed[cur]
-        swap = config[b] if b >= 0 else -1
-        fov, ga = self.fov, self.group_of[a]
-        for v in cand:
-            if claimed[v] >= 0 or v == swap:
-                continue
-            if fov is None:
-                target[a] = v
-                claimed[v] = a
-                b = self.at[v]
-                if b < 0 or b == a or target[b] is not None or self._attempt(b):
-                    return True
-                # a failed attempt left nothing assigned
-                target[a] = None
-                claimed[v] = -1
-                continue
-            if self._fov_blocked(ga, v):
-                continue
-            mark = len(undo)
-            target[a] = v
-            claimed[v] = a
-            undo.append(a)
-            for b in self._pushees(a, ga, v):
-                # b may have been decided while clearing an earlier pushee
-                if target[b] is None and not self._attempt(b):
-                    break
-            else:
-                return True
-            for c in undo[mark:]:
-                claimed[target[c]] = -1
-                target[c] = None
-            del undo[mark:]
-        return False
-
-    def run(self, order: list[int], forced: Sequence[tuple[int, int]]) -> list[int] | None:
-        config, claimed, target = self.config, self.claimed, self.target
-        for a, v in forced:
-            cur = config[a]
-            # first, so that v is a vertex id before claimed[v] is read
-            if v != cur and v not in self.adj[cur]:
-                return None
-            b = claimed[cur]
-            if target[a] is not None or claimed[v] >= 0 or (b >= 0 and config[b] == v):
-                return None
-            if self.fov is not None and self._fov_blocked(self.group_of[a], v):
-                return None
-            target[a] = v
-            claimed[v] = a
-        for a in order:
-            if target[a] is None and not self._attempt(a):
-                return None
-        return target
-
-
 def build_step(
     problem: SolverProblem,
     config: Sequence[int],
@@ -241,8 +141,108 @@ def build_step(
 ) -> list[int] | None:
     """One configuration step, deciding agents in ``order`` after the
     ``forced`` assignments; None when the step is unrealisable. Unforced
-    from a valid configuration it always succeeds: every agent may wait."""
-    return _StepBuilder(problem, config, rng).run(order, forced)
+    from a valid configuration it always succeeds: every agent may wait.
+
+    The vertex-indexed state lives on the problem and is reset on the way out, also
+    on a raise; so a problem runs one step at a time (no re-entry, no threads)."""
+    at, claimed, adj, dists, group_of = (
+        problem.at, problem.claimed, problem.world.adjacency, problem.dists, problem.group_of)
+    r, getrandbits = problem.fov_radius, rng.getrandbits
+    fov = problem.world.fov_table(r) if r else None  # radius 0: the classical rule
+    target: list[int | None] = [None] * problem.num_agents
+    undo: list[int] = []  # assigned agents (radius >= 1)
+
+    # state bound as defaults: read as fast locals, quicker than closure cells
+    def attempt(a, config=config, adj=adj, dists=dists, getrandbits=getrandbits, claimed=claimed,
+                at=at, target=target, fov=fov, group_of=group_of, undo=undo):
+        cur = config[a]
+        cand = [cur, *adj[cur]]
+        for i, n, k in _DRAWS[len(cand)]:
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            cand[i], cand[j] = cand[j], cand[i]
+        cand.sort(key=dists[a].__getitem__)
+        # claimed[cur] holds for every candidate; following its agent is an exchange
+        b = claimed[cur]
+        swap = config[b] if b >= 0 else -1
+        if fov is None:
+            for v in cand:
+                if claimed[v] >= 0 or v == swap:
+                    continue
+                target[a] = v
+                claimed[v] = a
+                b = at[v]
+                if b < 0 or b == a or target[b] is not None or attempt(b):
+                    return True
+                # a failed attempt left nothing assigned
+                target[a] = None
+                claimed[v] = -1
+            return False
+        ga = group_of[a]
+        for v in cand:
+            if claimed[v] >= 0 or v == swap:
+                continue
+            # one scan of v's square: v is blocked if another group's agent
+            # has claimed a vertex in it (fov is symmetric, so this covers
+            # both directions); else the pushees are v's occupant, whatever
+            # its group, and the undecided agents of other groups in it
+            pushees = []
+            for u in fov[v]:
+                b = claimed[u]
+                if b >= 0 and group_of[b] != ga:
+                    break
+                b = at[u]
+                if b >= 0 and b != a and target[b] is None and (u == v or group_of[b] != ga):
+                    pushees.append(b)
+            else:
+                mark = len(undo)
+                target[a] = v
+                claimed[v] = a
+                undo.append(a)
+                pushees.sort()
+                for b in pushees:
+                    # b may have been decided while clearing an earlier pushee
+                    if target[b] is None and not attempt(b):
+                        break
+                else:
+                    return True
+                for c in undo[mark:]:
+                    claimed[target[c]] = -1
+                    target[c] = None
+                del undo[mark:]
+        return False
+
+    try:
+        for a, v in enumerate(config):
+            at[v] = a
+        for a, v in forced:
+            cur = config[a]
+            # first, so that v is a vertex id before claimed[v] is read
+            if v != cur and v not in adj[cur]:
+                return None
+            b = claimed[cur]
+            if target[a] is not None or claimed[v] >= 0 or (b >= 0 and config[b] == v):
+                return None
+            if fov is not None:
+                ga = group_of[a]
+                for u in fov[v]:
+                    b = claimed[u]
+                    if b >= 0 and group_of[b] != ga:
+                        return None
+            target[a] = v
+            claimed[v] = a
+        for a in order:
+            if target[a] is None and not attempt(a):
+                return None
+        return target
+    finally:
+        for v in config:
+            at[v] = -1
+        for v in target:
+            if v is not None:
+                claimed[v] = -1
+        del attempt  # it refers to itself: free it now, not in the next gc pass
 
 
 @dataclass

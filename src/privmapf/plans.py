@@ -45,12 +45,6 @@ class JointPlan:
         return JointPlan(tuple(tuple(c[i] for c in configs) for i in range(n)))
 
 
-def pad_paths(paths: list[list[int]]) -> JointPlan:
-    """Extend every path with trailing stays to the longest path's horizon."""
-    target = max(len(p) for p in paths)
-    return JointPlan(tuple(tuple(p) + (p[-1],) * (target - len(p)) for p in paths))
-
-
 def write_real_plan_file(real_paths: list[tuple[int, ...]], path: str | Path) -> None:
     """One line per agent: ``<group> real v0 v1 ...`` (private, not broadcast)."""
     lines = [

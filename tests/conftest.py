@@ -106,6 +106,13 @@ def replay_picks(world, initial, radius, picks):
     return zones, breaks
 
 
+def pad_paths(paths):
+    """A joint plan of the paths, each extended with trailing stays to the
+    longest one's length."""
+    target = max(len(p) for p in paths)
+    return JointPlan(tuple(tuple(p) + (p[-1],) * (target - len(p)) for p in paths))
+
+
 def singleton_problem(world, pairs, fov_radius=0):
     """A k=1 problem: every agent is its own group."""
     groups = [AgentGroup(i, (p,), 0) for i, p in enumerate(pairs)]

@@ -7,12 +7,24 @@ or the search. Any other exception fails the test. Refinement may refuse
 only radius 0: on a clean plan at r >= 1 it must succeed, and the refined
 real paths, one per agent, must audit clean at radius r (the safe zones
 are mutually invisible).
+
+The files a user may hand-edit, a ``solve`` trace and its private sidecars,
+are fuzzed too: with up to three JSON values replaced, ``audit`` and
+``ppfpp`` must report, never raise.
 """
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from privmapf.audit import audit, check_runtime_k_privacy, path_cost
+from privmapf.cli import main
 from privmapf.dispatch import DispatchExhaustedError, InfeasibleInputError
 from privmapf.grid import parse_map_text
 from privmapf.instances import PlacementError, random_spaced_pairs
@@ -77,3 +89,77 @@ def test_pipeline_is_correct_or_fails_typed(world, n, k, radius, separation, see
     executed = JointPlan(tuple(refined.refined_paths))
     assert audit(world, executed, list(range(n)), fov_radius=radius, check_fov=True).ok
     event("solved and refined")
+
+
+# ------------------------------------------------ hand-edited files
+
+OPEN5 = "type octile\nheight 5\nwidth 5\nmap\n" + ".....\n" * 5
+
+# half small ints, which pass the type checks as a vertex id, a coordinate,
+# k, a radius or a real index, and half anything JSON holds
+JSON_VALUES = st.integers(-1, 25) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def solved_files(tmp_path_factory):
+    """A solved radius-1 trace on OPEN5 and its two sidecars, by file name."""
+    root = tmp_path_factory.mktemp("solved")
+    (root / "open5.map").write_text(OPEN5)
+    argv = ["solve", "--map", str(root / "open5.map"), "--agents", "2", "--k", "2",
+            "--radius", "1", "--out", str(root / "trace.json"),
+            "--private-dir", str(root / "private")]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    files = [root / "trace.json", *sorted((root / "private").iterdir())]
+    return {f.name: json.loads(f.read_text()) for f in files}
+
+
+def _replace_one(data, docs):
+    """Replace one JSON value of one file (the trace two times in three),
+    found by walking down from the file's root: at each non-empty container,
+    stop or enter one of its members, all equally likely. So a top-level
+    key such as ``fov_radius`` is hit far more often than under a uniform
+    pick among the trace's values, most of which are plan vertices."""
+    which = st.just("trace.json") | st.sampled_from(sorted(docs))
+    parent, key = docs, data.draw(which, label="file")
+    while isinstance(parent[key], (dict, list)) and parent[key]:
+        node = parent[key]
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        i = data.draw(st.integers(0, len(keys)), label="member")
+        if i == len(keys):
+            break
+        parent, key = node, keys[i]
+    parent[key] = data.draw(JSON_VALUES, label="value")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_trace_and_sidecars_never_raise(solved_files, data):
+    docs = json.loads(json.dumps(solved_files))
+    for _ in range(data.draw(st.integers(1, 3), label="replacements")):
+        _replace_one(data, docs)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "open5.map").write_text(OPEN5)
+        (root / "private").mkdir()
+        for name, doc in docs.items():
+            where = root / ("trace.json" if name == "trace.json" else f"private/{name}")
+            where.write_text(json.dumps(doc))
+        common = ["--map", str(root / "open5.map"), "--trace", str(root / "trace.json")]
+        for argv in (["audit", *common], ["ppfpp", *common, "--private-dir", str(root / "private")]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main(argv)
+            lines = err.getvalue().splitlines()
+            # a replaced value may still leave an input the command accepts
+            # (fov_radius 0, another real_index, an untouched trace): exit 0
+            assert rc in (0, 1, 2)
+            if rc == 2:
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            else:
+                assert lines == []
+            event(f"{argv[0]}: exit {rc}")

@@ -6,8 +6,11 @@ exchanges, and at radius r >= 1 no inter-group visibility), so the transactional
 push/rollback machinery is checked against the rules it must maintain, not
 against its own bookkeeping. The vertex-indexed builder is also compared,
 result and RNG state, with a reference that keeps its state in dicts and
-per-group target sets and scans every agent for fov pushees. The start
-check, an audit call, is compared with the hand-written rule it replaced.
+per-group target sets and scans every agent for fov pushees. Its state
+lives on the problem: every step, rejected, failed, taken or cut short by
+a raising draw, must leave it as it found it and act as on a fresh
+problem. The start check, an audit call, is compared with the
+hand-written rule it replaced.
 """
 
 import random
@@ -207,6 +210,78 @@ def test_solved_plan_reaches_goals_and_audits_clean(open16):
         assert result.solved
         assert [p[-1] for p in result.plan.paths] == list(problem.goals)
         assert audit(open16, result.plan).ok
+
+
+# ------------------------------------------------ state between steps
+
+# one 14-cell row: its right end is a dead end
+CORRIDOR = "type octile\nheight 1\nwidth 14\nmap\n" + "." * 14 + "\n"
+
+
+class _Drawn(Exception):
+    pass
+
+
+class _FailingRandom(random.Random):
+    """A Random whose ``getrandbits`` raises after ``draws`` calls (never,
+    for None)."""
+
+    def __init__(self, state, draws):
+        super().__init__()
+        self.setstate(state)
+        self.draws = draws
+
+    def getrandbits(self, k):
+        if self.draws == 0:
+            raise _Drawn
+        if self.draws is not None:
+            self.draws -= 1
+        return super().getrandbits(k)
+
+
+def _step(problem, config, state, order, forced, draws):
+    """The result ("raised" for a failed draw) and the RNG state after it."""
+    rng = _FailingRandom(state, draws)
+    try:
+        out = build_step(problem, config, rng, order, forced)
+    except _Drawn:
+        out = "raised"
+    return out, rng.getstate()
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_no_state_leaks_between_steps(radius):
+    # group 0 = agents 0-2, group 1 = agents 3-5; the goals only rank moves
+    world = parse_map_text(CORRIDOR)
+    groups = [AgentGroup(0, ((11, 0), (12, 1), (13, 2)), None),
+              AgentGroup(1, ((0, 11), (1, 12), (2, 13)), None)]
+    problem = SolverProblem(world, groups, radius)
+    ends = [11, 12, 13, 0, 1, 2]  # group 0 in the dead end, group 1 far off
+    apart = [0, 1, 2, 4 + radius, 5 + radius, 6 + radius]  # agents 2 and 3 r + 2 apart
+    order, back = list(range(6)), [2, 1, 0, 3, 4, 5]
+    rejected = [
+        (ends, order, [(0, 5)]),  # not a step
+        (ends, order, [(0, 12), (2, 12)]),  # 12 is already claimed
+        (ends, order, [(0, 12), (1, 11)]),  # an exchange
+        (apart, order, [(2, 3), (3, 3 + radius)]),  # inside each other's fov
+        # agent 1 tries 13 and pushes agent 2, which has nowhere to go: rolled back
+        (ends, order, [(0, 12)]),
+    ]
+    taken = [(ends, order, ()), (apart, back, ()), (ends, back, [(1, 11)])]
+    calls = [(*call, None, None) for call in rejected]
+    calls += [(*call, None, "step") for call in taken]
+    # agent 2 claims 12 and pushes agent 1, which pushes agent 0: the draws
+    # run out with up to two claims made
+    calls += [(ends, back, (), draws, "raised") for draws in (0, 2, 4, 6)]
+    calls = calls[::2] + calls[1::2] + calls  # each call after several others
+    state = random.Random("leaks").getstate()
+    for config, step_order, forced, draws, expected in calls:
+        fresh = SolverProblem(world, groups, radius)
+        out, after = _step(problem, config, state, step_order, forced, draws)
+        assert problem.at == problem.claimed == [-1] * world.num_vertices
+        assert (out, after) == _step(fresh, config, state, step_order, forced, draws)
+        assert ("step" if isinstance(out, list) else out) == expected
+        state = after
 
 
 # ------------------------------------------------ reference step builder

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from privmapf.plans import JointPlan, pad_paths
+from privmapf.plans import JointPlan
+
+from conftest import pad_paths
 
 
 def test_pad_paths_extends_with_goal():

@@ -18,7 +18,7 @@ import pytest
 from privmapf.audit import audit, check_separated
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
-from privmapf.plans import JointPlan, pad_paths
+from privmapf.plans import JointPlan
 from privmapf.safezone import (
     ExtensionPick,
     PreconditionError,
@@ -34,7 +34,7 @@ from privmapf.safezone import (
     write_zones,
 )
 
-from conftest import replay_picks
+from conftest import pad_paths, replay_picks
 
 
 def fpp_fixture(world, n, sep, k, seed, budget=1500):
