@@ -150,7 +150,7 @@ class GridWorld:
         table = self._fov_cache.get(radius)
         if table is None:
             if radius < 0:
-                raise ValueError("fov radius must be >= 0")
+                raise ConfigError("fov radius must be >= 0")
             table = tuple(self._fov_uncached(v, radius) for v in range(self.num_vertices))
             self._fov_cache[radius] = table
         return table

@@ -14,6 +14,13 @@ Dijkstra-style whenever a cheaper path to them appears.
 There is no swap operation on top of the step builder; escaping local
 minima is left to the constraint tree.
 
+Most discovered configurations are pruned before they are expanded, so a
+discovered node holds only what pruning and edge costs read: its
+configuration, g, the heuristic h, the at-goal mask and the discovering
+parent's etas. Its own etas, its priority order and its constraint tree
+are built at its first expansion, from those etas; a rewire changes the
+parent and g, never the etas source.
+
 The edge cost charges 1 per agent not resting at its goal across the move
 (n minus the agents on their goal at both ends), which matches sum-of-costs
 as long as no agent leaves its goal again; the incumbent plan is therefore
@@ -25,6 +32,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import compress
+from operator import eq
 
 from .audit import metrics
 from .pibt import SolveResult, SolverProblem, build_step, clean_start, node_data
@@ -34,15 +43,17 @@ from .plans import JointPlan
 class _Node:
     __slots__ = ("config", "g", "h", "parent", "tree", "order", "etas", "at_goal", "edges")
 
-    def __init__(self, config, g, h, parent, order, etas, at_goal):
+    def __init__(self, config, g, h, at_goal, parent, etas):
         self.config = config
         self.g = g
         self.h = h
-        self.parent = parent
-        self.tree = deque([()])  # constraints: tuples of (agent, vertex) pins
-        self.order = order
-        self.etas = etas  # off-goal counters frozen at first discovery
         self.at_goal = at_goal  # bit a: agent a stands on its goal
+        self.parent = parent
+        # off-goal counters: the discovering parent's until the first
+        # expansion, which derives the node's own from them
+        self.etas = etas
+        self.order = None  # priority order, built at the first expansion
+        self.tree = None  # constraints (tuples of (agent, vertex) pins), likewise
         self.edges: dict[_Node, int] | None = {}  # None once the search ends
 
 
@@ -75,8 +86,13 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     if start_cfg == goal_cfg:
         plan = JointPlan.from_configs([list(start_cfg)])
         return SolveResult(True, plan, None)
-    etas, h, order, at_goal = node_data(goals, dists, start_cfg, [0] * n)
-    init = _Node(start_cfg, 0, h, None, order, etas, at_goal)
+    bits = [1 << a for a in range(n)]
+
+    def h_and_at_goal(cfg):
+        """What discovery pays for: the heuristic and the at-goal mask."""
+        return sum(map(list.__getitem__, dists, cfg)), sum(compress(bits, map(eq, cfg, goals)))
+
+    init = _Node(start_cfg, 0, *h_and_at_goal(start_cfg), None, [0] * n)
     open_stack: list[_Node] = [init]
     explored: dict[tuple[int, ...], _Node] = {start_cfg: init}
     goal_node: _Node | None = None
@@ -100,21 +116,25 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
 
     while open_stack:
         node = open_stack[-1]
-        if (node.config == goal_cfg or not node.tree
+        tree = node.tree
+        if (node.config == goal_cfg or (tree is not None and not tree)
                 or (goal_node is not None and goal_node.g <= node.g + node.h)):
             open_stack.pop()
             continue
         if expansions >= budget_expansions:
             break
         expansions += 1
+        if tree is None:  # first expansion: the node's own etas, order and tree
+            node.etas, _, node.order, _ = node_data(goals, dists, node.config, node.etas)
+            node.tree = tree = deque([()])
 
-        pins = node.tree.popleft()
+        pins = tree.popleft()
         if len(pins) < n:
             agent = node.order[len(pins)]
             cur = node.config[agent]
             cands = sorted((cur, *adj[cur]))
             cands.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
-            node.tree.extend([pins + ((agent, u),) for u in cands])
+            tree.extend([pins + ((agent, u),) for u in cands])
 
         q_new = build_step(problem, node.config, rng, forced=pins, order=node.order)
         if q_new is None:
@@ -122,9 +142,9 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
         q_new = tuple(q_new)
         known = explored.get(q_new)
         if known is None:
-            etas, h, order, at_goal = node_data(goals, dists, q_new, node.etas)
+            h, at_goal = h_and_at_goal(q_new)
             cost = n - (node.at_goal & at_goal).bit_count()
-            child = _Node(q_new, node.g + cost, h, node, order, etas, at_goal)
+            child = _Node(q_new, node.g + cost, h, at_goal, node, node.etas)
             node.edges[child] = cost
             explored[q_new] = child
             open_stack.append(child)

@@ -1,9 +1,9 @@
 """Priority-inheritance configuration generation, with fov clearing:
 LaCAM's configuration generator.
 
-``lacam_solve`` advances on ``node_data``, one pass per configuration that
-yields the etas, the heuristic, the priority order and the at-goal mask,
-and takes its steps from ``build_step``.
+``lacam_solve`` advances on ``node_data``, one pass per expanded
+configuration that yields the etas, the heuristic, the priority order and
+the at-goal mask, and takes its steps from ``build_step``.
 
 One transactional step builder serves every fov radius of the problem. An
 agent claiming vertex v must recursively displace (a) the current occupant
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .audit import audit
 from .dispatch import AgentGroup, InfeasibleInputError
-from .grid import GridWorld
+from .grid import ConfigError, GridWorld
 from .plans import JointPlan
 
 UNREACHABLE = 1 << 30
@@ -60,6 +60,8 @@ class SolverProblem:
     """
 
     def __init__(self, world: GridWorld, groups: list[AgentGroup], fov_radius: int = 0):
+        if fov_radius < 0:  # before any BFS
+            raise ConfigError("fov radius must be >= 0")
         if not groups:
             raise InfeasibleInputError("no groups")
         ks = {g.k for g in groups}
@@ -87,10 +89,10 @@ class SolverProblem:
 
 
 def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
-    """The per-configuration pass the search advances on: the off-goal
-    counters (eta, reset to 0 on the goal), the heuristic (sum of goal
-    distances), the priority order and the at-goal bitmask (bit a: agent a
-    stands on its goal).
+    """The pass the search makes once per expanded configuration, at its
+    first expansion: the off-goal counters (eta, reset to 0 on the goal),
+    the heuristic (sum of goal distances), the priority order and the
+    at-goal bitmask (bit a: agent a stands on its goal).
 
     The order ranks sub-agents by ``(at_goal, -eta, dist, agent)``, highest
     priority first: whoever has been off its goal longest (which breaks

@@ -16,6 +16,7 @@ from privmapf.audit import (
     path_cost,
     real_sum_of_costs,
 )
+from privmapf.grid import ConfigError
 from privmapf.plans import JointPlan
 
 
@@ -92,6 +93,12 @@ def test_audit_requires_group_of_for_fov(open4):
     plan = JointPlan(((0, 0),))
     with pytest.raises(AuditError):
         audit(open4, plan, fov_radius=1, check_fov=True)
+
+
+def test_audit_rejects_negative_fov_radius(open4):
+    plan = JointPlan(((0, 0),))
+    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
+        audit(open4, plan, group_of=[0], fov_radius=-1, check_fov=True)
 
 
 def test_audit_rejects_ragged_plan():

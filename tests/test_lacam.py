@@ -6,6 +6,7 @@ final-arrival sums — the metric the solver reports — not by the solver's
 internal edge surrogate, so agreement is meaningful.
 """
 
+import gc
 import heapq
 import itertools
 import random
@@ -13,6 +14,7 @@ from collections import deque
 
 import pytest
 
+from privmapf import lacam
 from privmapf.audit import audit, metrics
 from privmapf.dispatch import AgentGroup, dispatch_groups
 from privmapf.grid import parse_map_text
@@ -265,7 +267,9 @@ class _RefNode:
 def _reference_lacam(problem, seed, budget):
     """The search with its per-node work spelled out: ``update_etas``, the
     heuristic, ``priority_order`` and the edge cost as separate passes, and
-    the incumbent re-scored on every goal rewire. Returns (plan, expansions)."""
+    the incumbent re-scored on every goal rewire. Every node gets its etas,
+    order and tree when it is created. Returns (plan, expansions, nodes
+    created, distinct configurations expanded)."""
     goals, n, dists = problem.goals, problem.num_agents, problem.dists
     goal_cfg = tuple(goals)
     rng = random.Random(f"pibt:{seed}")
@@ -282,6 +286,7 @@ def _reference_lacam(problem, seed, budget):
     stack, explored = [init], {init.config: init}
     goal_node = best = best_soc = None
     expansions = 0
+    expanded = set()
 
     def consider():
         nonlocal best, best_soc
@@ -300,6 +305,7 @@ def _reference_lacam(problem, seed, budget):
         if expansions >= budget:
             break
         expansions += 1
+        expanded.add(node.config)
         constraint = node.tree.popleft()
         if constraint.depth < n:
             agent = node.order[constraint.depth]
@@ -336,7 +342,7 @@ def _reference_lacam(problem, seed, budget):
                         y.g, y.parent = x.g + c, x
                         queue.append(y)
             consider()
-    return best, expansions
+    return best, expansions, len(explored), len(expanded)
 
 
 def test_matches_reference_search(open16, random32):
@@ -345,18 +351,79 @@ def test_matches_reference_search(open16, random32):
         (open16, 4, 3, 1, 3, 1500),
         (random32, 8, 2, 1, 5, 1500),
         (random32, 6, 2, 0, 5, 800),
+        (random32, 12, 2, 0, 5, 1500),  # kPP-shaped: most nodes are never expanded
     ]
     rewired = 0
+    unexpanded = []  # nodes created per distinct configuration expanded
     for world, agents, k, radius, separation, budget in cases:
         for seed in range(3):
             pairs = random_spaced_pairs(world, agents, seed, min_separation=separation)
             problem = SolverProblem(world, dispatch_groups(world, pairs, k, radius, seed), radius)
             got = lacam_solve(problem, seed, budget_expansions=budget)
-            plan, expansions = _reference_lacam(problem, seed, budget)
+            plan, expansions, created, expanded = _reference_lacam(problem, seed, budget)
             assert got.expansions == expansions
             assert (got.plan.paths if got.solved else None) == (plan.paths if plan else None)
             rewired += got.solved and got.expansions == budget
+            unexpanded.append(created / expanded)
     assert rewired > 0  # some searches run on past their first goal hit
+    # and some create many nodes they never expand, where deferral matters
+    assert max(unexpanded) >= 10, unexpanded
+
+
+def _recorded_solve(monkeypatch, problem, seed, budget):
+    """``lacam_solve`` with ``node_data`` and ``build_step`` wrapped, as the
+    benchmark's tracer wraps them. Returns the result, the configurations
+    passed to each, and the 1-based step at which the goal was first
+    reached (None if never)."""
+    steps, passes, goal_hit = [], [], []
+    node_data, build_step = lacam.node_data, lacam.build_step
+
+    def counted_node_data(goals, dists, cfg, etas):
+        passes.append(tuple(cfg))
+        return node_data(goals, dists, cfg, etas)
+
+    def counted_build_step(problem, config, rng, order, forced=()):
+        steps.append(tuple(config))
+        q_new = build_step(problem, config, rng, order, forced)
+        if q_new == problem.goals and not goal_hit:
+            goal_hit.append(len(steps))
+        return q_new
+
+    monkeypatch.setattr(lacam, "node_data", counted_node_data)
+    monkeypatch.setattr(lacam, "build_step", counted_build_step)
+    result = lacam_solve(problem, seed, budget_expansions=budget)
+    return result, steps, passes, goal_hit[0] if goal_hit else None
+
+
+@pytest.mark.parametrize("agents,k,radius,seed", [
+    (12, 2, 0, 0), (12, 2, 0, 1), (8, 2, 1, 0), (8, 2, 1, 1),
+])
+def test_node_data_runs_once_per_expanded_configuration(random32, monkeypatch,
+                                                        agents, k, radius, seed):
+    # a discovered node gets its etas, order and tree at its first
+    # expansion, so one that is pruned before it costs no pass
+    pairs = random_spaced_pairs(random32, agents, seed, min_separation=5)
+    problem = SolverProblem(random32, dispatch_groups(random32, pairs, k, radius, seed), radius)
+    result, steps, passes, goal_hit = _recorded_solve(monkeypatch, problem, seed, 1500)
+    assert result.solved and goal_hit < len(steps)  # on past the first goal hit
+    assert sorted(passes) == sorted(set(steps))
+
+
+@pytest.mark.parametrize("agents,k,radius", [(16, 2, 0), (8, 3, 1)])
+def test_search_graph_is_freed_without_gc(random32, monkeypatch, agents, k, radius):
+    # the edge cut at the end of the search and the step builder's
+    # ``del attempt`` leave no reference cycle: memory returns on return
+    pairs = random_spaced_pairs(random32, agents, 0, min_separation=5)
+    problem = SolverProblem(random32, dispatch_groups(random32, pairs, k, radius, 0), radius)
+    gc.collect()
+    gc.disable()
+    try:
+        result, steps, _, goal_hit = _recorded_solve(monkeypatch, problem, 0, 1500)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert result.solved and goal_hit < len(steps)  # on past the first goal hit
+    assert garbage == 0
 
 
 def test_node_order_matches_priority_order():

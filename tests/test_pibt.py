@@ -19,10 +19,10 @@ from itertools import combinations
 
 import pytest
 
-from privmapf import lacam
+from privmapf import lacam, pibt
 from privmapf.audit import audit
 from privmapf.dispatch import AgentGroup, InfeasibleInputError, dispatch_groups
-from privmapf.grid import parse_map_text
+from privmapf.grid import ConfigError, parse_map_text
 from privmapf.lacam import lacam_solve
 from privmapf.pibt import (
     SolverProblem,
@@ -192,6 +192,17 @@ def test_problem_rejects_bad_groups(open16, pairs, message):
     groups = [AgentGroup(i, p, None) for i, p in enumerate(pairs)]
     with pytest.raises(InfeasibleInputError, match=message):
         SolverProblem(open16, groups)
+
+
+def test_problem_rejects_negative_fov_radius(open16, monkeypatch):
+    # a setting error, raised before the BFS tables are built
+    def no_bfs(world, source):
+        raise AssertionError("BFS ran")
+
+    monkeypatch.setattr(pibt, "bfs_distances", no_bfs)
+    groups = [AgentGroup(0, ((0, 5),), None)]
+    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
+        SolverProblem(open16, groups, fov_radius=-1)
 
 
 def test_bfs_distances_unreachable():
