@@ -1,8 +1,11 @@
-"""Benchmark harness: sweep instance grids, collect one CSV row per run.
+"""Benchmark harness: sweep instance grids, write one CSV row per run.
 
 A suite is a YAML config describing the cross product of maps, agent
-counts, group sizes, fov radii and seeds. Rows come out in exactly the
-config order (maps outermost, seeds innermost). The solver budget is a
+counts, group sizes, fov radii and seeds; each run of it is a ``TaskSpec``,
+the same spec ``privmapf solve`` runs, so both load the map with
+``load_world`` and place the pairs with ``TaskSpec.pairs``. Rows come out
+in exactly the config order (maps outermost, seeds innermost). The CSV is
+an output only: nothing in the package reads it back. The solver budget is a
 count of expansions and no clock is read, so two runs of the same config
 produce byte-identical CSVs; the ``solve_time`` and ``ppfpp_time`` columns
 of schema v1 are always 0.0. LaCAM plans every cell, so the ``solver``
@@ -11,7 +14,7 @@ A cell whose placement, dispatch or solve fails with a ``PrivmapfError``
 is an unsolved row, not the end of the sweep. PPfPP refines the
 pipeline's own plan, so a failure there is a bug and keeps its traceback.
 Keys a config omits take the defaults of ``PipelineSpec`` (budget) and of
-``random_spaced_pairs`` (separation), as ``privmapf solve`` does.
+``random_spaced_pairs`` (separation), as ``privmapf solve``'s flags do.
 
 ``run_suite(cfg, threads=n)`` (``privmapf bench --threads n``) fans
 instances out over a process pool; the row order is unaffected.
@@ -25,6 +28,8 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import yaml
@@ -51,6 +56,12 @@ def resolve_map(name: str) -> Path:
     if bundled.exists():
         return bundled
     raise ConfigError(f"unknown map {name!r} (no file and no bundled asset)")
+
+
+@cache
+def load_world(name: str) -> GridWorld:
+    """The world of a map name (as ``resolve_map`` reads it), loaded once per process."""
+    return load_map(resolve_map(name))
 
 
 @dataclass(frozen=True)
@@ -123,12 +134,18 @@ def load_config(path: str | Path) -> BenchConfig:
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """One run: ``privmapf solve``'s flags, or one cell and seed of a suite."""
+
     map_name: str
-    map_path: str
     n_agents: int
     seed: int
     spec: PipelineSpec
     min_separation: int | None
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The run's seeded (start, goal) pairs, spaced by ``min_separation``."""
+        return random_spaced_pairs(load_world(self.map_name), self.n_agents, self.seed,
+                                   self.min_separation)
 
 
 @dataclass(frozen=True)
@@ -150,55 +167,27 @@ class RunRecord:
     ppfpp_time: float = 0.0
 
     def to_row(self) -> list[str]:
-        return [encode(getattr(self, name)) for name, encode, _ in _COLUMNS]
-
-    @staticmethod
-    def from_row(row: list[str]) -> "RunRecord":
-        return RunRecord(*(decode(cell) for (_, _, decode), cell in zip(_COLUMNS, row)))
+        return [encode(getattr(self, name)) for name, encode in _COLUMNS]
 
 
-# the CSV codec of each RunRecord field type: (encode, decode)
-_CODECS = {
-    "str": (str, str),
-    "int": (str, int),
-    "bool": (lambda b: "1" if b else "0", "1".__eq__),
-    "float": ("{:.6f}".format, float),
-}
-_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(RunRecord)]
-CSV_HEADER = [name for name, _, _ in _COLUMNS]
+# the CSV cell of each RunRecord field type
+_ENCODERS = {"str": str, "int": str, "bool": lambda b: "1" if b else "0", "float": "{:.6f}".format}
+_COLUMNS = [(f.name, _ENCODERS[f.type]) for f in fields(RunRecord)]
+CSV_HEADER = [name for name, _ in _COLUMNS]
 
 
 def iter_tasks(cfg: BenchConfig) -> list[TaskSpec]:
-    tasks = []
     for map_name in cfg.maps:
-        map_path = str(resolve_map(map_name))
-        for n in cfg.agents:
-            for k in cfg.k:
-                for r in cfg.radius:
-                    spec = cfg.spec(k, r)
-                    for seed in cfg.seeds:
-                        tasks.append(TaskSpec(
-                            map_name, map_path, n, seed, spec, cfg.min_separation
-                        ))
-    return tasks
-
-
-_WORLD_CACHE: dict[str, GridWorld] = {}
-
-
-def _world(map_path: str) -> GridWorld:
-    if map_path not in _WORLD_CACHE:
-        _WORLD_CACHE[map_path] = load_map(map_path)
-    return _WORLD_CACHE[map_path]
+        load_world(map_name)  # a bad map fails before any cell runs
+    cells = product(cfg.maps, cfg.agents, cfg.k, cfg.radius, cfg.seeds)
+    return [TaskSpec(m, n, seed, cfg.spec(k, r), cfg.min_separation) for m, n, k, r, seed in cells]
 
 
 def run_one(task: TaskSpec) -> RunRecord:
-    world = _world(task.map_path)
-    spec = task.spec
+    world, spec = load_world(task.map_name), task.spec
     out = None
     try:
-        pairs = random_spaced_pairs(world, task.n_agents, task.seed, task.min_separation)
-        out = run_pipeline(world, pairs, spec, task.seed)
+        out = run_pipeline(world, task.pairs(), spec, task.seed)
     except PrivmapfError:
         pass  # one bad cell is an unsolved row, not the end of the sweep
     solved = out is not None and out.solved
@@ -248,16 +237,6 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 def write_records(records: list[RunRecord], path: str | Path) -> None:
     Path(path).write_text(records_to_csv(records))
-
-
-def read_records(path: str | Path) -> list[RunRecord]:
-    lines = Path(path).read_text().splitlines()
-    rows = [l for l in lines if l and not l.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header: {header}")
-    return [RunRecord.from_row(row) for row in reader]
 
 
 @dataclass(frozen=True)

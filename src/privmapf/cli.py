@@ -8,9 +8,11 @@ privacy and ``ppfpp`` refines it inside safe zones, both at the k and
 radius the trace records; ``bench`` sweeps a YAML-configured suite into a
 CSV.
 
-No default is restated here: ``--budget-expansions`` reads
-``PipelineSpec``'s, and an omitted ``--separation`` is the map default of
-``random_spaced_pairs``, so ``solve`` places the pairs ``bench`` does.
+``solve`` runs a bench ``TaskSpec`` built from its flags: it loads the map
+and places the pairs with the code ``bench`` runs a cell with, unless
+``--scen`` names the pairs. No default is restated here:
+``--budget-expansions`` reads ``PipelineSpec``'s, and an omitted
+``--separation`` is the map default of ``random_spaced_pairs``.
 Every ``PrivmapfError`` or ``OSError`` ends in one ``error:`` line and exit
 code 2; any other exception is a bug and keeps its traceback.
 """
@@ -24,10 +26,11 @@ from pathlib import Path
 
 from . import __version__
 from .audit import audit, check_k_privacy, compute_beliefs, metrics, real_sum_of_costs
-from .bench import format_summary, load_config, resolve_map, run_suite, summarize, write_records
+from .bench import (
+    TaskSpec, format_summary, load_config, load_world, run_suite, summarize, write_records,
+)
 from .dispatch import SidecarError, read_private_sidecars, sidecar_path, write_private_sidecars
-from .grid import ConfigError, PrivmapfError, ScenarioError, load_map, load_scenario, scenario_pairs
-from .instances import random_spaced_pairs
+from .grid import ConfigError, PrivmapfError, ScenarioError, load_scenario, scenario_pairs
 from .pipeline import (
     MessageTrace, PipelineSpec, TraceError, extract_real_path, read_trace,
     run_pipeline, write_trace,
@@ -36,18 +39,14 @@ from .plans import write_real_plan_file
 from .safezone import ppfpp, write_zones
 
 
-def _instance_pairs(args, world):
-    if args.scen:
-        entries = load_scenario(args.scen)
-        if len(entries) < args.agents:
-            raise ScenarioError(
-                f"{args.scen}: scenario has only {len(entries)} entries, "
-                f"{args.agents} agents requested"
-            )
-        return scenario_pairs(world, entries[: args.agents])
-    return random_spaced_pairs(
-        world, args.agents, seed=args.seed, min_separation=args.separation
-    )
+def _scenario_pairs(args, world):
+    entries = load_scenario(args.scen)
+    if len(entries) < args.agents:
+        raise ScenarioError(
+            f"{args.scen}: scenario has only {len(entries)} entries, "
+            f"{args.agents} agents requested"
+        )
+    return scenario_pairs(world, entries[: args.agents])
 
 
 def _read_planned_trace(world, path) -> MessageTrace:
@@ -60,10 +59,13 @@ def _read_planned_trace(world, path) -> MessageTrace:
 def _cmd_solve(args) -> int:
     if args.agents < 1:  # a negative count would slice the scenario from its end
         raise ConfigError("the agent count must be >= 1")
+    if args.scen and args.separation is not None:
+        raise ConfigError("--separation spaces random pairs, not the pairs of a --scen file")
     spec = PipelineSpec(args.k, args.radius, args.budget_expansions)
-    world = load_map(resolve_map(args.map))
-    pairs = _instance_pairs(args, world)
-    out = run_pipeline(world, pairs, spec, args.seed)
+    task = TaskSpec(args.map, args.agents, args.seed, spec, args.separation)
+    world = load_world(task.map_name)
+    pairs = _scenario_pairs(args, world) if args.scen else task.pairs()
+    out = run_pipeline(world, pairs, spec, task.seed)
     if out.solved:
         m = metrics(out.plan.paths, out.problem.goals)
         print(f"solved: soc={m.soc} makespan={m.makespan} rsoc={real_sum_of_costs(out.real_paths, [p[1] for p in pairs])}")
@@ -82,7 +84,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_ppfpp(args) -> int:
-    world = load_map(resolve_map(args.map))
+    world = load_world(args.map)
     trace = _read_planned_trace(world, args.trace)
     plan = trace.broadcast_plan
     private = read_private_sidecars(args.private_dir)
@@ -109,7 +111,7 @@ def _cmd_ppfpp(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    world = load_map(resolve_map(args.map))
+    world = load_world(args.map)
     trace = _read_planned_trace(world, args.trace)
     plan, group_of, k = trace.broadcast_plan, trace.group_of, trace.k
     report = audit(

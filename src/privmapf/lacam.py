@@ -125,7 +125,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
             break
         expansions += 1
         if tree is None:  # first expansion: the node's own etas, order and tree
-            node.etas, _, node.order, _ = node_data(goals, dists, node.config, node.etas)
+            node.etas, node.order = node_data(goals, dists, node.config, node.etas)
             node.tree = tree = deque([()])
 
         pins = tree.popleft()

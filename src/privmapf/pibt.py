@@ -1,9 +1,9 @@
 """Priority-inheritance configuration generation, with fov clearing:
 LaCAM's configuration generator.
 
-``lacam_solve`` advances on ``node_data``, one pass per expanded
-configuration that yields the etas, the heuristic, the priority order and
-the at-goal mask, and takes its steps from ``build_step``.
+``lacam_solve`` orders each expanded configuration's agents with
+``node_data``, one pass that yields the etas and the priority order, and
+takes its steps from ``build_step``.
 
 One transactional step builder serves every fov radius of the problem. An
 agent claiming vertex v must recursively displace (a) the current occupant
@@ -90,9 +90,8 @@ class SolverProblem:
 
 def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
     """The pass the search makes once per expanded configuration, at its
-    first expansion: the off-goal counters (eta, reset to 0 on the goal),
-    the heuristic (sum of goal distances), the priority order and the
-    at-goal bitmask (bit a: agent a stands on its goal).
+    first expansion: the off-goal counters (eta, reset to 0 on the goal)
+    and the priority order.
 
     The order ranks sub-agents by ``(at_goal, -eta, dist, agent)``, highest
     priority first: whoever has been off its goal longest (which breaks
@@ -104,20 +103,13 @@ def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
     shift = n.bit_length()
     mask = (1 << shift) - 1
     new_etas, keys = [], []
-    h = at_goal = 0
     for a in range(n):
         v = cfg[a]
-        d = dists[a][v]
-        h += d
-        if v == goals[a]:
-            e = 0
-            at_goal |= 1 << a
-        else:
-            e = etas[a] + 1
+        e = 0 if v == goals[a] else etas[a] + 1
         new_etas.append(e)
-        keys.append((d - (e << 31)) << shift | a)
+        keys.append((dists[a][v] - (e << 31)) << shift | a)
     keys.sort()
-    return new_etas, h, [key & mask for key in keys], at_goal
+    return new_etas, [key & mask for key in keys]
 
 
 def clean_start(problem: SolverProblem) -> bool:

@@ -153,7 +153,8 @@ def one_shot_pibt(problem, seed):
     goals, dists = problem.goals, problem.dists
     goal_cfg = tuple(goals)
     config = tuple(problem.starts)
-    etas, best_total, order, _ = node_data(goals, dists, config, [0] * problem.num_agents)
+    etas, order = node_data(goals, dists, config, [0] * problem.num_agents)
+    best_total = sum(dists[a][c] for a, c in enumerate(config))
     configs = [config]
     visited = {config}
     stagnation = 0
@@ -164,7 +165,8 @@ def one_shot_pibt(problem, seed):
         if config == goal_cfg:
             break
         config = tuple(build_step(problem, config, rng, order=order))
-        etas, total, order, _ = node_data(goals, dists, config, etas)
+        etas, order = node_data(goals, dists, config, etas)
+        total = sum(dists[a][c] for a, c in enumerate(config))
         configs.append(config)
         if total < best_total:
             best_total = total

@@ -13,7 +13,6 @@ from privmapf.bench import (
     format_summary,
     iter_tasks,
     load_config,
-    read_records,
     records_to_csv,
     resolve_map,
     run_suite,
@@ -165,19 +164,19 @@ def test_iter_tasks_config_order():
 # -------------------------------------------------------------------- runs
 
 
-def test_suite_csv_is_byte_reproducible(tmp_path):
+def test_suite_csv_is_byte_reproducible():
     cfg = BenchConfig(
         maps=("open16",), agents=(2,), k=(2,), radius=(1,),
         seeds=(0, 1), budget_expansions=300, min_separation=3,
     )
-    first = records_to_csv(run_suite(cfg))
+    records = run_suite(cfg)
+    first = records_to_csv(records)
     again = records_to_csv(run_suite(cfg))
     threaded = records_to_csv(run_suite(cfg, threads=2))
     assert first == again == threaded
-    assert first.splitlines()[0] == "# schema_version=1"
-    out = tmp_path / "r.csv"
-    out.write_text(first)
-    assert records_to_csv(read_records(out)) == first
+    lines = first.splitlines()
+    assert lines[0] == "# schema_version=1"
+    assert lines[1:] == [",".join(row) for row in [CSV_HEADER, *(r.to_row() for r in records)]]
 
 
 def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
@@ -230,6 +229,17 @@ def test_expansion_budgeted_rows_zero_the_clock():
     # a solved cell is refined exactly when its radius is >= 1
     assert plain.rsoc_before == -1 and plain.rsoc_after == -1
     assert refined.rsoc_before >= 0 and refined.rsoc_after >= 0
+
+
+def test_unknown_map_fails_before_any_cell_runs(monkeypatch):
+    # open16 comes first, yet none of its cells runs: every map is loaded
+    # before the first cell
+    calls = []
+    monkeypatch.setattr(bench, "run_pipeline", lambda *args: calls.append(args))
+    cfg = BenchConfig(maps=("open16", "nosuch"), agents=(1,), seeds=(0,))
+    with pytest.raises(ConfigError, match="unknown map 'nosuch'"):
+        run_suite(cfg)
+    assert calls == []
 
 
 def test_unsolved_rows_keep_sentinels(tmp_path):
@@ -345,7 +355,7 @@ def test_failed_refinement_is_not_a_row(tmp_path, monkeypatch, error):
 # ---------------------------------------------------------------- analysis
 
 
-def test_csv_round_trip(tmp_path):
+def test_write_records_writes_the_header_and_each_to_row(tmp_path):
     records = [
         make_record(seed=0, improvement_pct=12.5),
         make_record(seed=1, solved=False, soc=-1, makespan=-1,
@@ -354,9 +364,9 @@ def test_csv_round_trip(tmp_path):
     ]
     out = tmp_path / "records.csv"
     write_records(records, out)
-    assert read_records(out) == records
     lines = out.read_text().splitlines()
-    assert lines[1].split(",") == CSV_HEADER
+    assert lines[0] == "# schema_version=1"
+    assert [line.split(",") for line in lines[1:]] == [CSV_HEADER, *(r.to_row() for r in records)]
 
 
 def test_v1_header_and_cell_codec():
@@ -367,20 +377,9 @@ def test_v1_header_and_cell_codec():
     ]
     rec = make_record(solved=False, soc=-1, rsoc_before=-3, improvement_pct=2 / 3,
                       solve_time=1.5)
-    row = rec.to_row()
-    assert row == ["open16", "4", "2", "1", "lacam", "0", "0", "-1", "15", "-3", "18",
-                   "0.666667", "1.500000", "0.000000"]
-    back = RunRecord.from_row(row)
-    assert back == make_record(solved=False, soc=-1, rsoc_before=-3,
-                               improvement_pct=0.666667, solve_time=1.5)
-    assert back.solved is False and RunRecord.from_row(make_record().to_row()).solved is True
-
-
-def test_read_records_rejects_foreign_header(tmp_path):
-    out = tmp_path / "bad.csv"
-    out.write_text("# schema_version=1\na,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError, match="header"):
-        read_records(out)
+    assert rec.to_row() == ["open16", "4", "2", "1", "lacam", "0", "0", "-1", "15", "-3", "18",
+                            "0.666667", "1.500000", "0.000000"]
+    assert make_record().to_row()[6] == "1"  # solved
 
 
 def test_summarize_arithmetic():

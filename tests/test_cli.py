@@ -139,8 +139,7 @@ def test_solve_places_the_pairs_bench_places(monkeypatch, random32):
     monkeypatch.setattr(cli, "run_pipeline", stop_after_placement)
     monkeypatch.setattr(bench, "run_pipeline", stop_after_placement)
     assert main(["solve", "--map", "random-32-32-20", "--agents", "6", "--seed", "3"]) == 2
-    map_path = str(bench.resolve_map("random-32-32-20"))
-    task = bench.TaskSpec("random-32-32-20", map_path, 6, 3, PipelineSpec(2), None)
+    task = bench.TaskSpec("random-32-32-20", 6, 3, PipelineSpec(2), None)
     assert not bench.run_one(task).solved
     from_solve, from_bench = placed
     assert from_solve == from_bench
@@ -369,6 +368,10 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "threads must be >= 1"),
     ("ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "-3"],
      "threads must be >= 1"),
+    # a scenario file brings its own pairs, so there is nothing to space
+    ("ConfigError", ["solve", "--map", "open16", "--separation", "3",
+                     "--scen", str(ASSETS / "scens" / "open16.scen")],
+     "--separation spaces random pairs, not the pairs of a --scen file"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)

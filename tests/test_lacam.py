@@ -444,11 +444,9 @@ def test_node_order_matches_priority_order():
         placed = iter(rng.sample(free, n - len(home)))
         cfg = [goals[a] if a in home else next(placed) for a in range(n)]
         prev = [rng.choice([0, 1, 2, 5, 10**6, 10**6 + 1, 10**9, 1 << 40]) for _ in range(n)]
-        etas, h, order, at_goal = node_data(goals, dists, tuple(cfg), prev)
+        etas, order = node_data(goals, dists, tuple(cfg), prev)
         assert etas == update_etas(problem, cfg, prev)
         assert order == priority_order(problem, cfg, etas)
-        assert h == sum(dists[a][cfg[a]] for a in range(n))
-        assert at_goal == sum(1 << a for a in range(n) if cfg[a] == goals[a])
         seen["huge"] += any(e >= 10**6 for e in etas)
         seen["home"] += bool(home) and len(home) < n
         seen["unreachable"] += any(dists[a][cfg[a]] == UNREACHABLE for a in range(n))

@@ -64,7 +64,7 @@ def test_every_step_obeys_the_rules(open16, radius):
         config = list(problem.starts)
         etas = [0] * problem.num_agents
         for _ in range(40):
-            etas, _, order, _ = node_data(problem.goals, problem.dists, config, etas)
+            etas, order = node_data(problem.goals, problem.dists, config, etas)
             # unforced from a valid configuration, a step always exists
             after = build_step(problem, config, rng, order=order)
             assert after is not None and step_is_legal(problem, config, after)
@@ -159,25 +159,24 @@ def test_invalid_start_reported(open4):
 def test_priorities_at_goal_sorts_last(open16):
     pairs = [(0, 0), (5, 100)]  # agent 0 already home
     problem = singleton_problem(open16, pairs)
-    _, _, order, at_goal = node_data(problem.goals, problem.dists, problem.starts, [0, 0])
+    _, order = node_data(problem.goals, problem.dists, problem.starts, [0, 0])
     assert order[-1] == 0
-    assert at_goal == 0b01
 
 
 def test_eta_counters_grow_and_reset(open4):
     problem = singleton_problem(open4, [(0, 3)])
     goals, dists = problem.goals, problem.dists
-    etas, h, _, _ = node_data(goals, dists, (0,), [0])
-    assert (etas, h) == ([1], 3)
-    etas, h, _, _ = node_data(goals, dists, (1,), etas)
-    assert (etas, h) == ([2], 2)
-    etas, h, _, _ = node_data(goals, dists, (3,), etas)
-    assert (etas, h) == ([0], 0)
+    etas, _ = node_data(goals, dists, (0,), [0])
+    assert etas == [1]
+    etas, _ = node_data(goals, dists, (1,), etas)
+    assert etas == [2]
+    etas, _ = node_data(goals, dists, (3,), etas)
+    assert etas == [0]
 
 
 def test_longest_stuck_agent_outranks(open4):
     problem = singleton_problem(open4, [(0, 5), (1, 6)])
-    etas, _, ranked, _ = node_data(problem.goals, problem.dists, (2, 3), [3, 8])
+    etas, ranked = node_data(problem.goals, problem.dists, (2, 3), [3, 8])
     assert etas == [4, 9]
     assert ranked[0] == 1
 
@@ -459,7 +458,7 @@ def test_builder_matches_reference(open16, random32, fov_rule, radius):
             configs = [list(problem.starts)]
             configs += [c for c in (_crowded_config(world, rng, n) for _ in range(4)) if c]
             for config in configs:
-                etas, _, order, _ = node_data(problem.goals, problem.dists, config, [0] * n)
+                etas, order = node_data(problem.goals, problem.dists, config, [0] * n)
                 for _ in range(6):
                     forced = _forced(problem, config, order, rng)
                     state = rng.getstate()
@@ -477,7 +476,7 @@ def test_builder_matches_reference(open16, random32, fov_rule, radius):
                         nones += 1
                         continue
                     config = got
-                    etas, _, order, _ = node_data(problem.goals, problem.dists, config, etas)
+                    etas, order = node_data(problem.goals, problem.dists, config, etas)
     assert nones > 0 and nones < steps
     if radius > 0:
         assert square_pushes > 0
