@@ -9,11 +9,14 @@ same ``audit`` call, so the conflict rule is written here only.
 An observer's belief about agent i at time t is the set of vertices where
 group i's sub-plans place any member at t (goal positions pad past each
 path's end). The plan is k-private when every belief set keeps size >= k.
+Zone refinement reads the same table: a group's region at t is the union
+of the fov squares around its belief set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .grid import GridWorld, PrivmapfError
 from .plans import JointPlan
@@ -126,39 +129,25 @@ def real_sum_of_costs(real_paths: list[list[int]], real_goals: list[int]) -> int
 def check_separated(
     world: GridWorld, zones: list[list[set[int]]], fov_radius: int
 ) -> list[tuple[int, int, int, int, int]]:
-    """Violations of pairwise zone separation: (t, i, j, v, u) with v in
-    zone_i^t, u in zone_j^t and the two within fov of each other.
+    """Violations of pairwise zone separation: (t, i, j, v, u) with i < j,
+    v in zone_i^t, u in zone_j^t and the two within fov of each other,
+    ordered by t, then (i, j), then (v, u).
 
     Empty list means the zones are separated.
     """
-    items = list(enumerate(zones))
     fov = world.fov_table(fov_radius)
     violations = []
-    horizon = len(items[0][1]) - 1
-    for t in range(horizon + 1):
+    for t in range(len(zones[0])):
         # dilating one zone turns the pairwise fov test into a set
         # intersection; fov is symmetric over passable cells, so u lies in
         # the dilation of zone_i exactly when some v in zone_i sees u
-        dilated = [
-            set().union(*(fov[v] for v in zi[t]))
-            if zi[t]
-            else set()
-            for _, zi in items
-        ]
-        for ai in range(len(items)):
-            i, zi = items[ai]
-            for aj in range(ai + 1, len(items)):
-                j, zj = items[aj]
-                hits = dilated[ai] & zj[t]
-                if not hits:
-                    continue
-                pair = [
-                    (t, i, j, v, u)
-                    for u in hits
-                    for v in fov[u] & zi[t]
-                ]
-                pair.sort(key=lambda x: (x[3], x[4]))
-                violations.extend(pair)
+        dilated = [set().union(*(fov[v] for v in zone[t])) for zone in zones]
+        for i, j in combinations(range(len(zones)), 2):
+            violations.extend(sorted(
+                (t, i, j, v, u)
+                for u in dilated[i] & zones[j][t]
+                for v in fov[u] & zones[i][t]
+            ))
     return violations
 
 

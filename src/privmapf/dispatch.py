@@ -165,10 +165,11 @@ def dispatch_groups(
 ) -> list[AgentGroup]:
     """Build one published group per agent; deterministic for a given seed.
 
-    Mocks are placed by per-pair rejection sampling against every real pair
-    and every already-committed group; each mock's goal shares its start's
-    connected component. Each group's pair order is shuffled before
-    publication so position leaks nothing about which pair is real.
+    Mocks are placed by per-pair rejection sampling against one list: the
+    other groups' real pairs and the mocks committed so far. Each mock's
+    goal shares its start's connected component. Each group's pair order is
+    shuffled before publication so position leaks nothing about which pair
+    is real.
 
     Raises ConfigError for a negative radius, InfeasibleInputError when
     there is no real pair, when a real endpoint is not a vertex id, when the
@@ -199,7 +200,9 @@ def dispatch_groups(
 
     rng = random.Random(f"dispatch:{seed}")
     committed: list[list[tuple[int, int]]] = []
+    mocks: list[tuple[int, int]] = []  # the mocks of every committed group
     for gid, real in enumerate(real_pairs):
+        others = [p for i, p in enumerate(real_pairs) if i != gid] + mocks
         pairs = [real]
         used_starts, used_goals = {real[0]}, {real[1]}
         for m in range(k - 1):
@@ -207,18 +210,8 @@ def dispatch_groups(
                 s, g = _sample_mock_pair(
                     world, rng, used_starts, used_goals, require_reachable=True
                 )
-                candidate = (s, g)
-                ok = all(
-                    not pairs_collide(world, candidate, other, radius)
-                    for other in real_pairs
-                    if other is not real
-                ) and all(
-                    not pairs_collide(world, candidate, q, radius)
-                    for grp in committed
-                    for q in grp
-                )
-                if ok:
-                    pairs.append(candidate)
+                if all(not pairs_collide(world, (s, g), q, radius) for q in others):
+                    pairs.append((s, g))
                     used_starts.add(s)
                     used_goals.add(g)
                     break
@@ -227,6 +220,7 @@ def dispatch_groups(
                     f"group {gid}: mock pair {m} keeps colliding (after {MAX_RETRIES} attempts)"
                 )
         committed.append(pairs)
+        mocks += pairs[1:]
 
     groups = []
     for gid, pairs in enumerate(committed):

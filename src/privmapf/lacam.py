@@ -154,7 +154,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
         else:
             cost = n - (node.at_goal & known.at_goal).bit_count()
             if known is not node:  # self-loops cannot improve anything
-                node.edges[known] = min(cost, node.edges.get(known, cost))
+                node.edges[known] = cost
             open_stack.append(known)
             if node.g + cost < known.g:
                 known.g = node.g + cost

@@ -183,9 +183,9 @@ class PipelineSpec:
     budget_expansions: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if type(self.k) is not int or self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.radius < 0:
+        if type(self.radius) is not int or self.radius < 0:
             raise ConfigError("fov radius must be >= 0")
         if type(self.budget_expansions) is not int or self.budget_expansions < 0:
             raise ConfigError("the expansion budget must be an int >= 0")

@@ -2,7 +2,8 @@
 
 After the fov-aware pipeline produces a conflict-free broadcast plan, each
 group owns a region of the map at every timestep: the union of the fov
-squares around its k member positions. Inside that region sits the initial
+squares around its belief set (``audit.compute_beliefs``, the vertices
+where its k members stand). Inside that region sits the initial
 safe zone -- the vertices whose own fov square is fully contained in the
 region -- so an agent standing anywhere in its safe zone cannot be observed
 by any other group (their plans keep them outside the region entirely, and
@@ -31,11 +32,12 @@ import heapq
 import json
 import random
 from bisect import bisect_left, insort
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .audit import audit, check_separated, path_cost
+from .audit import audit, check_separated, compute_beliefs, path_cost
 from .grid import GridWorld, PrivmapfError
 from .plans import JointPlan
 
@@ -52,7 +54,7 @@ class ReplanInfeasibleError(PrivmapfError):
 ZoneTable = list[list[set[int]]]
 
 
-def group_fov(world: GridWorld, positions: list[int] | tuple[int, ...], radius: int) -> set[int]:
+def group_fov(world: GridWorld, positions: Iterable[int], radius: int) -> set[int]:
     """Union of the fov squares around the given member positions."""
     fov = world.fov_table(radius)
     region: set[int] = set()
@@ -64,15 +66,14 @@ def group_fov(world: GridWorld, positions: list[int] | tuple[int, ...], radius: 
 def initial_safe_zones(
     world: GridWorld, plan: JointPlan, group_of: list[int], radius: int
 ) -> ZoneTable:
-    """Per group and timestep: region vertices whose fov stays in the region."""
-    n_groups = max(group_of) + 1
-    members = [[j for j, g in enumerate(group_of) if g == i] for i in range(n_groups)]
+    """Per group and timestep: the vertices of the group's region (the fov
+    squares around its belief set) whose own fov square stays in the region."""
     fov = world.fov_table(radius)
     zones: ZoneTable = []
-    for i in range(n_groups):
+    for beliefs in compute_beliefs(plan, group_of):
         per_t: list[set[int]] = []
-        for t in range(plan.horizon + 1):
-            region = group_fov(world, [plan.position(j, t) for j in members[i]], radius)
+        for belief in beliefs:
+            region = group_fov(world, belief, radius)
             per_t.append({v for v in region if fov[v] <= region})
         zones.append(per_t)
     return zones

@@ -5,6 +5,8 @@ at the goal are free, but leaving the goal re-opens the meter, so a
 departure-and-return pays for the excursion and the rewind.
 """
 
+import random
+
 import pytest
 
 from privmapf.audit import (
@@ -113,6 +115,33 @@ def test_check_separated_flags_fov_overlap(open4):
     bad = check_separated(open4, [za, zb], 1)
     assert bad and bad[0][0] == 0  # t=0: (0,0) sees (1,1)
     assert not check_separated(open4, [za, zb], 0)
+
+
+@pytest.mark.parametrize("world_name", ["open16", "random32"])
+@pytest.mark.parametrize("radius", [1, 2])
+def test_check_separated_matches_brute_force(request, world_name, radius):
+    # seeded random zone tables, some zones empty, against a scan of every
+    # (t, i < j, v in zone i, u in zone j) within Chebyshev r, in that order
+    world = request.getfixturevalue(world_name)
+    rng = random.Random(f"separated:{world_name}:{radius}")
+    n_groups, horizon = 4, 6
+    zones = [
+        [set(rng.sample(range(world.num_vertices), rng.choice([0, 0, 3, 12, 40])))
+         for _ in range(horizon + 1)]
+        for _ in range(n_groups)
+    ]
+    expected = [
+        (t, i, j, v, u)
+        for t in range(horizon + 1)
+        for i in range(n_groups)
+        for j in range(i + 1, n_groups)
+        for v in sorted(zones[i][t])
+        for u in sorted(zones[j][t])
+        if world.chebyshev(v, u) <= radius
+    ]
+    assert any(not zone for per_t in zones for zone in per_t)
+    assert len({(t, i, j) for t, i, j, _, _ in expected}) > 1
+    assert check_separated(world, zones, radius) == expected
 
 
 def test_audit_reports_moves_that_are_not_wait_or_step(open4):

@@ -168,6 +168,10 @@ def test_forwarders_take_only_lacam(open16):
     (dict(k=2, radius=-1), "fov radius must be >= 0"),
     (dict(k=2, budget_expansions=-1), "the expansion budget must be an int >= 0"),
     (dict(k=2, budget_expansions=None), "the expansion budget must be an int >= 0"),
+    (dict(k=True), "k must be >= 1"),
+    (dict(k=2.5), "k must be >= 1"),
+    (dict(k=2, radius=True), "fov radius must be >= 0"),
+    (dict(k=2, radius=None), "fov radius must be >= 0"),
 ])
 def test_spec_rejects_bad_settings(fields, message):
     with pytest.raises(ValueError, match=message):
