@@ -171,15 +171,17 @@ def dispatch_groups(
     shuffled before publication so position leaks nothing about which pair
     is real.
 
-    Raises ConfigError for a negative radius, InfeasibleInputError when
-    there is no real pair, when a real endpoint is not a vertex id, when the
-    real pairs already collide at this radius (or the world is too small),
-    DispatchExhaustedError when a mock pair cannot be placed within
-    MAX_RETRIES draws.
+    Raises ConfigError for a negative radius or a k or radius that is not
+    an int, InfeasibleInputError for k < 1, when there is no real pair, when
+    a real endpoint is not a vertex id, when the real pairs already collide
+    at this radius (or the world is too small), DispatchExhaustedError when
+    a mock pair cannot be placed within MAX_RETRIES draws.
     """
     n = len(real_pairs)
-    if radius < 0:
+    if type(radius) is not int or radius < 0:
         raise ConfigError("fov radius must be >= 0")
+    if type(k) is not int:
+        raise ConfigError("k must be >= 1")
     if k < 1:
         raise InfeasibleInputError("k must be >= 1")
     if n == 0:

@@ -76,6 +76,7 @@ class GridWorld:
         "_cell_of_vertex",
         "_neighbors",
         "_fov_cache",
+        "_ring_cache",
         "_component",
         "_members",
     )
@@ -117,6 +118,7 @@ class GridWorld:
             neighbors.append(tuple(adj))
         self._neighbors = tuple(neighbors)
         self._fov_cache: dict[int, tuple[frozenset[int], ...]] = {}
+        self._ring_cache: dict[int, tuple[dict[int, tuple[int, ...]], ...]] = {}
         self._component: tuple[int, ...] | None = None
         self._members: tuple[tuple[int, ...], ...] = ()
 
@@ -154,6 +156,16 @@ class GridWorld:
             table = tuple(self._fov_uncached(v, radius) for v in range(self.num_vertices))
             self._fov_cache[radius] = table
         return table
+
+    def fov_ring_table(self, radius: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """``rings[v][u]``, for each edge (v, u), is ``fov(v) - fov(u)`` in
+        ascending order; built once per radius."""
+        if radius not in self._ring_cache:
+            fov = self.fov_table(radius)
+            self._ring_cache[radius] = tuple(
+                {u: tuple(sorted(fov[v] - fov[u])) for u in adj}
+                for v, adj in enumerate(self._neighbors))
+        return self._ring_cache[radius]
 
     def _fov_uncached(self, v: int, radius: int) -> frozenset[int]:
         x, y = self.coords(v)

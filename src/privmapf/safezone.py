@@ -16,7 +16,9 @@ can grow. A claim must (1) touch the claimant's current zone, (2) not be in
 any other group's zone at the same timestep, (3) not be in any other
 group's zone at the previous timestep, and (4) keep its whole fov square
 disjoint from every other zone at the same timestep. Rules 2-4 keep the
-zones mutually unobservable and exchange-free over time.
+zones mutually unobservable and exchange-free over time. A claim scans only
+the part of its fov square outside the square of ``via``, the zone vertex
+that put it on the frontier, and claims are logged as ints (``PickLog``).
 
 Finally each agent replans its *real* path inside its own zone with a
 safe-interval search. Waiting after the final goal arrival is free, so the
@@ -31,8 +33,9 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from array import array
 from bisect import bisect_left, insort
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -86,6 +89,30 @@ class ExtensionPick(NamedTuple):
     round: int
 
 
+class PickLog:
+    """The picks as int columns (each pick's vertex and group, each round's
+    timestep and end index), not one object per pick. ``len`` builds no pick;
+    iterating, repeatably, yields ``ExtensionPick``s; ``==`` is list ``==``."""
+
+    def __init__(self) -> None:
+        self.vertices, self.groups = array("i"), array("i")
+        self.round_t, self.round_end = array("i"), array("i")
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def __iter__(self) -> Iterator[ExtensionPick]:
+        start, prev_t, round_no = 0, -1, 0
+        for t, end in zip(self.round_t, self.round_end):
+            round_no = round_no + 1 if t == prev_t else 0
+            for group, vertex in zip(self.groups[start:end], self.vertices[start:end]):
+                yield ExtensionPick(t, group, vertex, round_no)
+            start, prev_t = end, t
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (PickLog, list)) else NotImplemented
+
+
 def pop_choice(seq: list[int], getrandbits) -> int:
     """Remove and return ``Random.choice(seq)``: the same element from the
     same ``getrandbits`` draws (``_randbelow_with_getrandbits`` inlined)."""
@@ -102,7 +129,7 @@ def extend_safe_zones(
     zones: ZoneTable,
     radius: int,
     seed: int | str,
-) -> list[ExtensionPick]:
+) -> PickLog:
     """Grow zones in place, one fair pick per group per round; returns the log.
 
     Timesteps are handled in ascending order so that rule 3 (no overlap with
@@ -116,15 +143,20 @@ def extend_safe_zones(
     of blocking groups are built once per timestep and then updated per
     pick: the claimant's frontier gains the new vertex's free neighbours,
     and the vertices its fov square newly covers leave the other frontiers.
-    Each frontier is kept as an ascending list, so a pick draws from it
-    exactly as ``rng.choice(sorted(frontier))`` would.
+    Those lie in ``fov_ring_table(radius)[choice][via[choice]]``, where
+    ``via`` is the zone vertex that put the choice on the frontier: every
+    zone vertex's square is already marked with its group's bit. Each
+    frontier is kept as an ascending list, so a pick draws from it exactly
+    as ``rng.choice(sorted(frontier))`` would.
     """
     n_groups = len(zones)
     horizon = len(zones[0]) - 1
     adj = world.adjacency
     fov = world.fov_table(radius)
-    picks: list[ExtensionPick] = []
-    new_pick = tuple.__new__  # ExtensionPick(...) without its Python-level __new__
+    rings = world.fov_ring_table(radius)
+    log = PickLog()
+    log_vertex, log_group = log.vertices.append, log.groups.append
+    via = [0] * world.num_vertices  # read only for vertices on a frontier
     for t in range(horizon + 1):
         getrandbits = random.Random(f"extend:{seed}:{t}").getrandbits
         # bit j of blockers[v]: v lies in group j's dilation or zone at t-1;
@@ -145,15 +177,16 @@ def extend_safe_zones(
             zone, bit = zones[i][t], 1 << i
             for v in zone:
                 held[v] |= bit
-            frontier = sorted({
-                u for v in zone for u in adj[v]
-                if not held[u] & bit and blockers[u] | bit == bit
-            })
-            for u in frontier:
-                held[u] |= bit
+            frontier = []
+            for v in zone:
+                for u in adj[v]:
+                    if not held[u] & bit and blockers[u] | bit == bit:
+                        held[u] |= bit
+                        via[u] = v
+                        frontier.append(u)
+            frontier.sort()
             lanes.append((i, frontier, zone, bit))
         frontiers = [lane[1] for lane in lanes]
-        round_no = 0
         # a frontier only grows by its own group's picks, so an empty one
         # stays empty for the rest of the timestep
         while lanes := [lane for lane in lanes if lane[1]]:
@@ -165,8 +198,9 @@ def extend_safe_zones(
                 for u in adj[choice]:
                     if not held[u] & bit and blockers[u] | bit == bit:
                         held[u] |= bit
+                        via[u] = choice
                         insort(frontier, u)
-                for w in fov[choice]:
+                for w in rings[choice][via[choice]]:
                     if blockers[w] & bit:
                         continue
                     blockers[w] |= bit
@@ -179,9 +213,11 @@ def extend_safe_zones(
                             others ^= low
                             other = frontiers[low.bit_length() - 1]
                             del other[bisect_left(other, w)]
-                picks.append(new_pick(ExtensionPick, (t, i, choice, round_no)))
-            round_no += 1
-    return picks
+                log_vertex(choice)
+                log_group(i)
+            log.round_t.append(t)
+            log.round_end.append(len(log.vertices))
+    return log
 
 
 def vertex_intervals(zone_per_t: list[set[int]]) -> dict[int, list[tuple[int, int]]]:
@@ -272,7 +308,7 @@ def _rebuild(
 @dataclass
 class RefineResult:
     zones: ZoneTable
-    picks: list[ExtensionPick]
+    picks: PickLog  # every extension pick, in order
     refined_paths: list[tuple[int, ...]]
     costs_before: list[int]
     costs_after: list[int]

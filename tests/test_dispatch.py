@@ -159,6 +159,20 @@ def test_dispatch_rejects_negative_radius():
         dispatch_groups(line_world(), [(0, 5)], 2, -1, 0)
 
 
+# exact ints, as PipelineSpec checks them: 2.5 would end in a bare
+# TypeError, True would act as 1 and 1.5 as 1
+@pytest.mark.parametrize("k,radius,error,message", [
+    (2.5, 0, ConfigError, "k must be >= 1"),
+    (True, 0, ConfigError, "k must be >= 1"),
+    (2, 1.5, ConfigError, "fov radius must be >= 0"),
+    (2, True, ConfigError, "fov radius must be >= 0"),
+    (0, 0, InfeasibleInputError, "k must be >= 1"),
+])
+def test_dispatch_checks_k_and_radius_as_ints(open16, k, radius, error, message):
+    with pytest.raises(error, match=message):
+        dispatch_groups(open16, [(0, 5)], k, radius, 0)
+
+
 def test_dispatch_rejects_zero_pairs_before_drawing(open16, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the pair count is checked first")

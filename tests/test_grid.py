@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privmapf.grid import (
+    ConfigError,
     EmptyMapError,
     ParseError,
     ScenarioError,
@@ -109,6 +110,20 @@ def test_fov_skips_blocked_but_sees_past_them():
     assert got == {(1, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2), (3, 2)}
     far = {w.coords(v) for v in w.fov(w.vertex_at(0, 1), 2)}
     assert (2, 1) in far  # the wall at (2,0) does not shadow (2,1)
+
+
+def test_fov_ring_is_the_square_a_step_newly_covers(open16, random32):
+    for world in (open16, random32):
+        for radius in (1, 2):
+            rings = world.fov_ring_table(radius)
+            assert world.fov_ring_table(radius) is rings
+            for v in range(world.num_vertices):
+                assert sorted(rings[v]) == sorted(world.adjacency[v])
+                for u in world.adjacency[v]:
+                    assert set(rings[v][u]) == world.fov(v, radius) - world.fov(u, radius)
+                    assert list(rings[v][u]) == sorted(rings[v][u])
+    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
+        open16.fov_ring_table(-1)
 
 
 coord = st.integers(min_value=0, max_value=7)

@@ -9,6 +9,7 @@ is never trusted on its own word: a sound pick from an incomplete frontier
 would still change the RNG draw and fail the comparison.
 """
 
+import gc
 import json
 import random
 from collections import deque
@@ -204,6 +205,45 @@ def test_extension_matches_frontier_rebuild(open16, random32):
         rule3_matters += _reference_extend(world, copy_zones(zones), radius, case, rule3=False) != expected
     assert stalled_early > 0
     assert rule3_matters > 0
+
+
+def test_pick_log_counts_and_numbers_rounds_per_timestep(open16):
+    result = fpp_fixture(open16, 4, 3, 2, seed=0)
+    zones = initial_safe_zones(open16, result.plan, result.problem.group_of, 1)
+    log = extend_safe_zones(open16, zones, 1, seed=0)
+    picks = list(log)
+    assert len(log) == len(picks) > 0
+    assert list(log) == picks and log == picks  # iterating again yields the same
+    assert picks[0].round == 0
+    restarts = 0
+    for prev, pick in zip(picks, picks[1:]):
+        if pick.t != prev.t:
+            assert pick.t > prev.t and pick.round == 0
+            restarts += 1
+        elif pick.round == prev.round:
+            assert pick.group > prev.group  # one pick per group per round
+        else:
+            assert pick.round == prev.round + 1
+    assert restarts > 0
+
+
+def test_extension_log_keeps_no_object_per_pick(random32):
+    # a tracked object per pick (tuples are never untracked with gc off)
+    # would keep the collector busy through extension and SIPP
+    result = fpp_fixture(random32, 4, 5, 3, seed=0)
+    zones = initial_safe_zones(random32, result.plan, result.problem.group_of, 1)
+    extend_safe_zones(random32, copy_zones(zones), 1, seed=0)  # fills the fov caches
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        log = extend_safe_zones(random32, zones, 1, seed=0)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    bound = len(zones[0]) * len(zones)  # timesteps x groups
+    assert len(log) > 10 * bound
+    assert grown <= bound, (grown, len(log))
 
 
 def test_pop_choice_matches_random_choice():
