@@ -149,10 +149,10 @@ class GridWorld:
 
     def fov_table(self, radius: int) -> tuple[frozenset[int], ...]:
         """``fov(v, radius)`` indexed by v, built once per radius."""
+        if type(radius) is not int or radius < 0:  # before the lookup: True hashes as 1
+            raise ConfigError("fov radius must be >= 0")
         table = self._fov_cache.get(radius)
         if table is None:
-            if radius < 0:
-                raise ConfigError("fov radius must be >= 0")
             table = tuple(self._fov_uncached(v, radius) for v in range(self.num_vertices))
             self._fov_cache[radius] = table
         return table
@@ -160,8 +160,8 @@ class GridWorld:
     def fov_ring_table(self, radius: int) -> tuple[dict[int, tuple[int, ...]], ...]:
         """``rings[v][u]``, for each edge (v, u), is ``fov(v) - fov(u)`` in
         ascending order; built once per radius."""
+        fov = self.fov_table(radius)  # checks the radius
         if radius not in self._ring_cache:
-            fov = self.fov_table(radius)
             self._ring_cache[radius] = tuple(
                 {u: tuple(sorted(fov[v] - fov[u])) for u in adj}
                 for v, adj in enumerate(self._neighbors))

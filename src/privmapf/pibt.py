@@ -22,6 +22,14 @@ fov square decides both whether another group's claim blocks it and which
 agents it pushes, whatever the number of agents; an undo log tracks the
 pushees. At radius 0 the only pushee is ``at[v]``. ``attempt`` shuffles
 candidates inline with ``Random.shuffle``'s draws (table ``_DRAWS``).
+
+An agent resting on its unclaimed goal, whose square holds no other
+group's claim or undecided agent, only draws the shuffle's words and keeps
+the goal: the stable sort by distance puts the goal first whatever the
+draws, and nothing blocks or is pushed, so ``attempt`` would claim it at
+once. A pushee never qualifies (its claimant has claimed its vertex or
+one in its square), so the claim sits in the top-level loop, with no undo
+entry.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ class SolverProblem:
     """
 
     def __init__(self, world: GridWorld, groups: list[AgentGroup], fov_radius: int = 0):
-        if fov_radius < 0:  # before any BFS
+        if type(fov_radius) is not int or fov_radius < 0:  # before any BFS
             raise ConfigError("fov radius must be >= 0")
         if not groups:
             raise InfeasibleInputError("no groups")
@@ -137,10 +145,13 @@ def build_step(
     ``forced`` assignments; None when the step is unrealisable. Unforced
     from a valid configuration it always succeeds: every agent may wait.
 
+    An agent resting on its goal keeps it without an ``attempt`` call when
+    nothing can move it; the module docstring gives the rule and why it is exact.
+
     The vertex-indexed state lives on the problem and is reset on the way out, also
     on a raise; so a problem runs one step at a time (no re-entry, no threads)."""
-    at, claimed, adj, dists, group_of = (
-        problem.at, problem.claimed, problem.world.adjacency, problem.dists, problem.group_of)
+    at, claimed, adj, dists, group_of, goals = (problem.at, problem.claimed,
+        problem.world.adjacency, problem.dists, problem.group_of, problem.goals)
     r, getrandbits = problem.fov_radius, rng.getrandbits
     fov = problem.world.fov_table(r) if r else None  # radius 0: the classical rule
     target: list[int | None] = [None] * problem.num_agents
@@ -227,7 +238,24 @@ def build_step(
             target[a] = v
             claimed[v] = a
         for a in order:
-            if target[a] is None and not attempt(a):
+            if target[a] is not None:
+                continue
+            cur = config[a]
+            if cur == goals[a] and claimed[cur] < 0:  # resting on its goal
+                ga = group_of[a]
+                for u in fov[cur] if fov is not None else ():
+                    b, c = claimed[u], at[u]
+                    if (b >= 0 and group_of[b] != ga
+                            or c >= 0 and target[c] is None and group_of[c] != ga):
+                        break
+                else:
+                    for i, n, k in _DRAWS[len(adj[cur]) + 1]:  # the shuffle's draws
+                        j = getrandbits(k)
+                        while j >= n:
+                            j = getrandbits(k)
+                    target[a], claimed[cur] = cur, a
+                    continue
+            if not attempt(a):
                 return None
         return target
     finally:

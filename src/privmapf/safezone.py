@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .audit import audit, check_separated, compute_beliefs, path_cost
-from .grid import GridWorld, PrivmapfError
+from .grid import ConfigError, GridWorld, PrivmapfError
 from .plans import JointPlan
 
 
@@ -335,6 +335,8 @@ def ppfpp(
     seed: int | str,
 ) -> RefineResult:
     """Post-process a fov-conflict-free plan: build zones, replan inside them."""
+    if type(fov_radius) is not int:
+        raise ConfigError("fov radius must be >= 0")
     if fov_radius < 1:
         raise PreconditionError("zone refinement needs fov radius >= 1")
     rows = {}

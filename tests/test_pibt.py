@@ -6,10 +6,11 @@ exchanges, and at radius r >= 1 no inter-group visibility), so the transactional
 push/rollback machinery is checked against the rules it must maintain, not
 against its own bookkeeping. The vertex-indexed builder is also compared,
 result and RNG state, with a reference that keeps its state in dicts and
-per-group target sets and scans every agent for fov pushees. Its state
-lives on the problem: every step, rejected, failed, taken or cut short by
-a raising draw, must leave it as it found it and act as on a fresh
-problem. The start check, an audit call, is compared with the
+per-group target sets and scans every agent for fov pushees, also from
+configurations at or near the goals, where most agents keep their goal
+without an ``attempt`` call. Its state lives on the problem: every step,
+rejected, failed, taken or cut short by a raising draw, must leave it as
+it found it and act as on a fresh problem. The start check, an audit call, is compared with the
 hand-written rule it replaced.
 """
 
@@ -100,6 +101,29 @@ def test_fov_mode_radius_zero_is_bit_identical(open16, monkeypatch):
             fov = lacam_solve(problem, seed, budget_expansions=BUDGET)
         assert plain.solved and fov.solved and built.solved
         assert plain.plan.paths == fov.plan.paths == built.plan.paths
+
+
+def test_fov_mode_radius_one_matches_reference(open16, monkeypatch):
+    # at radius 1, whole solves match the reference through the anytime
+    # phase, where most agents rest on their goals: plans and expansions
+    for seed in range(4):
+        reals = [(i * 31 % 250, (i * 67 + 40) % 250) for i in range(6)]
+        groups = dispatch_groups(open16, reals, 2, 1, seed)
+        problem = SolverProblem(open16, [g.broadcast_view() for g in groups], 1)
+        built = lacam_solve(problem, seed, budget_expansions=BUDGET)
+        goal_hits = []
+
+        def reference_step(problem, config, rng, forced=None, order=None):
+            out = _ReferenceStepBuilder(problem, list(config), rng, True).run(forced, order)
+            goal_hits.append(out == problem.goals)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(lacam, "build_step", reference_step)
+            ref = lacam_solve(problem, seed, budget_expansions=BUDGET)
+        assert built.solved and ref.solved
+        assert (built.plan.paths, built.expansions) == (ref.plan.paths, ref.expansions)
+        assert goal_hits.index(True) < len(goal_hits) // 2  # well past the first goal hit
 
 
 def test_same_group_members_may_touch(open4):
@@ -193,15 +217,26 @@ def test_problem_rejects_bad_groups(open16, pairs, message):
         SolverProblem(open16, groups)
 
 
+def _no_bfs(world, source):
+    raise AssertionError("BFS ran")
+
+
 def test_problem_rejects_negative_fov_radius(open16, monkeypatch):
     # a setting error, raised before the BFS tables are built
-    def no_bfs(world, source):
-        raise AssertionError("BFS ran")
-
-    monkeypatch.setattr(pibt, "bfs_distances", no_bfs)
+    monkeypatch.setattr(pibt, "bfs_distances", _no_bfs)
     groups = [AgentGroup(0, ((0, 5),), None)]
     with pytest.raises(ConfigError, match="fov radius must be >= 0"):
         SolverProblem(open16, groups, fov_radius=-1)
+
+
+# an exact int: 1.5 would fail later in lacam_solve with a bare TypeError,
+# '1' at once with one, and True would act as 1
+@pytest.mark.parametrize("radius", [1.5, "1", True, None])
+def test_problem_rejects_non_int_fov_radius(open16, monkeypatch, radius):
+    monkeypatch.setattr(pibt, "bfs_distances", _no_bfs)
+    groups = [AgentGroup(0, ((0, 5),), None)]
+    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
+        SolverProblem(open16, groups, fov_radius=radius)
 
 
 def test_bfs_distances_unreachable():
@@ -283,6 +318,13 @@ def test_no_state_leaks_between_steps(radius):
     # agent 2 claims 12 and pushes agent 1, which pushes agent 0: the draws
     # run out with up to two claims made
     calls += [(ends, back, (), draws, "raised") for draws in (0, 2, 4, 6)]
+    # everyone rests on its goal, far from the other group: each agent is
+    # kept after the shuffle's draws. Agents 0 and 5 sit on the row's ends,
+    # one draw each, so the draws run out with 0, 1 or 2 agents kept; the
+    # last row keeps agent 0 after agent 1's pin
+    home, ends_first = [0, 1, 2, 11, 12, 13], [0, 5, 1, 2, 3, 4]
+    calls += [(home, ends_first, (), draws, "raised") for draws in (0, 1, 2)]
+    calls += [(home, order, (), None, "step"), (home, ends_first, [(1, 1)], 1, "raised")]
     calls = calls[::2] + calls[1::2] + calls  # each call after several others
     state = random.Random("leaks").getstate()
     for config, step_order, forced, draws, expected in calls:
@@ -445,6 +487,20 @@ def _forced(problem, config, order, rng):
     return out
 
 
+def _matches_reference(ref, rng, order, forced):
+    """Runs ``ref`` and build_step from copies of ``rng``'s state, checks
+    that both give one result and leave one RNG state, and returns it."""
+    state = rng.getstate()
+    ref.rng, new_rng = random.Random(), random.Random()
+    ref.rng.setstate(state)
+    new_rng.setstate(state)
+    expected = ref.run(forced, order)
+    got = build_step(ref.problem, list(ref.config), new_rng, order, forced)
+    assert got == expected
+    assert new_rng.getstate() == ref.rng.getstate()
+    return got
+
+
 # (False, r >= 1) would be the classical reference at a fov radius, a
 # combination the builder under test cannot take any more
 @pytest.mark.parametrize("fov_rule,radius", [(False, 0), (True, 0), (True, 1), (True, 2)])
@@ -461,15 +517,8 @@ def test_builder_matches_reference(open16, random32, fov_rule, radius):
                 etas, order = node_data(problem.goals, problem.dists, config, [0] * n)
                 for _ in range(6):
                     forced = _forced(problem, config, order, rng)
-                    state = rng.getstate()
-                    ref_rng, new_rng = random.Random(), random.Random()
-                    ref_rng.setstate(state)
-                    new_rng.setstate(state)
-                    ref = _ReferenceStepBuilder(problem, list(config), ref_rng, fov_rule)
-                    expected = ref.run(forced, order)
-                    got = build_step(problem, list(config), new_rng, order, forced)
-                    assert got == expected
-                    assert new_rng.getstate() == ref_rng.getstate()
+                    ref = _ReferenceStepBuilder(problem, list(config), None, fov_rule)
+                    got = _matches_reference(ref, rng, order, forced)
                     square_pushes += ref.square_pushes
                     steps += 1
                     if got is None:
@@ -480,6 +529,79 @@ def test_builder_matches_reference(open16, random32, fov_rule, radius):
     assert nones > 0 and nones < steps
     if radius > 0:
         assert square_pushes > 0
+
+
+class _GoalCountingReference(_ReferenceStepBuilder):
+    """The reference, counting what build_step's goal check finds for each
+    agent on its goal that the top-level loop hands to ``_attempt``: the
+    goal kept, a claim in the way (on the goal, or another group's in its
+    square) or another group's undecided agent in its square."""
+
+    def __init__(self, problem, config, seen):
+        super().__init__(problem, config, None, True)
+        self.seen = seen
+        self.depth = 0
+
+    def _attempt(self, a):
+        cur = self.config[a]
+        if self.depth == 0 and cur == self.problem.goals[a]:
+            group_of = self.problem.group_of
+            square = self.world.fov(cur, self.radius)
+            if cur in self.claimed or self._fov_blocked(a, cur):
+                self.seen["claim"] += 1
+            elif any(self.target[b] is None and group_of[b] != group_of[a] and v in square
+                     for b, v in enumerate(self.config)):
+                self.seen["undecided"] += 1
+            else:
+                self.seen["kept"] += 1
+        self.depth += 1
+        try:
+            return super()._attempt(a)
+        finally:
+            self.depth -= 1
+
+
+def _goal_problem(world, rng, radius, crowded):
+    """Random starts; the goals at random or, when ``crowded``, inside one
+    6x6 window, so that they lie in other groups' squares."""
+    n_groups, k = rng.randint(3, 6), rng.randint(1, 3)
+    n = n_groups * k
+    goals = _crowded_config(world, rng, n) if crowded else rng.sample(range(world.num_vertices), n)
+    if goals is None:
+        return None
+    starts = rng.sample(range(world.num_vertices), n)
+    groups = [AgentGroup(g, tuple(zip(starts[g * k:(g + 1) * k], goals[g * k:(g + 1) * k])), 0)
+              for g in range(n_groups)]
+    return SolverProblem(world, groups, radius)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_goal_resting_steps_match_reference(open16, random32, radius):
+    # the goal configuration with a few agents displaced, then the steps from it
+    seen = Counter()
+    for case, world in enumerate((open16, random32)):
+        rng = random.Random(f"resting:{case}:{radius}")
+        for crowded in (False, True) * 6:
+            problem = _goal_problem(world, rng, radius, crowded)
+            if problem is None:
+                continue
+            n = problem.num_agents
+            config = list(problem.goals)
+            # each displaced agent lands near another agent's goal, where its
+            # pins (_forced pins the displaced first) claim in their way
+            for a in rng.sample(range(n), rng.randint(1, 3)):
+                near = world.fov(problem.goals[rng.randrange(n)], radius + 1)
+                config[a] = rng.choice(sorted(near - set(config)))
+            etas, order = node_data(problem.goals, problem.dists, config, [0] * n)
+            for _ in range(6):
+                forced = _forced(problem, config, order, rng)
+                ref = _GoalCountingReference(problem, list(config), seen)
+                got = _matches_reference(ref, rng, order, forced)
+                if got is not None:
+                    config = got
+                    etas, order = node_data(problem.goals, problem.dists, config, etas)
+    kinds = ["kept", "claim"] + (["undecided"] if radius else [])
+    assert all(seen[kind] for kind in kinds), seen
 
 
 # ------------------------------------------------ reference start check

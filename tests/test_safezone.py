@@ -17,6 +17,7 @@ from collections import deque
 import pytest
 
 from privmapf.audit import audit, check_separated
+from privmapf.grid import ConfigError
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
@@ -444,6 +445,16 @@ def test_precondition_radius_and_padding(open16):
     # a ragged plan cannot be built, so ppfpp never sees one
     with pytest.raises(ValueError, match="ragged plan"):
         JointPlan(((1, 2, 3), (4, 5)))
+
+
+# checked before the radius is compared: '1' would raise a bare TypeError,
+# True would refine at radius 1 and 1.5 fail later with a TypeError
+@pytest.mark.parametrize("radius", ["1", True, 1.5])
+def test_ppfpp_rejects_non_int_radius(open16, radius):
+    result = fpp_fixture(open16, 4, 3, 2, seed=0)
+    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
+        ppfpp(open16, result.plan, result.problem.group_of,
+              result.real_paths, radius, seed=0)
 
 
 def test_precondition_real_path_must_be_a_group_row(open16):
