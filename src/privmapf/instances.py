@@ -37,16 +37,16 @@ def random_spaced_pairs(
     component. Rejection sampling; deterministic for a given seed.
 
     Each attempt is ``randrange(num_vertices)`` twice, inlined as
-    ``_randbelow`` does it. Raises ConfigError for n < 1 or
-    min_separation < 1, and PlacementError when the draws run out or,
+    ``_randbelow`` does it. Raises ConfigError for an n or min_separation
+    that is not an int >= 1, and PlacementError when the draws run out or,
     before any draw, when n exceeds the vertex count or the number of
     min_separation-sided blocks of the map (each block holds at most one
     start).
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ConfigError("the agent count must be >= 1")
     sep = default_separation(world) if min_separation is None else min_separation
-    if sep < 1:
+    if type(sep) is not int or sep < 1:
         raise ConfigError("min_separation must be >= 1")
     num_vertices = world.num_vertices
     failure = f"could not place {n} spaced pairs on {world.width}x{world.height} map"

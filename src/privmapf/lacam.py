@@ -3,13 +3,17 @@
 Two-level scheme: the high level is a depth-first search over configuration
 nodes, each carrying a lazily grown constraint tree; the low level walks
 that tree in BFS order, pinning one agent per depth to a concrete vertex.
-A constraint is the tuple of its ``(agent, vertex)`` pins, ordered by depth.
+A constraint is the list of its ``(agent, vertex)`` pins, ordered by depth.
 Successor configurations come from the priority-inheritance step builder,
-which takes that tuple as its forced assignments. Because the root
-constraint is empty, the first depth-first dive reproduces the plain
-one-shot run of the step builder (same RNG stream), and everything after
-the first goal hit is anytime improvement: known configurations are rewired
-Dijkstra-style whenever a cheaper path to them appears.
+which takes that list as its forced assignments. The walk is an index, not
+a queue: the tree is complete (a depth-d constraint has one child per
+candidate of agent ``order[d]``, a list fixed by the node's configuration),
+so BFS takes each depth in mixed-radix counting order (``_pins``).
+Because the root constraint is empty, the first depth-first dive
+reproduces the plain one-shot run of the step builder (same RNG stream),
+and everything after the first goal hit is anytime improvement: known
+configurations are rewired Dijkstra-style whenever a cheaper path to them
+appears.
 
 There is no swap operation on top of the step builder; escaping local
 minima is left to the constraint tree.
@@ -36,12 +40,14 @@ from itertools import compress
 from operator import eq
 
 from .audit import metrics
+from .grid import ConfigError
 from .pibt import SolveResult, SolverProblem, build_step, clean_start, node_data
 from .plans import JointPlan
 
 
 class _Node:
-    __slots__ = ("config", "g", "h", "parent", "tree", "order", "etas", "at_goal", "edges")
+    __slots__ = ("config", "g", "h", "parent", "order", "cands", "index", "width", "etas",
+                 "at_goal", "edges")
 
     def __init__(self, config, g, h, at_goal, parent, etas):
         self.config = config
@@ -53,8 +59,23 @@ class _Node:
         # expansion, which derives the node's own from them
         self.etas = etas
         self.order = None  # priority order, built at the first expansion
-        self.tree = None  # constraints (tuples of (agent, vertex) pins), likewise
+        self.cands = None  # likewise; cands[j] lists agent order[j]'s candidates
+        # the walk is at constraint ``index`` of the ``width`` (the product of
+        # the lists' lengths) at depth len(cands); index == width once depth
+        # n is spent
+        self.index, self.width = 0, 1
         self.edges: dict[_Node, int] | None = {}  # None once the search ends
+
+
+def _pins(order: list[int], cands: list[list[int]], index: int) -> list[tuple[int, int]]:
+    """The pins of constraint ``index`` at depth ``len(cands)``: digit j, in
+    base ``len(cands[j])`` with the last fastest, pins ``order[j]``."""
+    pins = []
+    for j in range(len(cands) - 1, -1, -1):
+        index, digit = divmod(index, len(cands[j]))
+        pins.append((order[j], cands[j][digit]))
+    pins.reverse()
+    return pins
 
 
 def _extract(node: _Node) -> JointPlan:
@@ -73,8 +94,10 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
 
     Failures: ``timeout`` (budget spent), ``exhausted`` (no plan exists) and
     ``invalid_start`` (``clean_start`` fails: the start configuration already
-    breaks a step rule).
+    breaks a step rule). A budget that is not an int >= 0 is a ConfigError.
     """
+    if type(budget_expansions) is not int or budget_expansions < 0:
+        raise ConfigError("the expansion budget must be an int >= 0")
     if not clean_start(problem):
         return SolveResult(False, None, "invalid_start")
     adj, goals = problem.world.adjacency, problem.goals
@@ -116,25 +139,27 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
 
     while open_stack:
         node = open_stack[-1]
-        tree = node.tree
-        if (node.config == goal_cfg or (tree is not None and not tree)
+        if (node.config == goal_cfg or node.index == node.width
                 or (goal_node is not None and goal_node.g <= node.g + node.h)):
             open_stack.pop()
             continue
         if expansions >= budget_expansions:
             break
         expansions += 1
-        if tree is None:  # first expansion: the node's own etas, order and tree
+        cands = node.cands
+        if cands is None:  # first expansion: the node's own etas and order
             node.etas, node.order = node_data(goals, dists, node.config, node.etas)
-            node.tree = tree = deque([()])
+            node.cands = cands = []
 
-        pins = tree.popleft()
-        if len(pins) < n:
-            agent = node.order[len(pins)]
+        pins = _pins(node.order, cands, node.index)
+        node.index += 1
+        if node.index == node.width and len(cands) < n:  # on to the next depth
+            agent = node.order[len(cands)]
             cur = node.config[agent]
-            cands = sorted((cur, *adj[cur]))
-            cands.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
-            tree.extend([pins + ((agent, u),) for u in cands])
+            vs = sorted((cur, *adj[cur]))
+            vs.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
+            cands.append(vs)
+            node.index, node.width = 0, node.width * len(vs)
 
         q_new = build_step(problem, node.config, rng, forced=pins, order=node.order)
         if q_new is None:

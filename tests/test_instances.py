@@ -76,13 +76,14 @@ def test_placement_matches_reference(placement_worlds):
     assert placed > 60 and exhausted >= 1 and prechecked >= 10
 
 
-@pytest.mark.parametrize("sep", [0, -4])
+# exact ints: 2.5 would pass as 3 and True as 1
+@pytest.mark.parametrize("sep", [0, -4, 2.5, True])
 def test_separation_below_one_is_rejected(open16, sep):
     with pytest.raises(ValueError, match="min_separation must be >= 1"):
         random_spaced_pairs(open16, 2, 0, min_separation=sep)
 
 
-@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("n", [0, -3, 2.5, True])
 def test_agent_count_below_one_is_rejected(open16, n):
     with pytest.raises(ConfigError, match="the agent count must be >= 1"):
         random_spaced_pairs(open16, n, 0)

@@ -9,6 +9,7 @@ internal edge surrogate, so agreement is meaningful.
 import gc
 import heapq
 import itertools
+import math
 import random
 from collections import deque
 
@@ -17,7 +18,7 @@ import pytest
 from privmapf import lacam
 from privmapf.audit import audit, metrics
 from privmapf.dispatch import AgentGroup, dispatch_groups
-from privmapf.grid import parse_map_text
+from privmapf.grid import ConfigError, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, lacam_solve
 from privmapf.pibt import UNREACHABLE, SolverProblem, build_step, node_data
@@ -243,7 +244,8 @@ def test_trivial_instance_already_at_goal(open4):
 
 
 class _Constraint:
-    """The constraint as the search kept it before pins became tuples."""
+    """A constraint as a BFS queue of the tree holds it: the agents pinned
+    and their vertices, by depth. The search's index walk must yield these."""
 
     def __init__(self, who=(), where=()):
         self.who, self.where = who, where
@@ -345,7 +347,7 @@ def _reference_lacam(problem, seed, budget):
     return best, expansions, len(explored), len(expanded)
 
 
-def test_matches_reference_search(open16, random32):
+def test_matches_reference_search(open16, random32, pocket):
     cases = [  # world, agents, k, radius, separation, budget
         (open16, 4, 2, 0, 3, 600),
         (open16, 4, 3, 1, 3, 1500),
@@ -368,6 +370,44 @@ def test_matches_reference_search(open16, random32):
     assert rewired > 0  # some searches run on past their first goal hit
     # and some create many nodes they never expand, where deferral matters
     assert max(unexpanded) >= 10, unexpanded
+    # the pocket has no plan: every tree is walked to its end
+    a = (pocket.vertex_at(1, 0), pocket.vertex_at(2, 0))
+    b = (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))
+    problem = singleton_problem(pocket, [a, b])
+    got = lacam_solve(problem, 0, budget_expansions=100_000)
+    plan, expansions, _, _ = _reference_lacam(problem, 0, 100_000)
+    assert not got.solved and plan is None
+    assert got.expansions == expansions
+
+
+def test_index_walk_is_the_bfs_queue():
+    # candidate lists of lengths 1-5 for up to 4 agents: decoding every
+    # index of depths 0..n yields the queue's constraints in its order, and
+    # the queue is empty exactly when depth n is spent
+    rng = random.Random("pins")
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        order = rng.sample(range(n), n)
+        cands = [rng.sample(range(50), rng.randint(1, 5)) for _ in range(n)]
+        queue, expected = deque([()]), []
+        while queue:
+            pins = queue.popleft()
+            expected.append(pins)
+            if len(pins) < n:
+                queue.extend(pins + ((order[len(pins)], u),) for u in cands[len(pins)])
+        walked = []
+        for depth in range(n + 1):
+            width = math.prod(len(c) for c in cands[:depth])
+            walked += [tuple(lacam._pins(order, cands[:depth], i)) for i in range(width)]
+        assert walked == expected
+
+
+@pytest.mark.parametrize("budget", [2.5, True, -1])
+def test_budget_is_an_int_at_least_zero(open16, budget):
+    # 2.5 would run 3 expansions, True 1, and -1 would report a timeout
+    problem = singleton_problem(open16, random_spaced_pairs(open16, 4, 0, min_separation=3))
+    with pytest.raises(ConfigError, match="the expansion budget must be an int >= 0"):
+        lacam_solve(problem, 0, budget)
 
 
 def _recorded_solve(monkeypatch, problem, seed, budget):
