@@ -1,38 +1,41 @@
 """Benchmark harness: sweep instance grids, write one CSV row per run.
 
-A suite is a YAML config describing the cross product of maps, agent
-counts, group sizes, fov radii and seeds; each run of it is a ``TaskSpec``,
-the same spec ``privmapf solve`` runs, so both load the map with
-``load_world`` and place the pairs with ``TaskSpec.pairs``. Rows come out
-in exactly the config order (maps outermost, seeds innermost). The CSV is
-an output only: nothing in the package reads it back. The solver budget is a
-count of expansions and no clock is read, so two runs of the same config
-produce byte-identical CSVs; the ``solve_time`` and ``ppfpp_time`` columns
-of schema v1 are always 0.0. LaCAM plans every cell, so the ``solver``
-column always reads ``lacam``. A solved cell with radius >= 1 is refined.
-A cell whose placement, dispatch or solve fails with a ``PrivmapfError``
-is an unsolved row, not the end of the sweep. PPfPP refines the
-pipeline's own plan, so a failure there is a bug and keeps its traceback.
+A suite is a list of ``TaskSpec``s, the run spec ``privmapf solve`` runs
+too, so both load the map with ``load_world`` and place the pairs with
+``TaskSpec.pairs``. ``suite(maps, agents, ...)`` builds the cross product
+of maps, agent counts, group sizes, fov radii and seeds, maps outermost and
+seeds innermost; ``load_config`` builds it from a YAML file whose keys are
+``suite``'s parameters. Building the list loads every map and checks every
+cell, so a bad value fails before any cell runs. Rows come out in the
+list's order. The CSV is an output only: nothing in the package reads it
+back. The solver budget is a count of expansions and no clock is read, so
+two runs of the same suite produce byte-identical CSVs; the ``solve_time``
+and ``ppfpp_time`` columns of schema v1 are always 0.0. LaCAM plans every
+cell, so the ``solver`` column always reads ``lacam``. A solved cell with
+radius >= 1 is refined. A cell whose placement, dispatch or solve fails
+with a ``PrivmapfError`` is an unsolved row, not the end of the sweep.
+PPfPP refines the pipeline's own plan, so a failure there is a bug and
+keeps its traceback.
 Keys a config omits take the defaults of ``PipelineSpec`` (budget) and of
 ``random_spaced_pairs`` (separation), as ``privmapf solve``'s flags do.
 
-``run_suite(cfg, threads=n)`` (``privmapf bench --threads n``) fans
-instances out over a process pool; the row order is unaffected.
+``run_suite(tasks, threads=n)`` (``privmapf bench --threads n``) fans the
+runs out over a process pool; the row order is unaffected.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import os
 import statistics
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import product
 from pathlib import Path
-
-import yaml
 
 from .audit import metrics
 # ConfigError is re-exported: callers and tests import it from bench
@@ -65,40 +68,52 @@ def load_world(name: str) -> GridWorld:
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    """A suite: its YAML keys are these fields; k and radius list the swept values."""
+class TaskSpec:
+    """One run: ``privmapf solve``'s flags, or one cell and seed of a suite."""
 
-    maps: tuple[str, ...]
-    agents: tuple[int, ...]
-    k: tuple[int, ...] = (1,)
-    radius: tuple[int, ...] = (0,)
-    seeds: tuple[int, ...] = tuple(range(5))
-    budget_expansions: int = PipelineSpec.budget_expansions
-    min_separation: int | None = None
+    map_name: str
+    n_agents: int
+    seed: int
+    spec: PipelineSpec
+    min_separation: int | None
 
     def __post_init__(self) -> None:
-        if not all(n >= 1 for n in self.agents):
-            raise ConfigError("agent counts must be >= 1")
-        if self.min_separation is not None and self.min_separation < 1:
+        # random_spaced_pairs' rules, checked here so a suite fails before any cell runs
+        if type(self.n_agents) is not int or self.n_agents < 1:
+            raise ConfigError("the agent count must be >= 1")
+        sep = self.min_separation
+        if sep is not None and (type(sep) is not int or sep < 1):
             raise ConfigError("min_separation must be >= 1")
-        for k in self.k:  # a bad k, radius or budget fails before any cell runs
-            for r in self.radius:
-                self.spec(k, r)
 
-    def spec(self, k: int, radius: int) -> PipelineSpec:
-        """The pipeline spec of the cells with group size k and this radius."""
-        return PipelineSpec(k, radius, self.budget_expansions)
+    def pairs(self) -> list[tuple[int, int]]:
+        """The run's seeded (start, goal) pairs, spaced by ``min_separation``."""
+        return random_spaced_pairs(load_world(self.map_name), self.n_agents, self.seed,
+                                   self.min_separation)
 
 
-_CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
+def suite(maps: Sequence[str], agents: Sequence[int], k: Sequence[int] = (1,),
+          radius: Sequence[int] = (0,), seeds: Sequence[int] = tuple(range(5)),
+          budget_expansions: int = PipelineSpec.budget_expansions,
+          min_separation: int | None = None) -> list[TaskSpec]:
+    """The runs of a suite, maps outermost and seeds innermost; k and radius
+    list the swept values. Every map is loaded and every cell checked here."""
+    for map_name in maps:
+        load_world(map_name)  # a bad map fails before any cell runs
+    return [TaskSpec(m, n, seed, PipelineSpec(g, r, budget_expansions), min_separation)
+            for m, n, g, r, seed in product(maps, agents, k, radius, seeds)]
+
+
+# the YAML keys are suite's parameters; those without a default are required
+_CONFIG_KEYS = inspect.signature(suite).parameters
 # what each key holds, matched by exact type: bool is an int subclass
 _LIST_KEYS = {"maps": (str, "strings"), "agents": (int, "ints"), "k": (int, "ints"),
               "radius": (int, "ints"), "seeds": (int, "ints")}
-_SCALAR_KEYS = {"min_separation": ((int, type(None)), "an int or null")}
 
 
-def load_config(path: str | Path) -> BenchConfig:
-    """The suite of a YAML file; absent keys keep BenchConfig's defaults."""
+def load_config(path: str | Path) -> list[TaskSpec]:
+    """The suite of a YAML file; absent keys keep suite's defaults."""
+    import yaml  # only a YAML suite needs PyYAML: suite() builds one without it
+
     try:
         obj = yaml.safe_load(Path(path).read_text())
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
@@ -107,11 +122,11 @@ def load_config(path: str | Path) -> BenchConfig:
         raise ConfigError(f"{path}: {where}{getattr(exc, 'problem', None) or exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config must be a mapping")
-    unknown = set(obj) - _CONFIG_KEYS
+    unknown = set(obj) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("maps", "agents"):
-        if key not in obj:
+    for key, param in _CONFIG_KEYS.items():
+        if param.default is param.empty and key not in obj:
             raise ConfigError(f"missing config key: {key}")
     if type(obj.get("seeds")) is int:
         if obj["seeds"] < 1:
@@ -125,27 +140,9 @@ def load_config(path: str | Path) -> BenchConfig:
                 raise ConfigError(f"config key {key} must not be empty")
             if not all(type(x) is kind for x in obj[key]):
                 raise ConfigError(f"config key {key} must list {what}")
-            obj[key] = tuple(obj[key])
-    for key, (kinds, what) in _SCALAR_KEYS.items():
-        if key in obj and type(obj[key]) not in kinds:
-            raise ConfigError(f"config key {key} must be {what}")
-    return BenchConfig(**obj)
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """One run: ``privmapf solve``'s flags, or one cell and seed of a suite."""
-
-    map_name: str
-    n_agents: int
-    seed: int
-    spec: PipelineSpec
-    min_separation: int | None
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """The run's seeded (start, goal) pairs, spaced by ``min_separation``."""
-        return random_spaced_pairs(load_world(self.map_name), self.n_agents, self.seed,
-                                   self.min_separation)
+    if type(obj.get("min_separation")) not in (int, type(None)):
+        raise ConfigError("config key min_separation must be an int or null")
+    return suite(**obj)
 
 
 @dataclass(frozen=True)
@@ -174,13 +171,6 @@ class RunRecord:
 _ENCODERS = {"str": str, "int": str, "bool": lambda b: "1" if b else "0", "float": "{:.6f}".format}
 _COLUMNS = [(f.name, _ENCODERS[f.type]) for f in fields(RunRecord)]
 CSV_HEADER = [name for name, _ in _COLUMNS]
-
-
-def iter_tasks(cfg: BenchConfig) -> list[TaskSpec]:
-    for map_name in cfg.maps:
-        load_world(map_name)  # a bad map fails before any cell runs
-    cells = product(cfg.maps, cfg.agents, cfg.k, cfg.radius, cfg.seeds)
-    return [TaskSpec(m, n, seed, cfg.spec(k, r), cfg.min_separation) for m, n, k, r, seed in cells]
 
 
 def run_one(task: TaskSpec) -> RunRecord:
@@ -212,10 +202,9 @@ def run_one(task: TaskSpec) -> RunRecord:
     )
 
 
-def run_suite(cfg: BenchConfig, threads: int = 1) -> list[RunRecord]:
+def run_suite(tasks: list[TaskSpec], threads: int = 1) -> list[RunRecord]:
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    tasks = iter_tasks(cfg)
     # a fork pool starts all its workers at the first submit, so no more than
     # tasks, and no more than CPUs: the work is CPU-bound Python
     workers = min(threads, len(tasks), os.cpu_count() or 1)

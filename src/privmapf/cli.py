@@ -5,14 +5,16 @@ pipeline on one instance (``--radius 0`` is kPP, ``--radius r`` fPP) and
 writes the message trace, the one broadcast file (plus optional per-agent
 private sidecars); ``audit`` checks a trace's plan for conflicts and belief
 privacy and ``ppfpp`` refines it inside safe zones, both at the k and
-radius the trace records; ``bench`` sweeps a YAML-configured suite into a
-CSV.
+radius the trace records; ``bench`` loads a YAML suite, a list of
+``TaskSpec``s, and runs it with ``run_suite(tasks, threads=n)`` into a CSV.
 
 ``solve`` runs a bench ``TaskSpec`` built from its flags: it loads the map
 and places the pairs with the code ``bench`` runs a cell with, unless
 ``--scen`` names the pairs. No default is restated here:
 ``--budget-expansions`` reads ``PipelineSpec``'s, and an omitted
 ``--separation`` is the map default of ``random_spaced_pairs``.
+A command writes every file before it prints anything, so a reader that
+closes stdout early changes neither the files nor the exit status.
 Every ``PrivmapfError`` or ``OSError`` ends in one ``error:`` line and exit
 code 2; any other exception is a bug and keeps its traceback.
 """
@@ -20,9 +22,9 @@ code 2; any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
 from .audit import audit, check_k_privacy, compute_beliefs, metrics, real_sum_of_costs
@@ -56,9 +58,16 @@ def _read_planned_trace(world, path) -> MessageTrace:
     return trace
 
 
+def _print(lines: list[str], status: int) -> int:
+    """Print a command's lines once its files are written; return its status."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader left: at exit the rest flushes to devnull, not into an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
+
+
 def _cmd_solve(args) -> int:
-    if args.agents < 1:  # a negative count would slice the scenario from its end
-        raise ConfigError("the agent count must be >= 1")
     if args.scen and args.separation is not None:
         raise ConfigError("--separation spaces random pairs, not the pairs of a --scen file")
     spec = PipelineSpec(args.k, args.radius, args.budget_expansions)
@@ -68,19 +77,16 @@ def _cmd_solve(args) -> int:
     out = run_pipeline(world, pairs, spec, task.seed)
     if out.solved:
         m = metrics(out.plan.paths, out.problem.goals)
-        print(f"solved: soc={m.soc} makespan={m.makespan} rsoc={real_sum_of_costs(out.real_paths, [p[1] for p in pairs])}")
+        lines = [f"solved: soc={m.soc} makespan={m.makespan} rsoc={real_sum_of_costs(out.real_paths, [p[1] for p in pairs])}"]
     else:
-        print(f"unsolved: {out.reason}")
+        lines = [f"unsolved: {out.reason}"]
     if args.out:
         write_trace(out.trace, world, args.out)
-        print(f"trace written to {args.out}")
-    if not out.solved:
-        return 1
-    if args.private_dir:
-        Path(args.private_dir).mkdir(parents=True, exist_ok=True)
+        lines.append(f"trace written to {args.out}")
+    if out.solved and args.private_dir:
         write_private_sidecars(out.groups, args.private_dir)
-        print(f"private sidecars written to {args.private_dir}")
-    return 0
+        lines.append(f"private sidecars written to {args.private_dir}")
+    return _print(lines, 0 if out.solved else 1)
 
 
 def _cmd_ppfpp(args) -> int:
@@ -97,17 +103,17 @@ def _cmd_ppfpp(args) -> int:
             raise SidecarError(f"{where}: real_index {real} is not in [0, {trace.k})")
         real_paths.append(extract_real_path(plan, trace.k, replace(g, real_index=real)))
     result = ppfpp(world, plan, trace.group_of, real_paths, trace.fov_radius, args.seed)
-    print(
+    lines = [
         f"rsoc {result.rsoc_before} -> {result.rsoc_after} "
         f"({result.improvement_pct:.2f}% improvement, {len(result.picks)} zone picks)"
-    )
+    ]
     if args.out:
         write_real_plan_file(result.refined_paths, args.out)
-        print(f"refined real paths written to {args.out}")
+        lines.append(f"refined real paths written to {args.out}")
     if args.zones:
         write_zones(result.zones, trace.fov_radius, world, args.zones)
-        print(f"zones written to {args.zones}")
-    return 0
+        lines.append(f"zones written to {args.zones}")
+    return _print(lines, 0)
 
 
 def _cmd_audit(args) -> int:
@@ -118,29 +124,29 @@ def _cmd_audit(args) -> int:
         world, plan, group_of=group_of,
         fov_radius=trace.fov_radius, check_fov=trace.fov_radius > 0,
     )
-    print(
+    lines = [
         f"vertex conflicts: {len(report.vertex_conflicts)}  "
         f"swap conflicts: {len(report.swap_conflicts)}  "
         f"fov conflicts: {len(report.fov_conflicts)}  "
         f"invalid moves: {len(report.invalid_moves)}"
-    )
+    ]
     for a, t, (u, v) in report.invalid_moves:
-        print(f"invalid move: sub-agent {a} at t={t}: {u} -> {v} is neither a wait nor a step")
+        lines.append(f"invalid move: sub-agent {a} at t={t}: {u} -> {v} is neither a wait nor a step")
     privacy = check_k_privacy(compute_beliefs(plan, group_of), k)
-    print(f"belief {k}-privacy: {'ok' if privacy['ok'] else 'VIOLATED'}")
+    lines.append(f"belief {k}-privacy: {'ok' if privacy['ok'] else 'VIOLATED'}")
     ok = report.ok and privacy["ok"]
-    print("clean" if ok else "violations found")
-    return 0 if ok else 1
+    lines.append("clean" if ok else "violations found")
+    return _print(lines, 0 if ok else 1)
 
 
 def _cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    records = run_suite(cfg, threads=args.threads)
+    records = run_suite(load_config(args.config), threads=args.threads)
+    lines = []
     if args.out:
         write_records(records, args.out)
-        print(f"{len(records)} records written to {args.out}")
-    print(format_summary(summarize(records)))
-    return 0
+        lines.append(f"{len(records)} records written to {args.out}")
+    lines.append(format_summary(summarize(records)))
+    return _print(lines, 0)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,9 +21,9 @@ minima is left to the constraint tree.
 Most discovered configurations are pruned before they are expanded, so a
 discovered node holds only what pruning and edge costs read: its
 configuration, g, the heuristic h, the at-goal mask and the discovering
-parent's etas. Its own etas, its priority order and its constraint tree
-are built at its first expansion, from those etas; a rewire changes the
-parent and g, never the etas source.
+parent's etas. Its own etas, its priority order, its constraint tree and
+its out-edges are built at its first expansion, from those etas; a rewire
+changes the parent and g, never the etas source.
 
 The edge cost charges 1 per agent not resting at its goal across the move
 (n minus the agents on their goal at both ends), which matches sum-of-costs
@@ -64,7 +64,7 @@ class _Node:
         # the lists' lengths) at depth len(cands); index == width once depth
         # n is spent
         self.index, self.width = 0, 1
-        self.edges: dict[_Node, int] | None = {}  # None once the search ends
+        self.edges: dict[_Node, int] | None = None  # out-edge costs once expanded
 
 
 def _pins(order: list[int], cands: list[list[int]], index: int) -> list[tuple[int, int]]:
@@ -150,6 +150,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
         if cands is None:  # first expansion: the node's own etas and order
             node.etas, node.order = node_data(goals, dists, node.config, node.etas)
             node.cands = cands = []
+            node.edges = {}
 
         pins = _pins(node.order, cands, node.index)
         node.index += 1
@@ -187,6 +188,8 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
                 queue = deque([known])
                 while queue:
                     x = queue.popleft()
+                    if x.edges is None:  # never expanded, so no out-edges
+                        continue
                     for y, c in x.edges.items():
                         if x.g + c < y.g:
                             y.g = x.g + c

@@ -174,7 +174,7 @@ class PipelineSpec:
     start/goal equality and the classical step rule, i.e. the k-anonymity
     pipeline (kPP); radius r >= 1 is the fov-aware pipeline (fPP). LaCAM
     plans every run, within ``budget_expansions``; that default is the
-    budget default of the whole package: the CLI and the bench config read
+    budget default of the whole package: the CLI and ``bench.suite`` read
     it from here.
     """
 

@@ -1,21 +1,24 @@
 """Suite runner: config validation, row order, reproducibility, summaries."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from privmapf import bench
 from privmapf.bench import (
     CSV_HEADER,
-    BenchConfig,
     ConfigError,
     RunRecord,
     format_summary,
-    iter_tasks,
     load_config,
     records_to_csv,
     resolve_map,
     run_suite,
+    suite,
     summarize,
     write_records,
 )
@@ -56,14 +59,9 @@ def test_load_config(tmp_path):
         budget_expansions: 500
         min_separation: 4
     """)
-    cfg = load_config(p)
-    assert cfg.maps == ("open16",)
-    assert cfg.agents == (2, 4)
-    assert cfg.k == (1, 2)
-    assert cfg.radius == (0, 1)
-    assert cfg.seeds == (0, 1, 2)  # an int means "this many, from zero"
-    assert cfg.budget_expansions == 500
-    assert cfg.min_separation == 4
+    # seeds: 3 means "this many, from zero"
+    assert load_config(p) == suite(("open16",), (2, 4), k=(1, 2), radius=(0, 1),
+                                   seeds=(0, 1, 2), budget_expansions=500, min_separation=4)
 
 
 @pytest.mark.parametrize("snippet,message", [
@@ -83,7 +81,7 @@ def test_load_config(tmp_path):
     # nothing read a suite's name, so it is no key
     ("name: desk\nmaps: [open16]\nagents: [2]", "unknown config keys: .'name'"),
     ("maps: [open16]\nagents: [2]\nbudget_expansions: null", "expansion budget must be"),
-    ("maps: [open16]\nagents: [0, 2]", "agent counts must be >= 1"),
+    ("maps: [open16]\nagents: [0, 2]", "the agent count must be >= 1"),
     ("maps: open16\nagents: [2]", "config key maps must be a list"),
     # each key holds what its field needs; bool is not an int
     ("maps: [open16]\nagents: [a]", "config key agents must list ints"),
@@ -143,36 +141,62 @@ def test_default_separation(open16, random32):
 
 
 def test_config_defaults_are_the_spec_defaults():
-    cfg = BenchConfig(maps=("open16",), agents=(2,))
-    assert cfg.spec(2, 1) == PipelineSpec(2, 1)
-    assert cfg.min_separation is None  # random_spaced_pairs' map default
+    tasks = suite(("open16",), (2,), k=(2,), radius=(1,))
+    assert [t.seed for t in tasks] == [0, 1, 2, 3, 4]
+    for t in tasks:
+        assert t.spec == PipelineSpec(2, 1)
+        assert t.min_separation is None  # random_spaced_pairs' map default
 
 
-def test_iter_tasks_config_order():
-    cfg = BenchConfig(
-        maps=("open16", "random-32-32-20"), agents=(2, 4),
-        k=(1, 2), radius=(0,), seeds=(0, 1),
-    )
-    tasks = iter_tasks(cfg)
+def test_suite_order_is_maps_outermost_seeds_innermost():
+    maps, agents, ks, radii, seeds = ("open16", "random-32-32-20"), (2, 4), (1, 2), (0, 1), (0, 1)
+    tasks = suite(maps, agents, k=ks, radius=radii, seeds=seeds)
     expected = [
-        (m, n, k, s)
-        for m in cfg.maps for n in cfg.agents for k in cfg.k for s in cfg.seeds
+        (m, n, k, r, s)
+        for m in maps for n in agents for k in ks for r in radii for s in seeds
     ]
-    assert [(t.map_name, t.n_agents, t.spec.k, t.seed) for t in tasks] == expected
+    assert [(t.map_name, t.n_agents, t.spec.k, t.spec.radius, t.seed) for t in tasks] == expected
+
+
+@pytest.mark.parametrize("bad,message", [
+    # neither bool nor float is an int: each ran to exit 0 with every row unsolved
+    (dict(agents=(2, True)), "^the agent count must be >= 1$"),
+    (dict(agents=(2, 2.0)), "^the agent count must be >= 1$"),
+    (dict(min_separation=2.5), "^min_separation must be >= 1$"),
+    (dict(k=(2, 0)), "^k must be >= 1$"),
+])
+def test_bad_suite_fails_before_any_cell_runs(monkeypatch, bad, message):
+    calls = []
+    monkeypatch.setattr(bench, "run_pipeline", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match=message):
+        run_suite(suite(**{"maps": ("open16",), "agents": (2,), "seeds": (0,), **bad}))
+    assert calls == []
+
+
+def test_a_suite_built_in_python_needs_no_yaml():
+    # only load_config reads YAML, so an interpreter without PyYAML runs suites
+    code = (
+        "import sys; sys.modules['yaml'] = None\n"
+        "from privmapf.bench import run_suite, suite\n"
+        "(rec,) = run_suite(suite(['open16'], [2], k=[2], seeds=[0], budget_expansions=300))\n"
+        "assert rec.solved\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # -------------------------------------------------------------------- runs
 
 
 def test_suite_csv_is_byte_reproducible():
-    cfg = BenchConfig(
+    tasks = suite(
         maps=("open16",), agents=(2,), k=(2,), radius=(1,),
         seeds=(0, 1), budget_expansions=300, min_separation=3,
     )
-    records = run_suite(cfg)
+    records = run_suite(tasks)
     first = records_to_csv(records)
-    again = records_to_csv(run_suite(cfg))
-    threaded = records_to_csv(run_suite(cfg, threads=2))
+    again = records_to_csv(run_suite(tasks))
+    threaded = records_to_csv(run_suite(tasks, threads=2))
     assert first == again == threaded
     lines = first.splitlines()
     assert lines[0] == "# schema_version=1"
@@ -199,17 +223,14 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
-    cfg = BenchConfig(maps=("open16",), agents=(2,), seeds=(0, 1),
-                      budget_expansions=50)
-    assert len(run_suite(cfg, threads=64)) == 2
+    two = suite(maps=("open16",), agents=(2,), seeds=(0, 1), budget_expansions=50)
+    assert len(run_suite(two, threads=64)) == 2
     assert pools == [2]
-    one = BenchConfig(maps=("open16",), agents=(2,), seeds=(0,),
-                      budget_expansions=1500)
+    one = suite(maps=("open16",), agents=(2,), seeds=(0,), budget_expansions=1500)
     assert len(run_suite(one, threads=64)) == 1
-    assert run_suite(BenchConfig(maps=(), agents=(2,)), threads=4) == []
+    assert run_suite(suite(maps=(), agents=(2,)), threads=4) == []
     assert pools == [2]  # one task or none run in-process
-    four = BenchConfig(maps=("open16",), agents=(2,), seeds=(0, 1, 2, 3),
-                       budget_expansions=50)
+    four = suite(maps=("open16",), agents=(2,), seeds=(0, 1, 2, 3), budget_expansions=50)
     monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
     assert len(run_suite(four, threads=64)) == 4
     monkeypatch.setattr(bench.os, "cpu_count", lambda: None)  # unknown: one process
@@ -218,11 +239,11 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
 
 
 def test_expansion_budgeted_rows_zero_the_clock():
-    cfg = BenchConfig(
+    tasks = suite(
         maps=("open16",), agents=(2,), k=(1,), radius=(0, 1),
         seeds=(0,), budget_expansions=1500, min_separation=3,
     )
-    plain, refined = run_suite(cfg)
+    plain, refined = run_suite(tasks)
     for rec in (plain, refined):
         assert rec.solved
         assert rec.solve_time == 0.0 and rec.ppfpp_time == 0.0
@@ -236,20 +257,19 @@ def test_unknown_map_fails_before_any_cell_runs(monkeypatch):
     # before the first cell
     calls = []
     monkeypatch.setattr(bench, "run_pipeline", lambda *args: calls.append(args))
-    cfg = BenchConfig(maps=("open16", "nosuch"), agents=(1,), seeds=(0,))
     with pytest.raises(ConfigError, match="unknown map 'nosuch'"):
-        run_suite(cfg)
+        run_suite(suite(maps=("open16", "nosuch"), agents=(1,), seeds=(0,)))
     assert calls == []
 
 
 def test_unsolved_rows_keep_sentinels(tmp_path):
     custom = tmp_path / "pocket.map"
     custom.write_text(POCKET)
-    cfg = BenchConfig(
+    tasks = suite(
         maps=(str(custom),), agents=(2,), k=(1,), radius=(0,),
         seeds=(0, 1), budget_expansions=1500, min_separation=1,
     )
-    unsolved, solved = run_suite(cfg)
+    unsolved, solved = run_suite(tasks)
     assert not unsolved.solved
     assert unsolved.soc == -1 and unsolved.makespan == -1
     assert unsolved.rsoc_before == -1
@@ -267,9 +287,9 @@ def test_zero_expansion_budget_is_kept(tmp_path):
         budget_expansions: 0
         min_separation: 3
     """)
-    cfg = load_config(p)
-    assert cfg.budget_expansions == 0
-    records = run_suite(cfg)
+    tasks = load_config(p)
+    assert [t.spec.budget_expansions for t in tasks] == [0, 0]
+    records = run_suite(tasks)
     assert len(records) == 2
     assert not any(rec.solved for rec in records)
     assert all(rec.soc == -1 and rec.rsoc_before == -1 for rec in records)

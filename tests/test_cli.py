@@ -1,7 +1,11 @@
-"""End-to-end runs of the console entry point (in-process, via main())."""
+"""End-to-end runs of the console entry point (in-process via main(), or as a child process)."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,46 @@ def test_solve_audit_refine_round_trip(tmp_path, capsys):
     assert len(lines) == 2
     assert all(line.split()[1] == "real" for line in lines)
     assert json.loads(zones_file.read_text())["radius"] == 1
+
+
+def run_with_stdout_closed(argv, cwd):
+    """Run the console entry point in a child whose stdout pipe has no reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        return subprocess.run([sys.executable, "-m", "privmapf.cli", *argv], cwd=cwd, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_keeps_every_file_and_the_exit_status(tmp_path, monkeypatch, capsys):
+    # `privmapf ppfpp ... | head -0`: the reader is gone before the first line
+    pocket = tmp_path / "pocket.map"
+    pocket.write_text(POCKET)
+    runs = [
+        (["solve", "--map", "open16", "--agents", "4", "--k", "3", "--radius", "1", "--seed", "4",
+          "--out", "trace.json", "--private-dir", "private"], 0),
+        (["audit", "--map", "open16", "--trace", "trace.json"], 0),
+        (["ppfpp", "--map", "open16", "--trace", "trace.json", "--private-dir", "private",
+          "--out", "refined.txt", "--zones", "zones.json"], 0),
+        (["solve", "--map", str(pocket), "--agents", "2", "--separation", "1", "--k", "1",
+          "--out", "unsolved.json"], 1),
+    ]
+    closed, piped = tmp_path / "closed", tmp_path / "piped"
+    closed.mkdir(), piped.mkdir()
+    monkeypatch.chdir(piped)
+    for argv, status in runs:
+        child = run_with_stdout_closed(argv, closed)
+        assert (child.returncode, child.stderr) == (status, ""), argv
+        assert main(argv) == status, argv
+    capsys.readouterr()
+    written = sorted(p.relative_to(piped) for p in piped.rglob("*") if p.is_file())
+    assert len(written) == 8  # two traces, four sidecars, the refined plan and the zones
+    assert sorted(p.relative_to(closed) for p in closed.rglob("*") if p.is_file()) == written
+    for name in written:
+        assert (closed / name).read_bytes() == (piped / name).read_bytes(), name
 
 
 def test_audit_flags_a_tampered_plan(tmp_path, capsys):
