@@ -5,15 +5,17 @@ too, so both load the map with ``load_world`` and place the pairs with
 ``TaskSpec.pairs``. ``suite(maps, agents, ...)`` builds the cross product
 of maps, agent counts, group sizes, fov radii and seeds, maps outermost and
 seeds innermost; ``load_config`` builds it from a YAML file whose keys are
-``suite``'s parameters. Building the list loads every map and checks every
-cell, so a bad value fails before any cell runs. Rows come out in the
-list's order. The CSV is an output only: nothing in the package reads it
-back. The solver budget is a count of expansions and no clock is read, so
-two runs of the same suite produce byte-identical CSVs; the ``solve_time``
-and ``ppfpp_time`` columns of schema v1 are always 0.0. LaCAM plans every
-cell, so the ``solver`` column always reads ``lacam``. A solved cell with
-radius >= 1 is refined. A cell whose placement, dispatch or solve fails
-with a ``PrivmapfError`` is an unsolved row, not the end of the sweep.
+``suite``'s parameters. ``suite`` checks every suite, YAML or Python, with
+one set of messages: each axis must be a non-empty list, and building the
+list checks every cell and loads every map, so a bad value fails before any
+cell runs. Rows come out in the list's order. The CSV is an output only:
+nothing in the package reads it back. The solver budget is a count of
+expansions and no clock is read, so two runs of the same suite produce
+byte-identical CSVs; the ``solve_time`` and ``ppfpp_time`` columns of
+schema v1 are always 0.0. LaCAM plans every cell, so the ``solver``
+column always reads ``lacam``. A solved cell with radius >= 1 is refined.
+A cell whose placement, dispatch or solve fails with a ``PrivmapfError``
+is an unsolved row, not the end of the sweep.
 PPfPP refines the pipeline's own plan, so a failure there is a bug and
 keeps its traceback.
 Keys a config omits take the defaults of ``PipelineSpec`` (budget) and of
@@ -78,9 +80,14 @@ class TaskSpec:
     min_separation: int | None
 
     def __post_init__(self) -> None:
-        # random_spaced_pairs' rules, checked here so a suite fails before any cell runs
+        # checked here so a suite fails before any cell runs; the agent count
+        # and separation follow random_spaced_pairs' rules, and bool is no int
+        if type(self.map_name) is not str:
+            raise ConfigError("the map name must be a string")
         if type(self.n_agents) is not int or self.n_agents < 1:
             raise ConfigError("the agent count must be >= 1")
+        if type(self.seed) is not int:
+            raise ConfigError("the seed must be an int")
         sep = self.min_separation
         if sep is not None and (type(sep) is not int or sep < 1):
             raise ConfigError("min_separation must be >= 1")
@@ -96,22 +103,25 @@ def suite(maps: Sequence[str], agents: Sequence[int], k: Sequence[int] = (1,),
           budget_expansions: int = PipelineSpec.budget_expansions,
           min_separation: int | None = None) -> list[TaskSpec]:
     """The runs of a suite, maps outermost and seeds innermost; k and radius
-    list the swept values. Every map is loaded and every cell checked here."""
+    list the swept values. Every cell is checked and every map loaded here."""
+    for name, axis in {"maps": maps, "agents": agents, "k": k, "radius": radius,
+                       "seeds": seeds}.items():
+        if not isinstance(axis, (list, tuple)) or not axis:  # a str would sweep its letters
+            raise ConfigError(f"{name} must be a non-empty list")
+    tasks = [TaskSpec(m, n, seed, PipelineSpec(g, r, budget_expansions), min_separation)
+             for m, n, g, r, seed in product(maps, agents, k, radius, seeds)]
     for map_name in maps:
         load_world(map_name)  # a bad map fails before any cell runs
-    return [TaskSpec(m, n, seed, PipelineSpec(g, r, budget_expansions), min_separation)
-            for m, n, g, r, seed in product(maps, agents, k, radius, seeds)]
+    return tasks
 
 
 # the YAML keys are suite's parameters; those without a default are required
 _CONFIG_KEYS = inspect.signature(suite).parameters
-# what each key holds, matched by exact type: bool is an int subclass
-_LIST_KEYS = {"maps": (str, "strings"), "agents": (int, "ints"), "k": (int, "ints"),
-              "radius": (int, "ints"), "seeds": (int, "ints")}
 
 
 def load_config(path: str | Path) -> list[TaskSpec]:
-    """The suite of a YAML file; absent keys keep suite's defaults."""
+    """The suite of a YAML file; absent keys keep suite's defaults, and
+    ``suite`` checks the values as it checks a suite built in Python."""
     import yaml  # only a YAML suite needs PyYAML: suite() builds one without it
 
     try:
@@ -124,7 +134,7 @@ def load_config(path: str | Path) -> list[TaskSpec]:
         raise ConfigError("config must be a mapping")
     unknown = set(obj) - set(_CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     for key, param in _CONFIG_KEYS.items():
         if param.default is param.empty and key not in obj:
             raise ConfigError(f"missing config key: {key}")
@@ -132,16 +142,6 @@ def load_config(path: str | Path) -> list[TaskSpec]:
         if obj["seeds"] < 1:
             raise ConfigError("config key seeds must be a list or an int >= 1")
         obj["seeds"] = list(range(obj["seeds"]))  # an int means "this many, from zero"
-    for key, (kind, what) in _LIST_KEYS.items():
-        if key in obj:
-            if not isinstance(obj[key], list):
-                raise ConfigError(f"config key {key} must be a list")
-            if not obj[key]:  # a suite of zero runs
-                raise ConfigError(f"config key {key} must not be empty")
-            if not all(type(x) is kind for x in obj[key]):
-                raise ConfigError(f"config key {key} must list {what}")
-    if type(obj.get("min_separation")) not in (int, type(None)):
-        raise ConfigError("config key min_separation must be an int or null")
     return suite(**obj)
 
 

@@ -218,7 +218,7 @@ def parse_map_text(text: str) -> GridWorld:
     if not lines:
         raise ParseError("empty map file", line=1)
 
-    height = width = None
+    dims: dict[str, int] = {}  # height and width, as their headers give them
     idx = 0
     seen_map = False
     while idx < len(lines):
@@ -229,16 +229,11 @@ def parse_map_text(text: str) -> GridWorld:
         key = line.split()[0].lower()
         if key == "type":
             continue
-        if key == "height":
+        if key in ("height", "width"):
             try:
-                height = int(line.split()[1])
+                dims[key] = int(line.split()[1])
             except (IndexError, ValueError):
-                raise ParseError("bad height header", line=idx) from None
-        elif key == "width":
-            try:
-                width = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("bad width header", line=idx) from None
+                raise ParseError(f"bad {key} header", line=idx) from None
         elif key == "map":
             seen_map = True
             break
@@ -246,8 +241,9 @@ def parse_map_text(text: str) -> GridWorld:
             raise ParseError(f"unexpected header {line.split()[0]!r}", line=idx)
     if not seen_map:
         raise ParseError("missing 'map' header", line=idx)
-    if height is None or width is None:
+    if len(dims) < 2:
         raise ParseError("missing height/width header", line=idx)
+    height, width = dims["height"], dims["width"]
 
     rows = []
     for y in range(height):

@@ -171,6 +171,7 @@ def build_step(
         # claimed[cur] holds for every candidate; following its agent is an exchange
         b = claimed[cur]
         swap = config[b] if b >= 0 else -1
+        # radius 0 keeps its own loop: fov_table(0) squares plan alike, but kPP steps ~20% slower
         if fov is None:
             for v in cand:
                 if claimed[v] >= 0 or v == swap:

@@ -82,27 +82,34 @@ def test_load_config(tmp_path):
     ("name: desk\nmaps: [open16]\nagents: [2]", "unknown config keys: .'name'"),
     ("maps: [open16]\nagents: [2]\nbudget_expansions: null", "expansion budget must be"),
     ("maps: [open16]\nagents: [0, 2]", "the agent count must be >= 1"),
-    ("maps: open16\nagents: [2]", "config key maps must be a list"),
-    # each key holds what its field needs; bool is not an int
-    ("maps: [open16]\nagents: [a]", "config key agents must list ints"),
-    ("maps: [open16]\nagents: [true]", "config key agents must list ints"),
-    ("maps: [open16]\nagents: [2]\nk: [2.5]", "config key k must list ints"),
-    ("maps: [open16]\nagents: [2]\nradius: [x]", "config key radius must list ints"),
-    ("maps: [open16]\nagents: [2]\nseeds: [0, x]", "config key seeds must list ints"),
-    ("maps: [open16]\nagents: [2]\nseeds: true", "config key seeds must be a list"),
-    ("maps: [16]\nagents: [2]", "config key maps must list strings"),
-    ("maps: [open16]\nagents: [2]\nmin_separation: x", "min_separation must be an int or null"),
-    ("maps: [open16]\nagents: [2]\nmin_separation: true", "min_separation must be an int or null"),
+    ("maps: open16\nagents: [2]", "maps must be a non-empty list"),
+    # suite and the specs check each value as in a suite built in Python;
+    # bool is not an int
+    ("maps: [open16]\nagents: [a]", "the agent count must be >= 1"),
+    ("maps: [open16]\nagents: [true]", "the agent count must be >= 1"),
+    ("maps: [open16]\nagents: [2]\nk: [2.5]", "k must be >= 1"),
+    ("maps: [open16]\nagents: [2]\nradius: [x]", "fov radius must be >= 0"),
+    ("maps: [open16]\nagents: [2]\nseeds: [0, x]", "the seed must be an int"),
+    ("maps: [open16]\nagents: [2]\nseeds: true", "seeds must be a non-empty list"),
+    ("maps: [16]\nagents: [2]", "the map name must be a string"),
+    ("maps: [open16]\nagents: [2]\nmin_separation: x", "min_separation must be >= 1"),
+    ("maps: [open16]\nagents: [2]\nmin_separation: true", "min_separation must be >= 1"),
     # right type, no sense: each would run with exit 0 and say nothing
     ("maps: [open16]\nagents: [2]\nseeds: -2", "seeds must be a list or an int >= 1"),
     ("maps: [open16]\nagents: [2]\nseeds: 0", "seeds must be a list or an int >= 1"),
-    ("maps: []\nagents: [2]", "config key maps must not be empty"),
-    ("maps: [open16]\nagents: []", "config key agents must not be empty"),
-    ("maps: [open16]\nagents: [2]\nk: []", "config key k must not be empty"),
-    ("maps: [open16]\nagents: [2]\nradius: []", "config key radius must not be empty"),
-    ("maps: [open16]\nagents: [2]\nseeds: []", "config key seeds must not be empty"),
+    ("maps: []\nagents: [2]", "maps must be a non-empty list"),
+    ("maps: [open16]\nagents: []", "agents must be a non-empty list"),
+    ("maps: [open16]\nagents: [2]\nk: []", "k must be a non-empty list"),
+    ("maps: [open16]\nagents: [2]\nradius: []", "radius must be a non-empty list"),
+    ("maps: [open16]\nagents: [2]\nseeds: []", "seeds must be a non-empty list"),
     ("maps: [open16]\nagents: [2]\nmin_separation: -3", "min_separation must be >= 1"),
     ("maps: [open16]\nagents: [2]\nmin_separation: 0", "min_separation must be >= 1"),
+    # key names of mixed type are listed by their text, not compared
+    ("1: x\nfoo: y\nmaps: [open16]\nagents: [2]", r"^unknown config keys: \[1, 'foo'\]$"),
+    ("- open16\n- 2", "^config must be a mapping$"),
+    # the YAML twins of test_bad_suite_fails_before_any_cell_runs' rows fail alike
+    ("maps: [open16]\nagents: 4", "^agents must be a non-empty list$"),
+    ("maps: [open16]\nagents: [2]\nseeds: [true, 2.5]", "^the seed must be an int$"),
 ])
 def test_config_rejections(tmp_path, snippet, message):
     p = write_yaml(tmp_path, snippet)
@@ -164,6 +171,13 @@ def test_suite_order_is_maps_outermost_seeds_innermost():
     (dict(agents=(2, 2.0)), "^the agent count must be >= 1$"),
     (dict(min_separation=2.5), "^min_separation must be >= 1$"),
     (dict(k=(2, 0)), "^k must be >= 1$"),
+    # an axis is a non-empty list or tuple: a str would sweep its letters
+    (dict(maps="open16"), "^maps must be a non-empty list$"),
+    (dict(agents=4), "^agents must be a non-empty list$"),
+    (dict(k=[]), "^k must be a non-empty list$"),
+    (dict(maps=[5]), "^the map name must be a string$"),
+    # seed True placed other pairs than seed 1, and 2.5 ran too
+    (dict(seeds=[True, 2.5]), "^the seed must be an int$"),
 ])
 def test_bad_suite_fails_before_any_cell_runs(monkeypatch, bad, message):
     calls = []
@@ -228,7 +242,7 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
     assert pools == [2]
     one = suite(maps=("open16",), agents=(2,), seeds=(0,), budget_expansions=1500)
     assert len(run_suite(one, threads=64)) == 1
-    assert run_suite(suite(maps=(), agents=(2,)), threads=4) == []
+    assert run_suite([], threads=4) == []
     assert pools == [2]  # one task or none run in-process
     four = suite(maps=("open16",), agents=(2,), seeds=(0, 1, 2, 3), budget_expansions=50)
     monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)

@@ -247,6 +247,8 @@ MALFORMED_TRACES = {
     "negative radius": (_set("fov_radius", -1), "fov_radius is -1, not an int >= 0"),
     "pair off the map": (_set("groups", 0, "pairs", 0, [4, 0, 0, 0]),
                          "group 0: (4,0) outside 4x3 map"),
+    "pair not four ints": (_set("groups", 0, "pairs", 0, [0, 0, 0]),
+                           "group 0: pair [0, 0, 0] is not [sx, sy, gx, gy]"),
     "pair on a blocked cell": (_set("groups", 1, "pairs", 1, [3, 2, 1, 1]),
                                "group 1: (1,1) is blocked"),
     "repeated start": (_set("groups", 0, "pairs", 1, [0, 0, 3, 0]),

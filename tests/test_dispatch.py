@@ -167,6 +167,8 @@ def test_dispatch_rejects_negative_radius():
     (2, 1.5, ConfigError, "fov radius must be >= 0"),
     (2, True, ConfigError, "fov radius must be >= 0"),
     (0, 0, InfeasibleInputError, "k must be >= 1"),
+    # open16 has 256 vertices, too few for 257 distinct starts
+    (257, 0, InfeasibleInputError, "^256 vertices cannot host groups of 257 distinct starts$"),
 ])
 def test_dispatch_checks_k_and_radius_as_ints(open16, k, radius, error, message):
     with pytest.raises(error, match=message):

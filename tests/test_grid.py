@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from privmapf.grid import (
     ConfigError,
     EmptyMapError,
+    GridWorld,
     ParseError,
+    ScenarioEntry,
     ScenarioError,
     load_map,
     load_scenario,
@@ -69,6 +71,33 @@ def test_parse_errors_carry_line_numbers():
     assert e.value.line == 6
     with pytest.raises(ParseError):
         parse_map_text("type octile\nheight 3\nwidth 2\nmap\n..\n..\n")
+
+
+# each header and field error names its line; blank lines are skipped, also
+# before the headers
+@pytest.mark.parametrize("parse,text,line,message", [
+    (parse_map_text, "", 1, "empty map file"),
+    (parse_map_text, "\ntype octile\nheight x\nwidth 2\nmap\n..\n", 3, "bad height header"),
+    (parse_map_text, "type octile\nheight 1\nwidth\nmap\n..\n", 3, "bad width header"),
+    (parse_map_text, "type octile\nheight 1\nwidth 2\nsize 2\nmap\n..\n", 4,
+     "unexpected header 'size'"),
+    (parse_map_text, "type octile\nheight 1\nwidth 2\n", 3, "missing 'map' header"),
+    (parse_map_text, "type octile\nheight 1\nmap\n..\n", 3, "missing height/width header"),
+    (parse_scenario_text, "version 1\n\n0 m 2 1 0 0 x 0 1.0\n", 3, "non-numeric field"),
+])
+def test_malformed_headers_and_fields_name_their_line(parse, text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.message) == (line, message)
+
+
+@pytest.mark.parametrize("rows,error,message", [
+    ([], EmptyMapError, "map has no rows"),
+    (["..", "."], ParseError, "ragged map row"),
+])
+def test_gridworld_rejects_rows_that_are_no_grid(rows, error, message):
+    with pytest.raises(error, match=message):
+        GridWorld(rows)
 
 
 def test_parse_errors_from_files_name_the_file(tmp_path):
@@ -174,6 +203,12 @@ def test_scenario_rejects_wrong_dimensions(open4):
     entries = load_scenario("src/privmapf/assets/scens/open16.scen")
     with pytest.raises(ScenarioError):
         scenario_pairs(open4, entries)
+
+
+def test_scenario_rejects_blocked_endpoints():
+    world = parse_map_text("type octile\nheight 1\nwidth 2\nmap\n.@\n")
+    with pytest.raises(ScenarioError, match=r"^entry 0: \(1,0\) is blocked$"):
+        scenario_pairs(world, [ScenarioEntry(0, "m", 2, 1, 0, 0, 1, 0, 1.0)])
 
 
 def test_scenario_requires_version_header():

@@ -82,7 +82,7 @@ def test_pocket_push_semantics(pocket):
     assert [pocket.coords(v) for v in after] == [(2, 0), (2, 1)]
 
 
-def test_fov_mode_radius_zero_is_bit_identical(open16, monkeypatch):
+def test_radius_zero_solves_match_the_reference(open16, monkeypatch):
     # at radius 0 whole solves match the reference under either rule
     def reference_step(fov_rule):
         def step(problem, config, rng, forced=None, order=None):
@@ -103,7 +103,7 @@ def test_fov_mode_radius_zero_is_bit_identical(open16, monkeypatch):
         assert plain.plan.paths == fov.plan.paths == built.plan.paths
 
 
-def test_fov_mode_radius_one_matches_reference(open16, monkeypatch):
+def test_radius_one_solves_match_the_reference(open16, monkeypatch):
     # at radius 1, whole solves match the reference through the anytime
     # phase, where most agents rest on their goals: plans and expansions
     for seed in range(4):
