@@ -40,7 +40,6 @@ from itertools import product
 from pathlib import Path
 
 from .audit import metrics
-# ConfigError is re-exported: callers and tests import it from bench
 from .grid import ConfigError, GridWorld, PrivmapfError, load_map
 # default_separation is re-exported: the benchmark reads bench.default_separation
 from .instances import default_separation, random_spaced_pairs
@@ -203,7 +202,7 @@ def run_one(task: TaskSpec) -> RunRecord:
 
 
 def run_suite(tasks: list[TaskSpec], threads: int = 1) -> list[RunRecord]:
-    if threads < 1:
+    if type(threads) is not int or threads < 1:  # True would act as 1, 2.5 reach the pool
         raise ConfigError("threads must be >= 1")
     # a fork pool starts all its workers at the first submit, so no more than
     # tasks, and no more than CPUs: the work is CPU-bound Python

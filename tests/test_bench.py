@@ -12,7 +12,6 @@ import pytest
 from privmapf import bench
 from privmapf.bench import (
     CSV_HEADER,
-    ConfigError,
     RunRecord,
     format_summary,
     load_config,
@@ -23,7 +22,7 @@ from privmapf.bench import (
     summarize,
     write_records,
 )
-from privmapf.grid import PrivmapfError
+from privmapf.grid import ConfigError, PrivmapfError
 from privmapf.instances import default_separation
 from privmapf.pipeline import PipelineSpec
 from privmapf.safezone import PreconditionError, ReplanInfeasibleError
@@ -266,6 +265,12 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
     assert len(run_suite(four, threads=64)) == 4
     monkeypatch.setattr(bench.os, "cpu_count", lambda: None)  # unknown: one process
     assert len(run_suite(four, threads=64)) == 4
+    assert pools == [2, 3]
+    # a fraction would reach the pool as max_workers, True would mean one
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+    for threads in (2.5, True):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            run_suite(four, threads=threads)
     assert pools == [2, 3]
 
 

@@ -27,6 +27,22 @@ def test_version(capsys):
     assert capsys.readouterr().out.startswith("privmapf ")
 
 
+def test_the_package_root_imports_no_submodule():
+    # the root holds only __version__: each name is imported from its module,
+    # and no root name shadows a submodule such as privmapf.audit
+    code = (
+        "import sys\n"
+        "import privmapf\n"
+        "loaded = [m for m in sys.modules if m.startswith('privmapf.')]\n"
+        "assert not loaded, loaded\n"
+        "import privmapf.audit as m\n"
+        "assert m.__name__ == 'privmapf.audit', m\n"
+        "assert callable(m.metrics)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_solve_audit_refine_round_trip(tmp_path, capsys):
     trace_file = tmp_path / "trace.json"
     refined_file = tmp_path / "refined.txt"

@@ -31,7 +31,7 @@ from privmapf.dispatch import (
 from privmapf.grid import ConfigError
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.grid import parse_map_text
-from privmapf.instances import PlacementError, random_spaced_pairs
+from privmapf.instances import PlacementError, default_separation, random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
 
 LINE10 = "type octile\nheight 1\nwidth 10\nmap\n..........\n"
@@ -216,6 +216,62 @@ def test_private_sidecars_round_trip(tmp_path, open16):
     write_private_sidecars(groups, tmp_path)
     private = read_private_sidecars(tmp_path)
     assert private == {g.group_id: g.real_index for g in groups}
+
+
+# -- background knowledge --------------------------------------------------
+
+
+def prior_aware_posteriors(world, published, sep):
+    """Each published group's exact posterior over its candidates, as seen by
+    an observer who knows the real pairs are spaced by ``sep``.
+
+    The observer weights uniformly every joint choice of one pair per group
+    whose starts are pairwise at Chebyshev distance >= sep, and whose goals
+    are too; backtracking counts, for each group and candidate, the choices
+    that pick it. It reads only the published pairs.
+    """
+    counts = [[0] * g.k for g in published]
+    chosen = []
+
+    def extend(i):
+        if i == len(published):
+            for g, c in enumerate(chosen):
+                counts[g][c] += 1
+            return
+        for c, pair in enumerate(published[i].pairs):
+            if not any(pairs_collide(world, pair, published[j].pairs[cj], sep - 1)
+                       for j, cj in enumerate(chosen)):
+                chosen.append(c)
+                extend(i + 1)
+                chosen.pop()
+
+    extend(0)
+    total = sum(counts[0])
+    return [[Fraction(n, total) for n in row] for row in counts]
+
+
+def test_prior_aware_observer_sees_the_spacing_leak(open16):
+    """Mocks are drawn without the instance generator's spacing, so an
+    observer who knows ``default_separation`` rules some candidates out.
+
+    ``check_k_privacy`` counts belief-set sizes, so it cannot see this leak:
+    it is k-anonymity's known weakness against background knowledge
+    (Machanavajjhala et al., l-Diversity, ICDE 2006). An exact dispatch
+    sampler that rejects mocks at the real pairs' spacing is expected to move
+    this cell to a mean of exactly 1/k with no group pinned; that change must
+    replace the frozen numbers below on purpose.
+    """
+    sep = default_separation(open16)
+    on_real = []
+    for seed in range(40):
+        groups = dispatch_groups(open16, random_spaced_pairs(open16, 4, seed), 2, 0, seed)
+        seen = prior_aware_posteriors(open16, [g.broadcast_view() for g in groups], sep)
+        for group, posterior in zip(groups, seen):
+            assert sum(posterior) == 1
+            on_real.append(posterior[group.real_index])  # the scorer alone reads it
+    assert len(on_real) == 160
+    assert sum(on_real) / len(on_real) == Fraction(14053, 22400)  # 1/k is 1/2
+    assert on_real.count(1) == 26
 
 
 # -- probability model -----------------------------------------------------

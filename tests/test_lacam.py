@@ -17,7 +17,7 @@ import pytest
 
 from privmapf import lacam
 from privmapf.audit import audit, metrics
-from privmapf.dispatch import AgentGroup, dispatch_groups
+from privmapf.dispatch import dispatch_groups
 from privmapf.grid import ConfigError, GridWorld, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, lacam_solve

@@ -13,7 +13,6 @@ from privmapf.audit import audit, check_k_privacy, compute_beliefs
 from privmapf.grid import ConfigError
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import (
-    MessageTrace,
     PipelineSpec,
     extract_real_path,
     fpp_solve,
