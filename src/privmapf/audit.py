@@ -15,6 +15,7 @@ of the fov squares around its belief set.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -126,6 +127,15 @@ def real_sum_of_costs(real_paths: list[list[int]], real_goals: list[int]) -> int
     return metrics(real_paths, real_goals).soc
 
 
+def group_fov(world: GridWorld, positions: Iterable[int], radius: int) -> set[int]:
+    """Union of the fov squares around any vertex set."""
+    fov = world.fov_table(radius)
+    region: set[int] = set()
+    for v in positions:
+        region.update(fov[v])
+    return region
+
+
 def check_separated(
     world: GridWorld, zones: list[list[set[int]]], fov_radius: int
 ) -> list[tuple[int, int, int, int, int]]:
@@ -141,7 +151,7 @@ def check_separated(
         # dilating one zone turns the pairwise fov test into a set
         # intersection; fov is symmetric over passable cells, so u lies in
         # the dilation of zone_i exactly when some v in zone_i sees u
-        dilated = [set().union(*(fov[v] for v in zone[t])) for zone in zones]
+        dilated = [group_fov(world, zone[t], fov_radius) for zone in zones]
         for i, j in combinations(range(len(zones)), 2):
             violations.extend(sorted(
                 (t, i, j, v, u)

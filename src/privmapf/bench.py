@@ -87,6 +87,8 @@ class TaskSpec:
             raise ConfigError("the agent count must be >= 1")
         if type(self.seed) is not int:
             raise ConfigError("the seed must be an int")
+        if not isinstance(self.spec, PipelineSpec):
+            raise ConfigError("the spec must be a PipelineSpec")
         sep = self.min_separation
         if sep is not None and (type(sep) is not int or sep < 1):
             raise ConfigError("min_separation must be >= 1")
@@ -129,19 +131,22 @@ def load_config(path: str | Path) -> list[TaskSpec]:
         mark = getattr(exc, "problem_mark", None)  # a YAML syntax error has one
         where = f"line {mark.line + 1}: " if mark else ""
         raise ConfigError(f"{path}: {where}{getattr(exc, 'problem', None) or exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a mapping")
-    unknown = set(obj) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-    for key, param in _CONFIG_KEYS.items():
-        if param.default is param.empty and key not in obj:
-            raise ConfigError(f"missing config key: {key}")
-    if type(obj.get("seeds")) is int:
-        if obj["seeds"] < 1:
-            raise ConfigError("config key seeds must be a list or an int >= 1")
-        obj["seeds"] = list(range(obj["seeds"]))  # an int means "this many, from zero"
-    return suite(**obj)
+    try:
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a mapping")
+        unknown = set(obj) - set(_CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
+        for key, param in _CONFIG_KEYS.items():
+            if param.default is param.empty and key not in obj:
+                raise ConfigError(f"missing config key: {key}")
+        if type(obj.get("seeds")) is int:
+            if obj["seeds"] < 1:
+                raise ConfigError("config key seeds must be a list or an int >= 1")
+            obj["seeds"] = list(range(obj["seeds"]))  # an int means "this many, from zero"
+        return suite(**obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,12 @@ import json
 import random
 from array import array
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .audit import audit, check_separated, compute_beliefs, path_cost
+from .audit import audit, check_separated, compute_beliefs, group_fov, path_cost
 from .grid import ConfigError, GridWorld, PrivmapfError
 from .plans import JointPlan
 
@@ -55,15 +55,6 @@ class ReplanInfeasibleError(PrivmapfError):
 
 # zones[group][t] is the set of vertices group `group` owns at time t
 ZoneTable = list[list[set[int]]]
-
-
-def group_fov(world: GridWorld, positions: Iterable[int], radius: int) -> set[int]:
-    """Union of the fov squares around the given member positions."""
-    fov = world.fov_table(radius)
-    region: set[int] = set()
-    for v in positions:
-        region.update(fov[v])
-    return region
 
 
 def initial_safe_zones(

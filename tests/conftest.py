@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,34 @@ def pad_paths(paths):
     longest one's length."""
     target = max(len(p) for p in paths)
     return JointPlan(tuple(tuple(p) + (p[-1],) * (target - len(p)) for p in paths))
+
+
+def bfs_earliest_arrival(world, zone_per_t, start, goal):
+    """Reference arrival on the time-expanded graph, or None.
+
+    Earliest reachable (goal, t) that can rest in-zone through the horizon.
+    """
+    horizon = len(zone_per_t) - 1
+    if goal not in zone_per_t[horizon]:
+        return None
+    rest_from = horizon
+    while rest_from > 0 and goal in zone_per_t[rest_from - 1]:
+        rest_from -= 1
+    if start not in zone_per_t[0]:
+        return None
+    seen = {(start, 0)}
+    queue = deque([(start, 0)])
+    while queue:
+        v, t = queue.popleft()
+        if v == goal and t >= rest_from:
+            return t
+        if t == horizon:
+            continue
+        for u in (v, *world.adjacency[v]):
+            if u in zone_per_t[t + 1] and (u, t + 1) not in seen:
+                seen.add((u, t + 1))
+                queue.append((u, t + 1))
+    return None
 
 
 def singleton_problem(world, pairs, fov_radius=0):

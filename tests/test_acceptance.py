@@ -31,7 +31,7 @@ from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import ReplanInfeasibleError, initial_safe_zones, ppfpp, sipp_replan
 
-from conftest import replay_picks
+from conftest import bfs_earliest_arrival, replay_picks
 
 BUDGET = 1500
 
@@ -201,30 +201,6 @@ map
 ........
 ........
 """
-
-
-def bfs_earliest_arrival(world, zone_per_t, start, goal):
-    horizon = len(zone_per_t) - 1
-    if goal not in zone_per_t[horizon]:
-        return None
-    rest_from = horizon
-    while rest_from > 0 and goal in zone_per_t[rest_from - 1]:
-        rest_from -= 1
-    if start not in zone_per_t[0]:
-        return None
-    seen = {(start, 0)}
-    queue = [(start, 0)]
-    while queue:
-        v, t = queue.pop(0)
-        if v == goal and t >= rest_from:
-            return t
-        if t == horizon:
-            continue
-        for u in (v, *world.adjacency[v]):
-            if u in zone_per_t[t + 1] and (u, t + 1) not in seen:
-                seen.add((u, t + 1))
-                queue.append((u, t + 1))
-    return None
 
 
 def test_5_replanner_matches_brute_force():

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,7 @@ from privmapf import bench
 from privmapf.bench import (
     CSV_HEADER,
     RunRecord,
+    TaskSpec,
     format_summary,
     load_config,
     records_to_csv,
@@ -27,7 +29,7 @@ from privmapf.instances import default_separation
 from privmapf.pipeline import PipelineSpec
 from privmapf.safezone import PreconditionError, ReplanInfeasibleError
 
-POCKET = "type octile\nheight 2\nwidth 3\nmap\n...\n@@.\n"
+from conftest import POCKET
 
 
 def write_yaml(tmp_path, text):
@@ -112,9 +114,13 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nseeds: [true, 2.5]", "^the seed must be an int$"),
 ])
 def test_config_rejections(tmp_path, snippet, message):
+    # every error about the file's content names the file, and the message
+    # follows the path
     p = write_yaml(tmp_path, snippet)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError) as info:
         load_config(p)
+    assert str(info.value).startswith(f"{p}: ")
+    assert re.search(message, str(info.value).removeprefix(f"{p}: "))
 
 
 @pytest.mark.parametrize("content,message", [
@@ -185,6 +191,13 @@ def test_bad_suite_fails_before_any_cell_runs(monkeypatch, bad, message):
     with pytest.raises(ConfigError, match=message):
         run_suite(suite(**{"maps": ("open16",), "agents": (2,), "seeds": (0,), **bad}))
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", [None, (2, 1, 300)])
+def test_task_spec_needs_a_pipeline_spec(spec):
+    # checked here, like the other fields, so no cell runs into spec.k
+    with pytest.raises(ConfigError, match="^the spec must be a PipelineSpec$"):
+        TaskSpec("open16", 2, 0, spec, None)
 
 
 def test_a_suite_built_in_python_needs_no_yaml():

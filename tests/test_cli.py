@@ -15,9 +15,7 @@ from privmapf.dispatch import InfeasibleInputError
 from privmapf.grid import PrivmapfError
 from privmapf.pipeline import PipelineSpec
 
-from conftest import ASSETS
-
-POCKET = "type octile\nheight 2\nwidth 3\nmap\n...\n@@.\n"
+from conftest import ASSETS, POCKET
 
 
 def test_version(capsys):

@@ -28,9 +28,7 @@ from privmapf.dispatch import (
     verify_dispatch,
     write_private_sidecars,
 )
-from privmapf.grid import ConfigError
-from privmapf.pipeline import PipelineSpec, run_pipeline
-from privmapf.grid import parse_map_text
+from privmapf.grid import ConfigError, parse_map_text
 from privmapf.instances import PlacementError, default_separation, random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
 

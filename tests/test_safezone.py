@@ -12,11 +12,10 @@ would still change the RNG draw and fail the comparison.
 import gc
 import json
 import random
-from collections import deque
 
 import pytest
 
-from privmapf.audit import audit, check_separated
+from privmapf.audit import audit, check_separated, group_fov
 from privmapf.grid import ConfigError
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
@@ -27,7 +26,6 @@ from privmapf.safezone import (
     RefineResult,
     ReplanInfeasibleError,
     extend_safe_zones,
-    group_fov,
     initial_safe_zones,
     pop_choice,
     ppfpp,
@@ -36,7 +34,7 @@ from privmapf.safezone import (
     write_zones,
 )
 
-from conftest import pad_paths, replay_picks
+from conftest import bfs_earliest_arrival, pad_paths, replay_picks
 
 
 def fpp_fixture(world, n, sep, k, seed, budget=1500):
@@ -259,34 +257,6 @@ def test_pop_choice_matches_random_choice():
 
 
 # ------------------------------------------------------------- replanning
-
-
-def bfs_earliest_arrival(world, zone_per_t, start, goal):
-    """Reference arrival on the time-expanded graph, or None.
-
-    Earliest reachable (goal, t) that can rest in-zone through the horizon.
-    """
-    horizon = len(zone_per_t) - 1
-    if goal not in zone_per_t[horizon]:
-        return None
-    rest_from = horizon
-    while rest_from > 0 and goal in zone_per_t[rest_from - 1]:
-        rest_from -= 1
-    if start not in zone_per_t[0]:
-        return None
-    seen = {(start, 0)}
-    queue = deque([(start, 0)])
-    while queue:
-        v, t = queue.popleft()
-        if v == goal and t >= rest_from:
-            return t
-        if t == horizon:
-            continue
-        for u in (v, *world.adjacency[v]):
-            if u in zone_per_t[t + 1] and (u, t + 1) not in seen:
-                seen.add((u, t + 1))
-                queue.append((u, t + 1))
-    return None
 
 
 def random_zone_table(world, rng, horizon):
