@@ -15,7 +15,7 @@ of the fov squares around its belief set.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -137,26 +137,27 @@ def group_fov(world: GridWorld, positions: Iterable[int], radius: int) -> set[in
 
 
 def check_separated(
-    world: GridWorld, zones: list[list[set[int]]], fov_radius: int
+    world: GridWorld, zones: Sequence[Sequence[AbstractSet[int]]], fov_radius: int
 ) -> list[tuple[int, int, int, int, int]]:
     """Violations of pairwise zone separation: (t, i, j, v, u) with i < j,
     v in zone_i^t, u in zone_j^t and the two within fov of each other,
-    ordered by t, then (i, j), then (v, u).
+    ordered by t, then (i, j), then (v, u). ``zones[i][t]`` is read once.
 
     Empty list means the zones are separated.
     """
     fov = world.fov_table(fov_radius)
     violations = []
     for t in range(len(zones[0])):
+        at_t = [zone[t] for zone in zones]
         # dilating one zone turns the pairwise fov test into a set
         # intersection; fov is symmetric over passable cells, so u lies in
         # the dilation of zone_i exactly when some v in zone_i sees u
-        dilated = [group_fov(world, zone[t], fov_radius) for zone in zones]
-        for i, j in combinations(range(len(zones)), 2):
+        dilated = [group_fov(world, zone, fov_radius) for zone in at_t]
+        for i, j in combinations(range(len(at_t)), 2):
             violations.extend(sorted(
                 (t, i, j, v, u)
-                for u in dilated[i] & zones[j][t]
-                for v in fov[u] & zones[i][t]
+                for u in dilated[i] & at_t[j]
+                for v in fov[u] & at_t[i]
             ))
     return violations
 

@@ -20,6 +20,12 @@ zones mutually unobservable and exchange-free over time. A claim scans only
 the part of its fov square outside the square of ``via``, the zone vertex
 that put it on the frontier, and claims are logged as ints (``PickLog``).
 
+The extended zones cover most of the free map at every timestep, so they
+are not kept as a vertex set per group and timestep but as one owner per
+vertex per timestep (``ZoneTable``). That is exact because the zones at one
+timestep are disjoint: the initial zones are fov-separated, and rule 2
+keeps every claim out of the other zones.
+
 Finally each agent replans its *real* path inside its own zone with a
 safe-interval search. Waiting after the final goal arrival is free, so the
 target is the earliest arrival into the goal's last safe interval (which
@@ -35,8 +41,10 @@ import json
 import random
 from array import array
 from bisect import bisect_left, insort
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import eq, ne
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,17 +61,88 @@ class ReplanInfeasibleError(PrivmapfError):
     """No in-zone path reaches the goal's final safe interval."""
 
 
-# zones[group][t] is the set of vertices group `group` owns at time t
-ZoneTable = list[list[set[int]]]
+# intervals[v]: a vertex's safe intervals in one group's zones, ascending
+# (start, end) pairs with end inclusive
+Intervals = dict[int, list[tuple[int, int]]]
+
+
+class ZoneTable(Sequence):
+    """Every group's zone at every timestep, kept as one owner array per
+    timestep: ``owners[t][v]`` is the group whose zone holds v at t, or -1.
+
+    Zones at one timestep are disjoint (see the module docstring), so one
+    owner per vertex holds them exactly, in one byte per vertex
+    (``array('b')``; ``array('i')`` from 128 groups on) instead of a set
+    slot per zone vertex. The table reads group-major, like the nested lists
+    of sets it is built from: ``len`` is the number of groups, ``table[i][t]``
+    is group i's zone at t as a frozenset built on access, and ``==``
+    compares with such lists.
+    """
+
+    def __init__(self, num_groups: int) -> None:
+        """An empty table; ``append`` adds its timesteps in order."""
+        self.num_groups = num_groups
+        self.typecode = "b" if num_groups < 128 else "i"
+        self.owners: list[array] = []
+
+    @classmethod
+    def from_sets(cls, zones: Sequence[Sequence[Iterable[int]]], num_vertices: int) -> ZoneTable:
+        """The table of ``zones[i][t]``, which must be disjoint at each t."""
+        table = cls(len(zones))
+        for t in range(len(zones[0])):
+            table.append(owner_row(zones, t, num_vertices))
+        return table
+
+    def append(self, owner: list[int]) -> None:
+        """Add the next timestep's owners, -1 where no zone lies."""
+        self.owners.append(array(self.typecode, owner))
+
+    def __len__(self) -> int:
+        return self.num_groups
+
+    def __getitem__(self, group: int) -> GroupZones:
+        if not -self.num_groups <= group < self.num_groups:
+            raise IndexError("zone table group out of range")
+        return GroupZones(self.owners, group % self.num_groups)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ZoneTable, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(list(a) == list(b) for a, b in zip(self, other))
+
+
+def owner_row(zones: Sequence[Sequence[Iterable[int]]], t: int, num_vertices: int) -> list[int]:
+    """The owner of each vertex at t among ``zones[i][t]``, or -1."""
+    owner = [-1] * num_vertices
+    for i, group in enumerate(zones):
+        for v in group[t]:
+            if owner[v] >= 0:
+                raise ValueError(f"vertex {v} is in the zones of groups {owner[v]} and {i} at t={t}")
+            owner[v] = i
+    return owner
+
+
+class GroupZones(Sequence):
+    """One group's zones in a ``ZoneTable``, by timestep."""
+
+    def __init__(self, owners: list[array], group: int) -> None:
+        self.owners, self.group = owners, group
+
+    def __len__(self) -> int:
+        return len(self.owners)
+
+    def __getitem__(self, t: int) -> frozenset[int]:
+        owner = self.owners[t]
+        return frozenset(compress(range(len(owner)), map(eq, owner, repeat(self.group))))
 
 
 def initial_safe_zones(
     world: GridWorld, plan: JointPlan, group_of: list[int], radius: int
-) -> ZoneTable:
+) -> list[list[set[int]]]:
     """Per group and timestep: the vertices of the group's region (the fov
     squares around its belief set) whose own fov square stays in the region."""
     fov = world.fov_table(radius)
-    zones: ZoneTable = []
+    zones: list[list[set[int]]] = []
     for beliefs in compute_beliefs(plan, group_of):
         per_t: list[set[int]] = []
         for belief in beliefs:
@@ -117,14 +196,18 @@ def pop_choice(seq: list[int], getrandbits) -> int:
 
 def extend_safe_zones(
     world: GridWorld,
-    zones: ZoneTable,
+    zones: list[list[set[int]]],
     radius: int,
     seed: int | str,
-) -> PickLog:
-    """Grow zones in place, one fair pick per group per round; returns the log.
+) -> tuple[ZoneTable, PickLog]:
+    """Grow the initial zones, one fair pick per group per round; returns the
+    extended zones and the log. The initial zones are left as they are.
 
     Timesteps are handled in ascending order so that rule 3 (no overlap with
-    another group's *previous* zone) always reads finalised zones.
+    another group's *previous* zone) always reads finalised zones. Each
+    timestep's owners are kept as a list while its picks land in them, then
+    appended to the table; the next timestep's blockers start from that
+    list, one bit per owned vertex.
 
     Group i's frontier is the set of neighbours of its zone that lie outside
     the zone and outside every other group's dilation (the fov squares
@@ -145,22 +228,23 @@ def extend_safe_zones(
     adj = world.adjacency
     fov = world.fov_table(radius)
     rings = world.fov_ring_table(radius)
+    table = ZoneTable(n_groups)
     log = PickLog()
     log_vertex, log_group = log.vertices.append, log.groups.append
     via = [0] * world.num_vertices  # read only for vertices on a frontier
+    bits = [1 << j for j in range(n_groups)] + [0]  # bits[-1]: no owner
+    owner = [-1] * world.num_vertices  # the owners at t-1 (none before t=0)
     for t in range(horizon + 1):
         getrandbits = random.Random(f"extend:{seed}:{t}").getrandbits
         # bit j of blockers[v]: v lies in group j's dilation or zone at t-1;
         # v is open to group i iff no bit other than i's is set
-        blockers = [0] * world.num_vertices
+        blockers = list(map(bits.__getitem__, owner))
         for j in range(n_groups):
             bit = 1 << j
             for v in zones[j][t]:
                 for w in fov[v]:
                     blockers[w] |= bit
-            if t > 0:
-                for v in zones[j][t - 1]:
-                    blockers[v] |= bit
+        owner = owner_row(zones, t, world.num_vertices)  # the picks complete it
         # bit i of held[v]: v is in group i's zone or frontier
         held = [0] * world.num_vertices
         lanes = []
@@ -176,16 +260,16 @@ def extend_safe_zones(
                         via[u] = v
                         frontier.append(u)
             frontier.sort()
-            lanes.append((i, frontier, zone, bit))
+            lanes.append((i, frontier, bit))
         frontiers = [lane[1] for lane in lanes]
         # a frontier only grows by its own group's picks, so an empty one
         # stays empty for the rest of the timestep
         while lanes := [lane for lane in lanes if lane[1]]:
-            for i, frontier, zone, bit in lanes:
+            for i, frontier, bit in lanes:
                 if not frontier:  # emptied earlier in this round
                     continue
                 choice = pop_choice(frontier, getrandbits)
-                zone.add(choice)
+                owner[choice] = i
                 for u in adj[choice]:
                     if not held[u] & bit and blockers[u] | bit == bit:
                         held[u] |= bit
@@ -208,40 +292,43 @@ def extend_safe_zones(
                 log_group(i)
             log.round_t.append(t)
             log.round_end.append(len(log.vertices))
-    return log
+        table.append(owner)
+    return table, log
 
 
-def vertex_intervals(zone_per_t: list[set[int]]) -> dict[int, list[tuple[int, int]]]:
-    """Safe intervals per vertex, the maximal runs of consecutive timesteps
-    it stays inside the zone, as ascending ``(start, end)`` pairs (end
-    inclusive), from a single group's zones: only the vertices entering or
-    leaving at each t are touched."""
-    open_at: dict[int, int] = {}
-    out: dict[int, list[tuple[int, int]]] = {}
-    prev: set[int] = set()
-    for t, zone in enumerate(zone_per_t):
-        for v in prev - zone:
-            out.setdefault(v, []).append((open_at.pop(v), t - 1))
-        for v in zone - prev:
-            open_at[v] = t
-        prev = zone
-    last = len(zone_per_t) - 1
-    for v, a in open_at.items():
-        out.setdefault(v, []).append((a, last))
+def vertex_intervals(table: ZoneTable) -> list[Intervals]:
+    """Every group's safe intervals per vertex: the maximal runs of
+    consecutive timesteps the vertex stays inside the group's zone.
+
+    One pass over the timesteps touches only the vertices whose owner
+    changes, found by a C-level diff of consecutive owner arrays; a blank
+    array after the horizon closes the intervals still open there.
+    """
+    out: list[Intervals] = [{} for _ in range(len(table))]
+    vertices = range(len(table.owners[0]))
+    entered = [0] * len(vertices)  # the timestep v's current owner took it
+    blank = array(table.typecode, [-1]) * len(vertices)
+    prev = blank
+    for t, cur in enumerate(chain(table.owners, (blank,))):
+        for v in compress(vertices, map(ne, prev, cur)):
+            if prev[v] >= 0:
+                out[prev[v]].setdefault(v, []).append((entered[v], t - 1))
+            if cur[v] >= 0:
+                entered[v] = t
+        prev = cur
     return out
 
 
 def sipp_replan(
-    world: GridWorld, zone_per_t: list[set[int]], start: int, goal: int
+    world: GridWorld, intervals: Intervals, horizon: int, start: int, goal: int
 ) -> tuple[tuple[int, ...], int]:
     """Earliest-arrival path from start into the goal's final safe interval.
 
-    The agent moves only through vertices of its own zone; waiting inside a
-    safe interval is always allowed. Returns the full path over [0, horizon]
-    (resting at the goal once arrived) and the arrival time.
+    The agent moves only through vertices of its own zone, whose safe
+    intervals up to ``horizon`` are ``intervals`` (``vertex_intervals``);
+    waiting inside a safe interval is always allowed. Returns the full path
+    over [0, horizon] (resting at the goal once arrived) and the arrival time.
     """
-    horizon = len(zone_per_t) - 1
-    intervals = vertex_intervals(zone_per_t)
     if start not in intervals or intervals[start][0][0] != 0:
         raise ReplanInfeasibleError("start vertex is not safe at t=0")
     if goal not in intervals or intervals[goal][-1][1] != horizon:
@@ -342,16 +429,17 @@ def ppfpp(
             f"plan has {report.total()} conflicts; refinement needs a clean fov-aware plan"
         )
 
-    zones = initial_safe_zones(world, plan, group_of, fov_radius)
-    if check_separated(world, zones, fov_radius):
+    initial = initial_safe_zones(world, plan, group_of, fov_radius)
+    if check_separated(world, initial, fov_radius):
         raise PreconditionError("initial zones are not fov-separated")
-    picks = extend_safe_zones(world, zones, fov_radius, seed)
+    zones, picks = extend_safe_zones(world, initial, fov_radius, seed)
 
+    intervals = vertex_intervals(zones)
     goals = [rp[-1] for rp in real_paths]
     refined: list[tuple[int, ...]] = []
     arrivals: list[int] = []
     for i, rp in enumerate(real_paths):
-        path, arrival = sipp_replan(world, zones[i], rp[0], goals[i])
+        path, arrival = sipp_replan(world, intervals[i], plan.horizon, rp[0], goals[i])
         refined.append(path)
         arrivals.append(arrival)
     before = [path_cost(rp, goals[i]) for i, rp in enumerate(real_paths)]
@@ -362,14 +450,15 @@ def ppfpp(
     return RefineResult(zones, picks, refined, before, after)
 
 
-def write_zones(result_zones: ZoneTable, radius: int, world: GridWorld, path: str | Path) -> None:
-    obj = {
-        "radius": radius,
-        "horizon": len(result_zones[0]) - 1,
-        "zones": [
-            [[list(world.coords(v)) for v in sorted(zone)] for zone in per_t]
-            for per_t in result_zones
-        ],
-    }
-    Path(path).write_text(json.dumps(obj) + "\n")
-
+def write_zones(zones: ZoneTable, radius: int, world: GridWorld, path: str | Path) -> None:
+    """Write the zones as JSON, each zone a list of ``[x, y]`` in vertex
+    order, one group and timestep at a time."""
+    with open(path, "w") as f:
+        f.write(f'{{"radius": {radius}, "horizon": {len(zones[0]) - 1}, "zones": [')
+        for i, group in enumerate(zones):
+            f.write(", [" if i else "[")
+            for t, zone in enumerate(group):
+                f.write(", " if t else "")
+                f.write(json.dumps([list(world.coords(v)) for v in sorted(zone)]))
+            f.write("]")
+        f.write("]}\n")

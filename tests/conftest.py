@@ -9,6 +9,7 @@ from privmapf.dispatch import AgentGroup
 from privmapf.grid import load_map, parse_map_text
 from privmapf.pibt import SolveResult, SolverProblem, build_step, clean_start, node_data
 from privmapf.plans import JointPlan
+from privmapf.safezone import ZoneTable, sipp_replan, vertex_intervals
 
 ASSETS = Path(privmapf.__file__).parent / "assets"
 
@@ -112,6 +113,40 @@ def pad_paths(paths):
     longest one's length."""
     target = max(len(p) for p in paths)
     return JointPlan(tuple(tuple(p) + (p[-1],) * (target - len(p)) for p in paths))
+
+
+def random_zone_table(world, rng, growth, horizon):
+    """One group's zones over timesteps 0..horizon, as a list of sets.
+
+    A random vertex grows by ``rng.randrange(*growth)`` frontier steps into
+    the first zone; each later timestep adds a frontier vertex with
+    probability 0.7, then drops a vertex with probability 0.3 while more
+    than two remain. ``horizon`` is an int, or a ``(start, stop)`` range to
+    draw it from after the growth.
+    """
+    zone = {rng.randrange(world.num_vertices)}
+    for _ in range(rng.randrange(*growth)):
+        frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
+        zone.add(rng.choice(frontier))
+    if not isinstance(horizon, int):
+        horizon = rng.randrange(*horizon)
+    table = []
+    for t in range(horizon + 1):
+        if t:
+            if rng.random() < 0.7:
+                frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
+                if frontier:
+                    zone = zone | {rng.choice(frontier)}
+            if rng.random() < 0.3 and len(zone) > 2:
+                zone = zone - {rng.choice(sorted(zone))}
+        table.append(set(zone))
+    return table
+
+
+def replan_in_zones(world, zone_per_t, start, goal):
+    """``sipp_replan`` inside one group's zones given as a list of sets."""
+    intervals = vertex_intervals(ZoneTable.from_sets([zone_per_t], world.num_vertices))[0]
+    return sipp_replan(world, intervals, len(zone_per_t) - 1, start, goal)
 
 
 def bfs_earliest_arrival(world, zone_per_t, start, goal):

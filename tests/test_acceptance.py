@@ -29,9 +29,9 @@ from privmapf.lacam import lacam_solve
 from privmapf.pibt import SolverProblem
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
-from privmapf.safezone import ReplanInfeasibleError, initial_safe_zones, ppfpp, sipp_replan
+from privmapf.safezone import ReplanInfeasibleError, initial_safe_zones, ppfpp
 
-from conftest import bfs_earliest_arrival, replay_picks
+from conftest import bfs_earliest_arrival, random_zone_table, replan_in_zones, replay_picks
 
 BUDGET = 1500
 
@@ -214,28 +214,13 @@ def test_5_replanner_matches_brute_force():
     for case in range(50):
         rng = random.Random(f"accept5:{case}")
         world = open8 if case % 2 == 0 else blocked8
-        zone = {rng.randrange(world.num_vertices)}
-        for _ in range(rng.randrange(1, 12)):
-            frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
-            zone.add(rng.choice(frontier))
-        table = []
-        for t in range(rng.randrange(4, 21) + 1):
-            if t:
-                if rng.random() < 0.7:
-                    frontier = sorted(
-                        {u for v in zone for u in world.adjacency[v]} - zone
-                    )
-                    if frontier:
-                        zone = zone | {rng.choice(frontier)}
-                if rng.random() < 0.3 and len(zone) > 2:
-                    zone = zone - {rng.choice(sorted(zone))}
-            table.append(set(zone))
+        table = random_zone_table(world, rng, (1, 12), (4, 21))
         start = rng.choice(sorted(table[0]))
         goal = rng.choice(sorted(set().union(*table)))
         expected = bfs_earliest_arrival(world, table, start, goal)
         compared += 1
         try:
-            _, arrival = sipp_replan(world, table, start, goal)
+            _, arrival = replan_in_zones(world, table, start, goal)
         except ReplanInfeasibleError:
             arrival = None
         if arrival != expected:

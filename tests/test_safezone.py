@@ -12,10 +12,12 @@ would still change the RNG draw and fail the comparison.
 import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from privmapf.audit import audit, check_separated, group_fov
+from privmapf.bench import default_separation
 from privmapf.grid import ConfigError
 from privmapf.instances import random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
@@ -25,16 +27,22 @@ from privmapf.safezone import (
     PreconditionError,
     RefineResult,
     ReplanInfeasibleError,
+    ZoneTable,
     extend_safe_zones,
     initial_safe_zones,
     pop_choice,
     ppfpp,
-    sipp_replan,
     vertex_intervals,
     write_zones,
 )
 
-from conftest import bfs_earliest_arrival, pad_paths, replay_picks
+from conftest import (
+    bfs_earliest_arrival,
+    pad_paths,
+    random_zone_table,
+    replan_in_zones,
+    replay_picks,
+)
 
 
 def fpp_fixture(world, n, sep, k, seed, budget=1500):
@@ -190,10 +198,11 @@ def test_extension_matches_frontier_rebuild(open16, random32):
     for case, (world, radius, zones) in enumerate(instances):
         expected_zones = copy_zones(zones)
         expected = _reference_extend(world, expected_zones, radius, seed=case)
-        got_zones = copy_zones(zones)
-        got = extend_safe_zones(world, got_zones, radius, seed=case)
+        initial = copy_zones(zones)
+        got_zones, got = extend_safe_zones(world, zones, radius, seed=case)
         assert got == expected
         assert got_zones == expected_zones
+        assert zones == initial  # the extension leaves its input alone
         assert check_separated(world, got_zones, radius) == []
         # coverage: a group stops growing while another still picks, and
         # the previous-timestep zones (rule 3) change the outcome
@@ -209,7 +218,7 @@ def test_extension_matches_frontier_rebuild(open16, random32):
 def test_pick_log_counts_and_numbers_rounds_per_timestep(open16):
     result = fpp_fixture(open16, 4, 3, 2, seed=0)
     zones = initial_safe_zones(open16, result.plan, result.problem.group_of, 1)
-    log = extend_safe_zones(open16, zones, 1, seed=0)
+    _, log = extend_safe_zones(open16, zones, 1, seed=0)
     picks = list(log)
     assert len(log) == len(picks) > 0
     assert list(log) == picks and log == picks  # iterating again yields the same
@@ -228,20 +237,23 @@ def test_pick_log_counts_and_numbers_rounds_per_timestep(open16):
 
 def test_extension_log_keeps_no_object_per_pick(random32):
     # a tracked object per pick (tuples are never untracked with gc off)
-    # would keep the collector busy through extension and SIPP
+    # would keep the collector busy through extension and SIPP; the zones
+    # leave one tracked object per timestep, its owner array, and none per
+    # group (a set per zone would)
     result = fpp_fixture(random32, 4, 5, 3, seed=0)
     zones = initial_safe_zones(random32, result.plan, result.problem.group_of, 1)
-    extend_safe_zones(random32, copy_zones(zones), 1, seed=0)  # fills the fov caches
+    extend_safe_zones(random32, zones, 1, seed=0)  # fills the fov caches
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        log = extend_safe_zones(random32, zones, 1, seed=0)
+        table, log = extend_safe_zones(random32, zones, 1, seed=0)
         grown = len(gc.get_objects()) - before
     finally:
         gc.enable()
-    bound = len(zones[0]) * len(zones)  # timesteps x groups
-    assert len(log) > 10 * bound
+    bound = len(zones[0]) + 8  # an array per timestep, the table and the log
+    assert len(table) == len(zones) > 1
+    assert len(log) > 10 * bound * len(zones)
     assert grown <= bound, (grown, len(log))
 
 
@@ -259,34 +271,16 @@ def test_pop_choice_matches_random_choice():
 # ------------------------------------------------------------- replanning
 
 
-def random_zone_table(world, rng, horizon):
-    zone = {rng.randrange(world.num_vertices)}
-    for _ in range(rng.randrange(1, 10)):
-        frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
-        zone.add(rng.choice(frontier))
-    table = []
-    for t in range(horizon + 1):
-        if t:
-            if rng.random() < 0.7:
-                frontier = sorted({u for v in zone for u in world.adjacency[v]} - zone)
-                if frontier:
-                    zone = zone | {rng.choice(frontier)}
-            if rng.random() < 0.3 and len(zone) > 2:
-                zone = zone - {rng.choice(sorted(zone))}
-        table.append(set(zone))
-    return table
-
-
 def test_sipp_matches_time_expanded_search_on_random_tables(open4):
     agree = 0
     for case in range(60):
         rng = random.Random(f"sipp:{case}")
-        table = random_zone_table(open4, rng, horizon=rng.randrange(3, 14))
+        table = random_zone_table(open4, rng, (1, 10), rng.randrange(3, 14))
         start = rng.choice(sorted(table[0]))
         goal = rng.choice(sorted(set().union(*table)))
         expected = bfs_earliest_arrival(open4, table, start, goal)
         try:
-            path, arrival = sipp_replan(open4, table, start, goal)
+            path, arrival = replan_in_zones(open4, table, start, goal)
         except ReplanInfeasibleError:
             assert expected is None
             continue
@@ -306,7 +300,7 @@ def test_sipp_waits_for_a_late_corridor(open4):
     a, b = open4.vertex_at(0, 0), open4.vertex_at(1, 0)
     rest = [open4.vertex_at(x, 0) for x in (2, 3)]
     table = [{a, b}, {a, b}, {a, b}, {a, b, *rest}, {a, b, *rest}, {a, b, *rest}]
-    path, arrival = sipp_replan(open4, table, a, rest[-1])
+    path, arrival = replan_in_zones(open4, table, a, rest[-1])
     assert arrival == 4
     assert path == (a, b, b, rest[0], rest[1], rest[1])
 
@@ -314,10 +308,10 @@ def test_sipp_waits_for_a_late_corridor(open4):
 def test_sipp_rejects_unsafe_start_and_goal(open4):
     a, b, c = (open4.vertex_at(x, 0) for x in (0, 1, 2))
     with pytest.raises(ReplanInfeasibleError, match="start"):
-        sipp_replan(open4, [{a, b}, {a, b}], c, a)
+        replan_in_zones(open4, [{a, b}, {a, b}], c, a)
     # goal drops out of the zone before the horizon
     with pytest.raises(ReplanInfeasibleError, match="goal"):
-        sipp_replan(open4, [{a, b}, {a, b}, {a}], a, b)
+        replan_in_zones(open4, [{a, b}, {a, b}, {a}], a, b)
 
 
 def _reference_vertex_intervals(zone_per_t):
@@ -345,7 +339,7 @@ def test_vertex_intervals_match_rescan():
         stay = rng.random()
         table = [{v for v in pool if rng.random() < stay} for _ in range(rng.randrange(1, 16))]
         expected = _reference_vertex_intervals(table)
-        assert vertex_intervals(table) == expected
+        assert vertex_intervals(ZoneTable.from_sets([table], 12)) == [expected]
         reentries += sum(len(ivls) > 1 for ivls in expected.values())
         late_entries += sum(ivls[0][0] > 0 for ivls in expected.values())
     assert reentries > 100 and late_entries > 100
@@ -354,9 +348,50 @@ def test_vertex_intervals_match_rescan():
 def test_vertex_intervals_merge_consecutive_timesteps(open4):
     a, b = open4.vertex_at(0, 0), open4.vertex_at(1, 0)
     table = [{a}, {a, b}, {a}, {a, b}, {a, b}]
-    ivls = vertex_intervals(table)
+    ivls, = vertex_intervals(ZoneTable.from_sets([table], open4.num_vertices))
     assert ivls[a] == [(0, 4)]
     assert ivls[b] == [(1, 1), (3, 4)]
+
+
+def test_vertex_intervals_of_all_groups_in_one_pass():
+    # owners drawn per timestep and vertex, so a vertex often passes
+    # straight from one group to another; each group's intervals must be
+    # those of its own zones alone
+    handovers = 0
+    for case in range(100):
+        rng = random.Random(f"group-intervals:{case}")
+        n_groups, n_vertices = rng.randrange(1, 5), rng.randrange(1, 12)
+        stay = rng.random()
+        owners = [[rng.randrange(-1, n_groups) for _ in range(n_vertices)]]
+        for _ in range(rng.randrange(15)):
+            owners.append([o if rng.random() < stay else rng.randrange(-1, n_groups)
+                           for o in owners[-1]])
+        zones = [[{v for v, o in enumerate(row) if o == i} for row in owners]
+                 for i in range(n_groups)]
+        table = ZoneTable.from_sets(zones, n_vertices)
+        assert [list(row) for row in table.owners] == owners
+        assert vertex_intervals(table) == [_reference_vertex_intervals(z) for z in zones]
+        handovers += sum(a != b and a >= 0 and b >= 0
+                         for prev, row in zip(owners, owners[1:]) for a, b in zip(prev, row))
+    assert handovers > 100
+
+
+def test_zone_table_reads_like_nested_sets():
+    zones = [[{i, 300 + i}, {i}] for i in range(128)]
+    wide = ZoneTable.from_sets(zones, 428)
+    narrow = ZoneTable.from_sets(zones[:127], 428)
+    # 128 groups no longer fit a signed byte
+    assert {row.typecode for row in wide.owners} == {"i"}
+    assert {row.typecode for row in narrow.owners} == {"b"}
+    for table, expected in ((wide, zones), (narrow, zones[:127])):
+        assert len(table) == len(expected) and table == expected
+        assert table[-1][0] == expected[-1][0]
+        assert all(isinstance(zone, frozenset) for zone in table[5])
+    assert wide != narrow and wide != zones[:127]
+    with pytest.raises(IndexError):
+        wide[128]
+    with pytest.raises(ValueError, match="groups 0 and 1 at t=0"):
+        ZoneTable.from_sets([[{3}], [{3}]], 4)
 
 
 # ------------------------------------------------------------------ ppfpp
@@ -450,9 +485,31 @@ def test_zone_file_round_trip(open16, tmp_path):
                     result.real_paths, 1, seed=2)
     out = tmp_path / "zones.json"
     write_zones(refined.zones, 1, open16, out)
-    obj = json.loads(out.read_text())
+    text = out.read_text()
+    obj = json.loads(text)
     assert obj["radius"] == 1
     assert obj["horizon"] == len(refined.zones[0]) - 1
     zones = [[{open16.vertex_at(x, y) for x, y in zone} for zone in per_t]
              for per_t in obj["zones"]]
     assert zones == refined.zones
+    # streamed, the file is the one dump of the whole object, byte for byte
+    assert text == json.dumps(obj) + "\n"
+
+
+def test_ppfpp_traced_peak_on_a_long_horizon(random32):
+    # the benchmark's refine shape, seed 0, instance 2: 134 timesteps and
+    # 89 763 picks; a set per zone peaks at 6.0 MB, owner arrays at 2.7 MB
+    seed = "refine:0:2"
+    reals = random_spaced_pairs(random32, 4, seed, min_separation=default_separation(random32))
+    result = run_pipeline(random32, reals, PipelineSpec(3, 1, budget_expansions=1500), seed)
+    assert result.solved and result.plan.horizon == 133
+    random32.fov_ring_table(1)  # cached on the map, not ppfpp's own
+    tracemalloc.start()
+    try:
+        refined = ppfpp(random32, result.plan, result.problem.group_of,
+                        result.real_paths, 1, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(refined.picks) == 89763
+    assert peak < 3.5e6, peak
