@@ -40,7 +40,6 @@ import heapq
 import json
 import random
 from array import array
-from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -160,12 +159,17 @@ class ExtensionPick(NamedTuple):
 
 
 class PickLog:
-    """The picks as int columns (each pick's vertex and group, each round's
-    timestep and end index), not one object per pick. ``len`` builds no pick;
-    iterating, repeatably, yields ``ExtensionPick``s; ``==`` is list ``==``."""
+    """The picks as int columns (each pick's vertex, each round's timestep
+    and end index), not one object per pick. A pick's group is not stored:
+    it is ``table.owners[t][vertex]`` in the extended table, because a pick
+    claims an unowned vertex and nothing changes its owner again at that
+    timestep. ``len`` builds no pick; iterating, repeatably, yields
+    ``ExtensionPick``s; ``==`` is list ``==``."""
 
-    def __init__(self) -> None:
-        self.vertices, self.groups = array("i"), array("i")
+    def __init__(self, table: ZoneTable) -> None:
+        """An empty log of the extension that fills ``table``."""
+        self.owners = table.owners
+        self.vertices = array("i")
         self.round_t, self.round_end = array("i"), array("i")
 
     def __len__(self) -> int:
@@ -175,23 +179,13 @@ class PickLog:
         start, prev_t, round_no = 0, -1, 0
         for t, end in zip(self.round_t, self.round_end):
             round_no = round_no + 1 if t == prev_t else 0
-            for group, vertex in zip(self.groups[start:end], self.vertices[start:end]):
-                yield ExtensionPick(t, group, vertex, round_no)
+            owner = self.owners[t]
+            for vertex in self.vertices[start:end]:
+                yield ExtensionPick(t, owner[vertex], vertex, round_no)
             start, prev_t = end, t
 
     def __eq__(self, other: object) -> bool:
         return list(self) == list(other) if isinstance(other, (PickLog, list)) else NotImplemented
-
-
-def pop_choice(seq: list[int], getrandbits) -> int:
-    """Remove and return ``Random.choice(seq)``: the same element from the
-    same ``getrandbits`` draws (``_randbelow_with_getrandbits`` inlined)."""
-    n = len(seq)
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return seq.pop(r)
 
 
 def extend_safe_zones(
@@ -221,16 +215,25 @@ def extend_safe_zones(
     ``via`` is the zone vertex that put the choice on the frontier: every
     zone vertex's square is already marked with its group's bit. Each
     frontier is kept as an ascending list, so a pick draws from it exactly
-    as ``rng.choice(sorted(frontier))`` would.
+    as ``rng.choice(sorted(frontier))`` would; the draw is the
+    ``getrandbits`` loop of ``Random.choice``, inlined, and it pops the index
+    it draws.
+
+    The log keeps one int per pick, its vertex; the pick's group is read
+    back from the returned table (``PickLog``).
     """
+    from bisect import bisect_left, insort  # locals, as the pick loop calls them
+
     n_groups = len(zones)
     horizon = len(zones[0]) - 1
     adj = world.adjacency
     fov = world.fov_table(radius)
     rings = world.fov_ring_table(radius)
     table = ZoneTable(n_groups)
-    log = PickLog()
-    log_vertex, log_group = log.vertices.append, log.groups.append
+    log = PickLog(table)
+    vertices = log.vertices
+    log_vertex = vertices.append
+    log_round_t, log_round_end = log.round_t.append, log.round_end.append
     via = [0] * world.num_vertices  # read only for vertices on a frontier
     bits = [1 << j for j in range(n_groups)] + [0]  # bits[-1]: no owner
     owner = [-1] * world.num_vertices  # the owners at t-1 (none before t=0)
@@ -263,18 +266,32 @@ def extend_safe_zones(
             lanes.append((i, frontier, bit))
         frontiers = [lane[1] for lane in lanes]
         # a frontier only grows by its own group's picks, so an empty one
-        # stays empty for the rest of the timestep
-        while lanes := [lane for lane in lanes if lane[1]]:
+        # stays empty for the rest of the timestep. The empty lanes are
+        # dropped only after a round that met one or emptied one by its own
+        # pick; after any other round the last picker still has a frontier,
+        # so no round is logged without a pick.
+        lanes = [lane for lane in lanes if lane[1]]
+        while lanes:
+            emptied = False
             for i, frontier, bit in lanes:
-                if not frontier:  # emptied earlier in this round
+                n = len(frontier)
+                if not n:  # emptied by another group's pick
+                    emptied = True
                     continue
-                choice = pop_choice(frontier, getrandbits)
+                # rng.choice(frontier), popped: Random._randbelow inlined
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                choice = frontier.pop(r)
                 owner[choice] = i
                 for u in adj[choice]:
                     if not held[u] & bit and blockers[u] | bit == bit:
                         held[u] |= bit
                         via[u] = choice
                         insort(frontier, u)
+                if not frontier:
+                    emptied = True
                 for w in rings[choice][via[choice]]:
                     if blockers[w] & bit:
                         continue
@@ -289,9 +306,10 @@ def extend_safe_zones(
                             other = frontiers[low.bit_length() - 1]
                             del other[bisect_left(other, w)]
                 log_vertex(choice)
-                log_group(i)
-            log.round_t.append(t)
-            log.round_end.append(len(log.vertices))
+            log_round_t(t)
+            log_round_end(len(vertices))
+            if emptied:
+                lanes = [lane for lane in lanes if lane[1]]
         table.append(owner)
     return table, log
 

@@ -97,10 +97,11 @@ def replay_picks(world, initial, radius, picks):
     breaks = []
     for pick in picks:
         t, i, v = pick.t, pick.group, pick.vertex
+        square = world.fov(v, radius)
         ok = v not in zones[i][t] and any(u in zones[i][t] for u in world.adjacency[v])
         for j, other in enumerate(zones):
             if j != i and (v in other[t] or (t > 0 and v in other[t - 1])
-                           or world.fov(v, radius) & other[t]):
+                           or not square.isdisjoint(other[t])):
                 ok = False
         if not ok:
             breaks.append(pick)

@@ -30,7 +30,6 @@ from privmapf.safezone import (
     ZoneTable,
     extend_safe_zones,
     initial_safe_zones,
-    pop_choice,
     ppfpp,
     vertex_intervals,
     write_zones,
@@ -111,37 +110,46 @@ def test_zones_stay_separated_after_extension(open16, random32):
         assert check_separated(world, refined.zones, 1) == []
 
 
-def _reference_extend(world, zones, radius, seed, rule3=True):
+def _reference_extend(world, zones, radius, seed, rule3=True, kept=None):
     """The extension by its definition: every group's frontier is rebuilt
-    from its whole zone on every pick (the slow original algorithm)."""
+    from its whole zone on every pick (the slow original algorithm).
+    ``kept``, if given, gets one bool per pick: whether the claimant's
+    frontier was still non-empty right after its pick."""
     n_groups = len(zones)
     horizon = len(zones[0]) - 1
     picks = []
     for t in range(horizon + 1):
         rng = random.Random(f"extend:{seed}:{t}")
         dilation = [group_fov(world, sorted(zones[j][t]), radius) for j in range(n_groups)]
+
+        def frontier_of(i):
+            zone = zones[i][t]
+            frontier = set()
+            for v in zone:
+                frontier.update(world.adjacency[v])
+            frontier -= zone
+            for j in range(n_groups):
+                if j == i:
+                    continue
+                frontier -= dilation[j]
+                frontier -= zones[j][t]
+                if t > 0 and rule3:
+                    frontier -= zones[j][t - 1]
+            return frontier
+
         round_no = 0
         while True:
             grew = False
             for i in range(n_groups):
-                zone = zones[i][t]
-                frontier = set()
-                for v in zone:
-                    frontier.update(world.adjacency[v])
-                frontier -= zone
-                for j in range(n_groups):
-                    if j == i:
-                        continue
-                    frontier -= dilation[j]
-                    frontier -= zones[j][t]
-                    if t > 0 and rule3:
-                        frontier -= zones[j][t - 1]
+                frontier = frontier_of(i)
                 if not frontier:
                     continue
                 choice = rng.choice(sorted(frontier))
-                zone.add(choice)
+                zones[i][t].add(choice)
                 dilation[i] |= world.fov(choice, radius)
                 picks.append(ExtensionPick(t, i, choice, round_no))
+                if kept is not None:
+                    kept.append(bool(frontier_of(i)))
                 grew = True
             if not grew:
                 break
@@ -194,24 +202,33 @@ def test_extension_matches_frontier_rebuild(open16, random32):
     solved = fpp_fixture(open16, 4, 3, 2, seed=0)
     instances.append((open16, 1, initial_safe_zones(open16, solved.plan, solved.problem.group_of, 1)))
 
-    stalled_early = rule3_matters = 0
+    stalled_early = emptied_by_others = rule3_matters = 0
     for case, (world, radius, zones) in enumerate(instances):
-        expected_zones = copy_zones(zones)
-        expected = _reference_extend(world, expected_zones, radius, seed=case)
+        expected_zones, kept = copy_zones(zones), []
+        expected = _reference_extend(world, expected_zones, radius, seed=case, kept=kept)
         initial = copy_zones(zones)
         got_zones, got = extend_safe_zones(world, zones, radius, seed=case)
         assert got == expected
         assert got_zones == expected_zones
+        assert all(got_zones.owners[p.t][p.vertex] == p.group for p in expected)
         assert zones == initial  # the extension leaves its input alone
         assert check_separated(world, got_zones, radius) == []
-        # coverage: a group stops growing while another still picks, and
-        # the previous-timestep zones (rule 3) change the outcome
+        # coverage: a group stops growing while another still picks; a
+        # group's frontier, non-empty after its own pick, is emptied by the
+        # others before its next turn (the lane the pick loop must skip
+        # without a draw); and the previous-timestep zones (rule 3) change
+        # the outcome
+        last = {}  # (t, group): the group's last round at t
+        for p in expected:
+            last[p.t, p.group] = p.round
         for t in range(len(zones[0])):
-            last = [max((p.round for p in expected if p.t == t and p.group == i), default=-1)
-                    for i in range(len(zones))]
-            stalled_early += min(last) < max(last)
+            rounds = [last.get((t, i), -1) for i in range(len(zones))]
+            stalled_early += min(rounds) < max(rounds)
+        emptied_by_others += sum(left and p.round == last[p.t, p.group]
+                                 for p, left in zip(expected, kept))
         rule3_matters += _reference_extend(world, copy_zones(zones), radius, case, rule3=False) != expected
     assert stalled_early > 0
+    assert emptied_by_others > 0
     assert rule3_matters > 0
 
 
@@ -222,6 +239,11 @@ def test_pick_log_counts_and_numbers_rounds_per_timestep(open16):
     picks = list(log)
     assert len(log) == len(picks) > 0
     assert list(log) == picks and log == picks  # iterating again yields the same
+    # every logged round holds a pick, and each pick's group, read back
+    # from the extended table, owns a vertex new to its zone
+    assert all(a < b for a, b in zip([0, *log.round_end], log.round_end))
+    assert log.round_end[-1] == len(log)
+    assert not any(pick.vertex in zones[pick.group][pick.t] for pick in picks)
     assert picks[0].round == 0
     restarts = 0
     for prev, pick in zip(picks, picks[1:]):
@@ -255,17 +277,6 @@ def test_extension_log_keeps_no_object_per_pick(random32):
     assert len(table) == len(zones) > 1
     assert len(log) > 10 * bound * len(zones)
     assert grown <= bound, (grown, len(log))
-
-
-def test_pop_choice_matches_random_choice():
-    for n in range(1, 71):
-        for seed in range(60):
-            seq = list(range(100, 100 + n))
-            ref_rng, rng = random.Random(seed), random.Random(seed)
-            expected = ref_rng.choice(seq)
-            assert pop_choice(seq, rng.getrandbits) == expected
-            assert expected not in seq and len(seq) == n - 1
-            assert rng.getstate() == ref_rng.getstate()
 
 
 # ------------------------------------------------------------- replanning
