@@ -28,6 +28,15 @@ decoded ints, its own etas, its priority order, its constraint tree and
 its out-edges are built at its first expansion, from those etas; a rewire
 changes the parent and g, never the etas source.
 
+A node is usually expanded several times in a row, once per constraint, so
+the search keeps one step context (``pibt.StepContext``): the configuration
+seen through the step builder's eyes, with each goal-resting agent's draws
+and watch list. It is built when the search expands a node other than the
+one it expanded last, and reused for that node's following expansions. The
+context's pins are the current constraint, stepped in place as a
+mixed-radix counter (``_advance``); they are decoded from the node's index
+with ``_pins`` only when the search returns to a half-walked node.
+
 The edge cost charges 1 per agent not resting at its goal across the move
 (n minus the agents on their goal at both ends), which matches sum-of-costs
 as long as no agent leaves its goal again; the incumbent plan is therefore
@@ -45,7 +54,7 @@ from struct import Struct
 
 from .audit import metrics
 from .grid import ConfigError
-from .pibt import SolveResult, SolverProblem, build_step, clean_start, node_data
+from .pibt import SolveResult, SolverProblem, StepContext, build_step, clean_start, node_data
 from .plans import JointPlan
 
 
@@ -81,6 +90,22 @@ def _pins(order: list[int], cands: list[list[int]], index: int) -> list[tuple[in
         pins.append((order[j], cands[j][digit]))
     pins.reverse()
     return pins
+
+
+def _advance(pins: list[tuple[int, int]], order: list[int], cands: list[list[int]]) -> None:
+    """Steps ``pins`` in place to the next constraint of the BFS walk: one
+    up in ``_pins``' mixed radix. Past a depth's last constraint every digit
+    wraps to 0, and the pin of the depth that ``cands`` has just gained is
+    appended."""
+    for j in range(len(pins) - 1, -1, -1):
+        a, v = pins[j]
+        vs = cands[j]
+        i = vs.index(v) + 1
+        if i < len(vs):
+            pins[j] = (a, vs[i])
+            return
+        pins[j] = (a, vs[0])
+    pins.append((order[len(pins)], cands[len(pins)][0]))
 
 
 def _extract(node: _Node, unpack) -> JointPlan:
@@ -132,6 +157,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     best_soc: int | None = None
     scored_g: int | None = None  # goal_node.g when its plan was last scored
     expansions = 0
+    ctx_node: _Node | None = None  # the node ``ctx`` and ``pins`` belong to
 
     def consider_incumbent():
         nonlocal best_plan, best_soc, scored_g
@@ -162,7 +188,10 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
             node.cands = cands = []
             node.edges = {}
 
-        pins = _pins(node.order, cands, node.index)
+        if node is not ctx_node:  # one context at a time, for the node being expanded
+            pins = _pins(node.order, cands, node.index)
+            ctx, ctx_node = StepContext(problem, q, node.order, pins), node
+        q_new = build_step(problem, ctx, rng)
         node.index += 1
         if node.index == node.width and len(cands) < n:  # on to the next depth
             agent = node.order[len(cands)]
@@ -171,8 +200,8 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
             vs.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
             cands.append(vs)
             node.index, node.width = 0, node.width * len(vs)
-
-        q_new = build_step(problem, q, rng, forced=pins, order=node.order)
+        if node.index < node.width:
+            _advance(pins, node.order, cands)
         if q_new is None:
             continue
         key = pack(*q_new)

@@ -3,7 +3,8 @@ LaCAM's configuration generator.
 
 ``lacam_solve`` orders each expanded configuration's agents with
 ``node_data``, one pass that yields the etas and the priority order, and
-takes its steps from ``build_step``.
+takes its steps from ``build_step``, which reads the configuration through
+a ``StepContext`` built once per expanded node.
 
 One transactional step builder serves every fov radius of the problem. An
 agent claiming vertex v must recursively displace (a) the current occupant
@@ -23,19 +24,24 @@ agents it pushes, whatever the number of agents; an undo log tracks the
 pushees. At radius 0 the only pushee is ``at[v]``. ``attempt`` shuffles
 candidates inline with ``Random.shuffle``'s draws (table ``_DRAWS``).
 
-An agent resting on its unclaimed goal, whose square holds no other
-group's claim or undecided agent, only draws the shuffle's words and keeps
-the goal: the stable sort by distance puts the goal first whatever the
-draws, and nothing blocks or is pushed, so ``attempt`` would claim it at
-once. A pushee never qualifies (its claimant has claimed its vertex or
-one in its square), so the claim sits in the top-level loop, with no undo
-entry.
+An agent resting on its unclaimed goal g only draws the shuffle's words and
+keeps the goal unless an agent b of another group is in its square: b's
+vertex, ``config[b]`` while b is undecided and ``target[b]`` once it is,
+lies in fov_r(g). If none is, the stable sort by distance puts the goal
+first whatever the draws, and nothing blocks or is pushed, so ``attempt``
+would claim it at once. Only the agents standing in fov_r(g) or next to it
+can ever be in the way, because every claim is the claimant's vertex or a
+neighbour of it (pins are checked to be steps). ``StepContext`` lists those
+agents per resting agent (its watch list) once per configuration, from the
+problem's per-vertex ``watchers``, so each step reads a few agents where it
+scanned the square, and decides exactly as that scan. A pushee never
+qualifies (its claimant has claimed its vertex or one in its square), so the
+claim sits in the top-level loop, with no undo entry.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -48,17 +54,28 @@ UNREACHABLE = 1 << 30
 
 
 def bfs_distances(world: GridWorld, source: int) -> list[int]:
+    """Hop distances from ``source``, UNREACHABLE off its component; one
+    layer of the BFS at a time."""
     adj = world.adjacency
     dist = [UNREACHABLE] * world.num_vertices
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] == UNREACHABLE:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    layer, d = [source], 0
+    while layer:
+        d += 1
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                if dist[u] == UNREACHABLE:
+                    dist[u] = d
+                    nxt.append(u)
+        layer = nxt
     return dist
+
+
+# _DRAWS[m]: (i, i + 1, bits) per swap of Random.shuffle on m <= 5 items
+_DRAWS = tuple(
+    tuple((i, i + 1, (i + 1).bit_length()) for i in range(m - 1, 0, -1)) for m in range(6)
+)
 
 
 class SolverProblem:
@@ -91,6 +108,17 @@ class SolverProblem:
             raise InfeasibleInputError("sub-agent goals are not pairwise distinct")
         self.num_agents = len(self.starts)
         self.dists = [bfs_distances(world, g) for g in self.goals]
+        # what an agent resting on its goal g needs: the shuffle's draws and, at
+        # radius >= 1, watchers[v], the agents whose fov_r(g) holds v or a
+        # neighbour of v (from v, one step claims a vertex of fov_r(g))
+        self.goal_draws = [_DRAWS[len(world.adjacency[g]) + 1] for g in self.goals]
+        self.watchers = None
+        if fov_radius:
+            fov, watchers = world.fov_table(fov_radius), [[] for _ in range(world.num_vertices)]
+            for a, g in enumerate(self.goals):
+                for v in fov[g].union(*map(world.adjacency.__getitem__, fov[g])):
+                    watchers[v].append(a)
+            self.watchers = [tuple(w) for w in watchers]
         # build_step's state (the agent on v, the agent moving to v): -1 between calls
         self.at = [-1] * world.num_vertices
         self.claimed = [-1] * world.num_vertices
@@ -128,30 +156,52 @@ def clean_start(problem: SolverProblem) -> bool:
     return audit(problem.world, starts, problem.group_of, problem.fov_radius, check_fov=True).ok
 
 
-# _DRAWS[m]: (i, i + 1, bits) per swap of Random.shuffle on m <= 5 items
-_DRAWS = tuple(
-    tuple((i, i + 1, (i + 1).bit_length()) for i in range(m - 1, 0, -1)) for m in range(6)
-)
+class StepContext:
+    """What ``build_step`` reads of one configuration besides the problem:
+    ``config``, the priority ``order``, the ``pins`` (the forced
+    ``(agent, vertex)`` assignments, kept by reference: the search advances
+    them in place between steps) and ``steps``, one ``(agent, vertex,
+    draws, watch)`` per agent of ``order``. ``draws`` is None unless the
+    agent rests on its goal g; then it is the shuffle's ``_DRAWS`` stages,
+    and ``watch`` lists the other groups' agents standing in fov_r(g) or next
+    to it (none at radius 0). The module docstring gives the rule they serve.
+    Every caller of ``build_step`` builds its context here, so there is one
+    resting-agent path."""
+
+    __slots__ = ("config", "order", "pins", "steps")
+
+    def __init__(self, problem: SolverProblem, config: Sequence[int], order: list[int],
+                 pins: Sequence[tuple[int, int]] = ()):
+        self.config, self.order, self.pins = config, order, pins
+        goals, group_of, watchers = problem.goals, problem.group_of, problem.watchers
+        watch: dict[int, list[int]] = {}  # resting agent -> the agents it watches
+        if watchers is not None:
+            for b, v in enumerate(config):
+                gb = group_of[b]
+                for a in watchers[v]:
+                    if group_of[a] != gb and config[a] == goals[a]:
+                        watch.setdefault(a, []).append(b)
+        draws = problem.goal_draws
+        self.steps = [(a, v, draws[a], watch.get(a, ())) if (v := config[a]) == goals[a]
+                      else (a, v, None, ()) for a in order]
 
 
-def build_step(
-    problem: SolverProblem,
-    config: Sequence[int],
-    rng: random.Random,
-    order: list[int],
-    forced: Sequence[tuple[int, int]] = (),
-) -> list[int] | None:
-    """One configuration step, deciding agents in ``order`` after the
-    ``forced`` assignments; None when the step is unrealisable. Unforced
-    from a valid configuration it always succeeds: every agent may wait.
+def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> list[int] | None:
+    """One configuration step from ``ctx.config``, deciding agents in
+    ``ctx.order`` after the pins; None when the step is unrealisable.
+    Unpinned from a valid configuration it always succeeds: every agent may
+    wait.
 
-    An agent resting on its goal keeps it without an ``attempt`` call when
-    nothing can move it; the module docstring gives the rule and why it is exact.
+    An agent resting on its goal keeps it without an ``attempt`` call unless
+    an agent on its watch list has its vertex (``config[b]`` while
+    undecided, ``target[b]`` once decided) in the goal's fov square; the
+    module docstring gives the rule and why it is exactly the square scan.
 
     The vertex-indexed state lives on the problem and is reset on the way out, also
     on a raise; so a problem runs one step at a time (no re-entry, no threads)."""
-    at, claimed, adj, dists, group_of, goals = (problem.at, problem.claimed,
-        problem.world.adjacency, problem.dists, problem.group_of, problem.goals)
+    config = ctx.config
+    at, claimed, adj, dists, group_of = (problem.at, problem.claimed,
+        problem.world.adjacency, problem.dists, problem.group_of)
     r, getrandbits = problem.fov_radius, rng.getrandbits
     fov = problem.world.fov_table(r) if r else None  # radius 0: the classical rule
     target: list[int | None] = [None] * problem.num_agents
@@ -222,7 +272,7 @@ def build_step(
     try:
         for a, v in enumerate(config):
             at[v] = a
-        for a, v in forced:
+        for a, v in ctx.pins:
             cur = config[a]
             # first, so that v is a vertex id before claimed[v] is read
             if v != cur and v not in adj[cur]:
@@ -238,19 +288,16 @@ def build_step(
                         return None
             target[a] = v
             claimed[v] = a
-        for a in order:
+        for a, cur, draws, watch in ctx.steps:
             if target[a] is not None:
                 continue
-            cur = config[a]
-            if cur == goals[a] and claimed[cur] < 0:  # resting on its goal
-                ga = group_of[a]
-                for u in fov[cur] if fov is not None else ():
-                    b, c = claimed[u], at[u]
-                    if (b >= 0 and group_of[b] != ga
-                            or c >= 0 and target[c] is None and group_of[c] != ga):
+            if draws is not None and claimed[cur] < 0:  # resting on its goal
+                for b in watch:
+                    v = target[b]
+                    if (config[b] if v is None else v) in fov[cur]:
                         break
                 else:
-                    for i, n, k in _DRAWS[len(adj[cur]) + 1]:  # the shuffle's draws
+                    for i, n, k in draws:  # the shuffle's draws
                         j = getrandbits(k)
                         while j >= n:
                             j = getrandbits(k)

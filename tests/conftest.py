@@ -7,7 +7,7 @@ import pytest
 import privmapf
 from privmapf.dispatch import AgentGroup
 from privmapf.grid import load_map, parse_map_text
-from privmapf.pibt import SolveResult, SolverProblem, build_step, clean_start, node_data
+from privmapf.pibt import SolveResult, SolverProblem, StepContext, build_step, clean_start, node_data
 from privmapf.plans import JointPlan
 from privmapf.safezone import ZoneTable, sipp_replan, vertex_intervals
 
@@ -229,7 +229,7 @@ def one_shot_pibt(problem, seed):
     for _ in range(horizon):
         if config == goal_cfg:
             break
-        config = tuple(build_step(problem, config, rng, order=order))
+        config = tuple(build_step(problem, StepContext(problem, config, order), rng))
         etas, order = node_data(goals, dists, config, etas)
         total = sum(dists[a][c] for a, c in enumerate(config))
         configs.append(config)

@@ -11,7 +11,7 @@ import heapq
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -21,7 +21,7 @@ from privmapf.dispatch import dispatch_groups
 from privmapf.grid import ConfigError, GridWorld, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, lacam_solve
-from privmapf.pibt import UNREACHABLE, SolverProblem, build_step, node_data
+from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, build_step, node_data
 
 from conftest import one_shot_pibt, priority_order, singleton_problem, update_etas
 
@@ -270,8 +270,9 @@ def _reference_lacam(problem, seed, budget):
     """The search with its per-node work spelled out: ``update_etas``, the
     heuristic, ``priority_order`` and the edge cost as separate passes, and
     the incumbent re-scored on every goal rewire. Every node gets its etas,
-    order and tree when it is created. Returns (plan, expansions, nodes
-    created, distinct configurations expanded)."""
+    order and tree when it is created, and every step a fresh context.
+    Returns (plan, expansions, nodes created, distinct configurations
+    expanded, returns to a node expanded before but not last)."""
     goals, n, dists = problem.goals, problem.num_agents, problem.dists
     goal_cfg = tuple(goals)
     rng = random.Random(f"pibt:{seed}")
@@ -289,6 +290,7 @@ def _reference_lacam(problem, seed, budget):
     goal_node = best = best_soc = None
     expansions = 0
     expanded = set()
+    last, returns = None, 0
 
     def consider():
         nonlocal best, best_soc
@@ -307,6 +309,8 @@ def _reference_lacam(problem, seed, budget):
         if expansions >= budget:
             break
         expansions += 1
+        returns += node is not last and node.config in expanded
+        last = node
         expanded.add(node.config)
         constraint = node.tree.popleft()
         if constraint.depth < n:
@@ -316,7 +320,8 @@ def _reference_lacam(problem, seed, budget):
                             key=lambda v: (dists[agent][v], v)):
                 node.tree.append(constraint.extend(agent, u))
         forced = list(zip(constraint.who, constraint.where))
-        q_new = build_step(problem, list(node.config), rng, forced=forced, order=node.order)
+        ctx = StepContext(problem, list(node.config), node.order, forced)
+        q_new = build_step(problem, ctx, rng)
         if q_new is None:
             continue
         q_new = tuple(q_new)
@@ -344,7 +349,7 @@ def _reference_lacam(problem, seed, budget):
                         y.g, y.parent = x.g + c, x
                         queue.append(y)
             consider()
-    return best, expansions, len(explored), len(expanded)
+    return best, expansions, len(explored), len(expanded), returns
 
 
 def test_matches_reference_search(open16, random32, pocket):
@@ -354,20 +359,26 @@ def test_matches_reference_search(open16, random32, pocket):
         (random32, 8, 2, 1, 5, 1500),
         (random32, 6, 2, 0, 5, 800),
         (random32, 12, 2, 0, 5, 1500),  # kPP-shaped: most nodes are never expanded
+        (open16, 4, 2, 2, 5, 1500),
+        (random32, 8, 3, 1, 5, 1500),  # search-shaped: it returns to half-walked nodes
     ]
     rewired = 0
     unexpanded = []  # nodes created per distinct configuration expanded
+    returns = Counter()  # returns to half-walked nodes, per case
     for world, agents, k, radius, separation, budget in cases:
         for seed in range(3):
             pairs = random_spaced_pairs(world, agents, seed, min_separation=separation)
             problem = SolverProblem(world, dispatch_groups(world, pairs, k, radius, seed), radius)
             got = lacam_solve(problem, seed, budget_expansions=budget)
-            plan, expansions, created, expanded = _reference_lacam(problem, seed, budget)
+            plan, expansions, created, expanded, back = _reference_lacam(problem, seed, budget)
             assert got.expansions == expansions
             assert (got.plan.paths if got.solved else None) == (plan.paths if plan else None)
             rewired += got.solved and got.expansions == budget
             unexpanded.append(created / expanded)
+            returns[agents, k, radius] += back
     assert rewired > 0  # some searches run on past their first goal hit
+    # the search rebuilds a node's context and pins when it comes back to it
+    assert returns[8, 3, 1] > 0, returns
     # and some create many nodes they never expand, where deferral matters
     assert max(unexpanded) >= 10, unexpanded
     # the pocket has no plan: every tree is walked to its end
@@ -375,7 +386,7 @@ def test_matches_reference_search(open16, random32, pocket):
     b = (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))
     problem = singleton_problem(pocket, [a, b])
     got = lacam_solve(problem, 0, budget_expansions=100_000)
-    plan, expansions, _, _ = _reference_lacam(problem, 0, 100_000)
+    plan, expansions, *_ = _reference_lacam(problem, 0, 100_000)
     assert not got.solved and plan is None
     assert got.expansions == expansions
 
@@ -391,20 +402,25 @@ def test_matches_reference_search_above_65536_vertices():
     assert min(v for pair in pairs for v in pair) >= 1 << 16
     problem = singleton_problem(world, pairs)
     got = lacam_solve(problem, 0, budget_expansions=300)
-    plan, expansions, _, _ = _reference_lacam(problem, 0, 300)
+    plan, expansions, *_ = _reference_lacam(problem, 0, 300)
     assert got.solved and got.expansions == expansions
     assert got.plan.paths == plan.paths
 
 
-def test_index_walk_is_the_bfs_queue():
-    # candidate lists of lengths 1-5 for up to 4 agents: decoding every
-    # index of depths 0..n yields the queue's constraints in its order, and
-    # the queue is empty exactly when depth n is spent
+def _pin_trees():
+    """Constraint trees as the search grows them: candidate lists of lengths
+    1-5 for up to 4 agents, and the priority order."""
     rng = random.Random("pins")
     for _ in range(200):
         n = rng.randint(1, 4)
-        order = rng.sample(range(n), n)
-        cands = [rng.sample(range(50), rng.randint(1, 5)) for _ in range(n)]
+        yield rng.sample(range(n), n), [rng.sample(range(50), rng.randint(1, 5)) for _ in range(n)]
+
+
+def test_index_walk_is_the_bfs_queue():
+    # decoding every index of depths 0..n yields the queue's constraints in
+    # its order, and the queue is empty exactly when depth n is spent
+    for order, cands in _pin_trees():
+        n = len(order)
         queue, expected = deque([()]), []
         while queue:
             pins = queue.popleft()
@@ -416,6 +432,23 @@ def test_index_walk_is_the_bfs_queue():
             width = math.prod(len(c) for c in cands[:depth])
             walked += [tuple(lacam._pins(order, cands[:depth], i)) for i in range(width)]
         assert walked == expected
+
+
+def test_pin_counter_is_the_index_walk():
+    # the search advances one pin list in place, also across the depth
+    # steps, where the tree gains a candidate list; it must decode as the index
+    for order, cands in _pin_trees():
+        pins, grown = [], []
+        for depth in range(len(order) + 1):
+            width = math.prod(len(c) for c in grown)
+            for i in range(width):
+                assert pins == lacam._pins(order, grown, i)
+                if i + 1 == width:
+                    if depth == len(order):
+                        break
+                    grown.append(cands[depth])
+                lacam._advance(pins, order, grown)
+        assert len(pins) == len(order)
 
 
 @pytest.mark.parametrize("budget", [2.5, True, -1])
@@ -438,9 +471,9 @@ def _recorded_solve(monkeypatch, problem, seed, budget):
         passes.append(tuple(cfg))
         return node_data(goals, dists, cfg, etas)
 
-    def counted_build_step(problem, config, rng, order, forced=()):
-        steps.append(tuple(config))
-        q_new = build_step(problem, config, rng, order, forced)
+    def counted_build_step(problem, ctx, rng):
+        steps.append(tuple(ctx.config))
+        q_new = build_step(problem, ctx, rng)
         if q_new == problem.goals and not goal_hit:
             goal_hit.append(len(steps))
         return q_new

@@ -15,7 +15,7 @@ hand-written rule it replaced.
 """
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -23,10 +23,13 @@ import pytest
 from privmapf import lacam, pibt
 from privmapf.audit import audit
 from privmapf.dispatch import AgentGroup, InfeasibleInputError, dispatch_groups
-from privmapf.grid import ConfigError, parse_map_text
+from privmapf.grid import ConfigError, load_map, parse_map_text
+from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import lacam_solve
 from privmapf.pibt import (
+    UNREACHABLE,
     SolverProblem,
+    StepContext,
     bfs_distances,
     build_step,
     clean_start,
@@ -34,9 +37,14 @@ from privmapf.pibt import (
 )
 from privmapf.plans import JointPlan
 
-from conftest import singleton_problem
+from conftest import ASSETS, singleton_problem
 
 BUDGET = 1500
+
+
+def step(problem, config, rng, order, forced=()):
+    """``build_step`` from a fresh context, as a caller outside the search makes it."""
+    return build_step(problem, StepContext(problem, config, order, forced), rng)
 
 
 def step_is_legal(problem, before, after):
@@ -67,7 +75,7 @@ def test_every_step_obeys_the_rules(open16, radius):
         for _ in range(40):
             etas, order = node_data(problem.goals, problem.dists, config, etas)
             # unforced from a valid configuration, a step always exists
-            after = build_step(problem, config, rng, order=order)
+            after = step(problem, config, rng, order)
             assert after is not None and step_is_legal(problem, config, after)
             config = after
 
@@ -78,16 +86,17 @@ def test_pocket_push_semantics(pocket):
     b = (pocket.vertex_at(2, 0), pocket.vertex_at(0, 0))
     problem = singleton_problem(pocket, [a, b])
     rng = random.Random("pibt:0")
-    after = build_step(problem, list(problem.starts), rng, order=[0, 1])
+    after = step(problem, list(problem.starts), rng, [0, 1])
     assert [pocket.coords(v) for v in after] == [(2, 0), (2, 1)]
 
 
 def test_radius_zero_solves_match_the_reference(open16, monkeypatch):
     # at radius 0 whole solves match the reference under either rule
     def reference_step(fov_rule):
-        def step(problem, config, rng, forced=None, order=None):
-            return _ReferenceStepBuilder(problem, list(config), rng, fov_rule).run(forced, order)
-        return step
+        def ref_step(problem, ctx, rng):
+            ref = _ReferenceStepBuilder(problem, list(ctx.config), rng, fov_rule)
+            return ref.run(ctx.pins, ctx.order)
+        return ref_step
 
     for seed in range(6):
         reals = [(i * 31 % 250, (i * 67 + 40) % 250) for i in range(4)]
@@ -103,18 +112,22 @@ def test_radius_zero_solves_match_the_reference(open16, monkeypatch):
         assert plain.plan.paths == fov.plan.paths == built.plan.paths
 
 
-def test_radius_one_solves_match_the_reference(open16, monkeypatch):
-    # at radius 1, whole solves match the reference through the anytime
+@pytest.mark.parametrize("radius", [1, 2])
+def test_fov_radius_solves_match_the_reference(open16, monkeypatch, radius):
+    # at radius r >= 1, whole solves match the reference through the anytime
     # phase, where most agents rest on their goals: plans and expansions
     for seed in range(4):
         reals = [(i * 31 % 250, (i * 67 + 40) % 250) for i in range(6)]
-        groups = dispatch_groups(open16, reals, 2, 1, seed)
-        problem = SolverProblem(open16, [g.broadcast_view() for g in groups], 1)
+        if radius == 2:  # two of those pairs see each other at radius 2
+            reals = random_spaced_pairs(open16, 6, seed, min_separation=5)
+        groups = dispatch_groups(open16, reals, 2, radius, seed)
+        problem = SolverProblem(open16, [g.broadcast_view() for g in groups], radius)
         built = lacam_solve(problem, seed, budget_expansions=BUDGET)
         goal_hits = []
 
-        def reference_step(problem, config, rng, forced=None, order=None):
-            out = _ReferenceStepBuilder(problem, list(config), rng, True).run(forced, order)
+        def reference_step(problem, ctx, rng):
+            ref = _ReferenceStepBuilder(problem, list(ctx.config), rng, True)
+            out = ref.run(ctx.pins, ctx.order)
             goal_hits.append(out == problem.goals)
             return out
 
@@ -145,15 +158,15 @@ def test_forced_moves_are_respected_or_rejected(open4):
     rng = random.Random(0)
 
     order = [0, 1]
-    out = build_step(problem, [v00, v10], rng, order, forced=[(0, v01)])
+    out = step(problem, [v00, v10], rng, order, forced=[(0, v01)])
     assert out is not None and out[0] == v01
 
     # forcing both into the same vertex is unrealisable
-    assert build_step(problem, [v00, v10], rng, order, forced=[(0, v10), (1, v10)]) is None
+    assert step(problem, [v00, v10], rng, order, forced=[(0, v10), (1, v10)]) is None
     # a forced exchange is unrealisable
-    assert build_step(problem, [v00, v10], rng, order, forced=[(0, v10), (1, v00)]) is None
+    assert step(problem, [v00, v10], rng, order, forced=[(0, v10), (1, v00)]) is None
     # teleports are unrealisable
-    assert build_step(problem, [v00, v10], rng, order, forced=[(0, v20)]) is None
+    assert step(problem, [v00, v10], rng, order, forced=[(0, v20)]) is None
 
 
 def test_forced_fov_violation_rejected(open16):
@@ -164,9 +177,9 @@ def test_forced_fov_violation_rejected(open16):
     b = (open16.vertex_at(5, 5), open16.vertex_at(0, 5))
     problem = singleton_problem(open16, [a, b], fov_radius=1)
     far = [(0, open16.vertex_at(2, 4)), (1, open16.vertex_at(5, 4))]
-    assert build_step(problem, list(problem.starts), rng, [0, 1], forced=far) is not None
+    assert step(problem, list(problem.starts), rng, [0, 1], forced=far) is not None
     close = [(0, open16.vertex_at(4, 4)), (1, open16.vertex_at(5, 4))]
-    assert build_step(problem, list(problem.starts), rng, [0, 1], forced=close) is None
+    assert step(problem, list(problem.starts), rng, [0, 1], forced=close) is None
 
 
 def test_invalid_start_reported(open4):
@@ -239,11 +252,33 @@ def test_problem_rejects_non_int_fov_radius(open16, monkeypatch, radius):
         SolverProblem(open16, groups, fov_radius=radius)
 
 
+def _deque_bfs(world, source):
+    dist = [UNREACHABLE] * world.num_vertices
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for u in world.adjacency[v]:
+            if dist[u] == UNREACHABLE:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+@pytest.mark.parametrize("path", sorted((ASSETS / "maps").glob("*.map")), ids=lambda p: p.stem)
+def test_bfs_distances_match_a_queue_bfs(path):
+    # the layer-by-layer walk against the textbook queue, on every bundled map
+    world = load_map(path)
+    for source in range(0, world.num_vertices, 37):
+        assert bfs_distances(world, source) == _deque_bfs(world, source)
+
+
 def test_bfs_distances_unreachable():
     w = parse_map_text("type octile\nheight 1\nwidth 5\nmap\n..@..\n")
     d = bfs_distances(w, 0)
+    assert d == _deque_bfs(w, 0)
     assert d[1] == 1
-    assert d[w.vertex_at(3, 0)] > 10**6
+    assert d[w.vertex_at(3, 0)] == UNREACHABLE
 
 
 def test_solved_plan_reaches_goals_and_audits_clean(open16):
@@ -288,7 +323,7 @@ def _step(problem, config, state, order, forced, draws):
     """The result ("raised" for a failed draw) and the RNG state after it."""
     rng = _FailingRandom(state, draws)
     try:
-        out = build_step(problem, config, rng, order, forced)
+        out = step(problem, config, rng, order, forced)
     except _Drawn:
         out = "raised"
     return out, rng.getstate()
@@ -495,7 +530,7 @@ def _matches_reference(ref, rng, order, forced):
     ref.rng.setstate(state)
     new_rng.setstate(state)
     expected = ref.run(forced, order)
-    got = build_step(ref.problem, list(ref.config), new_rng, order, forced)
+    got = step(ref.problem, list(ref.config), new_rng, order, forced)
     assert got == expected
     assert new_rng.getstate() == ref.rng.getstate()
     return got
@@ -535,7 +570,10 @@ class _GoalCountingReference(_ReferenceStepBuilder):
     """The reference, counting what build_step's goal check finds for each
     agent on its goal that the top-level loop hands to ``_attempt``: the
     goal kept, a claim in the way (on the goal, or another group's in its
-    square) or another group's undecided agent in its square."""
+    square) or another group's undecided agent in its square. A claim in
+    the square while no other group's agent stands in it is also counted as
+    a claim from outside: only an agent one step outside the square made
+    it, which a watch list of the square's agents alone would miss."""
 
     def __init__(self, problem, config, seen):
         super().__init__(problem, config, None, True)
@@ -547,10 +585,12 @@ class _GoalCountingReference(_ReferenceStepBuilder):
         if self.depth == 0 and cur == self.problem.goals[a]:
             group_of = self.problem.group_of
             square = self.world.fov(cur, self.radius)
+            inside = [b for b, v in enumerate(self.config)
+                      if group_of[b] != group_of[a] and v in square]
             if cur in self.claimed or self._fov_blocked(a, cur):
                 self.seen["claim"] += 1
-            elif any(self.target[b] is None and group_of[b] != group_of[a] and v in square
-                     for b, v in enumerate(self.config)):
+                self.seen["claim from outside"] += cur not in self.claimed and not inside
+            elif any(self.target[b] is None for b in inside):
                 self.seen["undecided"] += 1
             else:
                 self.seen["kept"] += 1
@@ -600,7 +640,7 @@ def test_goal_resting_steps_match_reference(open16, random32, radius):
                 if got is not None:
                     config = got
                     etas, order = node_data(problem.goals, problem.dists, config, etas)
-    kinds = ["kept", "claim"] + (["undecided"] if radius else [])
+    kinds = ["kept", "claim"] + (["undecided", "claim from outside"] if radius else [])
     assert all(seen[kind] for kind in kinds), seen
 
 
