@@ -18,8 +18,9 @@ A cell whose placement, dispatch or solve fails with a ``PrivmapfError``
 is an unsolved row, not the end of the sweep.
 PPfPP refines the pipeline's own plan, so a failure there is a bug and
 keeps its traceback.
-Keys a config omits take the defaults of ``PipelineSpec`` (budget) and of
-``random_spaced_pairs`` (separation), as ``privmapf solve``'s flags do.
+An omitted budget is ``PipelineSpec``'s, as ``privmapf solve``'s flag's is.
+No suite chooses a spacing: every run places its pairs at the map's default
+spacing, ``instances.default_separation``.
 
 ``run_suite(tasks, threads=n)`` (``privmapf bench --threads n``) fans the
 runs out over a process pool, imported only when more than one worker
@@ -76,11 +77,10 @@ class TaskSpec:
     n_agents: int
     seed: int
     spec: PipelineSpec
-    min_separation: int | None
 
     def __post_init__(self) -> None:
         # checked here so a suite fails before any cell runs; the agent count
-        # and separation follow random_spaced_pairs' rules, and bool is no int
+        # follows random_spaced_pairs' rule, and bool is no int
         if type(self.map_name) is not str:
             raise ConfigError("the map name must be a string")
         if type(self.n_agents) is not int or self.n_agents < 1:
@@ -89,27 +89,22 @@ class TaskSpec:
             raise ConfigError("the seed must be an int")
         if not isinstance(self.spec, PipelineSpec):
             raise ConfigError("the spec must be a PipelineSpec")
-        sep = self.min_separation
-        if sep is not None and (type(sep) is not int or sep < 1):
-            raise ConfigError("min_separation must be >= 1")
 
     def pairs(self) -> list[tuple[int, int]]:
-        """The run's seeded (start, goal) pairs, spaced by ``min_separation``."""
-        return random_spaced_pairs(load_world(self.map_name), self.n_agents, self.seed,
-                                   self.min_separation)
+        """The run's seeded (start, goal) pairs, at the map's default spacing."""
+        return random_spaced_pairs(load_world(self.map_name), self.n_agents, self.seed)
 
 
 def suite(maps: Sequence[str], agents: Sequence[int], k: Sequence[int] = (1,),
           radius: Sequence[int] = (0,), seeds: Sequence[int] = tuple(range(5)),
-          budget_expansions: int = PipelineSpec.budget_expansions,
-          min_separation: int | None = None) -> list[TaskSpec]:
+          budget_expansions: int = PipelineSpec.budget_expansions) -> list[TaskSpec]:
     """The runs of a suite, maps outermost and seeds innermost; k and radius
     list the swept values. Every cell is checked and every map loaded here."""
     for name, axis in {"maps": maps, "agents": agents, "k": k, "radius": radius,
                        "seeds": seeds}.items():
         if not isinstance(axis, (list, tuple)) or not axis:  # a str would sweep its letters
             raise ConfigError(f"{name} must be a non-empty list")
-    tasks = [TaskSpec(m, n, seed, PipelineSpec(g, r, budget_expansions), min_separation)
+    tasks = [TaskSpec(m, n, seed, PipelineSpec(g, r, budget_expansions))
              for m, n, g, r, seed in product(maps, agents, k, radius, seeds)]
     for map_name in maps:
         load_world(map_name)  # a bad map fails before any cell runs

@@ -10,9 +10,9 @@ radius the trace records; ``bench`` loads a YAML suite, a list of
 
 ``solve`` runs a bench ``TaskSpec`` built from its flags: it loads the map
 and places the pairs with the code ``bench`` runs a cell with, unless
-``--scen`` names the pairs. No default is restated here:
-``--budget-expansions`` reads ``PipelineSpec``'s, and an omitted
-``--separation`` is the map default of ``random_spaced_pairs``.
+``--scen`` names the pairs. Random pairs are always placed at the map's
+default spacing, ``instances.default_separation``; no flag chooses another.
+No default is restated here: ``--budget-expansions`` reads ``PipelineSpec``'s.
 A command writes every file before it prints anything, so a reader that
 closes stdout early changes neither the files nor the exit status.
 Every ``PrivmapfError`` or ``OSError`` ends in one ``error:`` line and exit
@@ -27,12 +27,12 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .audit import audit, check_k_privacy, compute_beliefs, metrics, real_sum_of_costs
+from .audit import audit, check_k_privacy, compute_beliefs, metrics
 from .bench import (
     TaskSpec, format_summary, load_config, load_world, run_suite, summarize, write_records,
 )
 from .dispatch import SidecarError, read_private_sidecars, sidecar_path, write_private_sidecars
-from .grid import ConfigError, PrivmapfError, ScenarioError, load_scenario, scenario_pairs
+from .grid import PrivmapfError, ScenarioError, load_scenario, scenario_pairs
 from .pipeline import (
     MessageTrace, PipelineSpec, TraceError, extract_real_path, read_trace,
     run_pipeline, write_trace,
@@ -68,16 +68,15 @@ def _print(lines: list[str], status: int) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.scen and args.separation is not None:
-        raise ConfigError("--separation spaces random pairs, not the pairs of a --scen file")
     spec = PipelineSpec(args.k, args.radius, args.budget_expansions)
-    task = TaskSpec(args.map, args.agents, args.seed, spec, args.separation)
+    task = TaskSpec(args.map, args.agents, args.seed, spec)
     world = load_world(task.map_name)
     pairs = _scenario_pairs(args, world) if args.scen else task.pairs()
     out = run_pipeline(world, pairs, spec, task.seed)
     if out.solved:
         m = metrics(out.plan.paths, out.problem.goals)
-        lines = [f"solved: soc={m.soc} makespan={m.makespan} rsoc={real_sum_of_costs(out.real_paths, [p[1] for p in pairs])}"]
+        rsoc = metrics(out.real_paths, [g for _, g in pairs]).soc
+        lines = [f"solved: soc={m.soc} makespan={m.makespan} rsoc={rsoc}"]
     else:
         lines = [f"unsolved: {out.reason}"]
     if args.out:
@@ -158,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--map", required=True, help="map file or bundled map name")
     p.add_argument("--scen", help="take the first N pairs from a scenario file")
     p.add_argument("--agents", type=int, default=4)
-    p.add_argument("--separation", type=int, help="start/goal spacing (default: by map width)")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--radius", type=int, default=0, help="fov radius; 0 is kPP")
     p.add_argument("--budget-expansions", type=int, default=PipelineSpec.budget_expansions)

@@ -1,5 +1,7 @@
 """Seeded random instances: (start, goal) pairs spaced by the map's default
 separation, stated here once for the CLI, the bench and the asset script.
+``privmapf solve`` and every bench suite always place at that default; only
+a library caller passes another spacing to ``random_spaced_pairs``.
 
 Placement is rejection sampling whose attempts cost O(n) for n pairs: two
 vertex draws, a component-label lookup, and a coordinate comparison with the

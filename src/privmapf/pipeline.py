@@ -66,8 +66,9 @@ class MessageTrace:
 
         Each group must hold k pairs on passable cells with distinct starts
         and goals, and a plan, when there is one, k rows per group of one
-        length, each starting and ending at its published pair. Other keys
-        are ignored, so a trace with a key this version no longer writes loads.
+        length, each a list of the map's vertex ids starting and ending at
+        its published pair. Other keys are ignored, so a trace with a key
+        this version no longer writes loads.
         """
         try:
             obj = json.loads(text)
@@ -81,7 +82,7 @@ class MessageTrace:
         if not isinstance(obj["groups"], list):
             raise TraceError("groups is not a list")
         groups = tuple(_read_group(world, i, g, k) for i, g in enumerate(obj["groups"]))
-        plan = None if obj["plan"] is None else _read_plan(obj["plan"], groups, k)
+        plan = None if obj["plan"] is None else _read_plan(world, obj["plan"], groups, k)
         return MessageTrace(groups, k, radius, plan)
 
 
@@ -115,11 +116,12 @@ def _read_group(world: GridWorld, i: int, obj, k: int) -> dsp.AgentGroup:
         raise TraceError(str(exc)) from None
 
 
-def _read_plan(rows, groups: tuple[dsp.AgentGroup, ...], k: int) -> JointPlan:
+def _read_plan(world: GridWorld, rows, groups: tuple[dsp.AgentGroup, ...], k: int) -> JointPlan:
     if not isinstance(rows, list) or len(rows) != k * len(groups):
         raise TraceError(f"plan does not have k x groups = {k * len(groups)} rows")
+    n = world.num_vertices
     for j, row in enumerate(rows):
-        if not (isinstance(row, list) and row and all(type(v) is int for v in row)):
+        if not (isinstance(row, list) and row and all(type(v) is int and 0 <= v < n for v in row)):
             raise TraceError(f"plan row {j} is not a list of vertex ids")
         if (row[0], row[-1]) != groups[j // k].pairs[j % k]:
             raise TraceError(

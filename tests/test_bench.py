@@ -31,6 +31,9 @@ from privmapf.safezone import PreconditionError, ReplanInfeasibleError
 
 from conftest import POCKET
 
+# a corridor of 7 cells whose east end opens into one bay below it
+CORRIDOR = "type octile\nheight 2\nwidth 7\nmap\n.......\n@@@@@@.\n"
+
 
 def write_yaml(tmp_path, text):
     p = tmp_path / "suite.yaml"
@@ -59,11 +62,10 @@ def test_load_config(tmp_path):
         radius: [0, 1]
         seeds: 3
         budget_expansions: 500
-        min_separation: 4
     """)
     # seeds: 3 means "this many, from zero"
     assert load_config(p) == suite(("open16",), (2, 4), k=(1, 2), radius=(0, 1),
-                                   seeds=(0, 1, 2), budget_expansions=500, min_separation=4)
+                                   seeds=(0, 1, 2), budget_expansions=500)
 
 
 @pytest.mark.parametrize("snippet,message", [
@@ -80,6 +82,9 @@ def test_load_config(tmp_path):
     # the expansion count is the only budget, and every solved cell at r >= 1 is refined
     ("maps: [open16]\nagents: [2]\nbudget_seconds: 1.0", "unknown config keys: .'budget_seconds'"),
     ("maps: [open16]\nagents: [2]\nrun_ppfpp: true", "unknown config keys: .'run_ppfpp'"),
+    # every run is spaced by its map's default, so the spacing is no key
+    ("maps: [open16]\nagents: [2]\nmin_separation: 3",
+     r"^unknown config keys: \['min_separation'\]$"),
     # nothing read a suite's name, so it is no key
     ("name: desk\nmaps: [open16]\nagents: [2]", "unknown config keys: .'name'"),
     ("maps: [open16]\nagents: [2]\nbudget_expansions: null", "expansion budget must be"),
@@ -94,8 +99,6 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nseeds: [0, x]", "the seed must be an int"),
     ("maps: [open16]\nagents: [2]\nseeds: true", "seeds must be a non-empty list"),
     ("maps: [16]\nagents: [2]", "the map name must be a string"),
-    ("maps: [open16]\nagents: [2]\nmin_separation: x", "min_separation must be >= 1"),
-    ("maps: [open16]\nagents: [2]\nmin_separation: true", "min_separation must be >= 1"),
     # right type, no sense: each would run with exit 0 and say nothing
     ("maps: [open16]\nagents: [2]\nseeds: -2", "seeds must be a list or an int >= 1"),
     ("maps: [open16]\nagents: [2]\nseeds: 0", "seeds must be a list or an int >= 1"),
@@ -104,8 +107,6 @@ def test_load_config(tmp_path):
     ("maps: [open16]\nagents: [2]\nk: []", "k must be a non-empty list"),
     ("maps: [open16]\nagents: [2]\nradius: []", "radius must be a non-empty list"),
     ("maps: [open16]\nagents: [2]\nseeds: []", "seeds must be a non-empty list"),
-    ("maps: [open16]\nagents: [2]\nmin_separation: -3", "min_separation must be >= 1"),
-    ("maps: [open16]\nagents: [2]\nmin_separation: 0", "min_separation must be >= 1"),
     # key names of mixed type are listed by their text, not compared
     ("1: x\nfoo: y\nmaps: [open16]\nagents: [2]", r"^unknown config keys: \[1, 'foo'\]$"),
     ("- open16\n- 2", "^config must be a mapping$"),
@@ -158,7 +159,6 @@ def test_config_defaults_are_the_spec_defaults():
     assert [t.seed for t in tasks] == [0, 1, 2, 3, 4]
     for t in tasks:
         assert t.spec == PipelineSpec(2, 1)
-        assert t.min_separation is None  # random_spaced_pairs' map default
 
 
 def test_suite_order_is_maps_outermost_seeds_innermost():
@@ -172,10 +172,11 @@ def test_suite_order_is_maps_outermost_seeds_innermost():
 
 
 @pytest.mark.parametrize("bad,message", [
-    # neither bool nor float is an int: each ran to exit 0 with every row unsolved
+    # neither bool nor float is an int: an agent count of True or 2.0 ran to
+    # exit 0 with every row unsolved
     (dict(agents=(2, True)), "^the agent count must be >= 1$"),
     (dict(agents=(2, 2.0)), "^the agent count must be >= 1$"),
-    (dict(min_separation=2.5), "^min_separation must be >= 1$"),
+    (dict(radius=(0, 1.5)), "^fov radius must be >= 0$"),
     (dict(k=(2, 0)), "^k must be >= 1$"),
     # an axis is a non-empty list or tuple: a str would sweep its letters
     (dict(maps="open16"), "^maps must be a non-empty list$"),
@@ -197,7 +198,7 @@ def test_bad_suite_fails_before_any_cell_runs(monkeypatch, bad, message):
 def test_task_spec_needs_a_pipeline_spec(spec):
     # checked here, like the other fields, so no cell runs into spec.k
     with pytest.raises(ConfigError, match="^the spec must be a PipelineSpec$"):
-        TaskSpec("open16", 2, 0, spec, None)
+        TaskSpec("open16", 2, 0, spec)
 
 
 def test_a_suite_built_in_python_needs_no_yaml():
@@ -234,7 +235,7 @@ def test_a_one_process_suite_imports_no_process_pool():
 def test_suite_csv_is_byte_reproducible():
     tasks = suite(
         maps=("open16",), agents=(2,), k=(2,), radius=(1,),
-        seeds=(0, 1), budget_expansions=300, min_separation=3,
+        seeds=(0, 1), budget_expansions=300,
     )
     records = run_suite(tasks)
     first = records_to_csv(records)
@@ -290,7 +291,7 @@ def test_suite_forks_no_more_workers_than_tasks(monkeypatch):
 def test_expansion_budgeted_rows_zero_the_clock():
     tasks = suite(
         maps=("open16",), agents=(2,), k=(1,), radius=(0, 1),
-        seeds=(0,), budget_expansions=1500, min_separation=3,
+        seeds=(0,), budget_expansions=1500,
     )
     plain, refined = run_suite(tasks)
     for rec in (plain, refined):
@@ -312,17 +313,19 @@ def test_unknown_map_fails_before_any_cell_runs(monkeypatch):
 
 
 def test_unsolved_rows_keep_sentinels(tmp_path):
-    custom = tmp_path / "pocket.map"
-    custom.write_text(POCKET)
+    # two agents at the default spacing 3 of a 7x2 corridor with one dead-end
+    # bay: seed 2's pairs solve, seed 3's must pass each other and cannot
+    custom = tmp_path / "corridor.map"
+    custom.write_text(CORRIDOR)
     tasks = suite(
         maps=(str(custom),), agents=(2,), k=(1,), radius=(0,),
-        seeds=(0, 1), budget_expansions=1500, min_separation=1,
+        seeds=(3, 2), budget_expansions=1500,
     )
     unsolved, solved = run_suite(tasks)
     assert not unsolved.solved
     assert unsolved.soc == -1 and unsolved.makespan == -1
-    assert unsolved.rsoc_before == -1
-    assert solved.solved and solved.soc >= 0
+    assert unsolved.rsoc_before == -1 and unsolved.rsoc_after == -1
+    assert solved.solved and solved.soc == 3
 
 
 def test_zero_expansion_budget_is_kept(tmp_path):
@@ -334,7 +337,6 @@ def test_zero_expansion_budget_is_kept(tmp_path):
         radius: [1]
         seeds: 2
         budget_expansions: 0
-        min_separation: 3
     """)
     tasks = load_config(p)
     assert [t.spec.budget_expansions for t in tasks] == [0, 0]
@@ -363,21 +365,21 @@ def test_infeasible_cell_becomes_an_unsolved_row(tmp_path):
 
 
 def test_unplaceable_cell_becomes_an_unsolved_row(tmp_path):
-    # at most 9 starts fit on open16 six cells apart: the draw for 10 agents
-    # gives up with a PlacementError, which must not end the sweep
+    # open16 holds 36 blocks of its default spacing 3, at most one start
+    # each: placing 37 agents fails with a PlacementError before any draw,
+    # which must not end the sweep
     p = write_yaml(tmp_path, """\
         maps: [open16]
-        agents: [2, 10]
+        agents: [2, 37]
         k: [2]
         radius: [1]
         seeds: 1
         budget_expansions: 300
-        min_separation: 6
     """)
     records = run_suite(load_config(p))
     ok, bad = records
     assert ok.n_agents == 2 and ok.solved
-    assert bad.n_agents == 10 and not bad.solved
+    assert bad.n_agents == 37 and not bad.solved
     assert bad.soc == -1 and bad.makespan == -1
     assert bad.rsoc_before == -1 and bad.rsoc_after == -1
     assert bad.improvement_pct == 0.0 and bad.solve_time == 0.0

@@ -15,7 +15,7 @@ from privmapf.dispatch import InfeasibleInputError
 from privmapf.grid import PrivmapfError
 from privmapf.pipeline import PipelineSpec
 
-from conftest import ASSETS, POCKET
+from conftest import ASSETS
 
 
 def test_version(capsys):
@@ -98,15 +98,13 @@ def run_with_stdout_closed(argv, cwd):
 
 def test_closed_stdout_keeps_every_file_and_the_exit_status(tmp_path, monkeypatch, capsys):
     # `privmapf ppfpp ... | head -0`: the reader is gone before the first line
-    pocket = tmp_path / "pocket.map"
-    pocket.write_text(POCKET)
     runs = [
         (["solve", "--map", "open16", "--agents", "4", "--k", "3", "--radius", "1", "--seed", "4",
           "--out", "trace.json", "--private-dir", "private"], 0),
         (["audit", "--map", "open16", "--trace", "trace.json"], 0),
         (["ppfpp", "--map", "open16", "--trace", "trace.json", "--private-dir", "private",
           "--out", "refined.txt", "--zones", "zones.json"], 0),
-        (["solve", "--map", str(pocket), "--agents", "2", "--separation", "1", "--k", "1",
+        (["solve", "--map", "open16", "--agents", "2", "--k", "1", "--budget-expansions", "0",
           "--out", "unsolved.json"], 1),
     ]
     closed, piped = tmp_path / "closed", tmp_path / "piped"
@@ -149,16 +147,14 @@ def test_audit_flags_a_tampered_plan(tmp_path, capsys):
 
 
 def test_solve_failure_exits_nonzero_but_still_traces(tmp_path, capsys):
-    pocket = tmp_path / "pocket.map"
-    pocket.write_text(POCKET)
     trace_file = tmp_path / "trace.json"
     rc = main([
-        "solve", "--map", str(pocket), "--agents", "2", "--separation", "1",
-        "--k", "1", "--seed", "0", "--out", str(trace_file),
+        "solve", "--map", "open16", "--agents", "2", "--k", "1",
+        "--budget-expansions", "0", "--seed", "0", "--out", str(trace_file),
     ])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "unsolved" in out
+    assert "unsolved: timeout" in out
     # the groups went out before the solver gave up; the trace records that
     obj = json.loads(trace_file.read_text())
     assert len(obj["groups"]) == 2
@@ -183,7 +179,17 @@ def test_solve_flags_default_to_the_spec(monkeypatch):
     (args,) = seen
     spec = PipelineSpec(args.k, args.radius)
     assert args.budget_expansions == spec.budget_expansions
-    assert args.separation is None  # random_spaced_pairs' map default
+
+
+def test_the_removed_separation_flag_is_refused(capsys):
+    # random pairs are always spaced by the map's default: an old invocation
+    # fails instead of running at some other spacing
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--map", "open16", "--separation", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --separation 3" in captured.err
 
 
 def test_solve_places_the_pairs_bench_places(monkeypatch, random32):
@@ -197,7 +203,7 @@ def test_solve_places_the_pairs_bench_places(monkeypatch, random32):
     monkeypatch.setattr(cli, "run_pipeline", stop_after_placement)
     monkeypatch.setattr(bench, "run_pipeline", stop_after_placement)
     assert main(["solve", "--map", "random-32-32-20", "--agents", "6", "--seed", "3"]) == 2
-    task = bench.TaskSpec("random-32-32-20", 6, 3, PipelineSpec(2), None)
+    task = bench.TaskSpec("random-32-32-20", 6, 3, PipelineSpec(2))
     assert not bench.run_one(task).solved
     from_solve, from_bench = placed
     assert from_solve == from_bench
@@ -209,7 +215,7 @@ def test_bench_subcommand(tmp_path, capsys):
     cfg = tmp_path / "suite.yaml"
     cfg.write_text(
         "maps: [open16]\nagents: [2]\nk: [2]\nradius: [1]\nseeds: 2\n"
-        "budget_expansions: 300\nmin_separation: 3\n"
+        "budget_expansions: 300\n"
     )
     out_csv = tmp_path / "results.csv"
     rc = main(["bench", "--config", str(cfg), "--out", str(out_csv)])
@@ -274,6 +280,10 @@ MALFORMED_TRACES = {
     "row off its pair": (_set("plan", 2, [7, 4]),
                          "plan row 2 does not start and end at pair 0 of group 1"),
     "ragged rows": (_set("plan", 3, [10, 9, 10]), "ragged plan"),
+    # WALLED has the 11 vertex ids 0..10
+    "vertex id past the map": (_set("plan", 0, [0, 11, 0]),
+                               "plan row 0 is not a list of vertex ids"),
+    "negative vertex id": (_set("plan", 1, [3, -1, 3]), "plan row 1 is not a list of vertex ids"),
     "plan null": (_set("plan", None), "no plan, the solve that wrote this trace failed"),
 }
 
@@ -366,8 +376,9 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      ["solve", "--map", "open16", "--agents", "2",
       "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
      "scenario is for a 32x32 map"),
-    ("AuditError", ["audit", "--map", "open16", "--trace", "{tmp}/off_map.json"],
-     "vertex 99999 is not on the map"),
+    # a plan vertex off the map is a malformed trace, so the error names the file
+    ("TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/off_map.json"],
+     "off_map.json: plan row 0"),
     ("InfeasibleInputError",
      ["solve", "--map", "open16", "--radius", "3"],
      "collide under rule r=3"),
@@ -396,18 +407,23 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "group 6: mock pair 6 keeps colliding (after 1000 attempts)"),
     ("ConfigError", ["solve", "--map", "open16", "--radius", "-1"],
      "fov radius must be >= 0"),
-    ("PlacementError", ["solve", "--map", "open16", "--agents", "10", "--separation", "6"],
-     "could not place 10 spaced pairs on 16x16 map"),
+    # open16 holds 36 blocks of its default spacing 3, at most one start each
+    ("PlacementError", ["solve", "--map", "open16", "--agents", "37"],
+     "could not place 37 spaced pairs on 16x16 map"),
     ("ConfigError", ["solve", "--map", "open16", "--agents", "0"],
      "the agent count must be >= 1"),
     ("ScenarioError",
      ["solve", "--map", "open16", "--agents", "13",
       "--scen", str(ASSETS / "scens" / "open16.scen")],
      "open16.scen: scenario has only 12 entries, 13 agents requested"),
-    ("ConfigError", ["solve", "--map", "open16", "--separation", "-1"],
-     "min_separation must be >= 1"),
-    ("ConfigError", ["solve", "--map", "open16", "--separation", "0"],
-     "min_separation must be >= 1"),
+    # every run is spaced by its map's default, so a suite that sets the
+    # spacing fails instead of running at another one
+    ("ConfigError", ["bench", "--config", "{tmp}/minsep.yaml"],
+     "minsep.yaml: unknown config keys: ['min_separation']"),
+    # ppfpp reads the trace as audit does
+    ("TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/off_map.json",
+                    "--private-dir", "{tmp}/in_range"],
+     "off_map.json: plan row 0"),
     # JSON true is not the index 1
     ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
                       "--private-dir", "{tmp}/bool_index"],
@@ -428,10 +444,6 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "threads must be >= 1"),
     ("ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "-3"],
      "threads must be >= 1"),
-    # a scenario file brings its own pairs, so there is nothing to space
-    ("ConfigError", ["solve", "--map", "open16", "--separation", "3",
-                     "--scen", str(ASSETS / "scens" / "open16.scen")],
-     "--separation spaces random pairs, not the pairs of a --scen file"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
@@ -439,6 +451,8 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "empty.map").write_text(MAP_WITHOUT_PASSABLE_CELL)
     (tmp_path / "bad.yaml").write_text("maps: [open16\n")
     (tmp_path / "one.yaml").write_text("maps: [open16]\nagents: [1]\nseeds: 1\n")
+    (tmp_path / "minsep.yaml").write_text(
+        "maps: [open16]\nagents: [1]\nseeds: 1\nmin_separation: 3\n")
     for name in ("binary.yaml", "binary.map", "binary.scen"):
         (tmp_path / name).write_bytes(b"\xff\xfe\x00version 1\n")
     # one k=1 group resting at (0,0), vertex 0
