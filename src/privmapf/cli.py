@@ -149,11 +149,12 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="privmapf")
+    # allow_abbrev=False: a flag is taken only as spelled, never by a prefix
+    parser = argparse.ArgumentParser(prog="privmapf", allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"privmapf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run the privacy pipeline on one instance")
+    p = sub.add_parser("solve", allow_abbrev=False, help="run the privacy pipeline on one instance")
     p.add_argument("--map", required=True, help="map file or bundled map name")
     p.add_argument("--scen", help="take the first N pairs from a scenario file")
     p.add_argument("--agents", type=int, default=4)
@@ -165,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--private-dir", help="directory for per-agent sidecars")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("ppfpp", help="refine a solved plan inside safe zones")
+    p = sub.add_parser("ppfpp", allow_abbrev=False, help="refine a solved plan inside safe zones")
     p.add_argument("--map", required=True)
     p.add_argument("--trace", required=True, help="message trace JSON written by solve")
     p.add_argument("--private-dir", required=True)
@@ -174,12 +175,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--zones", help="zones JSON output")
     p.set_defaults(func=_cmd_ppfpp)
 
-    p = sub.add_parser("audit", help="check a trace's plan for conflicts and belief privacy")
+    p = sub.add_parser("audit", allow_abbrev=False,
+                       help="check a trace's plan for conflicts and belief privacy")
     p.add_argument("--map", required=True)
     p.add_argument("--trace", required=True, help="message trace JSON written by solve")
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("bench", help="run a YAML-configured suite")
+    p = sub.add_parser("bench", allow_abbrev=False, help="run a YAML-configured suite")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--threads", type=int, default=1, help="worker processes")

@@ -19,14 +19,15 @@ There is no swap operation on top of the step builder; escaping local
 minima is left to the constraint tree.
 
 Most discovered configurations are pruned before they are expanded, so a
-discovered node holds only what pruning and edge costs read: its
-configuration, g, the heuristic h, the at-goal mask and the discovering
-parent's etas. The configuration is packed bytes (``array('H')``, or
-``array('I')`` above 65 536 vertices), which is also its key among the
-discovered; at 32 sub-agents that is 97 B against a 296 B tuple. The
-decoded ints, its own etas, its priority order, its constraint tree and
-its out-edges are built at its first expansion, from those etas; a rewire
-changes the parent and g, never the etas source.
+discovered node holds only what pruning reads: its configuration, g, the
+heuristic h and the discovering parent's etas. The configuration is packed
+bytes, one little-endian 16-bit field per agent (32-bit above 65 536
+vertices), which is also its key among the discovered; at 32 sub-agents
+that is 97 B against a 296 B tuple. The decoded ints, its own etas, its
+priority order, its constraint tree and its out-edges are built at its
+first expansion, from those etas; a rewire changes the parent and g, never
+the etas source. A discovery that the next iteration would pop at once
+(the goal, or a child no cheaper than the incumbent) is not pushed.
 
 A node is usually expanded several times in a row, once per constraint, so
 the search keeps one step context (``pibt.StepContext``): the configuration
@@ -41,15 +42,17 @@ The edge cost charges 1 per agent not resting at its goal across the move
 (n minus the agents on their goal at both ends), which matches sum-of-costs
 as long as no agent leaves its goal again; the incumbent plan is therefore
 re-scored with the exact path-cost metric and only replaced when that true
-cost improves.
+cost improves. It is read from the keys: a key's off-goal word, the key as
+a little-endian int XOR the goal's, has field a zero exactly when agent a
+is on its goal, so the cost is the number of nonzero fields of the two
+ends' words ORed (``_move_cost``). The parent's word is computed once per
+step context, the child's from its key.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import compress
-from operator import eq
 from struct import Struct
 
 from .audit import metrics
@@ -60,14 +63,13 @@ from .plans import JointPlan
 
 class _Node:
     __slots__ = ("config", "q", "g", "h", "parent", "order", "cands", "index", "width", "etas",
-                 "at_goal", "edges")
+                 "edges")
 
-    def __init__(self, config, g, h, at_goal, parent, etas):
+    def __init__(self, config, g, h, parent, etas):
         self.config = config  # packed bytes, the node's key in ``explored``
         self.q = None  # the configuration as a tuple of ints, decoded at the first expansion
         self.g = g
         self.h = h
-        self.at_goal = at_goal  # bit a: agent a stands on its goal
         self.parent = parent
         # off-goal counters: the discovering parent's until the first
         # expansion, which derives the node's own from them
@@ -79,6 +81,27 @@ class _Node:
         # n is spent
         self.index, self.width = 0, 1
         self.edges: dict[_Node, int] | None = None  # out-edge costs once expanded
+
+
+def _key_packing(n: int, num_vertices: int) -> tuple[Struct, int, int]:
+    """The packing of n-agent configurations, little-endian 16-bit fields
+    (32-bit above 2**16 vertices; Struct packs 32 ints in 40% of the time
+    array('H') takes), and the masks ``_move_cost`` reads keys with:
+    ``low`` holds each field's bits but its top one, ``high`` its top bit."""
+    fmt = "H" if num_vertices <= 1 << 16 else "I"
+    packing = Struct(f"<{n}{fmt}")
+    top = 0x8000 if fmt == "H" else 0x80000000
+    low, high = (int.from_bytes(packing.pack(*[mask] * n), "little") for mask in (top - 1, top))
+    return packing, low, high
+
+
+def _move_cost(off_a: int, off_b: int, low: int, high: int) -> int:
+    """The edge cost between two configurations given their off-goal words
+    (key int XOR goal int): the fields nonzero in either, i.e. n minus the
+    agents on their goal at both ends. Adding ``low`` to a field's low bits
+    sets its top bit iff they are nonzero, and never carries out of it."""
+    z = off_a | off_b
+    return (((z & low) + low | z) & high).bit_count()
 
 
 def _pins(order: list[int], cands: list[list[int]], index: int) -> list[tuple[int, int]]:
@@ -137,19 +160,14 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     if problem.starts == goals:
         plan = JointPlan.from_configs([list(goals)])
         return SolveResult(True, plan, None)
-    # the bytes of array('H') (array('I') above 2**16 vertices); Struct packs
-    # a list of 32 ints in 40% of the time the array constructor takes
-    packing = Struct(f"{n}{'H' if problem.world.num_vertices <= 1 << 16 else 'I'}")
+    packing, low, high = _key_packing(n, problem.world.num_vertices)
     pack, unpack = packing.pack, packing.unpack
     goal_cfg = pack(*goals)
-    bits = [1 << a for a in range(n)]
-
-    def h_and_at_goal(cfg):
-        """What discovery pays for: the heuristic and the at-goal mask."""
-        return sum(map(list.__getitem__, dists, cfg)), sum(compress(bits, map(eq, cfg, goals)))
+    from_bytes = int.from_bytes
+    goal_int = from_bytes(goal_cfg, "little")  # XOR a key's int: its off-goal word
 
     start_cfg = pack(*problem.starts)
-    init = _Node(start_cfg, 0, *h_and_at_goal(problem.starts), None, [0] * n)
+    init = _Node(start_cfg, 0, sum(map(list.__getitem__, dists, problem.starts)), None, [0] * n)
     open_stack: list[_Node] = [init]
     explored: dict[bytes, _Node] = {start_cfg: init}
     goal_node: _Node | None = None
@@ -157,7 +175,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     best_soc: int | None = None
     scored_g: int | None = None  # goal_node.g when its plan was last scored
     expansions = 0
-    ctx_node: _Node | None = None  # the node ``ctx`` and ``pins`` belong to
+    ctx_node: _Node | None = None  # the node ``ctx``, ``pins`` and ``off`` belong to
 
     def consider_incumbent():
         nonlocal best_plan, best_soc, scored_g
@@ -191,6 +209,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
         if node is not ctx_node:  # one context at a time, for the node being expanded
             pins = _pins(node.order, cands, node.index)
             ctx, ctx_node = StepContext(problem, q, node.order, pins), node
+            off = from_bytes(node.config, "little") ^ goal_int  # its off-goal word
         q_new = build_step(problem, ctx, rng)
         node.index += 1
         if node.index == node.width and len(cands) < n:  # on to the next depth
@@ -206,18 +225,18 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
             continue
         key = pack(*q_new)
         known = explored.get(key)
+        cost = _move_cost(off, from_bytes(key, "little") ^ goal_int, low, high)
         if known is None:
-            h, at_goal = h_and_at_goal(q_new)
-            cost = n - (node.at_goal & at_goal).bit_count()
-            child = _Node(key, node.g + cost, h, at_goal, node, node.etas)
+            g, h = node.g + cost, sum(map(list.__getitem__, dists, q_new))
+            child = _Node(key, g, h, node, node.etas)
             node.edges[child] = cost
             explored[key] = child
-            open_stack.append(child)
-            if key == goal_cfg:
+            if key == goal_cfg:  # not pushed: the next iteration would pop it
                 goal_node = child
                 consider_incumbent()
+            elif goal_node is None or goal_node.g > g + h:
+                open_stack.append(child)
         else:
-            cost = n - (node.at_goal & known.at_goal).bit_count()
             if known is not node:  # self-loops cannot improve anything
                 node.edges[known] = cost
             open_stack.append(known)

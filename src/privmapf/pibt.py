@@ -15,14 +15,17 @@ itself); if any of them cannot move, every tentative assignment made under
 that candidate is rolled back and the claimant tries its next vertex. At
 radius 0 the fov set degenerates to {v}: the rule is the classical one.
 
-The builder's state is indexed by vertex (``at[v]``, ``claimed[v]``: the
-agent on v and the agent moving to v, -1 for none). It is allocated once
-per problem and each call resets what it touched, so a problem runs one
-step at a time. At radius r >= 1, one scan of a tried vertex's (2r+1)^2
-fov square decides both whether another group's claim blocks it and which
-agents it pushes, whatever the number of agents; an undo log tracks the
-pushees. At radius 0 the only pushee is ``at[v]``. ``attempt`` shuffles
-candidates inline with ``Random.shuffle``'s draws (table ``_DRAWS``).
+The builder's state is indexed by vertex, -1 for none. ``at[v]``, the
+agent on v, depends only on the configuration: ``StepContext`` builds it
+once and no step writes it, so one context serves every step from its
+configuration. ``claimed[v]``, the agent moving to v, is allocated once per
+problem and each call resets what it claimed, so a problem runs one step at
+a time. At radius r >= 1, one scan of a tried vertex's (2r+1)^2 fov square
+(the problem's ``fov`` table) decides both whether another group's claim
+blocks it and which agents it pushes, whatever the number of agents; an
+undo log tracks the pushees. At radius 0 the only pushee is ``at[v]``.
+``attempt`` shuffles candidates inline with ``Random.shuffle``'s draws
+(table ``_DRAWS``).
 
 An agent resting on its unclaimed goal g only draws the shuffle's words and
 keeps the goal unless an agent b of another group is in its square: b's
@@ -108,19 +111,21 @@ class SolverProblem:
             raise InfeasibleInputError("sub-agent goals are not pairwise distinct")
         self.num_agents = len(self.starts)
         self.dists = [bfs_distances(world, g) for g in self.goals]
-        # what an agent resting on its goal g needs: the shuffle's draws and, at
+        # what an agent resting on its goal g needs: the shuffle's draws, one
+        # (n, k) per swap (draw k bits until the word is below n), and, at
         # radius >= 1, watchers[v], the agents whose fov_r(g) holds v or a
         # neighbour of v (from v, one step claims a vertex of fov_r(g))
-        self.goal_draws = [_DRAWS[len(world.adjacency[g]) + 1] for g in self.goals]
-        self.watchers = None
+        self.goal_draws = [tuple((n, k) for _, n, k in _DRAWS[len(world.adjacency[g]) + 1])
+                           for g in self.goals]
+        self.fov = self.watchers = None  # radius 0: the classical rule
         if fov_radius:
-            fov, watchers = world.fov_table(fov_radius), [[] for _ in range(world.num_vertices)]
+            self.fov = fov = world.fov_table(fov_radius)
+            watchers: list[list[int]] = [[] for _ in range(world.num_vertices)]
             for a, g in enumerate(self.goals):
                 for v in fov[g].union(*map(world.adjacency.__getitem__, fov[g])):
                     watchers[v].append(a)
             self.watchers = [tuple(w) for w in watchers]
-        # build_step's state (the agent on v, the agent moving to v): -1 between calls
-        self.at = [-1] * world.num_vertices
+        # build_step's claims (the agent moving to v): -1 between calls
         self.claimed = [-1] * world.num_vertices
 
 
@@ -160,19 +165,23 @@ class StepContext:
     """What ``build_step`` reads of one configuration besides the problem:
     ``config``, the priority ``order``, the ``pins`` (the forced
     ``(agent, vertex)`` assignments, kept by reference: the search advances
-    them in place between steps) and ``steps``, one ``(agent, vertex,
-    draws, watch)`` per agent of ``order``. ``draws`` is None unless the
-    agent rests on its goal g; then it is the shuffle's ``_DRAWS`` stages,
-    and ``watch`` lists the other groups' agents standing in fov_r(g) or next
-    to it (none at radius 0). The module docstring gives the rule they serve.
-    Every caller of ``build_step`` builds its context here, so there is one
-    resting-agent path."""
+    them in place between steps), ``at``, the occupant array (``at[v]`` is
+    the agent on v, -1 for none; read-only to ``build_step``), and
+    ``steps``, one ``(agent, vertex, draws, watch)`` per agent of ``order``.
+    ``draws`` is None unless the agent rests on its goal g; then it is the
+    problem's ``goal_draws`` entry, and ``watch`` lists the other groups'
+    agents standing in fov_r(g) or next to it (none at radius 0). The module
+    docstring gives the rule they serve. Every caller of ``build_step``
+    builds its context here, so there is one resting-agent path."""
 
-    __slots__ = ("config", "order", "pins", "steps")
+    __slots__ = ("config", "order", "pins", "at", "steps")
 
     def __init__(self, problem: SolverProblem, config: Sequence[int], order: list[int],
                  pins: Sequence[tuple[int, int]] = ()):
         self.config, self.order, self.pins = config, order, pins
+        self.at = at = [-1] * problem.world.num_vertices
+        for a, v in enumerate(config):
+            at[v] = a
         goals, group_of, watchers = problem.goals, problem.group_of, problem.watchers
         watch: dict[int, list[int]] = {}  # resting agent -> the agents it watches
         if watchers is not None:
@@ -197,13 +206,13 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
     undecided, ``target[b]`` once decided) in the goal's fov square; the
     module docstring gives the rule and why it is exactly the square scan.
 
-    The vertex-indexed state lives on the problem and is reset on the way out, also
-    on a raise; so a problem runs one step at a time (no re-entry, no threads)."""
+    It only reads ``ctx``, so a context serves any number of steps. The
+    claims live on the problem and are reset on the way out, also on a
+    raise; so a problem runs one step at a time (no re-entry, no threads)."""
     config = ctx.config
-    at, claimed, adj, dists, group_of = (problem.at, problem.claimed,
-        problem.world.adjacency, problem.dists, problem.group_of)
-    r, getrandbits = problem.fov_radius, rng.getrandbits
-    fov = problem.world.fov_table(r) if r else None  # radius 0: the classical rule
+    at, claimed, adj, dists, group_of, fov = (ctx.at, problem.claimed,
+        problem.world.adjacency, problem.dists, problem.group_of, problem.fov)
+    getrandbits = rng.getrandbits
     target: list[int | None] = [None] * problem.num_agents
     undo: list[int] = []  # assigned agents (radius >= 1)
 
@@ -270,8 +279,6 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
         return False
 
     try:
-        for a, v in enumerate(config):
-            at[v] = a
         for a, v in ctx.pins:
             cur = config[a]
             # first, so that v is a vertex id before claimed[v] is read
@@ -297,18 +304,15 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
                     if (config[b] if v is None else v) in fov[cur]:
                         break
                 else:
-                    for i, n, k in draws:  # the shuffle's draws
-                        j = getrandbits(k)
-                        while j >= n:
-                            j = getrandbits(k)
+                    for n, k in draws:  # the shuffle's draws
+                        while getrandbits(k) >= n:
+                            pass
                     target[a], claimed[cur] = cur, a
                     continue
             if not attempt(a):
                 return None
         return target
     finally:
-        for v in config:
-            at[v] = -1
         for v in target:
             if v is not None:
                 claimed[v] = -1

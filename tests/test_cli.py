@@ -192,6 +192,17 @@ def test_the_removed_separation_flag_is_refused(capsys):
     assert "unrecognized arguments: --separation 3" in captured.err
 
 
+@pytest.mark.parametrize("flag", [["--budget", "0"], ["--rad", "1"]])
+def test_flags_are_never_abbreviated(capsys, flag):
+    # a prefix of --budget-expansions or --radius is not taken for the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--map", "open16", "--agents", "2", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
 def test_solve_places_the_pairs_bench_places(monkeypatch, random32):
     # on a map wider than 16 the default separation is 5, not the old fixed 3
     placed = []

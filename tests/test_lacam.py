@@ -20,7 +20,7 @@ from privmapf.audit import audit, metrics
 from privmapf.dispatch import dispatch_groups
 from privmapf.grid import ConfigError, GridWorld, parse_map_text
 from privmapf.instances import random_spaced_pairs
-from privmapf.lacam import _extract, lacam_solve
+from privmapf.lacam import _extract, _key_packing, _move_cost, lacam_solve
 from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, build_step, node_data
 
 from conftest import one_shot_pibt, priority_order, singleton_problem, update_etas
@@ -405,6 +405,41 @@ def test_matches_reference_search_above_65536_vertices():
     plan, expansions, *_ = _reference_lacam(problem, 0, 300)
     assert got.solved and got.expansions == expansions
     assert got.plan.paths == plan.paths
+
+
+@pytest.mark.parametrize("num_vertices, width", [(1 << 16, 16), ((1 << 16) + 1, 32)])
+def test_move_cost_read_from_the_packed_keys(num_vertices, width):
+    # the off-goal words' nonzero fields are the agents off their goal: the
+    # cost is n minus the agents on their goal at both ends, also for fields
+    # whose XOR is only the top bit or every bit, and all-at-goal ends
+    rng = random.Random(f"keys{width}")
+    top, full = 1 << (width - 1), (1 << width) - 1
+    special = [top, full, top - 1, 1, top | 1]
+    for n in (1, 2, 5, 32):
+        for _ in range(300):
+            goals = rng.sample(range(1 << width), n)
+            packing, low, high = _key_packing(n, num_vertices)
+            assert packing.size == n * width // 8
+            goal_int = int.from_bytes(packing.pack(*goals), "little")
+
+            def config(p_home):
+                return [g if rng.random() < p_home else
+                        g ^ (rng.choice(special) if rng.random() < 0.5 else rng.randint(1, full))
+                        for g in goals]
+
+            p_home = rng.choice([0.0, 0.5, 0.9, 1.0])
+            qa, qb = config(p_home), config(p_home)
+            off_a, off_b = (int.from_bytes(packing.pack(*q), "little") ^ goal_int
+                            for q in (qa, qb))
+            both = sum(1 for a, g in enumerate(goals) if qa[a] == g == qb[a])
+            assert _move_cost(off_a, off_b, low, high) == n - both
+            assert _move_cost(off_a, off_a, low, high) == sum(map(int.__ne__, qa, goals))
+    # every field is only the top bit off its goal
+    goals = list(range(32))
+    packing, low, high = _key_packing(32, num_vertices)
+    off = (int.from_bytes(packing.pack(*(g ^ top for g in goals)), "little")
+           ^ int.from_bytes(packing.pack(*goals), "little"))
+    assert _move_cost(off, 0, low, high) == 32 and _move_cost(0, 0, low, high) == 0
 
 
 def _pin_trees():

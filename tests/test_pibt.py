@@ -8,10 +8,11 @@ against its own bookkeeping. The vertex-indexed builder is also compared,
 result and RNG state, with a reference that keeps its state in dicts and
 per-group target sets and scans every agent for fov pushees, also from
 configurations at or near the goals, where most agents keep their goal
-without an ``attempt`` call. Its state lives on the problem: every step,
-rejected, failed, taken or cut short by a raising draw, must leave it as
-it found it and act as on a fresh problem. The start check, an audit call, is compared with the
-hand-written rule it replaced.
+without an ``attempt`` call. Its claims live on the problem and its
+occupant array on the step context: every step, rejected, failed, taken or
+cut short by a raising draw, must leave both as it found them and act as on
+a fresh problem and context. The start check, an audit call, is compared
+with the hand-written rule it replaced.
 """
 
 import random
@@ -319,11 +320,11 @@ class _FailingRandom(random.Random):
         return super().getrandbits(k)
 
 
-def _step(problem, config, state, order, forced, draws):
+def _step(problem, ctx, state, draws):
     """The result ("raised" for a failed draw) and the RNG state after it."""
     rng = _FailingRandom(state, draws)
     try:
-        out = step(problem, config, rng, order, forced)
+        out = build_step(problem, ctx, rng)
     except _Drawn:
         out = "raised"
     return out, rng.getstate()
@@ -360,13 +361,17 @@ def test_no_state_leaks_between_steps(radius):
     home, ends_first = [0, 1, 2, 11, 12, 13], [0, 5, 1, 2, 3, 4]
     calls += [(home, ends_first, (), draws, "raised") for draws in (0, 1, 2)]
     calls += [(home, order, (), None, "step"), (home, ends_first, [(1, 1)], 1, "raised")]
+    # one context per call, reused by its repeats, as the search reuses one
+    calls = [(StepContext(problem, *call[:3]), *call) for call in calls]
     calls = calls[::2] + calls[1::2] + calls  # each call after several others
     state = random.Random("leaks").getstate()
-    for config, step_order, forced, draws, expected in calls:
+    for ctx, config, step_order, forced, draws, expected in calls:
         fresh = SolverProblem(world, groups, radius)
-        out, after = _step(problem, config, state, step_order, forced, draws)
-        assert problem.at == problem.claimed == [-1] * world.num_vertices
-        assert (out, after) == _step(fresh, config, state, step_order, forced, draws)
+        out, after = _step(problem, ctx, state, draws)
+        assert problem.claimed == [-1] * world.num_vertices
+        assert ctx.at == StepContext(problem, config, step_order, forced).at
+        fresh_ctx = StepContext(fresh, config, step_order, forced)
+        assert (out, after) == _step(fresh, fresh_ctx, state, draws)
         assert ("step" if isinstance(out, list) else out) == expected
         state = after
 
