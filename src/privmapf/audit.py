@@ -15,12 +15,16 @@ of the fov squares around its belief set.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence, Set as AbstractSet
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .grid import GridWorld, PrivmapfError
 from .plans import JointPlan
+
+if TYPE_CHECKING:
+    from .safezone import ZoneTable
 
 
 class AuditError(PrivmapfError, ValueError):
@@ -136,29 +140,47 @@ def group_fov(world: GridWorld, positions: Iterable[int], radius: int) -> set[in
     return region
 
 
+# translates each byte of an owner array to 1, or to 0 where it is 0xFF
+_OWNED_BYTES = bytes(int(b != 0xFF) for b in range(256))
+
+
+def owned_vertices(owner: array) -> list[int]:
+    """The vertices some zone holds in one owner array (-1: none), ascending.
+
+    -1 is the only owner whose bytes are all 0xFF, so a vertex is owned iff
+    one of its bytes is not; ``bytes.find`` jumps from one such byte to the
+    next, which costs per owned vertex rather than per vertex.
+    """
+    data = owner.tobytes().translate(_OWNED_BYTES)
+    size = owner.itemsize
+    out = []
+    p = data.find(1)
+    while p >= 0:
+        v = p // size
+        out.append(v)
+        p = data.find(1, (v + 1) * size)
+    return out
+
+
 def check_separated(
-    world: GridWorld, zones: Sequence[Sequence[AbstractSet[int]]], fov_radius: int
+    world: GridWorld, zones: ZoneTable, fov_radius: int
 ) -> list[tuple[int, int, int, int, int]]:
-    """Violations of pairwise zone separation: (t, i, j, v, u) with i < j,
-    v in zone_i^t, u in zone_j^t and the two within fov of each other,
-    ordered by t, then (i, j), then (v, u). ``zones[i][t]`` is read once.
+    """Violations of pairwise zone separation in a ``safezone.ZoneTable``:
+    (t, i, j, v, u) with i < j, v in zone_i^t, u in zone_j^t and the two
+    within fov of each other, ordered by t, then (i, j), then (v, u).
 
     Empty list means the zones are separated.
     """
     fov = world.fov_table(fov_radius)
     violations = []
-    for t in range(len(zones[0])):
-        at_t = [zone[t] for zone in zones]
-        # dilating one zone turns the pairwise fov test into a set
-        # intersection; fov is symmetric over passable cells, so u lies in
-        # the dilation of zone_i exactly when some v in zone_i sees u
-        dilated = [group_fov(world, zone, fov_radius) for zone in at_t]
-        for i, j in combinations(range(len(at_t)), 2):
-            violations.extend(sorted(
-                (t, i, j, v, u)
-                for u in dilated[i] & at_t[j]
-                for v in fov[u] & at_t[i]
-            ))
+    for t, owner in enumerate(zones.owners):
+        found = []
+        for v in owned_vertices(owner):
+            i = owner[v]
+            for u in fov[v]:
+                if owner[u] > i:
+                    found.append((t, i, owner[u], v, u))
+        violations.extend(sorted(found))
     return violations
 
 

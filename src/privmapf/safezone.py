@@ -20,10 +20,11 @@ zones mutually unobservable and exchange-free over time. A claim scans only
 the part of its fov square outside the square of ``via``, the zone vertex
 that put it on the frontier, and claims are logged as ints (``PickLog``).
 
-The extended zones cover most of the free map at every timestep, so they
-are not kept as a vertex set per group and timestep but as one owner per
-vertex per timestep (``ZoneTable``). That is exact because the zones at one
-timestep are disjoint: the initial zones are fov-separated, and rule 2
+Both the initial and the extended zones are kept as one owner per vertex
+per timestep (``ZoneTable``), not as a vertex set per group and timestep:
+the extended zones cover most of the free map. That is exact because the
+zones at one timestep are disjoint: the initial zones are fov-separated (a
+vertex two initial zones claim is a ``PreconditionError``), and rule 2
 keeps every claim out of the other zones.
 
 Finally each agent replans its *real* path inside its own zone with a
@@ -40,14 +41,14 @@ import heapq
 import json
 import random
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import eq, ne
 from pathlib import Path
 from typing import NamedTuple
 
-from .audit import audit, check_separated, compute_beliefs, group_fov, path_cost
+from .audit import audit, check_separated, compute_beliefs, group_fov, owned_vertices, path_cost
 from .grid import ConfigError, GridWorld, PrivmapfError
 from .plans import JointPlan
 
@@ -65,17 +66,16 @@ class ReplanInfeasibleError(PrivmapfError):
 Intervals = dict[int, list[tuple[int, int]]]
 
 
-class ZoneTable(Sequence):
+class ZoneTable:
     """Every group's zone at every timestep, kept as one owner array per
     timestep: ``owners[t][v]`` is the group whose zone holds v at t, or -1.
 
     Zones at one timestep are disjoint (see the module docstring), so one
     owner per vertex holds them exactly, in one byte per vertex
     (``array('b')``; ``array('i')`` from 128 groups on) instead of a set
-    slot per zone vertex. The table reads group-major, like the nested lists
-    of sets it is built from: ``len`` is the number of groups, ``table[i][t]``
-    is group i's zone at t as a frozenset built on access, and ``==``
-    compares with such lists.
+    slot per zone vertex. The initial and the extended zones are both kept
+    so. Iterating reads the table group-major: per group, its zone at each
+    timestep as an ascending list of vertices.
     """
 
     def __init__(self, num_groups: int) -> None:
@@ -84,71 +84,40 @@ class ZoneTable(Sequence):
         self.typecode = "b" if num_groups < 128 else "i"
         self.owners: list[array] = []
 
-    @classmethod
-    def from_sets(cls, zones: Sequence[Sequence[Iterable[int]]], num_vertices: int) -> ZoneTable:
-        """The table of ``zones[i][t]``, which must be disjoint at each t."""
-        table = cls(len(zones))
-        for t in range(len(zones[0])):
-            table.append(owner_row(zones, t, num_vertices))
-        return table
-
-    def append(self, owner: list[int]) -> None:
-        """Add the next timestep's owners, -1 where no zone lies."""
+    def append(self, owner: list[int] | array) -> None:
+        """Add a copy of the next timestep's owners, -1 where no zone lies."""
         self.owners.append(array(self.typecode, owner))
 
-    def __len__(self) -> int:
-        return self.num_groups
-
-    def __getitem__(self, group: int) -> GroupZones:
-        if not -self.num_groups <= group < self.num_groups:
-            raise IndexError("zone table group out of range")
-        return GroupZones(self.owners, group % self.num_groups)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ZoneTable, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(list(a) == list(b) for a, b in zip(self, other))
-
-
-def owner_row(zones: Sequence[Sequence[Iterable[int]]], t: int, num_vertices: int) -> list[int]:
-    """The owner of each vertex at t among ``zones[i][t]``, or -1."""
-    owner = [-1] * num_vertices
-    for i, group in enumerate(zones):
-        for v in group[t]:
-            if owner[v] >= 0:
-                raise ValueError(f"vertex {v} is in the zones of groups {owner[v]} and {i} at t={t}")
-            owner[v] = i
-    return owner
-
-
-class GroupZones(Sequence):
-    """One group's zones in a ``ZoneTable``, by timestep."""
-
-    def __init__(self, owners: list[array], group: int) -> None:
-        self.owners, self.group = owners, group
-
-    def __len__(self) -> int:
-        return len(self.owners)
-
-    def __getitem__(self, t: int) -> frozenset[int]:
-        owner = self.owners[t]
-        return frozenset(compress(range(len(owner)), map(eq, owner, repeat(self.group))))
+    def __iter__(self) -> Iterator[list[list[int]]]:
+        vertices = range(len(self.owners[0]))
+        for group in range(self.num_groups):
+            yield [list(compress(vertices, map(eq, row, repeat(group)))) for row in self.owners]
 
 
 def initial_safe_zones(
     world: GridWorld, plan: JointPlan, group_of: list[int], radius: int
-) -> list[list[set[int]]]:
+) -> ZoneTable:
     """Per group and timestep: the vertices of the group's region (the fov
-    squares around its belief set) whose own fov square stays in the region."""
+    squares around its belief set) whose own fov square stays in the region.
+    A vertex in two groups' zones at one timestep is a PreconditionError."""
     fov = world.fov_table(radius)
-    zones: list[list[set[int]]] = []
-    for beliefs in compute_beliefs(plan, group_of):
-        per_t: list[set[int]] = []
-        for belief in beliefs:
-            region = group_fov(world, belief, radius)
-            per_t.append({v for v in region if fov[v] <= region})
-        zones.append(per_t)
-    return zones
+    beliefs = compute_beliefs(plan, group_of)
+    table = ZoneTable(len(beliefs))
+    blank = array(table.typecode, [-1]) * world.num_vertices
+    for t in range(plan.horizon + 1):
+        owner = blank[:]
+        for i, per_t in enumerate(beliefs):
+            region = group_fov(world, per_t[t], radius)
+            for v in region:
+                if fov[v] <= region:
+                    if owner[v] >= 0:
+                        raise PreconditionError(
+                            f"initial zones are not fov-separated: vertex {v} is in the "
+                            f"zones of groups {owner[v]} and {i} at t={t}"
+                        )
+                    owner[v] = i
+        table.append(owner)
+    return table
 
 
 class ExtensionPick(NamedTuple):
@@ -190,42 +159,41 @@ class PickLog:
 
 def extend_safe_zones(
     world: GridWorld,
-    zones: list[list[set[int]]],
+    initial: ZoneTable,
     radius: int,
     seed: int | str,
 ) -> tuple[ZoneTable, PickLog]:
     """Grow the initial zones, one fair pick per group per round; returns the
-    extended zones and the log. The initial zones are left as they are.
+    extended zones and the log. The initial table is left as it is.
 
     Timesteps are handled in ascending order so that rule 3 (no overlap with
     another group's *previous* zone) always reads finalised zones. Each
-    timestep's owners are kept as a list while its picks land in them, then
-    appended to the table; the next timestep's blockers start from that
-    list, one bit per owned vertex.
+    timestep's owners start as a list copy of the initial row and take its
+    picks, then are appended to the table; the next timestep's blockers
+    start from that list, one bit per owned vertex.
 
     Group i's frontier is the set of neighbours of its zone that lie outside
     the zone and outside every other group's dilation (the fov squares
     around its zone, rule 4) and previous zone (rule 3); rule 2 is implied
     because every zone lies inside its own dilation. Within one timestep
     these blocked sets only grow, so the frontiers and a per-vertex bitmask
-    of blocking groups are built once per timestep and then updated per
-    pick: the claimant's frontier gains the new vertex's free neighbours,
-    and the vertices its fov square newly covers leave the other frontiers.
-    Those lie in ``fov_ring_table(radius)[choice][via[choice]]``, where
-    ``via`` is the zone vertex that put the choice on the frontier: every
-    zone vertex's square is already marked with its group's bit. Each
-    frontier is kept as an ascending list, so a pick draws from it exactly
-    as ``rng.choice(sorted(frontier))`` would; the draw is the
-    ``getrandbits`` loop of ``Random.choice``, inlined, and it pops the index
-    it draws.
+    of blocking groups are built once per timestep, from the initial row's
+    owned vertices, and then updated per pick: the claimant's frontier gains
+    the new vertex's free neighbours, and the vertices its fov square newly
+    covers leave the other frontiers. Those lie in
+    ``fov_ring_table(radius)[choice][via[choice]]``, where ``via`` is a zone
+    vertex that put the choice on the frontier: every zone vertex's square
+    is already marked with its group's bit. Each frontier is kept as an
+    ascending list, so a pick draws from it exactly as
+    ``rng.choice(sorted(frontier))`` would; the draw is the ``getrandbits``
+    loop of ``Random.choice``, inlined, and it pops the index it draws.
 
     The log keeps one int per pick, its vertex; the pick's group is read
     back from the returned table (``PickLog``).
     """
     from bisect import bisect_left, insort  # locals, as the pick loop calls them
 
-    n_groups = len(zones)
-    horizon = len(zones[0]) - 1
+    n_groups = initial.num_groups
     adj = world.adjacency
     fov = world.fov_table(radius)
     rings = world.fov_ring_table(radius)
@@ -237,40 +205,37 @@ def extend_safe_zones(
     via = [0] * world.num_vertices  # read only for vertices on a frontier
     bits = [1 << j for j in range(n_groups)] + [0]  # bits[-1]: no owner
     owner = [-1] * world.num_vertices  # the owners at t-1 (none before t=0)
-    for t in range(horizon + 1):
+    for t, row in enumerate(initial.owners):
         getrandbits = random.Random(f"extend:{seed}:{t}").getrandbits
         # bit j of blockers[v]: v lies in group j's dilation or zone at t-1;
-        # v is open to group i iff no bit other than i's is set
+        # v is open to group i iff no bit other than i's is set. Bit i of
+        # held[v]: v is in group i's zone or frontier
         blockers = list(map(bits.__getitem__, owner))
-        for j in range(n_groups):
-            bit = 1 << j
-            for v in zones[j][t]:
-                for w in fov[v]:
-                    blockers[w] |= bit
-        owner = owner_row(zones, t, world.num_vertices)  # the picks complete it
-        # bit i of held[v]: v is in group i's zone or frontier
+        owner = [-1] * world.num_vertices  # the initial row's copy; the picks complete it
         held = [0] * world.num_vertices
-        lanes = []
-        for i in range(n_groups):
-            zone, bit = zones[i][t], 1 << i
-            for v in zone:
-                held[v] |= bit
-            frontier = []
-            for v in zone:
-                for u in adj[v]:
-                    if not held[u] & bit and blockers[u] | bit == bit:
-                        held[u] |= bit
-                        via[u] = v
-                        frontier.append(u)
+        owned = owned_vertices(row)
+        for v in owned:
+            owner[v] = row[v]
+            held[v] = bit = bits[row[v]]
+            for w in fov[v]:
+                blockers[w] |= bit
+        frontiers = [[] for _ in range(n_groups)]
+        for v in owned:
+            i = owner[v]
+            bit, frontier = bits[i], frontiers[i]
+            for u in adj[v]:
+                if not held[u] & bit and blockers[u] | bit == bit:
+                    held[u] |= bit
+                    via[u] = v
+                    frontier.append(u)
+        for frontier in frontiers:
             frontier.sort()
-            lanes.append((i, frontier, bit))
-        frontiers = [lane[1] for lane in lanes]
         # a frontier only grows by its own group's picks, so an empty one
         # stays empty for the rest of the timestep. The empty lanes are
         # dropped only after a round that met one or emptied one by its own
         # pick; after any other round the last picker still has a frontier,
         # so no round is logged without a pick.
-        lanes = [lane for lane in lanes if lane[1]]
+        lanes = [(i, frontier, bits[i]) for i, frontier in enumerate(frontiers) if frontier]
         while lanes:
             emptied = False
             for i, frontier, bit in lanes:
@@ -322,7 +287,7 @@ def vertex_intervals(table: ZoneTable) -> list[Intervals]:
     changes, found by a C-level diff of consecutive owner arrays; a blank
     array after the horizon closes the intervals still open there.
     """
-    out: list[Intervals] = [{} for _ in range(len(table))]
+    out: list[Intervals] = [{} for _ in range(table.num_groups)]
     vertices = range(len(table.owners[0]))
     entered = [0] * len(vertices)  # the timestep v's current owner took it
     blank = array(table.typecode, [-1]) * len(vertices)
@@ -472,11 +437,11 @@ def write_zones(zones: ZoneTable, radius: int, world: GridWorld, path: str | Pat
     """Write the zones as JSON, each zone a list of ``[x, y]`` in vertex
     order, one group and timestep at a time."""
     with open(path, "w") as f:
-        f.write(f'{{"radius": {radius}, "horizon": {len(zones[0]) - 1}, "zones": [')
+        f.write(f'{{"radius": {radius}, "horizon": {len(zones.owners) - 1}, "zones": [')
         for i, group in enumerate(zones):
             f.write(", [" if i else "[")
             for t, zone in enumerate(group):
                 f.write(", " if t else "")
-                f.write(json.dumps([list(world.coords(v)) for v in sorted(zone)]))
+                f.write(json.dumps([list(world.coords(v)) for v in zone]))
             f.write("]")
         f.write("]}\n")

@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import deque
 from pathlib import Path
 
@@ -81,32 +82,45 @@ def placement_worlds(open16, random32, room32, two_rooms):
             "two-rooms": two_rooms}
 
 
-def replay_picks(world, initial, radius, picks):
-    """Replay an extension log on a copy of the initial zones.
+def zone_table(zones, num_vertices):
+    """The ``ZoneTable`` of nested vertex sets ``zones[i][t]``, which must be
+    disjoint at each t."""
+    table = ZoneTable(len(zones))
+    for t in range(len(zones[0])):
+        owner = [-1] * num_vertices
+        for i, group in enumerate(zones):
+            for v in group[t]:
+                assert owner[v] < 0, f"vertex {v} is in the zones of groups {owner[v]} and {i} at t={t}"
+                owner[v] = i
+        table.append(owner)
+    return table
 
-    Each pick is checked against the zones as they stood just before it:
+
+def replay_picks(world, initial, radius, picks):
+    """Replay an extension log on a copy of the initial table's owners.
+
+    Each pick is checked against the owners as they stood just before it:
     (1) the vertex is new to the claimant's zone and touches it, (2) it is
     in no other zone at t, (3) nor in another zone at t - 1, and (4) its fov
     square meets no other zone at t. Then it is applied. Returns the
-    replayed zones and the picks that broke a rule. The log must run in
-    ascending timestep order, as the extension makes it, so every rule-3
+    replayed owner arrays and the picks that broke a rule. The log must run
+    in ascending timestep order, as the extension makes it, so every rule-3
     check reads a finished previous timestep.
     """
     assert [p.t for p in picks] == sorted(p.t for p in picks)
-    zones = [[set(zone) for zone in per_t] for per_t in initial]
+    owners = [array(row.typecode, row) for row in initial.owners]
     breaks = []
     for pick in picks:
         t, i, v = pick.t, pick.group, pick.vertex
-        square = world.fov(v, radius)
-        ok = v not in zones[i][t] and any(u in zones[i][t] for u in world.adjacency[v])
-        for j, other in enumerate(zones):
-            if j != i and (v in other[t] or (t > 0 and v in other[t - 1])
-                           or not square.isdisjoint(other[t])):
-                ok = False
+        owner = owners[t]
+        ok = (owner[v] == -1  # rules 1 and 2
+              and any(owner[u] == i for u in world.adjacency[v])  # rule 1
+              and (t == 0 or owners[t - 1][v] in (-1, i))  # rule 3
+              and all(owner[u] in (-1, i) for u in world.fov(v, radius)))  # rule 4
         if not ok:
             breaks.append(pick)
-        zones[i][t].add(v)
-    return zones, breaks
+        owner[v] = i
+    return owners, breaks
 
 
 def pad_paths(paths):
@@ -146,7 +160,7 @@ def random_zone_table(world, rng, growth, horizon):
 
 def replan_in_zones(world, zone_per_t, start, goal):
     """``sipp_replan`` inside one group's zones given as a list of sets."""
-    intervals = vertex_intervals(ZoneTable.from_sets([zone_per_t], world.num_vertices))[0]
+    intervals = vertex_intervals(zone_table([zone_per_t], world.num_vertices))[0]
     return sipp_replan(world, intervals, len(zone_per_t) - 1, start, goal)
 
 

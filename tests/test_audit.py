@@ -6,6 +6,7 @@ departure-and-return pays for the excursion and the rewind.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -15,11 +16,14 @@ from privmapf.audit import (
     audit,
     check_separated,
     metrics,
+    owned_vertices,
     path_cost,
     real_sum_of_costs,
 )
 from privmapf.grid import ConfigError
 from privmapf.plans import JointPlan
+
+from conftest import zone_table
 
 
 def test_path_cost_frozen_examples():
@@ -110,26 +114,39 @@ def test_audit_rejects_ragged_plan():
 
 
 def test_check_separated_flags_fov_overlap(open4):
+    # two disjoint zones, within view of each other at t=0 only
     za = [{open4.vertex_at(0, 0)}, {open4.vertex_at(0, 0)}]
     zb = [{open4.vertex_at(1, 1)}, {open4.vertex_at(3, 3)}]
-    bad = check_separated(open4, [za, zb], 1)
-    assert bad and bad[0][0] == 0  # t=0: (0,0) sees (1,1)
-    assert not check_separated(open4, [za, zb], 0)
+    table = zone_table([za, zb], open4.num_vertices)
+    v, u = open4.vertex_at(0, 0), open4.vertex_at(1, 1)
+    assert check_separated(open4, table, 1) == [(0, 0, 1, v, u)]  # (0,0) sees (1,1)
+    assert check_separated(open4, table, 0) == []
+
+
+def test_owned_vertices_of_both_owner_typecodes():
+    # -1 is the only owner whose bytes are all 0xFF; 255 and 65535 hold
+    # 0xFF bytes too, so each is owned
+    assert owned_vertices(array("b", [-1, 0, 127, -1, 5])) == [1, 2, 4]
+    assert owned_vertices(array("i", [-1, 255, -1, 0, 65535, -1, 128])) == [1, 3, 4, 6]
+    assert owned_vertices(array("b", [-1] * 9)) == owned_vertices(array("i")) == []
 
 
 @pytest.mark.parametrize("world_name", ["open16", "random32"])
 @pytest.mark.parametrize("radius", [1, 2])
 def test_check_separated_matches_brute_force(request, world_name, radius):
-    # seeded random zone tables, some zones empty, against a scan of every
+    # seeded random zone tables, some zones empty and the zones at one
+    # timestep disjoint (one owner per vertex), against a scan of every
     # (t, i < j, v in zone i, u in zone j) within Chebyshev r, in that order
     world = request.getfixturevalue(world_name)
     rng = random.Random(f"separated:{world_name}:{radius}")
     n_groups, horizon = 4, 6
-    zones = [
-        [set(rng.sample(range(world.num_vertices), rng.choice([0, 0, 3, 12, 40])))
-         for _ in range(horizon + 1)]
-        for _ in range(n_groups)
-    ]
+    zones = [[] for _ in range(n_groups)]
+    for _ in range(horizon + 1):
+        sizes = [rng.choice([0, 0, 3, 12, 40]) for _ in range(n_groups)]
+        drawn = rng.sample(range(world.num_vertices), sum(sizes))
+        for zone, size in zip(zones, sizes):
+            zone.append(set(drawn[:size]))
+            del drawn[:size]
     expected = [
         (t, i, j, v, u)
         for t in range(horizon + 1)
@@ -141,7 +158,7 @@ def test_check_separated_matches_brute_force(request, world_name, radius):
     ]
     assert any(not zone for per_t in zones for zone in per_t)
     assert len({(t, i, j) for t, i, j, _, _ in expected}) > 1
-    assert check_separated(world, zones, radius) == expected
+    assert check_separated(world, zone_table(zones, world.num_vertices), radius) == expected
 
 
 def test_audit_reports_moves_that_are_not_wait_or_step(open4):

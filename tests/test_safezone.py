@@ -17,9 +17,8 @@ import tracemalloc
 import pytest
 
 from privmapf.audit import audit, check_separated, group_fov
-from privmapf.bench import default_separation
 from privmapf.grid import ConfigError
-from privmapf.instances import random_spaced_pairs
+from privmapf.instances import default_separation, random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import (
@@ -41,6 +40,7 @@ from conftest import (
     random_zone_table,
     replan_in_zones,
     replay_picks,
+    zone_table,
 )
 
 
@@ -61,7 +61,7 @@ def test_single_member_zone_is_the_member_position(open16):
     plan = pad_paths([path])
     for radius in (1, 2):
         zones = initial_safe_zones(open16, plan, [0], radius)
-        assert zones[0] == [{v} for v in path]
+        assert list(zones) == [[[v] for v in path]]
 
 
 def test_two_member_zone_interior(open16):
@@ -70,7 +70,19 @@ def test_two_member_zone_interior(open16):
     a, b = open16.vertex_at(5, 5), open16.vertex_at(7, 5)
     plan = pad_paths([(a,), (b,)])
     zones = initial_safe_zones(open16, plan, [0, 0], 1)
-    assert zones[0][0] == {a, open16.vertex_at(6, 5), b}
+    assert list(zones)[0][0] == [a, open16.vertex_at(6, 5), b]
+
+
+def test_initial_zones_claimed_twice_are_rejected(open16):
+    # group 0 stands left and right of (6, 5), group 1 above and below it,
+    # each member within view of the other group's: both regions hold the
+    # fov square of (6, 5), so both initial zones claim it
+    plan = pad_paths([(open16.vertex_at(x, y),) for x, y in ((5, 5), (7, 5), (6, 4), (6, 6))])
+    with pytest.raises(PreconditionError, match=(
+        rf"initial zones are not fov-separated: vertex {open16.vertex_at(6, 5)} "
+        r"is in the zones of groups 0 and 1 at t=0"
+    )):
+        initial_safe_zones(open16, plan, [0, 0, 1, 1], 1)
 
 
 def test_group_fov_is_union_of_member_squares(open16):
@@ -84,9 +96,9 @@ def test_extension_picks_obey_all_four_rules(open16):
     group_of = result.problem.group_of
     refined = ppfpp(open16, result.plan, group_of, result.real_paths, 1, seed=0)
     initial = initial_safe_zones(open16, result.plan, group_of, 1)
-    zones, breaks = replay_picks(open16, initial, 1, refined.picks)
+    owners, breaks = replay_picks(open16, initial, 1, refined.picks)
     assert breaks == []
-    assert zones == refined.zones  # the log holds every pick
+    assert owners == refined.zones.owners  # the log holds every pick
     assert len(refined.picks) > 0
 
 
@@ -183,6 +195,7 @@ def spread_group_zones(world, rng, n_groups, k, radius, horizon):
 
 
 def copy_zones(zones):
+    """Nested sets ``zones[i][t]`` of a ``ZoneTable`` or of nested sets."""
     return [[set(zone) for zone in per_t] for per_t in zones]
 
 
@@ -206,12 +219,13 @@ def test_extension_matches_frontier_rebuild(open16, random32):
     for case, (world, radius, zones) in enumerate(instances):
         expected_zones, kept = copy_zones(zones), []
         expected = _reference_extend(world, expected_zones, radius, seed=case, kept=kept)
-        initial = copy_zones(zones)
+        initial = [list(row) for row in zones.owners]
         got_zones, got = extend_safe_zones(world, zones, radius, seed=case)
         assert got == expected
-        assert got_zones == expected_zones
+        assert got_zones.owners == zone_table(expected_zones, world.num_vertices).owners
         assert all(got_zones.owners[p.t][p.vertex] == p.group for p in expected)
-        assert zones == initial  # the extension leaves its input alone
+        # the extension leaves its input alone
+        assert [list(row) for row in zones.owners] == initial
         assert check_separated(world, got_zones, radius) == []
         # coverage: a group stops growing while another still picks; a
         # group's frontier, non-empty after its own pick, is emptied by the
@@ -221,8 +235,8 @@ def test_extension_matches_frontier_rebuild(open16, random32):
         last = {}  # (t, group): the group's last round at t
         for p in expected:
             last[p.t, p.group] = p.round
-        for t in range(len(zones[0])):
-            rounds = [last.get((t, i), -1) for i in range(len(zones))]
+        for t in range(len(zones.owners)):
+            rounds = [last.get((t, i), -1) for i in range(zones.num_groups)]
             stalled_early += min(rounds) < max(rounds)
         emptied_by_others += sum(left and p.round == last[p.t, p.group]
                                  for p, left in zip(expected, kept))
@@ -239,11 +253,11 @@ def test_pick_log_counts_and_numbers_rounds_per_timestep(open16):
     picks = list(log)
     assert len(log) == len(picks) > 0
     assert list(log) == picks and log == picks  # iterating again yields the same
-    # every logged round holds a pick, and each pick's group, read back
-    # from the extended table, owns a vertex new to its zone
+    # every logged round holds a pick, and each pick claims a vertex that
+    # no initial zone held at its timestep
     assert all(a < b for a, b in zip([0, *log.round_end], log.round_end))
     assert log.round_end[-1] == len(log)
-    assert not any(pick.vertex in zones[pick.group][pick.t] for pick in picks)
+    assert all(zones.owners[pick.t][pick.vertex] == -1 for pick in picks)
     assert picks[0].round == 0
     restarts = 0
     for prev, pick in zip(picks, picks[1:]):
@@ -273,9 +287,9 @@ def test_extension_log_keeps_no_object_per_pick(random32):
         grown = len(gc.get_objects()) - before
     finally:
         gc.enable()
-    bound = len(zones[0]) + 8  # an array per timestep, the table and the log
-    assert len(table) == len(zones) > 1
-    assert len(log) > 10 * bound * len(zones)
+    bound = len(zones.owners) + 8  # an array per timestep, the table and the log
+    assert table.num_groups == zones.num_groups > 1
+    assert len(log) > 10 * bound * zones.num_groups
     assert grown <= bound, (grown, len(log))
 
 
@@ -350,7 +364,7 @@ def test_vertex_intervals_match_rescan():
         stay = rng.random()
         table = [{v for v in pool if rng.random() < stay} for _ in range(rng.randrange(1, 16))]
         expected = _reference_vertex_intervals(table)
-        assert vertex_intervals(ZoneTable.from_sets([table], 12)) == [expected]
+        assert vertex_intervals(zone_table([table], 12)) == [expected]
         reentries += sum(len(ivls) > 1 for ivls in expected.values())
         late_entries += sum(ivls[0][0] > 0 for ivls in expected.values())
     assert reentries > 100 and late_entries > 100
@@ -359,7 +373,7 @@ def test_vertex_intervals_match_rescan():
 def test_vertex_intervals_merge_consecutive_timesteps(open4):
     a, b = open4.vertex_at(0, 0), open4.vertex_at(1, 0)
     table = [{a}, {a, b}, {a}, {a, b}, {a, b}]
-    ivls, = vertex_intervals(ZoneTable.from_sets([table], open4.num_vertices))
+    ivls, = vertex_intervals(zone_table([table], open4.num_vertices))
     assert ivls[a] == [(0, 4)]
     assert ivls[b] == [(1, 1), (3, 4)]
 
@@ -379,7 +393,7 @@ def test_vertex_intervals_of_all_groups_in_one_pass():
                            for o in owners[-1]])
         zones = [[{v for v, o in enumerate(row) if o == i} for row in owners]
                  for i in range(n_groups)]
-        table = ZoneTable.from_sets(zones, n_vertices)
+        table = zone_table(zones, n_vertices)
         assert [list(row) for row in table.owners] == owners
         assert vertex_intervals(table) == [_reference_vertex_intervals(z) for z in zones]
         handovers += sum(a != b and a >= 0 and b >= 0
@@ -389,20 +403,16 @@ def test_vertex_intervals_of_all_groups_in_one_pass():
 
 def test_zone_table_reads_like_nested_sets():
     zones = [[{i, 300 + i}, {i}] for i in range(128)]
-    wide = ZoneTable.from_sets(zones, 428)
-    narrow = ZoneTable.from_sets(zones[:127], 428)
+    wide = zone_table(zones, 428)
+    narrow = zone_table(zones[:127], 428)
     # 128 groups no longer fit a signed byte
     assert {row.typecode for row in wide.owners} == {"i"}
     assert {row.typecode for row in narrow.owners} == {"b"}
+    # group-major: per group, its zone at each timestep in ascending order
     for table, expected in ((wide, zones), (narrow, zones[:127])):
-        assert len(table) == len(expected) and table == expected
-        assert table[-1][0] == expected[-1][0]
-        assert all(isinstance(zone, frozenset) for zone in table[5])
-    assert wide != narrow and wide != zones[:127]
-    with pytest.raises(IndexError):
-        wide[128]
-    with pytest.raises(ValueError, match="groups 0 and 1 at t=0"):
-        ZoneTable.from_sets([[{3}], [{3}]], 4)
+        assert table.num_groups == len(expected)
+        assert list(table) == [[sorted(zone) for zone in per_t] for per_t in expected]
+    assert list(wide)[-1] == [[127, 427], [127]]
 
 
 # ------------------------------------------------------------------ ppfpp
@@ -416,7 +426,7 @@ def test_refinement_never_worsens_and_stays_in_zone(open16):
         for i, path in enumerate(refined.refined_paths):
             assert refined.costs_after[i] <= refined.costs_before[i]
             for t, v in enumerate(path):
-                assert v in refined.zones[i][t]
+                assert refined.zones.owners[t][v] == i
         # separated zones make the refined joint plan conflict-free by
         # construction; hold the auditor to that
         joint = JointPlan(tuple(refined.refined_paths))
@@ -482,7 +492,7 @@ def test_precondition_real_path_must_be_a_group_row(open16):
 
 
 def test_improvement_percentage_arithmetic():
-    r = RefineResult(zones=[[set()]], picks=[],
+    r = RefineResult(zones=ZoneTable(2), picks=[],
                      refined_paths=[(0,), (0,)],
                      costs_before=[4, 6], costs_after=[3, 5])
     assert r.rsoc_before == 10
@@ -499,17 +509,18 @@ def test_zone_file_round_trip(open16, tmp_path):
     text = out.read_text()
     obj = json.loads(text)
     assert obj["radius"] == 1
-    assert obj["horizon"] == len(refined.zones[0]) - 1
-    zones = [[{open16.vertex_at(x, y) for x, y in zone} for zone in per_t]
+    assert obj["horizon"] == len(refined.zones.owners) - 1
+    # each zone in ascending vertex order
+    zones = [[[open16.vertex_at(x, y) for x, y in zone] for zone in per_t]
              for per_t in obj["zones"]]
-    assert zones == refined.zones
+    assert zones == list(refined.zones)
     # streamed, the file is the one dump of the whole object, byte for byte
     assert text == json.dumps(obj) + "\n"
 
 
 def test_ppfpp_traced_peak_on_a_long_horizon(random32):
     # the benchmark's refine shape, seed 0, instance 2: 134 timesteps and
-    # 89 763 picks; a set per zone peaks at 6.0 MB, owner arrays at 2.7 MB
+    # 89 763 picks; a set per zone peaks at 6.0 MB, owner arrays at 2.25 MB
     seed = "refine:0:2"
     reals = random_spaced_pairs(random32, 4, seed, min_separation=default_separation(random32))
     result = run_pipeline(random32, reals, PipelineSpec(3, 1, budget_expansions=1500), seed)
