@@ -185,19 +185,14 @@ def check_separated(
 
 
 def compute_beliefs(plan: JointPlan, group_of: list[int]) -> list[list[frozenset[int]]]:
-    """beliefs[i][t]: where agent i might be at t, judging from the broadcast."""
-    n_groups = max(group_of) + 1
-    horizon = plan.horizon
-    beliefs = []
-    for i in range(n_groups):
-        members = [j for j, g in enumerate(group_of) if g == i]
-        beliefs.append(
-            [
-                frozenset(plan.position(j, t) for j in members)
-                for t in range(horizon + 1)
-            ]
-        )
-    return beliefs
+    """beliefs[i][t]: where agent i might be at t, judging from the broadcast:
+    the set of its group's members' positions (empty for a group with none)."""
+    members: list[list[tuple[int, ...]]] = [[] for _ in range(max(group_of) + 1)]
+    for path, g in zip(plan.paths, group_of):
+        members[g].append(path)
+    empty = frozenset()
+    return [list(map(frozenset, zip(*paths))) if paths else [empty] * (plan.horizon + 1)
+            for paths in members]
 
 
 def check_k_privacy(beliefs: list[list[frozenset[int]]], k: int) -> dict:

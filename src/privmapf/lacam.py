@@ -5,10 +5,11 @@ nodes, each carrying a lazily grown constraint tree; the low level walks
 that tree in BFS order, pinning one agent per depth to a concrete vertex.
 A constraint is the list of its ``(agent, vertex)`` pins, ordered by depth.
 Successor configurations come from the priority-inheritance step builder,
-which takes that list as its forced assignments. The walk is an index, not
-a queue: the tree is complete (a depth-d constraint has one child per
-candidate of agent ``order[d]``, a list fixed by the node's configuration),
-so BFS takes each depth in mixed-radix counting order (``_pins``).
+which takes that list as its forced assignments. The tree is complete (a
+depth-d constraint has one child per candidate of agent ``order[d]``, a
+list fixed by the node's configuration), so BFS takes each depth in
+mixed-radix counting order, and the walk is one pin list stepped in place
+(``_advance``), not a queue.
 Because the root constraint is empty, the first depth-first dive
 reproduces the plain one-shot run of the step builder (same RNG stream),
 and everything after the first goal hit is anytime improvement: known
@@ -18,25 +19,26 @@ appears.
 There is no swap operation on top of the step builder; escaping local
 minima is left to the constraint tree.
 
-Most discovered configurations are pruned before they are expanded, so a
-discovered node holds only what pruning reads: its configuration, g, the
-heuristic h and the discovering parent's etas. The configuration is packed
-bytes, one little-endian 16-bit field per agent (32-bit above 65 536
-vertices), which is also its key among the discovered; at 32 sub-agents
-that is 97 B against a 296 B tuple. The decoded ints, its own etas, its
-priority order, its constraint tree and its out-edges are built at its
-first expansion, from those etas; a rewire changes the parent and g, never
-the etas source. A discovery that the next iteration would pop at once
-(the goal, or a child no cheaper than the incumbent) is not pushed.
+A node's search state is its configuration and its walk. Most discovered
+configurations are pruned before they are expanded, so a discovered node
+holds only what pruning reads: its configuration, g, the heuristic h and
+the discovering parent's etas. The configuration is packed bytes, one
+little-endian 16-bit field per agent (32-bit above 65 536 vertices), which
+is also its key among the discovered; at 32 sub-agents that is 97 B against
+a 296 B tuple. Its own etas, its priority order, its candidate lists, its
+pins (the constraint its next expansion takes) and its out-edges are built
+at its first expansion, from those etas; a rewire changes the parent and g,
+never the etas source. A discovery that the next iteration would pop at
+once (the goal, or a child no cheaper than the incumbent) is not pushed.
 
 A node is usually expanded several times in a row, once per constraint, so
 the search keeps one step context (``pibt.StepContext``): the configuration
 seen through the step builder's eyes, with each goal-resting agent's draws
-and watch list. It is built when the search expands a node other than the
-one it expanded last, and reused for that node's following expansions. The
-context's pins are the current constraint, stepped in place as a
-mixed-radix counter (``_advance``); they are decoded from the node's index
-with ``_pins`` only when the search returns to a half-walked node.
+and watch list. It is built, from the configuration unpacked afresh, when
+the search expands a node other than the one it expanded last, and reused
+for that node's following expansions. The context holds the node's pin
+list by reference, so a step reads the constraint the node is at, also when
+the search returns to a half-walked node.
 
 The edge cost charges 1 per agent not resting at its goal across the move
 (n minus the agents on their goal at both ends), which matches sum-of-costs
@@ -62,12 +64,10 @@ from .plans import JointPlan
 
 
 class _Node:
-    __slots__ = ("config", "q", "g", "h", "parent", "order", "cands", "index", "width", "etas",
-                 "edges")
+    __slots__ = ("config", "g", "h", "parent", "order", "cands", "pins", "etas", "edges")
 
     def __init__(self, config, g, h, parent, etas):
         self.config = config  # packed bytes, the node's key in ``explored``
-        self.q = None  # the configuration as a tuple of ints, decoded at the first expansion
         self.g = g
         self.h = h
         self.parent = parent
@@ -76,10 +76,10 @@ class _Node:
         self.etas = etas
         self.order = None  # priority order, built at the first expansion
         self.cands = None  # likewise; cands[j] lists agent order[j]'s candidates
-        # the walk is at constraint ``index`` of the ``width`` (the product of
-        # the lists' lengths) at depth len(cands); index == width once depth
-        # n is spent
-        self.index, self.width = 0, 1
+        # the constraint the next expansion takes, one (agent, vertex) pin per
+        # list of ``cands``: () before the first expansion, None once depth n
+        # is spent
+        self.pins: list[tuple[int, int]] | tuple | None = ()
         self.edges: dict[_Node, int] | None = None  # out-edge costs once expanded
 
 
@@ -104,31 +104,20 @@ def _move_cost(off_a: int, off_b: int, low: int, high: int) -> int:
     return (((z & low) + low | z) & high).bit_count()
 
 
-def _pins(order: list[int], cands: list[list[int]], index: int) -> list[tuple[int, int]]:
-    """The pins of constraint ``index`` at depth ``len(cands)``: digit j, in
-    base ``len(cands[j])`` with the last fastest, pins ``order[j]``."""
-    pins = []
-    for j in range(len(cands) - 1, -1, -1):
-        index, digit = divmod(index, len(cands[j]))
-        pins.append((order[j], cands[j][digit]))
-    pins.reverse()
-    return pins
-
-
-def _advance(pins: list[tuple[int, int]], order: list[int], cands: list[list[int]]) -> None:
-    """Steps ``pins`` in place to the next constraint of the BFS walk: one
-    up in ``_pins``' mixed radix. Past a depth's last constraint every digit
-    wraps to 0, and the pin of the depth that ``cands`` has just gained is
-    appended."""
+def _advance(pins: list[tuple[int, int]], cands: list[list[int]]) -> bool:
+    """Steps ``pins`` in place to the next constraint of their depth, in BFS
+    order: a mixed-radix counter whose digit j is pin j's place in
+    ``cands[j]``, the last fastest. True when every digit has wrapped to 0,
+    that is, when the depth is spent (at once at depth 0)."""
     for j in range(len(pins) - 1, -1, -1):
         a, v = pins[j]
         vs = cands[j]
         i = vs.index(v) + 1
         if i < len(vs):
             pins[j] = (a, vs[i])
-            return
+            return False
         pins[j] = (a, vs[0])
-    pins.append((order[len(pins)], cands[len(pins)][0]))
+    return True
 
 
 def _extract(node: _Node, unpack) -> JointPlan:
@@ -175,7 +164,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     best_soc: int | None = None
     scored_g: int | None = None  # goal_node.g when its plan was last scored
     expansions = 0
-    ctx_node: _Node | None = None  # the node ``ctx``, ``pins`` and ``off`` belong to
+    ctx_node: _Node | None = None  # the node ``ctx``, ``q`` and ``off`` belong to
 
     def consider_incumbent():
         nonlocal best_plan, best_soc, scored_g
@@ -192,35 +181,32 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
 
     while open_stack:
         node = open_stack[-1]
-        if (node.config == goal_cfg or node.index == node.width
+        if (node.config == goal_cfg or node.pins is None
                 or (goal_node is not None and goal_node.g <= node.g + node.h)):
             open_stack.pop()
             continue
         if expansions >= budget_expansions:
             break
         expansions += 1
-        cands, q = node.cands, node.q
-        if cands is None:  # first expansion: the node's ints, own etas and order
-            node.q = q = unpack(node.config)
-            node.etas, node.order = node_data(goals, dists, q, node.etas)
-            node.cands = cands = []
-            node.edges = {}
-
         if node is not ctx_node:  # one context at a time, for the node being expanded
-            pins = _pins(node.order, cands, node.index)
-            ctx, ctx_node = StepContext(problem, q, node.order, pins), node
+            q = unpack(node.config)
+            if node.cands is None:  # first expansion: its own etas, order and walk
+                node.etas, node.order = node_data(goals, dists, q, node.etas)
+                node.cands, node.pins, node.edges = [], [], {}
+            ctx, ctx_node = StepContext(problem, q, node.order, node.pins), node
             off = from_bytes(node.config, "little") ^ goal_int  # its off-goal word
         q_new = build_step(problem, ctx, rng)
-        node.index += 1
-        if node.index == node.width and len(cands) < n:  # on to the next depth
-            agent = node.order[len(cands)]
-            cur = q[agent]
-            vs = sorted((cur, *adj[cur]))
-            vs.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
-            cands.append(vs)
-            node.index, node.width = 0, node.width * len(vs)
-        if node.index < node.width:
-            _advance(pins, node.order, cands)
+        cands, pins = node.cands, node.pins
+        if _advance(pins, cands):  # the depth is spent
+            if len(cands) < n:  # on to the next, at its first constraint
+                agent = node.order[len(cands)]
+                cur = q[agent]
+                vs = sorted((cur, *adj[cur]))
+                vs.sort(key=dists[agent].__getitem__)  # stable: by (distance, vertex)
+                cands.append(vs)
+                pins.append((agent, vs[0]))
+            else:
+                node.pins = None
         if q_new is None:
             continue
         key = pack(*q_new)

@@ -14,6 +14,9 @@ displaced agents run with the claimant's inherited priority (the recursion
 itself); if any of them cannot move, every tentative assignment made under
 that candidate is rolled back and the claimant tries its next vertex. At
 radius 0 the fov set degenerates to {v}: the rule is the classical one.
+A step that spends its budget of ``attempt`` calls, or whose push chain
+reaches the interpreter's recursion limit, fails as an unrealisable one
+(``build_step``).
 
 The builder's state is indexed by vertex, -1 for none. ``at[v]``, the
 agent on v, depends only on the configuration: ``StepContext`` builds it
@@ -197,9 +200,15 @@ class StepContext:
 
 def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> list[int] | None:
     """One configuration step from ``ctx.config``, deciding agents in
-    ``ctx.order`` after the pins; None when the step is unrealisable.
-    Unpinned from a valid configuration it always succeeds: every agent may
-    wait.
+    ``ctx.order`` after the pins; None when the step is unrealisable, when
+    it spends its budget of ``8 n + 64`` ``attempt`` calls (n agents), or
+    when its push chain (one recursion level per pushed agent) reaches the
+    interpreter's recursion limit. Unpinned from a valid configuration it
+    always succeeds within that budget and depth: every agent may wait.
+    Without the budget a crowded map takes exponential time, as a failed
+    push is undone and its agent attempted again from later branches. The
+    search stays complete: a constraint at depth n pins every agent, and
+    its step makes no ``attempt`` call.
 
     An agent resting on its goal keeps it without an ``attempt`` call unless
     an agent on its watch list has its vertex (``config[b]`` while
@@ -215,10 +224,13 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
     getrandbits = rng.getrandbits
     target: list[int | None] = [None] * problem.num_agents
     undo: list[int] = []  # assigned agents (radius >= 1)
+    # one call per attempt; StopIteration once the budget is spent
+    spend = iter(range(8 * problem.num_agents + 64)).__next__
 
     # state bound as defaults: read as fast locals, quicker than closure cells
     def attempt(a, config=config, adj=adj, dists=dists, getrandbits=getrandbits, claimed=claimed,
-                at=at, target=target, fov=fov, group_of=group_of, undo=undo):
+                at=at, target=target, fov=fov, group_of=group_of, undo=undo, spend=spend):
+        spend()
         cur = config[a]
         cand = [cur, *adj[cur]]
         for i, n, k in _DRAWS[len(cand)]:
@@ -312,6 +324,8 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
             if not attempt(a):
                 return None
         return target
+    except (StopIteration, RecursionError):  # the budget or the depth is spent
+        return None
     finally:
         for v in target:
             if v is not None:

@@ -34,10 +34,6 @@ class JointPlan:
         """Padded plan length in timesteps (T); positions exist for 0..T."""
         return len(self.paths[0]) - 1
 
-    def position(self, agent: int, t: int) -> int:
-        path = self.paths[agent]
-        return path[t] if t < len(path) else path[-1]
-
     @staticmethod
     def from_configs(configs: list[list[int]]) -> "JointPlan":
         """Transpose a per-timestep configuration sequence into per-agent paths."""

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import privmapf
+from privmapf import lacam
 from privmapf.dispatch import AgentGroup
 from privmapf.grid import load_map, parse_map_text
 from privmapf.pibt import SolveResult, SolverProblem, StepContext, build_step, clean_start, node_data
@@ -260,3 +261,41 @@ def one_shot_pibt(problem, seed):
     if config != goal_cfg:
         return SolveResult(False, None, "horizon")
     return SolveResult(True, JointPlan.from_configs([list(c) for c in configs]), None)
+
+
+class CountingRandom(random.Random):
+    """A Random that counts the words it draws and fails the test once more
+    than ``limit`` are drawn since ``words`` was last reset."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.limit = self.words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        if self.words > self.limit:
+            raise AssertionError(f"a step drew more than {self.limit} words")
+        return super().getrandbits(k)
+
+
+def bound_step_draws(monkeypatch, seed):
+    """Runs the search's steps (``lacam.build_step``) on a CountingRandom
+    seeded as ``lacam_solve`` seeds its own, so the stream is the search's.
+    Fails the test when a step of n agents leaves a claim behind or draws
+    more than 16 (9 n + 64) words, so an unbounded step fails instead of
+    hanging: within its budget of 8 n + 64 ``attempt`` calls, each call and
+    each agent resting on its goal shuffles at most 5 candidates, about 7
+    words on average. Returns a list of one ``(words drawn, step
+    succeeded)`` per step, filled as the search runs."""
+    rng, steps = CountingRandom(f"pibt:{seed}"), []
+    build_step = lacam.build_step
+
+    def bounded_step(problem, ctx, _rng):
+        rng.words, rng.limit = 0, 16 * (9 * problem.num_agents + 64)
+        q_new = build_step(problem, ctx, rng)
+        steps.append((rng.words, q_new is not None))
+        assert max(problem.claimed) == -1
+        return q_new
+
+    monkeypatch.setattr(lacam, "build_step", bounded_step)
+    return steps

@@ -15,7 +15,7 @@ from privmapf.dispatch import InfeasibleInputError
 from privmapf.grid import PrivmapfError
 from privmapf.pipeline import PipelineSpec
 
-from conftest import ASSETS
+from conftest import ASSETS, bound_step_draws
 
 
 def test_version(capsys):
@@ -159,6 +159,20 @@ def test_solve_failure_exits_nonzero_but_still_traces(tmp_path, capsys):
     obj = json.loads(trace_file.read_text())
     assert len(obj["groups"]) == 2
     assert obj["plan"] is None
+
+
+def test_a_push_chain_past_the_recursion_limit_is_a_timeout(tmp_path, monkeypatch, capsys):
+    # 1299 sub-agents on a 1x1300 open row: a step pushes them along in one
+    # chain, one recursion level each, past the interpreter's limit; each
+    # such step fails as an unrealisable one, within its attempt budget
+    line = tmp_path / "line1300.map"
+    line.write_text("type octile\nheight 1\nwidth 1300\nmap\n" + "." * 1300 + "\n")
+    steps = bound_step_draws(monkeypatch, 0)
+    rc = main(["solve", "--map", str(line), "--agents", "1", "--k", "1299",
+               "--budget-expansions", "3"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "unsolved: timeout\n", "")
+    assert len(steps) == 3 and steps[0][1] is False  # the unpinned first step hits it
 
 
 def test_solve_from_scenario_file(capsys):

@@ -9,7 +9,6 @@ internal edge surrogate, so agreement is meaningful.
 import gc
 import heapq
 import itertools
-import math
 import random
 from collections import Counter, deque
 
@@ -451,39 +450,64 @@ def _pin_trees():
         yield rng.sample(range(n), n), [rng.sample(range(50), rng.randint(1, 5)) for _ in range(n)]
 
 
-def test_index_walk_is_the_bfs_queue():
-    # decoding every index of depths 0..n yields the queue's constraints in
-    # its order, and the queue is empty exactly when depth n is spent
+def _bfs_queue(order, cands):
+    """The constraints of the tree over ``cands`` in the order a BFS queue
+    takes them: depth by depth, a depth-d constraint's children pinning
+    agent ``order[d]`` to each vertex of ``cands[d]`` in turn."""
+    queue = deque([()])
+    while queue:
+        pins = queue.popleft()
+        yield pins
+        if len(pins) < len(order):
+            queue.extend(pins + ((order[len(pins)], u),) for u in cands[len(pins)])
+
+
+def test_pin_walk_is_the_bfs_queue():
+    # one pin list stepped by _advance from [], gaining each new depth's
+    # first pin when _advance reports the depth spent, walks the queue's
+    # constraints in its order; _advance reports exactly each depth's end
     for order, cands in _pin_trees():
-        n = len(order)
-        queue, expected = deque([()]), []
-        while queue:
-            pins = queue.popleft()
-            expected.append(pins)
-            if len(pins) < n:
-                queue.extend(pins + ((order[len(pins)], u),) for u in cands[len(pins)])
-        walked = []
-        for depth in range(n + 1):
-            width = math.prod(len(c) for c in cands[:depth])
-            walked += [tuple(lacam._pins(order, cands[:depth], i)) for i in range(width)]
+        expected = list(_bfs_queue(order, cands))
+        walked, pins, grown = [], [], []
+        while True:
+            walked.append(tuple(pins))
+            at_end = len(walked) == len(expected) or len(expected[len(walked)]) > len(pins)
+            assert lacam._advance(pins, grown) == at_end
+            if at_end:
+                if len(grown) == len(order):
+                    break
+                grown.append(cands[len(grown)])
+                pins.append((order[len(pins)], grown[-1][0]))
         assert walked == expected
 
 
-def test_pin_counter_is_the_index_walk():
-    # the search advances one pin list in place, also across the depth
-    # steps, where the tree gains a candidate list; it must decode as the index
-    for order, cands in _pin_trees():
-        pins, grown = [], []
-        for depth in range(len(order) + 1):
-            width = math.prod(len(c) for c in grown)
-            for i in range(width):
-                assert pins == lacam._pins(order, grown, i)
-                if i + 1 == width:
-                    if depth == len(order):
-                        break
-                    grown.append(cands[depth])
-                lacam._advance(pins, order, grown)
-        assert len(pins) == len(order)
+def test_a_returning_search_resumes_each_walk(random32, monkeypatch):
+    # the search leaves nodes half-walked and comes back to them; the steps
+    # from one configuration take its BFS queue's constraints in order, each
+    # once, so a return resumes the walk where it stopped
+    pairs = random_spaced_pairs(random32, 8, 0, min_separation=5)
+    problem = SolverProblem(random32, dispatch_groups(random32, pairs, 3, 1, 0), 1)
+    walks, orders, returns, last = {}, {}, 0, None
+    build_step = lacam.build_step
+
+    def recorded_step(problem, ctx, rng):
+        nonlocal returns, last
+        config = tuple(ctx.config)
+        returns += config != last and config in walks
+        walks.setdefault(config, []).append(tuple(ctx.pins))
+        orders[config], last = ctx.order, config
+        return build_step(problem, ctx, rng)
+
+    monkeypatch.setattr(lacam, "build_step", recorded_step)
+    result = lacam_solve(problem, 0, budget_expansions=1500)
+    adj, dists = random32.adjacency, problem.dists
+    for config, walk in walks.items():
+        order = orders[config]
+        cands = [sorted((config[a], *adj[config[a]]), key=lambda v: (dists[a][v], v))
+                 for a in order]
+        assert walk == list(itertools.islice(_bfs_queue(order, cands), len(walk)))
+        assert len(set(walk)) == len(walk)
+    assert result.solved and returns > 0
 
 
 @pytest.mark.parametrize("budget", [2.5, True, -1])

@@ -36,9 +36,10 @@ from privmapf.pibt import (
     clean_start,
     node_data,
 )
+from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 
-from conftest import ASSETS, singleton_problem
+from conftest import ASSETS, bound_step_draws, singleton_problem
 
 BUDGET = 1500
 
@@ -147,8 +148,7 @@ def test_same_group_members_may_touch(open4):
     problem = SolverProblem(open4, [AgentGroup(0, pairs, 0)], 1)
     result = lacam_solve(problem, seed=2, budget_expansions=BUDGET)
     assert result.solved
-    dists = [open4.chebyshev(result.plan.position(0, t), result.plan.position(1, t))
-             for t in range(result.plan.horizon + 1)]
+    dists = [open4.chebyshev(u, v) for u, v in zip(*result.plan.paths)]
     assert min(dists) <= 1  # they really do pass close by
 
 
@@ -684,6 +684,19 @@ def _clustered_problem(world, rng, radius):
         taken += starts
         groups.append(AgentGroup(g, tuple(zip(starts, goals[g * k:(g + 1) * k])), 0))
     return SolverProblem(world, groups, radius)
+
+
+@pytest.mark.parametrize("k", [254, 256])
+def test_a_crowded_map_spends_the_step_budget(open16, monkeypatch, k):
+    # one agent with k sub-agents on the 256 vertices of open16: a failed
+    # push is retried from every later branch, so without the budget the
+    # first step succeeds after drawing 4.5 million words at k=254, and at
+    # k=256 the second does not end
+    steps = bound_step_draws(monkeypatch, 0)
+    spec = PipelineSpec(k=k, radius=0, budget_expansions=20)
+    result = run_pipeline(open16, random_spaced_pairs(open16, 1, 0), spec, 0)
+    assert (result.solved, result.reason, len(steps)) == (False, "timeout", 20)
+    assert steps[0][1] is False  # the first step spends its budget
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])

@@ -12,13 +12,6 @@ def test_pad_paths_extends_with_goal():
     assert padded.paths == ((1, 2, 3), (4, 4, 4))
 
 
-def test_position_clamps_past_end():
-    plan = JointPlan(((5, 6, 7),))
-    assert plan.position(0, 0) == 5
-    assert plan.position(0, 2) == 7
-    assert plan.position(0, 99) == 7
-
-
 def test_from_configs_transposes():
     plan = JointPlan.from_configs([[1, 10], [2, 10], [3, 11]])
     assert plan.paths == ((1, 2, 3), (10, 10, 11))
