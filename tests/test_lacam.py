@@ -9,6 +9,7 @@ internal edge surrogate, so agreement is meaningful.
 import gc
 import heapq
 import itertools
+import math
 import random
 from collections import Counter, deque
 
@@ -462,10 +463,11 @@ def _bfs_queue(order, cands):
             queue.extend(pins + ((order[len(pins)], u),) for u in cands[len(pins)])
 
 
-def test_pin_walk_is_the_bfs_queue():
+def test_index_walk_is_the_bfs_queue():
     # one pin list stepped by _advance from [], gaining each new depth's
     # first pin when _advance reports the depth spent, walks the queue's
-    # constraints in its order; _advance reports exactly each depth's end
+    # constraints in its order, one per step; _advance reports exactly each
+    # depth's end
     for order, cands in _pin_trees():
         expected = list(_bfs_queue(order, cands))
         walked, pins, grown = [], [], []
@@ -479,6 +481,34 @@ def test_pin_walk_is_the_bfs_queue():
                 grown.append(cands[len(grown)])
                 pins.append((order[len(pins)], grown[-1][0]))
         assert walked == expected
+
+
+def _decode(order, cands, index):
+    """The pins of constraint ``index`` at depth ``len(cands)``: digit j, in
+    base ``len(cands[j])`` with the last fastest, pins ``order[j]``."""
+    pins = []
+    for j in range(len(cands) - 1, -1, -1):
+        index, digit = divmod(index, len(cands[j]))
+        pins.append((order[j], cands[j][digit]))
+    return pins[::-1]
+
+
+def test_pin_counter_is_the_index_walk():
+    # the search advances one pin list in place; after i steps within a
+    # depth it must decode as index i of that depth, and _advance must report
+    # the depth spent exactly at its last index, with every pin wrapped
+    for order, cands in _pin_trees():
+        pins, grown = [], []
+        for depth in range(len(order) + 1):
+            width = math.prod(len(c) for c in grown)
+            for i in range(width):
+                assert pins == _decode(order, grown, i)
+                assert lacam._advance(pins, grown) == (i + 1 == width)
+            assert pins == _decode(order, grown, 0)
+            if depth < len(order):
+                grown.append(cands[depth])
+                pins.append((order[depth], cands[depth][0]))
+        assert len(pins) == len(order)
 
 
 def test_a_returning_search_resumes_each_walk(random32, monkeypatch):
