@@ -15,7 +15,6 @@ of the fov squares around its belief set.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -140,28 +139,6 @@ def group_fov(world: GridWorld, positions: Iterable[int], radius: int) -> set[in
     return region
 
 
-# translates each byte of an owner array to 1, or to 0 where it is 0xFF
-_OWNED_BYTES = bytes(int(b != 0xFF) for b in range(256))
-
-
-def owned_vertices(owner: array) -> list[int]:
-    """The vertices some zone holds in one owner array (-1: none), ascending.
-
-    -1 is the only owner whose bytes are all 0xFF, so a vertex is owned iff
-    one of its bytes is not; ``bytes.find`` jumps from one such byte to the
-    next, which costs per owned vertex rather than per vertex.
-    """
-    data = owner.tobytes().translate(_OWNED_BYTES)
-    size = owner.itemsize
-    out = []
-    p = data.find(1)
-    while p >= 0:
-        v = p // size
-        out.append(v)
-        p = data.find(1, (v + 1) * size)
-    return out
-
-
 def check_separated(
     world: GridWorld, zones: ZoneTable, fov_radius: int
 ) -> list[tuple[int, int, int, int, int]]:
@@ -175,7 +152,7 @@ def check_separated(
     violations = []
     for t, owner in enumerate(zones.owners):
         found = []
-        for v in owned_vertices(owner):
+        for v in zones.owned(t):
             i = owner[v]
             for u in fov[v]:
                 if owner[u] > i:

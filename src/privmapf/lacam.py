@@ -19,6 +19,11 @@ appears.
 There is no swap operation on top of the step builder; escaping local
 minima is left to the constraint tree.
 
+The search owns what the step builder does not need: its result
+(``SolveResult``, with the failure reasons), its start check
+(``clean_start``, one ``audit`` call) and the pass it makes once per
+expanded configuration (``node_data``: the etas and the priority order).
+
 A node's search state is its configuration and its walk. Most discovered
 configurations are pruned before they are expanded, so a discovered node
 holds only what pruning reads: its configuration, g, the heuristic h and
@@ -55,12 +60,54 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from struct import Struct
 
-from .audit import metrics
+from .audit import audit, metrics
 from .grid import ConfigError
-from .pibt import SolveResult, SolverProblem, StepContext, build_step, clean_start, node_data
+from .pibt import SolverProblem, StepContext, build_step
 from .plans import JointPlan
+
+
+@dataclass
+class SolveResult:
+    solved: bool
+    plan: JointPlan | None
+    # timeout | exhausted | invalid_start (clean_start failed)
+    reason: str | None = None
+    expansions: int = 0
+
+
+def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
+    """The pass the search makes once per expanded configuration, at its
+    first expansion: the off-goal counters (eta, reset to 0 on the goal)
+    and the priority order.
+
+    The order ranks sub-agents by ``(at_goal, -eta, dist, agent)``, highest
+    priority first: whoever has been off its goal longest (which breaks
+    mutual-push oscillations), then the nearer to its goal, then the lower
+    id. Eta is 0 exactly on the goal, so ``(dist - eta * 2**31) * 2**shift
+    + agent`` (dist <= ``pibt.UNREACHABLE`` < 2**31) is one integer key per
+    agent that sorts the same way."""
+    n = len(cfg)
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
+    new_etas, keys = [], []
+    for a in range(n):
+        v = cfg[a]
+        e = 0 if v == goals[a] else etas[a] + 1
+        new_etas.append(e)
+        keys.append((dists[a][v] - (e << 31)) << shift | a)
+    keys.sort()
+    return new_etas, [key & mask for key in keys]
+
+
+def clean_start(problem: SolverProblem) -> bool:
+    """The start configuration breaks no step rule: no two sub-agents on one
+    vertex, none inside another group's fov square. At radius 0 a cross-group
+    fov hit is a vertex conflict, so one audit call serves every radius."""
+    starts = JointPlan.from_configs([problem.starts])
+    return audit(problem.world, starts, problem.group_of, problem.fov_radius, check_fov=True).ok
 
 
 class _Node:

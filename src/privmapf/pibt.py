@@ -1,10 +1,10 @@
 """Priority-inheritance configuration generation, with fov clearing:
 LaCAM's configuration generator.
 
-``lacam_solve`` orders each expanded configuration's agents with
-``node_data``, one pass that yields the etas and the priority order, and
-takes its steps from ``build_step``, which reads the configuration through
-a ``StepContext`` built once per expanded node.
+It holds what a step reads and does: the problem (``SolverProblem``, with
+its BFS distance tables), one configuration seen through the step's eyes
+(``StepContext``) and the step (``build_step``). The search that calls it,
+with its start check, per-node priority pass and result, is ``lacam``.
 
 One transactional step builder serves every fov radius of the problem. An
 agent claiming vertex v must recursively displace (a) the current occupant
@@ -49,12 +49,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .audit import audit
 from .dispatch import AgentGroup, InfeasibleInputError
 from .grid import ConfigError, GridWorld
-from .plans import JointPlan
 
 UNREACHABLE = 1 << 30
 
@@ -109,7 +106,7 @@ class SolverProblem:
                 self.starts.append(s)
                 self.goals.append(t)
                 self.group_of.append(gi)
-        # the starts are checked by clean_start: a repeated one is a vertex conflict
+        # the starts are checked by lacam.clean_start: a repeated one is a vertex conflict
         if len(set(self.goals)) != len(self.goals):
             raise InfeasibleInputError("sub-agent goals are not pairwise distinct")
         self.num_agents = len(self.starts)
@@ -130,38 +127,6 @@ class SolverProblem:
             self.watchers = [tuple(w) for w in watchers]
         # build_step's claims (the agent moving to v): -1 between calls
         self.claimed = [-1] * world.num_vertices
-
-
-def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
-    """The pass the search makes once per expanded configuration, at its
-    first expansion: the off-goal counters (eta, reset to 0 on the goal)
-    and the priority order.
-
-    The order ranks sub-agents by ``(at_goal, -eta, dist, agent)``, highest
-    priority first: whoever has been off its goal longest (which breaks
-    mutual-push oscillations), then the nearer to its goal, then the lower
-    id. Eta is 0 exactly on the goal, so ``(dist - eta * 2**31) * 2**shift
-    + agent`` (dist <= UNREACHABLE < 2**31) is one integer key per agent
-    that sorts the same way."""
-    n = len(cfg)
-    shift = n.bit_length()
-    mask = (1 << shift) - 1
-    new_etas, keys = [], []
-    for a in range(n):
-        v = cfg[a]
-        e = 0 if v == goals[a] else etas[a] + 1
-        new_etas.append(e)
-        keys.append((dists[a][v] - (e << 31)) << shift | a)
-    keys.sort()
-    return new_etas, [key & mask for key in keys]
-
-
-def clean_start(problem: SolverProblem) -> bool:
-    """The start configuration breaks no step rule: no two sub-agents on one
-    vertex, none inside another group's fov square. At radius 0 a cross-group
-    fov hit is a vertex conflict, so one audit call serves every radius."""
-    starts = JointPlan.from_configs([problem.starts])
-    return audit(problem.world, starts, problem.group_of, problem.fov_radius, check_fov=True).ok
 
 
 class StepContext:
@@ -242,7 +207,7 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
         # claimed[cur] holds for every candidate; following its agent is an exchange
         b = claimed[cur]
         swap = config[b] if b >= 0 else -1
-        # radius 0 keeps its own loop: fov_table(0) squares plan alike, but kPP steps ~20% slower
+        # radius 0 keeps its own loop: fov_table(0) squares plan alike, but kPP steps ~11% slower
         if fov is None:
             for v in cand:
                 if claimed[v] >= 0 or v == swap:
@@ -331,12 +296,3 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
             if v is not None:
                 claimed[v] = -1
         del attempt  # it refers to itself: free it now, not in the next gc pass
-
-
-@dataclass
-class SolveResult:
-    solved: bool
-    plan: JointPlan | None
-    # timeout | exhausted | invalid_start (clean_start failed)
-    reason: str | None = None
-    expansions: int = 0

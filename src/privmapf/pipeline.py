@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import dispatch as dsp
 from .grid import ConfigError, GridWorld, PrivmapfError
-from .lacam import lacam_solve
-from .pibt import SolveResult, SolverProblem
+from .lacam import SolveResult, lacam_solve
+from .pibt import SolverProblem
 from .plans import JointPlan
 
 

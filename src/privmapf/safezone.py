@@ -48,7 +48,7 @@ from operator import eq, ne
 from pathlib import Path
 from typing import NamedTuple
 
-from .audit import audit, check_separated, compute_beliefs, group_fov, owned_vertices, path_cost
+from .audit import audit, check_separated, compute_beliefs, group_fov, path_cost
 from .grid import ConfigError, GridWorld, PrivmapfError
 from .plans import JointPlan
 
@@ -65,6 +65,9 @@ class ReplanInfeasibleError(PrivmapfError):
 # (start, end) pairs with end inclusive
 Intervals = dict[int, list[tuple[int, int]]]
 
+# translates each byte of an owner array to 1, or to 0 where it is 0xFF
+_OWNED_BYTES = bytes(int(b != 0xFF) for b in range(256))
+
 
 class ZoneTable:
     """Every group's zone at every timestep, kept as one owner array per
@@ -74,8 +77,9 @@ class ZoneTable:
     owner per vertex holds them exactly, in one byte per vertex
     (``array('b')``; ``array('i')`` from 128 groups on) instead of a set
     slot per zone vertex. The initial and the extended zones are both kept
-    so. Iterating reads the table group-major: per group, its zone at each
-    timestep as an ascending list of vertices.
+    so. ``owned(t)`` lists the vertices some zone holds at t; it is the one
+    reader of the arrays' bytes. Iterating reads the table group-major: per
+    group, its zone at each timestep as an ascending list of vertices.
     """
 
     def __init__(self, num_groups: int) -> None:
@@ -87,6 +91,24 @@ class ZoneTable:
     def append(self, owner: list[int] | array) -> None:
         """Add a copy of the next timestep's owners, -1 where no zone lies."""
         self.owners.append(array(self.typecode, owner))
+
+    def owned(self, t: int) -> list[int]:
+        """The vertices some zone holds at t, ascending.
+
+        -1 is the only owner whose bytes are all 0xFF, so a vertex is owned
+        iff one of its bytes is not; ``bytes.find`` jumps from one such byte
+        to the next, which costs per owned vertex rather than per vertex.
+        """
+        owner = self.owners[t]
+        data = owner.tobytes().translate(_OWNED_BYTES)
+        size = owner.itemsize
+        out = []
+        p = data.find(1)
+        while p >= 0:
+            v = p // size
+            out.append(v)
+            p = data.find(1, (v + 1) * size)
+        return out
 
     def __iter__(self) -> Iterator[list[list[int]]]:
         vertices = range(len(self.owners[0]))
@@ -133,7 +155,7 @@ class PickLog:
     it is ``table.owners[t][vertex]`` in the extended table, because a pick
     claims an unowned vertex and nothing changes its owner again at that
     timestep. ``len`` builds no pick; iterating, repeatably, yields
-    ``ExtensionPick``s; ``==`` is list ``==``."""
+    ``ExtensionPick``s."""
 
     def __init__(self, table: ZoneTable) -> None:
         """An empty log of the extension that fills ``table``."""
@@ -152,9 +174,6 @@ class PickLog:
             for vertex in self.vertices[start:end]:
                 yield ExtensionPick(t, owner[vertex], vertex, round_no)
             start, prev_t = end, t
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == list(other) if isinstance(other, (PickLog, list)) else NotImplemented
 
 
 def extend_safe_zones(
@@ -213,7 +232,7 @@ def extend_safe_zones(
         blockers = list(map(bits.__getitem__, owner))
         owner = [-1] * world.num_vertices  # the initial row's copy; the picks complete it
         held = [0] * world.num_vertices
-        owned = owned_vertices(row)
+        owned = initial.owned(t)
         for v in owned:
             owner[v] = row[v]
             held[v] = bit = bits[row[v]]
@@ -430,6 +449,15 @@ def ppfpp(
     for i, (b, a) in enumerate(zip(before, after)):
         if a != arrivals[i] or a > b:
             raise RuntimeError(f"agent {i}: refined cost {a} inconsistent (was {b})")
+    # what makes the refined paths mutually invisible, with the zones'
+    # separation: each keeps its real pair, moves by waits and steps, and
+    # stays in its own group's zone at every t
+    adj = world.adjacency
+    for i, (rp, path) in enumerate(zip(real_paths, refined)):
+        if (len(path) != len(zones.owners) or (path[0], path[-1]) != (rp[0], rp[-1])
+                or any(u != v and v not in adj[u] for u, v in zip(path, path[1:]))
+                or any(owner[v] != i for owner, v in zip(zones.owners, path))):
+            raise RuntimeError(f"agent {i}: refined path leaves its pair, the moves or its zone")
     return RefineResult(zones, picks, refined, before, after)
 
 

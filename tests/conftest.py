@@ -9,7 +9,8 @@ import privmapf
 from privmapf import lacam
 from privmapf.dispatch import AgentGroup
 from privmapf.grid import load_map, parse_map_text
-from privmapf.pibt import SolveResult, SolverProblem, StepContext, build_step, clean_start, node_data
+from privmapf.lacam import SolveResult, clean_start, node_data
+from privmapf.pibt import SolverProblem, StepContext, build_step
 from privmapf.plans import JointPlan
 from privmapf.safezone import ZoneTable, sipp_replan, vertex_intervals
 
@@ -199,7 +200,7 @@ def singleton_problem(world, pairs, fov_radius=0):
     return SolverProblem(world, groups, fov_radius)
 
 
-# The priority bookkeeping spelled out, as the oracle for ``pibt.node_data``'s
+# The priority bookkeeping spelled out, as the oracle for ``lacam.node_data``'s
 # one-pass integer keys.
 
 

@@ -6,7 +6,6 @@ departure-and-return pays for the excursion and the rewind.
 """
 
 import random
-from array import array
 
 import pytest
 
@@ -16,7 +15,6 @@ from privmapf.audit import (
     audit,
     check_separated,
     metrics,
-    owned_vertices,
     path_cost,
     real_sum_of_costs,
 )
@@ -121,14 +119,6 @@ def test_check_separated_flags_fov_overlap(open4):
     v, u = open4.vertex_at(0, 0), open4.vertex_at(1, 1)
     assert check_separated(open4, table, 1) == [(0, 0, 1, v, u)]  # (0,0) sees (1,1)
     assert check_separated(open4, table, 0) == []
-
-
-def test_owned_vertices_of_both_owner_typecodes():
-    # -1 is the only owner whose bytes are all 0xFF; 255 and 65535 hold
-    # 0xFF bytes too, so each is owned
-    assert owned_vertices(array("b", [-1, 0, 127, -1, 5])) == [1, 2, 4]
-    assert owned_vertices(array("i", [-1, 255, -1, 0, 65535, -1, 128])) == [1, 3, 4, 6]
-    assert owned_vertices(array("b", [-1] * 9)) == owned_vertices(array("i")) == []
 
 
 @pytest.mark.parametrize("world_name", ["open16", "random32"])

@@ -3,10 +3,12 @@
 Over small random maps, agent counts, group sizes k and fov radii r in
 {0, 1, 2}, every run must end either solved, audit-clean, k-private and
 never worse after refinement, or in a typed failure of placement, dispatch
-or the search. Any other exception fails the test. Refinement may refuse
-only radius 0: on a clean plan at r >= 1 it must succeed, and the refined
-real paths, one per agent, must audit clean at radius r (the safe zones
-are mutually invisible).
+or the search. Any other exception fails the test, and so does a step of
+the search that draws more than its bound of words or leaves a claim
+behind (``conftest.bound_step_draws``). Refinement may refuse only radius
+0: on a clean plan at r >= 1 it must succeed, and the refined real paths,
+one per agent, must audit clean at radius r (the safe zones are mutually
+invisible).
 
 The files a user may hand-edit, a ``solve`` trace and its private sidecars,
 are fuzzed too: with up to three JSON values replaced, ``audit`` and
@@ -31,6 +33,8 @@ from privmapf.instances import PlacementError, random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import PreconditionError, ppfpp
+
+from conftest import bound_step_draws
 
 # a solver that gives up says why; these are its budget and search outcomes
 SOLVER_REASONS = {"timeout", "exhausted"}
@@ -62,12 +66,17 @@ OPEN3 = parse_map_text("type octile\nheight 3\nwidth 3\nmap\n...\n...\n...\n")
 @settings(max_examples=60, deadline=None)
 @example(world=OPEN3, n=2, k=1, radius=1, separation=2, seed=0)
 def test_pipeline_is_correct_or_fails_typed(world, n, k, radius, separation, seed):
-    try:
-        pairs = random_spaced_pairs(world, n, seed, min_separation=separation)
-        out = run_pipeline(world, pairs, PipelineSpec(k, radius, budget_expansions=300), seed)
-    except (PlacementError, DispatchExhaustedError, InfeasibleInputError) as exc:
-        event(type(exc).__name__)
-        return
+    # hypothesis rejects function-scoped fixtures, so each example patches
+    # the search's steps in a context of its own
+    with pytest.MonkeyPatch.context() as mp:
+        steps = bound_step_draws(mp, seed)
+        try:
+            pairs = random_spaced_pairs(world, n, seed, min_separation=separation)
+            out = run_pipeline(world, pairs, PipelineSpec(k, radius, budget_expansions=300), seed)
+        except (PlacementError, DispatchExhaustedError, InfeasibleInputError) as exc:
+            event(type(exc).__name__)
+            return
+    assert len(steps) == out.solve.expansions  # every step ran within its bound
     if not out.solved:
         assert out.reason in SOLVER_REASONS
         event(f"unsolved: {out.reason}")

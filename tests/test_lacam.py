@@ -20,8 +20,8 @@ from privmapf.audit import audit, metrics
 from privmapf.dispatch import dispatch_groups
 from privmapf.grid import ConfigError, GridWorld, parse_map_text
 from privmapf.instances import random_spaced_pairs
-from privmapf.lacam import _extract, _key_packing, _move_cost, lacam_solve
-from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, build_step, node_data
+from privmapf.lacam import _extract, _key_packing, _move_cost, lacam_solve, node_data
+from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, build_step
 
 from conftest import one_shot_pibt, priority_order, singleton_problem, update_etas
 

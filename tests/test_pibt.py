@@ -11,13 +11,18 @@ configurations at or near the goals, where most agents keep their goal
 without an ``attempt`` call. Its claims live on the problem and its
 occupant array on the step context: every step, rejected, failed, taken or
 cut short by a raising draw, must leave both as it found them and act as on
-a fresh problem and context. The start check, an audit call, is compared
-with the hand-written rule it replaced.
+a fresh problem and context. LaCAM's start check (``lacam.clean_start``),
+an audit call, is compared with the hand-written rule it replaced. The
+generator imports neither the auditor, the plans nor the search.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter, deque
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -26,16 +31,8 @@ from privmapf.audit import audit
 from privmapf.dispatch import AgentGroup, InfeasibleInputError, dispatch_groups
 from privmapf.grid import ConfigError, load_map, parse_map_text
 from privmapf.instances import random_spaced_pairs
-from privmapf.lacam import lacam_solve
-from privmapf.pibt import (
-    UNREACHABLE,
-    SolverProblem,
-    StepContext,
-    bfs_distances,
-    build_step,
-    clean_start,
-    node_data,
-)
+from privmapf.lacam import clean_start, lacam_solve, node_data
+from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, bfs_distances, build_step
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 
@@ -723,3 +720,17 @@ def test_clean_start_matches_reference(open16, random32, radius):
     if radius:  # at radius 0 the fov is the vertex itself
         kinds += ["cross-group pair in fov, no repeat", "same-group pair in fov, clean"]
     assert all(seen[kind] for kind in kinds), seen
+
+
+def test_the_generator_imports_no_search_module():
+    # what only the search needs (its start check's auditor, its plans and
+    # the search itself) stays out of a fresh interpreter that imports pibt
+    src = str(Path(pibt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, privmapf.pibt; "
+            "print(*sorted(m for m in sys.modules if m.startswith('privmapf')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    loaded = run.stdout.split()
+    assert "privmapf.pibt" in loaded
+    assert not {"privmapf.audit", "privmapf.plans", "privmapf.lacam"} & set(loaded), loaded

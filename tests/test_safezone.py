@@ -16,9 +16,11 @@ import tracemalloc
 
 import pytest
 
+from privmapf import safezone
 from privmapf.audit import audit, check_separated, group_fov
 from privmapf.grid import ConfigError
 from privmapf.instances import default_separation, random_spaced_pairs
+from privmapf.pibt import bfs_distances
 from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import (
@@ -106,7 +108,7 @@ def test_extension_is_deterministic(open16):
     result = fpp_fixture(open16, 4, 3, 2, seed=1)
     a = ppfpp(open16, result.plan, result.problem.group_of, result.real_paths, 1, seed=9)
     b = ppfpp(open16, result.plan, result.problem.group_of, result.real_paths, 1, seed=9)
-    assert a.picks == b.picks
+    assert list(a.picks) == list(b.picks)
     assert a.refined_paths == b.refined_paths
 
 
@@ -221,7 +223,7 @@ def test_extension_matches_frontier_rebuild(open16, random32):
         expected = _reference_extend(world, expected_zones, radius, seed=case, kept=kept)
         initial = [list(row) for row in zones.owners]
         got_zones, got = extend_safe_zones(world, zones, radius, seed=case)
-        assert got == expected
+        assert list(got) == expected
         assert got_zones.owners == zone_table(expected_zones, world.num_vertices).owners
         assert all(got_zones.owners[p.t][p.vertex] == p.group for p in expected)
         # the extension leaves its input alone
@@ -252,7 +254,7 @@ def test_pick_log_counts_and_numbers_rounds_per_timestep(open16):
     _, log = extend_safe_zones(open16, zones, 1, seed=0)
     picks = list(log)
     assert len(log) == len(picks) > 0
-    assert list(log) == picks and log == picks  # iterating again yields the same
+    assert list(log) == picks  # iterating again yields the same
     # every logged round holds a pick, and each pick claims a vertex that
     # no initial zone held at its timestep
     assert all(a < b for a, b in zip([0, *log.round_end], log.round_end))
@@ -415,6 +417,21 @@ def test_zone_table_reads_like_nested_sets():
     assert list(wide)[-1] == [[127, 427], [127]]
 
 
+def test_zone_table_owned_of_both_owner_typecodes():
+    # -1 is the only owner whose bytes are all 0xFF; 255 and 65535 hold
+    # 0xFF bytes too, so each is owned
+    narrow, wide, wider = ZoneTable(127), ZoneTable(128), ZoneTable(65536)
+    narrow.append([-1, 0, 126, -1, 5])
+    narrow.append([-1] * 9)
+    wide.append([127, -1, -1, 0])
+    wider.append([-1, 255, -1, 0, 65535, -1, 128])
+    wider.append([])
+    assert (narrow.typecode, wide.typecode, wider.typecode) == ("b", "i", "i")
+    assert [narrow.owned(0), narrow.owned(1)] == [[1, 2, 4], []]
+    assert wide.owned(0) == [0, 3]
+    assert [wider.owned(0), wider.owned(1)] == [[1, 3, 4, 6], []]
+
+
 # ------------------------------------------------------------------ ppfpp
 
 
@@ -433,6 +450,70 @@ def test_refinement_never_worsens_and_stays_in_zone(open16):
         report = audit(open16, joint, list(range(len(refined.refined_paths))),
                        fov_radius=1, check_fov=True)
         assert report.ok
+
+
+def _in_zone(intervals, v, t):
+    return any(lo <= t <= hi for lo, hi in intervals.get(v, ()))
+
+
+def _walk(world, a, b):
+    """A shortest path from a to b."""
+    to_b = bfs_distances(world, b)
+    path = [a]
+    while path[-1] != b:
+        path.append(min(world.adjacency[path[-1]], key=to_b.__getitem__))
+    return path
+
+
+def _detour_outside(world, intervals, path, arrival):
+    """A path with ``path``'s length, endpoints and arrival that waits, at
+    some t < arrival, on a vertex outside the zone; None if there is none."""
+    start, goal = path[0], path[-1]
+    from_start, to_goal = bfs_distances(world, start), bfs_distances(world, goal)
+    for t in range(1, arrival):
+        for w in range(world.num_vertices):
+            if (from_start[w] <= t and 1 <= to_goal[w] <= arrival - t
+                    and not _in_zone(intervals, w, t)):
+                out = _walk(world, start, w)
+                out += [w] * (arrival - to_goal[w] - len(out) + 1) + _walk(world, w, goal)[1:]
+                return tuple(out + [goal] * (len(path) - len(out)))
+    return None
+
+
+def test_refinement_checks_where_each_path_goes(open16, monkeypatch):
+    # a same-cost path that leaves the zone, or that jumps, is caught
+    # before it is handed out; each breaks only the check it targets
+    sipp = safezone.sipp_replan
+    result = fpp_fixture(open16, 4, 3, 2, seed=0)
+    detours = []
+
+    def leaving(world, intervals, horizon, start, goal):
+        path, arrival = sipp(world, intervals, horizon, start, goal)
+        detour = _detour_outside(world, intervals, path, arrival)
+        detours.append(detour)
+        return (path if detour is None else detour), arrival
+
+    monkeypatch.setattr(safezone, "sipp_replan", leaving)
+    with pytest.raises(RuntimeError, match="refined path leaves"):
+        ppfpp(open16, result.plan, result.problem.group_of, result.real_paths, 1, seed=0)
+    assert any(detours)
+
+    # one group alone: its zone grows over the whole map, so only the move breaks
+    single = fpp_fixture(open16, 1, 3, 1, seed=0)
+    jumps = []
+
+    def jumping(world, intervals, horizon, start, goal):
+        path, arrival = sipp(world, intervals, horizon, start, goal)
+        assert arrival >= 3 and path[2] not in (path[0], *world.adjacency[path[0]])
+        jump = (path[0], path[2], *path[2:])
+        assert all(_in_zone(intervals, v, t) for t, v in enumerate(jump))
+        jumps.append(jump)
+        return jump, arrival
+
+    monkeypatch.setattr(safezone, "sipp_replan", jumping)
+    with pytest.raises(RuntimeError, match="refined path leaves"):
+        ppfpp(open16, single.plan, single.problem.group_of, single.real_paths, 1, seed=0)
+    assert len(jumps) == 1
 
 
 def test_refinement_finds_a_shortcut(open16):
