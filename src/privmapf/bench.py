@@ -53,7 +53,8 @@ _ASSET_MAPS = Path(__file__).parent / "assets" / "maps"
 
 
 def resolve_map(name: str) -> Path:
-    """A bare name means a bundled map; anything path-like is used as is."""
+    """An existing ``.map`` file is used as is; any other name is looked up as
+    ``<name>.map`` among the bundled maps."""
     p = Path(name)
     if p.suffix == ".map" and p.exists():
         return p

@@ -31,7 +31,7 @@ from .audit import audit, check_k_privacy, compute_beliefs, metrics
 from .bench import (
     TaskSpec, format_summary, load_config, load_world, run_suite, summarize, write_records,
 )
-from .dispatch import SidecarError, read_private_sidecars, sidecar_path, write_private_sidecars
+from .dispatch import read_private_sidecar, write_private_sidecars
 from .grid import PrivmapfError, ScenarioError, load_scenario, scenario_pairs
 from .pipeline import (
     MessageTrace, PipelineSpec, TraceError, extract_real_path, read_trace,
@@ -92,15 +92,11 @@ def _cmd_ppfpp(args) -> int:
     world = load_world(args.map)
     trace = _read_planned_trace(world, args.trace)
     plan = trace.broadcast_plan
-    private = read_private_sidecars(args.private_dir)
-    real_paths = []
-    for g in trace.published_groups:
-        where, real = sidecar_path(args.private_dir, g.group_id), private.get(g.group_id)
-        if real is None:
-            raise SidecarError(f"{where}: no private sidecar for group {g.group_id}")
-        if not 0 <= real < trace.k:
-            raise SidecarError(f"{where}: real_index {real} is not in [0, {trace.k})")
-        real_paths.append(extract_real_path(plan, trace.k, replace(g, real_index=real)))
+    real_paths = [
+        extract_real_path(plan, trace.k, replace(
+            g, real_index=read_private_sidecar(args.private_dir, g.group_id, trace.k)))
+        for g in trace.published_groups
+    ]
     result = ppfpp(world, plan, trace.group_of, real_paths, trace.fov_radius, args.seed)
     lines = [
         f"rsoc {result.rsoc_before} -> {result.rsoc_after} "

@@ -14,9 +14,13 @@ distinct, goals pairwise distinct) whatever the radius: members of the
 same group are exempt from fov separation, and distinctness is exactly what
 a solvable joint instance requires.
 
-A mock draw costs O(k), not O(|V|): its start and goal pools (the unused
-vertices, the goal's within the start's component) are never built, and a
-drawn index is mapped to its vertex by stepping over the used ones.
+A group is drawn one way, by ``_draw_group``: the real pair, then k-1 mocks,
+each a start uniform over the unused vertices and a goal uniform over the
+unused vertices of its component, redrawn while it collides with a rival.
+Dispatch's rivals are the other groups' pairs; ``propose_groups`` has none.
+A mock draw costs O(k), not O(|V|): its pools are never built, and a drawn
+index is mapped to its vertex by stepping over the used ones. A private
+sidecar is read by its group, and one that names another group is an error.
 """
 
 from __future__ import annotations
@@ -103,25 +107,47 @@ def _choose_unused(rng: random.Random, pool, used: list[int], side: str) -> int:
 
 
 def _sample_mock_pair(
-    world: GridWorld,
-    rng: random.Random,
-    used_starts: set[int],
-    used_goals: set[int],
-    require_reachable: bool,
+    world: GridWorld, rng: random.Random, used_starts: set[int], used_goals: set[int]
 ) -> tuple[int, int]:
     """A start uniform over the unused vertices, then a goal uniform over the
-    unused vertices of the start's component when ``require_reachable``, of
-    the whole map otherwise. O(k) work for k used vertices."""
+    unused vertices of the start's component. O(k) work for k used vertices."""
     everything = range(world.num_vertices)
     used = sorted(v for v in used_starts if v in everything)
     s = _choose_unused(rng, everything, used, "start")
-    if require_reachable:
-        comp = world.components
-        pool = world.component_members(s)
-        used = [v for v in used_goals if v in everything and comp[v] == comp[s]]
-    else:
-        pool, used = everything, [v for v in used_goals if v in everything]
-    return s, _choose_unused(rng, pool, sorted(used), "goal")
+    comp = world.components
+    used = sorted(v for v in used_goals if v in everything and comp[v] == comp[s])
+    return s, _choose_unused(rng, world.component_members(s), used, "goal")
+
+
+MAX_RETRIES = 1000  # draws per mock pair before dispatch gives up
+
+
+def _draw_group(
+    world: GridWorld,
+    rng: random.Random,
+    gid: int,
+    real: tuple[int, int],
+    k: int,
+    rivals: list[tuple[int, int]],
+    radius: int,
+) -> list[tuple[int, int]]:
+    """The real pair, then k-1 mocks, each redrawn until it collides with
+    none of ``rivals`` at ``radius``, within MAX_RETRIES draws."""
+    pairs = [real]
+    used_starts, used_goals = {real[0]}, {real[1]}
+    for m in range(k - 1):
+        for _ in range(MAX_RETRIES):
+            s, g = _sample_mock_pair(world, rng, used_starts, used_goals)
+            if all(not pairs_collide(world, (s, g), q, radius) for q in rivals):
+                break
+        else:
+            raise DispatchExhaustedError(
+                f"group {gid}: mock pair {m} keeps colliding (after {MAX_RETRIES} attempts)"
+            )
+        pairs.append((s, g))
+        used_starts.add(s)
+        used_goals.add(g)
+    return pairs
 
 
 def propose_groups(
@@ -130,30 +156,16 @@ def propose_groups(
     k: int,
     rng: random.Random,
 ) -> list[AgentGroup]:
-    """One independent proposal per group, no retries, no cross-group checks.
+    """Dispatch's own per-group draw with no rivals: one blind proposal.
 
-    This is the dispatcher's raw proposal distribution (mock starts are a
-    uniform (k-1)-subset of V minus the group's own starts so far; goals
-    likewise, with no same-component requirement). The closed form in
-    no_collision_probability is exact for the acceptance rate of this path,
-    which is what makes it testable.
+    Every first draw is accepted, the real pair stays first and nothing is
+    shuffled. On a connected map each group's mock starts are then a uniform
+    (k-1)-subset of V minus its real start, and its goals likewise, so
+    no_collision_probability is exact for how often this draw is
+    collision-free.
     """
-    groups = []
-    for gid, real in enumerate(real_pairs):
-        pairs = [real]
-        used_starts, used_goals = {real[0]}, {real[1]}
-        for _ in range(k - 1):
-            s, g = _sample_mock_pair(
-                world, rng, used_starts, used_goals, require_reachable=False
-            )
-            pairs.append((s, g))
-            used_starts.add(s)
-            used_goals.add(g)
-        groups.append(AgentGroup(gid, tuple(pairs), 0))
-    return groups
-
-
-MAX_RETRIES = 1000  # draws per mock pair before dispatch gives up
+    return [AgentGroup(gid, tuple(_draw_group(world, rng, gid, real, k, [], 0)), 0)
+            for gid, real in enumerate(real_pairs)]
 
 
 def dispatch_groups(
@@ -165,25 +177,22 @@ def dispatch_groups(
 ) -> list[AgentGroup]:
     """Build one published group per agent; deterministic for a given seed.
 
-    Mocks are placed by per-pair rejection sampling against one list: the
-    other groups' real pairs and the mocks committed so far. Each mock's
-    goal shares its start's connected component. Each group's pair order is
-    shuffled before publication so position leaks nothing about which pair
-    is real.
+    Each group is drawn by ``_draw_group`` against one list of rivals: the
+    other groups' real pairs and the mocks committed so far. Each group's
+    pair order is shuffled before publication so position leaks nothing
+    about which pair is real.
 
-    Raises ConfigError for a negative radius or a k or radius that is not
-    an int, InfeasibleInputError for k < 1, when there is no real pair, when
-    a real endpoint is not a vertex id, when the real pairs already collide
-    at this radius (or the world is too small), DispatchExhaustedError when
-    a mock pair cannot be placed within MAX_RETRIES draws.
+    Raises ConfigError for a k that is not an int >= 1 or a radius that is
+    not an int >= 0; InfeasibleInputError when there is no real pair, when a
+    real endpoint is not a vertex id, when the real pairs already collide at
+    this radius (or the world is too small); DispatchExhaustedError when a
+    mock pair cannot be placed within MAX_RETRIES draws.
     """
     n = len(real_pairs)
     if type(radius) is not int or radius < 0:
         raise ConfigError("fov radius must be >= 0")
-    if type(k) is not int:
+    if type(k) is not int or k < 1:
         raise ConfigError("k must be >= 1")
-    if k < 1:
-        raise InfeasibleInputError("k must be >= 1")
     if n == 0:
         raise InfeasibleInputError("no real pairs to dispatch")
     if world.num_vertices < k:
@@ -204,23 +213,8 @@ def dispatch_groups(
     committed: list[list[tuple[int, int]]] = []
     mocks: list[tuple[int, int]] = []  # the mocks of every committed group
     for gid, real in enumerate(real_pairs):
-        others = [p for i, p in enumerate(real_pairs) if i != gid] + mocks
-        pairs = [real]
-        used_starts, used_goals = {real[0]}, {real[1]}
-        for m in range(k - 1):
-            for _ in range(MAX_RETRIES):
-                s, g = _sample_mock_pair(
-                    world, rng, used_starts, used_goals, require_reachable=True
-                )
-                if all(not pairs_collide(world, (s, g), q, radius) for q in others):
-                    pairs.append((s, g))
-                    used_starts.add(s)
-                    used_goals.add(g)
-                    break
-            else:
-                raise DispatchExhaustedError(
-                    f"group {gid}: mock pair {m} keeps colliding (after {MAX_RETRIES} attempts)"
-                )
+        rivals = [p for i, p in enumerate(real_pairs) if i != gid] + mocks
+        pairs = _draw_group(world, rng, gid, real, k, rivals, radius)
         committed.append(pairs)
         mocks += pairs[1:]
 
@@ -235,14 +229,11 @@ def dispatch_groups(
 
 
 def verify_dispatch(world: GridWorld, groups: list[AgentGroup], radius: int) -> None:
-    """Independent O(N^2 k^2) recheck of the dispatch postconditions."""
-    for g in groups:
-        starts = [p[0] for p in g.pairs]
-        goals = [p[1] for p in g.pairs]
-        if len(set(starts)) != len(starts) or len(set(goals)) != len(goals):
-            raise DispatchVerificationError(
-                f"group {g.group_id}: repeated start or goal vertex inside the group"
-            )
+    """Independent O(N^2 k^2) recheck that no two groups collide.
+
+    Distinct starts and goals inside a group are ``AgentGroup``'s own
+    invariant, so only what dispatch adds is checked here.
+    """
     for i, ga in enumerate(groups):
         for gb in groups[i + 1 :]:
             for p in ga.pairs:
@@ -347,16 +338,22 @@ def write_private_sidecars(groups: list[AgentGroup], dir_path: str | Path) -> No
         )
 
 
-def read_private_sidecars(dir_path: str | Path) -> dict[int, int]:
-    """Real index per group id; SidecarError naming the file if one is malformed."""
-    out = {}
-    for f in sorted(Path(dir_path).glob("agent_*.json")):
-        try:
-            obj = json.loads(f.read_text())
-        except ValueError as exc:
-            raise SidecarError(f"{f}: not a JSON sidecar ({exc})") from None
-        if not (isinstance(obj, dict)
-                and all(type(obj.get(key)) is int for key in ("group_id", "real_index"))):
-            raise SidecarError(f'{f}: expected {{"group_id": <int>, "real_index": <int>}}')
-        out[obj["group_id"]] = obj["real_index"]
-    return out
+def read_private_sidecar(dir_path: str | Path, group_id: int, k: int) -> int:
+    """The real index that ``group_id``'s sidecar holds. SidecarError naming
+    the file if it is missing, malformed, names another group or holds an
+    index outside [0, k)."""
+    f = sidecar_path(dir_path, group_id)
+    try:
+        obj = json.loads(f.read_text())
+    except FileNotFoundError:
+        raise SidecarError(f"{f}: no private sidecar for group {group_id}") from None
+    except ValueError as exc:
+        raise SidecarError(f"{f}: not a JSON sidecar ({exc})") from None
+    if not (isinstance(obj, dict)
+            and all(type(obj.get(key)) is int for key in ("group_id", "real_index"))):
+        raise SidecarError(f'{f}: expected {{"group_id": <int>, "real_index": <int>}}')
+    if obj["group_id"] != group_id:
+        raise SidecarError(f"{f}: holds group {obj['group_id']}, not group {group_id}")
+    if not 0 <= obj["real_index"] < k:
+        raise SidecarError(f"{f}: real_index {obj['real_index']} is not in [0, {k})")
+    return obj["real_index"]

@@ -97,8 +97,8 @@ def _read_int(value, low: int, what: str) -> int:
 
 
 def _read_group(world: GridWorld, i: int, obj, k: int) -> dsp.AgentGroup:
-    if not (isinstance(obj, dict) and obj.get("group_id") == i
-            and isinstance(obj.get("pairs"), list)):
+    if not (isinstance(obj, dict) and type(obj.get("group_id")) is int
+            and obj["group_id"] == i and isinstance(obj.get("pairs"), list)):
         raise TraceError(f'group {i}: expected {{"group_id": {i}, "pairs": [...]}}')
     if len(obj["pairs"]) != k:
         raise TraceError(f"group {i}: {len(obj['pairs'])} pairs, k is {k}")

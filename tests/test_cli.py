@@ -84,6 +84,25 @@ def test_solve_audit_refine_round_trip(tmp_path, capsys):
     assert json.loads(zones_file.read_text())["radius"] == 1
 
 
+@pytest.mark.parametrize("stray", [
+    lambda mock: json.dumps({"group_id": 0, "real_index": mock}),
+    lambda mock: "{",
+], ids=["group 0's mock index", "not JSON"])
+def test_a_sidecar_of_no_published_group_is_never_read(tmp_path, capsys, stray):
+    trace_file, refined_file, priv = tmp_path / "trace.json", tmp_path / "refined.txt", tmp_path / "p"
+    assert main(["solve", "--map", "open16", "--agents", "2", "--k", "2", "--radius", "1",
+                 "--out", str(trace_file), "--private-dir", str(priv)]) == 0
+    refine = ["ppfpp", "--map", "open16", "--trace", str(trace_file),
+              "--private-dir", str(priv), "--out", str(refined_file)]
+    capsys.readouterr()
+    assert main(refine) == 0
+    alone = capsys.readouterr(), refined_file.read_text()
+    mock = 1 - json.loads((priv / "agent_000.json").read_text())["real_index"]
+    (priv / "agent_005.json").write_text(stray(mock))
+    assert main(refine) == 0
+    assert (capsys.readouterr(), refined_file.read_text()) == alone
+
+
 def run_with_stdout_closed(argv, cwd):
     """Run the console entry point in a child whose stdout pipe has no reader."""
     read_end, write_end = os.pipe()
@@ -290,6 +309,11 @@ MALFORMED_TRACES = {
     "k of 0": (_set("k", 0), "k is 0, not an int >= 1"),
     "k not an int": (_set("k", "2"), "k is '2', not an int >= 1"),
     "negative radius": (_set("fov_radius", -1), "fov_radius is -1, not an int >= 0"),
+    # JSON true and 0.0 compare equal to the ids 1 and 0, but are not ints
+    "group id true": (_set("groups", 1, "group_id", True),
+                      'group 1: expected {"group_id": 1, "pairs": [...]}'),
+    "group id 0.0": (_set("groups", 0, "group_id", 0.0),
+                     'group 0: expected {"group_id": 0, "pairs": [...]}'),
     "pair off the map": (_set("groups", 0, "pairs", 0, [4, 0, 0, 0]),
                          "group 0: (4,0) outside 4x3 map"),
     "pair not four ints": (_set("groups", 0, "pairs", 0, [0, 0, 0]),
@@ -469,6 +493,10 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "threads must be >= 1"),
     ("ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "-3"],
      "threads must be >= 1"),
+    # a sidecar is read by its file's group, so one naming another group is wrong
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}/other_group"],
+     "other_group/agent_000.json: holds group 1, not group 0"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
@@ -488,6 +516,7 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     for name, sidecar in [("not_json", "{"), ("no_index", '{"group_id": 0}'),
                           ("bool_index", '{"group_id": 0, "real_index": true}'),
                           ("off_range", '{"group_id": 0, "real_index": 1}'),
+                          ("other_group", '{"group_id": 1, "real_index": 0}'),
                           ("in_range", '{"group_id": 0, "real_index": 0}')]:
         (tmp_path / name).mkdir()
         (tmp_path / name / "agent_000.json").write_text(sidecar)

@@ -5,6 +5,8 @@ oracle (exact rational arithmetic over all mock placements) at small sizes,
 and the frozen fractions pin the published reference values.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,7 +26,7 @@ from privmapf.dispatch import (
     no_collision_probability_blocked_set,
     pairs_collide,
     propose_groups,
-    read_private_sidecars,
+    read_private_sidecar,
     verify_dispatch,
     write_private_sidecars,
 )
@@ -164,7 +166,7 @@ def test_dispatch_rejects_negative_radius():
     (True, 0, ConfigError, "k must be >= 1"),
     (2, 1.5, ConfigError, "fov radius must be >= 0"),
     (2, True, ConfigError, "fov radius must be >= 0"),
-    (0, 0, InfeasibleInputError, "k must be >= 1"),
+    (0, 0, ConfigError, "k must be >= 1"),
     # open16 has 256 vertices, too few for 257 distinct starts
     (257, 0, InfeasibleInputError, "^256 vertices cannot host groups of 257 distinct starts$"),
 ])
@@ -212,8 +214,8 @@ def test_real_index_is_uniform_after_shuffle():
 def test_private_sidecars_round_trip(tmp_path, open16):
     groups = dispatch_groups(open16, [(0, 100), (30, 200)], 2, 0, 7)
     write_private_sidecars(groups, tmp_path)
-    private = read_private_sidecars(tmp_path)
-    assert private == {g.group_id: g.real_index for g in groups}
+    private = [read_private_sidecar(tmp_path, g.group_id, g.k) for g in groups]
+    assert private == [g.real_index for g in groups]
 
 
 # -- background knowledge --------------------------------------------------
@@ -359,23 +361,56 @@ def test_proposal_distribution_matches_model():
     assert abs(hits / n - expect) < 4 * se
 
 
+def test_proposal_is_dispatch_draw_on_connected_maps(open16, random32, room32, monkeypatch):
+    """On a connected map a goal drawn from its start's component is drawn
+    from all of V: the digest is that of proposals whose goals are drawn
+    from all of V, the closed form's model. With no rivals, no pair is
+    ever checked for a collision."""
+    def unreachable(*args):
+        raise AssertionError("a proposal has no rivals")
+
+    monkeypatch.setattr(dispatch, "pairs_collide", unreachable)
+    digest = hashlib.sha256()
+    for name, world in [("open16", open16), ("random-32-32-20", random32),
+                        ("room-32-32-4", room32)]:
+        for n in (2, 4, 8):
+            reals = random_spaced_pairs(world, n, f"{name}:{n}")
+            for k in (2, 3, 5):
+                for seed in range(20):
+                    rng = random.Random(f"{name}:{n}:{k}:{seed}")
+                    groups = propose_groups(world, reals, k, rng)
+                    digest.update(json.dumps(
+                        [[g.group_id, g.pairs, g.real_index] for g in groups]).encode())
+    assert digest.hexdigest() == (
+        "7ac8441d233c0c74b38064d568d5bebcbc57b27d41141fe945be4bccd90de4de")
+
+
+def test_proposed_mock_goals_share_their_start_component(two_rooms):
+    # the proposal is dispatch's draw; a proposal that drew goals from all
+    # of V put a mock goal across the wall already at seed 0
+    left, right = two_rooms.vertex_at(0, 0), two_rooms.vertex_at(8, 2)
+    for seed in range(20):
+        for g in propose_groups(two_rooms, [(left, two_rooms.vertex_at(3, 2)),
+                                            (right, two_rooms.vertex_at(5, 0))], 3,
+                                random.Random(seed)):
+            assert all(two_rooms.components[s] == two_rooms.components[goal]
+                       for s, goal in g.pairs), seed
+
+
 # -- mock sampling against a copy of the original sampler -------------------
 
 
-def _reference_sample_mock_pair(world, rng, used_starts, used_goals, require_reachable):
+def _reference_sample_mock_pair(world, rng, used_starts, used_goals):
     """The sampler as first written: both pools built in full on every draw."""
     start_pool = [v for v in range(world.num_vertices) if v not in used_starts]
     if not start_pool:
         raise InfeasibleInputError("no free start vertex left for a mock pair")
     s = rng.choice(start_pool)
-    if require_reachable:
-        goal_pool = [
-            v
-            for v in range(world.num_vertices)
-            if v not in used_goals and world.components[v] == world.components[s]
-        ]
-    else:
-        goal_pool = [v for v in range(world.num_vertices) if v not in used_goals]
+    goal_pool = [
+        v
+        for v in range(world.num_vertices)
+        if v not in used_goals and world.components[v] == world.components[s]
+    ]
     if not goal_pool:
         raise InfeasibleInputError("no free goal vertex left for a mock pair")
     return s, rng.choice(goal_pool)
@@ -410,16 +445,13 @@ def test_mock_pair_matches_reference(placement_worlds):
         sets = _used_sets(world)
         for used_starts in sets:
             for used_goals in sets:
-                for reachable in (False, True):
-                    for seed in seeds:
-                        args = (used_starts, used_goals, reachable)
-                        got = _outcome(_sample_mock_pair, world, random.Random(seed), *args)
-                        want = _outcome(
-                            _reference_sample_mock_pair, world, random.Random(seed), *args
-                        )
-                        assert got == want, (used_starts, used_goals, reachable, seed)
-                        if isinstance(got[0], type):
-                            errors.add(got[1])
+                for seed in seeds:
+                    args = (used_starts, used_goals)
+                    got = _outcome(_sample_mock_pair, world, random.Random(seed), *args)
+                    want = _outcome(_reference_sample_mock_pair, world, random.Random(seed), *args)
+                    assert got == want, (used_starts, used_goals, seed)
+                    if isinstance(got[0], type):
+                        errors.add(got[1])
     assert errors == {"no free start vertex left for a mock pair",
                       "no free goal vertex left for a mock pair"}
 
