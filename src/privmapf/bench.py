@@ -53,15 +53,15 @@ _ASSET_MAPS = Path(__file__).parent / "assets" / "maps"
 
 
 def resolve_map(name: str) -> Path:
-    """An existing ``.map`` file is used as is; any other name is looked up as
-    ``<name>.map`` among the bundled maps."""
+    """An existing ``.map`` file is used as is; any other name must be the
+    name (file stem) of a bundled map, as the bundled folder lists it, so a
+    name such as ``../maps/open16`` is unknown."""
     p = Path(name)
     if p.suffix == ".map" and p.exists():
         return p
-    bundled = _ASSET_MAPS / f"{name}.map"
-    if bundled.exists():
-        return bundled
-    raise ConfigError(f"unknown map {name!r} (no file and no bundled asset)")
+    if f"{name}.map" in os.listdir(_ASSET_MAPS):
+        return _ASSET_MAPS / f"{name}.map"
+    raise ConfigError(f"unknown map {name!r} (no such .map file and no bundled map of that name)")
 
 
 @cache

@@ -33,8 +33,10 @@ is also its key among the discovered; at 32 sub-agents that is 97 B against
 a 296 B tuple. Its own etas, its priority order, its candidate lists, its
 pins (the constraint its next expansion takes) and its out-edges are built
 at its first expansion, from those etas; a rewire changes the parent and g,
-never the etas source. A discovery that the next iteration would pop at
-once (the goal, or a child no cheaper than the incumbent) is not pushed.
+never the etas source. Every successor, new or known, is pushed, and the
+loop's pop test alone decides whether the top node is expanded: a successor
+it rejects (the goal, a spent walk, or a node no cheaper than the incumbent)
+is popped at the next iteration, before the budget is read.
 
 A node is usually expanded several times in a row, once per constraint, so
 the search keeps one step context (``pibt.StepContext``): the configuration
@@ -257,36 +259,31 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
         if q_new is None:
             continue
         key = pack(*q_new)
-        known = explored.get(key)
         cost = _move_cost(off, from_bytes(key, "little") ^ goal_int, low, high)
-        if known is None:
-            g, h = node.g + cost, sum(map(list.__getitem__, dists, q_new))
-            child = _Node(key, g, h, node, node.etas)
-            node.edges[child] = cost
-            explored[key] = child
-            if key == goal_cfg:  # not pushed: the next iteration would pop it
-                goal_node = child
+        succ = explored.get(key)
+        if succ is None:  # reached at g = node.g + cost, so never rewired below
+            h = sum(map(list.__getitem__, dists, q_new))
+            succ = explored[key] = _Node(key, node.g + cost, h, node, node.etas)
+            if key == goal_cfg:
+                goal_node = succ
                 consider_incumbent()
-            elif goal_node is None or goal_node.g > g + h:
-                open_stack.append(child)
-        else:
-            if known is not node:  # self-loops cannot improve anything
-                node.edges[known] = cost
-            open_stack.append(known)
-            if node.g + cost < known.g:
-                known.g = node.g + cost
-                known.parent = node
-                queue = deque([known])
-                while queue:
-                    x = queue.popleft()
-                    if x.edges is None:  # never expanded, so no out-edges
-                        continue
-                    for y, c in x.edges.items():
-                        if x.g + c < y.g:
-                            y.g = x.g + c
-                            y.parent = x
-                            queue.append(y)
-                consider_incumbent()
+        if succ is not node:  # self-loops cannot improve anything
+            node.edges[succ] = cost
+        if node.g + cost < succ.g:
+            succ.g = node.g + cost
+            succ.parent = node
+            queue = deque([succ])
+            while queue:
+                x = queue.popleft()
+                if x.edges is None:  # never expanded, so no out-edges
+                    continue
+                for y, c in x.edges.items():
+                    if x.g + c < y.g:
+                        y.g = x.g + c
+                        y.parent = x
+                        queue.append(y)
+            consider_incumbent()
+        open_stack.append(succ)  # new or known: the pop test decides its expansion
 
     # cut the parent/edges cycles, so the graph is freed on return, not by gc
     for node in explored.values():

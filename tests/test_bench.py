@@ -138,13 +138,18 @@ def test_unreadable_config_names_the_file(tmp_path, content, message):
     assert message in str(info.value)
 
 
-def test_resolve_map_bundled_and_file(tmp_path):
-    assert resolve_map("open16").name == "open16.map"
+def test_resolve_map_bundled_and_file(tmp_path, monkeypatch):
+    for name in ("open16", "random-32-32-20", "room-32-32-4"):
+        bundled = resolve_map(name)
+        assert bundled.name == f"{name}.map" and bundled.is_file()
     custom = tmp_path / "tiny.map"
     custom.write_text(POCKET)
     assert resolve_map(str(custom)) == custom
-    with pytest.raises(ConfigError, match="unknown map"):
-        resolve_map("atlantis")
+    # a bundled name is looked up as a name, never joined onto the bundled folder
+    monkeypatch.chdir(tmp_path)
+    for name in ("atlantis", "../maps/open16", "open16.map"):
+        with pytest.raises(ConfigError, match=f"unknown map '{re.escape(name)}'"):
+            resolve_map(name)
 
 
 def test_default_separation(open16, random32):

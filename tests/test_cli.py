@@ -497,6 +497,8 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
     ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
                       "--private-dir", "{tmp}/other_group"],
      "other_group/agent_000.json: holds group 1, not group 0"),
+    # a map name is a bundled map's name, never a path into or out of their folder
+    ("ConfigError", ["solve", "--map", "../maps/open16"], "unknown map '../maps/open16'"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
