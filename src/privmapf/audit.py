@@ -9,6 +9,8 @@ same ``audit`` call, so the conflict rule is written here only.
 An observer's belief about agent i at time t is the set of vertices where
 group i's sub-plans place any member at t (goal positions pad past each
 path's end). The plan is k-private when every belief set keeps size >= k.
+``audit_trace`` is the one verdict on a broadcast: ``privmapf audit``
+prints it and ``run_pipeline`` gates every solved plan on it.
 Zone refinement reads the same table: a group's region at t is the union
 of the fov squares around its belief set.
 """
@@ -23,6 +25,7 @@ from .grid import GridWorld, PrivmapfError
 from .plans import JointPlan
 
 if TYPE_CHECKING:
+    from .pipeline import MessageTrace
     from .safezone import ZoneTable
 
 
@@ -51,6 +54,11 @@ class ConflictReport:
     def total(self) -> int:
         return (len(self.vertex_conflicts) + len(self.swap_conflicts)
                 + len(self.fov_conflicts) + len(self.invalid_moves))
+
+    def summary(self) -> str:
+        return (f"vertex conflicts: {len(self.vertex_conflicts)}  swap conflicts: "
+                f"{len(self.swap_conflicts)}  fov conflicts: {len(self.fov_conflicts)}  "
+                f"invalid moves: {len(self.invalid_moves)}")
 
 
 def audit(
@@ -172,30 +180,43 @@ def compute_beliefs(plan: JointPlan, group_of: list[int]) -> list[list[frozenset
             for paths in members]
 
 
-def check_k_privacy(beliefs: list[list[frozenset[int]]], k: int) -> dict:
-    """Every belief set must keep at least k candidate locations."""
-    violations = [
-        (i, t, len(b))
-        for i, per_t in enumerate(beliefs)
-        for t, b in enumerate(per_t)
-        if len(b) < k
-    ]
-    return {"ok": not violations, "violations": violations}
+def _below_k(plan: JointPlan, group_of: list[int], k: int) -> list[tuple[int, int, int]]:
+    """(group, t, size) for every belief set with fewer than k candidate locations."""
+    return [(i, t, len(b)) for i, per_t in enumerate(compute_beliefs(plan, group_of))
+            for t, b in enumerate(per_t) if len(b) < k]
 
 
-def check_runtime_k_privacy(
-    world: GridWorld,
-    plan: JointPlan,
-    group_of: list[int],
-    k: int,
-    fov_radius: int,
-) -> dict:
-    """k-anonymous beliefs at every timestep AND zero inter-group fov overlap."""
-    beliefs = compute_beliefs(plan, group_of)
-    privacy = check_k_privacy(beliefs, k)
-    fov_report = audit(world, plan, group_of, fov_radius=fov_radius, check_fov=True)
-    return {
-        "ok": privacy["ok"] and not fov_report.fov_conflicts,
-        "privacy": privacy,
-        "fov_conflicts": fov_report.fov_conflicts,
-    }
+@dataclass
+class TraceReport:
+    """The verdict on one broadcast: its conflicts and, as (group, t, size),
+    every belief set below the trace's k."""
+
+    conflicts: ConflictReport
+    below_k: list[tuple[int, int, int]]
+
+    @property
+    def ok(self) -> bool:
+        return self.conflicts.ok and not self.below_k
+
+
+def audit_trace(world: GridWorld, trace: MessageTrace) -> TraceReport:
+    """Audit a trace's plan at the k and radius it records: every conflict,
+    fov conflicts between groups when the radius is >= 1, and every belief
+    set below k. With k rows per group, a belief set below k is always also
+    a same-group vertex conflict. A trace with no plan raises AuditError."""
+    plan, group_of = trace.broadcast_plan, trace.group_of
+    if plan is None:
+        raise AuditError("the trace has no plan to audit")
+    conflicts = audit(world, plan, group_of, trace.fov_radius, trace.fov_radius >= 1)
+    return TraceReport(conflicts, _below_k(plan, group_of, trace.k))
+
+
+def check_runtime_k_privacy(world: GridWorld, plan: JointPlan, group_of: list[int],
+                            k: int, fov_radius: int) -> dict:
+    """k-anonymous beliefs at every timestep AND zero inter-group fov overlap,
+    at every radius; kept only until ``perfbench/`` calls ``audit_trace``
+    (ROADMAP item 1b)."""
+    below_k = _below_k(plan, group_of, k)
+    fov = audit(world, plan, group_of, fov_radius=fov_radius, check_fov=True).fov_conflicts
+    return {"ok": not below_k and not fov, "fov_conflicts": fov,
+            "privacy": {"ok": not below_k, "violations": below_k}}

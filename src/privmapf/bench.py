@@ -17,7 +17,8 @@ column always reads ``lacam``. A solved cell with radius >= 1 is refined.
 A cell whose placement, dispatch or solve fails with a ``PrivmapfError``
 is an unsolved row, not the end of the sweep.
 PPfPP refines the pipeline's own plan, so a failure there is a bug and
-keeps its traceback.
+keeps its traceback, as does a solved plan that fails the pipeline's
+audit gate (``pipeline.BroadcastAuditError``).
 An omitted budget is ``PipelineSpec``'s, as ``privmapf solve``'s flag's is.
 No suite chooses a spacing: every run places its pairs at the map's default
 spacing, ``instances.default_separation``.

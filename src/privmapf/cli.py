@@ -27,7 +27,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .audit import audit, check_k_privacy, compute_beliefs, metrics
+from .audit import audit_trace, metrics
 from .bench import (
     TaskSpec, format_summary, load_config, load_world, run_suite, summarize, write_records,
 )
@@ -114,24 +114,13 @@ def _cmd_ppfpp(args) -> int:
 def _cmd_audit(args) -> int:
     world = load_world(args.map)
     trace = _read_planned_trace(world, args.trace)
-    plan, group_of, k = trace.broadcast_plan, trace.group_of, trace.k
-    report = audit(
-        world, plan, group_of=group_of,
-        fov_radius=trace.fov_radius, check_fov=trace.fov_radius > 0,
-    )
-    lines = [
-        f"vertex conflicts: {len(report.vertex_conflicts)}  "
-        f"swap conflicts: {len(report.swap_conflicts)}  "
-        f"fov conflicts: {len(report.fov_conflicts)}  "
-        f"invalid moves: {len(report.invalid_moves)}"
-    ]
-    for a, t, (u, v) in report.invalid_moves:
+    report = audit_trace(world, trace)
+    lines = [report.conflicts.summary()]
+    for a, t, (u, v) in report.conflicts.invalid_moves:
         lines.append(f"invalid move: sub-agent {a} at t={t}: {u} -> {v} is neither a wait nor a step")
-    privacy = check_k_privacy(compute_beliefs(plan, group_of), k)
-    lines.append(f"belief {k}-privacy: {'ok' if privacy['ok'] else 'VIOLATED'}")
-    ok = report.ok and privacy["ok"]
-    lines.append("clean" if ok else "violations found")
-    return _print(lines, 0 if ok else 1)
+    lines.append(f"belief {trace.k}-privacy: {'VIOLATED' if report.below_k else 'ok'}")
+    lines.append("clean" if report.ok else "violations found")
+    return _print(lines, 0 if report.ok else 1)
 
 
 def _cmd_bench(args) -> int:

@@ -274,6 +274,9 @@ def no_collision_probability(
     and the two independent sides multiply. Computed in log-space.
     Degenerate inputs (no room for the required distinct vertices) return
     probability 0.0 with the flag set instead of raising. k=1 gives 1.0.
+    The coarser published form, one blocked-set draw of 2(k-1) vertices per
+    group pair, is not this process: at |V|=10, k=2, N=2 it gives 10/36
+    ~ 0.278 against the exact 3136/6561 ~ 0.478.
     """
     if num_vertices < 1 or k < 1 or num_agents < 1:
         raise ValueError("num_vertices, k and num_agents must all be >= 1")
@@ -287,33 +290,6 @@ def no_collision_probability(
             return ProbabilityEstimate(0.0, True)
         log_side += c
     return ProbabilityEstimate(math.exp(2.0 * log_side), False)
-
-
-def no_collision_probability_blocked_set(
-    num_vertices: int, k: int, num_agents: int
-) -> ProbabilityEstimate:
-    """Coarser published closed form, kept for comparison.
-
-    Treats the counterpart group's 2k vertices as one blocked set avoided by
-    a single draw of 2(k-1) vertices from |V|-1, raised to the number of
-    group pairs:
-
-        ( C(|V|-1-2k, 2(k-1)) / C(|V|-1, 2(k-1)) ) ^ C(N,2)
-
-    It melds the start and goal sides into one draw, so it undercounts the
-    true no-collision probability of the sampler above (measured, not
-    assumed: see the enumeration tests). Same degenerate conventions as
-    no_collision_probability.
-    """
-    if num_vertices < 1 or k < 1 or num_agents < 1:
-        raise ValueError("num_vertices, k and num_agents must all be >= 1")
-    draw = 2 * (k - 1)
-    num = _log_comb(num_vertices - 1 - 2 * k, draw)
-    den = _log_comb(num_vertices - 1, draw)
-    if num is None or den is None:
-        return ProbabilityEstimate(0.0, True)
-    n_pairs = math.comb(num_agents, 2)
-    return ProbabilityEstimate(math.exp(n_pairs * (num - den)), False)
 
 
 # -- private sidecars -------------------------------------------------------

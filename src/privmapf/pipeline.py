@@ -6,11 +6,13 @@ entry point; the spec says how the run plans.
 Flow: the dispatcher builds one k-pair group per agent and the groups are
 broadcast exactly once; a designated planning agent (always group 0 here)
 solves the joint k*N instance over all published pairs and broadcasts the
-full plan; each agent privately extracts the single path matching its real
-pair. Everything observable by other agents lives in the MessageTrace, and
-nothing derived from a private real index may ever appear in it. Its JSON
-form is the one broadcast file: ``privmapf solve`` writes it, and ``audit``
-and ``ppfpp`` read the plan, k and the radius back from it.
+full plan once ``audit.audit_trace`` finds it clean (a plan that fails is a
+bug, ``BroadcastAuditError``, and is never published); each agent privately
+extracts the single path matching its real pair. Everything observable by
+other agents lives in the MessageTrace, and nothing derived from a private
+real index may ever appear in it. Its JSON form is the one broadcast file:
+``privmapf solve`` writes it, and ``audit`` and ``ppfpp`` read the plan, k
+and the radius back from it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dispatch as dsp
+from .audit import TraceReport, audit_trace
 from .grid import ConfigError, GridWorld, PrivmapfError
 from .lacam import SolveResult, lacam_solve
 from .pibt import SolverProblem
@@ -141,6 +144,7 @@ class PipelineResult:
     solve: SolveResult
     plan: JointPlan | None  # solve.plan, kept a field: dataclasses.replace can swap in another
     real_paths: list[tuple[int, ...]] | None
+    report: TraceReport | None = None  # the gate's audit; None when unsolved
 
     @property
     def solved(self) -> bool:
@@ -149,6 +153,10 @@ class PipelineResult:
     @property
     def reason(self) -> str | None:
         return self.solve.reason
+
+
+class BroadcastAuditError(RuntimeError):
+    """A solved plan failed its audit: a solver bug, never published."""
 
 
 def extract_real_path(plan: JointPlan, k: int, group: dsp.AgentGroup) -> tuple[int, ...]:
@@ -199,7 +207,8 @@ def run_pipeline(
     spec: PipelineSpec,
     seed: int | str,
 ) -> PipelineResult:
-    """Dispatch, publish the groups, solve the joint instance, extract."""
+    """Dispatch, publish the groups, solve the joint instance, gate a solved
+    plan on ``audit_trace`` (BroadcastAuditError if it fails), extract."""
     groups = dsp.dispatch_groups(world, real_pairs, spec.k, spec.radius, seed)
     published = tuple(g.broadcast_view() for g in groups)
     problem = SolverProblem(world, list(published), spec.radius)
@@ -208,10 +217,14 @@ def run_pipeline(
     # groups are published before the solver runs: a failed solve still
     # leaks exactly the same messages, so the trace must carry them.
     trace = MessageTrace(published, spec.k, spec.radius, result.plan)
-    real_paths = None
+    real_paths = report = None
     if result.solved:
+        report = audit_trace(world, trace)
+        if not report.ok:
+            raise BroadcastAuditError(f"solved plan fails its audit: {report.conflicts.summary()}"
+                                      f"  belief sets below k: {len(report.below_k)}")
         real_paths = [extract_real_path(result.plan, spec.k, g) for g in groups]
-    return PipelineResult(trace, groups, problem, result, result.plan, real_paths)
+    return PipelineResult(trace, groups, problem, result, result.plan, real_paths, report)
 
 
 def kpp_solve(world, real_pairs, k, seed, solver="lacam", **settings) -> PipelineResult:

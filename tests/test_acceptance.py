@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from privmapf.audit import audit, check_k_privacy, check_separated, compute_beliefs
+from privmapf.audit import audit, audit_trace, check_separated
 from privmapf.bench import resolve_map
 from privmapf.dispatch import (
     AgentGroup,
@@ -114,12 +114,10 @@ def test_1_privacy_of_published_plans(worlds):
                         if not out.solved:
                             continue
                         checked += 1
-                        beliefs = compute_beliefs(out.plan, out.problem.group_of)
-                        if not check_k_privacy(beliefs, k)["ok"]:
+                        report = audit_trace(world, out.trace)
+                        if report.below_k:
                             belief_violations += 1
-                        report = audit(world, out.plan, out.problem.group_of,
-                                       fov_radius=r, check_fov=True)
-                        if report.fov_conflicts:
+                        if report.conflicts.fov_conflicts:
                             fov_violations += 1
     verdict(1, "privacy of published plans",
             checked >= 100 and belief_violations == 0 and fov_violations == 0,

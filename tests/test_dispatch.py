@@ -23,7 +23,6 @@ from privmapf.dispatch import (
     _sample_mock_pair,
     dispatch_groups,
     no_collision_probability,
-    no_collision_probability_blocked_set,
     pairs_collide,
     propose_groups,
     read_private_sidecar,
@@ -254,7 +253,7 @@ def test_prior_aware_observer_sees_the_spacing_leak(open16):
     """Mocks are drawn without the instance generator's spacing, so an
     observer who knows ``default_separation`` rules some candidates out.
 
-    ``check_k_privacy`` counts belief-set sizes, so it cannot see this leak:
+    ``audit_trace`` counts belief-set sizes, so it cannot see this leak:
     it is k-anonymity's known weakness against background knowledge
     (Machanavajjhala et al., l-Diversity, ICDE 2006). An exact dispatch
     sampler that rejects mocks at the real pairs' spacing is expected to move
@@ -321,15 +320,6 @@ def test_frozen_reference_values():
     assert math.isclose(p10.probability, 3136 / 6561, rel_tol=1e-12)
     p20 = no_collision_probability(20, 2, 3)
     assert math.isclose(p20.probability, (4080 / 6859) ** 2, rel_tol=1e-12)
-    blocked = no_collision_probability_blocked_set(10, 2, 2)
-    assert math.isclose(blocked.probability, 10 / 36, rel_tol=1e-12)
-
-
-def test_blocked_set_form_is_not_the_sampled_process():
-    # the simpler pairwise bound is kept for comparison; it differs a lot
-    exact = no_collision_probability(10, 2, 2).probability
-    blocked = no_collision_probability_blocked_set(10, 2, 2).probability
-    assert abs(exact - blocked) > 0.15
 
 
 def test_probability_degenerate_cases():

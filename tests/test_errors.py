@@ -1,8 +1,8 @@
 """The failure contract: every error a user can cause is a PrivmapfError.
 
 The CLI and the bench sweep catch that one base, so an exception class that
-is not on it would reach the user as a traceback. The two listed here are
-not: each signals a bug, and a traceback is the right output for a bug.
+is not on it would reach the user as a traceback. The three listed here
+are not: each signals a bug, and a traceback is the right output for a bug.
 """
 
 import importlib
@@ -12,7 +12,7 @@ import pkgutil
 import privmapf
 from privmapf.grid import PrivmapfError
 
-BUG_SIGNALS = {"MetricsError", "DispatchVerificationError"}
+BUG_SIGNALS = {"MetricsError", "DispatchVerificationError", "BroadcastAuditError"}
 
 
 def _error_classes():

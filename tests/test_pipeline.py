@@ -5,14 +5,20 @@ of everything an observer sees; privacy claims are checked on those bytes,
 never on in-process objects.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from privmapf.audit import audit, check_k_privacy, compute_beliefs
+from privmapf import cli, pipeline
+from privmapf.audit import AuditError, audit_trace, compute_beliefs
+from privmapf.dispatch import AgentGroup
 from privmapf.grid import ConfigError
 from privmapf.instances import random_spaced_pairs
+from privmapf.plans import JointPlan
 from privmapf.pipeline import (
+    BroadcastAuditError,
+    MessageTrace,
     PipelineSpec,
     extract_real_path,
     fpp_solve,
@@ -28,22 +34,20 @@ def test_kpp_end_to_end(open16):
     result = run_pipeline(open16, reals, PipelineSpec(2, budget_expansions=1500), 0)
     assert result.solved
     assert result.plan.num_agents == 8
-    assert audit(open16, result.plan).ok
     for path, (s, g) in zip(result.real_paths, reals):
         assert path[0] == s and path[-1] == g
-    beliefs = compute_beliefs(result.plan, result.problem.group_of)
-    assert check_k_privacy(beliefs, 2)["ok"]
+    report = audit_trace(open16, result.trace)
+    assert report.ok
+    assert report == result.report
 
 
 def test_fpp_end_to_end(open16):
     reals = random_spaced_pairs(open16, 4, "e2e", min_separation=3)
     result = run_pipeline(open16, reals, PipelineSpec(2, 1, budget_expansions=1500), 0)
     assert result.solved
-    report = audit(open16, result.plan, result.problem.group_of,
-                   fov_radius=1, check_fov=True)
+    report = audit_trace(open16, result.trace)
     assert report.ok
-    beliefs = compute_beliefs(result.plan, result.problem.group_of)
-    assert check_k_privacy(beliefs, 2)["ok"]
+    assert report == result.report
 
 
 def test_extraction_picks_the_indexed_row(open16):
@@ -114,7 +118,10 @@ def test_failed_solve_still_publishes_groups(pocket):
     result = run_pipeline(pocket, reals, PipelineSpec(1, budget_expansions=1500), 0)
     assert not result.solved
     assert result.real_paths is None
+    assert result.report is None
     assert result.trace.broadcast_plan is None
+    with pytest.raises(AuditError, match="no plan"):
+        audit_trace(pocket, result.trace)
     assert len(result.trace.published_groups) == 2
     text = result.trace.to_json(pocket)
     assert json.loads(text)["plan"] is None
@@ -177,15 +184,53 @@ def test_spec_rejects_bad_settings(fields, message):
         PipelineSpec(**fields)
 
 
-def test_check_k_privacy_reports_small_beliefs():
-    beliefs = [
-        [frozenset({1, 2}), frozenset({3})],
-        [frozenset({4, 5}), frozenset({6, 7})],
-    ]
-    report = check_k_privacy(beliefs, 2)
-    assert not report["ok"]
-    assert report["violations"] == [(0, 1, 1)]
-    assert check_k_privacy(beliefs, 1)["ok"]
+def test_audit_trace_reports_small_beliefs(open4):
+    # group 1's two rows meet at t=1: one belief set of size k-1, which with
+    # k rows per group is also a same-group vertex conflict
+    v = open4.vertex_at
+    groups = (AgentGroup(0, ((v(0, 0), v(0, 1)), (v(1, 0), v(1, 1))), None),
+              AgentGroup(1, ((v(2, 3), v(3, 2)), (v(3, 2), v(2, 3))), None))
+    plan = JointPlan(((v(0, 0), v(0, 1), v(0, 1)), (v(1, 0), v(1, 1), v(1, 1)),
+                      (v(2, 3), v(3, 3), v(3, 2)), (v(3, 2), v(3, 3), v(2, 3))))
+    report = audit_trace(open4, MessageTrace(groups, 2, 0, plan))
+    assert not report.ok
+    assert report.below_k == [(1, 1, 1)]
+    assert report.conflicts.vertex_conflicts == [(2, 3, 1, (v(3, 3),))]
+
+
+def _conflicting_solve(monkeypatch):
+    """Patch the pipeline's solver so its plan moves sub-agent 1 onto
+    sub-agent 0's vertex at t=1."""
+    solve = pipeline.lacam_solve
+
+    def broken(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        paths = [list(p) for p in result.plan.paths]
+        paths[1][1] = paths[0][1]
+        return dataclasses.replace(result, plan=JointPlan(tuple(map(tuple, paths))))
+
+    monkeypatch.setattr(pipeline, "lacam_solve", broken)
+
+
+def test_gate_refuses_a_conflicting_plan(open16, monkeypatch):
+    reals = random_spaced_pairs(open16, 2, "gate", min_separation=3)
+    spec = PipelineSpec(2, budget_expansions=1500)
+    clean = run_pipeline(open16, reals, spec, 0)
+    assert clean.report.ok
+    assert clean.report == audit_trace(open16, clean.trace)
+    _conflicting_solve(monkeypatch)
+    with pytest.raises(BroadcastAuditError, match="vertex conflicts: 1 "):
+        run_pipeline(open16, reals, spec, 0)
+
+
+def test_solve_writes_no_trace_for_a_conflicting_plan(open16, monkeypatch, tmp_path, capsys):
+    # a bug signal, not a PrivmapfError: it leaves main with its traceback
+    _conflicting_solve(monkeypatch)
+    out = tmp_path / "trace.json"
+    with pytest.raises(BroadcastAuditError):
+        cli.main(["solve", "--map", "open16", "--agents", "2", "--k", "2", "--out", str(out)])
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "")
 
 
 def test_beliefs_pad_with_goal_positions(open4):
