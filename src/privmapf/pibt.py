@@ -7,16 +7,15 @@ its BFS distance tables), one configuration seen through the step's eyes
 with its start check, per-node priority pass and result, is ``lacam``.
 
 One transactional step builder serves every fov radius of the problem. An
-agent claiming vertex v must recursively displace (a) the current occupant
-of v and, at radius r >= 1, (b) every not-yet-decided agent of another
-group whose current position lies inside the square fov of v. The
-displaced agents run with the claimant's inherited priority (the recursion
-itself); if any of them cannot move, every tentative assignment made under
-that candidate is rolled back and the claimant tries its next vertex. At
+agent claiming vertex v must displace (a) the current occupant of v and,
+at radius r >= 1, (b) every not-yet-decided agent of another group whose
+current position lies inside the square fov of v. The displaced agents
+run with the claimant's inherited priority and displace others in turn;
+if any of them cannot move, every tentative assignment made under that
+candidate is rolled back and the claimant tries its next vertex. At
 radius 0 the fov set degenerates to {v}: the rule is the classical one.
-A step that spends its budget of ``attempt`` calls, or whose push chain
-reaches the interpreter's recursion limit, fails as an unrealisable one
-(``build_step``).
+The push chain runs on an explicit stack, so a step has one bound: one
+that spends its budget of agent entries fails as unrealisable.
 
 The builder's state is indexed by vertex, -1 for none. ``at[v]``, the
 agent on v, depends only on the configuration: ``StepContext`` builds it
@@ -25,24 +24,24 @@ configuration. ``claimed[v]``, the agent moving to v, is allocated once per
 problem and each call resets what it claimed, so a problem runs one step at
 a time. At radius r >= 1, one scan of a tried vertex's (2r+1)^2 fov square
 (the problem's ``fov`` table) decides both whether another group's claim
-blocks it and which agents it pushes, whatever the number of agents; an
-undo log tracks the pushees. At radius 0 the only pushee is ``at[v]``.
-``attempt`` shuffles candidates inline with ``Random.shuffle``'s draws
-(table ``_DRAWS``).
+blocks it and which agents it pushes, whatever the number of agents; at
+radius 0 the only pushee, ``at[v]``, is read without a scan.
+An entered agent shuffles its candidates inline with ``Random.shuffle``'s
+draws (table ``_DRAWS``).
 
 An agent resting on its unclaimed goal g only draws the shuffle's words and
 keeps the goal unless an agent b of another group is in its square: b's
 vertex, ``config[b]`` while b is undecided and ``target[b]`` once it is,
 lies in fov_r(g). If none is, the stable sort by distance puts the goal
-first whatever the draws, and nothing blocks or is pushed, so ``attempt``
-would claim it at once. Only the agents standing in fov_r(g) or next to it
-can ever be in the way, because every claim is the claimant's vertex or a
-neighbour of it (pins are checked to be steps). ``StepContext`` lists those
-agents per resting agent (its watch list) once per configuration, from the
-problem's per-vertex ``watchers``, so each step reads a few agents where it
-scanned the square, and decides exactly as that scan. A pushee never
-qualifies (its claimant has claimed its vertex or one in its square), so the
-claim sits in the top-level loop, with no undo entry.
+first whatever the draws, and nothing blocks or is pushed, so entering it
+would claim the goal at once. Only the agents standing in fov_r(g) or next
+to it can ever be in the way, because every claim is the claimant's vertex
+or a neighbour of it (pins are checked to be steps). ``StepContext`` lists
+those agents per resting agent (its watch list) once per configuration,
+from the problem's per-vertex ``watchers``, so each step reads a few agents
+where it scanned the square, and decides exactly as that scan. A pushee
+never qualifies (its claimant has claimed its vertex or one in its square),
+so the claim sits in the top-level loop, with no undo entry.
 """
 
 from __future__ import annotations
@@ -165,20 +164,23 @@ class StepContext:
 
 def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> list[int] | None:
     """One configuration step from ``ctx.config``, deciding agents in
-    ``ctx.order`` after the pins; None when the step is unrealisable, when
-    it spends its budget of ``8 n + 64`` ``attempt`` calls (n agents), or
-    when its push chain (one recursion level per pushed agent) reaches the
-    interpreter's recursion limit. Unpinned from a valid configuration it
-    always succeeds within that budget and depth: every agent may wait.
-    Without the budget a crowded map takes exponential time, as a failed
-    push is undone and its agent attempted again from later branches. The
-    search stays complete: a constraint at depth n pins every agent, and
-    its step makes no ``attempt`` call.
+    ``ctx.order`` after the pins; None when the step is unrealisable or
+    enters agents (draws their candidates) more than ``8 n + 64`` times (n
+    agents), its one bound. Unpinned from a valid configuration it always
+    succeeds within it: every agent may wait. Without it a crowded map takes
+    exponential time, as a failed push is undone and its agent entered again
+    from later branches. The search stays complete: a constraint at depth n
+    pins every agent, and its step enters none.
 
-    An agent resting on its goal keeps it without an ``attempt`` call unless
-    an agent on its watch list has its vertex (``config[b]`` while
-    undecided, ``target[b]`` once decided) in the goal's fov square; the
-    module docstring gives the rule and why it is exactly the square scan.
+    An agent waiting on a pushee is one stack frame (agent, candidate
+    iterator, swap, undo mark, pushee iterator): it goes on to its next
+    pushee once that one holds a vertex, or undoes back to its mark and
+    claims its next candidate once that one runs out of candidates.
+
+    An agent resting on its goal keeps it without being entered unless an
+    agent on its watch list has its vertex (``config[b]`` while undecided,
+    ``target[b]`` once decided) in the goal's fov square; the module
+    docstring gives the rule and why it is exactly the square scan.
 
     It only reads ``ctx``, so a context serves any number of steps. The
     claims live on the problem and are reset on the way out, also on a
@@ -188,73 +190,9 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
         problem.world.adjacency, problem.dists, problem.group_of, problem.fov)
     getrandbits = rng.getrandbits
     target: list[int | None] = [None] * problem.num_agents
-    undo: list[int] = []  # assigned agents (radius >= 1)
-    # one call per attempt; StopIteration once the budget is spent
-    spend = iter(range(8 * problem.num_agents + 64)).__next__
-
-    # state bound as defaults: read as fast locals, quicker than closure cells
-    def attempt(a, config=config, adj=adj, dists=dists, getrandbits=getrandbits, claimed=claimed,
-                at=at, target=target, fov=fov, group_of=group_of, undo=undo, spend=spend):
-        spend()
-        cur = config[a]
-        cand = [cur, *adj[cur]]
-        for i, n, k in _DRAWS[len(cand)]:
-            j = getrandbits(k)
-            while j >= n:
-                j = getrandbits(k)
-            cand[i], cand[j] = cand[j], cand[i]
-        cand.sort(key=dists[a].__getitem__)
-        # claimed[cur] holds for every candidate; following its agent is an exchange
-        b = claimed[cur]
-        swap = config[b] if b >= 0 else -1
-        # radius 0 keeps its own loop: fov_table(0) squares plan alike, but kPP steps ~11% slower
-        if fov is None:
-            for v in cand:
-                if claimed[v] >= 0 or v == swap:
-                    continue
-                target[a] = v
-                claimed[v] = a
-                b = at[v]
-                if b < 0 or b == a or target[b] is not None or attempt(b):
-                    return True
-                # a failed attempt left nothing assigned
-                target[a] = None
-                claimed[v] = -1
-            return False
-        ga = group_of[a]
-        for v in cand:
-            if claimed[v] >= 0 or v == swap:
-                continue
-            # one scan of v's square: v is blocked if another group's agent
-            # has claimed a vertex in it (fov is symmetric, so this covers
-            # both directions); else the pushees are v's occupant, whatever
-            # its group, and the undecided agents of other groups in it
-            pushees = []
-            for u in fov[v]:
-                b = claimed[u]
-                if b >= 0 and group_of[b] != ga:
-                    break
-                b = at[u]
-                if b >= 0 and b != a and target[b] is None and (u == v or group_of[b] != ga):
-                    pushees.append(b)
-            else:
-                mark = len(undo)
-                target[a] = v
-                claimed[v] = a
-                undo.append(a)
-                pushees.sort()
-                for b in pushees:
-                    # b may have been decided while clearing an earlier pushee
-                    if target[b] is None and not attempt(b):
-                        break
-                else:
-                    return True
-                for c in undo[mark:]:
-                    claimed[target[c]] = -1
-                    target[c] = None
-                del undo[mark:]
-        return False
-
+    undo: list[int] = []  # the assigned agents, for rollback
+    stack: list[tuple] = []  # the frames of the agents waiting on a pushee
+    budget = 8 * problem.num_agents + 64  # agent entries left
     try:
         for a, v in ctx.pins:
             cur = config[a]
@@ -270,8 +208,7 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
                     b = claimed[u]
                     if b >= 0 and group_of[b] != ga:
                         return None
-            target[a] = v
-            claimed[v] = a
+            target[a], claimed[v] = v, a
         for a, cur, draws, watch in ctx.steps:
             if target[a] is not None:
                 continue
@@ -286,13 +223,73 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
                             pass
                     target[a], claimed[cur] = cur, a
                     continue
-            if not attempt(a):
-                return None
+            while stack or target[a] is None:  # enter a: draw its candidates
+                budget -= 1
+                if budget < 0:
+                    return None
+                cur = config[a]
+                cand = [cur, *adj[cur]]
+                for i, n, k in _DRAWS[len(cand)]:
+                    j = getrandbits(k)
+                    while j >= n:
+                        j = getrandbits(k)
+                    cand[i], cand[j] = cand[j], cand[i]
+                cand.sort(key=dists[a].__getitem__)
+                cands, pushees = iter(cand), None  # a holds no vertex
+                # claimed[cur] holds for every candidate; following its agent is an exchange
+                b = claimed[cur]
+                swap = config[b] if b >= 0 else -1
+                while True:
+                    if pushees is None:  # a claims its next candidate
+                        for v in cands:
+                            if claimed[v] >= 0 or v == swap:
+                                continue
+                            if fov is None:  # radius 0: the pushee is v's occupant
+                                b = at[v]
+                                pushees = iter((b,) if b >= 0 else ())
+                            else:
+                                # one scan of v's square: v is blocked if another group's
+                                # agent claimed a vertex in it (fov is symmetric); else the
+                                # pushees are v's occupant and the undecided agents of
+                                # other groups in it
+                                ga, found = group_of[a], []
+                                for u in fov[v]:
+                                    b = claimed[u]
+                                    if b >= 0 and group_of[b] != ga:
+                                        break
+                                    b = at[u]
+                                    if b >= 0 and b != a and target[b] is None and (
+                                            u == v or group_of[b] != ga):
+                                        found.append(b)
+                                else:
+                                    pushees = iter(sorted(found))
+                                if pushees is None:  # v is blocked
+                                    continue
+                            mark = len(undo)
+                            target[a], claimed[v] = v, a
+                            undo.append(a)
+                            break
+                        else:  # a is out of candidates: its claimant's vertex fails
+                            if not stack:
+                                return None
+                            a, cands, swap, mark, _ = stack.pop()  # pushees stays None
+                            for c in undo[mark:]:
+                                claimed[target[c]] = -1
+                                target[c] = None
+                            del undo[mark:]
+                            continue
+                    for b in pushees:
+                        if target[b] is None:  # it may have moved for an earlier pushee
+                            stack.append((a, cands, swap, mark, pushees))
+                            a = b
+                            break
+                    else:  # every pushee moved: a holds its vertex
+                        if stack:
+                            a, cands, swap, mark, pushees = stack.pop()
+                            continue
+                    break
         return target
-    except (StopIteration, RecursionError):  # the budget or the depth is spent
-        return None
     finally:
         for v in target:
             if v is not None:
                 claimed[v] = -1
-        del attempt  # it refers to itself: free it now, not in the next gc pass

@@ -208,7 +208,10 @@ def run_pipeline(
     seed: int | str,
 ) -> PipelineResult:
     """Dispatch, publish the groups, solve the joint instance, gate a solved
-    plan on ``audit_trace`` (BroadcastAuditError if it fails), extract."""
+    plan on ``audit_trace`` (BroadcastAuditError if it fails), extract.
+
+    Dispatch draws from ``seed``: a seeded run can be replayed, and the
+    belief-set guarantee holds only while the seed is secret."""
     groups = dsp.dispatch_groups(world, real_pairs, spec.k, spec.radius, seed)
     published = tuple(g.broadcast_view() for g in groups)
     problem = SolverProblem(world, list(published), spec.radius)

@@ -284,10 +284,11 @@ def bound_step_draws(monkeypatch, seed):
     seeded as ``lacam_solve`` seeds its own, so the stream is the search's.
     Fails the test when a step of n agents leaves a claim behind or draws
     more than 16 (9 n + 64) words, so an unbounded step fails instead of
-    hanging: within its budget of 8 n + 64 ``attempt`` calls, each call and
-    each agent resting on its goal shuffles at most 5 candidates, about 7
-    words on average. Returns a list of one ``(words drawn, step
-    succeeded)`` per step, filled as the search runs."""
+    hanging: within its budget of 8 n + 64 agent entries, however long its
+    push chain, each entered agent and each agent resting on its goal
+    shuffles at most 5 candidates, about 7 words on average. Returns a list
+    of one ``(words drawn, step succeeded)`` per step, filled as the search
+    runs."""
     rng, steps = CountingRandom(f"pibt:{seed}"), []
     build_step = lacam.build_step
 

@@ -180,10 +180,12 @@ def test_solve_failure_exits_nonzero_but_still_traces(tmp_path, capsys):
     assert obj["plan"] is None
 
 
-def test_a_push_chain_past_the_recursion_limit_is_a_timeout(tmp_path, monkeypatch, capsys):
+def test_a_long_push_chain_plans_and_the_expansion_budget_ends_the_run(tmp_path, monkeypatch,
+                                                                      capsys):
     # 1299 sub-agents on a 1x1300 open row: a step pushes them along in one
-    # chain, one recursion level each, past the interpreter's limit; each
-    # such step fails as an unrealisable one, within its attempt budget
+    # chain, far deeper than the interpreter's recursion limit; the step
+    # builder walks it on its own stack, so every step plans, and the run
+    # ends when its 3 expansions are spent
     line = tmp_path / "line1300.map"
     line.write_text("type octile\nheight 1\nwidth 1300\nmap\n" + "." * 1300 + "\n")
     steps = bound_step_draws(monkeypatch, 0)
@@ -191,7 +193,7 @@ def test_a_push_chain_past_the_recursion_limit_is_a_timeout(tmp_path, monkeypatc
                "--budget-expansions", "3"])
     out, err = capsys.readouterr()
     assert (rc, out, err) == (1, "unsolved: timeout\n", "")
-    assert len(steps) == 3 and steps[0][1] is False  # the unpinned first step hits it
+    assert len(steps) == 3 and all(ok for _, ok in steps)
 
 
 def test_solve_from_scenario_file(capsys):

@@ -10,7 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -271,6 +271,43 @@ def test_prior_aware_observer_sees_the_spacing_leak(open16):
     assert len(on_real) == 160
     assert sum(on_real) / len(on_real) == Fraction(14053, 22400)  # 1/k is 1/2
     assert on_real.count(1) == 26
+
+
+def seed_replays(world, published, k, radius, seeds):
+    """Every (seed, real pairs) under which ``dispatch_groups`` publishes
+    ``published`` again: an observer who knows the code tries each seed and
+    each choice of one published pair per group as the real ones. It reads
+    only the published pairs."""
+    pairs = [g.pairs for g in published]
+    found = []
+    for seed in seeds:
+        for reals in product(*pairs):
+            try:
+                again = dispatch_groups(world, list(reals), k, radius, seed)
+            except (InfeasibleInputError, DispatchExhaustedError):
+                continue
+            if [g.pairs for g in again] == pairs:
+                found.append((seed, reals))
+    return found
+
+
+@pytest.mark.parametrize("map_name,n,k,radius,seed", [
+    ("open16", 3, 3, 1, 0),
+    ("open16", 3, 3, 1, 7),
+    ("room-32-32-4", 5, 2, 0, 0),
+])
+def test_a_seeded_dispatch_can_be_replayed(placement_worlds, map_name, n, k, radius, seed):
+    """Dispatch draws its mocks and its real-index shuffle from the run's
+    seed, so replaying it over seeds 0-19 keeps exactly one (seed, real
+    pairs): the true one. Every group is pinned, so a seeded run is a
+    reproducible experiment, not a private one: the belief-set guarantee
+    holds only while the seed is secret. A private dispatch key (ROADMAP
+    item 11) must replace this frozen outcome on purpose."""
+    world = placement_worlds[map_name]
+    reals = random_spaced_pairs(world, n, seed)
+    groups = dispatch_groups(world, reals, k, radius, seed)
+    found = seed_replays(world, [g.broadcast_view() for g in groups], k, radius, range(20))
+    assert found == [(seed, tuple(reals))]
 
 
 # -- probability model -----------------------------------------------------

@@ -589,8 +589,8 @@ def test_node_data_runs_once_per_expanded_configuration(random32, monkeypatch,
 
 @pytest.mark.parametrize("agents,k,radius", [(16, 2, 0), (8, 3, 1)])
 def test_search_graph_is_freed_without_gc(random32, monkeypatch, agents, k, radius):
-    # the edge cut at the end of the search and the step builder's
-    # ``del attempt`` leave no reference cycle: memory returns on return
+    # the edge cut at the end of the search leaves no reference cycle, nor
+    # does the step builder's stack: memory returns on return
     pairs = random_spaced_pairs(random32, agents, 0, min_separation=5)
     problem = SolverProblem(random32, dispatch_groups(random32, pairs, k, radius, 0), radius)
     gc.collect()

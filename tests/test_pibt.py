@@ -8,10 +8,11 @@ against its own bookkeeping. The vertex-indexed builder is also compared,
 result and RNG state, with a reference that keeps its state in dicts and
 per-group target sets and scans every agent for fov pushees, also from
 configurations at or near the goals, where most agents keep their goal
-without an ``attempt`` call. Its claims live on the problem and its
-occupant array on the step context: every step, rejected, failed, taken or
-cut short by a raising draw, must leave both as it found them and act as on
-a fresh problem and context. LaCAM's start check (``lacam.clean_start``),
+without being entered. Its claims live on the problem and its occupant
+array on the step context: every step, rejected, failed, taken or cut
+short by a raising draw, must leave both as it found them and act as on a
+fresh problem and context. A step plans and draws alike however deep its
+caller's stack is. LaCAM's start check (``lacam.clean_start``),
 an audit call, is compared with the hand-written rule it replaced. The
 generator imports neither the auditor, the plans nor the search.
 """
@@ -694,6 +695,28 @@ def test_a_crowded_map_spends_the_step_budget(open16, monkeypatch, k):
     result = run_pipeline(open16, random_spaced_pairs(open16, 1, 0), spec, 0)
     assert (result.solved, result.reason, len(steps)) == (False, "timeout", 20)
     assert steps[0][1] is False  # the first step spends its budget
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_a_step_does_not_depend_on_the_callers_stack_depth(radius):
+    # one group of 300 sub-agents on a 1x600 row, each goal 300 cells to its
+    # right: agent 0 pushes the other 299 along in one chain. Called from
+    # under 700 frames of this test's own recursion, the step plans and
+    # draws as at the top level: the attempt budget is its only bound
+    row = parse_map_text("type octile\nheight 1\nwidth 600\nmap\n" + "." * 600 + "\n")
+    group = AgentGroup(0, tuple((v, v + 300) for v in range(300)), 0)
+    problem = SolverProblem(row, [group], radius)
+    ctx = StepContext(problem, problem.starts, list(range(300)))
+
+    def run(depth):
+        if depth:
+            return run(depth - 1)
+        rng = random.Random("deep")
+        return build_step(problem, ctx, rng), rng.getstate()
+
+    top = run(0)
+    assert top[0] == list(range(1, 301))
+    assert run(700) == top
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
