@@ -18,9 +18,10 @@ A group is drawn one way, by ``_draw_group``: the real pair, then k-1 mocks,
 each a start uniform over the unused vertices and a goal uniform over the
 unused vertices of its component, redrawn while it collides with a rival.
 Dispatch's rivals are the other groups' pairs; ``propose_groups`` has none.
-A mock draw costs O(k), not O(|V|): its pools are never built, and a drawn
-index is mapped to its vertex by stepping over the used ones. A private
-sidecar is read by its group, and one that names another group is an error.
+Both check their input by ``_check_input``. A mock draw costs O(k): no pool
+is built, a drawn index steps over the used vertices. A blind proposal's
+acceptance probability is counted exactly in integers. A private sidecar is
+read by its group, and one that names another group is an error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .grid import ConfigError, GridWorld, PrivmapfError
 
@@ -111,11 +111,9 @@ def _sample_mock_pair(
 ) -> tuple[int, int]:
     """A start uniform over the unused vertices, then a goal uniform over the
     unused vertices of the start's component. O(k) work for k used vertices."""
-    everything = range(world.num_vertices)
-    used = sorted(v for v in used_starts if v in everything)
-    s = _choose_unused(rng, everything, used, "start")
+    s = _choose_unused(rng, range(world.num_vertices), sorted(used_starts), "start")
     comp = world.components
-    used = sorted(v for v in used_goals if v in everything and comp[v] == comp[s])
+    used = sorted(v for v in used_goals if comp[v] == comp[s])
     return s, _choose_unused(rng, world.component_members(s), used, "goal")
 
 
@@ -150,6 +148,22 @@ def _draw_group(
     return pairs
 
 
+def _check_input(world: GridWorld, real_pairs: list[tuple[int, int]], k: int) -> None:
+    """Both draws' input rule: ConfigError unless k is an int >= 1, then
+    InfeasibleInputError unless pairs exist, |V| >= k and each is two ids."""
+    if type(k) is not int or k < 1:
+        raise ConfigError("k must be >= 1")
+    if not real_pairs:
+        raise InfeasibleInputError("no real pairs to dispatch")
+    if world.num_vertices < k:
+        raise InfeasibleInputError(
+            f"{world.num_vertices} vertices cannot host groups of {k} distinct starts"
+        )
+    for i, pair in enumerate(real_pairs):  # a bool or a negative id would alias a vertex
+        if len(pair) != 2 or not all(type(v) is int and 0 <= v < world.num_vertices for v in pair):
+            raise InfeasibleInputError(f"agent {i}: real pair {pair!r} is not two vertex ids")
+
+
 def propose_groups(
     world: GridWorld,
     real_pairs: list[tuple[int, int]],
@@ -158,12 +172,14 @@ def propose_groups(
 ) -> list[AgentGroup]:
     """Dispatch's own per-group draw with no rivals: one blind proposal.
 
-    Every first draw is accepted, the real pair stays first and nothing is
+    Its input is checked as dispatch's is, but real pairs may collide. Every
+    first draw is accepted, the real pair stays first and nothing is
     shuffled. On a connected map each group's mock starts are then a uniform
     (k-1)-subset of V minus its real start, and its goals likewise, so
     no_collision_probability is exact for how often this draw is
     collision-free.
     """
+    _check_input(world, real_pairs, k)
     return [AgentGroup(gid, tuple(_draw_group(world, rng, gid, real, k, [], 0)), 0)
             for gid, real in enumerate(real_pairs)]
 
@@ -182,26 +198,15 @@ def dispatch_groups(
     pair order is shuffled before publication so position leaks nothing
     about which pair is real.
 
-    Raises ConfigError for a k that is not an int >= 1 or a radius that is
-    not an int >= 0; InfeasibleInputError when there is no real pair, when a
-    real endpoint is not a vertex id, when the real pairs already collide at
-    this radius (or the world is too small); DispatchExhaustedError when a
-    mock pair cannot be placed within MAX_RETRIES draws.
+    Raises ConfigError for a radius that is not an int >= 0, then
+    ``_check_input``'s errors; InfeasibleInputError when the real pairs
+    already collide at this radius; DispatchExhaustedError when a mock pair
+    cannot be placed within MAX_RETRIES draws.
     """
-    n = len(real_pairs)
     if type(radius) is not int or radius < 0:
         raise ConfigError("fov radius must be >= 0")
-    if type(k) is not int or k < 1:
-        raise ConfigError("k must be >= 1")
-    if n == 0:
-        raise InfeasibleInputError("no real pairs to dispatch")
-    if world.num_vertices < k:
-        raise InfeasibleInputError(
-            f"{world.num_vertices} vertices cannot host groups of {k} distinct starts"
-        )
-    for i, pair in enumerate(real_pairs):  # a bool or a negative id would alias a vertex
-        if len(pair) != 2 or not all(type(v) is int and 0 <= v < world.num_vertices for v in pair):
-            raise InfeasibleInputError(f"agent {i}: real pair {pair!r} is not two vertex ids")
+    _check_input(world, real_pairs, k)
+    n = len(real_pairs)
     for i in range(n):
         for j in range(i + 1, n):
             if pairs_collide(world, real_pairs[i], real_pairs[j], radius):
@@ -248,20 +253,7 @@ def verify_dispatch(world: GridWorld, groups: list[AgentGroup], radius: int) -> 
 # -- collision probability of a single blind proposal -----------------------
 
 
-class ProbabilityEstimate(NamedTuple):
-    probability: float
-    degenerate: bool
-
-
-def _log_comb(n: int, r: int) -> float | None:
-    if r < 0 or n < 0 or n < r:
-        return None
-    return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-
-
-def no_collision_probability(
-    num_vertices: int, k: int, num_agents: int
-) -> ProbabilityEstimate:
+def no_collision_probability(num_vertices: int, k: int, num_agents: int) -> float:
     """Exact probability that one blind proposal round is collision-free.
 
     Model: every group draws its k-1 mock starts as a uniform (k-1)-subset
@@ -271,25 +263,21 @@ def no_collision_probability(
 
         prod_{i=0}^{N-1} C(|V|-N-i(k-1), k-1)  /  C(|V|-1, k-1)^N
 
-    and the two independent sides multiply. Computed in log-space.
-    Degenerate inputs (no room for the required distinct vertices) return
-    probability 0.0 with the flag set instead of raising. k=1 gives 1.0.
+    and the two independent sides multiply: exact integer counts, rounded
+    once to the nearest float (so 0.0 also below the float range). Inputs
+    with no room for the required distinct vertices return 0.0; k=1 gives 1.0.
     The coarser published form, one blocked-set draw of 2(k-1) vertices per
     group pair, is not this process: at |V|=10, k=2, N=2 it gives 10/36
     ~ 0.278 against the exact 3136/6561 ~ 0.478.
     """
     if num_vertices < 1 or k < 1 or num_agents < 1:
         raise ValueError("num_vertices, k and num_agents must all be >= 1")
-    denom = _log_comb(num_vertices - 1, k - 1)
-    if denom is None:
-        return ProbabilityEstimate(0.0, True)
-    log_side = -num_agents * denom
-    for i in range(num_agents):
-        c = _log_comb(num_vertices - num_agents - i * (k - 1), k - 1)
-        if c is None:
-            return ProbabilityEstimate(0.0, True)
-        log_side += c
-    return ProbabilityEstimate(math.exp(2.0 * log_side), False)
+    free = [num_vertices - num_agents - i * (k - 1) for i in range(num_agents)]
+    if min(free) < k - 1:
+        return 0.0
+    side = math.prod(math.comb(m, k - 1) for m in free)
+    total = math.comb(num_vertices - 1, k - 1) ** num_agents
+    return side * side / (total * total)
 
 
 # -- private sidecars -------------------------------------------------------

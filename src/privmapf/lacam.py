@@ -73,11 +73,14 @@ from .plans import JointPlan
 
 @dataclass
 class SolveResult:
-    solved: bool
     plan: JointPlan | None
     # timeout | exhausted | invalid_start (clean_start failed)
     reason: str | None = None
     expansions: int = 0
+
+    @property
+    def solved(self) -> bool:
+        return self.plan is not None
 
 
 def node_data(goals, dists, cfg: tuple[int, ...], etas: list[int]):
@@ -190,14 +193,14 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     if type(budget_expansions) is not int or budget_expansions < 0:
         raise ConfigError("the expansion budget must be an int >= 0")
     if not clean_start(problem):
-        return SolveResult(False, None, "invalid_start")
+        return SolveResult(None, "invalid_start")
     adj, goals = problem.world.adjacency, problem.goals
     rng = random.Random(f"pibt:{seed}")
     n, dists = problem.num_agents, problem.dists
 
     if problem.starts == goals:
         plan = JointPlan.from_configs([list(goals)])
-        return SolveResult(True, plan, None)
+        return SolveResult(plan)
     packing, low, high = _key_packing(n, problem.world.num_vertices)
     pack, unpack = packing.pack, packing.unpack
     goal_cfg = pack(*goals)
@@ -209,24 +212,13 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     open_stack: list[_Node] = [init]
     explored: dict[bytes, _Node] = {start_cfg: init}
     goal_node: _Node | None = None
-    best_plan: JointPlan | None = None
-    best_soc: int | None = None
-    scored_g: int | None = None  # goal_node.g when its plan was last scored
+    best_plan, best_soc = None, float("inf")
+    # goal_node.g when its plan was last scored. A rewire sets a parent only
+    # while strictly lowering g, and lowers g along ``edges`` onward, so the
+    # goal's parent chain (its plan) can change only when goal_node.g drops.
+    scored_g = float("inf")
     expansions = 0
     ctx_node: _Node | None = None  # the node ``ctx``, ``q`` and ``off`` belong to
-
-    def consider_incumbent():
-        nonlocal best_plan, best_soc, scored_g
-        # A rewire sets a parent only while strictly lowering g, and lowers
-        # g along ``edges`` onward, so the goal's parent chain (its plan)
-        # can change only when goal_node.g drops.
-        if goal_node is None or (scored_g is not None and goal_node.g >= scored_g):
-            return
-        scored_g = goal_node.g
-        plan = _extract(goal_node, unpack)
-        soc = metrics(plan.paths, goals).soc
-        if best_soc is None or soc < best_soc:
-            best_plan, best_soc = plan, soc
 
     while open_stack:
         node = open_stack[-1]
@@ -266,7 +258,6 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
             succ = explored[key] = _Node(key, node.g + cost, h, node, node.etas)
             if key == goal_cfg:
                 goal_node = succ
-                consider_incumbent()
         if succ is not node:  # self-loops cannot improve anything
             node.edges[succ] = cost
         if node.g + cost < succ.g:
@@ -282,13 +273,18 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
                         y.g = x.g + c
                         y.parent = x
                         queue.append(y)
-            consider_incumbent()
+        if goal_node is not None and goal_node.g < scored_g:  # re-score the incumbent
+            scored_g = goal_node.g
+            plan = _extract(goal_node, unpack)
+            soc = metrics(plan.paths, goals).soc
+            if soc < best_soc:
+                best_plan, best_soc = plan, soc
         open_stack.append(succ)  # new or known: the pop test decides its expansion
 
     # cut the parent/edges cycles, so the graph is freed on return, not by gc
     for node in explored.values():
         node.edges = None
     if best_plan is not None:
-        return SolveResult(True, best_plan, None, expansions=expansions)
+        return SolveResult(best_plan, expansions=expansions)
     reason = "timeout" if open_stack else "exhausted"
-    return SolveResult(False, None, reason, expansions=expansions)
+    return SolveResult(None, reason, expansions=expansions)

@@ -1,6 +1,8 @@
 import random
 from array import array
 from collections import deque
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -194,6 +196,31 @@ def bfs_earliest_arrival(world, zone_per_t, start, goal):
     return None
 
 
+def brute_force_no_collision(n_vertices, k, n_agents):
+    """Exact probability by enumerating every mock draw for the documented
+    sampler: each agent's mock starts are a uniform (k-1)-subset of the
+    other vertices, goals likewise, agents independent; success means no
+    shared start and no shared goal anywhere (real endpoints spaced apart).
+    The oracle of ``dispatch.no_collision_probability``."""
+    reals = list(range(n_agents))  # agent i: start i, goal i (disjoint by design)
+    # starts and goals behave identically and independently
+    per_agent = [list(combinations([v for v in range(n_vertices) if v != reals[i]], k - 1))
+                 for i in range(n_agents)]
+
+    def rec(i, used):
+        if i == n_agents:
+            return Fraction(1)
+        hit = Fraction(0)
+        options = per_agent[i]
+        for mocks in options:
+            if used.isdisjoint(mocks):
+                hit += rec(i + 1, used | set(mocks))
+        return hit / len(options)
+
+    p = rec(0, set(reals))
+    return p * p
+
+
 def singleton_problem(world, pairs, fov_radius=0):
     """A k=1 problem: every agent is its own group."""
     groups = [AgentGroup(i, (p,), 0) for i, p in enumerate(pairs)]
@@ -229,7 +256,7 @@ def one_shot_pibt(problem, seed):
     """
     horizon = 8 * (problem.world.width + problem.world.height)
     if not clean_start(problem):
-        return SolveResult(False, None, "invalid_start")
+        return SolveResult(None, "invalid_start")
     rng = random.Random(f"pibt:{seed}")
     goals, dists = problem.goals, problem.dists
     goal_cfg = tuple(goals)
@@ -255,13 +282,13 @@ def one_shot_pibt(problem, seed):
         elif config in visited:
             stagnation += 1
             if stagnation >= stagnation_limit:
-                return SolveResult(False, None, "livelock")
+                return SolveResult(None, "livelock")
         else:
             stagnation = 0
         visited.add(config)
     if config != goal_cfg:
-        return SolveResult(False, None, "horizon")
-    return SolveResult(True, JointPlan.from_configs([list(c) for c in configs]), None)
+        return SolveResult(None, "horizon")
+    return SolveResult(JointPlan.from_configs([list(c) for c in configs]))
 
 
 class CountingRandom(random.Random):

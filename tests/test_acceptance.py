@@ -31,7 +31,13 @@ from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import ReplanInfeasibleError, initial_safe_zones, ppfpp
 
-from conftest import bfs_earliest_arrival, random_zone_table, replan_in_zones, replay_picks
+from conftest import (
+    bfs_earliest_arrival,
+    brute_force_no_collision,
+    random_zone_table,
+    replan_in_zones,
+    replay_picks,
+)
 
 BUDGET = 1500
 
@@ -237,28 +243,9 @@ def test_6_collision_probability_formula():
     exhaustive enumeration exactly and a 10^5-trial simulation within three
     binomial standard errors."""
     # enumeration: 10 vertices, one mock per group, two groups
-    reals = [(0, 0), (1, 1)]  # start and goal sides behave identically
-
-    def side():
-        good = total = 0
-        for m0 in range(10):
-            if m0 == 0:
-                continue
-            for m1 in range(10):
-                if m1 == 1:
-                    continue
-                total += 1
-                starts0 = {0, m0}
-                starts1 = {1, m1}
-                if not starts0 & starts1:
-                    good += 1
-        return Fraction(good, total)
-
-    enumerated = side() ** 2
-    analytic = no_collision_probability(10, 2, 2).probability
-    exact_match = enumerated == Fraction(3136, 6561) and math.isclose(
-        analytic, float(enumerated), rel_tol=1e-12
-    )
+    enumerated = brute_force_no_collision(10, 2, 2)
+    exact_match = (enumerated == Fraction(3136, 6561)
+                   and no_collision_probability(10, 2, 2) == float(enumerated))
 
     # simulation: 20 vertices, k=2, three groups, no retries
     world20 = parse_map_text(
@@ -275,7 +262,7 @@ def test_6_collision_probability_formula():
             hits += 1
         except DispatchVerificationError:
             pass
-    p = no_collision_probability(20, 2, 3).probability
+    p = no_collision_probability(20, 2, 3)
     se = math.sqrt(p * (1 - p) / trials)
     offset = abs(hits / trials - p)
     verdict(6, "collision probability formula",

@@ -1,16 +1,18 @@
 """Mock-group dispatch and the no-collision probability model.
 
-The closed-form probability is checked against a brute-force enumeration
-oracle (exact rational arithmetic over all mock placements) at small sizes,
-and the frozen fractions pin the published reference values.
+The closed-form probability must equal, as a float, the brute-force
+enumeration oracle (``conftest.brute_force_no_collision``: exact rational
+arithmetic over all mock placements) at small sizes, and the frozen
+fractions pin the published reference values.
 """
 
 import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -32,6 +34,8 @@ from privmapf.dispatch import (
 from privmapf.grid import ConfigError, parse_map_text
 from privmapf.instances import PlacementError, default_separation, random_spaced_pairs
 from privmapf.pipeline import PipelineSpec, run_pipeline
+
+from conftest import brute_force_no_collision
 
 LINE10 = "type octile\nheight 1\nwidth 10\nmap\n..........\n"
 
@@ -151,6 +155,24 @@ def test_dispatch_rejects_endpoints_that_are_not_vertex_ids(
     monkeypatch.setattr(dispatch.random, "Random", unreachable)
     with pytest.raises(InfeasibleInputError, match=f"agent {agent}: real pair"):
         entry(open16, reals, 2, 0, 0)
+
+
+# a proposal is dispatch's draw, so it takes dispatch's input check and errors:
+# -1 would index as vertex 255, a start that a mock could then repeat
+@pytest.mark.parametrize("reals,k,error,message", [
+    ([(-1, 5)], 2, InfeasibleInputError, "agent 0: real pair (-1, 5) is not two vertex ids"),
+    ([(True, 5)], 2, InfeasibleInputError, "agent 0: real pair (True, 5) is not two vertex ids"),
+    ([(300, 5)], 2, InfeasibleInputError, "agent 0: real pair (300, 5) is not two vertex ids"),
+    ([], 2, InfeasibleInputError, "no real pairs to dispatch"),
+    ([(0, 5)], 0, ConfigError, "k must be >= 1"),
+    ([(0, 5)], True, ConfigError, "k must be >= 1"),
+    ([(0, 5)], 2.5, ConfigError, "k must be >= 1"),
+])
+def test_proposal_checks_input_as_dispatch_does(open16, reals, k, error, message):
+    for entry in (lambda: propose_groups(open16, reals, k, random.Random(0)),
+                  lambda: dispatch_groups(open16, reals, k, 0, 0)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            entry()
 
 
 def test_dispatch_rejects_negative_radius():
@@ -313,57 +335,20 @@ def test_a_seeded_dispatch_can_be_replayed(placement_worlds, map_name, n, k, rad
 # -- probability model -----------------------------------------------------
 
 
-def brute_force_no_collision(n_vertices, k, n_agents):
-    """Exact probability by enumerating every mock draw for the documented
-    sampler: each agent's mock starts are a uniform (k-1)-subset of the
-    other vertices, goals likewise, agents independent; success means no
-    shared start and no shared goal anywhere (real endpoints spaced apart)."""
-    reals = list(range(n_agents))  # agent i: start i, goal i (disjoint by design)
-
-    def side_probability():
-        # starts and goals behave identically and independently
-        total = Fraction(0)
-        pool = [v for v in range(n_vertices)]
-        per_agent = [
-            list(combinations([v for v in pool if v != reals[i]], k - 1))
-            for i in range(n_agents)
-        ]
-
-        def rec(i, used):
-            if i == n_agents:
-                return Fraction(1)
-            hit = Fraction(0)
-            options = per_agent[i]
-            for mocks in options:
-                if used.isdisjoint(mocks):
-                    hit += rec(i + 1, used | set(mocks))
-            return hit / len(options)
-
-        return rec(0, set(reals))
-
-    p = side_probability()
-    return p * p
-
-
 @pytest.mark.parametrize("n,k,N", [(8, 2, 2), (10, 2, 2), (9, 3, 2), (10, 2, 3)])
 def test_closed_form_matches_enumeration(n, k, N):
-    exact = brute_force_no_collision(n, k, N)
-    got = no_collision_probability(n, k, N).probability
-    assert math.isclose(got, float(exact), rel_tol=1e-12)
+    # the exact count rounded once: the float nearest the exact fraction
+    assert no_collision_probability(n, k, N) == float(brute_force_no_collision(n, k, N))
 
 
 def test_frozen_reference_values():
-    p10 = no_collision_probability(10, 2, 2)
-    assert math.isclose(p10.probability, 3136 / 6561, rel_tol=1e-12)
-    p20 = no_collision_probability(20, 2, 3)
-    assert math.isclose(p20.probability, (4080 / 6859) ** 2, rel_tol=1e-12)
+    assert no_collision_probability(10, 2, 2) == 3136 / 6561
+    assert no_collision_probability(20, 2, 3) == float(Fraction(4080, 6859) ** 2)
 
 
 def test_probability_degenerate_cases():
-    assert no_collision_probability(5, 1, 3).probability == 1.0
-    est = no_collision_probability(4, 3, 2)
-    assert est.degenerate
-    assert est.probability == 0.0
+    assert no_collision_probability(5, 1, 3) == 1.0
+    assert no_collision_probability(4, 3, 2) == 0.0  # 6 distinct starts on 4 vertices
     with pytest.raises(ValueError):
         no_collision_probability(0, 1, 1)
     with pytest.raises(ValueError):
@@ -383,7 +368,7 @@ def test_proposal_distribution_matches_model():
             hits += 1
         except DispatchVerificationError:
             pass
-    expect = no_collision_probability(10, 2, 2).probability
+    expect = no_collision_probability(10, 2, 2)
     se = math.sqrt(expect * (1 - expect) / n)
     assert abs(hits / n - expect) < 4 * se
 
@@ -452,12 +437,13 @@ def _outcome(fn, *args):
 
 def _used_sets(world):
     """Used-vertex sets that put a used vertex at index 0 and at the last
-    index of every pool, fill a component, and hold ids off the map."""
+    index of every pool and fill a component. Both entries reject an off-map
+    real endpoint, so no used set holds one."""
     members = {}
     for v in range(world.num_vertices):
         members.setdefault(world.components[v], []).append(v)
     last = world.num_vertices - 1
-    sets = [set(), {0}, {last}, {0, 1, last}, {-1, last + 1}, set(range(world.num_vertices))]
+    sets = [set(), {0}, {last}, {0, 1, last}, set(range(world.num_vertices))]
     for comp in members.values():
         sets += [{comp[0]}, {comp[-1]}, {comp[0], comp[-1]}, set(comp)]
     rng = random.Random(0)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from privmapf.audit import audit, audit_trace, check_runtime_k_privacy, path_cost
+from privmapf.audit import audit, audit_trace, path_cost
 from privmapf.cli import main
 from privmapf.dispatch import DispatchExhaustedError, InfeasibleInputError
 from privmapf.grid import parse_map_text
@@ -85,8 +85,6 @@ def test_pipeline_is_correct_or_fails_typed(world, n, k, radius, separation, see
     plan, group_of = out.plan, out.problem.group_of
     assert out.report == audit_trace(world, out.trace)
     assert out.report.ok
-    assert audit(world, plan, group_of, fov_radius=radius, check_fov=radius > 0).ok
-    assert check_runtime_k_privacy(world, plan, group_of, k, radius)["ok"]
     try:
         refined = ppfpp(world, plan, group_of, out.real_paths, radius, seed)
     except PreconditionError:
