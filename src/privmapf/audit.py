@@ -1,10 +1,17 @@
 """Exhaustive plan auditing: conflicts, privacy checks, and cost metrics.
 
-The auditor never samples; it scans every timestep and every agent pair, so
-a clean report is a proof over the padded horizon. Padding positions (agents
-resting at their goals after arrival) participate in vertex and fov checks
-like any other position. LaCAM checks its start configuration with the
-same ``audit`` call, so the conflict rule is written here only.
+The auditor never samples; it judges every timestep and every agent pair,
+so a clean report is a proof over the padded horizon. Padding positions
+(agents resting at their goals after arrival) participate in vertex and fov
+checks like any other position. LaCAM checks its start configuration with
+the same ``audit`` call, so the conflict rule is written here only.
+
+Pairs are scanned at timestep 0 and after each timestep with a conflict.
+If t-1 has none, every conflict at t involves an agent that moved at t: two
+agents that stayed put had a vertex or fov conflict at t-1 already, and
+both agents of a swap move. So t is judged from its movers alone (their
+vertex, the agent they swap with, their fov square), and by induction from
+t = 0 a clean report still misses nothing.
 
 An observer's belief about agent i at time t is the set of vertices where
 group i's sub-plans place any member at t (goal positions pad past each
@@ -68,41 +75,71 @@ def audit(
     fov_radius: int = 0,
     check_fov: bool = False,
 ) -> ConflictReport:
-    """Scan all timesteps and agent pairs for vertex, swap and fov conflicts,
-    and every path for invalid moves.
+    """Every vertex, swap and fov conflict at every timestep, and every
+    invalid move.
 
     Vertex and swap conflicts are checked between all sub-agents. Fov
     conflicts (positions of two agents within Chebyshev fov_radius) are only
     a conflict between agents of *different* groups; same-group overlap is
     exempt by definition. A vertex id off the map raises AuditError.
+
+    A timestep whose movers show a conflict is scanned pair by pair too, so
+    every list keeps the pair scan's order; the paths' moves are listed
+    once a mover's is invalid.
     """
     if check_fov and group_of is None:
         raise AuditError("fov check needs the group_of mapping")
     n = plan.num_agents
-    horizon = plan.horizon
     report = ConflictReport()
     adj, nv = world.adjacency, world.num_vertices
     for a, path in enumerate(plan.paths):
         if path and (min(path) < 0 or max(path) >= nv):
             t, v = next((t, v) for t, v in enumerate(path) if not 0 <= v < nv)
             raise AuditError(f"sub-agent {a} at t={t}: vertex {v} is not on the map")
-        for t in range(1, horizon + 1):
-            u, v = path[t - 1], path[t]
-            if u != v and v not in adj[u]:
-                report.invalid_moves.append((a, t, (u, v)))
     fov = world.fov_table(fov_radius) if check_fov else None
-    for t in range(horizon + 1):
-        pos = [plan.paths[a][t] for a in range(n)]
-        prev = [plan.paths[a][t - 1] for a in range(n)] if t > 0 else None
-        for a in range(n):
-            seen = fov[pos[a]] if check_fov else None
-            for b in range(a + 1, n):
-                if pos[a] == pos[b]:
-                    report.vertex_conflicts.append((a, b, t, (pos[a],)))
-                if prev is not None and pos[a] == prev[b] and pos[b] == prev[a] and pos[a] != pos[b]:
-                    report.swap_conflicts.append((a, b, t, (prev[a], prev[b])))
-                if check_fov and group_of[a] != group_of[b] and pos[b] in seen:
-                    report.fov_conflicts.append((a, b, t, (pos[a], pos[b])))
+    scan, bad_move = True, False  # scan: pair by pair; True at t = 0
+    prev = prev_at = None
+    for t, pos in enumerate(zip(*plan.paths)):
+        at = dict(zip(pos, range(n)))  # vertex -> its agent, one per vertex
+        if prev is not None:
+            scan = scan or len(at) < n  # a vertex conflict
+            for a, u in enumerate(prev):
+                v = pos[a]
+                if u == v:
+                    continue
+                if v not in adj[u]:
+                    bad_move = True
+                if scan:
+                    continue
+                b = prev_at.get(v)  # the agent on v at t - 1
+                if b is not None and pos[b] == u:  # a swap
+                    scan = True
+                elif fov is not None:
+                    ga = group_of[a]
+                    for w in fov[v]:
+                        b = at.get(w)
+                        if b is not None and group_of[b] != ga:
+                            scan = True
+                            break
+        if scan:
+            found = report.total()
+            for a in range(n):
+                seen = fov[pos[a]] if check_fov else None
+                for b in range(a + 1, n):
+                    if pos[a] == pos[b]:
+                        report.vertex_conflicts.append((a, b, t, (pos[a],)))
+                    if prev is not None and pos[a] == prev[b] and pos[b] == prev[a] and pos[a] != pos[b]:
+                        report.swap_conflicts.append((a, b, t, (prev[a], prev[b])))
+                    if check_fov and group_of[a] != group_of[b] and pos[b] in seen:
+                        report.fov_conflicts.append((a, b, t, (pos[a], pos[b])))
+            scan = report.total() > found
+        prev, prev_at = pos, at
+    if bad_move:
+        for a, path in enumerate(plan.paths):
+            for t in range(1, len(path)):
+                u, v = path[t - 1], path[t]
+                if u != v and v not in adj[u]:
+                    report.invalid_moves.append((a, t, (u, v)))
     return report
 
 
@@ -180,8 +217,14 @@ def compute_beliefs(plan: JointPlan, group_of: list[int]) -> list[list[frozenset
             for paths in members]
 
 
-def _below_k(plan: JointPlan, group_of: list[int], k: int) -> list[tuple[int, int, int]]:
-    """(group, t, size) for every belief set with fewer than k candidate locations."""
+def _below_k(plan: JointPlan, group_of: list[int], k: int,
+             conflicts: ConflictReport) -> list[tuple[int, int, int]]:
+    """(group, t, size) for every belief set with fewer than k candidate
+    locations. A group of k rows or more has one only where two of its rows
+    share a vertex, so the sets are built only if ``conflicts`` (the plan's
+    audit) holds a vertex conflict or a group has fewer than k rows."""
+    if not conflicts.vertex_conflicts and min(map(group_of.count, range(max(group_of) + 1))) >= k:
+        return []
     return [(i, t, len(b)) for i, per_t in enumerate(compute_beliefs(plan, group_of))
             for t, b in enumerate(per_t) if len(b) < k]
 
@@ -208,7 +251,7 @@ def audit_trace(world: GridWorld, trace: MessageTrace) -> TraceReport:
     if plan is None:
         raise AuditError("the trace has no plan to audit")
     conflicts = audit(world, plan, group_of, trace.fov_radius, trace.fov_radius >= 1)
-    return TraceReport(conflicts, _below_k(plan, group_of, trace.k))
+    return TraceReport(conflicts, _below_k(plan, group_of, trace.k, conflicts))
 
 
 def check_runtime_k_privacy(world: GridWorld, plan: JointPlan, group_of: list[int],
@@ -216,7 +259,7 @@ def check_runtime_k_privacy(world: GridWorld, plan: JointPlan, group_of: list[in
     """k-anonymous beliefs at every timestep AND zero inter-group fov overlap,
     at every radius; kept only until ``perfbench/`` calls ``audit_trace``
     (ROADMAP item 1b)."""
-    below_k = _below_k(plan, group_of, k)
-    fov = audit(world, plan, group_of, fov_radius=fov_radius, check_fov=True).fov_conflicts
+    conflicts = audit(world, plan, group_of, fov_radius=fov_radius, check_fov=True)
+    below_k, fov = _below_k(plan, group_of, k, conflicts), conflicts.fov_conflicts
     return {"ok": not below_k and not fov, "fov_conflicts": fov,
             "privacy": {"ok": not below_k, "violations": below_k}}

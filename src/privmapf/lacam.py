@@ -10,6 +10,10 @@ depth-d constraint has one child per candidate of agent ``order[d]``, a
 list fixed by the node's configuration), so BFS takes each depth in
 mixed-radix counting order, and the walk is one pin list stepped in place
 (``_advance``), not a queue.
+An expansion is a constraint taken from the walk. When a step fails at pin
+j (the step builder's ``failed_pin``), every later constraint that keeps
+pins 0..j fails there too, drawing nothing, so the rest of the suffix
+counter j+1.. is taken at once, uncalled; plans and counts are unchanged.
 Because the root constraint is empty, the first depth-first dive
 reproduces the plain one-shot run of the step builder (same RNG stream),
 and everything after the first goal hit is anytime improvement: known
@@ -175,15 +179,16 @@ def _advance(pins: list[tuple[int, int]], cands: list[list[int]]) -> bool:
 def _extract(node: _Node, unpack) -> JointPlan:
     configs = []
     while node is not None:
-        configs.append(list(unpack(node.config)))
+        configs.append(unpack(node.config))
         node = node.parent
     configs.reverse()
     return JointPlan.from_configs(configs)
 
 
 def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int) -> SolveResult:
-    """Anytime joint-configuration search, budgeted in expansions (calls of
-    the step builder), so a seed fixes the result on any machine.
+    """Anytime joint-configuration search, budgeted in expansions
+    (constraints taken from the walk), so a seed fixes the result on any
+    machine.
     Steps clear the problem's fov radius; at radius 0 the rule is classical.
 
     Failures: ``timeout`` (budget spent), ``exhausted`` (no plan exists) and
@@ -238,6 +243,18 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
             off = from_bytes(node.config, "little") ^ goal_int  # its off-goal word
         q_new = build_step(problem, ctx, rng)
         cands, pins = node.cands, node.pins
+        if ctx.failed_pin >= 0:
+            # the rest of the failed pin prefix's suffix fails there too:
+            # take it at once, its digits set to their last candidates
+            left = 0
+            for j in range(ctx.failed_pin + 1, len(pins)):
+                vs = cands[j]
+                left = left * len(vs) + len(vs) - 1 - vs.index(pins[j][1])
+                pins[j] = (pins[j][0], vs[-1])
+            if left > budget_expansions - expansions:  # the budget ends among them
+                expansions = budget_expansions
+                continue
+            expansions += left
         if _advance(pins, cands):  # the depth is spent
             if len(cands) < n:  # on to the next, at its first constraint
                 agent = node.order[len(cands)]

@@ -139,13 +139,16 @@ class StepContext:
     problem's ``goal_draws`` entry, and ``watch`` lists the other groups'
     agents standing in fov_r(g) or next to it (none at radius 0). The module
     docstring gives the rule they serve. Every caller of ``build_step``
-    builds its context here, so there is one resting-agent path."""
+    builds its context here, so there is one resting-agent path.
+    ``failed_pin``, the one field ``build_step`` writes, is the index of
+    the pin its last step failed at, -1 when every pin held."""
 
-    __slots__ = ("config", "order", "pins", "at", "steps")
+    __slots__ = ("config", "order", "pins", "at", "steps", "failed_pin")
 
     def __init__(self, problem: SolverProblem, config: Sequence[int], order: list[int],
                  pins: Sequence[tuple[int, int]] = ()):
         self.config, self.order, self.pins = config, order, pins
+        self.failed_pin = -1
         self.at = at = [-1] * problem.world.num_vertices
         for a, v in enumerate(config):
             at[v] = a
@@ -172,6 +175,11 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
     from later branches. The search stays complete: a constraint at depth n
     pins every agent, and its step enters none.
 
+    The pins are checked in order before any draw, pin j's check reading
+    only ``pins[0..j]`` and the configuration; ``ctx.failed_pin`` reports
+    the pin a step failed at (else -1), where any constraint that keeps
+    ``pins[0..j]`` fails too.
+
     An agent waiting on a pushee is one stack frame (agent, candidate
     iterator, swap, undo mark, pushee iterator): it goes on to its next
     pushee once that one holds a vertex, or undoes back to its mark and
@@ -182,9 +190,10 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
     ``target[b]`` once decided) in the goal's fov square; the module
     docstring gives the rule and why it is exactly the square scan.
 
-    It only reads ``ctx``, so a context serves any number of steps. The
-    claims live on the problem and are reset on the way out, also on a
-    raise; so a problem runs one step at a time (no re-entry, no threads)."""
+    It only reads ``ctx`` but for that report, so a context serves any
+    number of steps. The claims live on the problem and are reset on the
+    way out, also on a raise; so a problem runs one step at a time (no
+    re-entry, no threads)."""
     config = ctx.config
     at, claimed, adj, dists, group_of, fov = (ctx.at, problem.claimed,
         problem.world.adjacency, problem.dists, problem.group_of, problem.fov)
@@ -194,7 +203,8 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
     stack: list[tuple] = []  # the frames of the agents waiting on a pushee
     budget = 8 * problem.num_agents + 64  # agent entries left
     try:
-        for a, v in ctx.pins:
+        for j, (a, v) in enumerate(ctx.pins):
+            ctx.failed_pin = j  # until pin j holds
             cur = config[a]
             # first, so that v is a vertex id before claimed[v] is read
             if v != cur and v not in adj[cur]:
@@ -209,6 +219,7 @@ def build_step(problem: SolverProblem, ctx: StepContext, rng: random.Random) -> 
                     if b >= 0 and group_of[b] != ga:
                         return None
             target[a], claimed[v] = v, a
+        ctx.failed_pin = -1
         for a, cur, draws, watch in ctx.steps:
             if target[a] is not None:
                 continue

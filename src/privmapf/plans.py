@@ -37,8 +37,7 @@ class JointPlan:
     @staticmethod
     def from_configs(configs: list[list[int]]) -> "JointPlan":
         """Transpose a per-timestep configuration sequence into per-agent paths."""
-        n = len(configs[0])
-        return JointPlan(tuple(tuple(c[i] for c in configs) for i in range(n)))
+        return JointPlan(tuple(zip(*configs)))
 
 
 def write_real_plan_file(real_paths: list[tuple[int, ...]], path: str | Path) -> None:

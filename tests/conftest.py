@@ -9,6 +9,7 @@ import pytest
 
 import privmapf
 from privmapf import lacam
+from privmapf.audit import AuditError, ConflictReport
 from privmapf.dispatch import AgentGroup
 from privmapf.grid import load_map, parse_map_text
 from privmapf.lacam import SolveResult, clean_start, node_data
@@ -221,6 +222,40 @@ def brute_force_no_collision(n_vertices, k, n_agents):
     return p * p
 
 
+def audit_oracle(world, plan, group_of=None, fov_radius=0, check_fov=False):
+    """``audit`` as one scan of every path and of every agent pair at every
+    timestep: its oracle, down to the order of each list and the first
+    off-map vertex it raises on."""
+    if check_fov and group_of is None:
+        raise AuditError("fov check needs the group_of mapping")
+    n = plan.num_agents
+    horizon = plan.horizon
+    report = ConflictReport()
+    adj, nv = world.adjacency, world.num_vertices
+    for a, path in enumerate(plan.paths):
+        if path and (min(path) < 0 or max(path) >= nv):
+            t, v = next((t, v) for t, v in enumerate(path) if not 0 <= v < nv)
+            raise AuditError(f"sub-agent {a} at t={t}: vertex {v} is not on the map")
+        for t in range(1, horizon + 1):
+            u, v = path[t - 1], path[t]
+            if u != v and v not in adj[u]:
+                report.invalid_moves.append((a, t, (u, v)))
+    fov = world.fov_table(fov_radius) if check_fov else None
+    for t in range(horizon + 1):
+        pos = [plan.paths[a][t] for a in range(n)]
+        prev = [plan.paths[a][t - 1] for a in range(n)] if t > 0 else None
+        for a in range(n):
+            seen = fov[pos[a]] if check_fov else None
+            for b in range(a + 1, n):
+                if pos[a] == pos[b]:
+                    report.vertex_conflicts.append((a, b, t, (pos[a],)))
+                if prev is not None and pos[a] == prev[b] and pos[b] == prev[a] and pos[a] != pos[b]:
+                    report.swap_conflicts.append((a, b, t, (prev[a], prev[b])))
+                if check_fov and group_of[a] != group_of[b] and pos[b] in seen:
+                    report.fov_conflicts.append((a, b, t, (pos[a], pos[b])))
+    return report
+
+
 def singleton_problem(world, pairs, fov_radius=0):
     """A k=1 problem: every agent is its own group."""
     groups = [AgentGroup(i, (p,), 0) for i, p in enumerate(pairs)]
@@ -328,3 +363,17 @@ def bound_step_draws(monkeypatch, seed):
 
     monkeypatch.setattr(lacam, "build_step", bounded_step)
     return steps
+
+
+def step_every_constraint(monkeypatch):
+    """Makes the search call the step builder for every constraint it takes:
+    ``lacam.build_step`` clears the failure report, so no failed pin prefix
+    is skipped. Its results are those of the search that skips them."""
+    build_step = lacam.build_step
+
+    def every_step(problem, ctx, rng):
+        q_new = build_step(problem, ctx, rng)
+        ctx.failed_pin = -1
+        return q_new
+
+    monkeypatch.setattr(lacam, "build_step", every_step)

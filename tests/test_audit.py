@@ -8,20 +8,26 @@ departure-and-return pays for the excursion and the rewind.
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from privmapf.audit import (
     AuditError,
     MetricsError,
     audit,
+    check_runtime_k_privacy,
     check_separated,
+    compute_beliefs,
     metrics,
     path_cost,
     real_sum_of_costs,
 )
-from privmapf.grid import ConfigError
+from privmapf.grid import ConfigError, load_map
 from privmapf.plans import JointPlan
 
-from conftest import zone_table
+from conftest import ASSETS, audit_oracle, zone_table
+
+MAPS = {name: load_map(f"{ASSETS}/maps/{name}.map") for name in ("open16", "random-32-32-20")}
 
 
 def test_path_cost_frozen_examples():
@@ -166,3 +172,85 @@ def test_audit_rejects_vertex_ids_off_the_map(open4, bad):
     plan = JointPlan(((0, 1, 2), (5, bad, 5)))
     with pytest.raises(AuditError, match=f"sub-agent 1 at t=1: vertex {bad} "):
         audit(open4, plan)
+
+
+def test_runtime_privacy_reports_a_same_group_vertex_conflict(open4):
+    # the belief sets are built only when a vertex conflict or a group short
+    # of k rows can put one below k: group 0's two rows meet at t=1, out of
+    # group 1's sight, and a group of one row is below k=2 throughout
+    v = open4.vertex_at
+    plan = JointPlan(((v(0, 0), v(0, 1)), (v(0, 2), v(0, 1)),
+                      (v(3, 3), v(3, 3)), (v(3, 2), v(3, 2))))
+    met = check_runtime_k_privacy(open4, plan, [0, 0, 1, 1], 2, 1)
+    assert met["privacy"]["violations"] == [(0, 1, 1)]
+    assert met["fov_conflicts"] == [] and not met["ok"]
+    short = check_runtime_k_privacy(open4, JointPlan(plan.paths[2:]), [0, 1], 2, 1)
+    assert short["privacy"]["violations"] == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    clean = check_runtime_k_privacy(open4, JointPlan(plan.paths[2:]), [0, 0], 2, 1)
+    assert clean["ok"]
+
+
+@st.composite
+def audited_plans(draw):
+    """A bundled map and a plan on it that mixes waits, steps and teleports,
+    its agents starting near one vertex so that they meet and swap; some
+    follow another agent from a late timestep on (a conflict that starts
+    late and persists), and a few plans hold a vertex off the map."""
+    world = MAPS[draw(st.sampled_from(sorted(MAPS)))]
+    adj, nv = world.adjacency, world.num_vertices
+    n, horizon = draw(st.integers(1, 8)), draw(st.integers(0, 12))
+    hub = draw(st.integers(0, nv - 1))
+
+    def near():
+        v = hub
+        for _ in range(draw(st.integers(0, 6))):
+            v = draw(st.sampled_from((v, *adj[v])))
+        return v
+
+    paths = []
+    for _ in range(n):
+        path = [near()]
+        for _ in range(horizon):
+            v, move = path[-1], draw(st.sampled_from(["wait", "step", "step", "teleport"]))
+            if move == "step":
+                v = draw(st.sampled_from((v, *adj[v])))
+            elif move == "teleport":
+                v = near() if draw(st.booleans()) else draw(st.integers(0, nv - 1))
+            path.append(v)
+        paths.append(path)
+    for b in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            a, t = draw(st.integers(0, n - 1)), draw(st.integers(0, horizon))
+            paths[b][t:] = paths[a][t:]
+    if draw(st.integers(0, 19)) == 0:
+        a, t = draw(st.integers(0, n - 1)), draw(st.integers(0, horizon))
+        paths[a][t] = draw(st.sampled_from([-1, nv, nv + 7]))
+    group_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return world, JointPlan(tuple(map(tuple, paths))), group_of
+
+
+@given(case=audited_plans(), radius=st.integers(0, 2), check_fov=st.booleans(),
+       k=st.integers(1, 3))
+@settings(max_examples=400, deadline=None)
+def test_audit_matches_the_pairwise_oracle(case, radius, check_fov, k):
+    # the movers scan reports what the scan of every pair at every timestep
+    # does, lists and order, and raises the same error on an off-map vertex;
+    # the belief sets below k are those of the full belief table
+    world, plan, group_of = case
+    try:
+        expected = audit_oracle(world, plan, group_of, radius, check_fov)
+    except AuditError as exc:
+        with pytest.raises(AuditError) as raised:
+            audit(world, plan, group_of, radius, check_fov)
+        assert str(raised.value) == str(exc)
+        event("off the map")
+        return
+    report = audit(world, plan, group_of, radius, check_fov)
+    assert report == expected
+    below_k = [(i, t, len(b)) for i, per_t in enumerate(compute_beliefs(plan, group_of))
+               for t, b in enumerate(per_t) if len(b) < k]
+    assert check_runtime_k_privacy(world, plan, group_of, k, radius)["privacy"]["violations"] == below_k
+    event("clean" if report.ok else "conflicts")
+    found = {c[2] for c in report.vertex_conflicts + report.swap_conflicts + report.fov_conflicts}
+    if any(t - 1 not in found for t in found if t):
+        event("a conflict after a timestep with none")

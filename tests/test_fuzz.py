@@ -5,10 +5,11 @@ Over small random maps, agent counts, group sizes k and fov radii r in
 never worse after refinement, or in a typed failure of placement, dispatch
 or the search. Any other exception fails the test, and so does a step of
 the search that draws more than its bound of words or leaves a claim
-behind (``conftest.bound_step_draws``). Refinement may refuse only radius
-0: on a clean plan at r >= 1 it must succeed, and the refined real paths,
-one per agent, must audit clean at radius r (the safe zones are mutually
-invisible).
+behind (``conftest.bound_step_draws``), and so does a search whose result
+differs from the one that steps every constraint. Refinement may refuse
+only radius 0: on a clean plan at r >= 1 it must succeed, and the refined
+real paths, one per agent, must audit clean at radius r (the safe zones
+are mutually invisible).
 
 The files a user may hand-edit, a ``solve`` trace and its private sidecars,
 are fuzzed too: with up to three JSON values replaced, ``audit`` and
@@ -34,7 +35,7 @@ from privmapf.pipeline import PipelineSpec, run_pipeline
 from privmapf.plans import JointPlan
 from privmapf.safezone import PreconditionError, ppfpp
 
-from conftest import bound_step_draws
+from conftest import bound_step_draws, step_every_constraint
 
 # a solver that gives up says why; these are its budget and search outcomes
 SOLVER_REASONS = {"timeout", "exhausted"}
@@ -76,7 +77,15 @@ def test_pipeline_is_correct_or_fails_typed(world, n, k, radius, separation, see
         except (PlacementError, DispatchExhaustedError, InfeasibleInputError) as exc:
             event(type(exc).__name__)
             return
-    assert len(steps) == out.solve.expansions  # every step ran within its bound
+    # every step ran within its bound, and the steps a failed pin prefix
+    # skips change nothing: the search that steps every constraint agrees
+    assert len(steps) <= out.solve.expansions
+    with pytest.MonkeyPatch.context() as mp:
+        step_every_constraint(mp)
+        every = run_pipeline(world, pairs, PipelineSpec(k, radius, budget_expansions=300), seed)
+    assert every.solve == out.solve  # plan, reason and expansions
+    if len(steps) < out.solve.expansions:
+        event("a failed pin prefix skipped")
     if not out.solved:
         assert out.reason in SOLVER_REASONS
         event(f"unsolved: {out.reason}")

@@ -23,7 +23,8 @@ from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, _key_packing, _move_cost, lacam_solve, node_data
 from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, build_step
 
-from conftest import one_shot_pibt, priority_order, singleton_problem, update_etas
+from conftest import (one_shot_pibt, priority_order, singleton_problem, step_every_constraint,
+                      update_etas)
 
 # a 5x3 ring: two agents can always trade places by going around
 RING = """type octile
@@ -511,33 +512,106 @@ def test_pin_counter_is_the_index_walk():
         assert len(pins) == len(order)
 
 
+def _stepped_queue(queue, failed):
+    """The constraints of ``queue`` the search steps: after a step that
+    fails at pin j (``failed[pins]``, -1 or absent if none did), none of
+    the later constraints of its depth that keep its pins 0..j."""
+    prefix = depth = None
+    for pins in queue:
+        if prefix is not None and len(pins) == depth and pins[:len(prefix)] == prefix:
+            continue
+        yield pins
+        j = failed.get(pins, -1)
+        prefix, depth = (pins[:j + 1], len(pins)) if j >= 0 else (None, None)
+
+
 def test_a_returning_search_resumes_each_walk(random32, monkeypatch):
     # the search leaves nodes half-walked and comes back to them; the steps
     # from one configuration take its BFS queue's constraints in order, each
-    # once, so a return resumes the walk where it stopped
+    # once, less the rest of each failed pin prefix's suffix, so a return
+    # resumes the walk where it stopped
     pairs = random_spaced_pairs(random32, 8, 0, min_separation=5)
     problem = SolverProblem(random32, dispatch_groups(random32, pairs, 3, 1, 0), 1)
-    walks, orders, returns, last = {}, {}, 0, None
+    walks, failed, orders, returns, last = {}, {}, {}, 0, None
     build_step = lacam.build_step
 
     def recorded_step(problem, ctx, rng):
         nonlocal returns, last
-        config = tuple(ctx.config)
+        config, pins = tuple(ctx.config), tuple(ctx.pins)
         returns += config != last and config in walks
-        walks.setdefault(config, []).append(tuple(ctx.pins))
+        walks.setdefault(config, []).append(pins)
         orders[config], last = ctx.order, config
-        return build_step(problem, ctx, rng)
+        q_new = build_step(problem, ctx, rng)
+        failed[config, pins] = ctx.failed_pin
+        return q_new
 
     monkeypatch.setattr(lacam, "build_step", recorded_step)
     result = lacam_solve(problem, 0, budget_expansions=1500)
     adj, dists = random32.adjacency, problem.dists
+    skips = 0
     for config, walk in walks.items():
         order = orders[config]
         cands = [sorted((config[a], *adj[config[a]]), key=lambda v: (dists[a][v], v))
                  for a in order]
-        assert walk == list(itertools.islice(_bfs_queue(order, cands), len(walk)))
+        by_pins = {pins: failed[config, pins] for pins in walk}
+        assert walk == list(itertools.islice(_stepped_queue(_bfs_queue(order, cands), by_pins),
+                                             len(walk)))
         assert len(set(walk)) == len(walk)
-    assert result.solved and returns > 0
+        skips += walk != list(itertools.islice(_bfs_queue(order, cands), len(walk)))
+    assert result.solved and returns > 0 and skips > 0
+
+
+def _stepped_solve(problem, seed, budget, every):
+    """``lacam_solve``, and the ``(config, pins)`` of each step it calls;
+    with ``every``, the search steps every constraint it takes."""
+    steps, build_step = [], lacam.build_step
+
+    def recorded_step(problem, ctx, rng):
+        steps.append((tuple(ctx.config), tuple(ctx.pins)))
+        return build_step(problem, ctx, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lacam, "build_step", recorded_step)
+        if every:
+            step_every_constraint(mp)
+        return lacam_solve(problem, seed, budget_expansions=budget), steps
+
+
+@pytest.mark.parametrize("world_name, separation", [
+    ("open16", 3), ("random32", 5), ("room32", 5),
+])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_skipping_a_failed_pin_prefix_changes_nothing(request, world_name, separation, radius):
+    # the constraints after a step that failed at a pin, and that keep its
+    # pin prefix, are taken without a step; the search must end as the one
+    # that steps every constraint (plan, reason and expansions) at every
+    # small budget, and at budgets that run out inside a skipped suffix and
+    # exactly at its end
+    world = request.getfixturevalue(world_name)
+    inside, at_end = [], []
+    for seed in range(3):
+        pairs = random_spaced_pairs(world, 6, seed, min_separation=separation)
+        problem = SolverProblem(world, dispatch_groups(world, pairs, 3, radius, seed), radius)
+        full, walk = _stepped_solve(problem, seed, 1500, every=True)
+        _, stepped = _stepped_solve(problem, seed, 1500, every=False)
+        assert len(walk) == full.expansions
+        # the skipping search's steps are the walk's constraints in order,
+        # less the skipped ones (a (config, pins) pair is taken once)
+        left = iter(stepped)
+        step = next(left, None)
+        skipped = []
+        for constraint in walk:
+            skipped.append(constraint != step)
+            if not skipped[-1]:
+                step = next(left, None)
+        assert step is None
+        inside.append([b for b in range(1, len(walk)) if skipped[b - 1] and skipped[b]])
+        at_end.append([b for b in range(1, len(walk)) if skipped[b - 1] and not skipped[b]])
+        budgets = [*range(40 if seed == 0 else 0), *inside[-1][:3], *at_end[-1][:3], 1500]
+        for budget in budgets:
+            got, _ = _stepped_solve(problem, seed, budget, every=False)
+            assert got == _stepped_solve(problem, seed, budget, every=True)[0], (seed, budget)
+    assert any(inside) and any(at_end)
 
 
 @pytest.mark.parametrize("budget", [2.5, True, -1])
