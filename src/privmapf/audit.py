@@ -24,7 +24,6 @@ of the fov squares around its belief set.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -173,15 +172,6 @@ def metrics(paths: list[list[int]] | tuple, goals: list[int]) -> Metrics:
 def real_sum_of_costs(real_paths: list[list[int]], real_goals: list[int]) -> int:
     """Sum of path costs over the real agents only."""
     return metrics(real_paths, real_goals).soc
-
-
-def group_fov(world: GridWorld, positions: Iterable[int], radius: int) -> set[int]:
-    """Union of the fov squares around any vertex set."""
-    fov = world.fov_table(radius)
-    region: set[int] = set()
-    for v in positions:
-        region.update(fov[v])
-    return region
 
 
 def check_separated(

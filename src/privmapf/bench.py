@@ -233,47 +233,23 @@ def write_records(records: list[RunRecord], path: str | Path) -> None:
     Path(path).write_text(records_to_csv(records))
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    map: str
-    k: int
-    runs: int
-    solved: int
-    mean_improvement: float
-    std_improvement: float
-    max_improvement: float
-    median_improvement: float
-
-
-def summarize(records: list[RunRecord]) -> list[SummaryRow]:
-    """Improvement statistics per (map, k), over runs that were refined."""
+def format_summary(records: list[RunRecord]) -> str:
+    """The table ``privmapf bench`` prints: per (map, k), in sorted order,
+    the runs, the solved runs and the improvement statistics over the runs
+    that were refined; a cell with none reads 0.00."""
     cells: dict[tuple[str, int], list[RunRecord]] = {}
     for rec in records:
         cells.setdefault((rec.map, rec.k), []).append(rec)
-    rows = []
-    for (map_name, k) in sorted(cells):
-        recs = cells[(map_name, k)]
-        vals = [r.improvement_pct for r in recs if r.rsoc_before >= 0]
-        mean = statistics.mean(vals) if vals else 0.0
-        std = statistics.stdev(vals) if len(vals) > 1 else 0.0
-        rows.append(SummaryRow(
-            map_name, k, len(recs), sum(r.solved for r in recs),
-            mean, std, max(vals, default=0.0),
-            statistics.median(vals) if vals else 0.0,
-        ))
-    return rows
-
-
-def format_summary(rows: list[SummaryRow]) -> str:
     out = [
         f"{'map':<20} {'k':>2} {'runs':>5} {'solved':>6} "
         f"{'mean%':>8} {'std%':>8} {'max%':>8} {'med%':>8}"
     ]
-    for r in rows:
+    for (map_name, k), recs in sorted(cells.items()):
+        vals = [r.improvement_pct for r in recs if r.rsoc_before >= 0] or [0.0]
+        std = statistics.stdev(vals) if len(vals) > 1 else 0.0
         out.append(
-            f"{r.map:<20} {r.k:>2} {r.runs:>5} {r.solved:>6} "
-            f"{r.mean_improvement:>8.2f} {r.std_improvement:>8.2f} "
-            f"{r.max_improvement:>8.2f} {r.median_improvement:>8.2f}"
+            f"{map_name:<20} {k:>2} {len(recs):>5} {sum(r.solved for r in recs):>6} "
+            f"{statistics.mean(vals):>8.2f} {std:>8.2f} "
+            f"{max(vals):>8.2f} {statistics.median(vals):>8.2f}"
         )
     return "\n".join(out)
-

@@ -12,7 +12,8 @@ radius the trace records; ``bench`` loads a YAML suite, a list of
 and places the pairs with the code ``bench`` runs a cell with, unless
 ``--scen`` names the pairs. Random pairs are always placed at the map's
 default spacing, ``instances.default_separation``; no flag chooses another.
-No default is restated here: ``--budget-expansions`` reads ``PipelineSpec``'s.
+No default is restated here: ``--radius`` and ``--budget-expansions`` read
+``PipelineSpec``'s.
 A command writes every file before it prints anything, so a reader that
 closes stdout early changes neither the files nor the exit status.
 Every ``PrivmapfError`` or ``OSError`` ends in one ``error:`` line and exit
@@ -28,9 +29,7 @@ from dataclasses import replace
 
 from . import __version__
 from .audit import audit_trace, metrics
-from .bench import (
-    TaskSpec, format_summary, load_config, load_world, run_suite, summarize, write_records,
-)
+from .bench import TaskSpec, format_summary, load_config, load_world, run_suite, write_records
 from .dispatch import read_private_sidecar, write_private_sidecars
 from .grid import PrivmapfError, ScenarioError, load_scenario, scenario_pairs
 from .pipeline import (
@@ -129,7 +128,7 @@ def _cmd_bench(args) -> int:
     if args.out:
         write_records(records, args.out)
         lines.append(f"{len(records)} records written to {args.out}")
-    lines.append(format_summary(summarize(records)))
+    lines.append(format_summary(records))
     return _print(lines, 0)
 
 
@@ -144,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scen", help="take the first N pairs from a scenario file")
     p.add_argument("--agents", type=int, default=4)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--radius", type=int, default=0, help="fov radius; 0 is kPP")
+    p.add_argument("--radius", type=int, default=PipelineSpec.radius, help="fov radius; 0 is kPP")
     p.add_argument("--budget-expansions", type=int, default=PipelineSpec.budget_expansions)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="message trace JSON, the broadcast record (written also on failure)")

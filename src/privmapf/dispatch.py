@@ -30,6 +30,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .grid import ConfigError, GridWorld, PrivmapfError
@@ -253,7 +254,7 @@ def verify_dispatch(world: GridWorld, groups: list[AgentGroup], radius: int) -> 
 # -- collision probability of a single blind proposal -----------------------
 
 
-def no_collision_probability(num_vertices: int, k: int, num_agents: int) -> float:
+def no_collision_probability(num_vertices: int, k: int, num_agents: int) -> Fraction:
     """Exact probability that one blind proposal round is collision-free.
 
     Model: every group draws its k-1 mock starts as a uniform (k-1)-subset
@@ -263,9 +264,8 @@ def no_collision_probability(num_vertices: int, k: int, num_agents: int) -> floa
 
         prod_{i=0}^{N-1} C(|V|-N-i(k-1), k-1)  /  C(|V|-1, k-1)^N
 
-    and the two independent sides multiply: exact integer counts, rounded
-    once to the nearest float (so 0.0 also below the float range). Inputs
-    with no room for the required distinct vertices return 0.0; k=1 gives 1.0.
+    and the two independent sides multiply, as an exact ``Fraction``. Inputs
+    with no room for the required distinct vertices return 0; k=1 gives 1.
     The coarser published form, one blocked-set draw of 2(k-1) vertices per
     group pair, is not this process: at |V|=10, k=2, N=2 it gives 10/36
     ~ 0.278 against the exact 3136/6561 ~ 0.478.
@@ -274,10 +274,10 @@ def no_collision_probability(num_vertices: int, k: int, num_agents: int) -> floa
         raise ValueError("num_vertices, k and num_agents must all be >= 1")
     free = [num_vertices - num_agents - i * (k - 1) for i in range(num_agents)]
     if min(free) < k - 1:
-        return 0.0
+        return Fraction(0)
     side = math.prod(math.comb(m, k - 1) for m in free)
     total = math.comb(num_vertices - 1, k - 1) ** num_agents
-    return side * side / (total * total)
+    return Fraction(side * side, total * total)
 
 
 # -- private sidecars -------------------------------------------------------

@@ -48,7 +48,7 @@ from operator import eq, ne
 from pathlib import Path
 from typing import NamedTuple
 
-from .audit import audit, check_separated, compute_beliefs, group_fov, path_cost
+from .audit import audit, check_separated, compute_beliefs, path_cost
 from .grid import ConfigError, GridWorld, PrivmapfError
 from .plans import JointPlan
 
@@ -129,7 +129,7 @@ def initial_safe_zones(
     for t in range(plan.horizon + 1):
         owner = blank[:]
         for i, per_t in enumerate(beliefs):
-            region = group_fov(world, per_t[t], radius)
+            region = set().union(*map(fov.__getitem__, per_t[t]))
             for v in region:
                 if fov[v] <= region:
                     if owner[v] >= 0:

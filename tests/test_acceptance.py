@@ -245,7 +245,7 @@ def test_6_collision_probability_formula():
     # enumeration: 10 vertices, one mock per group, two groups
     enumerated = brute_force_no_collision(10, 2, 2)
     exact_match = (enumerated == Fraction(3136, 6561)
-                   and no_collision_probability(10, 2, 2) == float(enumerated))
+                   and no_collision_probability(10, 2, 2) == enumerated)
 
     # simulation: 20 vertices, k=2, three groups, no retries
     world20 = parse_map_text(
@@ -262,7 +262,7 @@ def test_6_collision_probability_formula():
             hits += 1
         except DispatchVerificationError:
             pass
-    p = no_collision_probability(20, 2, 3)
+    p = float(no_collision_probability(20, 2, 3))  # the .4f format takes no Fraction before 3.12
     se = math.sqrt(p * (1 - p) / trials)
     offset = abs(hits / trials - p)
     verdict(6, "collision probability formula",

@@ -19,9 +19,9 @@ from privmapf.bench import (
     load_config,
     records_to_csv,
     resolve_map,
+    run_one,
     run_suite,
     suite,
-    summarize,
     write_records,
 )
 from privmapf.grid import ConfigError, PrivmapfError
@@ -66,6 +66,28 @@ def test_load_config(tmp_path):
     # seeds: 3 means "this many, from zero"
     assert load_config(p) == suite(("open16",), (2, 4), k=(1, 2), radius=(0, 1),
                                    seeds=(0, 1, 2), budget_expansions=500)
+
+
+SCALE_GRID = Path(bench.__file__).parent / "assets" / "configs" / "scale_grid.yaml"
+
+
+def test_the_bundled_scale_grid_loads_into_96_tasks():
+    tasks = load_config(SCALE_GRID)
+    assert len(tasks) == 96
+    assert tasks == suite(("random-32-32-20", "room-32-32-4"), (16, 24, 32), k=(2, 3),
+                          radius=(0, 1), seeds=(0, 1, 2, 3), budget_expansions=5000)
+    # maps outermost
+    assert [t.map_name for t in tasks] == ["random-32-32-20"] * 48 + ["room-32-32-4"] * 48
+
+
+def test_a_scale_grid_cell_that_cannot_place_is_an_unsolved_row():
+    # 32 pairs find no placement on random-32-32-20 at its default spacing:
+    # the cell is a row with the -1 sentinels, not the end of the sweep
+    task = next(t for t in load_config(SCALE_GRID)
+                if t.map_name == "random-32-32-20" and t.n_agents == 32)
+    assert (task.spec.k, task.spec.radius, task.seed) == (2, 0, 0)
+    assert run_one(task) == RunRecord("random-32-32-20", 32, 2, 0, "lacam", 0,
+                                      False, -1, -1, -1, -1, 0.0)
 
 
 @pytest.mark.parametrize("snippet,message", [
@@ -458,6 +480,9 @@ def test_v1_header_and_cell_codec():
     assert make_record().to_row()[6] == "1"  # solved
 
 
+SUMMARY_HEADER = "map                   k  runs solved    mean%     std%     max%     med%"
+
+
 def test_summarize_arithmetic():
     records = [
         make_record(seed=0, improvement_pct=0.0),
@@ -466,28 +491,30 @@ def test_summarize_arithmetic():
         make_record(seed=3, solved=False, soc=-1, makespan=-1,
                     rsoc_before=-1, rsoc_after=-1, improvement_pct=0.0),
     ]
-    (row,) = summarize(records)
-    assert (row.map, row.k) == ("open16", 2)
-    assert row.runs == 4
-    assert row.solved == 3
-    # unrefined rows are excluded from the improvement statistics
-    assert row.mean_improvement == pytest.approx(1.0)
-    assert row.std_improvement == pytest.approx(1.0)
-    assert row.max_improvement == pytest.approx(2.0)
-    assert row.median_improvement == pytest.approx(1.0)
+    # 4 runs, 3 solved; the unrefined row is left out of the statistics,
+    # which are those of [0, 1, 2]
+    assert format_summary(records).splitlines() == [
+        SUMMARY_HEADER,
+        "open16                2     4      3     1.00     1.00     2.00     1.00",
+    ]
 
 
 def test_summarize_groups_by_map_and_k():
+    unrefined = dict(rsoc_before=-1, rsoc_after=-1, improvement_pct=0.0)
     records = [
         make_record(map="b", k=2, improvement_pct=4.0),
         make_record(map="a", k=3, improvement_pct=2.0),
         make_record(map="a", k=2, improvement_pct=1.0),
+        # a cell where no run was refined: one unsolved run, one at radius 0
+        make_record(map="c", k=1, solved=False, soc=-1, makespan=-1, **unrefined),
+        make_record(map="c", k=1, radius=0, seed=1, **unrefined),
     ]
-    rows = summarize(records)
-    assert [(r.map, r.k) for r in rows] == [("a", 2), ("a", 3), ("b", 2)]
-    table = format_summary(rows)
-    assert table.splitlines()[0].split() == [
-        "map", "k", "runs", "solved", "mean%", "std%", "max%", "med%"
+    # rows in (map, k) order; one value has no spread
+    assert format_summary(records).splitlines() == [
+        SUMMARY_HEADER,
+        "a                     2     1      1     1.00     0.00     1.00     1.00",
+        "a                     3     1      1     2.00     0.00     2.00     2.00",
+        "b                     2     1      1     4.00     0.00     4.00     4.00",
+        "c                     1     2      1     0.00     0.00     0.00     0.00",
     ]
-    assert len(table.splitlines()) == 4
 

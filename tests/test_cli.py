@@ -212,8 +212,8 @@ def test_solve_flags_default_to_the_spec(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_solve", lambda args: seen.append(args) or 0)
     assert main(["solve", "--map", "open16"]) == 0
     (args,) = seen
-    spec = PipelineSpec(args.k, args.radius)
-    assert args.budget_expansions == spec.budget_expansions
+    spec = PipelineSpec(args.k)
+    assert (args.radius, args.budget_expansions) == (spec.radius, spec.budget_expansions)
 
 
 def test_the_removed_separation_flag_is_refused(capsys):

@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from privmapf import safezone
-from privmapf.audit import audit, check_separated, group_fov
+from privmapf.audit import audit, check_separated
 from privmapf.grid import ConfigError
 from privmapf.instances import default_separation, random_spaced_pairs
 from privmapf.pibt import bfs_distances
@@ -87,12 +87,6 @@ def test_initial_zones_claimed_twice_are_rejected(open16):
         initial_safe_zones(open16, plan, [0, 0, 1, 1], 1)
 
 
-def test_group_fov_is_union_of_member_squares(open16):
-    a, b = open16.vertex_at(2, 2), open16.vertex_at(10, 3)
-    region = group_fov(open16, [a, b], 1)
-    assert region == open16.fov(a, 1) | open16.fov(b, 1)
-
-
 def test_extension_picks_obey_all_four_rules(open16):
     result = fpp_fixture(open16, 4, 3, 2, seed=0)
     group_of = result.problem.group_of
@@ -134,7 +128,7 @@ def _reference_extend(world, zones, radius, seed, rule3=True, kept=None):
     picks = []
     for t in range(horizon + 1):
         rng = random.Random(f"extend:{seed}:{t}")
-        dilation = [group_fov(world, sorted(zones[j][t]), radius) for j in range(n_groups)]
+        dilation = [{u for v in zones[j][t] for u in world.fov(v, radius)} for j in range(n_groups)]
 
         def frontier_of(i):
             zone = zones[i][t]
