@@ -121,7 +121,12 @@ def initial_safe_zones(
 ) -> ZoneTable:
     """Per group and timestep: the vertices of the group's region (the fov
     squares around its belief set) whose own fov square stays in the region.
-    A vertex in two groups' zones at one timestep is a PreconditionError."""
+    A vertex in two groups' zones at one timestep is a PreconditionError.
+
+    The zones of a plan with no FoV conflict are fov-separated: if v in group
+    i's zone is within r of u in group j's, v is in fov(u), inside j's region,
+    so a member p of j is within r of v; then p is in fov(v), inside i's
+    region, so p is within r of a member of i: a FoV conflict."""
     fov = world.fov_table(radius)
     beliefs = compute_beliefs(plan, group_of)
     table = ZoneTable(len(beliefs))
@@ -150,30 +155,32 @@ class ExtensionPick(NamedTuple):
 
 
 class PickLog:
-    """The picks as int columns (each pick's vertex, each round's timestep
-    and end index), not one object per pick. A pick's group is not stored:
-    it is ``table.owners[t][vertex]`` in the extended table, because a pick
-    claims an unowned vertex and nothing changes its owner again at that
-    timestep. ``len`` builds no pick; iterating, repeatably, yields
-    ``ExtensionPick``s."""
+    """The picks as int columns: each pick's vertex, and each timestep's end
+    index into them. A pick's group is ``table.owners[t][vertex]`` in the
+    extended table: it claimed an unowned vertex, whose owner nothing changes
+    again at that timestep. A round's live groups pick in ascending order, and
+    a group that misses its turn never picks again at that timestep, so a
+    round opens at each pick whose group is not above the last pick's. ``len``
+    builds no pick; iterating, repeatably, yields ``ExtensionPick``s."""
 
     def __init__(self, table: ZoneTable) -> None:
         """An empty log of the extension that fills ``table``."""
         self.owners = table.owners
-        self.vertices = array("i")
-        self.round_t, self.round_end = array("i"), array("i")
+        self.vertices, self.t_end = array("i"), array("i")
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __iter__(self) -> Iterator[ExtensionPick]:
-        start, prev_t, round_no = 0, -1, 0
-        for t, end in zip(self.round_t, self.round_end):
-            round_no = round_no + 1 if t == prev_t else 0
-            owner = self.owners[t]
+        start = 0
+        for t, end in enumerate(self.t_end):
+            owner, round_no, prev = self.owners[t], 0, -1
             for vertex in self.vertices[start:end]:
-                yield ExtensionPick(t, owner[vertex], vertex, round_no)
-            start, prev_t = end, t
+                group = owner[vertex]
+                round_no += group <= prev
+                yield ExtensionPick(t, group, vertex, round_no)
+                prev = group
+            start = end
 
 
 def extend_safe_zones(
@@ -207,8 +214,8 @@ def extend_safe_zones(
     ``rng.choice(sorted(frontier))`` would; the draw is the ``getrandbits``
     loop of ``Random.choice``, inlined, and it pops the index it draws.
 
-    The log keeps one int per pick, its vertex; the pick's group is read
-    back from the returned table (``PickLog``).
+    The log keeps one int per pick, its vertex, and one end index per
+    timestep; the pick's group and round are read back (``PickLog``).
     """
     from bisect import bisect_left, insort  # locals, as the pick loop calls them
 
@@ -218,9 +225,7 @@ def extend_safe_zones(
     rings = world.fov_ring_table(radius)
     table = ZoneTable(n_groups)
     log = PickLog(table)
-    vertices = log.vertices
-    log_vertex = vertices.append
-    log_round_t, log_round_end = log.round_t.append, log.round_end.append
+    log_vertex = log.vertices.append
     via = [0] * world.num_vertices  # read only for vertices on a frontier
     bits = [1 << j for j in range(n_groups)] + [0]  # bits[-1]: no owner
     owner = [-1] * world.num_vertices  # the owners at t-1 (none before t=0)
@@ -249,17 +254,15 @@ def extend_safe_zones(
                     frontier.append(u)
         for frontier in frontiers:
             frontier.sort()
-        # a frontier only grows by its own group's picks, so an empty one
-        # stays empty for the rest of the timestep. The empty lanes are
-        # dropped only after a round that met one or emptied one by its own
-        # pick; after any other round the last picker still has a frontier,
-        # so no round is logged without a pick.
+        # a frontier only grows by its own group's picks, so a lane found
+        # empty stays empty for the rest of the timestep: it is skipped
+        # without a draw, and dropped after the round that met it
         lanes = [(i, frontier, bits[i]) for i, frontier in enumerate(frontiers) if frontier]
         while lanes:
             emptied = False
             for i, frontier, bit in lanes:
                 n = len(frontier)
-                if not n:  # emptied by another group's pick
+                if not n:  # emptied by a pick, its own or another group's
                     emptied = True
                     continue
                 # rng.choice(frontier), popped: Random._randbelow inlined
@@ -274,8 +277,6 @@ def extend_safe_zones(
                         held[u] |= bit
                         via[u] = choice
                         insort(frontier, u)
-                if not frontier:
-                    emptied = True
                 for w in rings[choice][via[choice]]:
                     if blockers[w] & bit:
                         continue
@@ -290,10 +291,9 @@ def extend_safe_zones(
                             other = frontiers[low.bit_length() - 1]
                             del other[bisect_left(other, w)]
                 log_vertex(choice)
-            log_round_t(t)
-            log_round_end(len(vertices))
             if emptied:
                 lanes = [lane for lane in lanes if lane[1]]
+        log.t_end.append(len(log.vertices))
         table.append(owner)
     return table, log
 

@@ -17,11 +17,13 @@ import pytest
 
 from privmapf import lacam
 from privmapf.audit import audit, metrics
+from privmapf.bench import TaskSpec, load_world
 from privmapf.dispatch import dispatch_groups
 from privmapf.grid import ConfigError, GridWorld, parse_map_text
 from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, _key_packing, _move_cost, lacam_solve, node_data
 from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, build_step
+from privmapf.pipeline import PipelineSpec
 
 from conftest import (one_shot_pibt, priority_order, singleton_problem, step_every_constraint,
                       update_etas)
@@ -233,6 +235,39 @@ def test_rescues_fov_livelock(random32):
     assert result.solved
     report = audit(random32, result.plan, problem.group_of, fov_radius=1, check_fov=True)
     assert report.ok
+
+
+def test_fpp_first_dive_stops_at_a_fixed_point_on_room32():
+    # today's behaviour, frozen: a fixed point of the fPP step rule. At
+    # r=1 the one-shot run livelocks, and stepped by hand its configuration
+    # after step 58 is the one after step 57, with most sub-agents off
+    # their goals; dispatched and solved at r=0, the same pairs need no
+    # search at all
+    task = TaskSpec("room-32-32-4", 24, 0, PipelineSpec(3, 1))
+    world, pairs = load_world(task.map_name), task.pairs()
+
+    def problem_at(radius):
+        groups = dispatch_groups(world, pairs, 3, radius, 0)
+        return SolverProblem(world, [g.broadcast_view() for g in groups], radius)
+
+    problem = problem_at(1)
+    assert one_shot_pibt(problem, 0).reason == "livelock"
+    rng = random.Random("pibt:0")  # one_shot_pibt's stream
+    goals, dists = problem.goals, problem.dists
+    config = tuple(problem.starts)
+    etas, order = node_data(goals, dists, config, [0] * problem.num_agents)
+    configs = [config]
+    for _ in range(64):
+        config = tuple(build_step(problem, StepContext(problem, config, order), rng))
+        etas, order = node_data(goals, dists, config, etas)
+        configs.append(config)
+    assert len(set(configs[:58])) == 58  # no configuration repeats before step 58
+    assert configs[57:] == [configs[57]] * 8  # and none moves after
+    assert problem.num_agents == 72
+    assert sum(v != g for v, g in zip(configs[58], goals)) == 61
+
+    dive = one_shot_pibt(problem_at(0), 0)
+    assert dive.solved and dive.plan.horizon == 78
 
 
 def test_trivial_instance_already_at_goal(open4):

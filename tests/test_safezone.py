@@ -165,10 +165,11 @@ def _reference_extend(world, zones, radius, seed, rule3=True, kept=None):
     return picks
 
 
-def spread_group_zones(world, rng, n_groups, k, radius, horizon):
-    """Initial zones of random-walking groups whose members stay more than
-    3*radius apart from other groups, so the zones start fov-separated."""
-    gap = 3 * radius + 1
+def spread_group_zones(world, rng, n_groups, k, radius, horizon, gap):
+    """Random-walking groups whose members stay at least ``gap`` apart from
+    other groups': their plan, group_of and initial zones. Any gap above
+    the radius leaves the plan with no FoV conflict, and so its initial
+    zones fov-separated (``initial_safe_zones``' docstring proves it)."""
     members = []  # (group, vertex)
     while len(members) < n_groups * k:
         v = rng.randrange(world.num_vertices)
@@ -185,9 +186,40 @@ def spread_group_zones(world, rng, n_groups, k, radius, horizon):
                    for b, other in enumerate(paths)):
                 v = step
             path.append(v)
-    zones = initial_safe_zones(world, pad_paths(paths), group_of, radius)
+    plan = pad_paths(paths)
+    report = audit(world, plan, group_of, fov_radius=radius, check_fov=True)
+    assert report.fov_conflicts == []
+    zones = initial_safe_zones(world, plan, group_of, radius)
     assert check_separated(world, zones, radius) == []
-    return zones
+    return plan, group_of, zones
+
+
+SPREAD_CASES = [  # map, groups, members, radius, horizon
+    ("open16", 2, 2, 1, 6),
+    ("open16", 4, 1, 2, 5),
+    ("open16", 8, 1, 1, 4),
+    ("random32", 3, 3, 2, 6),
+    ("random32", 6, 2, 1, 8),
+    ("random32", 8, 2, 2, 4),
+]
+
+
+def test_initial_zones_of_a_plan_with_no_fov_conflict_are_separated(request):
+    # the fact ppfpp's separation re-check rests on: groups kept only the
+    # audit's own gap, r + 1, apart (not 3r + 1, which keeps their regions
+    # apart too) still get fov-separated initial zones; spread_group_zones
+    # checks both. The plans must bring other groups' members within 3r
+    near = 0
+    for case, (name, n_groups, k, radius, horizon) in enumerate(SPREAD_CASES):
+        world = request.getfixturevalue(name)
+        for sample in range(4):
+            rng = random.Random(f"separation:{case}:{sample}")
+            plan, group_of, _ = spread_group_zones(world, rng, n_groups, k, radius, horizon,
+                                                   gap=radius + 1)
+            for config in zip(*plan.paths):
+                near += sum(group_of[a] != group_of[b] and world.chebyshev(u, v) <= 3 * radius
+                            for a, u in enumerate(config) for b, v in enumerate(config) if a < b)
+    assert near > 0
 
 
 def copy_zones(zones):
@@ -195,19 +227,14 @@ def copy_zones(zones):
     return [[set(zone) for zone in per_t] for per_t in zones]
 
 
-def test_extension_matches_frontier_rebuild(open16, random32):
-    cases = [  # map, groups, members, radius, horizon
-        (open16, 2, 2, 1, 6),
-        (open16, 4, 1, 2, 5),
-        (open16, 8, 1, 1, 4),
-        (random32, 3, 3, 2, 6),
-        (random32, 6, 2, 1, 8),
-        (random32, 8, 2, 2, 4),
-    ]
+def test_extension_matches_frontier_rebuild(request, open16):
     instances = []
-    for case, (world, n_groups, k, radius, horizon) in enumerate(cases):
+    for case, (name, n_groups, k, radius, horizon) in enumerate(SPREAD_CASES):
+        world = request.getfixturevalue(name)
         rng = random.Random(f"equivalence:{case}")
-        instances.append((world, radius, spread_group_zones(world, rng, n_groups, k, radius, horizon)))
+        _, _, zones = spread_group_zones(world, rng, n_groups, k, radius, horizon,
+                                         gap=3 * radius + 1)
+        instances.append((world, radius, zones))
     solved = fpp_fixture(open16, 4, 3, 2, seed=0)
     instances.append((open16, 1, initial_safe_zones(open16, solved.plan, solved.problem.group_of, 1)))
 
@@ -249,10 +276,12 @@ def test_pick_log_counts_and_numbers_rounds_per_timestep(open16):
     picks = list(log)
     assert len(log) == len(picks) > 0
     assert list(log) == picks  # iterating again yields the same
-    # every logged round holds a pick, and each pick claims a vertex that
-    # no initial zone held at its timestep
-    assert all(a < b for a, b in zip([0, *log.round_end], log.round_end))
-    assert log.round_end[-1] == len(log)
+    # one end index per timestep of the table, the last one past every
+    # pick; each pick claims a vertex that no initial zone held at its
+    # timestep
+    assert len(log.t_end) == len(zones.owners)
+    assert all(a <= b for a, b in zip(log.t_end, log.t_end[1:]))
+    assert log.t_end[-1] == len(log)
     assert all(zones.owners[pick.t][pick.vertex] == -1 for pick in picks)
     assert picks[0].round == 0
     restarts = 0
