@@ -83,8 +83,8 @@ def audit(
     exempt by definition. A vertex id off the map raises AuditError.
 
     A timestep whose movers show a conflict is scanned pair by pair too, so
-    every list keeps the pair scan's order; the paths' moves are listed
-    once a mover's is invalid.
+    every conflict list keeps the pair scan's order; invalid moves are
+    listed by agent, then by timestep.
     """
     if check_fov and group_of is None:
         raise AuditError("fov check needs the group_of mapping")
@@ -96,7 +96,7 @@ def audit(
             t, v = next((t, v) for t, v in enumerate(path) if not 0 <= v < nv)
             raise AuditError(f"sub-agent {a} at t={t}: vertex {v} is not on the map")
     fov = world.fov_table(fov_radius) if check_fov else None
-    scan, bad_move = True, False  # scan: pair by pair; True at t = 0
+    scan = True  # pair by pair; True at t = 0
     prev = prev_at = None
     for t, pos in enumerate(zip(*plan.paths)):
         at = dict(zip(pos, range(n)))  # vertex -> its agent, one per vertex
@@ -107,7 +107,7 @@ def audit(
                 if u == v:
                     continue
                 if v not in adj[u]:
-                    bad_move = True
+                    report.invalid_moves.append((a, t, (u, v)))
                 if scan:
                     continue
                 b = prev_at.get(v)  # the agent on v at t - 1
@@ -133,12 +133,7 @@ def audit(
                         report.fov_conflicts.append((a, b, t, (pos[a], pos[b])))
             scan = report.total() > found
         prev, prev_at = pos, at
-    if bad_move:
-        for a, path in enumerate(plan.paths):
-            for t in range(1, len(path)):
-                u, v = path[t - 1], path[t]
-                if u != v and v not in adj[u]:
-                    report.invalid_moves.append((a, t, (u, v)))
+    report.invalid_moves.sort()
     return report
 
 

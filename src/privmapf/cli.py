@@ -25,16 +25,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .audit import audit_trace, metrics
 from .bench import TaskSpec, format_summary, load_config, load_world, run_suite, write_records
-from .dispatch import read_private_sidecar, write_private_sidecars
+from .dispatch import write_private_sidecars
 from .grid import PrivmapfError, ScenarioError, load_scenario, scenario_pairs
 from .pipeline import (
-    MessageTrace, PipelineSpec, TraceError, extract_real_path, read_trace,
-    run_pipeline, write_trace,
+    MessageTrace, PipelineSpec, TraceError, read_real_paths, read_trace, run_pipeline,
+    write_trace,
 )
 from .plans import write_real_plan_file
 from .safezone import ppfpp, write_zones
@@ -90,13 +89,8 @@ def _cmd_solve(args) -> int:
 def _cmd_ppfpp(args) -> int:
     world = load_world(args.map)
     trace = _read_planned_trace(world, args.trace)
-    plan = trace.broadcast_plan
-    real_paths = [
-        extract_real_path(plan, trace.k, replace(
-            g, real_index=read_private_sidecar(args.private_dir, g.group_id, trace.k)))
-        for g in trace.published_groups
-    ]
-    result = ppfpp(world, plan, trace.group_of, real_paths, trace.fov_radius, args.seed)
+    result = ppfpp(world, trace.broadcast_plan, trace.group_of,
+                   read_real_paths(trace, args.private_dir), trace.fov_radius, args.seed)
     lines = [
         f"rsoc {result.rsoc_before} -> {result.rsoc_after} "
         f"({result.improvement_pct:.2f}% improvement, {len(result.picks)} zone picks)"

@@ -12,13 +12,13 @@ extracts the single path matching its real pair. Everything observable by
 other agents lives in the MessageTrace, and nothing derived from a private
 real index may ever appear in it. Its JSON form is the one broadcast file:
 ``privmapf solve`` writes it, and ``audit`` and ``ppfpp`` read the plan, k
-and the radius back from it.
+and the radius back from it; ``read_real_paths`` joins it to the sidecars.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import dispatch as dsp
@@ -256,3 +256,14 @@ def read_trace(world: GridWorld, path: str | Path) -> MessageTrace:
         return MessageTrace.from_json(world, Path(path).read_text())
     except (TraceError, UnicodeDecodeError) as exc:
         raise TraceError(f"{path}: {exc}") from None
+
+
+def read_real_paths(trace: MessageTrace, private_dir: str | Path) -> list[tuple[int, ...]]:
+    """Each published group's real path: ``extract_real_path`` on the trace's
+    plan at the index that the group's sidecar in ``private_dir`` holds.
+    TraceError if the trace has no plan; SidecarError for a bad sidecar."""
+    if trace.broadcast_plan is None:
+        raise TraceError("the trace has no plan to extract real paths from")
+    return [extract_real_path(trace.broadcast_plan, trace.k, replace(
+                g, real_index=dsp.read_private_sidecar(private_dir, g.group_id, trace.k)))
+            for g in trace.published_groups]

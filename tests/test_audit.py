@@ -5,6 +5,7 @@ at the goal are free, but leaving the goal re-opens the meter, so a
 departure-and-return pays for the excursion and the rewind.
 """
 
+import json
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from privmapf.audit import (
     path_cost,
     real_sum_of_costs,
 )
+from privmapf.cli import main
 from privmapf.grid import ConfigError, load_map
 from privmapf.plans import JointPlan
 
@@ -165,6 +167,25 @@ def test_audit_reports_moves_that_are_not_wait_or_step(open4):
     assert report.invalid_moves == [(1, 1, (v33, v20)), (1, 3, (v20, v33))]
     assert not report.ok
     assert report.total() == 2
+
+
+def test_invalid_moves_are_listed_by_agent_then_timestep(tmp_path, capsys):
+    # the movers walk meets agent 1's teleport (t=1) before agent 0's (t=2);
+    # the report, and the audit command's lines, list agent 0's first
+    world = MAPS["open16"]
+    v = world.vertex_at
+    plan = JointPlan(((v(0, 0), v(1, 0), v(5, 5)), (v(15, 15), v(10, 10), v(10, 10))))
+    expected = [(0, 2, (v(1, 0), v(5, 5))), (1, 1, (v(15, 15), v(10, 10)))]
+    assert audit(world, plan).invalid_moves == expected
+    trace = {"k": 1, "fov_radius": 0, "plan": [list(p) for p in plan.paths],
+             "groups": [{"group_id": 0, "pairs": [[0, 0, 5, 5]]},
+                        {"group_id": 1, "pairs": [[15, 15, 10, 10]]}]}
+    (tmp_path / "trace.json").write_text(json.dumps(trace))
+    assert main(["audit", "--map", "open16", "--trace", str(tmp_path / "trace.json")]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("invalid move:")]
+    assert lines == [f"invalid move: sub-agent {a} at t={t}: {u} -> {w} is neither a wait nor a "
+                     "step" for a, t, (u, w) in expected]
 
 
 @pytest.mark.parametrize("bad", [-1, 16])

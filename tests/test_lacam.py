@@ -237,37 +237,96 @@ def test_rescues_fov_livelock(random32):
     assert report.ok
 
 
+def _room32_groups(radius):
+    """ROADMAP item 18's first witness: the groups that dispatch publishes
+    for room-32-32-4's 24 seeded pairs at k=3, seed 0 and ``radius``."""
+    task = TaskSpec("room-32-32-4", 24, 0, PipelineSpec(3, radius))
+    world = load_world(task.map_name)
+    return world, [g.broadcast_view() for g in dispatch_groups(world, task.pairs(), 3, radius, 0)]
+
+
+def _stepped_dive(problem):
+    """The one-shot run stepped by hand on its RNG stream: its configurations
+    from the start, one per step, without end."""
+    rng = random.Random("pibt:0")  # one_shot_pibt's stream
+    goals, dists = problem.goals, problem.dists
+    config = tuple(problem.starts)
+    etas, order = node_data(goals, dists, config, [0] * problem.num_agents)
+    while True:
+        yield config
+        config = tuple(build_step(problem, StepContext(problem, config, order), rng))
+        etas, order = node_data(goals, dists, config, etas)
+
+
+def _fixed_point(problem):
+    """The first step t, within 8 (width + height) steps, whose configuration
+    the next step keeps with a sub-agent off its goal; None if there is none."""
+    world, goals = problem.world, tuple(problem.goals)
+    prev = None
+    for t, config in enumerate(itertools.islice(_stepped_dive(problem),
+                                                8 * (world.width + world.height) + 1)):
+        if config == prev:
+            return t - 1 if config != goals else None
+        prev = config
+    return None
+
+
 def test_fpp_first_dive_stops_at_a_fixed_point_on_room32():
     # today's behaviour, frozen: a fixed point of the fPP step rule. At
     # r=1 the one-shot run livelocks, and stepped by hand its configuration
     # after step 58 is the one after step 57, with most sub-agents off
     # their goals; dispatched and solved at r=0, the same pairs need no
     # search at all
-    task = TaskSpec("room-32-32-4", 24, 0, PipelineSpec(3, 1))
-    world, pairs = load_world(task.map_name), task.pairs()
-
-    def problem_at(radius):
-        groups = dispatch_groups(world, pairs, 3, radius, 0)
-        return SolverProblem(world, [g.broadcast_view() for g in groups], radius)
-
-    problem = problem_at(1)
+    world, groups = _room32_groups(1)
+    problem = SolverProblem(world, groups, 1)
     assert one_shot_pibt(problem, 0).reason == "livelock"
-    rng = random.Random("pibt:0")  # one_shot_pibt's stream
-    goals, dists = problem.goals, problem.dists
-    config = tuple(problem.starts)
-    etas, order = node_data(goals, dists, config, [0] * problem.num_agents)
-    configs = [config]
-    for _ in range(64):
-        config = tuple(build_step(problem, StepContext(problem, config, order), rng))
-        etas, order = node_data(goals, dists, config, etas)
-        configs.append(config)
+    configs = list(itertools.islice(_stepped_dive(problem), 65))
     assert len(set(configs[:58])) == 58  # no configuration repeats before step 58
     assert configs[57:] == [configs[57]] * 8  # and none moves after
     assert problem.num_agents == 72
-    assert sum(v != g for v, g in zip(configs[58], goals)) == 61
+    assert sum(v != g for v, g in zip(configs[58], problem.goals)) == 61
+    assert _fixed_point(problem) == 57
 
-    dive = one_shot_pibt(problem_at(0), 0)
+    dive = one_shot_pibt(SolverProblem(*_room32_groups(0), 0), 0)
     assert dive.solved and dive.plan.horizon == 78
+
+
+def test_the_room32_fixed_point_shrinks_to_two_sub_agents_head_on():
+    # ROADMAP item 18, step 1: the witness above, shrunk by dropping whole
+    # published groups in ascending id, pass after pass, while the r=1 dive
+    # still reaches a fixed point. Groups 20, 22 and 23 are left, and
+    # dropping any one of them ends it. Two sub-agents of different groups
+    # stand head-on, two cells apart in column 8 of one 4x4 room: (8, 20),
+    # bound for (8, 26) through the door below, and (8, 22), bound for
+    # (12, 8) through the door at (9, 20). The one step that brings either
+    # nearer its goal is (8, 21), between them and in the other's fov
+    # square, and every other sub-agent rests on its goal, so all wait for
+    # good. The same groups solve at r=0
+    world, kept = _room32_groups(1)
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for g in list(kept):
+            fewer = [h for h in kept if h is not g]
+            if _fixed_point(SolverProblem(world, fewer, 1)) is not None:
+                kept, shrinking = fewer, True
+    assert [g.group_id for g in kept] == [20, 22, 23]
+
+    problem = SolverProblem(world, kept, 1)
+    assert one_shot_pibt(problem, 0).reason == "livelock"
+    t = _fixed_point(problem)
+    assert t == 42
+    config = next(itertools.islice(_stepped_dive(problem), t, None))
+    off = [(a, world.coords(v), world.coords(g))
+           for a, (v, g) in enumerate(zip(config, problem.goals)) if v != g]
+    assert off == [(1, (8, 20), (8, 26)), (5, (8, 22), (12, 8))]
+    assert problem.group_of[1] != problem.group_of[5]
+    assert world.chebyshev(config[1], config[5]) == 2  # one more than r
+    for a in (1, 5):
+        v, d = config[a], problem.dists[a]
+        assert [u for u in world.adjacency[v] if d[u] < d[v]] == [world.vertex_at(8, 21)]
+    dive = one_shot_pibt(SolverProblem(world, kept, 0), 0)
+    assert dive.solved and dive.plan.horizon == 46
 
 
 def test_trivial_instance_already_at_goal(open4):

@@ -12,7 +12,8 @@ import pytest
 
 from privmapf import cli, pipeline
 from privmapf.audit import AuditError, audit_trace, compute_beliefs
-from privmapf.dispatch import AgentGroup
+from privmapf.bench import TaskSpec
+from privmapf.dispatch import AgentGroup, SidecarError
 from privmapf.grid import ConfigError
 from privmapf.instances import random_spaced_pairs
 from privmapf.plans import JointPlan
@@ -20,9 +21,11 @@ from privmapf.pipeline import (
     BroadcastAuditError,
     MessageTrace,
     PipelineSpec,
+    TraceError,
     extract_real_path,
     fpp_solve,
     kpp_solve,
+    read_real_paths,
     read_trace,
     run_pipeline,
     write_trace,
@@ -58,6 +61,37 @@ def test_extraction_picks_the_indexed_row(open16):
         path = extract_real_path(result.plan, 3, g)
         assert path == result.plan.paths[g.group_id * 3 + g.real_index]
         assert (path[0], path[-1]) == g.real_pair
+
+
+def solve_to_files(tmp_path):
+    """The README run through ``privmapf solve``: its trace file and sidecar folder."""
+    trace_file, priv = tmp_path / "trace.json", tmp_path / "private"
+    assert cli.main(["solve", "--map", "open16", "--agents", "4", "--k", "3", "--radius", "1",
+                     "--seed", "4", "--out", str(trace_file), "--private-dir", str(priv)]) == 0
+    return trace_file, priv
+
+
+def test_real_paths_read_back_from_the_files_are_the_pipelines(open16, tmp_path):
+    # what an agent reads back from the broadcast and its own sidecar is the
+    # path the pipeline extracted in process
+    trace_file, priv = solve_to_files(tmp_path)
+    task = TaskSpec("open16", 4, 4, PipelineSpec(3, 1))
+    result = run_pipeline(open16, task.pairs(), task.spec, task.seed)
+    assert result.solved
+    assert read_real_paths(read_trace(open16, trace_file), priv) == result.real_paths
+
+
+def test_real_paths_need_a_plan_and_the_groups_own_sidecars(open16, tmp_path):
+    trace_file, priv = solve_to_files(tmp_path)
+    trace = read_trace(open16, trace_file)
+    obj = json.loads(trace_file.read_text())
+    obj["plan"] = None
+    trace_file.write_text(json.dumps(obj))
+    with pytest.raises(TraceError, match="no plan"):
+        read_real_paths(read_trace(open16, trace_file), priv)
+    (priv / "agent_002.json").write_text('{"group_id": 3, "real_index": 0}\n')
+    with pytest.raises(SidecarError, match="agent_002.json: holds group 3, not group 2"):
+        read_real_paths(trace, priv)
 
 
 def test_trace_round_trip(open16, tmp_path):
