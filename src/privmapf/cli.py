@@ -89,8 +89,9 @@ def _cmd_solve(args) -> int:
 def _cmd_ppfpp(args) -> int:
     world = load_world(args.map)
     trace = _read_planned_trace(world, args.trace)
+    # zone stream 0, fixed: every reader of one broadcast grows the same zones
     result = ppfpp(world, trace.broadcast_plan, trace.group_of,
-                   read_real_paths(trace, args.private_dir), trace.fov_radius, args.seed)
+                   read_real_paths(trace, args.private_dir), trace.fov_radius, 0)
     lines = [
         f"rsoc {result.rsoc_before} -> {result.rsoc_after} "
         f"({result.improvement_pct:.2f}% improvement, {len(result.picks)} zone picks)"
@@ -148,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--map", required=True)
     p.add_argument("--trace", required=True, help="message trace JSON written by solve")
     p.add_argument("--private-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="refined real-path plan file")
     p.add_argument("--zones", help="zones JSON output")
     p.set_defaults(func=_cmd_ppfpp)

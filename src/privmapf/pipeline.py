@@ -18,7 +18,7 @@ and the radius back from it; ``read_real_paths`` joins it to the sidecars.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import dispatch as dsp
@@ -159,20 +159,15 @@ class BroadcastAuditError(RuntimeError):
     """A solved plan failed its audit: a solver bug, never published."""
 
 
-def extract_real_path(plan: JointPlan, k: int, group: dsp.AgentGroup) -> tuple[int, ...]:
-    """The path of the group's real pair, cross-checked by endpoint scan."""
-    base = group.group_id * k
-    path = plan.paths[base + group.real_index]
-    matches = [
-        j
-        for j in range(base, base + k)
-        if (plan.paths[j][0], plan.paths[j][-1]) == group.real_pair
-    ]
-    if matches != [base + group.real_index]:
-        raise RuntimeError(
-            f"group {group.group_id}: real pair does not map to exactly one path"
-        )
-    return path
+def extract_real_path(plan: JointPlan, k: int, group_id: int, real_index: int) -> tuple[int, ...]:
+    """The real path of group ``group_id``: plan row ``group_id * k + real_index``.
+
+    No endpoint scan is needed: each row of a plan starts and ends at its
+    own published pair (LaCAM plans every pair from its start to its goal,
+    and ``MessageTrace.from_json`` checks it of a plan read back), and a
+    group's starts are distinct (``AgentGroup``), so the indexed row is the
+    one row of its group with the real pair's endpoints."""
+    return plan.paths[group_id * k + real_index]
 
 
 @dataclass(frozen=True)
@@ -226,7 +221,8 @@ def run_pipeline(
         if not report.ok:
             raise BroadcastAuditError(f"solved plan fails its audit: {report.conflicts.summary()}"
                                       f"  belief sets below k: {len(report.below_k)}")
-        real_paths = [extract_real_path(result.plan, spec.k, g) for g in groups]
+        real_paths = [extract_real_path(result.plan, spec.k, g.group_id, g.real_index)
+                      for g in groups]
     return PipelineResult(trace, groups, problem, result, result.plan, real_paths, report)
 
 
@@ -264,6 +260,6 @@ def read_real_paths(trace: MessageTrace, private_dir: str | Path) -> list[tuple[
     TraceError if the trace has no plan; SidecarError for a bad sidecar."""
     if trace.broadcast_plan is None:
         raise TraceError("the trace has no plan to extract real paths from")
-    return [extract_real_path(trace.broadcast_plan, trace.k, replace(
-                g, real_index=dsp.read_private_sidecar(private_dir, g.group_id, trace.k)))
+    return [extract_real_path(trace.broadcast_plan, trace.k, g.group_id,
+                              dsp.read_private_sidecar(private_dir, g.group_id, trace.k))
             for g in trace.published_groups]

@@ -330,6 +330,11 @@ def sipp_replan(
     intervals up to ``horizon`` are ``intervals`` (``vertex_intervals``);
     waiting inside a safe interval is always allowed. Returns the full path
     over [0, horizon] (resting at the goal once arrived) and the arrival time.
+
+    A state (vertex, safe interval) is pushed once, at its first push:
+    states pop in non-decreasing time, and a step into an interval lands
+    at ``max(arrival + 1, lo)``, which never falls as the arrival rises, so
+    no later push could reach the state earlier.
     """
     if start not in intervals or intervals[start][0][0] != 0:
         raise ReplanInfeasibleError("start vertex is not safe at t=0")
@@ -338,14 +343,12 @@ def sipp_replan(
     goal_state = (goal, len(intervals[goal]) - 1)
     adj = world.adjacency
 
-    best: dict[tuple[int, int], int] = {(start, 0): 0}
+    seen = {(start, 0)}
     parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
     heap: list[tuple[int, int, int]] = [(0, start, 0)]
     while heap:
         arrival, v, idx = heapq.heappop(heap)
         state = (v, idx)
-        if arrival > best.get(state, 1 << 30):
-            continue
         if state == goal_state:
             return _rebuild(parent, state, start, goal, horizon), arrival
         leave_by = intervals[v][idx][1]
@@ -358,8 +361,8 @@ def sipp_replan(
                 if step_t > hi or step_t - 1 > leave_by:
                     continue
                 nxt = (u, jdx)
-                if step_t < best.get(nxt, 1 << 30):
-                    best[nxt] = step_t
+                if nxt not in seen:
+                    seen.add(nxt)
                     parent[nxt] = (state, step_t)
                     heapq.heappush(heap, (step_t, u, jdx))
     raise ReplanInfeasibleError("goal's final safe interval is unreachable")

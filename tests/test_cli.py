@@ -70,7 +70,7 @@ def test_solve_audit_refine_round_trip(tmp_path, capsys):
 
     rc = main([
         "ppfpp", "--map", "open16", "--trace", str(trace_file),
-        "--private-dir", str(priv), "--seed", "0",
+        "--private-dir", str(priv),
         "--out", str(refined_file), "--zones", str(zones_file),
     ])
     out = capsys.readouterr().out

@@ -74,6 +74,8 @@ def test_broadcast_view_strips_private_part():
     view = g.broadcast_view()
     assert view.real_index is None
     assert view.pairs == g.pairs
+    with pytest.raises(ValueError, match="no real pair"):
+        view.real_pair
 
 
 # -- collision rules -------------------------------------------------------
@@ -237,6 +239,10 @@ def test_private_sidecars_round_trip(tmp_path, open16):
     write_private_sidecars(groups, tmp_path)
     private = [read_private_sidecar(tmp_path, g.group_id, g.k) for g in groups]
     assert private == [g.real_index for g in groups]
+    # a broadcast view has no sidecar to write
+    with pytest.raises(ValueError, match="group 0 has no private real index"):
+        write_private_sidecars([g.broadcast_view() for g in groups], tmp_path / "views")
+    assert not any((tmp_path / "views").iterdir())
 
 
 # -- background knowledge --------------------------------------------------

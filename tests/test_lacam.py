@@ -237,12 +237,14 @@ def test_rescues_fov_livelock(random32):
     assert report.ok
 
 
-def _room32_groups(radius):
-    """ROADMAP item 18's first witness: the groups that dispatch publishes
-    for room-32-32-4's 24 seeded pairs at k=3, seed 0 and ``radius``."""
-    task = TaskSpec("room-32-32-4", 24, 0, PipelineSpec(3, radius))
-    world = load_world(task.map_name)
-    return world, [g.broadcast_view() for g in dispatch_groups(world, task.pairs(), 3, radius, 0)]
+def _published_groups(map_name, n, k, seed, radius):
+    """The map and the groups that dispatch publishes for a bench run's n
+    seeded pairs at k, ``seed`` and ``radius``: ROADMAP item 18's witnesses
+    are scale-grid runs."""
+    task = TaskSpec(map_name, n, seed, PipelineSpec(k, radius))
+    world = load_world(map_name)
+    return world, [g.broadcast_view()
+                   for g in dispatch_groups(world, task.pairs(), k, radius, seed)]
 
 
 def _stepped_dive(problem):
@@ -271,13 +273,26 @@ def _fixed_point(problem):
     return None
 
 
+def _shrunk(world, groups):
+    """The groups left after dropping whole groups in ascending id, pass
+    after pass, while the r=1 dive still reaches a fixed point."""
+    kept, shrinking = list(groups), True
+    while shrinking:
+        shrinking = False
+        for g in list(kept):
+            fewer = [h for h in kept if h is not g]
+            if _fixed_point(SolverProblem(world, fewer, 1)) is not None:
+                kept, shrinking = fewer, True
+    return kept
+
+
 def test_fpp_first_dive_stops_at_a_fixed_point_on_room32():
     # today's behaviour, frozen: a fixed point of the fPP step rule. At
     # r=1 the one-shot run livelocks, and stepped by hand its configuration
     # after step 58 is the one after step 57, with most sub-agents off
     # their goals; dispatched and solved at r=0, the same pairs need no
     # search at all
-    world, groups = _room32_groups(1)
+    world, groups = _published_groups("room-32-32-4", 24, 3, 0, 1)
     problem = SolverProblem(world, groups, 1)
     assert one_shot_pibt(problem, 0).reason == "livelock"
     configs = list(itertools.islice(_stepped_dive(problem), 65))
@@ -287,7 +302,7 @@ def test_fpp_first_dive_stops_at_a_fixed_point_on_room32():
     assert sum(v != g for v, g in zip(configs[58], problem.goals)) == 61
     assert _fixed_point(problem) == 57
 
-    dive = one_shot_pibt(SolverProblem(*_room32_groups(0), 0), 0)
+    dive = one_shot_pibt(SolverProblem(*_published_groups("room-32-32-4", 24, 3, 0, 0), 0), 0)
     assert dive.solved and dive.plan.horizon == 78
 
 
@@ -302,14 +317,8 @@ def test_the_room32_fixed_point_shrinks_to_two_sub_agents_head_on():
     # nearer its goal is (8, 21), between them and in the other's fov
     # square, and every other sub-agent rests on its goal, so all wait for
     # good. The same groups solve at r=0
-    world, kept = _room32_groups(1)
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for g in list(kept):
-            fewer = [h for h in kept if h is not g]
-            if _fixed_point(SolverProblem(world, fewer, 1)) is not None:
-                kept, shrinking = fewer, True
+    world, groups = _published_groups("room-32-32-4", 24, 3, 0, 1)
+    kept = _shrunk(world, groups)
     assert [g.group_id for g in kept] == [20, 22, 23]
 
     problem = SolverProblem(world, kept, 1)
@@ -327,6 +336,43 @@ def test_the_room32_fixed_point_shrinks_to_two_sub_agents_head_on():
         assert [u for u in world.adjacency[v] if d[u] < d[v]] == [world.vertex_at(8, 21)]
     dive = one_shot_pibt(SolverProblem(world, kept, 0), 0)
     assert dive.solved and dive.plan.horizon == 46
+
+
+def test_a_random32_fixed_point_shrinks_to_a_sub_agent_in_a_dead_end():
+    # ROADMAP item 18, step 1: a second witness, a search timeout of the
+    # scale grid's r=1 cell random-32-32-20, 16 agents, k=3, seed 0, shrunk
+    # by the rule above to groups 12 and 13. One sub-agent is left off its
+    # goal: (5, 16), bound for (0, 22), whose one improving step is (4, 16).
+    # That cell is in the fov square of a sub-agent of the other group
+    # resting on its goal (3, 15), the end of a dead end. Its one exit
+    # (3, 16) is in the same square, so no one step clears it, and all
+    # wait for good. The same groups solve at r=0
+    world, groups = _published_groups("random-32-32-20", 16, 3, 0, 1)
+    problem = SolverProblem(world, groups, 1)
+    assert one_shot_pibt(problem, 0).reason == "livelock"
+    assert lacam_solve(problem, 0, budget_expansions=5000).reason == "timeout"
+    kept = _shrunk(world, groups)
+    assert [g.group_id for g in kept] == [12, 13]
+
+    problem = SolverProblem(world, kept, 1)
+    assert one_shot_pibt(problem, 0).reason == "livelock"
+    t = _fixed_point(problem)
+    assert t == 32
+    config = next(itertools.islice(_stepped_dive(problem), t, None))
+    off = [(a, world.coords(v), world.coords(g))
+           for a, (v, g) in enumerate(zip(config, problem.goals)) if v != g]
+    assert off == [(5, (5, 16), (0, 22))]
+    v, d, step = config[5], problem.dists[5], world.vertex_at(4, 16)
+    assert [u for u in world.adjacency[v] if d[u] < d[v]] == [step]
+    dead_end = world.vertex_at(3, 15)
+    resting = config.index(dead_end)
+    assert problem.goals[resting] == dead_end
+    assert problem.group_of[resting] != problem.group_of[5]
+    assert world.adjacency[dead_end] == (world.vertex_at(3, 16),)
+    for u in (dead_end, *world.adjacency[dead_end]):
+        assert world.chebyshev(u, step) == 1  # within r of the step
+    dive = one_shot_pibt(SolverProblem(world, kept, 0), 0)
+    assert dive.solved and dive.plan.horizon == 32
 
 
 def test_trivial_instance_already_at_goal(open4):

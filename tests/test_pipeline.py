@@ -58,7 +58,7 @@ def test_extraction_picks_the_indexed_row(open16):
     result = run_pipeline(open16, reals, PipelineSpec(3, budget_expansions=1500), 1)
     assert result.solved
     for g in result.groups:
-        path = extract_real_path(result.plan, 3, g)
+        path = extract_real_path(result.plan, 3, g.group_id, g.real_index)
         assert path == result.plan.paths[g.group_id * 3 + g.real_index]
         assert (path[0], path[-1]) == g.real_pair
 

@@ -24,6 +24,8 @@ def test_is_padded():
     assert JointPlan(((1, 2), (3, 3))).horizon == 1
     with pytest.raises(ValueError, match="ragged plan"):
         JointPlan(((1, 2), (3,)))
+    with pytest.raises(ValueError, match="empty plan"):
+        JointPlan(())
 
 
 @given(st.lists(st.lists(st.integers(0, 50), min_size=1, max_size=8), min_size=1, max_size=5))

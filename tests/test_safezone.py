@@ -595,13 +595,17 @@ def test_precondition_real_path_must_be_a_group_row(open16):
         ppfpp(open16, result.plan, result.problem.group_of, fake, 1, seed=0)
 
 
-def test_improvement_percentage_arithmetic():
+def test_improvement_percentage_arithmetic(open16):
     r = RefineResult(zones=ZoneTable(2), picks=[],
                      refined_paths=[(0,), (0,)],
                      costs_before=[4, 6], costs_after=[3, 5])
     assert r.rsoc_before == 10
     assert r.rsoc_after == 8
     assert r.improvement_pct == pytest.approx(20.0)
+    # every agent starts on its goal: 0.0, not a division by zero
+    v = open16.vertex_at(5, 5)
+    r = ppfpp(open16, JointPlan(((v, v),)), [0], [(v, v)], 1, seed=0)
+    assert (r.rsoc_before, r.rsoc_after, r.improvement_pct) == (0, 0, 0.0)
 
 
 def test_zone_file_round_trip(open16, tmp_path):
