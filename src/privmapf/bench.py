@@ -42,7 +42,7 @@ from itertools import product
 from pathlib import Path
 
 from .audit import metrics
-from .grid import ConfigError, GridWorld, PrivmapfError, load_map
+from .grid import ConfigError, GridWorld, PrivmapfError, load_map, read_file
 # default_separation is re-exported: the benchmark reads bench.default_separation
 from .instances import default_separation, random_spaced_pairs
 from .pipeline import PipelineSpec, run_pipeline
@@ -122,13 +122,14 @@ def load_config(path: str | Path) -> list[TaskSpec]:
     ``suite`` checks the values as it checks a suite built in Python."""
     import yaml  # only a YAML suite needs PyYAML: suite() builds one without it
 
-    try:
-        obj = yaml.safe_load(Path(path).read_text())
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        mark = getattr(exc, "problem_mark", None)  # a YAML syntax error has one
-        where = f"line {mark.line + 1}: " if mark else ""
-        raise ConfigError(f"{path}: {where}{getattr(exc, 'problem', None) or exc}") from None
-    try:
+    def parse(text: str) -> list[TaskSpec]:
+        try:
+            obj = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)  # a syntax error has one
+            # a control character's error has no problem, and a second line
+            problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+            raise ConfigError(problem, mark and mark.line + 1) from None
         if not isinstance(obj, dict):
             raise ConfigError("config must be a mapping")
         unknown = set(obj) - set(_CONFIG_KEYS)
@@ -142,8 +143,8 @@ def load_config(path: str | Path) -> list[TaskSpec]:
                 raise ConfigError("config key seeds must be a list or an int >= 1")
             obj["seeds"] = list(range(obj["seeds"]))  # an int means "this many, from zero"
         return suite(**obj)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+
+    return read_file(path, parse, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def write_records(records: list[RunRecord], path: str | Path) -> None:
-    Path(path).write_text(records_to_csv(records))
+    Path(path).write_text(records_to_csv(records), encoding="utf-8")
 
 
 def format_summary(records: list[RunRecord]) -> str:

@@ -17,7 +17,11 @@ No default is restated here: ``--radius`` and ``--budget-expansions`` read
 A command writes every file before it prints anything, so a reader that
 closes stdout early changes neither the files nor the exit status.
 Every ``PrivmapfError`` or ``OSError`` ends in one ``error:`` line and exit
-code 2; any other exception is a bug and keeps its traceback.
+code 2; any other exception is a bug and keeps its traceback. Every file is
+read through ``grid.read_file``, so one that is not UTF-8, is malformed, is
+nested deeper than its parser reads or holds a value its parser cannot build
+is such an error, naming the file.
+Files are read and written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -42,17 +46,15 @@ from .safezone import ppfpp, write_zones
 def _scenario_pairs(args, world):
     entries = load_scenario(args.scen)
     if len(entries) < args.agents:
-        raise ScenarioError(
-            f"{args.scen}: scenario has only {len(entries)} entries, "
-            f"{args.agents} agents requested"
-        )
+        raise ScenarioError(f"scenario has only {len(entries)} entries, "
+                            f"{args.agents} agents requested", path=args.scen)
     return scenario_pairs(world, entries[: args.agents])
 
 
 def _read_planned_trace(world, path) -> MessageTrace:
     trace = read_trace(world, path)
     if trace.broadcast_plan is None:
-        raise TraceError(f"{path}: no plan, the solve that wrote this trace failed")
+        raise TraceError("no plan, the solve that wrote this trace failed", path=path)
     return trace
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .grid import ConfigError, GridWorld, PrivmapfError
+from .grid import ConfigError, GridWorld, PrivmapfError, read_file
 
 
 class InfeasibleInputError(PrivmapfError, ValueError):
@@ -298,26 +298,28 @@ def write_private_sidecars(groups: list[AgentGroup], dir_path: str | Path) -> No
         if g.real_index is None:
             raise ValueError(f"group {g.group_id} has no private real index")
         sidecar_path(dir_path, g.group_id).write_text(
-            json.dumps({"group_id": g.group_id, "real_index": g.real_index}) + "\n"
-        )
+            json.dumps({"group_id": g.group_id, "real_index": g.real_index}) + "\n",
+            encoding="utf-8")
 
 
 def read_private_sidecar(dir_path: str | Path, group_id: int, k: int) -> int:
     """The real index that ``group_id``'s sidecar holds. SidecarError naming
     the file if it is missing, malformed, names another group or holds an
     index outside [0, k)."""
+
+    def parse(text: str) -> int:
+        obj = json.loads(text)
+        if not (isinstance(obj, dict)
+                and all(type(obj.get(key)) is int for key in ("group_id", "real_index"))):
+            raise SidecarError('expected {"group_id": <int>, "real_index": <int>}')
+        if obj["group_id"] != group_id:
+            raise SidecarError(f"holds group {obj['group_id']}, not group {group_id}")
+        if not 0 <= obj["real_index"] < k:
+            raise SidecarError(f"real_index {obj['real_index']} is not in [0, {k})")
+        return obj["real_index"]
+
     f = sidecar_path(dir_path, group_id)
     try:
-        obj = json.loads(f.read_text())
+        return read_file(f, parse, SidecarError)
     except FileNotFoundError:
-        raise SidecarError(f"{f}: no private sidecar for group {group_id}") from None
-    except ValueError as exc:
-        raise SidecarError(f"{f}: not a JSON sidecar ({exc})") from None
-    if not (isinstance(obj, dict)
-            and all(type(obj.get(key)) is int for key in ("group_id", "real_index"))):
-        raise SidecarError(f'{f}: expected {{"group_id": <int>, "real_index": <int>}}')
-    if obj["group_id"] != group_id:
-        raise SidecarError(f"{f}: holds group {obj['group_id']}, not group {group_id}")
-    if not 0 <= obj["real_index"] < k:
-        raise SidecarError(f"{f}: real_index {obj['real_index']} is not in [0, {k})")
-    return obj["real_index"]
+        raise SidecarError(f"no private sidecar for group {group_id}", path=f) from None

@@ -14,6 +14,7 @@ field of view as a plain distance band, not a line-of-sight computation).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,16 +24,8 @@ BLOCKED_CHARS = frozenset("@OTW")
 
 
 class PrivmapfError(Exception):
-    """An input the program cannot use, or an instance with no answer; never a bug."""
-
-
-class ConfigError(PrivmapfError, ValueError):
-    """A setting, map name or suite config the program cannot use."""
-
-
-class ParseError(PrivmapfError, ValueError):
-    """Malformed .map/.scen content. Carries the 1-based offending line and,
-    when read from a file, the file's path."""
+    """An input the program cannot use, or an instance with no answer; never a bug.
+    One read from a file names the file and, when it has one, the 1-based line."""
 
     def __init__(self, message: str, line: int | None = None, path: str | Path | None = None):
         self.message, self.line, self.path = message, line, path
@@ -43,13 +36,27 @@ class ParseError(PrivmapfError, ValueError):
         super().__init__(message)
 
 
-def _parse_file(parse, path: str | Path):
+class ConfigError(PrivmapfError, ValueError):
+    """A setting, map name or suite config the program cannot use."""
+
+
+class ParseError(PrivmapfError, ValueError):
+    """Malformed .map/.scen content."""
+
+
+def read_file(path: str | Path, parse, error: type[PrivmapfError]):
+    """``parse`` of the file's UTF-8 text, the one reader of user files: its ``error``, a bad
+    byte, nesting past the parser's recursion limit, a syntax error or a value the parser
+    cannot build (a 5000-digit int, month 13) leaves as one ``error`` naming the file."""
     try:
-        return parse(Path(path).read_text())
-    except ParseError as exc:
-        raise ParseError(exc.message, exc.line, path) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(str(exc), path=path) from None
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except error as exc:
+        raise type(exc)(exc.message, exc.line, path) from None
+    except PrivmapfError:
+        raise  # another reader's, such as a suite's map's, names its own file
+    except (ValueError, RecursionError) as exc:  # ValueError holds UnicodeDecodeError
+        json_syntax = isinstance(exc, json.JSONDecodeError)
+        raise error(f"not JSON ({exc})" if json_syntax else str(exc), path=path) from None
 
 
 class EmptyMapError(PrivmapfError, ValueError):
@@ -262,7 +269,7 @@ def parse_map_text(text: str) -> GridWorld:
 
 
 def load_map(path: str | Path) -> GridWorld:
-    return _parse_file(parse_map_text, path)
+    return read_file(path, parse_map_text, ParseError)
 
 
 @dataclass(frozen=True)
@@ -311,7 +318,7 @@ def parse_scenario_text(text: str) -> list[ScenarioEntry]:
 
 
 def load_scenario(path: str | Path) -> list[ScenarioEntry]:
-    return _parse_file(parse_scenario_text, path)
+    return read_file(path, parse_scenario_text, ParseError)
 
 
 def scenario_pairs(world: GridWorld, entries: list[ScenarioEntry]) -> list[tuple[int, int]]:

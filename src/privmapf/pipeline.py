@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import dispatch as dsp
 from .audit import TraceReport, audit_trace
-from .grid import ConfigError, GridWorld, PrivmapfError
+from .grid import ConfigError, GridWorld, PrivmapfError, read_file
 from .lacam import SolveResult, lacam_solve
 from .pibt import SolverProblem
 from .plans import JointPlan
@@ -62,31 +62,6 @@ class MessageTrace:
     def group_of(self) -> list[int]:
         """The group of each plan row, group-major."""
         return [g.group_id for g in self.published_groups for _ in g.pairs]
-
-    @staticmethod
-    def from_json(world: GridWorld, text: str) -> "MessageTrace":
-        """The trace ``to_json`` wrote; TraceError if the text is not one.
-
-        Each group must hold k pairs on passable cells with distinct starts
-        and goals, and a plan, when there is one, k rows per group of one
-        length, each a list of the map's vertex ids starting and ending at
-        its published pair. Other keys are ignored, so a trace with a key
-        this version no longer writes loads.
-        """
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise TraceError(f"not JSON ({exc})") from None
-        for key in ("k", "fov_radius", "groups", "plan"):
-            if not isinstance(obj, dict) or key not in obj:
-                raise TraceError(f"missing key {key!r}")
-        k = _read_int(obj["k"], 1, "k")
-        radius = _read_int(obj["fov_radius"], 0, "fov_radius")
-        if not isinstance(obj["groups"], list):
-            raise TraceError("groups is not a list")
-        groups = tuple(_read_group(world, i, g, k) for i, g in enumerate(obj["groups"]))
-        plan = None if obj["plan"] is None else _read_plan(world, obj["plan"], groups, k)
-        return MessageTrace(groups, k, radius, plan)
 
 
 class TraceError(PrivmapfError, ValueError):
@@ -164,7 +139,7 @@ def extract_real_path(plan: JointPlan, k: int, group_id: int, real_index: int) -
 
     No endpoint scan is needed: each row of a plan starts and ends at its
     own published pair (LaCAM plans every pair from its start to its goal,
-    and ``MessageTrace.from_json`` checks it of a plan read back), and a
+    and ``read_trace`` checks it of a plan read back), and a
     group's starts are distinct (``AgentGroup``), so the indexed row is the
     one row of its group with the real pair's endpoints."""
     return plan.paths[group_id * k + real_index]
@@ -243,15 +218,30 @@ def fpp_solve(world, real_pairs, k, fov_radius, seed, solver="lacam", **settings
 
 
 def write_trace(trace: MessageTrace, world: GridWorld, path: str | Path) -> None:
-    Path(path).write_text(trace.to_json(world) + "\n")
+    Path(path).write_text(trace.to_json(world) + "\n", encoding="utf-8")
 
 
 def read_trace(world: GridWorld, path: str | Path) -> MessageTrace:
-    """The trace in a file; TraceError, naming the file, if it is malformed."""
-    try:
-        return MessageTrace.from_json(world, Path(path).read_text())
-    except (TraceError, UnicodeDecodeError) as exc:
-        raise TraceError(f"{path}: {exc}") from None
+    """The trace that ``MessageTrace.to_json`` wrote to a file; TraceError, naming the
+    file, if it holds none. Each group must hold k pairs on passable cells with distinct
+    starts and goals, and a plan, when there is one, k rows per group of one length, each
+    a list of the map's vertex ids starting and ending at its published pair. Other keys
+    are ignored, so a trace with a key this version no longer writes loads."""
+
+    def parse(text: str) -> MessageTrace:
+        obj = json.loads(text)
+        for key in ("k", "fov_radius", "groups", "plan"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise TraceError(f"missing key {key!r}")
+        k = _read_int(obj["k"], 1, "k")
+        radius = _read_int(obj["fov_radius"], 0, "fov_radius")
+        if not isinstance(obj["groups"], list):
+            raise TraceError("groups is not a list")
+        groups = tuple(_read_group(world, i, g, k) for i, g in enumerate(obj["groups"]))
+        plan = None if obj["plan"] is None else _read_plan(world, obj["plan"], groups, k)
+        return MessageTrace(groups, k, radius, plan)
+
+    return read_file(path, parse, TraceError)
 
 
 def read_real_paths(trace: MessageTrace, private_dir: str | Path) -> list[tuple[int, ...]]:

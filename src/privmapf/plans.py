@@ -45,4 +45,4 @@ def write_real_plan_file(real_paths: list[tuple[int, ...]], path: str | Path) ->
     lines = [
         f"{g} real " + " ".join(str(v) for v in p) for g, p in enumerate(real_paths)
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -467,7 +467,7 @@ def ppfpp(
 def write_zones(zones: ZoneTable, radius: int, world: GridWorld, path: str | Path) -> None:
     """Write the zones as JSON, each zone a list of ``[x, y]`` in vertex
     order, one group and timestep at a time."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f'{{"radius": {radius}, "horizon": {len(zones.owners) - 1}, "zones": [')
         for i, group in enumerate(zones):
             f.write(", [" if i else "[")

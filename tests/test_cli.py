@@ -141,6 +141,26 @@ def test_closed_stdout_keeps_every_file_and_the_exit_status(tmp_path, monkeypatc
         assert (closed / name).read_bytes() == (piped / name).read_bytes(), name
 
 
+def test_every_file_is_read_and_written_as_utf8_whatever_the_locale(tmp_path):
+    # -X warn_default_encoding flags each text read or write that leaves the
+    # encoding to the locale, and -W error makes the flag a traceback: the
+    # map, the scenario, the trace, the sidecars, the refined plan, the
+    # zones, the YAML suite and the CSV all name UTF-8
+    (tmp_path / "one.yaml").write_text("maps: [open16]\nagents: [1]\nseeds: 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in (["solve", "--map", "open16", "--agents", "4", "--k", "2", "--radius", "1",
+                  "--scen", str(ASSETS / "scens" / "open16.scen"),
+                  "--out", "trace.json", "--private-dir", "private"],
+                 ["audit", "--map", "open16", "--trace", "trace.json"],
+                 ["ppfpp", "--map", "open16", "--trace", "trace.json", "--private-dir", "private",
+                  "--out", "refined.txt", "--zones", "zones.json"],
+                 ["bench", "--config", "one.yaml", "--out", "bench.csv"]):
+        child = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "privmapf.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (child.returncode, child.stderr) == (0, ""), argv
+
+
 def test_audit_flags_a_tampered_plan(tmp_path, capsys):
     trace_file = tmp_path / "trace.json"
     rc = main([
@@ -413,6 +433,8 @@ def test_audit_reports_teleports(tmp_path, capsys):
 
 MAP_WITH_BAD_TERRAIN = "type octile\nheight 2\nwidth 2\nmap\n.x\n..\n"
 MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
+DEEP = "[" * 10_000 + "]" * 10_000  # JSON and YAML nested 10 000 deep
+LONG_INT = "1" * 5_000  # past the 4300 digits an int may be read with
 
 
 @pytest.mark.parametrize("error,argv,where", [
@@ -443,7 +465,7 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "agent_000.json: no private sidecar for group 0"),
     ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
                       "--private-dir", "{tmp}/not_json"],
-     "not_json/agent_000.json: not a JSON sidecar"),
+     "not_json/agent_000.json: not JSON (Expecting property name"),
     ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
                       "--private-dir", "{tmp}/no_index"],
      'no_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
@@ -501,6 +523,27 @@ MAP_WITHOUT_PASSABLE_CELL = "type octile\nheight 1\nwidth 2\nmap\n@@\n"
      "other_group/agent_000.json: holds group 1, not group 0"),
     # a map name is a bundled map's name, never a path into or out of their folder
     ("ConfigError", ["solve", "--map", "../maps/open16"], "unknown map '../maps/open16'"),
+    # a file nested deeper than its parser recurses names itself; where the
+    # JSON decoder reads that deep, the trace's or sidecar's schema check does
+    ("TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/deep.json"], "/deep.json: "),
+    ("TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/deep.json",
+                    "--private-dir", "{tmp}/in_range"], "/deep.json: "),
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}/deep"], "/deep/agent_000.json: "),
+    ("ConfigError", ["bench", "--config", "{tmp}/deep.yaml"], "/deep.yaml: "),
+    # YAML refuses a control character in a two-line message; its first line is kept
+    ("ConfigError", ["bench", "--config", "{tmp}/nul.yaml"],
+     "nul.yaml: unacceptable character #x0000: special characters are not allowed"),
+    # a value the parser cannot build (an int of over 4300 digits, month 13) names its file
+    ("TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/long_int.json"],
+     "/long_int.json: "),
+    ("TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/long_int.json",
+                    "--private-dir", "{tmp}/in_range"], "/long_int.json: "),
+    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                      "--private-dir", "{tmp}/long_int"], "/long_int/agent_000.json: "),
+    ("ConfigError", ["bench", "--config", "{tmp}/long_int.yaml"], "/long_int.yaml: "),
+    ("ConfigError", ["bench", "--config", "{tmp}/month13.yaml"],
+     "month13.yaml: month must be in 1..12"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
@@ -512,8 +555,15 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
         "maps: [open16]\nagents: [1]\nseeds: 1\nmin_separation: 3\n")
     for name in ("binary.yaml", "binary.map", "binary.scen"):
         (tmp_path / name).write_bytes(b"\xff\xfe\x00version 1\n")
+    (tmp_path / "deep.json").write_text(DEEP)
+    (tmp_path / "deep.yaml").write_text(f"maps: {DEEP}\nagents: [1]\n")
+    (tmp_path / "nul.yaml").write_text("maps: [open16]\x00\nagents: [1]\n")
+    (tmp_path / "long_int.yaml").write_text(f"maps: [open16]\nagents: [1]\nseeds: {LONG_INT}\n")
+    (tmp_path / "month13.yaml").write_text("maps: [open16]\nagents: [1]\nseeds: 2001-13-01\n")
     # one k=1 group resting at (0,0), vertex 0
-    (tmp_path / "trace.json").write_text(json.dumps(trace_obj(1, 1, [[[0, 0, 0, 0]]], [[0]])))
+    trace = json.dumps(trace_obj(1, 1, [[[0, 0, 0, 0]]], [[0]]))
+    (tmp_path / "trace.json").write_text(trace)
+    (tmp_path / "long_int.json").write_text(trace.replace('"k": 1,', f'"k": {LONG_INT},'))
     (tmp_path / "kpp.json").write_text(json.dumps(trace_obj(1, 0, [[[0, 0, 0, 0]]], [[0]])))
     (tmp_path / "off_map.json").write_text(
         json.dumps(trace_obj(1, 0, [[[0, 0, 0, 0]]], [[0, 99999, 0]])))
@@ -521,7 +571,9 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
                           ("bool_index", '{"group_id": 0, "real_index": true}'),
                           ("off_range", '{"group_id": 0, "real_index": 1}'),
                           ("other_group", '{"group_id": 1, "real_index": 0}'),
-                          ("in_range", '{"group_id": 0, "real_index": 0}')]:
+                          ("in_range", '{"group_id": 0, "real_index": 0}'),
+                          ("deep", DEEP),
+                          ("long_int", f'{{"group_id": 0, "real_index": {LONG_INT}}}')]:
         (tmp_path / name).mkdir()
         (tmp_path / name / "agent_000.json").write_text(sidecar)
     rc = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])

@@ -13,7 +13,9 @@ are mutually invisible).
 
 The files a user may hand-edit, a ``solve`` trace and its private sidecars,
 are fuzzed too: with up to three JSON values replaced, ``audit`` and
-``ppfpp`` must report, never raise.
+``ppfpp`` must report, never raise. Mangled byte by byte (cut, nested,
+not UTF-8 or behind a BOM), the trace, a sidecar and a YAML suite must
+each be read as they were or be refused in one error line that names them.
 """
 
 import io
@@ -123,8 +125,9 @@ JSON_VALUES = st.integers(-1, 25) | st.recursive(
 
 
 @pytest.fixture(scope="module")
-def solved_files(tmp_path_factory):
-    """A solved radius-1 trace on OPEN5 and its two sidecars, by file name."""
+def solved_bytes(tmp_path_factory):
+    """A solved radius-1 trace on OPEN5 and its two sidecars, as ``solve``
+    wrote them: each file's bytes, by file name."""
     root = tmp_path_factory.mktemp("solved")
     (root / "open5.map").write_text(OPEN5)
     argv = ["solve", "--map", str(root / "open5.map"), "--agents", "2", "--k", "2",
@@ -133,7 +136,13 @@ def solved_files(tmp_path_factory):
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     files = [root / "trace.json", *sorted((root / "private").iterdir())]
-    return {f.name: json.loads(f.read_text()) for f in files}
+    return {f.name: f.read_bytes() for f in files}
+
+
+@pytest.fixture(scope="module")
+def solved_files(solved_bytes):
+    """The same files' JSON values, by file name."""
+    return {name: json.loads(raw) for name, raw in solved_bytes.items()}
 
 
 def _replace_one(data, docs):
@@ -181,3 +190,54 @@ def test_mutated_trace_and_sidecars_never_raise(solved_files, data):
             else:
                 assert lines == []
             event(f"{argv[0]}: exit {rc}")
+
+
+# ------------------------------------------------ files mangled byte by byte
+
+SUITE = b"maps: [open16]\nagents: [1]\nseeds: 1\n"
+
+
+def _mangle(raw: bytes, kind: str, n: int) -> bytes:
+    """``raw`` cut at offset n, wrapped in n brackets, with a 0xFF byte put
+    in at offset n, or behind a UTF-8 BOM."""
+    at = n % (len(raw) + 1)
+    return {"truncate": raw[:at], "nest": b"[" * n + raw + b"]" * n,
+            "0xff": raw[:at] + b"\xff" + raw[at:], "bom": b"\xef\xbb\xbf" + raw}[kind]
+
+
+# the commands that read each file
+READERS = {"trace.json": ("audit", "ppfpp"), "private/agent_000.json": ("ppfpp",),
+           "suite.yaml": ("bench",)}
+
+
+@pytest.mark.parametrize("target", sorted(READERS))
+@given(kind=st.sampled_from(["truncate", "nest", "0xff", "bom"]), n=st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+@example(kind="nest", n=10_000)
+def test_mangled_files_are_read_or_named_in_one_error_line(solved_bytes, target, kind, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "open5.map").write_text(OPEN5)
+        (root / "private").mkdir()
+        (root / "suite.yaml").write_bytes(SUITE)
+        for name, raw in solved_bytes.items():
+            (root / ("trace.json" if name == "trace.json" else f"private/{name}")).write_bytes(raw)
+        mangled = root / target
+        mangled.write_bytes(_mangle(mangled.read_bytes(), kind, n))
+        common = ["--map", str(root / "open5.map"), "--trace", str(root / "trace.json")]
+        argvs = {"audit": ["audit", *common],
+                 "ppfpp": ["ppfpp", *common, "--private-dir", str(root / "private")],
+                 "bench": ["bench", "--config", str(root / "suite.yaml")]}
+        for command in READERS[target]:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main(argvs[command])
+            lines = err.getvalue().splitlines()
+            # a cut of the last newline alone, no brackets or a BOM before
+            # YAML leaves what the file holds: exit 0
+            assert rc in (0, 2), (command, rc)
+            if rc == 2:
+                assert len(lines) == 1 and lines[0].startswith(f"error: {mangled}: "), lines
+            else:
+                assert lines == []
+            event(f"{command} of {target}, {kind}: exit {rc}")

@@ -24,6 +24,7 @@ from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import _extract, _key_packing, _move_cost, lacam_solve, node_data
 from privmapf.pibt import UNREACHABLE, SolverProblem, StepContext, build_step
 from privmapf.pipeline import PipelineSpec
+from privmapf.plans import JointPlan
 
 from conftest import (one_shot_pibt, priority_order, singleton_problem, step_every_constraint,
                       update_etas)
@@ -373,6 +374,68 @@ def test_a_random32_fixed_point_shrinks_to_a_sub_agent_in_a_dead_end():
         assert world.chebyshev(u, step) == 1  # within r of the step
     dive = one_shot_pibt(SolverProblem(world, kept, 0), 0)
     assert dive.solved and dive.plan.horizon == 32
+
+
+def _escape(problem, config):
+    """The shortest way out of ``config``: a breadth-first search over the
+    joint moves of the sub-agents off their goals, every other sub-agent
+    held where it stands, under audit's vertex, swap and fov rules. Returns
+    the stuck sub-agents, their positions after each step of the escape and
+    the number of joint states the search saw."""
+    world, goals, group_of = problem.world, problem.goals, problem.group_of
+    fov, adj = world.fov_table(problem.fov_radius), world.adjacency
+    stuck = [a for a, (v, g) in enumerate(zip(config, goals)) if v != g]
+    # a held sub-agent bars its own square to its group-mates, and its fov
+    # square to the sub-agents of other groups
+    barred = {a: set() for a in stuck}
+    for h, v in enumerate(config):
+        for a in stuck:
+            if h not in stuck:
+                barred[a] |= fov[v] if group_of[h] != group_of[a] else {v}
+    pairs = list(itertools.combinations(range(len(stuck)), 2))
+    start, target = tuple(config[a] for a in stuck), tuple(goals[a] for a in stuck)
+    parent, queue = {start: None}, deque([start])
+    while (state := queue.popleft()) != target:
+        options = [[u for u in (v, *adj[v]) if u not in barred[a]] for a, v in zip(stuck, state)]
+        for nxt in itertools.product(*options):
+            if nxt not in parent and not any(
+                    nxt[i] == nxt[j] or (nxt[i], nxt[j]) == (state[j], state[i])
+                    or group_of[stuck[i]] != group_of[stuck[j]] and nxt[j] in fov[nxt[i]]
+                    for i, j in pairs):
+                parent[nxt] = state
+                queue.append(nxt)
+    escape = [target]
+    while parent[escape[-1]] is not None:
+        escape.append(parent[escape[-1]])
+    return stuck, escape[-2::-1], len(parent)
+
+
+@pytest.mark.parametrize("map_name,n,kept,stuck,dists,steps,seen", [
+    # the dead end: the stuck sub-agent detours round the resting agent's
+    # square, 17 steps against its 11 hops
+    ("random-32-32-20", 16, [12, 13], [5], [11], 17, 276),
+    # head-on: one of the two steps two cells aside, away from its goal, so the
+    # other can pass; 21 joint steps against 6 and 20 hops
+    ("room-32-32-4", 24, [20, 22, 23], [1, 5], [6, 20], 21, 163_097),
+], ids=["dead end", "head-on"])
+def test_each_fixed_point_witness_has_an_escape_that_audits_clean(map_name, n, kept, stuck,
+                                                                   dists, steps, seen):
+    # ROADMAP item 18, step 1: each witness's shortest way out of its fixed
+    # point, frozen. The dive up to the fixed point, then the escape, is a
+    # joint plan that ends with every sub-agent on its goal and audits clean
+    world, groups = _published_groups(map_name, n, 3, 0, 1)
+    problem = SolverProblem(world, [g for g in groups if g.group_id in kept], 1)
+    dive = list(itertools.islice(_stepped_dive(problem), _fixed_point(problem) + 1))
+    config = dive[-1]
+    got_stuck, escape, got_seen = _escape(problem, config)
+    assert got_stuck == stuck
+    assert [problem.dists[a][config[a]] for a in stuck] == dists
+    assert (len(escape), got_seen) == (steps, seen)
+    configs = dive + [tuple(state[stuck.index(a)] if a in stuck else v
+                            for a, v in enumerate(config)) for state in escape]
+    assert configs[-1] == tuple(problem.goals)
+    plan = JointPlan.from_configs(configs)
+    assert audit(world, plan, problem.group_of, fov_radius=1, check_fov=True).ok
 
 
 def test_trivial_instance_already_at_goal(open4):
