@@ -10,7 +10,8 @@ radius the trace records; ``bench`` loads a YAML suite, a list of
 
 ``solve`` runs a bench ``TaskSpec`` built from its flags: it loads the map
 and places the pairs with the code ``bench`` runs a cell with, unless
-``--scen`` names the pairs. Random pairs are always placed at the map's
+``--scen`` names the pairs, which ``grid.load_scenario`` reads and places on
+the map in one call. Random pairs are always placed at the map's
 default spacing, ``instances.default_separation``; no flag chooses another.
 No default is restated here: ``--radius`` and ``--budget-expansions`` read
 ``PipelineSpec``'s.
@@ -20,8 +21,10 @@ Every ``PrivmapfError`` or ``OSError`` ends in one ``error:`` line and exit
 code 2; any other exception is a bug and keeps its traceback. Every file is
 read through ``grid.read_file``, so one that is not UTF-8, is malformed, is
 nested deeper than its parser reads or holds a value its parser cannot build
-is such an error, naming the file.
-Files are read and written as UTF-8, whatever the locale.
+is such an error, naming the file, and a scenario entry that does not fit
+the map names its line too.
+Files are read and written as UTF-8, whatever the locale; a leading
+byte-order mark is ignored in every format.
 """
 
 from __future__ import annotations
@@ -34,21 +37,13 @@ from . import __version__
 from .audit import audit_trace, metrics
 from .bench import TaskSpec, format_summary, load_config, load_world, run_suite, write_records
 from .dispatch import write_private_sidecars
-from .grid import PrivmapfError, ScenarioError, load_scenario, scenario_pairs
+from .grid import PrivmapfError, load_scenario
 from .pipeline import (
     MessageTrace, PipelineSpec, TraceError, read_real_paths, read_trace, run_pipeline,
     write_trace,
 )
 from .plans import write_real_plan_file
 from .safezone import ppfpp, write_zones
-
-
-def _scenario_pairs(args, world):
-    entries = load_scenario(args.scen)
-    if len(entries) < args.agents:
-        raise ScenarioError(f"scenario has only {len(entries)} entries, "
-                            f"{args.agents} agents requested", path=args.scen)
-    return scenario_pairs(world, entries[: args.agents])
 
 
 def _read_planned_trace(world, path) -> MessageTrace:
@@ -71,7 +66,7 @@ def _cmd_solve(args) -> int:
     spec = PipelineSpec(args.k, args.radius, args.budget_expansions)
     task = TaskSpec(args.map, args.agents, args.seed, spec)
     world = load_world(task.map_name)
-    pairs = _scenario_pairs(args, world) if args.scen else task.pairs()
+    pairs = load_scenario(world, args.scen, args.agents) if args.scen else task.pairs()
     out = run_pipeline(world, pairs, spec, task.seed)
     if out.solved:
         m = metrics(out.plan.paths, out.problem.goals)

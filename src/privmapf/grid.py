@@ -15,7 +15,6 @@ field of view as a plain distance band, not a line-of-sight computation).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -45,11 +44,12 @@ class ParseError(PrivmapfError, ValueError):
 
 
 def read_file(path: str | Path, parse, error: type[PrivmapfError]):
-    """``parse`` of the file's UTF-8 text, the one reader of user files: its ``error``, a bad
-    byte, nesting past the parser's recursion limit, a syntax error or a value the parser
-    cannot build (a 5000-digit int, month 13) leaves as one ``error`` naming the file."""
+    """``parse`` of the file's UTF-8 text, a leading byte-order mark dropped, the one reader
+    of user files: its ``error``, a bad byte, nesting past the parser's recursion limit, a
+    syntax error or a value the parser cannot build (a 5000-digit int, month 13) leaves as
+    one error of the same type naming the file."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except error as exc:
         raise type(exc)(exc.message, exc.line, path) from None
     except PrivmapfError:
@@ -63,7 +63,7 @@ class EmptyMapError(PrivmapfError, ValueError):
     """Map contains no passable cell."""
 
 
-class ScenarioError(PrivmapfError, ValueError):
+class ScenarioError(ParseError):
     """Scenario entry that cannot be realised on the given world."""
 
 
@@ -272,75 +272,41 @@ def load_map(path: str | Path) -> GridWorld:
     return read_file(path, parse_map_text, ParseError)
 
 
-@dataclass(frozen=True)
-class ScenarioEntry:
-    """One line of a MovingAI .scen file (coordinates, not vertex ids)."""
+def load_scenario(world: GridWorld, path: str | Path, n: int) -> list[tuple[int, int]]:
+    """The first n entries of a MovingAI .scen file as (start, goal) vertex pairs of
+    ``world``. Every entry must hold 9 fields; each of the first n must be for a map of
+    the world's size with both endpoints passable, else a ScenarioError names its
+    entry index and line; a file of fewer than n entries is a ScenarioError too."""
 
-    bucket: int
-    map_name: str
-    map_width: int
-    map_height: int
-    start_x: int
-    start_y: int
-    goal_x: int
-    goal_y: int
-    optimal_length: float
+    def parse(text: str) -> list[tuple[int, int]]:
+        lines = text.splitlines()
+        if not lines or not lines[0].lower().startswith("version"):
+            raise ParseError("missing 'version' header", line=1)
+        pairs: list[tuple[int, int]] = []  # one per entry until there are n
+        for i, line in enumerate(lines[1:], start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 9:
+                raise ParseError(f"expected 9 fields, got {len(parts)}", line=i)
+            try:  # bucket, map name, map width and height, start x y, goal x y, optimal length
+                _, width, height, sx, sy, gx, gy = map(int, [parts[0], *parts[2:8]])
+                float(parts[8])
+            except ValueError:
+                raise ParseError("non-numeric field", line=i) from None
+            if len(pairs) < n:
+                if (width, height) != (world.width, world.height):
+                    raise ScenarioError(f"entry {len(pairs)}: scenario is for a {width}x{height} "
+                                        f"map, world is {world.width}x{world.height}", line=i)
+                try:
+                    pairs.append((world.vertex_at(sx, sy), world.vertex_at(gx, gy)))
+                except ValueError as err:
+                    raise ScenarioError(f"entry {len(pairs)}: {err}", line=i) from None
+        if len(pairs) < n:
+            raise ScenarioError(f"scenario has only {len(pairs)} entries, {n} agents requested")
+        return pairs
 
-
-def parse_scenario_text(text: str) -> list[ScenarioEntry]:
-    lines = text.splitlines()
-    if not lines or not lines[0].lower().startswith("version"):
-        raise ParseError("missing 'version' header", line=1)
-    entries = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 9:
-            raise ParseError(f"expected 9 fields, got {len(parts)}", line=i)
-        try:
-            entries.append(
-                ScenarioEntry(
-                    bucket=int(parts[0]),
-                    map_name=parts[1],
-                    map_width=int(parts[2]),
-                    map_height=int(parts[3]),
-                    start_x=int(parts[4]),
-                    start_y=int(parts[5]),
-                    goal_x=int(parts[6]),
-                    goal_y=int(parts[7]),
-                    optimal_length=float(parts[8]),
-                )
-            )
-        except ValueError:
-            raise ParseError("non-numeric field", line=i) from None
-    return entries
-
-
-def load_scenario(path: str | Path) -> list[ScenarioEntry]:
-    return read_file(path, parse_scenario_text, ParseError)
-
-
-def scenario_pairs(world: GridWorld, entries: list[ScenarioEntry]) -> list[tuple[int, int]]:
-    """Realise scenario entries on a world as (start, goal) vertex pairs.
-
-    Raises ScenarioError naming the entry index when dimensions disagree or
-    an endpoint sits on a blocked cell.
-    """
-    pairs = []
-    for i, e in enumerate(entries):
-        if (e.map_width, e.map_height) != (world.width, world.height):
-            raise ScenarioError(
-                f"entry {i}: scenario is for a {e.map_width}x{e.map_height} map, "
-                f"world is {world.width}x{world.height}"
-            )
-        try:
-            s = world.vertex_at(e.start_x, e.start_y)
-            g = world.vertex_at(e.goal_x, e.goal_y)
-        except ValueError as err:
-            raise ScenarioError(f"entry {i}: {err}") from None
-        pairs.append((s, g))
-    return pairs
+    return read_file(path, parse, ParseError)
 
 
 def scenario_text(world: GridWorld, map_name: str, pairs: list[tuple[int, int]]) -> str:

@@ -544,10 +544,23 @@ LONG_INT = "1" * 5_000  # past the 4300 digits an int may be read with
     ("ConfigError", ["bench", "--config", "{tmp}/long_int.yaml"], "/long_int.yaml: "),
     ("ConfigError", ["bench", "--config", "{tmp}/month13.yaml"],
      "month13.yaml: month must be in 1..12"),
+    # a scenario entry that cannot be placed on the map names its file and line
+    ("ScenarioError", ["solve", "--map", "open16", "--agents", "2", "--scen", "{tmp}/off_map.scen"],
+     "off_map.scen: line 3: entry 1: (99,1) outside 16x16 map"),
+    ("ScenarioError", ["solve", "--map", "random-32-32-20", "--agents", "1",
+                       "--scen", "{tmp}/blocked.scen"],
+     "blocked.scen: line 2: entry 0: (1,0) is blocked"),
+    ("ScenarioError",
+     ["solve", "--map", "open16", "--agents", "2",
+      "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
+     "random-32-32-20.scen: line 2: entry 0: scenario is for a 32x32 map, world is 16x16"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
     (tmp_path / "bad.scen").write_text("0 open16 16 16 0 0 1 1 2\n")
+    (tmp_path / "off_map.scen").write_text(
+        "version 1\n0 open16.map 16 16 0 0 1 1 2\n1 open16.map 16 16 99 1 5 5 8\n")
+    (tmp_path / "blocked.scen").write_text("version 1\n0 random-32-32-20.map 32 32 0 0 1 0 1\n")
     (tmp_path / "empty.map").write_text(MAP_WITHOUT_PASSABLE_CELL)
     (tmp_path / "bad.yaml").write_text("maps: [open16\n")
     (tmp_path / "one.yaml").write_text("maps: [open16]\nagents: [1]\nseeds: 1\n")

@@ -12,7 +12,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -336,6 +336,128 @@ def test_a_seeded_dispatch_can_be_replayed(placement_worlds, map_name, n, k, rad
     groups = dispatch_groups(world, reals, k, radius, seed)
     found = seed_replays(world, [g.broadcast_view() for g in groups], k, radius, range(20))
     assert found == [(seed, tuple(reals))]
+
+
+# two rooms of 8 and 16 cells either side of a wall column
+SPLIT_ROOMS = "type octile\nheight 4\nwidth 7\nmap\n" + "..@....\n" * 4
+
+
+def placement_law(world, reals, sep):
+    """P(``random_spaced_pairs`` places ``reals``, in order): each pair is
+    uniform over the pairs valid after the ones before it, a start and a goal
+    of one component, each at Chebyshev distance >= sep from the starts
+    (goals) placed so far. The attempt limit is left out; it moves no number
+    frozen below, which are pinned groups (a posterior of exactly 0 or 1
+    under either law) or N = 1 (one step, whose limit weighs every pair alike)."""
+    comp, law = world.components, Fraction(1)
+    for i, (s, g) in enumerate(reals):
+        starts = [v for v in range(world.num_vertices)
+                  if all(world.chebyshev(v, x) >= sep for x, _ in reals[:i])]
+        goals = [v for v in range(world.num_vertices)
+                 if all(world.chebyshev(v, y) >= sep for _, y in reals[:i])]
+        if s not in starts or g not in goals or comp[s] != comp[g]:
+            return Fraction(0)
+        law /= sum(comp[a] == comp[b] for a in starts for b in goals)
+    return law
+
+
+def mock_law(world, real, mocks, rivals, radius):
+    """P(``_draw_group`` draws ``mocks``, in order, after ``real``). A proposal
+    (s, g) weighs 1/|unused starts| * 1/|unused goals in s's component|; a
+    mock is the first of MAX_RETRIES proposals that collides with no rival,
+    so one of weight q is drawn with probability q/Q * (1 - (1 - Q)^MAX_RETRIES),
+    Q being the weight of all proposals that collide with none."""
+    used_starts, used_goals, law = {real[0]}, {real[1]}, Fraction(1)
+    for mock in mocks:
+        starts = [v for v in range(world.num_vertices) if v not in used_starts]
+        weight = {}
+        for s in starts:
+            goals = [g for g in world.component_members(s) if g not in used_goals]
+            for g in goals:
+                if not any(pairs_collide(world, (s, g), q, radius) for q in rivals):
+                    weight[s, g] = Fraction(1, len(starts) * len(goals))
+        if mock not in weight:
+            return Fraction(0)
+        total = sum(weight.values())
+        law *= weight[mock] / total * (1 - (1 - total) ** dispatch.MAX_RETRIES)
+        used_starts.add(mock[0])
+        used_goals.add(mock[1])
+    return law
+
+
+def bayes_likelihoods(world, published, radius, sep):
+    """P(dispatch publishes ``published``) for each choice of one pair per
+    group as the real ones: the placement law, each group's mocks drawn
+    against the other groups' reals and the mocks committed before it, in
+    any hidden order, and the shuffle, which publishes one order of k pairs
+    with probability 1/k!. It reads only the published pairs."""
+    likelihoods = {}
+    for choice in product(*(range(len(pairs)) for pairs in published)):
+        reals = [pairs[c] for pairs, c in zip(published, choice)]
+        law, committed = placement_law(world, reals, sep), []
+        for gid, (pairs, c) in enumerate(zip(published, choice)):
+            mocks = pairs[:c] + pairs[c + 1:]
+            rivals = reals[:gid] + reals[gid + 1:] + committed
+            law *= sum(mock_law(world, reals[gid], order, rivals, radius)
+                       for order in permutations(mocks))
+            law /= math.factorial(len(pairs))
+            committed += mocks
+        likelihoods[choice] = law
+    return likelihoods
+
+
+def test_the_exact_bayes_observer_on_tiny_maps(open4):
+    """ROADMAP item 7: the Bayesian observer of Shokri et al., *Quantifying
+    Location Privacy* (IEEE S&P 2011), who knows the laws of placement,
+    dispatch and the shuffle, over k = 2, r in {0, 1} and seeds 0-19. An
+    outside observer weighs every choice of real pairs; an insider knows
+    group 0's. Frozen per map, N and observer: the placed cells, the groups
+    judged, the largest |posterior - 1/k|, the smallest effective k (1/max
+    posterior) and the groups pinned. These are findings, not failures: the
+    spacing of the real pairs pins most groups on the open map, and the
+    mocks' 1/|component| goal weight, against the reals' uniform pairs,
+    tells the rooms apart even at N = 1."""
+    half = Fraction(1, 2)
+    seen = {}
+    for name, world in (("open4", open4), ("split", parse_map_text(SPLIT_ROOMS))):
+        for n in (1, 2):
+            placed, judged = 0, {"outside": [], "insider": []}
+            for radius, seed in product((0, 1), range(20)):
+                try:
+                    reals = random_spaced_pairs(world, n, seed)
+                except PlacementError:
+                    continue
+                placed += 1
+                groups = dispatch_groups(world, reals, 2, radius, seed)
+                likelihoods = bayes_likelihoods(
+                    world, [g.pairs for g in groups], radius, default_separation(world))
+                real = tuple(g.real_index for g in groups)  # the scorer alone reads it
+                assert likelihoods[real] > 0
+                for observer, first in (("outside", 0), ("insider", 1)):
+                    known = {c: w for c, w in likelihoods.items()
+                             if observer == "outside" or c[0] == real[0]}
+                    total = sum(known.values())
+                    for i in range(first, n):
+                        judged[observer].append(
+                            [sum(w for c, w in known.items() if c[i] == j) / total for j in (0, 1)])
+            for observer, posteriors in judged.items():
+                if posteriors:
+                    assert all(sum(p) == 1 for p in posteriors)
+                    seen[name, n, observer] = (
+                        placed, len(posteriors),
+                        max(abs(x - half) for p in posteriors for x in p),
+                        min(1 / max(p) for p in posteriors),
+                        sum(max(p) == 1 for p in posteriors))
+            if (name, n) == ("open4", 1):  # one group on one component: exactly 1/k
+                assert all(p == [half, half] for p in judged["outside"])
+    assert seen == {
+        ("open4", 1, "outside"): (40, 40, 0, 2, 0),
+        ("open4", 2, "outside"): (26, 52, half, 1, 47),
+        ("open4", 2, "insider"): (26, 26, half, 1, 25),
+        ("split", 1, "outside"): (40, 40, Fraction(1, 6), Fraction(3, 2), 0),
+        ("split", 2, "outside"): (40, 80, half, 1, 23),
+        ("split", 2, "insider"): (40, 40, half, 1, 22),
+    }
 
 
 # -- probability model -----------------------------------------------------

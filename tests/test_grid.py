@@ -7,13 +7,10 @@ from privmapf.grid import (
     EmptyMapError,
     GridWorld,
     ParseError,
-    ScenarioEntry,
     ScenarioError,
     load_map,
     load_scenario,
     parse_map_text,
-    parse_scenario_text,
-    scenario_pairs,
     scenario_text,
 )
 
@@ -83,7 +80,6 @@ def test_parse_errors_carry_line_numbers():
      "unexpected header 'size'"),
     (parse_map_text, "type octile\nheight 1\nwidth 2\n", 3, "missing 'map' header"),
     (parse_map_text, "type octile\nheight 1\nmap\n..\n", 3, "missing height/width header"),
-    (parse_scenario_text, "version 1\n\n0 m 2 1 0 0 x 0 1.0\n", 3, "non-numeric field"),
 ])
 def test_malformed_headers_and_fields_name_their_line(parse, text, line, message):
     with pytest.raises(ParseError) as e:
@@ -110,7 +106,7 @@ def test_parse_errors_from_files_name_the_file(tmp_path):
     bad_scen = tmp_path / "bad.scen"
     bad_scen.write_text("version 1\n0 open16 16 16 0 0\n")
     with pytest.raises(ParseError) as e:
-        load_scenario(bad_scen)
+        load_scenario(parse_map_text(DOORWAY), bad_scen, 1)
     assert str(e.value) == f"{bad_scen}: line 2: expected 9 fields, got 6"
 
 
@@ -189,28 +185,72 @@ def test_components():
     assert w.components[a] != w.components[c]
 
 
-def test_scenario_round_trip(open16):
-    entries = load_scenario("src/privmapf/assets/scens/open16.scen")
-    assert len(entries) == 12
-    pairs = scenario_pairs(open16, entries)
+OPEN16_SCEN = "src/privmapf/assets/scens/open16.scen"
+
+
+def test_scenario_round_trip(open16, tmp_path):
+    pairs = load_scenario(open16, OPEN16_SCEN, 12)
     assert len(pairs) == 12
     assert all(0 <= s < open16.num_vertices for s, _ in pairs)
-    again = scenario_pairs(open16, parse_scenario_text(scenario_text(open16, "open16.map", pairs)))
-    assert again == pairs
+    again = tmp_path / "again.scen"
+    again.write_text(scenario_text(open16, "open16.map", pairs))
+    assert load_scenario(open16, again, 12) == pairs
+    assert load_scenario(open16, again, 5) == pairs[:5]
 
 
 def test_scenario_rejects_wrong_dimensions(open4):
-    entries = load_scenario("src/privmapf/assets/scens/open16.scen")
-    with pytest.raises(ScenarioError):
-        scenario_pairs(open4, entries)
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(open4, OPEN16_SCEN, 1)
+    assert (e.value.line, e.value.message) == (
+        2, "entry 0: scenario is for a 16x16 map, world is 4x4")
 
 
-def test_scenario_rejects_blocked_endpoints():
+def test_scenario_rejects_blocked_endpoints(tmp_path):
     world = parse_map_text("type octile\nheight 1\nwidth 2\nmap\n.@\n")
-    with pytest.raises(ScenarioError, match=r"^entry 0: \(1,0\) is blocked$"):
-        scenario_pairs(world, [ScenarioEntry(0, "m", 2, 1, 0, 0, 1, 0, 1.0)])
+    scen = tmp_path / "m.scen"
+    scen.write_text("version 1\n0 m 2 1 0 0 1 0 1.0\n")
+    with pytest.raises(ScenarioError) as e:
+        load_scenario(world, scen, 1)
+    assert (e.value.line, e.value.message) == (2, "entry 0: (1,0) is blocked")
+    assert e.value.path == scen
 
 
-def test_scenario_requires_version_header():
-    with pytest.raises(ParseError):
-        parse_scenario_text("0\tfoo.map\t8\t8\t0\t0\t1\t1\t2.0\n")
+def test_scenario_requires_version_header(tmp_path, open4):
+    scen = tmp_path / "foo.scen"
+    scen.write_text("0\tfoo.map\t8\t8\t0\t0\t1\t1\t2.0\n")
+    with pytest.raises(ParseError) as e:
+        load_scenario(open4, scen, 1)
+    assert (e.value.line, e.value.message) == (1, "missing 'version' header")
+
+
+# every entry's fields are checked, also past the n placed, but an entry that
+# cannot be placed is named before a bad line after it; blank lines are
+# skipped, and each error names its line
+@pytest.mark.parametrize("text,n,error,line,message", [
+    ("version 1\n\n0 m 2 1 0 0 x 0 1.0\n", 1, ParseError, 3, "non-numeric field"),
+    ("version 1\n0 m 2 1 0 0 1 0 1.0\n0 m 2 1 0 0 1 0 x\n", 1, ParseError, 3,
+     "non-numeric field"),
+    ("version 1\n0 m 2 1 0 0 1 0 1.0\n\n", 2, ScenarioError, None,
+     "scenario has only 1 entries, 2 agents requested"),
+    ("version 1\n0 m 2 1 0 0 2 0 1.0\n0 m 2 1\n", 1, ScenarioError, 2,
+     "entry 0: (2,0) outside 2x1 map"),
+])
+def test_scenario_entries_name_their_line(tmp_path, text, n, error, line, message):
+    world = parse_map_text("type octile\nheight 1\nwidth 2\nmap\n..\n")
+    scen = tmp_path / "m.scen"
+    scen.write_text(text)
+    with pytest.raises(error) as e:
+        load_scenario(world, scen, n)
+    assert type(e.value) is error
+    assert (e.value.line, e.value.message) == (line, message)
+
+
+# a byte-order mark before a map's or a scenario's first header is dropped,
+# as every reader of a user file drops it
+def test_a_byte_order_mark_is_ignored(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    (tmp_path / "m.map").write_bytes(bom + b"type octile\nheight 1\nwidth 2\nmap\n..\n")
+    (tmp_path / "m.scen").write_bytes(bom + b"version 1\n0 m.map 2 1 0 0 1 0 1.0\n")
+    world = load_map(tmp_path / "m.map")
+    assert (world.width, world.height, world.num_vertices) == (2, 1, 2)
+    assert load_scenario(world, tmp_path / "m.scen", 1) == [(0, 1)]
