@@ -554,6 +554,15 @@ LONG_INT = "1" * 5_000  # past the 4300 digits an int may be read with
      ["solve", "--map", "open16", "--agents", "2",
       "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
      "random-32-32-20.scen: line 2: entry 0: scenario is for a 32x32 map, world is 16x16"),
+    # LaCAM is the only solver, so a suite that names one fails too
+    ("ConfigError", ["bench", "--config", "{tmp}/solver.yaml"],
+     "solver.yaml: unknown config keys: ['solver']"),
+    # unknown keys of mixed type are sorted by their text: 1 < 'foo' would raise
+    ("ConfigError", ["bench", "--config", "{tmp}/mixed.yaml"],
+     "mixed.yaml: unknown config keys: [1, 'foo']"),
+    ("ConfigError", ["bench", "--config", "{tmp}/nomap.yaml"], "nomap.yaml: unknown map 'nosuch'"),
+    ("ParseError", ["solve", "--map", "{tmp}/badheight.map"],
+     "badheight.map: line 2: bad height header"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)
@@ -566,6 +575,10 @@ def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "one.yaml").write_text("maps: [open16]\nagents: [1]\nseeds: 1\n")
     (tmp_path / "minsep.yaml").write_text(
         "maps: [open16]\nagents: [1]\nseeds: 1\nmin_separation: 3\n")
+    (tmp_path / "solver.yaml").write_text("maps: [open16]\nagents: [1]\nseeds: 1\nsolver: lacam\n")
+    (tmp_path / "mixed.yaml").write_text("1: x\nfoo: y\nmaps: [open16]\nagents: [2]\n")
+    (tmp_path / "nomap.yaml").write_text("maps: [nosuch]\nagents: [1]\nseeds: 1\n")
+    (tmp_path / "badheight.map").write_text("type octile\nheight x\nwidth 2\nmap\n..\n")
     for name in ("binary.yaml", "binary.map", "binary.scen"):
         (tmp_path / name).write_bytes(b"\xff\xfe\x00version 1\n")
     (tmp_path / "deep.json").write_text(DEEP)

@@ -33,6 +33,8 @@ from privmapf.dispatch import (
 )
 from privmapf.grid import ConfigError, parse_map_text
 from privmapf.instances import PlacementError, default_separation, random_spaced_pairs
+from privmapf.lacam import lacam_solve
+from privmapf.pibt import SolverProblem
 from privmapf.pipeline import PipelineSpec, run_pipeline
 
 from conftest import brute_force_no_collision
@@ -336,6 +338,31 @@ def test_a_seeded_dispatch_can_be_replayed(placement_worlds, map_name, n, k, rad
     groups = dispatch_groups(world, reals, k, radius, seed)
     found = seed_replays(world, [g.broadcast_view() for g in groups], k, radius, range(20))
     assert found == [(seed, tuple(reals))]
+
+
+@pytest.mark.parametrize("map_name,n,k,radius,budget,seed", [
+    *[("open16", 3, 2, 1, 300, seed) for seed in range(4)],
+    *[("open16", 4, 2, 0, 300, seed) for seed in range(3)],
+    ("random-32-32-20", 4, 3, 1, 1500, 0),
+])
+def test_the_broadcast_plan_gives_the_seed_away(placement_worlds, map_name, n, k, radius,
+                                                budget, seed):
+    """``run_pipeline`` seeds LaCAM's stream with the dispatch seed, so an
+    observer who replays LaCAM on the published groups over seeds 0-19 finds
+    the broadcast plan again at exactly one seed, the run's, and replaying
+    dispatch at that seed pins every real pair. The plan alone gives the
+    seed away, a second route beside the dispatch replay above. A private
+    dispatch key (ROADMAP item 11) must replace this frozen outcome on
+    purpose."""
+    world = placement_worlds[map_name]
+    reals = random_spaced_pairs(world, n, seed)
+    out = run_pipeline(world, reals, PipelineSpec(k, radius, budget), seed)
+    assert out.solved
+    published = list(out.trace.published_groups)
+    found = [s for s in range(20)
+             if lacam_solve(SolverProblem(world, published, radius), s, budget).plan == out.plan]
+    assert found == [seed]
+    assert seed_replays(world, published, k, radius, found) == [(seed, tuple(reals))]
 
 
 # two rooms of 8 and 16 cells either side of a wall column
