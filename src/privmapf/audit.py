@@ -19,18 +19,23 @@ path's end). The plan is k-private when every belief set keeps size >= k.
 ``audit_trace`` is the one verdict on a broadcast: ``privmapf audit``
 prints it and ``run_pipeline`` gates every solved plan on it.
 Zone refinement reads the same table: a group's region at t is the union
-of the fov squares around its belief set.
+of the fov squares around its belief set. ``spacing_candidates`` judges
+the published groups alone, against an observer who knows their spacing.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .dispatch import pairs_collide
 from .grid import GridWorld, PrivmapfError
 from .plans import JointPlan
 
 if TYPE_CHECKING:
+    from .dispatch import AgentGroup
     from .pipeline import MessageTrace
     from .safezone import ZoneTable
 
@@ -248,3 +253,30 @@ def check_runtime_k_privacy(world: GridWorld, plan: JointPlan, group_of: list[in
     below_k, fov = _below_k(plan, group_of, k, conflicts), conflicts.fov_conflicts
     return {"ok": not below_k and not fov, "fov_conflicts": fov,
             "privacy": {"ok": not below_k, "violations": below_k}}
+
+
+def spacing_candidates(world: GridWorld, groups: Sequence[AgentGroup],
+                       sep: int) -> list[list[int]]:
+    """Each group's indices of the pairs an observer who knows that the real
+    pairs are spaced by ``sep`` cannot rule out: AC-3 (Mackworth, AIJ 1977)
+    over the groups, where a pair of one group and a pair of another are
+    compatible iff their starts, and their goals, are at Chebyshev distance
+    >= sep. Belief-set sizes cannot see this leak (k-anonymity's weakness
+    against background knowledge: Machanavajjhala et al., l-Diversity, ICDE
+    2006). Only the published ``pairs`` are read."""
+    alive = [list(range(len(g.pairs))) for g in groups]
+    arcs = deque((i, j) for i in range(len(groups)) for j in range(len(groups)) if i != j)
+    queued = set(arcs)
+    while arcs:
+        i, j = arcs.popleft()
+        queued.discard((i, j))
+        theirs = [groups[j].pairs[d] for d in alive[j]]
+        kept = [c for c in alive[i] if not all(
+            pairs_collide(world, groups[i].pairs[c], q, sep - 1) for q in theirs)]
+        if len(kept) < len(alive[i]):
+            alive[i] = kept
+            for h in range(len(groups)):
+                if h not in (i, j) and (h, i) not in queued:
+                    arcs.append((h, i))
+                    queued.add((h, i))
+    return alive

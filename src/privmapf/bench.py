@@ -42,7 +42,7 @@ from itertools import product
 from pathlib import Path
 
 from .audit import metrics
-from .grid import ConfigError, GridWorld, PrivmapfError, load_map, read_file
+from .grid import ConfigError, GridWorld, PrivmapfError, load_map, read_file, require_int
 # default_separation is re-exported: the benchmark reads bench.default_separation
 from .instances import default_separation, random_spaced_pairs
 from .pipeline import PipelineSpec, run_pipeline
@@ -85,8 +85,7 @@ class TaskSpec:
         # follows random_spaced_pairs' rule, and bool is no int
         if type(self.map_name) is not str:
             raise ConfigError("the map name must be a string")
-        if type(self.n_agents) is not int or self.n_agents < 1:
-            raise ConfigError("the agent count must be >= 1")
+        require_int(self.n_agents, 1, "the agent count must be >= 1")
         if type(self.seed) is not int:
             raise ConfigError("the seed must be an int")
         if not isinstance(self.spec, PipelineSpec):
@@ -205,8 +204,7 @@ def run_one(task: TaskSpec) -> RunRecord:
 
 
 def run_suite(tasks: list[TaskSpec], threads: int = 1) -> list[RunRecord]:
-    if type(threads) is not int or threads < 1:  # True would act as 1, 2.5 reach the pool
-        raise ConfigError("threads must be >= 1")
+    require_int(threads, 1, "threads must be >= 1")  # 2.5 would reach the pool
     # a fork pool starts all its workers at the first submit, so no more than
     # tasks, and no more than CPUs: the work is CPU-bound Python
     workers = min(threads, len(tasks), os.cpu_count() or 1)

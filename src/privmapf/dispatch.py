@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .grid import ConfigError, GridWorld, PrivmapfError, read_file
+from .grid import GridWorld, PrivmapfError, read_file, require_int
 
 
 class InfeasibleInputError(PrivmapfError, ValueError):
@@ -152,8 +152,7 @@ def _draw_group(
 def _check_input(world: GridWorld, real_pairs: list[tuple[int, int]], k: int) -> None:
     """Both draws' input rule: ConfigError unless k is an int >= 1, then
     InfeasibleInputError unless pairs exist, |V| >= k and each is two ids."""
-    if type(k) is not int or k < 1:
-        raise ConfigError("k must be >= 1")
+    require_int(k, 1, "k must be >= 1")
     if not real_pairs:
         raise InfeasibleInputError("no real pairs to dispatch")
     if world.num_vertices < k:
@@ -204,8 +203,7 @@ def dispatch_groups(
     already collide at this radius; DispatchExhaustedError when a mock pair
     cannot be placed within MAX_RETRIES draws.
     """
-    if type(radius) is not int or radius < 0:
-        raise ConfigError("fov radius must be >= 0")
+    require_int(radius, 0, "fov radius must be >= 0")
     _check_input(world, real_pairs, k)
     n = len(real_pairs)
     for i in range(n):

@@ -43,6 +43,16 @@ class ParseError(PrivmapfError, ValueError):
     """Malformed .map/.scen content."""
 
 
+def require_int(value, low: int, message: str, error: type[PrivmapfError] = ConfigError) -> int:
+    """``value`` when it is an int of at least ``low``, else ``error(message)``: the rule
+    of every integer setting. A bool is no int here, since True would act, and hash, as
+    1; a float such as 2.5 would be rounded or truncated somewhere downstream, or end in
+    a bare TypeError."""
+    if type(value) is not int or value < low:
+        raise error(message)
+    return value
+
+
 def read_file(path: str | Path, parse, error: type[PrivmapfError]):
     """``parse`` of the file's UTF-8 text, a leading byte-order mark dropped, the one reader
     of user files: its ``error``, a bad byte, nesting past the parser's recursion limit, a
@@ -156,8 +166,7 @@ class GridWorld:
 
     def fov_table(self, radius: int) -> tuple[frozenset[int], ...]:
         """``fov(v, radius)`` indexed by v, built once per radius."""
-        if type(radius) is not int or radius < 0:  # before the lookup: True hashes as 1
-            raise ConfigError("fov radius must be >= 0")
+        require_int(radius, 0, "fov radius must be >= 0")  # before the lookup
         table = self._fov_cache.get(radius)
         if table is None:
             table = tuple(self._fov_uncached(v, radius) for v in range(self.num_vertices))

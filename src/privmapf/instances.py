@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .grid import ConfigError, GridWorld, PrivmapfError
+from .grid import GridWorld, PrivmapfError, require_int
 
 
 class PlacementError(PrivmapfError, RuntimeError):
@@ -45,11 +45,9 @@ def random_spaced_pairs(
     min_separation-sided blocks of the map (each block holds at most one
     start).
     """
-    if type(n) is not int or n < 1:
-        raise ConfigError("the agent count must be >= 1")
+    require_int(n, 1, "the agent count must be >= 1")
     sep = default_separation(world) if min_separation is None else min_separation
-    if type(sep) is not int or sep < 1:
-        raise ConfigError("min_separation must be >= 1")
+    require_int(sep, 1, "min_separation must be >= 1")
     num_vertices = world.num_vertices
     failure = f"could not place {n} spaced pairs on {world.width}x{world.height} map"
     if n > min(-(-world.width // sep) * -(-world.height // sep), num_vertices):

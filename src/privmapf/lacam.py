@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from struct import Struct
 
 from .audit import audit, metrics
-from .grid import ConfigError
+from .grid import require_int
 from .pibt import SolverProblem, StepContext, build_step
 from .plans import JointPlan
 
@@ -195,8 +195,7 @@ def lacam_solve(problem: SolverProblem, seed: int | str, budget_expansions: int)
     ``invalid_start`` (``clean_start`` fails: the start configuration already
     breaks a step rule). A budget that is not an int >= 0 is a ConfigError.
     """
-    if type(budget_expansions) is not int or budget_expansions < 0:
-        raise ConfigError("the expansion budget must be an int >= 0")
+    require_int(budget_expansions, 0, "the expansion budget must be an int >= 0")
     if not clean_start(problem):
         return SolveResult(None, "invalid_start")
     adj, goals = problem.world.adjacency, problem.goals

@@ -50,7 +50,7 @@ import random
 from collections.abc import Sequence
 
 from .dispatch import AgentGroup, InfeasibleInputError
-from .grid import ConfigError, GridWorld
+from .grid import GridWorld, require_int
 
 UNREACHABLE = 1 << 30
 
@@ -87,8 +87,7 @@ class SolverProblem:
     """
 
     def __init__(self, world: GridWorld, groups: list[AgentGroup], fov_radius: int = 0):
-        if type(fov_radius) is not int or fov_radius < 0:  # before any BFS
-            raise ConfigError("fov radius must be >= 0")
+        require_int(fov_radius, 0, "fov radius must be >= 0")  # before any BFS
         if not groups:
             raise InfeasibleInputError("no groups")
         ks = {g.k for g in groups}

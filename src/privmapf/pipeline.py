@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import dispatch as dsp
 from .audit import TraceReport, audit_trace
-from .grid import ConfigError, GridWorld, PrivmapfError, read_file
+from .grid import ConfigError, GridWorld, PrivmapfError, read_file, require_int
 from .lacam import SolveResult, lacam_solve
 from .pibt import SolverProblem
 from .plans import JointPlan
@@ -66,12 +66,6 @@ class MessageTrace:
 
 class TraceError(PrivmapfError, ValueError):
     """A message trace that is not one the pipeline could have broadcast."""
-
-
-def _read_int(value, low: int, what: str) -> int:
-    if type(value) is not int or value < low:
-        raise TraceError(f"{what} is {value!r}, not an int >= {low}")
-    return value
 
 
 def _read_group(world: GridWorld, i: int, obj, k: int) -> dsp.AgentGroup:
@@ -163,12 +157,9 @@ class PipelineSpec:
     budget_expansions: int = 10_000
 
     def __post_init__(self) -> None:
-        if type(self.k) is not int or self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if type(self.radius) is not int or self.radius < 0:
-            raise ConfigError("fov radius must be >= 0")
-        if type(self.budget_expansions) is not int or self.budget_expansions < 0:
-            raise ConfigError("the expansion budget must be an int >= 0")
+        require_int(self.k, 1, "k must be >= 1")
+        require_int(self.radius, 0, "fov radius must be >= 0")
+        require_int(self.budget_expansions, 0, "the expansion budget must be an int >= 0")
 
 
 def run_pipeline(
@@ -233,8 +224,9 @@ def read_trace(world: GridWorld, path: str | Path) -> MessageTrace:
         for key in ("k", "fov_radius", "groups", "plan"):
             if not isinstance(obj, dict) or key not in obj:
                 raise TraceError(f"missing key {key!r}")
-        k = _read_int(obj["k"], 1, "k")
-        radius = _read_int(obj["fov_radius"], 0, "fov_radius")
+        k = require_int(obj["k"], 1, f"k is {obj['k']!r}, not an int >= 1", TraceError)
+        radius = require_int(obj["fov_radius"], 0,
+                             f"fov_radius is {obj['fov_radius']!r}, not an int >= 0", TraceError)
         if not isinstance(obj["groups"], list):
             raise TraceError("groups is not a list")
         groups = tuple(_read_group(world, i, g, k) for i, g in enumerate(obj["groups"]))

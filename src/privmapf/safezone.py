@@ -98,6 +98,12 @@ class ZoneTable:
         -1 is the only owner whose bytes are all 0xFF, so a vertex is owned
         iff one of its bytes is not; ``bytes.find`` jumps from one such byte
         to the next, which costs per owned vertex rather than per vertex.
+        That pays on sparse rows only. On the 10 ``refine`` benchmark
+        instances (2-vCPU Xeon, Python 3.11.7, best of 5), their 650 initial
+        rows take 2.2 ms against 13.1 ms for ``[v for v, o in enumerate(row)
+        if o >= 0]``, but their 650 extended rows, which cover most of the
+        map, take 74.2 ms against 18.4 ms. Only untimed readers (the
+        benchmark's gate and the tests) pass it extended rows.
         """
         owner = self.owners[t]
         data = owner.tobytes().translate(_OWNED_BYTES)

@@ -17,6 +17,7 @@ from itertools import permutations, product
 import pytest
 
 from privmapf import dispatch
+from privmapf.audit import spacing_candidates
 from privmapf.dispatch import (
     AgentGroup,
     DispatchExhaustedError,
@@ -179,11 +180,6 @@ def test_proposal_checks_input_as_dispatch_does(open16, reals, k, error, message
             entry()
 
 
-def test_dispatch_rejects_negative_radius():
-    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
-        dispatch_groups(line_world(), [(0, 5)], 2, -1, 0)
-
-
 # exact ints, as PipelineSpec checks them: 2.5 would end in a bare
 # TypeError, True would act as 1 and 1.5 as 1
 @pytest.mark.parametrize("k,radius,error,message", [
@@ -301,6 +297,49 @@ def test_prior_aware_observer_sees_the_spacing_leak(open16):
     assert len(on_real) == 160
     assert sum(on_real) / len(on_real) == Fraction(14053, 22400)  # 1/k is 1/2
     assert on_real.count(1) == 26
+
+
+def test_spacing_candidates_remove_only_what_the_exact_observer_rules_out(open16):
+    """ROADMAP item 6: AC-3 over the broadcast groups, on the spacing-leak
+    cell above. Arc consistency is weaker than the exact count, so it pins
+    fewer groups (24 against 26), but each candidate it removes has exact
+    posterior 0, and so no real pair is removed."""
+    sep = default_separation(open16)
+    pinned = exact_pinned = 0
+    for seed in range(40):
+        groups = dispatch_groups(open16, random_spaced_pairs(open16, 4, seed), 2, 0, seed)
+        published = [g.broadcast_view() for g in groups]
+        alive = spacing_candidates(open16, published, sep)
+        seen = prior_aware_posteriors(open16, published, sep)
+        for group, kept, posterior in zip(groups, alive, seen):
+            assert all(posterior[c] == 0 for c in range(group.k) if c not in kept)
+            assert group.real_index in kept  # the scorer alone reads it
+            pinned += len(kept) == 1
+            exact_pinned += max(posterior) == 1
+    assert (pinned, exact_pinned) == (24, 26)
+
+
+def test_spacing_candidates_pin_most_groups_on_the_kpp_shape(random32):
+    # the kpp workload's cell: 16 agents, k=2, r=0, at the map's default spacing
+    sep = default_separation(random32)
+    pinned = 0
+    for seed in range(10):
+        groups = dispatch_groups(random32, random_spaced_pairs(random32, 16, seed), 2, 0, seed)
+        alive = spacing_candidates(random32, [g.broadcast_view() for g in groups], sep)
+        assert all(g.real_index in kept for g, kept in zip(groups, alive))
+        pinned += sum(len(kept) == 1 for kept in alive)
+    assert pinned == 148  # of 160 groups
+
+
+def test_spacing_candidates_read_no_real_index(open16):
+    sep = default_separation(open16)
+    for seed in range(10):
+        groups = dispatch_groups(open16, random_spaced_pairs(open16, 4, seed), 2, 0, seed)
+        seen = spacing_candidates(open16, [g.broadcast_view() for g in groups], sep)
+        for shift in (0, 1):
+            permuted = [AgentGroup(g.group_id, g.pairs, (g.real_index + shift) % g.k)
+                        for g in groups]
+            assert spacing_candidates(open16, permuted, sep) == seen
 
 
 def seed_replays(world, published, k, radius, seeds):

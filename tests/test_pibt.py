@@ -233,14 +233,6 @@ def _no_bfs(world, source):
     raise AssertionError("BFS ran")
 
 
-def test_problem_rejects_negative_fov_radius(open16, monkeypatch):
-    # a setting error, raised before the BFS tables are built
-    monkeypatch.setattr(pibt, "bfs_distances", _no_bfs)
-    groups = [AgentGroup(0, ((0, 5),), None)]
-    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
-        SolverProblem(open16, groups, fov_radius=-1)
-
-
 # an exact int: 1.5 would fail later in lacam_solve with a bare TypeError,
 # '1' at once with one, and True would act as 1
 @pytest.mark.parametrize("radius", [1.5, "1", True, None])
