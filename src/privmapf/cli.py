@@ -4,9 +4,10 @@ Four subcommands mirror the library layers: ``solve`` runs the privacy
 pipeline on one instance (``--radius 0`` is kPP, ``--radius r`` fPP) and
 writes the message trace, the one broadcast file (plus optional per-agent
 private sidecars); ``audit`` checks a trace's plan for conflicts and belief
-privacy and ``ppfpp`` refines it inside safe zones, both at the k and
-radius the trace records; ``bench`` loads a YAML suite, a list of
-``TaskSpec``s, and runs it with ``run_suite(tasks, threads=n)`` into a CSV.
+privacy, and its groups for spacing-aware privacy, and ``ppfpp`` refines it
+inside safe zones, both at the k and radius the trace records; ``bench``
+loads a YAML suite, a list of ``TaskSpec``s, and runs it with
+``run_suite(tasks, threads=n)`` into a CSV.
 
 ``solve`` runs a bench ``TaskSpec`` built from its flags: it loads the map
 and places the pairs with the code ``bench`` runs a cell with, unless
@@ -34,10 +35,11 @@ import os
 import sys
 
 from . import __version__
-from .audit import audit_trace, metrics
+from .audit import audit_trace, metrics, spacing_candidates
 from .bench import TaskSpec, format_summary, load_config, load_world, run_suite, write_records
 from .dispatch import write_private_sidecars
 from .grid import PrivmapfError, load_scenario
+from .instances import default_separation
 from .pipeline import (
     MessageTrace, PipelineSpec, TraceError, read_real_paths, read_trace, run_pipeline,
     write_trace,
@@ -110,6 +112,12 @@ def _cmd_audit(args) -> int:
     for a, t, (u, v) in report.conflicts.invalid_moves:
         lines.append(f"invalid move: sub-agent {a} at t={t}: {u} -> {v} is neither a wait nor a step")
     lines.append(f"belief {trace.k}-privacy: {'VIOLATED' if report.below_k else 'ok'}")
+    # an observer who assumes the generator's spacing; it sets no exit status
+    # while the mocks ignore that spacing
+    sep, groups = default_separation(world), trace.published_groups
+    below = sum(len(c) < trace.k for c in spacing_candidates(world, groups, sep))
+    lines.append(f"spacing-aware {trace.k}-privacy (sep {sep}): "
+                 + (f"{below} of {len(groups)} groups below {trace.k}" if below else "ok"))
     lines.append("clean" if report.ok else "violations found")
     return _print(lines, 0 if report.ok else 1)
 

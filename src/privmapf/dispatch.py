@@ -74,12 +74,6 @@ class AgentGroup:
     def k(self) -> int:
         return len(self.pairs)
 
-    @property
-    def real_pair(self) -> tuple[int, int]:
-        if self.real_index is None:
-            raise ValueError("broadcast view has no real pair")
-        return self.pairs[self.real_index]
-
     def broadcast_view(self) -> "AgentGroup":
         return AgentGroup(self.group_id, self.pairs, None)
 

@@ -393,7 +393,8 @@ def test_the_walled_trace_itself_is_clean(tmp_path, capsys):
         rc = main(["audit", "--map", str(tmp_path / "walled.map"),
                    "--trace", str(tmp_path / "trace.json")])
         assert rc == 0
-        assert capsys.readouterr().out.splitlines()[-2:] == ["belief 2-privacy: ok", "clean"]
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "belief 2-privacy: ok", "spacing-aware 2-privacy (sep 3): ok", "clean"]
 
 
 def test_audit_checks_fov_and_privacy_at_the_traced_values(tmp_path, capsys):
@@ -408,7 +409,20 @@ def test_audit_checks_fov_and_privacy_at_the_traced_values(tmp_path, capsys):
     assert rc == 1
     assert out[0] == ("vertex conflicts: 0  swap conflicts: 0  "
                       "fov conflicts: 2  invalid moves: 0")
-    assert out[1:] == ["belief 2-privacy: ok", "violations found"]
+    assert out[1:] == ["belief 2-privacy: ok", "spacing-aware 2-privacy (sep 3): ok",
+                       "violations found"]
+
+
+def test_audit_counts_the_groups_a_spacing_aware_observer_pins(tmp_path, capsys):
+    # at open16's spacing 3, group 0's pair at (10,10) is too near both of
+    # group 1's pairs, so only its pair at (0,0) is left; the audit stays clean
+    groups = [[[0, 0, 0, 0], [10, 10, 10, 10]], [[10, 11, 10, 11], [11, 10, 11, 10]]]
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace_obj(2, 0, groups, [[0], [170], [186], [171]])))
+    rc = main(["audit", "--map", "open16", "--trace", str(trace_file)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "belief 2-privacy: ok", "spacing-aware 2-privacy (sep 3): 1 of 2 groups below 2", "clean"]
 
 
 def test_audit_of_dev_null_is_one_error_line(capsys):

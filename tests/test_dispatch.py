@@ -64,7 +64,7 @@ def test_group_allows_start_equal_other_goal():
     # only starts among themselves and goals among themselves must differ
     g = AgentGroup(0, ((1, 2), (2, 5)), 1)
     assert g.k == 2
-    assert g.real_pair == (2, 5)
+    assert g.pairs[g.real_index] == (2, 5)
 
 
 def test_group_real_index_bounds():
@@ -77,8 +77,6 @@ def test_broadcast_view_strips_private_part():
     view = g.broadcast_view()
     assert view.real_index is None
     assert view.pairs == g.pairs
-    with pytest.raises(ValueError, match="no real pair"):
-        view.real_pair
 
 
 # -- collision rules -------------------------------------------------------
@@ -119,7 +117,7 @@ def test_dispatch_shapes_and_verification(open16):
     assert len(groups) == 3
     for i, g in enumerate(groups):
         assert g.k == 3
-        assert g.real_pair == reals[i]
+        assert g.pairs[g.real_index] == reals[i]
     verify_dispatch(w, groups, 1)
 
 

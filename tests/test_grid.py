@@ -59,17 +59,6 @@ def test_neighbors_full_cross(open4):
     assert got == [(1, 0), (0, 1), (2, 1), (1, 2)]
 
 
-def test_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError) as e:
-        parse_map_text("type octile\nheight 2\nwidth 2\nmap\n..\n.x\n")
-    assert e.value.line == 6
-    with pytest.raises(ParseError) as e:
-        parse_map_text("type octile\nheight 2\nwidth 3\nmap\n...\n..\n")
-    assert e.value.line == 6
-    with pytest.raises(ParseError):
-        parse_map_text("type octile\nheight 3\nwidth 2\nmap\n..\n..\n")
-
-
 # each header and field error names its line; blank lines are skipped, also
 # before the headers
 @pytest.mark.parametrize("parse,text,line,message", [
@@ -80,6 +69,10 @@ def test_parse_errors_carry_line_numbers():
      "unexpected header 'size'"),
     (parse_map_text, "type octile\nheight 1\nwidth 2\n", 3, "missing 'map' header"),
     (parse_map_text, "type octile\nheight 1\nmap\n..\n", 3, "missing height/width header"),
+    (parse_map_text, "type octile\nheight 2\nwidth 3\nmap\n...\n..\n", 6,
+     "row has 2 cells, expected 3"),
+    (parse_map_text, "type octile\nheight 3\nwidth 2\nmap\n..\n..\n", 6,
+     "expected 3 map rows, got 2"),
 ])
 def test_malformed_headers_and_fields_name_their_line(parse, text, line, message):
     with pytest.raises(ParseError) as e:

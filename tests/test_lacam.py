@@ -9,7 +9,6 @@ internal edge surrogate, so agreement is meaningful.
 import gc
 import heapq
 import itertools
-import math
 import random
 from collections import Counter, deque
 
@@ -685,34 +684,6 @@ def test_index_walk_is_the_bfs_queue():
                 grown.append(cands[len(grown)])
                 pins.append((order[len(pins)], grown[-1][0]))
         assert walked == expected
-
-
-def _decode(order, cands, index):
-    """The pins of constraint ``index`` at depth ``len(cands)``: digit j, in
-    base ``len(cands[j])`` with the last fastest, pins ``order[j]``."""
-    pins = []
-    for j in range(len(cands) - 1, -1, -1):
-        index, digit = divmod(index, len(cands[j]))
-        pins.append((order[j], cands[j][digit]))
-    return pins[::-1]
-
-
-def test_pin_counter_is_the_index_walk():
-    # the search advances one pin list in place; after i steps within a
-    # depth it must decode as index i of that depth, and _advance must report
-    # the depth spent exactly at its last index, with every pin wrapped
-    for order, cands in _pin_trees():
-        pins, grown = [], []
-        for depth in range(len(order) + 1):
-            width = math.prod(len(c) for c in grown)
-            for i in range(width):
-                assert pins == _decode(order, grown, i)
-                assert lacam._advance(pins, grown) == (i + 1 == width)
-            assert pins == _decode(order, grown, 0)
-            if depth < len(order):
-                grown.append(cands[depth])
-                pins.append((order[depth], cands[depth][0]))
-        assert len(pins) == len(order)
 
 
 def _stepped_queue(queue, failed):
