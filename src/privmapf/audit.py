@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dispatch import pairs_collide
 from .grid import GridWorld, PrivmapfError
@@ -48,15 +47,16 @@ class MetricsError(ValueError):
     """Cost metrics requested for a path that does not end at its goal."""
 
 
-@dataclass
-class ConflictReport:
+class ConflictReport(NamedTuple):
     """Every conflict found, as (agent_a, agent_b, t, vertices) tuples, and
-    every move that is neither a wait nor a step, as (agent, t, (from, to))."""
+    every move that is neither a wait nor a step, as (agent, t, (from, to)).
+    Each report is built with four new lists: a default list would be shared
+    by every report."""
 
-    vertex_conflicts: list[tuple[int, int, int, tuple[int]]] = field(default_factory=list)
-    swap_conflicts: list[tuple[int, int, int, tuple[int, int]]] = field(default_factory=list)
-    fov_conflicts: list[tuple[int, int, int, tuple[int, int]]] = field(default_factory=list)
-    invalid_moves: list[tuple[int, int, tuple[int, int]]] = field(default_factory=list)
+    vertex_conflicts: list[tuple[int, int, int, tuple[int]]]
+    swap_conflicts: list[tuple[int, int, int, tuple[int, int]]]
+    fov_conflicts: list[tuple[int, int, int, tuple[int, int]]]
+    invalid_moves: list[tuple[int, int, tuple[int, int]]]
 
     @property
     def ok(self) -> bool:
@@ -94,7 +94,7 @@ def audit(
     if check_fov and group_of is None:
         raise AuditError("fov check needs the group_of mapping")
     n = plan.num_agents
-    report = ConflictReport()
+    report = ConflictReport([], [], [], [])
     adj, nv = world.adjacency, world.num_vertices
     for a, path in enumerate(plan.paths):
         if path and (min(path) < 0 or max(path) >= nv):
@@ -157,8 +157,7 @@ def path_cost(path: list[int] | tuple[int, ...], goal: int) -> int:
     return last_off + 1
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     path_costs: tuple[int, ...]
     soc: int
     makespan: int
@@ -219,8 +218,7 @@ def _below_k(plan: JointPlan, group_of: list[int], k: int,
             for t, b in enumerate(per_t) if len(b) < k]
 
 
-@dataclass
-class TraceReport:
+class TraceReport(NamedTuple):
     """The verdict on one broadcast: its conflicts and, as (group, t, size),
     every belief set below the trace's k."""
 

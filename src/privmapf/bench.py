@@ -35,11 +35,12 @@ import inspect
 import io
 import os
 import statistics
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from functools import cache
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 from .audit import metrics
 from .grid import ConfigError, GridWorld, PrivmapfError, load_map, read_file, require_int
@@ -71,16 +72,14 @@ def load_world(name: str) -> GridWorld:
     return load_map(resolve_map(name))
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """One run: ``privmapf solve``'s flags, or one cell and seed of a suite."""
+class TaskSpec(namedtuple("TaskSpec", "map_name n_agents seed spec")):
+    """One run: ``privmapf solve``'s flags, or one cell and seed of a suite.
+    A map name (str), an agent count and a seed (ints) and a ``PipelineSpec``."""
 
-    map_name: str
-    n_agents: int
-    seed: int
-    spec: PipelineSpec
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # checked here so a suite fails before any cell runs; the agent count
         # follows random_spaced_pairs' rule, and bool is no int
         if type(self.map_name) is not str:
@@ -90,6 +89,7 @@ class TaskSpec:
             raise ConfigError("the seed must be an int")
         if not isinstance(self.spec, PipelineSpec):
             raise ConfigError("the spec must be a PipelineSpec")
+        return self
 
     def pairs(self) -> list[tuple[int, int]]:
         """The run's seeded (start, goal) pairs, at the map's default spacing."""
@@ -98,7 +98,8 @@ class TaskSpec:
 
 def suite(maps: Sequence[str], agents: Sequence[int], k: Sequence[int] = (1,),
           radius: Sequence[int] = (0,), seeds: Sequence[int] = tuple(range(5)),
-          budget_expansions: int = PipelineSpec.budget_expansions) -> list[TaskSpec]:
+          budget_expansions: int = PipelineSpec._field_defaults["budget_expansions"],
+          ) -> list[TaskSpec]:
     """The runs of a suite, maps outermost and seeds innermost; k and radius
     list the swept values. Every cell is checked and every map loaded here."""
     for name, axis in {"maps": maps, "agents": agents, "k": k, "radius": radius,
@@ -146,8 +147,7 @@ def load_config(path: str | Path) -> list[TaskSpec]:
     return read_file(path, parse, ConfigError)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     map: str
     n_agents: int
     k: int
@@ -169,8 +169,8 @@ class RunRecord:
 
 
 # the CSV cell of each RunRecord field type
-_ENCODERS = {"str": str, "int": str, "bool": lambda b: "1" if b else "0", "float": "{:.6f}".format}
-_COLUMNS = [(f.name, _ENCODERS[f.type]) for f in fields(RunRecord)]
+_ENCODERS = {str: str, int: str, bool: lambda b: "1" if b else "0", float: "{:.6f}".format}
+_COLUMNS = [(name, _ENCODERS[hint]) for name, hint in get_type_hints(RunRecord).items()]
 CSV_HEADER = [name for name, _ in _COLUMNS]
 
 

@@ -143,8 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scen", help="take the first N pairs from a scenario file")
     p.add_argument("--agents", type=int, default=4)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--radius", type=int, default=PipelineSpec.radius, help="fov radius; 0 is kPP")
-    p.add_argument("--budget-expansions", type=int, default=PipelineSpec.budget_expansions)
+    defaults = PipelineSpec._field_defaults
+    p.add_argument("--radius", type=int, default=defaults["radius"], help="fov radius; 0 is kPP")
+    p.add_argument("--budget-expansions", type=int, default=defaults["budget_expansions"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="message trace JSON, the broadcast record (written also on failure)")
     p.add_argument("--private-dir", help="directory for per-agent sidecars")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,19 +48,18 @@ class DispatchVerificationError(RuntimeError):
     """The independent post-dispatch recheck found a violation."""
 
 
-@dataclass(frozen=True)
-class AgentGroup:
+class AgentGroup(namedtuple("AgentGroup", "group_id pairs real_index")):
     """k (start, goal) pairs, exactly one of which is the owner's real pair.
 
+    ``group_id`` is an int, ``pairs`` a tuple of (start, goal) vertex pairs.
     ``real_index`` is private bookkeeping: it never appears in broadcast
     output and is None on broadcast views.
     """
 
-    group_id: int
-    pairs: tuple[tuple[int, int], ...]
-    real_index: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         starts = [p[0] for p in self.pairs]
         goals = [p[1] for p in self.pairs]
         if len(set(starts)) != len(starts):
@@ -69,6 +68,7 @@ class AgentGroup:
             raise InfeasibleInputError(f"group {self.group_id}: duplicate goal vertex")
         if self.real_index is not None and not 0 <= self.real_index < len(self.pairs):
             raise InfeasibleInputError(f"group {self.group_id}: real_index out of range")
+        return self
 
     @property
     def k(self) -> int:

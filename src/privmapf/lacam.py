@@ -66,8 +66,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from struct import Struct
+from typing import NamedTuple
 
 from .audit import audit, metrics
 from .grid import require_int
@@ -75,8 +75,7 @@ from .pibt import SolverProblem, StepContext, build_step
 from .plans import JointPlan
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     plan: JointPlan | None
     # timeout | exhausted | invalid_start (clean_start failed)
     reason: str | None = None

@@ -18,8 +18,10 @@ and the radius back from it; ``read_real_paths`` joins it to the sidecars.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import dispatch as dsp
 from .audit import TraceReport, audit_trace
@@ -29,8 +31,7 @@ from .pibt import SolverProblem
 from .plans import JointPlan
 
 
-@dataclass(frozen=True)
-class MessageTrace:
+class MessageTrace(NamedTuple):
     """Everything broadcast during one pipeline run (and nothing more)."""
 
     published_groups: tuple[dsp.AgentGroup, ...]  # broadcast views, no real_index
@@ -111,7 +112,10 @@ class PipelineResult:
     groups: list[dsp.AgentGroup]  # private views, real_index present
     problem: SolverProblem
     solve: SolveResult
-    plan: JointPlan | None  # solve.plan, kept a field: dataclasses.replace can swap in another
+    # solve.plan, kept a field so that dataclasses.replace can swap in
+    # another: perfbench/selftest.py does, which is why this one record is
+    # still a dataclass and not a named tuple (ROADMAP item 1b)
+    plan: JointPlan | None
     real_paths: list[tuple[int, ...]] | None
     report: TraceReport | None = None  # the gate's audit; None when unsolved
 
@@ -139,27 +143,28 @@ def extract_real_path(plan: JointPlan, k: int, group_id: int, real_index: int) -
     return plan.paths[group_id * k + real_index]
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
-    """Everything that selects how one pipeline run plans.
+class PipelineSpec(namedtuple("PipelineSpec", "k radius budget_expansions",
+                              defaults=(0, 10_000))):
+    """Everything that selects how one pipeline run plans: the group size
+    ``k``, the fov ``radius`` and LaCAM's ``budget_expansions``.
 
     The radius picks the rule at both ends: dispatch keeps groups outside
     each other's fov squares and the step builder clears them. Radius 0 is
     start/goal equality and the classical step rule, i.e. the k-anonymity
     pipeline (kPP); radius r >= 1 is the fov-aware pipeline (fPP). LaCAM
-    plans every run, within ``budget_expansions``; that default is the
-    budget default of the whole package: the CLI and ``bench.suite`` read
-    it from here.
+    plans every run, within ``budget_expansions``; the defaults are those
+    of the whole package: the CLI and ``bench.suite`` read them from
+    ``_field_defaults``.
     """
 
-    k: int
-    radius: int = 0
-    budget_expansions: int = 10_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_int(self.k, 1, "k must be >= 1")
         require_int(self.radius, 0, "fov radius must be >= 0")
         require_int(self.budget_expansions, 0, "the expansion budget must be an int >= 0")
+        return self
 
 
 def run_pipeline(

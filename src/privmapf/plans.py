@@ -11,19 +11,22 @@ plain text file of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 
-@dataclass(frozen=True)
-class JointPlan:
-    paths: tuple[tuple[int, ...], ...]
+class JointPlan(namedtuple("JointPlan", "paths")):
+    """``paths``: one tuple of vertex ids per sub-agent, all of one length."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.paths:
             raise ValueError("empty plan")
         if len({len(p) for p in self.paths}) != 1:
             raise ValueError("ragged plan: every path must have the same length")
+        return self
 
     @property
     def num_agents(self) -> int:

@@ -42,7 +42,6 @@ import json
 import random
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import eq, ne
 from pathlib import Path
@@ -395,19 +394,20 @@ def _rebuild(
     return tuple(path)
 
 
-@dataclass
-class RefineResult:
+class RefineResult(NamedTuple):
     zones: ZoneTable
     picks: PickLog  # every extension pick, in order
     refined_paths: list[tuple[int, ...]]
     costs_before: list[int]
     costs_after: list[int]
-    rsoc_before: int = field(init=False)
-    rsoc_after: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.rsoc_before = sum(self.costs_before)
-        self.rsoc_after = sum(self.costs_after)
+    @property
+    def rsoc_before(self) -> int:
+        return sum(self.costs_before)
+
+    @property
+    def rsoc_after(self) -> int:
+        return sum(self.costs_after)
 
     @property
     def improvement_pct(self) -> float:

@@ -230,7 +230,7 @@ def audit_oracle(world, plan, group_of=None, fov_radius=0, check_fov=False):
         raise AuditError("fov check needs the group_of mapping")
     n = plan.num_agents
     horizon = plan.horizon
-    report = ConflictReport()
+    report = ConflictReport([], [], [], [])
     adj, nv = world.adjacency, world.num_vertices
     for a, path in enumerate(plan.paths):
         if path and (min(path) < 0 or max(path) >= nv):

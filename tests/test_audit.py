@@ -24,7 +24,7 @@ from privmapf.audit import (
     real_sum_of_costs,
 )
 from privmapf.cli import main
-from privmapf.grid import ConfigError, load_map
+from privmapf.grid import load_map
 from privmapf.plans import JointPlan
 
 from conftest import ASSETS, audit_oracle, zone_table
@@ -42,7 +42,7 @@ def test_path_cost_frozen_examples():
 
 
 def test_path_cost_requires_final_goal():
-    with pytest.raises(MetricsError):
+    with pytest.raises(MetricsError, match=r"^path ends at 2, not its goal 3$"):
         path_cost((1, 2), 3)
 
 
@@ -105,18 +105,6 @@ def test_audit_requires_group_of_for_fov(open4):
     plan = JointPlan(((0, 0),))
     with pytest.raises(AuditError):
         audit(open4, plan, fov_radius=1, check_fov=True)
-
-
-def test_audit_rejects_negative_fov_radius(open4):
-    plan = JointPlan(((0, 0),))
-    with pytest.raises(ConfigError, match="fov radius must be >= 0"):
-        audit(open4, plan, group_of=[0], fov_radius=-1, check_fov=True)
-
-
-def test_audit_rejects_ragged_plan():
-    # a ragged plan never reaches the auditor: JointPlan refuses to be one
-    with pytest.raises(ValueError, match="ragged plan"):
-        JointPlan(((0, 1), (2,)))
 
 
 def test_check_separated_flags_fov_overlap(open4):
@@ -193,6 +181,18 @@ def test_audit_rejects_vertex_ids_off_the_map(open4, bad):
     plan = JointPlan(((0, 1, 2), (5, bad, 5)))
     with pytest.raises(AuditError, match=f"sub-agent 1 at t=1: vertex {bad} "):
         audit(open4, plan)
+
+
+def test_audit_names_the_off_map_vertex_after_vertex_zero(open16):
+    # vertex 0 is on the map, so the error names the vertex after it
+    with pytest.raises(AuditError, match=r"^sub-agent 0 at t=1: vertex 999 is not on the map$"):
+        audit(open16, JointPlan(((0, 999),)))
+
+
+def test_beliefs_of_a_group_with_no_rows_are_empty():
+    # group_of skips group 1: an observer places it nowhere, at every t
+    plan = JointPlan(((1, 2, 3), (4, 4, 5)))
+    assert compute_beliefs(plan, [0, 2]) == [[{1}, {2}, {3}], [set()] * 3, [{4}, {4}, {5}]]
 
 
 def test_runtime_privacy_reports_a_same_group_vertex_conflict(open4):

@@ -451,132 +451,142 @@ DEEP = "[" * 10_000 + "]" * 10_000  # JSON and YAML nested 10 000 deep
 LONG_INT = "1" * 5_000  # past the 4300 digits an int may be read with
 
 
+def _case(serial, error, argv, where):
+    """One row of the table below. Its id, ``{error}-argv{serial}-{where}``, is
+    the one pytest first gave it from its row index; the serial is given once
+    and never reused, so deleting a row renames no other."""
+    return pytest.param(error, argv, where, id=f"{error}-argv{serial}-{where}")
+
+
 @pytest.mark.parametrize("error,argv,where", [
-    ("OSError", ["audit", "--map", "open16", "--trace", "{tmp}/missing.json"],
-     "No such file or directory"),
-    ("ConfigError", ["solve", "--map", "nosuch"], "unknown map 'nosuch'"),
-    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--trace", "{tmp}/trace.json"],
-     "unknown terrain 'x'"),
-    ("EmptyMapError", ["audit", "--map", "{tmp}/empty.map", "--trace", "{tmp}/trace.json"],
-     "no passable cell"),
-    ("ScenarioError",
-     ["solve", "--map", "open16", "--agents", "2",
-      "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
-     "scenario is for a 32x32 map"),
+    _case(0, "OSError", ["audit", "--map", "open16", "--trace", "{tmp}/missing.json"],
+             "No such file or directory"),
+    _case(1, "ConfigError", ["solve", "--map", "nosuch"], "unknown map 'nosuch'"),
+    _case(2, "ParseError", ["audit", "--map", "{tmp}/bad.map", "--trace", "{tmp}/trace.json"],
+             "unknown terrain 'x'"),
+    _case(3, "EmptyMapError", ["audit", "--map", "{tmp}/empty.map", "--trace", "{tmp}/trace.json"],
+             "no passable cell"),
+    _case(4, "ScenarioError",
+             ["solve", "--map", "open16", "--agents", "2",
+              "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
+             "scenario is for a 32x32 map"),
     # a plan vertex off the map is a malformed trace, so the error names the file
-    ("TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/off_map.json"],
-     "off_map.json: plan row 0"),
-    ("InfeasibleInputError",
-     ["solve", "--map", "open16", "--radius", "3"],
-     "collide under rule r=3"),
+    _case(5, "TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/off_map.json"],
+             "off_map.json: plan row 0"),
+    _case(6, "InfeasibleInputError",
+             ["solve", "--map", "open16", "--radius", "3"],
+             "collide under rule r=3"),
     # a parse error names the file, so --map and --scen can be told apart
-    ("ParseError", ["audit", "--map", "{tmp}/bad.map", "--trace", "{tmp}/trace.json"],
-     "bad.map: line 5: unknown terrain 'x'"),
-    ("ParseError", ["solve", "--map", "open16", "--scen", "{tmp}/bad.scen"],
-     "bad.scen: line 1: missing 'version' header"),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}"],
-     "agent_000.json: no private sidecar for group 0"),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}/not_json"],
-     "not_json/agent_000.json: not JSON (Expecting property name"),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}/no_index"],
-     'no_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}/off_range"],
-     "off_range/agent_000.json: real_index 1 is not in [0, 1)"),
+    _case(7, "ParseError", ["audit", "--map", "{tmp}/bad.map", "--trace", "{tmp}/trace.json"],
+             "bad.map: line 5: unknown terrain 'x'"),
+    _case(8, "ParseError", ["solve", "--map", "open16", "--scen", "{tmp}/bad.scen"],
+             "bad.scen: line 1: missing 'version' header"),
+    _case(9, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                              "--private-dir", "{tmp}"],
+             "agent_000.json: no private sidecar for group 0"),
+    _case(10, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                               "--private-dir", "{tmp}/not_json"],
+              "not_json/agent_000.json: not JSON (Expecting property name"),
+    _case(11, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                               "--private-dir", "{tmp}/no_index"],
+              'no_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
+    _case(12, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                               "--private-dir", "{tmp}/off_range"],
+              "off_range/agent_000.json: real_index 1 is not in [0, 1)"),
     # a kPP trace (radius 0) has no safe zones to refine in
-    ("PreconditionError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/kpp.json",
-                           "--private-dir", "{tmp}/in_range"],
-     "zone refinement needs fov radius >= 1"),
-    ("DispatchExhaustedError", ["solve", "--map", "open16", "--k", "40", "--agents", "8"],
-     "group 6: mock pair 6 keeps colliding (after 1000 attempts)"),
-    ("ConfigError", ["solve", "--map", "open16", "--radius", "-1"],
-     "fov radius must be >= 0"),
+    _case(13, "PreconditionError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/kpp.json",
+                                    "--private-dir", "{tmp}/in_range"],
+              "zone refinement needs fov radius >= 1"),
+    _case(14, "DispatchExhaustedError", ["solve", "--map", "open16", "--k", "40", "--agents", "8"],
+              "group 6: mock pair 6 keeps colliding (after 1000 attempts)"),
+    _case(15, "ConfigError", ["solve", "--map", "open16", "--radius", "-1"],
+              "fov radius must be >= 0"),
     # open16 holds 36 blocks of its default spacing 3, at most one start each
-    ("PlacementError", ["solve", "--map", "open16", "--agents", "37"],
-     "could not place 37 spaced pairs on 16x16 map"),
-    ("ConfigError", ["solve", "--map", "open16", "--agents", "0"],
-     "the agent count must be >= 1"),
-    ("ScenarioError",
-     ["solve", "--map", "open16", "--agents", "13",
-      "--scen", str(ASSETS / "scens" / "open16.scen")],
-     "open16.scen: scenario has only 12 entries, 13 agents requested"),
+    _case(16, "PlacementError", ["solve", "--map", "open16", "--agents", "37"],
+              "could not place 37 spaced pairs on 16x16 map"),
+    _case(17, "ConfigError", ["solve", "--map", "open16", "--agents", "0"],
+              "the agent count must be >= 1"),
+    _case(18, "ScenarioError",
+              ["solve", "--map", "open16", "--agents", "13",
+               "--scen", str(ASSETS / "scens" / "open16.scen")],
+              "open16.scen: scenario has only 12 entries, 13 agents requested"),
     # every run is spaced by its map's default, so a suite that sets the
     # spacing fails instead of running at another one
-    ("ConfigError", ["bench", "--config", "{tmp}/minsep.yaml"],
-     "minsep.yaml: unknown config keys: ['min_separation']"),
+    _case(19, "ConfigError", ["bench", "--config", "{tmp}/minsep.yaml"],
+              "minsep.yaml: unknown config keys: ['min_separation']"),
     # ppfpp reads the trace as audit does
-    ("TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/off_map.json",
-                    "--private-dir", "{tmp}/in_range"],
-     "off_map.json: plan row 0"),
+    _case(20, "TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/off_map.json",
+                             "--private-dir", "{tmp}/in_range"],
+              "off_map.json: plan row 0"),
     # JSON true is not the index 1
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}/bool_index"],
-     'bool_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
+    _case(21, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                               "--private-dir", "{tmp}/bool_index"],
+              'bool_index/agent_000.json: expected {"group_id": <int>, "real_index": <int>}'),
     # a file that is not YAML or not text names itself, with the line where there is one
-    ("ConfigError", ["bench", "--config", "{tmp}/bad.yaml"],
-     "bad.yaml: line 2: expected ',' or ']', but got '<stream end>'"),
-    ("ConfigError", ["bench", "--config", "{tmp}/binary.yaml"],
-     "binary.yaml: 'utf-8' codec can't decode byte 0xff"),
-    ("ParseError", ["audit", "--map", "{tmp}/binary.map", "--trace", "{tmp}/trace.json"],
-     "binary.map: 'utf-8' codec can't decode byte 0xff"),
-    ("ParseError", ["solve", "--map", "open16", "--scen", "{tmp}/binary.scen"],
-     "binary.scen: 'utf-8' codec can't decode byte 0xff"),
-    ("ConfigError", ["solve", "--map", "open16", "--k", "0"], "k must be >= 1"),
-    ("ConfigError", ["solve", "--map", "open16", "--budget-expansions", "-1"],
-     "the expansion budget must be an int >= 0"),
-    ("ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "0"],
-     "threads must be >= 1"),
-    ("ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "-3"],
-     "threads must be >= 1"),
+    _case(22, "ConfigError", ["bench", "--config", "{tmp}/bad.yaml"],
+              "bad.yaml: line 2: expected ',' or ']', but got '<stream end>'"),
+    _case(23, "ConfigError", ["bench", "--config", "{tmp}/binary.yaml"],
+              "binary.yaml: 'utf-8' codec can't decode byte 0xff"),
+    _case(24, "ParseError", ["audit", "--map", "{tmp}/binary.map", "--trace", "{tmp}/trace.json"],
+              "binary.map: 'utf-8' codec can't decode byte 0xff"),
+    _case(25, "ParseError", ["solve", "--map", "open16", "--scen", "{tmp}/binary.scen"],
+              "binary.scen: 'utf-8' codec can't decode byte 0xff"),
+    _case(26, "ConfigError", ["solve", "--map", "open16", "--k", "0"], "k must be >= 1"),
+    _case(27, "ConfigError", ["solve", "--map", "open16", "--budget-expansions", "-1"],
+              "the expansion budget must be an int >= 0"),
+    _case(28, "ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "0"],
+              "threads must be >= 1"),
+    _case(29, "ConfigError", ["bench", "--config", "{tmp}/one.yaml", "--threads", "-3"],
+              "threads must be >= 1"),
     # a sidecar is read by its file's group, so one naming another group is wrong
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}/other_group"],
-     "other_group/agent_000.json: holds group 1, not group 0"),
+    _case(30, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                               "--private-dir", "{tmp}/other_group"],
+              "other_group/agent_000.json: holds group 1, not group 0"),
     # a map name is a bundled map's name, never a path into or out of their folder
-    ("ConfigError", ["solve", "--map", "../maps/open16"], "unknown map '../maps/open16'"),
+    _case(31, "ConfigError", ["solve", "--map", "../maps/open16"], "unknown map '../maps/open16'"),
     # a file nested deeper than its parser recurses names itself; where the
     # JSON decoder reads that deep, the trace's or sidecar's schema check does
-    ("TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/deep.json"], "/deep.json: "),
-    ("TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/deep.json",
-                    "--private-dir", "{tmp}/in_range"], "/deep.json: "),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}/deep"], "/deep/agent_000.json: "),
-    ("ConfigError", ["bench", "--config", "{tmp}/deep.yaml"], "/deep.yaml: "),
+    _case(32, "TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/deep.json"],
+              "/deep.json: "),
+    _case(33, "TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/deep.json",
+                             "--private-dir", "{tmp}/in_range"], "/deep.json: "),
+    _case(34, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                               "--private-dir", "{tmp}/deep"], "/deep/agent_000.json: "),
+    _case(35, "ConfigError", ["bench", "--config", "{tmp}/deep.yaml"], "/deep.yaml: "),
     # YAML refuses a control character in a two-line message; its first line is kept
-    ("ConfigError", ["bench", "--config", "{tmp}/nul.yaml"],
-     "nul.yaml: unacceptable character #x0000: special characters are not allowed"),
+    _case(36, "ConfigError", ["bench", "--config", "{tmp}/nul.yaml"],
+              "nul.yaml: unacceptable character #x0000: special characters are not allowed"),
     # a value the parser cannot build (an int of over 4300 digits, month 13) names its file
-    ("TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/long_int.json"],
-     "/long_int.json: "),
-    ("TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/long_int.json",
-                    "--private-dir", "{tmp}/in_range"], "/long_int.json: "),
-    ("SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
-                      "--private-dir", "{tmp}/long_int"], "/long_int/agent_000.json: "),
-    ("ConfigError", ["bench", "--config", "{tmp}/long_int.yaml"], "/long_int.yaml: "),
-    ("ConfigError", ["bench", "--config", "{tmp}/month13.yaml"],
-     "month13.yaml: month must be in 1..12"),
+    _case(37, "TraceError", ["audit", "--map", "open16", "--trace", "{tmp}/long_int.json"],
+              "/long_int.json: "),
+    _case(38, "TraceError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/long_int.json",
+                             "--private-dir", "{tmp}/in_range"], "/long_int.json: "),
+    _case(39, "SidecarError", ["ppfpp", "--map", "open16", "--trace", "{tmp}/trace.json",
+                               "--private-dir", "{tmp}/long_int"], "/long_int/agent_000.json: "),
+    _case(40, "ConfigError", ["bench", "--config", "{tmp}/long_int.yaml"], "/long_int.yaml: "),
+    _case(41, "ConfigError", ["bench", "--config", "{tmp}/month13.yaml"],
+              "month13.yaml: month must be in 1..12"),
     # a scenario entry that cannot be placed on the map names its file and line
-    ("ScenarioError", ["solve", "--map", "open16", "--agents", "2", "--scen", "{tmp}/off_map.scen"],
-     "off_map.scen: line 3: entry 1: (99,1) outside 16x16 map"),
-    ("ScenarioError", ["solve", "--map", "random-32-32-20", "--agents", "1",
-                       "--scen", "{tmp}/blocked.scen"],
-     "blocked.scen: line 2: entry 0: (1,0) is blocked"),
-    ("ScenarioError",
-     ["solve", "--map", "open16", "--agents", "2",
-      "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
-     "random-32-32-20.scen: line 2: entry 0: scenario is for a 32x32 map, world is 16x16"),
+    _case(42, "ScenarioError",
+              ["solve", "--map", "open16", "--agents", "2", "--scen", "{tmp}/off_map.scen"],
+              "off_map.scen: line 3: entry 1: (99,1) outside 16x16 map"),
+    _case(43, "ScenarioError", ["solve", "--map", "random-32-32-20", "--agents", "1",
+                                "--scen", "{tmp}/blocked.scen"],
+              "blocked.scen: line 2: entry 0: (1,0) is blocked"),
+    _case(44, "ScenarioError",
+              ["solve", "--map", "open16", "--agents", "2",
+               "--scen", str(ASSETS / "scens" / "random-32-32-20.scen")],
+              "random-32-32-20.scen: line 2: entry 0: scenario is for a 32x32 map, world is 16x16"),
     # LaCAM is the only solver, so a suite that names one fails too
-    ("ConfigError", ["bench", "--config", "{tmp}/solver.yaml"],
-     "solver.yaml: unknown config keys: ['solver']"),
+    _case(45, "ConfigError", ["bench", "--config", "{tmp}/solver.yaml"],
+              "solver.yaml: unknown config keys: ['solver']"),
     # unknown keys of mixed type are sorted by their text: 1 < 'foo' would raise
-    ("ConfigError", ["bench", "--config", "{tmp}/mixed.yaml"],
-     "mixed.yaml: unknown config keys: [1, 'foo']"),
-    ("ConfigError", ["bench", "--config", "{tmp}/nomap.yaml"], "nomap.yaml: unknown map 'nosuch'"),
-    ("ParseError", ["solve", "--map", "{tmp}/badheight.map"],
-     "badheight.map: line 2: bad height header"),
+    _case(46, "ConfigError", ["bench", "--config", "{tmp}/mixed.yaml"],
+              "mixed.yaml: unknown config keys: [1, 'foo']"),
+    _case(47, "ConfigError", ["bench", "--config", "{tmp}/nomap.yaml"],
+              "nomap.yaml: unknown map 'nosuch'"),
+    _case(48, "ParseError", ["solve", "--map", "{tmp}/badheight.map"],
+              "badheight.map: line 2: bad height header"),
 ])
 def test_input_errors_are_one_error_line(tmp_path, capsys, error, argv, where):
     (tmp_path / "bad.map").write_text(MAP_WITH_BAD_TERRAIN)

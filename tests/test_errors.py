@@ -18,6 +18,7 @@ import pytest
 
 import privmapf
 from privmapf import pibt
+from privmapf.audit import audit
 from privmapf.bench import TaskSpec, run_suite
 from privmapf.dispatch import AgentGroup, dispatch_groups, propose_groups
 from privmapf.grid import ConfigError, PrivmapfError
@@ -25,6 +26,7 @@ from privmapf.instances import random_spaced_pairs
 from privmapf.lacam import lacam_solve
 from privmapf.pibt import SolverProblem
 from privmapf.pipeline import PipelineSpec, TraceError, read_trace
+from privmapf.plans import JointPlan
 
 from conftest import singleton_problem
 
@@ -47,9 +49,12 @@ def test_every_input_error_is_a_privmapf_error():
         assert issubclass(cls, PrivmapfError) != (name in BUG_SIGNALS), name
 
 
-def _fov_table(world, radius, tmp_path):
-    world.fov_table(1)  # a filled cache must not answer True, which hashes as 1
-    world.fov_table(radius)
+def _fov_table(name):
+    def build(world, radius, tmp_path):
+        table = getattr(world, name)
+        table(1)  # a filled cache must not answer True, which hashes as 1
+        table(radius)
+    return build
 
 
 def _problem(world, radius, tmp_path):
@@ -74,7 +79,11 @@ def _trace(key):
 # entry point, its floor, error type and message ({!r} is the bad value);
 # each call reaches the check with every other argument valid
 INT_SETTINGS = {
-    "fov_table radius": (_fov_table, 0, ConfigError, "fov radius must be >= 0"),
+    "fov_table radius": (_fov_table("fov_table"), 0, ConfigError, "fov radius must be >= 0"),
+    "fov_ring_table radius": (_fov_table("fov_ring_table"),
+                              0, ConfigError, "fov radius must be >= 0"),
+    "audit fov_radius": (lambda w, v, _: audit(w, JointPlan(((0, 0),)), [0], v, check_fov=True),
+                         0, ConfigError, "fov radius must be >= 0"),
     "SolverProblem fov_radius": (_problem, 0, ConfigError, "fov radius must be >= 0"),
     "dispatch_groups k": (lambda w, v, _: dispatch_groups(w, [(0, 5)], v, 0, 0),
                           1, ConfigError, "k must be >= 1"),

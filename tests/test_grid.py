@@ -144,16 +144,6 @@ def test_fov_ring_is_the_square_a_step_newly_covers(open16, random32):
         open16.fov_ring_table(-1)
 
 
-# an exact int, checked before the cache: 1.5 and '1' would end in a bare
-# TypeError, and True, which hashes as 1, would return the radius-1 table
-@pytest.mark.parametrize("radius", [1.5, "1", True])
-def test_fov_table_rejects_non_int_radius(open16, radius):
-    open16.fov_table(1)
-    for table in (open16.fov_table, open16.fov_ring_table):
-        with pytest.raises(ConfigError, match="fov radius must be >= 0"):
-            table(radius)
-
-
 coord = st.integers(min_value=0, max_value=7)
 
 

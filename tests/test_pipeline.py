@@ -5,7 +5,6 @@ of everything an observer sees; privacy claims are checked on those bytes,
 never on in-process objects.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -228,7 +227,7 @@ def _conflicting_solve(monkeypatch):
         result = solve(*args, **kwargs)
         paths = [list(p) for p in result.plan.paths]
         paths[1][1] = paths[0][1]
-        return dataclasses.replace(result, plan=JointPlan(tuple(map(tuple, paths))))
+        return result._replace(plan=JointPlan(tuple(map(tuple, paths))))
 
     monkeypatch.setattr(pipeline, "lacam_solve", broken)
 
